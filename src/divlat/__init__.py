@@ -27,7 +27,6 @@ from .divisibility import (
     SpectrumTable,
     coprime_root,
     divisibility_spectrum,
-    exhaustive_witness_scan,
     impossibility_certificates,
     realizable_orders,
     root_search,
@@ -61,7 +60,6 @@ from .numberring import (
     embed_ok_matrix,
     lchar,
     mult_hypothesis,
-    ok_endomorphism_check,
     unit_group,
     unit_s_divisible,
 )

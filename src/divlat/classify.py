@@ -8,6 +8,7 @@ semisimple-plus-nilpotent splitting computed by Newton iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .exactalg import (
@@ -22,10 +23,75 @@ from .exactalg import (
 from .primes import prime_factors
 
 
+class _Invariants:
+    """The invariants of one square operator that the public analyses read:
+    det, mu, semisimplicity, the cyclotomic factorization of chi and the
+    order.  Each is computed on first use, at most once per instance; an
+    analysis builds one instance and passes it down."""
+
+    def __init__(self, T):
+        if not T.is_square:
+            raise ValueError("square matrix required")
+        self.T = T
+
+    @cached_property
+    def det(self) -> int:
+        return self.T.det()
+
+    @cached_property
+    def mu(self):
+        return min_poly(self.T)
+
+    @cached_property
+    def semisimple(self) -> bool:
+        return poly_gcd(self.mu, self.mu.derivative()).degree <= 0
+
+    @cached_property
+    def factorization(self) -> tuple[tuple[int, int], ...] | None:
+        """((k, multiplicity), ...) when chi is a product of cyclotomic
+        polynomials, else None (always None with a zero eigenvalue)."""
+        if self.T.rows == 0:
+            return ()
+        if self.det == 0:
+            return None
+        remaining = char_poly(self.T)
+        factorization = []
+        for k, phi_k in cyclotomics_up_to_degree(self.T.rows):
+            e = 0
+            while remaining.degree >= phi_k.degree:
+                q, r = divmod(remaining, phi_k)
+                if not r.is_zero():
+                    break
+                remaining = q
+                e += 1
+            if e:
+                factorization.append((k, e))
+        return tuple(factorization) if remaining.degree == 0 else None
+
+    @cached_property
+    def order(self) -> int | None:
+        """Multiplicative order, or None for infinite order or a zero
+        eigenvalue: the lcm of the cyclotomic indices of a semisimple
+        operator, re-verified by exact exponentiation and checked minimal
+        over the maximal proper divisors."""
+        T = self.T
+        if T.rows == 0:
+            return 1
+        if self.det == 0 or not self.semisimple or self.factorization is None:
+            return None
+        d = lcm(*(k for k, _ in self.factorization))
+        eye = IntMatrix.identity(T.rows)
+        if T ** d != eye:
+            raise AssertionError("candidate order failed re-verification")
+        for p in prime_factors(d):
+            if T ** (d // p) == eye:
+                raise AssertionError("candidate order not minimal")
+        return d
+
+
 def is_semisimple(T) -> bool:
     """True iff the minimal polynomial is squarefree (exact gcd test)."""
-    mu = min_poly(T)
-    return poly_gcd(mu, mu.derivative()).degree <= 0
+    return _Invariants(T).semisimple
 
 
 def roots_of_unity_spectrum(T: IntMatrix):
@@ -34,48 +100,16 @@ def roots_of_unity_spectrum(T: IntMatrix):
     Returns (True, ((k, multiplicity), ...)) on success and (False, None)
     when a non-cyclotomic factor remains.  Requires det T != 0.
     """
-    if not T.is_square:
-        raise ValueError("square matrix required")
-    if T.rows and T.det() == 0:
+    inv = _Invariants(T)
+    if T.rows and inv.det == 0:
         raise ValueError("zero eigenvalue: not invertible")
-    chi = char_poly(T)
-    remaining = chi
-    factorization = []
-    for k, phi_k in cyclotomics_up_to_degree(max(T.rows, 1)):
-        e = 0
-        while remaining.degree >= phi_k.degree:
-            q, r = divmod(remaining, phi_k)
-            if not r.is_zero():
-                break
-            remaining = q
-            e += 1
-        if e:
-            factorization.append((k, e))
-    if remaining.degree == 0:
-        return True, tuple(factorization)
-    return False, None
+    return inv.factorization is not None, inv.factorization
 
 
 def finite_order(T: IntMatrix) -> int | None:
     """Multiplicative order of T, or None when T has infinite order or a
-    zero eigenvalue.  The candidate order is the lcm of the cyclotomic
-    indices; it is verified by exact exponentiation and checked minimal over
-    the maximal proper divisors."""
-    if not T.is_square:
-        raise ValueError("square matrix required")
-    if T.rows == 0:
-        return 1
-    if T.det() == 0 or not is_semisimple(T):
-        return None
-    ok, factorization = roots_of_unity_spectrum(T)
-    if not ok:
-        return None
-    d = lcm(*(k for k, _ in factorization))
-    eye = IntMatrix.identity(T.rows)
-    assert T ** d == eye, "candidate order failed re-verification"
-    for p in prime_factors(d):
-        assert T ** (d // p) != eye, "candidate order not minimal"
-    return d
+    zero eigenvalue."""
+    return _Invariants(T).order
 
 
 def jordan_chevalley(T: IntMatrix) -> tuple[QMatrix, QMatrix]:
@@ -87,32 +121,37 @@ def jordan_chevalley(T: IntMatrix) -> tuple[QMatrix, QMatrix]:
     and every iterate lives in the commutative algebra Q[T].  Integrality of
     the output is not guaranteed and not claimed.
     """
-    if not T.is_square:
-        raise ValueError("square matrix required")
+    return _jordan_chevalley(_Invariants(T))
+
+
+def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
+    T = inv.T
     n = T.rows
     X = QMatrix.from_int_matrix(T)
     if n == 0:
         return X, X
-    mu = min_poly(T)
-    reduced = squarefree_part(mu)
+    reduced = squarefree_part(inv.mu)
     reduced_d = reduced.derivative()
+    if poly_gcd(reduced, reduced_d).degree > 0:
+        raise AssertionError("squarefree part of mu is not squarefree")
     # Quadratic convergence: the nilpotency degree is at most n, so
     # ceil(log2 n) + 2 steps suffice; exceeding the cap is a bug, not an
     # input property.
     cap = max(1, (n - 1).bit_length()) + 2
-    for _ in range(cap):
+    for step in range(cap + 1):
         value = reduced.eval_matrix(X)
         if value.is_zero():
             break
+        if step == cap:
+            raise AssertionError("Newton iteration failed to converge within the cap")
         X = X - value * reduced_d.eval_matrix(X).inverse()
-    if not reduced.eval_matrix(X).is_zero():
-        raise AssertionError("Newton iteration failed to converge within the cap")
+    # reduced(S) = 0 with reduced squarefree: S is semisimple.
     S = X
     N = QMatrix.from_int_matrix(T) - S
-    assert (N ** n).is_zero(), "nilpotent part is not nilpotent"
-    assert S * N == N * S, "parts do not commute"
-    mu_s = min_poly(S)
-    assert poly_gcd(mu_s, mu_s.derivative()).degree <= 0, "semisimple part not semisimple"
+    if not (N ** n).is_zero():
+        raise AssertionError("nilpotent part is not nilpotent")
+    if S * N != N * S:
+        raise AssertionError("parts do not commute")
     return S, N
 
 
@@ -132,17 +171,13 @@ def classify_operator(T: IntMatrix, module=None) -> ClassifyReport:
         raise ValueError("square matrix required")
     if module is not None:
         module.require_endomorphism(T)
-    semisimple = is_semisimple(T)
-    if T.rows == 0:
-        roots, factorization = True, ()
-    elif T.det() == 0:
-        roots, factorization = False, None
-    else:
-        roots, factorization = roots_of_unity_spectrum(T)
-    order = finite_order(T)
-    assert (order is not None) == (semisimple and roots)
-    S, N = jordan_chevalley(T)
-    return ClassifyReport(semisimple, roots, order, factorization, S, N)
+    inv = _Invariants(T)
+    factorization = inv.factorization
+    order = inv.order
+    if (order is not None) != (inv.semisimple and factorization is not None):
+        raise AssertionError("order disagrees with semisimplicity and spectrum")
+    S, N = _jordan_chevalley(inv)
+    return ClassifyReport(inv.semisimple, factorization is not None, order, factorization, S, N)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 File-based JSON in, JSON (--json) or human-readable text out.  Exit codes:
 0 success, 1 domain error (bad input values, schema violations), 2 usage
-error.  The --threads flag changes speed only, never any output byte;
---seed drives corpus generation only.
+error.  The --threads flag is accepted for compatibility and ignored: every
+search runs in the calling thread.  --seed drives corpus generation only.
 """
 from __future__ import annotations
 
@@ -108,14 +108,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_root(args) -> int:
     T, module = _load_operator(args.file)
-    outcome = root_search(
-        T,
-        args.s,
-        args.bound,
-        module=module,
-        threads=args.threads,
-        timeout_ms=args.timeout_ms,
-    )
+    outcome = root_search(T, args.s, args.bound, module=module, timeout_ms=args.timeout_ms)
     payload = outcome_to_json(outcome)
     if "found" in payload:
         text = f"FOUND witness {payload['found']['witness']['entries']} (re-multiplied exactly)"
@@ -129,9 +122,7 @@ def _cmd_root(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     T, module = _load_operator(args.file)
-    table = divisibility_spectrum(
-        T, args.s_max, args.bound, module=module, threads=args.threads
-    )
+    table = divisibility_spectrum(T, args.s_max, args.bound, module=module)
     lines = [f"order of invertible part: {table.order if table.order is not None else 'none'}"]
     if table.sufficient_set:
         lines.append(f"guaranteed divisible for {table.sufficient_set}")
@@ -263,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable JSON output")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for searches (never changes results)")
+                        help="accepted and ignored (searches run single-threaded)")
     common.add_argument("--seed", type=int, default=1, help="PRNG seed (corpus generation only)")
 
     parser = _Parser(

@@ -16,8 +16,8 @@ from itertools import product
 from math import gcd, lcm
 from typing import Union
 
-from .classify import finite_order
-from .exactalg import IntMatrix, kernel_saturated
+from .classify import _Invariants, finite_order
+from .exactalg import IntMatrix, _tuple_det, _tuple_mul, _tuple_pow, kernel_saturated
 from .fitting import clean_split
 from .primes import euler_phi, integer_root, is_prime, signed_root
 
@@ -131,16 +131,19 @@ def realizable_orders(n: int) -> frozenset[int]:
 def impossibility_certificates(T: IntMatrix, s: int, module=None) -> list[CertKind]:
     """Every certificate proving T has no s-th root; sound by construction,
     empty on actual s-th powers."""
-    if not T.is_square:
-        raise ValueError("square matrix required")
+    return _certificates(_Invariants(T), s, module)
+
+
+def _certificates(inv: _Invariants, s: int, module) -> list[CertKind]:
     if s < 2:
         raise ValueError("exponent must be at least 2")
+    T = inv.T
     n = T.rows
     certs: list[CertKind] = []
     # determinant route: det T = (det X)^s in Z; over a quadratic order the
     # same equation holds for field norms of ring determinants.
     if module is None:
-        dt = T.det()
+        dt = inv.det
         if dt != 0:
             if dt < 0 and s % 2 == 0:
                 certs.append(NegativeDetEvenPower(s, dt))
@@ -161,7 +164,7 @@ def impossibility_certificates(T: IntMatrix, s: int, module=None) -> list[CertKi
     # finite-order route: any root of a finite-order operator is itself of
     # finite order realizable in GL_n(Z); only fires because the realizable
     # set is enumerated exhaustively.
-    d = finite_order(T)
+    d = inv.order
     if d is not None:
         if not any(e // gcd(e, s) == d for e in realizable_orders(n)):
             certs.append(OrderObstruction(s, d))
@@ -169,85 +172,41 @@ def impossibility_certificates(T: IntMatrix, s: int, module=None) -> list[CertKi
 
 
 # ---------------------------------------------------------------------------
-# Flat-tuple matrix helpers for the hot enumeration loop
-
-
-def _flat_mul(a, b, n):
-    out = []
-    for i in range(n):
-        row = a[i * n : (i + 1) * n]
-        for j in range(n):
-            out.append(sum(row[t] * b[t * n + j] for t in range(n)))
-    return tuple(out)
-
-
-def _flat_pow(x, n, s):
-    result = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-    base = x
-    while s:
-        if s & 1:
-            result = _flat_mul(result, base, n)
-        base = _flat_mul(base, base, n) if s > 1 else base
-        s >>= 1
-    return result
-
-
-def _flat_det(x, n):
-    if n == 1:
-        return x[0]
-    if n == 2:
-        return x[0] * x[3] - x[1] * x[2]
-    if n == 3:
-        return (x[0] * (x[4] * x[8] - x[5] * x[7])
-                - x[1] * (x[3] * x[8] - x[5] * x[6])
-                + x[2] * (x[3] * x[7] - x[4] * x[6]))
-    a = [list(x[i * n : (i + 1) * n]) for i in range(n)]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+# Bounded search
 
 
 @lru_cache(maxsize=8)
 def _det_bucketed_candidates(n: int, bound: int):
     """All entry tuples of the box [-bound, bound]^(n^2) bucketed by
     determinant; each bucket preserves lexicographic order.  Frozen so the
-    cache stays immutable under concurrent searches."""
+    cached tables stay immutable."""
     table: dict[int, list[tuple[int, ...]]] = {}
     for cand in product(range(-bound, bound + 1), repeat=n * n):
-        table.setdefault(_flat_det(cand, n), []).append(cand)
+        table.setdefault(_tuple_det(cand, n), []).append(cand)
     return {det: tuple(bucket) for det, bucket in table.items()}
 
 
 _TIMED_OUT = object()
+_DEADLINE_EVERY = 4096  # candidates enumerated between two deadline checks
 
 
-def _scan(candidates, n, s, target, trace_target, prime_s, w_flat, deadline):
-    """Scan candidates in order; det filtering is assumed done by the caller.
-    Returns the first witness, None, or the timeout sentinel."""
-    diag = tuple(i * (n + 1) for i in range(n))
-    count = 0
-    for cand in candidates:
-        count += 1
-        if deadline is not None and count % 4096 == 0 and time.monotonic() > deadline:
+def _scan(candidates, n, s, target, trace_target, prime_s, w_flat, deadline, det_target=None):
+    """Scan candidates in order, checking the deadline every
+    _DEADLINE_EVERY candidates enumerated.  With det_target given, the
+    candidates X with det(X)^s != det_target are skipped; without it they
+    are assumed filtered already.  Returns the first witness, None, or the
+    timeout sentinel."""
+    diag = slice(None, None, n + 1)
+    for count, cand in enumerate(candidates, 1):
+        if deadline is not None and not count % _DEADLINE_EVERY and time.monotonic() > deadline:
             return _TIMED_OUT
-        if prime_s and (sum(cand[i] for i in diag) - trace_target) % s:
-            continue  # tr(X^p) = tr(X) mod p for prime p
-        if w_flat is not None and _flat_mul(cand, w_flat, n) != _flat_mul(w_flat, cand, n):
+        if det_target is not None and _tuple_det(cand, n) ** s != det_target:
             continue
-        if _flat_pow(cand, n, s) == target:
+        if prime_s and (sum(cand[diag]) - trace_target) % s:
+            continue  # tr(X^p) = tr(X) mod p for prime p
+        if w_flat is not None and _tuple_mul(cand, w_flat, n, n, n) != _tuple_mul(w_flat, cand, n, n, n):
+            continue
+        if _tuple_pow(cand, n, s) == target:
             return cand
     return None
 
@@ -258,20 +217,20 @@ def root_search(
     bound: int,
     *,
     module=None,
-    threads: int = 1,
     timeout_ms: int | None = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> RootSearchOutcome:
     """Certificates first; then exhaustive search over max-norm <= bound in
     row-major lexicographic order, returning the lexicographically smallest
-    witness.  Deterministic regardless of thread count."""
+    witness."""
     if not T.is_square:
         raise ValueError("square matrix required")
     if s < 2:
         raise ValueError("exponent must be at least 2")
     if bound < 1:
         raise ValueError("bound must be positive")
-    certs = impossibility_certificates(T, s, module=module)
+    inv = _Invariants(T)
+    certs = _certificates(inv, s, module)
     if certs:
         return ProvedImpossible(certs[0])
     n = T.rows
@@ -282,11 +241,10 @@ def root_search(
     total = (2 * bound + 1) ** (n * n)
     if total > max_candidates:
         return Exhausted(bound, complete=False)
-    target = tuple(T.entries)
-    dt = T.det()
-    prime_s = is_prime(s)
-    trace_target = T.trace()
-    w_flat = tuple(module.omega_action.entries) if module is not None else None
+    target = T.entries
+    dt = inv.det
+    scan_args = (n, s, target, T.trace(), is_prime(s),
+                 module.omega_action.entries if module is not None else None, deadline)
 
     if total <= _TABLE_LIMIT:
         table = _det_bucketed_candidates(n, bound)
@@ -302,9 +260,10 @@ def root_search(
         if not streams:
             return Exhausted(bound)
         candidates = streams[0] if len(streams) == 1 else heapq.merge(*streams)
-        hit = _scan(candidates, n, s, target, trace_target, prime_s, w_flat, deadline)
+        hit = _scan(candidates, *scan_args)
     else:
-        hit = _scan_blocks(T, s, bound, target, dt, trace_target, prime_s, w_flat, deadline, threads)
+        box = product(range(-bound, bound + 1), repeat=n * n)
+        hit = _scan(box, *scan_args, det_target=dt)
 
     if hit is _TIMED_OUT:
         return Exhausted(bound, complete=False)
@@ -312,61 +271,9 @@ def root_search(
         return Exhausted(bound)
     witness = IntMatrix(n, n, hit)
     power = witness ** s
-    assert power == T, "witness failed final re-multiplication"
+    if power != T:
+        raise AssertionError("witness failed final re-multiplication")
     return Found(witness, power)
-
-
-def _scan_blocks(T, s, bound, target, dt, trace_target, prime_s, w_flat, deadline, threads):
-    """Large boxes: partition by the first entry (lexicographic blocks) and
-    scan block by block; with threads > 1 the blocks are raced in waves but
-    the earliest block with a witness still wins, so the result is the
-    global lexicographic minimum either way."""
-    n = T.rows
-    rest = n * n - 1
-    values = range(-bound, bound + 1)
-
-    def scan_one(first):
-        cands = (
-            (first,) + tail
-            for tail in product(values, repeat=rest)
-            if _flat_det((first,) + tail, n) ** s == dt
-        )
-        # determinant filter folded into the generator above
-        return _scan(cands, n, s, target, trace_target, prime_s, w_flat, deadline)
-
-    if threads <= 1:
-        for first in values:
-            if deadline is not None and time.monotonic() > deadline:
-                return _TIMED_OUT
-            r = scan_one(first)
-            if r is not None:
-                return r
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-
-    blocks = list(values)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i in range(0, len(blocks), threads):
-            if deadline is not None and time.monotonic() > deadline:
-                return _TIMED_OUT
-            wave = blocks[i : i + threads]
-            for r in pool.map(scan_one, wave):
-                if r is not None:
-                    return r
-    return None
-
-
-def exhaustive_witness_scan(T: IntMatrix, s: int, bound: int) -> IntMatrix | None:
-    """Certificate-free full enumeration; used to cross-validate the
-    certificates in the acceptance suite."""
-    if not T.is_square or T.rows == 0:
-        raise ValueError("square nonempty matrix required")
-    n = T.rows
-    target = tuple(T.entries)
-    for cand in product(range(-bound, bound + 1), repeat=n * n):
-        if _flat_pow(cand, n, s) == target:
-            return IntMatrix(n, n, cand)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +341,6 @@ def divisibility_spectrum(
     bound: int,
     *,
     module=None,
-    threads: int = 1,
     timeout_ms: int | None = None,
 ) -> SpectrumTable:
     """Per-exponent verdict table: bounded search outcomes plus the
@@ -445,14 +351,15 @@ def divisibility_spectrum(
     d = zero_plus_finite_order(T)
     rows = []
     for s in range(2, s_max + 1):
-        outcome = root_search(T, s, bound, module=module, threads=threads, timeout_ms=timeout_ms)
+        outcome = root_search(T, s, bound, module=module, timeout_ms=timeout_ms)
         troot = None
         if d is not None and gcd(s, d) == 1:
             troot = coprime_root(T, d, s)
         if isinstance(outcome, Found):
             verdict = "yes-witness"
         elif isinstance(outcome, ProvedImpossible):
-            assert troot is None, "certificate fired on a constructible root"
+            if troot is not None:
+                raise AssertionError("certificate fired on a constructible root")
             verdict = "no-certificate"
         elif troot is not None:
             verdict = "yes-coprime-order"

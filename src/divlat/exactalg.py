@@ -9,18 +9,155 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, floordiv, mul, sub, truediv
 
 from .primes import divisors, euler_phi
 
 
+# ---------------------------------------------------------------------------
+# Entry-tuple kernels.  A matrix is a row-major tuple of int or Fraction
+# entries; the matrix classes below and the root-search scan share these.
+
+
+def _identity(n: int) -> tuple[int, ...]:
+    return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+
+
+def _tuple_mul(a, b, rows: int, inner: int, cols: int) -> tuple:
+    """Product of a (rows x inner) and b (inner x cols)."""
+    columns = [b[j::cols] for j in range(cols)]
+    return tuple(sum(map(mul, a[i * inner : (i + 1) * inner], col))
+                 for i in range(rows) for col in columns)
+
+
+def _tuple_pow(x, n: int, k: int) -> tuple:
+    """x^k for a square n x n entry tuple and k >= 0, by repeated squaring."""
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else _tuple_mul(result, x, n, n, n)
+        k >>= 1
+        if k:
+            x = _tuple_mul(x, x, n, n, n)
+    return _identity(n) if result is None else result
+
+
+def _tuple_det(x, n: int):
+    """Determinant of a square n x n entry tuple: closed forms up to 3 x 3
+    (the root-search scan calls this millions of times), fraction-free
+    Bareiss elimination beyond, whose divisions are exact."""
+    if n == 0:
+        return 1
+    if n == 1:
+        return x[0]
+    if n == 2:
+        return x[0] * x[3] - x[1] * x[2]
+    if n == 3:
+        return (x[0] * (x[4] * x[8] - x[5] * x[7])
+                - x[1] * (x[3] * x[8] - x[5] * x[6])
+                + x[2] * (x[3] * x[7] - x[4] * x[6]))
+    div = floordiv if all(type(e) is int for e in x) else truediv
+    a = [list(x[i * n : (i + 1) * n]) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top, pivot = a[k], a[k][k]
+        for row in a[k + 1 :]:
+            for j in range(k + 1, n):
+                row[j] = div(row[j] * pivot - row[k] * top[j], prev)
+            row[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+class _Matrix:
+    """Algebra shared by IntMatrix and QMatrix, which supply the fields
+    ``rows``, ``cols`` and row-major ``entries``, validate them, and name
+    the scalar types in ``_scalars``.  Matrix operands must be of the same
+    class."""
+
+    _scalars: tuple[type, ...] = ()
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls(n, n, _identity(n))
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int):
+        return cls(rows, cols, (0,) * (rows * cols))
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    @property
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    def _same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+
+    def __add__(self, other):
+        self._same_shape(other)
+        return type(self)(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
+
+    def __sub__(self, other):
+        self._same_shape(other)
+        return type(self)(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
+
+    def __neg__(self):
+        return type(self)(self.rows, self.cols, tuple(-a for a in self.entries))
+
+    def _is_scalar(self, x) -> bool:
+        return isinstance(x, self._scalars) and not isinstance(x, bool)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            if self.cols != other.rows:
+                raise ValueError("shape mismatch in product")
+            return type(self)(self.rows, other.cols,
+                              _tuple_mul(self.entries, other.entries, self.rows, self.cols, other.cols))
+        if self._is_scalar(other):
+            return type(self)(self.rows, self.cols, tuple(a * other for a in self.entries))
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if self._is_scalar(other):
+            return self * other
+        return NotImplemented
+
+    def __pow__(self, k: int):
+        if not self.is_square:
+            raise ValueError("power of a non-square matrix")
+        if k < 0:
+            raise ValueError("negative matrix power")
+        return type(self)(self.rows, self.cols, _tuple_pow(self.entries, self.rows, k))
+
+
 @dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Matrix):
     """Row-major integer matrix.  Zero-row matrices are allowed so that
     rank-0 lattices (kernels of injective maps) have a representation."""
 
     rows: int
     cols: int
     entries: tuple[int, ...]
+
+    _scalars = (int,)
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -44,27 +181,12 @@ class IntMatrix:
         return cls(len(rows), cols, tuple(int(x) for r in rows for x in r))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def diagonal(cls, values) -> "IntMatrix":
         values = list(values)
         n = len(values)
         return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
 
     # -- access --------------------------------------------------------
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def column(self, j: int) -> tuple[int, ...]:
         return self.entries[j :: self.cols] if self.cols else ()
 
@@ -72,51 +194,9 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     # -- algebra ---------------------------------------------------------
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return IntMatrix(self.rows, self.cols, tuple(a * other for a in self.entries))
-        if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            n, m, k = self.rows, other.cols, self.cols
-            a, b = self.entries, other.entries
-            out = []
-            for i in range(n):
-                arow = a[i * k : (i + 1) * k]
-                for j in range(m):
-                    out.append(sum(arow[t] * b[t * m + j] for t in range(k)))
-            return IntMatrix(n, m, tuple(out))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "IntMatrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative matrix power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+    # Bound here rather than inherited: per-class instrumentation (the
+    # benchmark's tracer) finds methods in the class __dict__.
+    __pow__ = _Matrix.__pow__
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)))
@@ -124,47 +204,19 @@ class IntMatrix:
     def trace(self) -> int:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return sum(self.entries[i * (self.cols + 1)] for i in range(self.rows))
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return sum(self.entries[:: self.cols + 1])
 
     def apply(self, vec) -> tuple[int, ...]:
         """Act on a column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(self.row(i)[j] * vec[j] for j in range(self.cols)) for i in range(self.rows))
+        return _tuple_mul(self.entries, tuple(vec), self.rows, self.cols, 1)
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(self.row(i)) for i in range(n)]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = pivot
-        return sign * a[n - 1][n - 1]
+        return _tuple_det(self.entries, self.rows)
 
     def rank(self) -> int:
         H = hnf(self)
@@ -172,10 +224,6 @@ class IntMatrix:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(list(self.row(i))) for i in range(self.rows)) + "]"
-
-    def _same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
 
 def _frac(x) -> Fraction:
@@ -187,12 +235,14 @@ def _frac(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class QMatrix:
+class QMatrix(_Matrix):
     """Dense matrix over the rationals (exact Fraction entries)."""
 
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
+
+    _scalars = (int, Fraction)
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -207,67 +257,7 @@ class QMatrix:
 
     @classmethod
     def from_int_matrix(cls, m: IntMatrix) -> "QMatrix":
-        return cls(m.rows, m.cols, tuple(Fraction(x) for x in m.entries))
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return QMatrix(self.rows, self.cols, tuple(a * other for a in self.entries))
-        if isinstance(other, QMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            n, m, k = self.rows, other.cols, self.cols
-            a, b = self.entries, other.entries
-            out = []
-            for i in range(n):
-                arow = a[i * k : (i + 1) * k]
-                for j in range(m):
-                    out.append(sum(arow[t] * b[t * m + j] for t in range(k)))
-            return QMatrix(n, m, tuple(out))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "QMatrix":
-        if k < 0:
-            raise ValueError("negative matrix power")
-        result = QMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return cls(m.rows, m.cols, m.entries)
 
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.entries)
@@ -528,16 +518,6 @@ def image_lattice(T: IntMatrix) -> Lattice:
     return Lattice.from_generators(T.rows, [T.column(j) for j in range(T.cols)])
 
 
-def kernel_complement_columns(T: IntMatrix) -> tuple[Lattice, list[tuple[int, ...]]]:
-    """Saturated kernel of T together with a basis of a complementary direct
-    summand (the remaining columns of the SNF change of basis)."""
-    D, U, V = snf(T)
-    r = sum(1 for i in range(min(T.rows, T.cols)) if D[i, i] != 0)
-    kernel = Lattice.from_generators(T.cols, [V.column(j) for j in range(r, T.cols)])
-    complement = [V.column(j) for j in range(r)]
-    return kernel, complement
-
-
 def restrict_to_lattice(T: IntMatrix, lat: Lattice) -> IntMatrix:
     """Matrix of T on the basis of a T-invariant lattice (column-vector
     convention).  Raises if the lattice is not invariant."""
@@ -703,7 +683,8 @@ def squarefree_part(p: RatPoly) -> RatPoly:
     if g.degree <= 0:
         return p.monic()
     q, r = divmod(p, g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise AssertionError("gcd(p, p') does not divide p")
     return q.monic()
 
 
@@ -714,33 +695,32 @@ def char_poly(T: IntMatrix) -> RatPoly:
         raise ValueError("char_poly requires a square matrix")
     n = T.rows
     cs: list[int] = []
-    M = IntMatrix.identity(n)
+    M = _identity(n)
     for k in range(1, n + 1):
-        N = T * M
-        tr = N.trace()
+        N = _tuple_mul(T.entries, M, n, n, n)
+        tr = sum(N[:: n + 1])
         if tr % k:
             raise AssertionError("Faddeev-LeVerrier division failed")
         c = -(tr // k)
         cs.append(c)
-        M = N + IntMatrix.identity(n) * c
-    if n and not (T * M).is_zero():
+        M = tuple(a + c if i % (n + 1) == 0 else a for i, a in enumerate(N))
+    if n and any(_tuple_mul(T.entries, M, n, n, n)):
         raise AssertionError("Faddeev-LeVerrier recurrence did not terminate at zero")
     ascending = [Fraction(c) for c in reversed(cs)] + [Fraction(1)]
     return RatPoly(tuple(ascending))
 
 
 def min_poly(T) -> RatPoly:
-    """Monic minimal polynomial, found as the first exact linear dependence
-    among I, T, T^2, ... (Krylov search over Q)."""
-    if isinstance(T, IntMatrix):
-        T = QMatrix.from_int_matrix(T)
+    """Monic minimal polynomial of an IntMatrix or QMatrix, found as the
+    first exact linear dependence among I, T, T^2, ... (Krylov search over
+    Q; the powers stay in the entry type of T)."""
     if T.rows != T.cols:
         raise ValueError("min_poly requires a square matrix")
     n = T.rows
     basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = QMatrix.identity(n)
+    power = _identity(n)
     for k in range(n + 1):
-        vec = list(power.entries)
+        vec = list(power)
         combo = [Fraction(0)] * k + [Fraction(1)]
         for pivot, bvec, bcombo in basis:
             f = vec[pivot]
@@ -748,14 +728,14 @@ def min_poly(T) -> RatPoly:
                 vec = [a - f * b for a, b in zip(vec, bvec)]
                 for i, c in enumerate(bcombo):
                     combo[i] -= f * c
-        if all(a == 0 for a in vec):
+        if not any(vec):
             return RatPoly(tuple(combo))
         pivot = next(i for i, a in enumerate(vec) if a)
-        scale = vec[pivot]
+        scale = Fraction(vec[pivot])
         vec = [a / scale for a in vec]
         combo = [c / scale for c in combo]
         basis.append((pivot, vec, combo))
-        power = power * T
+        power = _tuple_mul(power, T.entries, n, n, n)
     raise AssertionError("no annihilating polynomial up to degree n")
 
 
@@ -781,7 +761,8 @@ def cyclotomic(k: int) -> RatPoly:
     for d in divisors(k):
         if d < k:
             poly, rem = divmod(poly, cyclotomic(d))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise AssertionError(f"Phi_{d} does not divide x^{k} - 1")
     return poly
 
 

@@ -84,7 +84,8 @@ def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
         if next_kernel == kernel:
             break
         kernel, power, m = next_kernel, next_power, m + 1
-        assert m <= n, "kernel chain failed to stabilize within n steps"
+        if m > n:
+            raise AssertionError("kernel chain failed to stabilize within n steps")
     image = image_lattice(power)
     direct, _ = _direct_and_full(kernel, image)
     restriction = restrict_to_lattice(T, image)
@@ -94,11 +95,13 @@ def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
         sub = module.submodule(image)
         det_el = sub.det_as_ring_element(restriction)
         invertible = module.order.norm(det_el) in (1, -1)
-        assert invertible == (abs(restriction.det()) == 1)
+        if invertible != (abs(restriction.det()) == 1):
+            raise AssertionError("ring and integer determinants disagree on invertibility")
     else:
         invertible = abs(restriction.det()) == 1
     for i in range(kernel.rank):
-        assert kernel.contains(T.apply(kernel.basis.row(i))), "kernel part not invariant"
+        if not kernel.contains(T.apply(kernel.basis.row(i))):
+            raise AssertionError("kernel part not invariant")
     return FittingSplit(m, kernel, image, direct, invertible, restriction)
 
 
@@ -124,6 +127,7 @@ def clean_split(T: IntMatrix, module=None) -> CleanSplit:
     restriction = restrict_to_lattice(T, image)
     # With a direct full split the image satisfies im T = T(im T), so the
     # restriction is automatically an automorphism.
-    assert restriction.rows == 0 or abs(restriction.det()) == 1
+    if restriction.rows and abs(restriction.det()) != 1:
+        raise AssertionError("restriction to the image part is not invertible")
     return CleanSplit(True, kernel, image, stacked, restriction,
                       "Z^n = ker T (+) im T with invertible restriction")

@@ -444,12 +444,6 @@ class OKModule:
         return det
 
 
-def ok_endomorphism_check(module: OKModule, T: IntMatrix) -> bool:
-    """Whether T is linear over the ring, i.e. commutes with the omega
-    action, not merely Z-linear."""
-    return module.endomorphism_ok(T)
-
-
 def embed_ok_matrix(order: QuadraticOrder, entries) -> IntMatrix:
     """Turn an r x r matrix of ring elements into the 2r x 2r integer matrix
     acting on the free module (blocks a*I + b*W0)."""

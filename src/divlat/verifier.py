@@ -13,15 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .classify import finite_order, is_semisimple
+from .classify import _Invariants
 from .divisibility import coprime_root
-from .exactalg import (
-    IntMatrix,
-    QMatrix,
-    image_lattice,
-    kernel_complement_columns,
-    restrict_to_lattice,
-)
+from .exactalg import IntMatrix, QMatrix, char_poly, image_lattice, restrict_to_lattice
 from .fitting import clean_split, fitting_decompose
 from .numberring import IntegerRing, OKModule, QuadraticOrder, ZZ, lchar, mult_hypothesis
 from .primes import prime_factors
@@ -92,25 +86,11 @@ def order_is_outside(d: int, primes: PrimeSet) -> bool:
     return all(not primes.contains(p) for p in prime_factors(d))
 
 
-def _quotient_determinant(T: IntMatrix) -> int:
-    """Determinant of the map induced by T on Z^n / ker T (an integer, since
-    the kernel is saturated and the complement basis is unimodular)."""
-    kernel, complement = kernel_complement_columns(T)
-    r = len(complement)
-    if r == 0:
-        return 1
-    n = T.rows
-    cols = complement + [kernel.basis.row(i) for i in range(kernel.rank)]
-    B = QMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
-    Binv = B.inverse()
-    entries = []
-    for i in range(r):
-        for j in range(r):
-            w = T.apply(complement[j])
-            val = sum(Binv[i, t] * w[t] for t in range(n))
-            assert val.denominator == 1
-            entries.append(int(val))
-    return IntMatrix(r, r, tuple(entries)).det()
+def _quotient_determinant(T: IntMatrix, kernel_rank: int) -> int:
+    """Determinant of the map induced by T on Z^n / ker T.  T vanishes on
+    its kernel of rank k, so chi_T = x^k * chi of the induced map, whose
+    constant term is (-1)^(n - k) times that determinant."""
+    return (-1) ** (T.rows - kernel_rank) * int(char_poly(T).coeffs[kernel_rank])
 
 
 def _check_witness(T, s, X, module, S) -> WitnessCheck:
@@ -168,17 +148,18 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     cs = clean_split(T, module=module)
     fit = fitting_decompose(T, module=module)
     g = fit.gen_kernel.rank
-    qdet = _quotient_determinant(T)
+    qdet = _quotient_determinant(T, cs.kernel.rank)
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)
     cond_det = abs(qdet) == 1 or any(c.valid and 2 ** c.s > abs(qdet) for c in checks)
     clause1 = Clause1(cs.split, cs.reason, cond_kernel and cond_det)
 
     # clause 2: semisimplicity of the restriction to the honest image.
     restriction = cs.restriction if cs.split else restrict_to_lattice(T, image_lattice(T))
-    clause2 = Clause2(is_semisimple(restriction))
+    invariants = _Invariants(restriction)
+    clause2 = Clause2(invariants.semisimple)
 
     # clause 3: finite order outside Pi_S.
-    d = finite_order(restriction) if restriction.rows else 1
+    d = invariants.order
     pset = None
     coprime = None
     if S is not None and S.infinite:

@@ -111,6 +111,44 @@ def frac_inverse(rows):
     return [r[n:] for r in aug]
 
 
+def frac_quotient_det(T):
+    """Determinant of the map T (nested list) induces on Q^n / ker T, read
+    off B^-1 T B in a basis B = (complement, kernel) adapted to the kernel:
+    T kills the kernel columns, so the complement block is the induced map."""
+    n = len(T)
+    # rational kernel basis from the reduced row echelon form of T
+    work = [[Fraction(x) for x in r] for r in T]
+    pivots = []
+    for j in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if work[i][j]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        pv = work[r][j]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(n):
+            if i != r and work[i][j]:
+                f = work[i][j]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(j)
+    free = [j for j in range(n) if j not in pivots]
+    kernel = []
+    for f in free:
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, j in enumerate(pivots):
+            v[j] = -work[r][f]
+        kernel.append(v)
+    # the pivot coordinate axes complete the kernel to a basis of Q^n
+    complement = [[Fraction(int(i == j)) for i in range(n)] for j in pivots]
+    cols = complement + kernel
+    B = [[cols[j][i] for j in range(n)] for i in range(n)]
+    A = mat_mul(frac_inverse(B), mat_mul(T, B))
+    r = len(pivots)
+    return frac_det([row[:r] for row in A[:r]])
+
+
 def oracle_direct_and_full(kernel_rows, image_rows, n):
     """Independent check that the two lattices intersect trivially and sum
     to Z^n: Grassmann rank count over Q for the intersection, then

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
 from math import gcd
 
 import pytest
 
+import divlat
+import divlat.divisibility as divisibility
 from divlat.divisibility import (
     DetNotPower,
     Exhausted,
@@ -14,7 +20,6 @@ from divlat.divisibility import (
     ProvedImpossible,
     coprime_root,
     divisibility_spectrum,
-    exhaustive_witness_scan,
     impossibility_certificates,
     realizable_orders,
     root_search,
@@ -117,13 +122,6 @@ class TestRootSearch:
         out2 = root_search(T, 5, 3)
         assert isinstance(out2, Found)  # T = (T^5)^5, entries of T^5 are small
 
-    def test_threads_do_not_change_results(self):
-        T = MINUS_I2
-        for s in (2, 3):
-            a = root_search(T, s, 2, threads=1)
-            b = root_search(T, s, 2, threads=3)
-            assert a == b
-
     def test_determinism_bit_for_bit(self):
         T = IntMatrix.from_rows([[2, 1], [1, 1]]) ** 2
         assert root_search(T, 2, 3) == root_search(T, 2, 3)
@@ -133,6 +131,51 @@ class TestRootSearch:
         out = root_search(T, 2, 2, timeout_ms=0)
         assert isinstance(out, Exhausted)
         assert not out.complete
+
+    def test_timeout_counts_every_enumerated_candidate(self, monkeypatch):
+        """The deadline is checked every 4096 candidates enumerated, those
+        the determinant filter rejects included: on a clock that advances
+        one microsecond per candidate, a 50 ms budget stops the J3 box scan
+        within one check interval of 50 000 candidates."""
+        enumerated = 0
+
+        def counting_product(*args, **kwargs):
+            nonlocal enumerated
+            for cand in product(*args, **kwargs):
+                enumerated += 1
+                yield cand
+
+        class Clock:
+            @staticmethod
+            def monotonic():
+                return enumerated * 1e-6
+
+        monkeypatch.setattr(divisibility, "product", counting_product)
+        monkeypatch.setattr(divisibility, "time", Clock)
+        J3 = IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        assert root_search(J3, 2, 2, timeout_ms=50) == Exhausted(2, complete=False)
+        assert 50_000 < enumerated <= 50_000 + 4096
+
+    def test_final_remultiplication_holds_under_optimize(self):
+        """A scan that hands back a non-root makes root_search raise, also
+        under python -O, where assert statements are stripped."""
+        code = textwrap.dedent("""
+            import divlat.divisibility as div
+            from divlat.exactalg import IntMatrix
+            div._scan = lambda *args, **kwargs: (1, 0, 0, 1)
+            try:
+                out = div.root_search(IntMatrix.from_rows([[1, 1], [0, 1]]), 2, 2)
+            except AssertionError:
+                print("raised")
+            else:
+                print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised"
 
     def test_candidate_budget_returns_incomplete(self):
         T = IntMatrix.identity(3)
@@ -249,10 +292,10 @@ class TestSoundnessCrossChecks:
             T = IntMatrix(2, 2, entries)
             for s in (2, 3):
                 out = root_search(T, s, 1)
-                scan = exhaustive_witness_scan(T, s, 1)
+                scan = brute_root_search(T.nested(), s, 1)
                 if isinstance(out, Found):
                     assert scan is not None
-                    assert out.witness == scan  # both lexicographic minima
+                    assert out.witness.nested() == scan  # both lexicographic minima
                 elif isinstance(out, ProvedImpossible):
                     assert scan is None
                 else:

@@ -20,7 +20,8 @@ from divlat.exactalg import (
     snf,
     squarefree_part,
 )
-from helpers import char_poly_cofactor, frac_det, frac_rank
+from divlat.exactalg import _tuple_det, _tuple_mul, _tuple_pow
+from helpers import char_poly_cofactor, frac_det, frac_rank, mat_mul, mat_pow
 
 
 def rand_matrix(rng, n, bound):
@@ -35,6 +36,67 @@ def rand_unimodular(rng, n):
             c = rng.choice([-2, -1, 1, 2])
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     return IntMatrix.from_rows(rows)
+
+
+class TestKernels:
+    """The shared entry-tuple kernels against the nested-list oracles."""
+
+    def _cases(self, rng, n):
+        """Random, singular (a repeated row) and zero-leading-pivot matrices."""
+        for _ in range(40):
+            entries = [rng.randint(-6, 6) for _ in range(n * n)]
+            yield entries
+            if n >= 2:
+                i, j = rng.sample(range(n), 2)
+                singular = list(entries)
+                singular[j * n : (j + 1) * n] = entries[i * n : (i + 1) * n]
+                yield singular
+                zero_pivot = list(entries)
+                zero_pivot[0] = 0
+                yield zero_pivot
+
+    def test_det_against_fraction_elimination(self):
+        rng = random.Random(41)
+        for n in range(7):
+            for entries in self._cases(rng, n):
+                rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+                expected = frac_det(rows)
+                assert IntMatrix(n, n, tuple(entries)).det() == expected, rows
+                assert _tuple_det(tuple(Fraction(x, 3) for x in entries), n) == expected / 3 ** n
+
+    def test_zero_pivot_column_is_singular(self):
+        M = IntMatrix.from_rows([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]])
+        assert M.det() == 0
+
+    def test_product_and_power_against_nested_lists(self):
+        rng = random.Random(42)
+        for _ in range(60):
+            r, k, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+            a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(r)]
+            b = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(k)]
+            flat = _tuple_mul(tuple(x for row in a for x in row), tuple(x for row in b for x in row), r, k, c)
+            expected = mat_mul(a, b) if k else [[0] * c for _ in range(r)]
+            assert list(flat) == [x for row in expected for x in row]
+        for _ in range(40):
+            n, s = rng.randint(1, 4), rng.randint(0, 9)
+            x = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            flat = _tuple_pow(tuple(v for row in x for v in row), n, s)
+            assert list(flat) == [v for row in mat_pow(x, s) for v in row]
+
+    def test_rational_algebra_matches_integer_algebra(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            A, B = rand_matrix(rng, 3, 4), rand_matrix(rng, 3, 4)
+            qa, qb = QMatrix.from_int_matrix(A), QMatrix.from_int_matrix(B)
+            for q, i in ((qa * qb, A * B), (qa + qb, A + B), (qa - qb, A - B), (-qa, -A),
+                         (qa ** 3, A ** 3), (qa * 2, A * 2), (2 * qa, 2 * A)):
+                assert q == QMatrix.from_int_matrix(i)
+
+    def test_min_poly_same_over_int_and_rational_input(self):
+        rng = random.Random(44)
+        for _ in range(30):
+            T = rand_matrix(rng, rng.randint(1, 4), 3)
+            assert min_poly(T) == min_poly(QMatrix.from_int_matrix(T))
 
 
 class TestHNF:

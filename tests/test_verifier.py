@@ -1,12 +1,34 @@
+import random
+
 import pytest
 
-from divlat.exactalg import IntMatrix, QMatrix
+from divlat.exactalg import IntMatrix, QMatrix, kernel_saturated
 from divlat.numberring import OKModule, QuadraticOrder, ZZ
 from divlat.serialize import canonical_dumps, theorem_report_to_json
 from divlat.supernat import FiniteSet, Geometric, PrimeSet, Residue
-from divlat.verifier import intro_scenarios, order_is_outside, verify
+from divlat.verifier import _quotient_determinant, intro_scenarios, order_is_outside, verify
+from helpers import frac_quotient_det
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
+
+
+class TestQuotientDeterminant:
+    def test_against_adapted_basis_oracle(self):
+        """(-1)^r [x^k] chi_T against det of the induced map computed in a
+        basis adapted to ker T, on invertible, singular and zero operators."""
+        rng = random.Random(77)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            rank = rng.randint(0, n)
+            left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+            rows = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(n)]
+                    for i in range(n)]
+            if rng.random() < 0.3:
+                rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            T = IntMatrix.from_rows(rows)
+            got = _quotient_determinant(T, kernel_saturated(T).rank)
+            assert got == frac_quotient_det(rows), rows
 
 
 class TestVerifyExamples:
