@@ -44,7 +44,8 @@ def random_unimodular(n: int, rng: random.Random, steps: int = 12) -> IntMatrix:
         elif op == 2:
             rows[i] = [-a for a in rows[i]]
     M = IntMatrix.from_rows(rows)
-    assert abs(M.det()) == 1
+    if abs(M.det()) != 1:
+        raise AssertionError("elementary operations left GL_n(Z)")
     return M
 
 
@@ -117,7 +118,8 @@ def _nilpotent_problems(rng: random.Random) -> list[Problem]:
         n = rng.choice([2, 3, 4])
         rows = [[rng.randint(-2, 2) if j > i_ else 0 for j in range(n)] for i_ in range(n)]
         T = conjugate(IntMatrix.from_rows(rows), random_unimodular(n, rng))
-        assert (T ** n).is_zero()
+        if not (T ** n).is_zero():
+            raise AssertionError("strictly upper triangular conjugate is not nilpotent")
         problems.append(Problem(f"nilpotent-{i}", "nilpotent", T, Geometric(2, 1), ()))
     return problems
 

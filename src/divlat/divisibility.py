@@ -23,6 +23,8 @@ from .primes import euler_phi, integer_root, is_prime, signed_root
 
 DEFAULT_MAX_CANDIDATES = 20_000_000
 _TABLE_LIMIT = 200_000  # cache det-bucketed candidate tables up to this box size
+_TABLE_CACHE_SIZE = 8
+_TABLES: dict[tuple[int, int], dict[int, tuple[tuple[int, ...], ...]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +143,10 @@ def _certificates(inv: _Invariants, s: int, module) -> list[CertKind]:
     n = T.rows
     certs: list[CertKind] = []
     # determinant route: det T = (det X)^s in Z; over a quadratic order the
-    # same equation holds for field norms of ring determinants.
+    # same equation holds for field norms of ring determinants, and the
+    # field norm of the ring determinant of T is det T.
+    dt = inv.det
     if module is None:
-        dt = inv.det
         if dt != 0:
             if dt < 0 and s % 2 == 0:
                 certs.append(NegativeDetEvenPower(s, dt))
@@ -151,11 +154,9 @@ def _certificates(inv: _Invariants, s: int, module) -> list[CertKind]:
                 certs.append(DetNotPower(s, dt))
     else:
         module.require_endomorphism(T)
-        nm = module.order.norm(module.det_as_ring_element(T))
-        if nm != 0:
-            if (nm < 0 and s % 2 == 0) or signed_root(nm, s) is None:
-                certs.append(SpectralObstruction(
-                    f"field norm of det T is {nm}, not an exact {s}-th power in Z"))
+        if dt != 0 and ((dt < 0 and s % 2 == 0) or signed_root(dt, s) is None):
+            certs.append(SpectralObstruction(
+                f"field norm of det T is {dt}, not an exact {s}-th power in Z"))
     # nilpotent route: roots of nilpotents are nilpotent, hence vanish at the
     # module rank.
     rank_bound = module.module_rank if module is not None else n
@@ -175,19 +176,29 @@ def _certificates(inv: _Invariants, s: int, module) -> list[CertKind]:
 # Bounded search
 
 
-@lru_cache(maxsize=8)
-def _det_bucketed_candidates(n: int, bound: int):
-    """All entry tuples of the box [-bound, bound]^(n^2) bucketed by
-    determinant; each bucket preserves lexicographic order.  Frozen so the
-    cached tables stay immutable."""
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for cand in product(range(-bound, bound + 1), repeat=n * n):
-        table.setdefault(_tuple_det(cand, n), []).append(cand)
-    return {det: tuple(bucket) for det, bucket in table.items()}
-
-
 _TIMED_OUT = object()
 _DEADLINE_EVERY = 4096  # candidates enumerated between two deadline checks
+
+
+def _det_bucketed_candidates(n: int, bound: int, deadline):
+    """All entry tuples of the box [-bound, bound]^(n^2) bucketed by
+    determinant; each bucket preserves lexicographic order.  The build
+    checks the deadline every _DEADLINE_EVERY candidates and returns the
+    timeout sentinel when it passes; only complete tables are cached, the
+    last _TABLE_CACHE_SIZE used, frozen so they stay immutable."""
+    key = (n, bound)
+    if key in _TABLES:
+        _TABLES[key] = _TABLES.pop(key)  # most recently used goes last
+        return _TABLES[key]
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for count, cand in enumerate(product(range(-bound, bound + 1), repeat=n * n), 1):
+        if deadline is not None and not count % _DEADLINE_EVERY and time.monotonic() > deadline:
+            return _TIMED_OUT
+        table.setdefault(_tuple_det(cand, n), []).append(cand)
+    if len(_TABLES) >= _TABLE_CACHE_SIZE:
+        del _TABLES[next(iter(_TABLES))]
+    _TABLES[key] = {det: tuple(bucket) for det, bucket in table.items()}
+    return _TABLES[key]
 
 
 def _scan(candidates, n, s, target, trace_target, prime_s, w_flat, deadline, det_target=None):
@@ -247,7 +258,9 @@ def root_search(
                  module.omega_action.entries if module is not None else None, deadline)
 
     if total <= _TABLE_LIMIT:
-        table = _det_bucketed_candidates(n, bound)
+        table = _det_bucketed_candidates(n, bound, deadline)
+        if table is _TIMED_OUT:
+            return Exhausted(bound, complete=False)
         if dt == 0:
             det_roots = [0]
         elif s % 2 == 0:

@@ -469,9 +469,6 @@ class Lattice:
     def contains(self, vec) -> bool:
         return self.coords_of(vec) is not None
 
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(other.basis.row(i)) for i in range(other.rank))
-
     def add(self, other: "Lattice") -> "Lattice":
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
@@ -499,9 +496,6 @@ class Lattice:
             gens.append(tuple(sum(x[t] * self.basis[t, j] for t in range(self.rank))
                               for j in range(self.ambient_rank)))
         return Lattice.from_generators(self.ambient_rank, gens)
-
-    def is_full(self) -> bool:
-        return self.basis == IntMatrix.identity(self.ambient_rank)
 
 
 def kernel_saturated(T: IntMatrix) -> Lattice:

@@ -77,10 +77,6 @@ class QuadraticOrder:
         a, b = x
         return a * a + t * a * b - c * b * b
 
-    def trace_of(self, x):
-        t, _ = self.omega_params
-        return 2 * x[0] + t * x[1]
-
     def pow(self, x, k: int):
         if k < 0:
             raise ValueError("negative element power")
@@ -93,52 +89,8 @@ class QuadraticOrder:
             k >>= 1
         return result
 
-    def is_unit(self, x: Element) -> bool:
-        return self.norm(x) in (1, -1)
-
-    def inv_unit(self, x: Element) -> Element:
-        n = self.norm(x)
-        if n == 1:
-            return self.conj(x)
-        if n == -1:
-            return self.neg(self.conj(x))
-        raise ValueError("element is not a unit")
-
-    def element_str(self, x) -> str:
-        a, b = x
-        if b == 0:
-            return str(a)
-        return f"{a}{b:+}w" if a else f"{b}w".replace("1w", "w") if b in (1, -1) else f"{b}w"
-
     def __str__(self) -> str:
         return f"Z[omega], omega = (1+sqrt({self.d}))/2" if self.d % 4 == 1 else f"Z[sqrt({self.d})]"
-
-    # real embedding comparisons: sign of p + q*sqrt(D) decided exactly
-    @property
-    def discriminant_radicand(self) -> int:
-        return self.d if self.d % 4 == 1 else 4 * self.d
-
-    def _embedding_sign(self, p: int, q: int) -> int:
-        # sign of p + q*sqrt(D), D > 1 and not a square
-        D = self.discriminant_radicand
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 against q^2 * D
-        if p > 0:
-            return 1 if p * p > q * q * D else -1
-        return -1 if p * p > q * q * D else 1
-
-    def embeds_greater(self, x, y) -> bool:
-        """x > y in the real embedding sending omega to the positive root."""
-        t, _ = self.omega_params
-        a, b = self.sub(x, y)
-        return self._embedding_sign(2 * a + t * b, b) > 0
 
 
 def lchar(ring) -> PrimeSet:
@@ -183,76 +135,52 @@ def _element_order(order: QuadraticOrder, x: Element) -> int:
     raise AssertionError("torsion unit of unexpected order")
 
 
-def _units_with_b(order: QuadraticOrder, b: int) -> list[Element]:
-    """All units a + b*omega with the given positive second coordinate."""
-    t, c = order.omega_params
-    out = []
-    for rhs in (1, -1):
-        disc = t * t * b * b + 4 * (c * b * b + rhs)
-        if disc < 0:
-            continue
-        r = isqrt(disc)
-        if r * r != disc:
-            continue
-        for sgn in (1, -1):
-            num = -t * b + sgn * r
-            if num % 2 == 0:
-                cand = (num // 2, b)
-                if order.norm(cand) in (1, -1) and cand not in out:
-                    out.append(cand)
-    return out
+_CF_STEPS = 100000  # continued-fraction steps before giving up on a unit
 
 
 def _fundamental_unit(order: QuadraticOrder) -> Element:
-    """Fundamental unit of a real quadratic order.
+    """Fundamental unit of a real quadratic order: the first convergent
+    h/k (always k >= 1) of alpha with h + k*omega of norm +-1.
 
-    The continued fraction of -conj(omega) locates a unit among the
-    convergents; minimality is then certified by exhaustive search over all
-    smaller second coordinates, comparing real embeddings exactly.
+    alpha is -conj(omega): sqrt(d), or (sqrt(d) - 1)/2 for d = 1 (mod 4),
+    so conj(h + k*omega) = h - k*alpha.  Why the first unit convergent is
+    the fundamental unit eps = a + b*omega:
+
+    - eps > 1 > |conj(eps)|, so eps - conj(eps) = b*(omega - conj(omega))
+      gives b >= 1, and conj(eps) = a - b*alpha > -1 gives a >= 0.
+    - |conj(eps)| = 1/eps, so |a/b - alpha| = 1/(b*eps).
+    - eps > 2b for every squarefree d except 5: the first point gives
+      eps > b*sqrt(d) - 1 for d = 1 (mod 4) and eps > 2b*sqrt(d) - 1
+      otherwise, and eps = 1 + sqrt(2) for d = 2.  For d = 5, eps = omega
+      is the first convergent, 0/1.
+    - So |a/b - alpha| < 1/(2b^2); a and b are coprime because the norm is
+      +-1, and Legendre's criterion makes a/b a convergent.
+    - Every convergent has |h - k*alpha| < 1, so a unit convergent is a
+      unit > 1, that is eps^m with m >= 1.  Convergent denominators never
+      decrease, and for m >= 2 the second coordinate of eps^m exceeds b
+      once eps > 2 (eps^m - conj(eps)^m > eps^2 - 1 > eps - conj(eps)),
+      so no unit convergent comes before eps.
+
+    See Lenstra, "Solving the Pell equation", Notices AMS 49(2), 2002.
     """
     d = order.d
-    # expand alpha = (P + sqrt(d)) / Q: sqrt(d) itself, or omega - 1
+    # complete quotients (P + sqrt(d)) / Q; every one after the first is
+    # reduced, so Q stays positive
     P, Q = (-1, 2) if d % 4 == 1 else (0, 1)
     sq = isqrt(d)
-    h_prev, h_cur = 1, None
-    k_prev, k_cur = 0, None
-    h2, k2 = 0, 1  # h_{-2}, k_{-2}
-    found = None
-    for _ in range(100000):
-        if Q > 0:
-            a = (P + sq) // Q
-        else:
-            a = -((P + sq) // (-Q) + 1)  # floor for negative denominator, sqrt irrational
-        if h_cur is None:
-            h_cur, k_cur = a, 1
-            h_prev, k_prev = 1, 0
-            h2, k2 = 0, 1
-            h, k = h_cur, k_cur
-        else:
-            h = a * h_cur + h_prev
-            k = a * k_cur + k_prev
-            h_prev, h_cur = h_cur, h
-            k_prev, k_cur = k_cur, k
-        if k >= 1 and order.norm((h, k)) in (1, -1):
-            found = (h, k)
-            break
+    h, h_prev = 1, 0
+    k, k_prev = 0, 1
+    for _ in range(_CF_STEPS):
+        a = (P + sq) // Q  # floor of the complete quotient: sqrt(d) is irrational
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        if order.norm((h, k)) in (1, -1):
+            return (h, k)
         P = a * Q - P
-        num = d - P * P
-        assert num % Q == 0
-        Q = num // Q
-    assert found is not None, "continued fraction failed to locate a unit"
-    # Exhaustive minimality sweep below (and including) the located box.
-    one = (1, 0)
-    best = None
-    for b in range(1, found[1] + 1):
-        for cand in _units_with_b(order, b):
-            variants = [cand, order.neg(cand)]
-            variants += [order.inv_unit(v) for v in variants]
-            for v in variants:
-                if order.embeds_greater(v, one) and (best is None or order.embeds_greater(best, v)):
-                    best = v
-    assert best is not None
-    return best
+        Q, rem = divmod(d - P * P, Q)
+        if rem or Q <= 0:
+            raise AssertionError("continued fraction left the reduced quadratic irrationals")
+    raise ValueError(f"no unit of Q(sqrt({d})) within {_CF_STEPS} continued-fraction steps")
 
 
 def unit_group(order: QuadraticOrder) -> UnitGroupDesc:
@@ -396,14 +324,14 @@ class OKModule:
 
         for i in range(n):
             e = tuple(1 if j == i else 0 for j in range(n))
-            probe = reduce(e)
-            if any(probe):
-                assert insert(e)
-                assert insert(W.apply(e)), "omega image unexpectedly dependent"
+            if insert(e):
+                if not insert(W.apply(e)):
+                    raise AssertionError("omega image unexpectedly dependent")
                 chosen.append(e)
                 if len(chosen) == r:
                     break
-        assert len(chosen) == r
+        if len(chosen) != r:
+            raise AssertionError("fewer basis vectors than the module rank")
         columns = []
         for v in chosen:
             columns.append(list(v))
@@ -418,7 +346,8 @@ class OKModule:
                 kmat[i][j] = (coords[2 * i], coords[2 * i + 1])
         det = self._field_det(kmat)
         a, b = det
-        assert a.denominator == 1 and b.denominator == 1, "determinant not integral"
+        if a.denominator != 1 or b.denominator != 1:
+            raise AssertionError("determinant not integral")
         return (int(a), int(b))
 
     def _field_det(self, kmat):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .classify import ClassifyReport, UnipotentCheck
+from .classify import ClassifyReport
 from .divisibility import (
     CertKind,
     Found,
@@ -18,7 +18,7 @@ from .divisibility import (
     SpectrumTable,
 )
 from .exactalg import IntMatrix, Lattice, QMatrix
-from .fitting import CleanSplit, FittingSplit
+from .fitting import FittingSplit
 from .numberring import IntegerRing, OKModule, QuadraticOrder, UnitGroupDesc, ZZ
 from .supernat import (
     INF,
@@ -332,17 +332,6 @@ def fitting_to_json(split: FittingSplit) -> dict:
     }
 
 
-def clean_split_to_json(cs: CleanSplit) -> dict:
-    return {
-        "split": cs.split,
-        "kernel": lattice_to_json(cs.kernel),
-        "image": lattice_to_json(cs.image),
-        "change_of_basis": None if cs.change_of_basis is None else matrix_to_json(cs.change_of_basis),
-        "restriction": None if cs.restriction is None else matrix_to_json(cs.restriction),
-        "reason": cs.reason,
-    }
-
-
 def classify_to_json(report: ClassifyReport) -> dict:
     return {
         "semisimple": report.semisimple,
@@ -355,15 +344,6 @@ def classify_to_json(report: ClassifyReport) -> dict:
         ),
         "jordan_semisimple_part": qmatrix_to_json(report.jordan_semisimple_part),
         "jordan_nilpotent_part": qmatrix_to_json(report.jordan_nilpotent_part),
-    }
-
-
-def unipotent_check_to_json(check: UnipotentCheck) -> dict:
-    return {
-        "is_identity": check.is_identity,
-        "witness_reports": [[s, status] for s, status in check.witness_reports],
-        "max_verified_s": check.max_verified_s,
-        "note": check.note,
     }
 
 

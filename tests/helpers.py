@@ -220,10 +220,11 @@ def char_poly_cofactor(T):
 # -- Pell / fundamental unit oracle ----------------------------------------
 
 
-def brute_fundamental_unit(d):
+def brute_fundamental_unit(d, b_max=None):
     """Minimal unit greater than 1 of the ring of integers of Q(sqrt(d)),
-    by unbounded ascending search on the omega coefficient; exact sign
-    comparisons only."""
+    by ascending search on the omega coefficient; exact sign comparisons
+    only.  With b_max given, the search stops there and returns None when
+    no unit has omega coefficient at most b_max."""
     if d % 4 == 1:
         t, c = 1, (d - 1) // 4
         radicand = d
@@ -263,7 +264,7 @@ def brute_fundamental_unit(d):
     from math import isqrt
 
     b = 1
-    while True:
+    while b_max is None or b <= b_max:
         hits = []
         for rhs in (1, -1):
             disc = t * t * b * b + 4 * (c * b * b + rhs)
@@ -290,6 +291,7 @@ def brute_fundamental_unit(d):
                     best = u
             return best
         b += 1
+    return None
 
 
 # -- Pi_S enumeration oracles -----------------------------------------------

@@ -156,6 +156,35 @@ class TestRootSearch:
         assert root_search(J3, 2, 2, timeout_ms=50) == Exhausted(2, complete=False)
         assert 50_000 < enumerated <= 50_000 + 4096
 
+    def test_table_build_honours_the_deadline(self, monkeypatch):
+        """A det-bucketed table build that the deadline cuts short returns
+        an incomplete Exhausted within one check interval and is not
+        cached: on a clock that advances one microsecond per candidate, a
+        1 ms budget stops the 21^4-candidate build for bound 10."""
+        enumerated = 0
+
+        def counting_product(*args, **kwargs):
+            nonlocal enumerated
+            for cand in product(*args, **kwargs):
+                enumerated += 1
+                yield cand
+
+        class Clock:
+            @staticmethod
+            def monotonic():
+                return enumerated * 1e-6
+
+        monkeypatch.setattr(divisibility, "product", counting_product)
+        monkeypatch.setattr(divisibility, "time", Clock)
+        monkeypatch.setattr(divisibility, "_TABLES", {})
+        T = IntMatrix.from_rows([[2, 1], [1, 1]])
+        assert root_search(T, 2, 10, timeout_ms=1) == Exhausted(10, complete=False)
+        assert 1_000 < enumerated <= 1_000 + 4096
+        assert divisibility._TABLES == {}
+        out = root_search(T, 2, 10)
+        assert isinstance(out, Found) and out.witness ** 2 == T
+        assert list(divisibility._TABLES) == [(2, 10)]
+
     def test_final_remultiplication_holds_under_optimize(self):
         """A scan that hands back a non-root makes root_search raise, also
         under python -O, where assert statements are stripped."""

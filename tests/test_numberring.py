@@ -1,7 +1,13 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import divlat
 from divlat.exactalg import IntMatrix
 from divlat.fitting import fitting_decompose
 from divlat.numberring import (
@@ -73,13 +79,48 @@ class TestUnitGroup:
             assert desc.fundamental_unit == eps
             assert desc.torsion_order == 2
 
-    def test_fundamental_units_match_brute_force_to_30(self):
+    def test_fundamental_units_match_brute_force_below_200(self):
+        """Every squarefree 2 <= d < 200: the oracle's unit where some unit
+        has omega coefficient below 5000, a larger coefficient elsewhere."""
         from divlat.primes import is_squarefree
 
-        for d in range(2, 31):
+        compared = 0
+        for d in range(2, 200):
             if not is_squarefree(d):
                 continue
-            assert unit_group(QuadraticOrder(d)).fundamental_unit == brute_fundamental_unit(d)
+            eps = unit_group(QuadraticOrder(d)).fundamental_unit
+            brute = brute_fundamental_unit(d, b_max=4999)
+            if brute is None:
+                assert eps[1] >= 5000, d
+            else:
+                assert eps == brute, d
+                compared += 1
+        assert compared == 106
+
+    def test_large_pell_solutions_within_budget(self):
+        """Known minimal Pell solutions x + y*sqrt(d), each x^2 - d*y^2 = 1,
+        found within a few seconds in total."""
+        known = {
+            127: (4730624, 419775),
+            139: (77563250, 6578829),
+            151: (1728148040, 140634693),
+            163: (64080026, 5019135),
+            166: (1700902565, 132015642),
+            191: (8994000, 650783),
+            199: (16266196520, 1153080099),
+        }
+
+        def over_budget(signum, frame):
+            raise TimeoutError("fundamental units took longer than the budget")
+
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            got = {d: unit_group(QuadraticOrder(d)).fundamental_unit for d in known}
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert got == known
 
     def test_torsion_generator_has_exact_order(self):
         for d in (-1, -3, -2, -7):
@@ -198,6 +239,23 @@ class TestOKModule:
         T = embed_ok_matrix(O, [[a, b], [c, d]])
         expected = O.sub(O.mul(a, d), O.mul(b, c))
         assert M.det_as_ring_element(T) == expected
+
+    def test_ring_determinant_holds_under_optimize(self):
+        """The basis choice in det_as_ring_element runs under python -O,
+        where assert statements and their side effects are stripped."""
+        code = textwrap.dedent("""
+            from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
+            O = QuadraticOrder(-1)
+            T = embed_ok_matrix(O, [[(1, 1), (0, 1)], [(2, 0), (1, -1)]])
+            print(OKModule.regular(O, 2).det_as_ring_element(T))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        # (1 + i)(1 - i) - i * 2 = 2 - 2i
+        assert run.stdout.strip() == "(2, -2)"
 
     def test_norm_of_ring_det_is_integer_det(self):
         rng = random.Random(113)

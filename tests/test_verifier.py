@@ -6,7 +6,8 @@ from divlat.exactalg import IntMatrix, QMatrix, kernel_saturated
 from divlat.numberring import OKModule, QuadraticOrder, ZZ
 from divlat.serialize import canonical_dumps, theorem_report_to_json
 from divlat.supernat import FiniteSet, Geometric, PrimeSet, Residue
-from divlat.verifier import _quotient_determinant, intro_scenarios, order_is_outside, verify
+from divlat.fitting import fitting_decompose
+from divlat.verifier import _kernel_invariants, intro_scenarios, order_is_outside, verify
 from helpers import frac_quotient_det
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
@@ -27,8 +28,31 @@ class TestQuotientDeterminant:
             if rng.random() < 0.3:
                 rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             T = IntMatrix.from_rows(rows)
-            got = _quotient_determinant(T, kernel_saturated(T).rank)
+            _, got = _kernel_invariants(T, kernel_saturated(T).rank)
             assert got == frac_quotient_det(rows), rows
+
+
+class TestGeneralisedKernelRank:
+    def test_multiplicity_of_zero_in_chi_matches_fitting(self):
+        """g read off chi_T against the stabilised kernel chain of
+        fitting_decompose, on invertible, singular and nilpotent operators."""
+        rng = random.Random(79)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            if rng.random() < 0.4:
+                # strictly upper triangular, conjugated: nilpotent
+                rows = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+                if rng.random() < 0.5:
+                    rows[0][0] = rng.choice([-1, 1, 2])
+            else:
+                rank = rng.randint(0, n)
+                left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+                right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+                rows = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(n)]
+                        for i in range(n)]
+            T = IntMatrix.from_rows(rows)
+            g, _ = _kernel_invariants(T, kernel_saturated(T).rank)
+            assert g == fitting_decompose(T).gen_kernel.rank, rows
 
 
 class TestVerifyExamples:
