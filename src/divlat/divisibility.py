@@ -2,29 +2,25 @@
 
 Whether T has an s-th root in the matrix ring is treated as a semi-decision
 problem: sound impossibility certificates first, then a bounded exhaustive
-search in deterministic lexicographic order.  An honest Exhausted outcome is
-part of the contract; witnesses are always re-multiplied before being
-returned.
+search of the commutant of T in lexicographic order.  An honest Exhausted
+outcome is part of the contract; witnesses are always re-multiplied before
+being returned.
 """
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, inf, lcm, prod
+from operator import add
 from typing import Union
 
 from .classify import _Invariants, finite_order
-from .exactalg import IntMatrix, _tuple_det, _tuple_mul, _tuple_pow, kernel_saturated
+from .exactalg import IntMatrix, Lattice, _tuple_det, _tuple_pow, hnf, kernel_saturated
 from .fitting import clean_split
-from .primes import euler_phi, integer_root, is_prime, signed_root
+from .primes import euler_phi, is_prime, signed_root
 
 DEFAULT_MAX_CANDIDATES = 20_000_000
-_TABLE_LIMIT = 200_000  # cache det-bucketed candidate tables up to this box size
-_TABLE_CACHE_SIZE = 8
-_TABLES: dict[tuple[int, int], dict[int, tuple[tuple[int, ...], ...]]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -176,47 +172,76 @@ def _certificates(inv: _Invariants, s: int, module) -> list[CertKind]:
 # Bounded search
 
 
-_TIMED_OUT = object()
-_DEADLINE_EVERY = 4096  # candidates enumerated between two deadline checks
+_DEADLINE_EVERY = 4096  # walk steps between two deadline checks
 
 
-def _det_bucketed_candidates(n: int, bound: int, deadline):
-    """All entry tuples of the box [-bound, bound]^(n^2) bucketed by
-    determinant; each bucket preserves lexicographic order.  The build
-    checks the deadline every _DEADLINE_EVERY candidates and returns the
-    timeout sentinel when it passes; only complete tables are cached, the
-    last _TABLE_CACHE_SIZE used, frozen so they stay immutable."""
-    key = (n, bound)
-    if key in _TABLES:
-        _TABLES[key] = _TABLES.pop(key)  # most recently used goes last
-        return _TABLES[key]
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for count, cand in enumerate(product(range(-bound, bound + 1), repeat=n * n), 1):
-        if deadline is not None and not count % _DEADLINE_EVERY and time.monotonic() > deadline:
-            return _TIMED_OUT
-        table.setdefault(_tuple_det(cand, n), []).append(cand)
-    if len(_TABLES) >= _TABLE_CACHE_SIZE:
-        del _TABLES[next(iter(_TABLES))]
-    _TABLES[key] = {det: tuple(bucket) for det, bucket in table.items()}
-    return _TABLES[key]
+class _Operator(_Invariants):
+    """_Invariants plus the module and the commutant, shared by a spectrum."""
+
+    def __init__(self, T, module):
+        super().__init__(T)
+        self.module = module
+
+    @cached_property
+    def commutant(self) -> Lattice:
+        """C(T), or C(T) meet C(omega): the kernel of X -> (XM - MX for each
+        M), X flattened row-major.  HNF first keeps the Smith form's entries
+        small: 7 s, not 160 s, for a random 12 x 12 T (CPython 3.11, 2 cores)."""
+        n = self.T.rows
+        mats = (self.T,) if self.module is None else (self.T, self.module.omega_action)
+        equations = [[(M[j, b] if a == i else 0) - (M[a, i] if j == b else 0)
+                      for i in range(n) for j in range(n)]
+                     for M in mats for a in range(n) for b in range(n)]
+        return kernel_saturated(hnf(IntMatrix.from_rows(equations, cols=n * n)))
 
 
-def _scan(candidates, n, s, target, trace_target, prime_s, w_flat, deadline, det_target=None):
-    """Scan candidates in order, checking the deadline every
-    _DEADLINE_EVERY candidates enumerated.  With det_target given, the
-    candidates X with det(X)^s != det_target are skipped; without it they
-    are assumed filtered already.  Returns the first witness, None, or the
-    timeout sentinel."""
+def _box_points(lattice: Lattice, bound: int, deadline=None):
+    """The lattice points with every entry in [-bound, bound], in
+    lexicographic order: the HNF pivots p_0 < p_1 < ... are positive with
+    zeros to their left, so entries before p_i depend on c_0..c_(i-1) only
+    and the entry at p_i grows with c_i.  Each c_i runs over the interval
+    keeping entries p_i..p_(i+1) - 1 in the box.  A step (one c_i taken, at
+    any depth) costs O(ambient rank); the deadline is checked before the
+    first and every _DEADLINE_EVERY after, raising TimeoutError."""
+    N = lattice.ambient_rank
+    rows = [lattice.basis.row(i) for i in range(lattice.rank)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows] + [N]
+    steps = 0
+
+    def walk(i, point):
+        nonlocal steps
+        if i == len(rows):
+            yield point
+            return
+        row, p, end = rows[i], pivots[i], pivots[i + 1]
+        lo, hi = -inf, inf  # the pivot, first, makes them ints
+        for a, x in zip(row[p:end], point[p:end]):
+            if a:
+                a, x = (a, x) if a > 0 else (-a, -x)
+                lo, hi = max(lo, -((bound + x) // a)), min(hi, (bound - x) // a)
+            elif abs(x) > bound:
+                return
+        point = tuple(x + (lo - 1) * y for x, y in zip(point, row))
+        for _ in range(hi - lo + 1):
+            if deadline is not None and not steps % _DEADLINE_EVERY and time.monotonic() >= deadline:
+                raise TimeoutError
+            steps += 1
+            point = tuple(map(add, point, row))
+            yield from walk(i + 1, point)
+
+    return walk(0, (0,) * N)
+
+
+def _scan(candidates, op: _Operator, s: int):
+    """The first candidate X with X^s = T, or None; those with
+    det(X)^s != det T or, for prime s, tr(X) != tr(T) mod s are skipped."""
+    n, target, trace_target, prime_s = op.T.rows, op.T.entries, op.T.trace(), is_prime(s)
     diag = slice(None, None, n + 1)
-    for count, cand in enumerate(candidates, 1):
-        if deadline is not None and not count % _DEADLINE_EVERY and time.monotonic() > deadline:
-            return _TIMED_OUT
-        if det_target is not None and _tuple_det(cand, n) ** s != det_target:
+    for cand in candidates:
+        if _tuple_det(cand, n) ** s != op.det:
             continue
         if prime_s and (sum(cand[diag]) - trace_target) % s:
             continue  # tr(X^p) = tr(X) mod p for prime p
-        if w_flat is not None and _tuple_mul(cand, w_flat, n, n, n) != _tuple_mul(w_flat, cand, n, n, n):
-            continue
         if _tuple_pow(cand, n, s) == target:
             return cand
     return None
@@ -231,60 +256,41 @@ def root_search(
     timeout_ms: int | None = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> RootSearchOutcome:
-    """Certificates first; then exhaustive search over max-norm <= bound in
-    row-major lexicographic order, returning the lexicographically smallest
-    witness."""
-    if not T.is_square:
-        raise ValueError("square matrix required")
+    """Certificates first; then exhaustive search, in row-major lexicographic
+    order, over the X with max-norm <= bound that commute with T (and omega),
+    as every root of T = X^s does; returns the lexicographically smallest.
+
+    The timeout runs from the call; the deadline is checked after the
+    certificates and every 4096 walk steps (_box_points), not during the
+    certificates or the commutant.  max_candidates bounds the product over
+    the commutant's pivots of 2*bound // pivot + 1, an upper bound on the
+    points enumerated.  Either budget cut gives Exhausted(complete=False)."""
+    return _search(_Operator(T, module), s, bound, timeout_ms, max_candidates)
+
+
+def _search(op: _Operator, s: int, bound: int, timeout_ms, max_candidates) -> RootSearchOutcome:
+    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
     if s < 2:
         raise ValueError("exponent must be at least 2")
     if bound < 1:
         raise ValueError("bound must be positive")
-    inv = _Invariants(T)
-    certs = _certificates(inv, s, module)
+    certs = _certificates(op, s, op.module)
     if certs:
         return ProvedImpossible(certs[0])
-    n = T.rows
-    if n == 0:
-        empty = IntMatrix(0, 0, ())
-        return Found(empty, empty)
-    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
-    total = (2 * bound + 1) ** (n * n)
-    if total > max_candidates:
+    if deadline is not None and time.monotonic() >= deadline:
         return Exhausted(bound, complete=False)
-    target = T.entries
-    dt = inv.det
-    scan_args = (n, s, target, T.trace(), is_prime(s),
-                 module.omega_action.entries if module is not None else None, deadline)
-
-    if total <= _TABLE_LIMIT:
-        table = _det_bucketed_candidates(n, bound, deadline)
-        if table is _TIMED_OUT:
-            return Exhausted(bound, complete=False)
-        if dt == 0:
-            det_roots = [0]
-        elif s % 2 == 0:
-            r = integer_root(dt, s) if dt > 0 else None
-            det_roots = sorted({r, -r}) if r is not None else []
-        else:
-            r = signed_root(dt, s)
-            det_roots = [r] if r is not None else []
-        streams = [table[y] for y in det_roots if y in table]
-        if not streams:
-            return Exhausted(bound)
-        candidates = streams[0] if len(streams) == 1 else heapq.merge(*streams)
-        hit = _scan(candidates, *scan_args)
-    else:
-        box = product(range(-bound, bound + 1), repeat=n * n)
-        hit = _scan(box, *scan_args, det_target=dt)
-
-    if hit is _TIMED_OUT:
+    basis = op.commutant.basis
+    if prod(2 * bound // next(filter(None, basis.row(i))) + 1 for i in range(basis.rows)) > max_candidates:
+        return Exhausted(bound, complete=False)
+    try:
+        hit = _scan(_box_points(op.commutant, bound, deadline), op, s)
+    except TimeoutError:
         return Exhausted(bound, complete=False)
     if hit is None:
         return Exhausted(bound)
-    witness = IntMatrix(n, n, hit)
+    witness = IntMatrix(op.T.rows, op.T.rows, hit)
     power = witness ** s
-    if power != T:
+    if power != op.T:
         raise AssertionError("witness failed final re-multiplication")
     return Found(witness, power)
 
@@ -293,7 +299,7 @@ def root_search(
 # Constructive roots for zero-plus-finite-order operators
 
 
-def coprime_root(T: IntMatrix, d: int, n_exp: int, zero_block=None) -> IntMatrix:
+def coprime_root(T: IntMatrix, d: int, n_exp: int) -> IntMatrix:
     """X with X^n_exp = T when T is zero plus an order-d operator and
     gcd(n_exp, d) = 1: take X = T^m for m the inverse of n_exp mod d.
     The result is re-verified by exact multiplication before returning."""
@@ -303,14 +309,6 @@ def coprime_root(T: IntMatrix, d: int, n_exp: int, zero_block=None) -> IntMatrix
         raise ValueError("order and exponent must be positive")
     if gcd(n_exp, d) != 1:
         raise ValueError("no coprime inverse")
-    if zero_block is not None:
-        for i in range(zero_block.rank):
-            if any(T.apply(zero_block.basis.row(i))):
-                raise ValueError("operator does not vanish on the given zero block")
-        if zero_block != kernel_saturated(T):
-            raise ValueError("zero block is not the kernel")
-        if not clean_split(T).split:
-            raise ValueError("zero block does not split off")
     if T ** (d + 1) != T:
         raise ValueError(f"operator is not zero plus an operator of order dividing {d}")
     m = pow(n_exp, -1, d) if d > 1 else 1
@@ -362,9 +360,10 @@ def divisibility_spectrum(
     if s_max < 2:
         raise ValueError("s_max must be at least 2")
     d = zero_plus_finite_order(T)
+    op = _Operator(T, module)
     rows = []
     for s in range(2, s_max + 1):
-        outcome = root_search(T, s, bound, module=module, timeout_ms=timeout_ms)
+        outcome = _search(op, s, bound, timeout_ms, DEFAULT_MAX_CANDIDATES)
         troot = None
         if d is not None and gcd(s, d) == 1:
             troot = coprime_root(T, d, s)

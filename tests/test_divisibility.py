@@ -25,12 +25,28 @@ from divlat.divisibility import (
     root_search,
     zero_plus_finite_order,
 )
-from divlat.exactalg import IntMatrix
+from divlat.exactalg import IntMatrix, Lattice, kernel_saturated
+from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
 from helpers import brute_root_search
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 J = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
 MINUS_I2 = IntMatrix.identity(2) * -1
+
+
+def count_walked_points(monkeypatch):
+    """Count the points the commutant walk yields; the count is element 0
+    of the returned list."""
+    count = [0]
+    box_points = divisibility._box_points
+
+    def counting(*args):
+        for point in box_points(*args):
+            count[0] += 1
+            yield point
+
+    monkeypatch.setattr(divisibility, "_box_points", counting)
+    return count
 
 
 class TestRealizableOrders:
@@ -126,64 +142,54 @@ class TestRootSearch:
         T = IntMatrix.from_rows([[2, 1], [1, 1]]) ** 2
         assert root_search(T, 2, 3) == root_search(T, 2, 3)
 
-    def test_timeout_returns_incomplete_exhausted(self):
+    def test_timeout_returns_incomplete_exhausted(self, monkeypatch):
+        """The deadline runs from the call, so a zero budget ends a search
+        that no certificate settles before the commutant walk starts."""
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(divisibility, "_box_points", no_walk)
         T = IntMatrix.diagonal([1, 2, 2])  # det 4, no certificate fires for s=2
         out = root_search(T, 2, 2, timeout_ms=0)
         assert isinstance(out, Exhausted)
         assert not out.complete
 
     def test_timeout_counts_every_enumerated_candidate(self, monkeypatch):
-        """The deadline is checked every 4096 candidates enumerated, those
-        the determinant filter rejects included: on a clock that advances
-        one microsecond per candidate, a 50 ms budget stops the J3 box scan
-        within one check interval of 50 000 candidates."""
-        enumerated = 0
-
-        def counting_product(*args, **kwargs):
-            nonlocal enumerated
-            for cand in product(*args, **kwargs):
-                enumerated += 1
-                yield cand
+        """The deadline is checked every 4096 steps of the commutant walk,
+        whatever the filters do with the points: on a clock that advances
+        one microsecond per enumerated point, a 10 ms budget stops the
+        search of I3 (commutant Z^9, first square root at point 27 348)
+        within one check interval of 10 000 points."""
+        enumerated = count_walked_points(monkeypatch)
 
         class Clock:
             @staticmethod
             def monotonic():
-                return enumerated * 1e-6
+                return enumerated[0] * 1e-6
 
-        monkeypatch.setattr(divisibility, "product", counting_product)
         monkeypatch.setattr(divisibility, "time", Clock)
+        assert root_search(IntMatrix.identity(3), 2, 2, timeout_ms=10) == Exhausted(2, complete=False)
+        assert 10_000 < enumerated[0] <= 10_000 + 4096
+
+    def test_jordan_block_walks_its_commutant_only(self, monkeypatch):
+        """J3 commutes only with a + bN + cN^2 (N = J3 - I), so bound 2
+        enumerates at most 5^3 = 125 candidates where the box has 5^9."""
+        enumerated = count_walked_points(monkeypatch)
         J3 = IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-        assert root_search(J3, 2, 2, timeout_ms=50) == Exhausted(2, complete=False)
-        assert 50_000 < enumerated <= 50_000 + 4096
+        assert root_search(J3, 2, 2) == Exhausted(2)
+        assert enumerated[0] <= 125
 
-    def test_table_build_honours_the_deadline(self, monkeypatch):
-        """A det-bucketed table build that the deadline cuts short returns
-        an incomplete Exhausted within one check interval and is not
-        cached: on a clock that advances one microsecond per candidate, a
-        1 ms budget stops the 21^4-candidate build for bound 10."""
-        enumerated = 0
-
-        def counting_product(*args, **kwargs):
-            nonlocal enumerated
-            for cand in product(*args, **kwargs):
-                enumerated += 1
-                yield cand
-
-        class Clock:
-            @staticmethod
-            def monotonic():
-                return enumerated * 1e-6
-
-        monkeypatch.setattr(divisibility, "product", counting_product)
-        monkeypatch.setattr(divisibility, "time", Clock)
-        monkeypatch.setattr(divisibility, "_TABLES", {})
-        T = IntMatrix.from_rows([[2, 1], [1, 1]])
-        assert root_search(T, 2, 10, timeout_ms=1) == Exhausted(10, complete=False)
-        assert 1_000 < enumerated <= 1_000 + 4096
-        assert divisibility._TABLES == {}
-        out = root_search(T, 2, 10)
-        assert isinstance(out, Found) and out.witness ** 2 == T
-        assert list(divisibility._TABLES) == [(2, 10)]
+    def test_four_by_four_square_is_found(self):
+        """A 4x4 box (3^16 points at bound 1) exceeds the candidate budget,
+        but the commutant of a square is small enough to walk; the witness
+        is at most the generating root in lexicographic order."""
+        X = IntMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 0, 1, 1]])
+        T = X ** 2
+        assert (2 * 1 + 1) ** 16 > divisibility.DEFAULT_MAX_CANDIDATES
+        out = root_search(T, 2, 1)
+        assert isinstance(out, Found)
+        assert out.witness ** 2 == T
+        assert out.witness.entries <= X.entries
 
     def test_final_remultiplication_holds_under_optimize(self):
         """A scan that hands back a non-root makes root_search raise, also
@@ -212,13 +218,98 @@ class TestRootSearch:
         assert out == Exhausted(6, complete=False)
 
     def test_large_box_general_path_matches_bucket_path(self):
-        # bound high enough to leave the cached-table path
+        # a bound whose full box (23^4 points) dwarfs the bound-1 box
         T = MINUS_I2
         out_small = root_search(T, 2, 1)
         out_large = root_search(T, 2, 11)
         assert isinstance(out_large, Found)
         # lexicographic minimum over the bigger box is at most the small one
         assert out_large.witness.entries <= out_small.witness.entries
+
+
+def commutator_equations(mats, n):
+    """The integer matrix of X -> (XM - MX for M in mats) on X flattened
+    row-major."""
+    rows = []
+    for M in mats:
+        for a in range(n):
+            for b in range(n):
+                row = [0] * (n * n)
+                for j in range(n):
+                    row[a * n + j] += M[j, b]
+                for i in range(n):
+                    row[i * n + b] -= M[a, i]
+                rows.append(row)
+    return IntMatrix.from_rows(rows, cols=n * n)
+
+
+def seeded_operators(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        yield IntMatrix(n, n, tuple(rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(n * n)))
+
+
+def seeded_module_problems(seed):
+    """(T, module) over the regular modules of ranks 1 and 2 over O_d."""
+    rng = random.Random(seed)
+    for d in (-1, -3, 2, 5):
+        order = QuadraticOrder(d)
+        for rank in (1, 2):
+            module = OKModule.regular(order, rank)
+            for _ in range(2):
+                X = embed_ok_matrix(order, [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rank)]
+                                            for _ in range(rank)])
+                yield X ** rng.choice((1, 2, 3)), module
+
+
+class TestCommutantWalk:
+    def test_walk_lists_the_box_points_of_hnf_lattices(self):
+        rng = random.Random(137)
+        for _ in range(200):
+            N = rng.choice((2, 3, 4))
+            gens = [[rng.randint(-3, 3) for _ in range(N)] for _ in range(rng.randint(0, N))]
+            lattice = Lattice.from_generators(N, gens)
+            bound = rng.choice((1, 2, 3))
+            want = [p for p in product(range(-bound, bound + 1), repeat=N) if lattice.contains(p)]
+            assert list(divisibility._box_points(lattice, bound)) == want
+
+    def test_commutant_is_the_saturated_kernel(self):
+        for T in seeded_operators(139, 150):
+            commutant = divisibility._Operator(T, None).commutant
+            assert commutant == kernel_saturated(commutator_equations((T,), T.rows))
+        for T, module in seeded_module_problems(149):
+            commutant = divisibility._Operator(T, module).commutant
+            assert commutant == kernel_saturated(commutator_equations((T, module.omega_action), T.rows))
+
+    def test_walk_lists_the_commuting_box_points_of_operators(self):
+        for T in seeded_operators(151, 12):
+            n = T.rows
+            bound = 2 if n == 2 else 1
+            lattice = divisibility._Operator(T, None).commutant
+            box = list(product(range(-bound, bound + 1), repeat=n * n))
+            want = [p for p in box if lattice.contains(p)]
+            assert want == [p for p in box if IntMatrix(n, n, p) * T == T * IntMatrix(n, n, p)]
+            assert list(divisibility._box_points(lattice, bound)) == want
+
+    def test_module_walk_lists_the_box_points_commuting_with_omega(self):
+        """Integer matrices commuting with omega are the blocks a*I + b*W0,
+        whose a and b are entries, so C(omega) meets the box only at
+        coefficients in [-bound, bound]."""
+        bound = 1
+        for T, module in seeded_module_problems(157):
+            order, rank = module.order, module.module_rank
+            lattice = divisibility._Operator(T, module).commutant
+            ring_box = product(range(-bound, bound + 1), repeat=2 * rank * rank)
+            omega_box = []
+            for c in ring_box:
+                X = embed_ok_matrix(order, [[c[2 * (i * rank + j): 2 * (i * rank + j) + 2] for j in range(rank)]
+                                            for i in range(rank)])
+                if max(map(abs, X.entries)) <= bound:
+                    omega_box.append(X)
+            want = sorted(X.entries for X in omega_box if lattice.contains(X.entries))
+            assert want == sorted(X.entries for X in omega_box if X * T == T * X)
+            assert list(divisibility._box_points(lattice, bound)) == want
 
 
 class TestCoprimeRoot:
@@ -242,17 +333,6 @@ class TestCoprimeRoot:
     def test_gcd_violation_rejected(self):
         with pytest.raises(ValueError, match="no coprime inverse"):
             coprime_root(ROT3, 3, 6)
-
-    def test_zero_block_validation(self):
-        from divlat.exactalg import Lattice
-
-        T = IntMatrix.diagonal([0, -1])
-        block = Lattice.from_generators(2, [(1, 0)])
-        X = coprime_root(T, 2, 3, zero_block=block)
-        assert X ** 3 == T
-        wrong = Lattice.from_generators(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            coprime_root(T, 2, 3, zero_block=wrong)
 
     def test_output_commutes_with_input(self):
         rng = random.Random(97)
