@@ -2,12 +2,16 @@
 
 File-based JSON in, JSON (--json) or human-readable text out.  Exit codes:
 0 success, 1 domain error (bad input values, schema violations), 2 usage
-error.  The --threads flag is accepted for compatibility and ignored: every
-search runs in the calling thread.  --seed drives corpus generation only.
+error.  The grammar is declared once: the global flags in _GLOBAL_FLAGS,
+accepted before or after the subcommand, and the subcommands in
+_SUBCOMMANDS; build_parser builds it once per process.  The --threads flag
+is accepted for compatibility and ignored: every search runs in the calling
+thread.  --seed drives corpus generation only.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -250,87 +254,69 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable JSON output")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored (searches run single-threaded)")
-    common.add_argument("--seed", type=int, default=1, help="PRNG seed (corpus generation only)")
+# flag, its one default (held by the top-level parser), add_argument options
+_GLOBAL_FLAGS = (
+    ("--json", False, {"action": "store_true", "help": "machine-readable JSON output"}),
+    ("--threads", 1, {"type": int, "help": "accepted and ignored (searches run single-threaded)"}),
+    ("--seed", 1, {"type": int, "help": "PRNG seed (corpus generation only)"}),
+)
 
+_FILE = ("file", {})
+_REQUIRED_INT = {"type": int, "required": True}
+# name: (handler, help, epilog, arguments after the global flags)
+_SUBCOMMANDS = {
+    "fitting": (_cmd_fitting, "kernel/image split of an operator", MATRIX_SCHEMA, [_FILE]),
+    "classify": (_cmd_classify, "semisimplicity, spectrum, order, Jordan parts", MATRIX_SCHEMA,
+                 [_FILE]),
+    "root": (_cmd_root, "search for an s-th root", MATRIX_SCHEMA,
+             [_FILE, ("--s", _REQUIRED_INT), ("--bound", _REQUIRED_INT),
+              ("--timeout-ms", {"type": int, "default": None})]),
+    "spectrum": (_cmd_spectrum, "per-exponent divisibility table", MATRIX_SCHEMA,
+                 [_FILE, ("--s-max", _REQUIRED_INT), ("--bound", _REQUIRED_INT)]),
+    "verify": (_cmd_verify, "clause-by-clause report for a problem file", PROBLEM_SCHEMA, [_FILE]),
+    "units": (_cmd_units, "unit group of a quadratic order",
+              'ring file: {"ring": {"quadratic": {"d": 2}}}', [_FILE]),
+    "snf": (_cmd_snf, "Smith normal form with transforms", MATRIX_SCHEMA, [_FILE]),
+    "supernat": (_cmd_supernat, "supernatural arithmetic and Pi_S",
+                 'file: {"pi_s": {"geometric": {"base": 2, "scale": 3}}} etc.', [_FILE]),
+    "corpus": (_cmd_corpus, "emit a deterministic problem corpus as JSON", None,
+               [("kind", {"choices": corpus_mod.KINDS})]),
+}
+
+
+def _add_global_flags(parser, top: bool) -> None:
+    # A subcommand's copy has no default, so it never overwrites a flag given
+    # before the subcommand.
+    for flag, default, options in _GLOBAL_FLAGS:
+        parser.add_argument(flag, default=default if top else argparse.SUPPRESS, **options)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The divlat grammar; built once per process, since it depends on no input."""
     parser = _Parser(
         prog="divlat",
         description="Exact divisibility analysis for integer and quadratic-ring matrices.",
-        parents=[common],
     )
+    _add_global_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fitting", parents=[common], epilog=MATRIX_SCHEMA,
-                       help="kernel/image split of an operator")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_fitting)
-
-    p = sub.add_parser("classify", parents=[common], epilog=MATRIX_SCHEMA,
-                       help="semisimplicity, spectrum, order, Jordan parts")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("root", parents=[common], epilog=MATRIX_SCHEMA,
-                       help="search for an s-th root")
-    p.add_argument("file")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--timeout-ms", type=int, default=None)
-    p.set_defaults(func=_cmd_root)
-
-    p = sub.add_parser("spectrum", parents=[common], epilog=MATRIX_SCHEMA,
-                       help="per-exponent divisibility table")
-    p.add_argument("file")
-    p.add_argument("--s-max", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("verify", parents=[common], epilog=PROBLEM_SCHEMA,
-                       help="clause-by-clause report for a problem file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("units", parents=[common],
-                       epilog='ring file: {"ring": {"quadratic": {"d": 2}}}',
-                       help="unit group of a quadratic order")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_units)
-
-    p = sub.add_parser("snf", parents=[common], epilog=MATRIX_SCHEMA,
-                       help="Smith normal form with transforms")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_snf)
-
-    p = sub.add_parser("supernat", parents=[common],
-                       epilog='file: {"pi_s": {"geometric": {"base": 2, "scale": 3}}} etc.',
-                       help="supernatural arithmetic and Pi_S")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_supernat)
-
-    p = sub.add_parser("corpus", parents=[common],
-                       help="emit a deterministic problem corpus as JSON")
-    p.add_argument("kind", choices=corpus_mod.KINDS)
-    p.set_defaults(func=_cmd_corpus)
-
+    for name, (handler, help_text, epilog, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, epilog=epilog, help=help_text)
+        _add_global_flags(p, top=False)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

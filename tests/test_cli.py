@@ -1,6 +1,9 @@
+import argparse
 import json
 
-from divlat.cli import main
+import pytest
+
+from divlat.cli import build_parser, main
 from divlat.corpus import KINDS, gen_corpus
 from divlat.serialize import problem_from_json, problem_to_json
 from divlat.numberring import ZZ
@@ -238,3 +241,59 @@ class TestSupernatNu:
         rc = main(["supernat", write(tmp_path, "s.json", obj), "--json"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == {"nu": 0}
+
+
+class TestGlobalFlags:
+    def run(self, capsys, argv):
+        rc = main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    @pytest.mark.parametrize("flag, sub, rest", [
+        (["--json"], "units", []),
+        (["--json"], "classify", []),
+        (["--seed", "3"], "corpus", []),
+        (["--threads", "2"], "root", ["--s", "2", "--bound", "1", "--json"]),
+    ], ids=["json-units", "json-classify", "seed-corpus", "threads-root"])
+    def test_flag_before_or_after_the_subcommand(self, tmp_path, capsys, flag, sub, rest):
+        if sub == "corpus":
+            operands = ["powers"]
+        elif sub == "units":
+            operands = [write(tmp_path, "r.json", {"ring": {"quadratic": {"d": 2}}})]
+        else:
+            operands = [write(tmp_path, "m.json", MINUS_I2_JSON)]
+        before = self.run(capsys, flag + [sub] + operands + rest)
+        after = self.run(capsys, [sub] + operands + rest + flag)
+        assert before == after
+        assert before[0] == 0
+        without = self.run(capsys, [sub] + operands + rest)
+        # --threads is ignored; --json and --seed change the output
+        assert (without == after) == (flag[0] == "--threads")
+
+
+class TestSharedParser:
+    def test_no_state_survives_a_call(self, tmp_path, capsys):
+        argv = ["root", write(tmp_path, "m.json", MINUS_I2_JSON), "--s", "2", "--bound", "1", "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(["root"]) == 2
+        bad = write(tmp_path, "bad.json", {"rows": 2, "cols": 3, "entries": [[1, 2, 3], [4, 5, 6]]})
+        assert main(["classify", bad]) == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert (second.out, second.err) == (first.out, first.err)
+
+    def test_a_call_constructs_no_parser(self, tmp_path, capsys, monkeypatch):
+        build_parser()
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["classify", write(tmp_path, "m.json", ROT3_JSON), "--json"]) == 0
+        assert constructed == []
+        assert build_parser() is build_parser()

@@ -129,6 +129,24 @@ class TestCleanSplit:
             C = (Uq * QMatrix.from_int_matrix(T) * Uq.inverse()).to_int_matrix()
             assert clean_split(C).split == clean_split(T).split
 
+    def test_split_against_the_independent_oracle(self):
+        # the operators drawn in this file: seed, count and entry bound
+        outcomes = set()
+        for seed, count, bound in ((53, 200, 5), (59, 300, 5), (61, 150, 4), (67, 100, 4)):
+            rng = random.Random(seed)
+            for _ in range(count):
+                n = rng.randint(1, 4)
+                T = rand_matrix(rng, n, bound)
+                cs = clean_split(T)
+                for i in range(cs.kernel.rank):
+                    assert not any(T.apply(cs.kernel.basis.row(i)))
+                for j in range(n):
+                    assert cs.image.contains(tuple(T[i, j] for i in range(n)))
+                oracle = oracle_direct_and_full(cs.kernel.basis.nested(), cs.image.basis.nested(), n)
+                assert cs.split == oracle
+                outcomes.add(cs.split)
+        assert outcomes == {True, False}
+
     def test_nonzero_nilpotent_2x2_exhaustive(self):
         eye = IntMatrix.identity(2)
         count = 0
