@@ -1,22 +1,23 @@
-"""Spectral classification of integer operators.
+"""Spectral classification of integer operators, read off chi = char(T).
 
-Semisimplicity via squarefree minimal polynomials, root-of-unity spectra via
-exhaustive cyclotomic trial division (no numerics: the candidate list with
+Semisimplicity as rad(chi)(T) = 0, root-of-unity spectra via exhaustive
+cyclotomic trial division of chi (no numerics: the candidate list with
 phi(k) <= n is provably complete), finite orders, and the exact
-semisimple-plus-nilpotent splitting computed by Newton iteration.
+semisimple-plus-nilpotent splitting by Newton iteration in Q[x]/(chi).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .exactalg import (
     IntMatrix,
     QMatrix,
+    RatPoly,
     cyclotomics_up_to_degree,
     char_poly,
-    min_poly,
     poly_gcd,
     squarefree_part,
 )
@@ -25,9 +26,9 @@ from .primes import prime_factors
 
 class _Invariants:
     """The invariants of one square operator that the public analyses read:
-    det, mu, semisimplicity, the cyclotomic factorization of chi and the
-    order.  Each is computed on first use, at most once per instance; an
-    analysis builds one instance and passes it down."""
+    det, chi, its radical r, semisimplicity (r(T) = 0), the cyclotomic
+    factorization of chi and the order.  Each is computed on first use, at
+    most once per instance; an analysis builds one instance and passes it down."""
 
     def __init__(self, T):
         if not T.is_square:
@@ -39,12 +40,17 @@ class _Invariants:
         return self.T.det()
 
     @cached_property
-    def mu(self):
-        return min_poly(self.T)
+    def chi(self) -> RatPoly:
+        return char_poly(self.T)
+
+    @cached_property
+    def radical(self) -> RatPoly:
+        """rad(chi), monic with integer coefficients (Gauss's lemma)."""
+        return squarefree_part(self.chi)
 
     @cached_property
     def semisimple(self) -> bool:
-        return poly_gcd(self.mu, self.mu.derivative()).degree <= 0
+        return _scaled_eval(self.radical, self.T)[1].is_zero()
 
     @cached_property
     def factorization(self) -> tuple[tuple[int, int], ...] | None:
@@ -54,7 +60,7 @@ class _Invariants:
             return ()
         if self.det == 0:
             return None
-        remaining = char_poly(self.T)
+        remaining = self.chi
         factorization = []
         for k, phi_k in cyclotomics_up_to_degree(self.T.rows):
             e = 0
@@ -90,7 +96,8 @@ class _Invariants:
 
 
 def is_semisimple(T) -> bool:
-    """True iff the minimal polynomial is squarefree (exact gcd test)."""
+    """True iff rad(chi)(T) = 0, i.e. the minimal polynomial is squarefree
+    (exact integer evaluation)."""
     return _Invariants(T).semisimple
 
 
@@ -116,10 +123,10 @@ def jordan_chevalley(T: IntMatrix) -> tuple[QMatrix, QMatrix]:
     """Exact additive splitting T = S + N with S semisimple, N nilpotent,
     S N = N S, both rational polynomials in T.
 
-    Newton iteration x <- x - mu(x) * mu'(x)^{-1} on the squarefree part mu
-    of the minimal polynomial; mu'(x) stays invertible over Q along the way
-    and every iterate lives in the commutative algebra Q[T].  Integrality of
-    the output is not guaranteed and not claimed.
+    Newton iteration p <- p - r(p) * r'(p)^{-1} on r = rad(chi), from p = x,
+    runs in Q[x]/(chi), where r'(p) stays invertible (extended Euclid); as
+    chi(T) = 0, S = p(T), evaluated once in integers.  Integrality of the
+    output is not guaranteed and not claimed.
     """
     return _jordan_chevalley(_Invariants(T))
 
@@ -127,32 +134,54 @@ def jordan_chevalley(T: IntMatrix) -> tuple[QMatrix, QMatrix]:
 def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
     T = inv.T
     n = T.rows
-    X = QMatrix.from_int_matrix(T)
-    if n == 0:
-        return X, X
-    reduced = squarefree_part(inv.mu)
-    reduced_d = reduced.derivative()
-    if poly_gcd(reduced, reduced_d).degree > 0:
-        raise AssertionError("squarefree part of mu is not squarefree")
-    # Quadratic convergence: the nilpotency degree is at most n, so
-    # ceil(log2 n) + 2 steps suffice; exceeding the cap is a bug, not an
-    # input property.
-    cap = max(1, (n - 1).bit_length()) + 2
+    if inv.semisimple:
+        return QMatrix.from_int_matrix(T), QMatrix.zeros(n, n)
+    # r(p) = 0 mod chi and chi(T) = 0 give r(S) = 0, r squarefree: S is semisimple.
+    D, DS = _scaled_eval(_newton(inv.radical, inv.chi), T)
+    DN = T * D - DS
+    if not (DN ** n).is_zero():
+        raise AssertionError("nilpotent part is not nilpotent")
+    if DS * DN != DN * DS:
+        raise AssertionError("parts do not commute")
+    return (QMatrix(n, n, tuple(Fraction(e, D) for e in DS.entries)),
+            QMatrix(n, n, tuple(Fraction(e, D) for e in DN.entries)))
+
+
+def _newton(r: RatPoly, chi: RatPoly) -> RatPoly:
+    """The p in Q[x]/(chi) with r(p) = 0 and p = x mod r, r = rad(chi)."""
+    if poly_gcd(r, r.derivative()).degree > 0:
+        raise AssertionError("radical of chi is not squarefree")
+    # Quadratic convergence: chi divides r^n, so ceil(log2 n) + 2 steps
+    # suffice; exceeding the cap is a bug, not an input property.
+    cap = max(1, (chi.degree - 1).bit_length()) + 2
+    p = RatPoly.of(0, 1)
     for step in range(cap + 1):
-        value = reduced.eval_matrix(X)
+        value = slope = RatPoly(())  # r(p) and r'(p) mod chi, by Horner's rule
+        for c in reversed(r.coeffs):
+            value, slope = (value * p + RatPoly((c,))) % chi, (slope * p + value) % chi
         if value.is_zero():
-            break
+            return p
         if step == cap:
             raise AssertionError("Newton iteration failed to converge within the cap")
-        X = X - value * reduced_d.eval_matrix(X).inverse()
-    # reduced(S) = 0 with reduced squarefree: S is semisimple.
-    S = X
-    N = QMatrix.from_int_matrix(T) - S
-    if not (N ** n).is_zero():
-        raise AssertionError("nilpotent part is not nilpotent")
-    if S * N != N * S:
-        raise AssertionError("parts do not commute")
-    return S, N
+        p = (p - value * _inverse_mod(slope, chi)) % chi
+
+
+def _inverse_mod(a: RatPoly, m: RatPoly) -> RatPoly:
+    """a^{-1} mod m by the extended Euclidean algorithm."""
+    r0, r1, s0, s1 = m, a, RatPoly(()), RatPoly.of(1)
+    while not r1.is_zero():
+        q, rem = divmod(r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0 - q * s1
+    return s0 * (1 / r0.leading) % m
+
+
+def _scaled_eval(p: RatPoly, T: IntMatrix) -> tuple[int, IntMatrix]:
+    """(D, D p(T)) for D the lcm of p's denominators, by Horner's rule in Z."""
+    D = lcm(*(c.denominator for c in p.coeffs))
+    acc, eye = IntMatrix.zeros(T.rows, T.rows), IntMatrix.identity(T.rows)
+    for c in reversed(p.coeffs):
+        acc = acc * T + eye * (c * D).numerator
+    return D, acc
 
 
 @dataclass(frozen=True)

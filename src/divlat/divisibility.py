@@ -153,10 +153,10 @@ def _certificates(inv: _Invariants, s: int, module) -> list[CertKind]:
         if dt != 0 and ((dt < 0 and s % 2 == 0) or signed_root(dt, s) is None):
             certs.append(SpectralObstruction(
                 f"field norm of det T is {dt}, not an exact {s}-th power in Z"))
-    # nilpotent route: roots of nilpotents are nilpotent, hence vanish at the
-    # module rank.
+    # nilpotent route (chi = x^n): roots of nilpotents are nilpotent, hence
+    # vanish at the module rank.
     rank_bound = module.module_rank if module is not None else n
-    if n > 0 and not T.is_zero() and (T ** n).is_zero() and s >= rank_bound:
+    if n > 0 and not T.is_zero() and s >= rank_bound and not any(inv.chi.coeffs[:-1]):
         certs.append(NilpotentRankBound(s, rank_bound))
     # finite-order route: any root of a finite-order operator is itself of
     # finite order realizable in GL_n(Z); only fires because the realizable

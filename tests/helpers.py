@@ -2,7 +2,9 @@
 
 Everything here is deliberately re-implemented from scratch on nested lists
 and Fractions, without importing the code paths under test, so the checks
-stay two-sided.
+stay two-sided.  The one exception is the Jordan-Chevalley oracle, which
+builds on the library's Krylov minimal polynomial, matrix Horner evaluation
+and rational inverse: routines that classify itself does not call.
 """
 from __future__ import annotations
 
@@ -215,6 +217,34 @@ def char_poly_cofactor(T):
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+# -- Jordan-Chevalley oracle ------------------------------------------------
+
+
+def newton_jordan_chevalley_oracle(T):
+    """(semisimple, S, N) for an IntMatrix T by the matrix-space route: the
+    Krylov minimal polynomial mu over Q decides
+    semisimplicity (gcd(mu, mu') = 1), and Newton iteration
+    X <- X - r(X) r'(X)^{-1} on r = rad(mu) runs on rational matrices from
+    X = T.  classify works on chi and on polynomials modulo chi instead; the
+    two share only the polynomial gcd and radical."""
+    from divlat.exactalg import QMatrix, min_poly, poly_gcd, squarefree_part
+
+    n = T.rows
+    X = QMatrix.from_int_matrix(T)
+    mu = min_poly(T)
+    semisimple = poly_gcd(mu, mu.derivative()).degree <= 0
+    r = squarefree_part(mu)
+    r_d = r.derivative()
+    for _ in range(n + 1):
+        value = r.eval_matrix(X)
+        if value.is_zero():
+            break
+        X = X - value * r_d.eval_matrix(X).inverse()
+    else:
+        raise AssertionError("matrix Newton iteration did not converge")
+    return semisimple, X, QMatrix.from_int_matrix(T) - X
 
 
 # -- Pell / fundamental unit oracle ----------------------------------------

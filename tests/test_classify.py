@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import divlat
+import divlat.classify as classify
+import divlat.exactalg as exactalg
 from divlat.classify import (
     classify_operator,
     finite_order,
@@ -19,6 +26,7 @@ from divlat.exactalg import (
     min_poly,
     poly_gcd,
 )
+from helpers import newton_jordan_chevalley_oracle
 from test_exactalg import rand_matrix, rand_unimodular
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
@@ -138,6 +146,119 @@ class TestJordanChevalley:
         T = IntMatrix.from_rows([[0, 2], [1, 1], ])
         S, N = jordan_chevalley(T)
         assert S + N == QMatrix.from_int_matrix(T)
+
+
+def conjugated(T, U):
+    Uq = QMatrix.from_int_matrix(U)
+    return (Uq * QMatrix.from_int_matrix(T) * Uq.inverse()).to_int_matrix()
+
+
+def coupled_jordan_sum(rng, blocks):
+    """The sum of the Jordan blocks J_k(lam), (lam, k) in blocks sorted by
+    lam, with random entries above the diagonal coupling blocks of distinct
+    eigenvalues.  Block triangular with disjoint diagonal spectra, it is
+    similar over Q to the plain sum, but its semisimple part picks up
+    denominators from the eigenvalue gaps."""
+    eigen = [lam for lam, k in blocks for _ in range(k)]
+    block = [b for b, (_, k) in enumerate(blocks) for _ in range(k)]
+    n = len(eigen)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = eigen[i]
+        for j in range(i + 1, n):
+            if block[i] == block[j]:
+                rows[i][j] = int(j == i + 1)
+            elif eigen[i] != eigen[j]:
+                rows[i][j] = rng.randint(-2, 2)
+    return IntMatrix.from_rows(rows)
+
+
+def oracle_operators():
+    """Seeded operators with n <= 8: the 0x0 and 1x1 edge cases, random,
+    nilpotent, and derogatory non-semisimple ones."""
+    rng = random.Random(89)
+    ops = [IntMatrix(0, 0, ()), IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[-7]])]
+    for n in range(1, 9):
+        for _ in range(4):
+            ops.append(rand_matrix(rng, n, 3))
+        upper = IntMatrix(n, n, tuple(rng.randint(-2, 2) if j > i else 0
+                                      for i in range(n) for j in range(n)))
+        ops.append(conjugated(upper, rand_unimodular(rng, n)))
+    derogatory = []
+    for _ in range(16):
+        lam, gap = rng.choice([-2, 0, 1]), rng.choice([2, 3])
+        blocks = sorted([(lam, rng.choice([2, 3])), (lam, rng.choice([1, 2]))]
+                        + [(lam + gap, rng.choice([1, 2])) for _ in range(rng.randint(1, 2))])
+        T = coupled_jordan_sum(rng, blocks)
+        derogatory.append(conjugated(T, rand_unimodular(rng, T.rows)))
+    return ops, derogatory
+
+
+class TestAgainstMatrixNewtonOracle:
+    """classify runs Newton on polynomials modulo chi and decides
+    semisimplicity by rad(chi)(T) = 0; the oracle runs on mu and on rational
+    matrices.  S is unique, so the two agree entry for entry."""
+
+    def test_parts_and_semisimplicity_match_the_oracle(self):
+        ops, derogatory = oracle_operators()
+        non_integral = 0
+        for T in ops + derogatory:
+            semisimple, S, N = newton_jordan_chevalley_oracle(T)
+            assert jordan_chevalley(T) == (S, N), T
+            assert is_semisimple(T) == semisimple, T
+            non_integral += not S.is_integral()
+        for T in derogatory:
+            assert min_poly(T).degree < T.rows and not is_semisimple(T), T
+        assert non_integral >= 8
+
+    def test_no_krylov_polynomial_and_no_rational_inverse(self, monkeypatch):
+        """classify_operator reads everything off chi: on a 10x10 random and
+        a 10x10 nilpotent operator it never builds the minimal polynomial
+        and never inverts a rational matrix."""
+        calls = {"min_poly": 0, "inverse": 0}
+        min_poly_impl, inverse_impl = exactalg.min_poly, QMatrix.inverse
+
+        def counting_min_poly(T):
+            calls["min_poly"] += 1
+            return min_poly_impl(T)
+
+        def counting_inverse(self):
+            calls["inverse"] += 1
+            return inverse_impl(self)
+
+        monkeypatch.setattr(exactalg, "min_poly", counting_min_poly)
+        monkeypatch.setattr(classify, "min_poly", counting_min_poly, raising=False)
+        monkeypatch.setattr(QMatrix, "inverse", counting_inverse)
+        rng = random.Random(97)
+        n = 10
+        random_op = rand_matrix(rng, n, 3)
+        nilpotent = IntMatrix(n, n, tuple(rng.randint(-2, 2) if j > i else 0
+                                          for i in range(n) for j in range(n)))
+        random_report, nilpotent_report = classify_operator(random_op), classify_operator(nilpotent)
+        assert random_report.semisimple and not nilpotent_report.semisimple
+        assert nilpotent_report.jordan_nilpotent_part == QMatrix.from_int_matrix(nilpotent)
+        assert calls == {"min_poly": 0, "inverse": 0}
+
+    def test_broken_newton_result_raises_under_optimize(self):
+        """A Newton helper that hands back p = 0 makes jordan_chevalley
+        raise, also under python -O, where assert statements are stripped."""
+        code = textwrap.dedent("""
+            import divlat.classify as classify
+            from divlat.exactalg import IntMatrix, RatPoly
+            classify._newton = lambda *args: RatPoly(())
+            try:
+                out = classify.jordan_chevalley(IntMatrix.from_rows([[1, 1], [0, 1]]))
+            except AssertionError:
+                print("raised")
+            else:
+                print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised"
 
 
 class TestClassifyReport:
