@@ -1,9 +1,11 @@
 """Spectral classification of integer operators, read off chi = char(T).
 
-Semisimplicity as rad(chi)(T) = 0, root-of-unity spectra via exhaustive
-cyclotomic trial division of chi (no numerics: the candidate list with
-phi(k) <= n is provably complete), finite orders, and the exact
-semisimple-plus-nilpotent splitting by Newton iteration in Q[x]/(chi).
+In Z[x], where chi, its radical and every Phi_k are monic: semisimplicity as
+rad(chi)(T) = 0 (at once for a squarefree chi, as chi(T) = 0 is checked),
+root-of-unity spectra via exhaustive cyclotomic trial division of chi (no
+numerics: the candidate list with phi(k) <= n is provably complete) and
+finite orders.  In Q[x]/(chi): the exact semisimple-plus-nilpotent
+splitting by Newton iteration.
 """
 from __future__ import annotations
 
@@ -12,23 +14,17 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .exactalg import (
-    IntMatrix,
-    QMatrix,
-    RatPoly,
-    cyclotomics_up_to_degree,
-    char_poly,
-    poly_gcd,
-    squarefree_part,
-)
+from .exactalg import (IntMatrix, QMatrix, RatPoly, _cyclotomic_indices, _zcyclotomic, _zdivmod,
+                       _zgcd, _zradical, char_poly)
 from .primes import prime_factors
 
 
 class _Invariants:
     """The invariants of one square operator that the public analyses read:
-    det, chi, its radical r, semisimplicity (r(T) = 0), the cyclotomic
-    factorization of chi and the order.  Each is computed on first use, at
-    most once per instance; an analysis builds one instance and passes it down."""
+    det, chi and its radical r (ascending int tuples), semisimplicity
+    (r(T) = 0), the cyclotomic factorization of chi and the order.  Each is
+    computed on first use, at most once per instance; an analysis builds one
+    instance and passes it down."""
 
     def __init__(self, T):
         if not T.is_square:
@@ -40,39 +36,42 @@ class _Invariants:
         return self.T.det()
 
     @cached_property
-    def chi(self) -> RatPoly:
-        return char_poly(self.T)
+    def chi(self) -> tuple[int, ...]:
+        return tuple(c.numerator for c in char_poly(self.T).coeffs)
 
     @cached_property
-    def radical(self) -> RatPoly:
-        """rad(chi), monic with integer coefficients (Gauss's lemma)."""
-        return squarefree_part(self.chi)
+    def radical(self) -> tuple[int, ...]:
+        """rad(chi), monic in Z[x]."""
+        return _zradical(self.chi)
 
     @cached_property
     def semisimple(self) -> bool:
+        if self.radical == self.chi:  # squarefree: r(T) = chi(T) = 0
+            return True
         return _scaled_eval(self.radical, self.T)[1].is_zero()
 
     @cached_property
     def factorization(self) -> tuple[tuple[int, int], ...] | None:
         """((k, multiplicity), ...) when chi is a product of cyclotomic
-        polynomials, else None (always None with a zero eigenvalue)."""
+        polynomials, else None.  Every Phi_k(0) is +-1, so that needs
+        |det T| = |chi(0)| = 1."""
         if self.T.rows == 0:
             return ()
-        if self.det == 0:
+        if abs(self.det) != 1:
             return None
         remaining = self.chi
         factorization = []
-        for k, phi_k in cyclotomics_up_to_degree(self.T.rows):
-            e = 0
-            while remaining.degree >= phi_k.degree:
-                q, r = divmod(remaining, phi_k)
-                if not r.is_zero():
+        for k in _cyclotomic_indices(self.T.rows):
+            phi_k, e = _zcyclotomic(k), 0
+            while len(remaining) >= len(phi_k):
+                q, r = _zdivmod(remaining, phi_k)
+                if r:
                     break
                 remaining = q
                 e += 1
             if e:
                 factorization.append((k, e))
-        return tuple(factorization) if remaining.degree == 0 else None
+        return tuple(factorization) if len(remaining) == 1 else None
 
     @cached_property
     def order(self) -> int | None:
@@ -137,7 +136,7 @@ def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
     if inv.semisimple:
         return QMatrix.from_int_matrix(T), QMatrix.zeros(n, n)
     # r(p) = 0 mod chi and chi(T) = 0 give r(S) = 0, r squarefree: S is semisimple.
-    D, DS = _scaled_eval(_newton(inv.radical, inv.chi), T)
+    D, DS = _scaled_eval(_newton(inv.radical, inv.chi).coeffs, T)
     DN = T * D - DS
     if not (DN ** n).is_zero():
         raise AssertionError("nilpotent part is not nilpotent")
@@ -147,10 +146,11 @@ def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
             QMatrix(n, n, tuple(Fraction(e, D) for e in DN.entries)))
 
 
-def _newton(r: RatPoly, chi: RatPoly) -> RatPoly:
+def _newton(r: tuple[int, ...], chi: tuple[int, ...]) -> RatPoly:
     """The p in Q[x]/(chi) with r(p) = 0 and p = x mod r, r = rad(chi)."""
-    if poly_gcd(r, r.derivative()).degree > 0:
+    if len(_zgcd(r, tuple(i * c for i, c in enumerate(r) if i))) > 1:
         raise AssertionError("radical of chi is not squarefree")
+    r, chi = RatPoly(r), RatPoly(chi)
     # Quadratic convergence: chi divides r^n, so ceil(log2 n) + 2 steps
     # suffice; exceeding the cap is a bug, not an input property.
     cap = max(1, (chi.degree - 1).bit_length()) + 2
@@ -175,11 +175,12 @@ def _inverse_mod(a: RatPoly, m: RatPoly) -> RatPoly:
     return s0 * (1 / r0.leading) % m
 
 
-def _scaled_eval(p: RatPoly, T: IntMatrix) -> tuple[int, IntMatrix]:
-    """(D, D p(T)) for D the lcm of p's denominators, by Horner's rule in Z."""
-    D = lcm(*(c.denominator for c in p.coeffs))
+def _scaled_eval(coeffs, T: IntMatrix) -> tuple[int, IntMatrix]:
+    """(D, D p(T)) for p's ascending int or Fraction coefficients and D the
+    lcm of their denominators, by Horner's rule in Z."""
+    D = lcm(*(c.denominator for c in coeffs))
     acc, eye = IntMatrix.zeros(T.rows, T.rows), IntMatrix.identity(T.rows)
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = acc * T + eye * (c * D).numerator
     return D, acc
 

@@ -16,7 +16,7 @@ from operator import add
 from typing import Union
 
 from .classify import _Invariants, finite_order
-from .exactalg import IntMatrix, Lattice, _tuple_det, _tuple_pow, hnf, kernel_saturated
+from .exactalg import IntMatrix, Lattice, _cyclotomic_indices, _tuple_det, _tuple_pow, hnf, kernel_saturated
 from .fitting import clean_split
 from .primes import euler_phi, is_prime, signed_root
 
@@ -112,7 +112,7 @@ def realizable_orders(n: int) -> frozenset[int]:
     cyclotomic factorization of a finite-order element forces the bound)."""
     if n < 1:
         return frozenset({1})
-    ks = [k for k in range(1, 2 * n * n + 2) if euler_phi(k) <= n]
+    ks = _cyclotomic_indices(n)
     found: set[int] = set()
 
     def rec(idx: int, budget: int, cur: int):
@@ -156,7 +156,7 @@ def _certificates(inv: _Invariants, s: int, module) -> list[CertKind]:
     # nilpotent route (chi = x^n): roots of nilpotents are nilpotent, hence
     # vanish at the module rank.
     rank_bound = module.module_rank if module is not None else n
-    if n > 0 and not T.is_zero() and s >= rank_bound and not any(inv.chi.coeffs[:-1]):
+    if n > 0 and not T.is_zero() and s >= rank_bound and not any(inv.chi[:-1]):
         certs.append(NilpotentRankBound(s, rank_bound))
     # finite-order route: any root of a finite-order operator is itself of
     # finite order realizable in GL_n(Z); only fires because the realizable

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import add, floordiv, mul, sub, truediv
 
 from .primes import divisors, euler_phi
@@ -75,6 +76,60 @@ def _tuple_det(x, n: int):
             row[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomial kernels.  A polynomial in Z[x] is an ascending tuple of
+# ints without trailing zeros; () is the zero polynomial.
+
+
+def _zdivmod(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(q, r) with a = q b + r and deg r < deg b, for a monic b: exact in Z."""
+    d, r = len(b) - 1, list(a)
+    q = [0] * max(len(a) - d, 0)
+    for shift in reversed(range(len(q))):
+        q[shift] = f = r[shift + d]
+        for i in range(d):
+            r[shift + i] -= f * b[i]
+    del r[d:]
+    while r and not r[-1]:
+        r.pop()
+    return tuple(q), tuple(r)
+
+
+def _zgcd(a, b) -> tuple[int, ...]:
+    """The primitive gcd of a and b with a positive leading coefficient, by
+    the primitive pseudo-remainder sequence (Knuth, TAOCP 2, 4.6.1); ()
+    when both are zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r, lead, d = list(a), b[-1], len(b) - 1
+        while len(r) > d:  # pseudo-division: r <- lead r - r[-1] x^k b
+            f, shift = r.pop(), len(r) - d
+            r = [c * lead for c in r]
+            for i in range(d):
+                r[shift + i] -= f * b[i]
+            while r and not r[-1]:
+                r.pop()
+        c = gcd(*r)
+        a, b = b, tuple(x // c for x in r)
+    c = -gcd(*a) if a and a[-1] < 0 else gcd(*a)
+    return tuple(x // c for x in a)
+
+
+def _zradical(p) -> tuple[int, ...]:
+    """p / gcd(p, p') for a monic p: its squarefree part, monic.  By Gauss's
+    lemma the primitive gcd is monic and divides p exactly in Z[x]."""
+    g = _zgcd(p, tuple(i * c for i, c in enumerate(p) if i))
+    if len(g) <= 1:
+        return tuple(p)
+    if g[-1] != 1:
+        raise AssertionError("gcd(p, p') is not monic")
+    q, r = _zdivmod(p, g)
+    if r:
+        raise AssertionError("gcd(p, p') does not divide p")
+    return q
 
 
 class _Matrix:
@@ -613,9 +668,6 @@ class RatPoly:
             r.pop()
         return RatPoly(tuple(q)), RatPoly(tuple(r))
 
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "RatPoly") -> "RatPoly":
         return divmod(self, other)[1]
 
@@ -683,8 +735,9 @@ def squarefree_part(p: RatPoly) -> RatPoly:
 
 
 def char_poly(T: IntMatrix) -> RatPoly:
-    """Characteristic polynomial det(xI - T), monic with integer
-    coefficients, by the Faddeev-LeVerrier recurrence (exact divisions)."""
+    """Characteristic polynomial det(xI - T), monic with integer coefficients,
+    by the Faddeev-LeVerrier recurrence (exact divisions), whose last matrix,
+    chi(T), is checked to be zero."""
     if not T.is_square:
         raise ValueError("char_poly requires a square matrix")
     n = T.rows
@@ -698,7 +751,7 @@ def char_poly(T: IntMatrix) -> RatPoly:
         c = -(tr // k)
         cs.append(c)
         M = tuple(a + c if i % (n + 1) == 0 else a for i, a in enumerate(N))
-    if n and any(_tuple_mul(T.entries, M, n, n, n)):
+    if any(M):  # M = chi(T), zero by Cayley-Hamilton
         raise AssertionError("Faddeev-LeVerrier recurrence did not terminate at zero")
     ascending = [Fraction(c) for c in reversed(cs)] + [Fraction(1)]
     return RatPoly(tuple(ascending))
@@ -747,28 +800,34 @@ def companion_matrix(p: RatPoly) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(k: int) -> RatPoly:
-    """The k-th cyclotomic polynomial, by iterated exact division of x^k - 1."""
-    if k < 1:
-        raise ValueError("cyclotomic index must be positive")
-    poly = RatPoly(tuple([Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]))
+def _zcyclotomic(k: int) -> tuple[int, ...]:
+    """Phi_k in Z[x], by iterated exact division of x^k - 1."""
+    poly = (-1,) + (0,) * (k - 1) + (1,)
     for d in divisors(k):
         if d < k:
-            poly, rem = divmod(poly, cyclotomic(d))
-            if not rem.is_zero():
+            poly, rem = _zdivmod(poly, _zcyclotomic(d))
+            if rem:
                 raise AssertionError(f"Phi_{d} does not divide x^{k} - 1")
     return poly
 
 
-def cyclotomics_up_to_degree(n: int) -> list[tuple[int, RatPoly]]:
-    """All (k, Phi_k) with phi(k) <= n, sorted by k.
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(n: int) -> tuple[int, ...]:
+    """Every k with phi(k) <= n, ascending.  phi(k)^2 >= k/2 for every k,
+    so scanning k <= 2n^2 + 1 is exhaustive."""
+    return tuple(k for k in range(1, 2 * n * n + 2) if euler_phi(k) <= n)
 
-    phi(k)^2 >= k/2 for every k, so scanning k <= 2n^2 + 1 is exhaustive.
-    """
+
+@lru_cache(maxsize=None)
+def cyclotomic(k: int) -> RatPoly:
+    """The k-th cyclotomic polynomial."""
+    if k < 1:
+        raise ValueError("cyclotomic index must be positive")
+    return RatPoly(_zcyclotomic(k))
+
+
+def cyclotomics_up_to_degree(n: int) -> list[tuple[int, RatPoly]]:
+    """All (k, Phi_k) with phi(k) <= n, sorted by k."""
     if n < 1:
         raise ValueError("degree bound must be positive")
-    out = []
-    for k in range(1, 2 * n * n + 2):
-        if euler_phi(k) <= n:
-            out.append((k, cyclotomic(k)))
-    return out
+    return [(k, cyclotomic(k)) for k in _cyclotomic_indices(n)]

@@ -2,9 +2,11 @@
 
 Everything here is deliberately re-implemented from scratch on nested lists
 and Fractions, without importing the code paths under test, so the checks
-stay two-sided.  The one exception is the Jordan-Chevalley oracle, which
+stay two-sided.  The exceptions are the Jordan-Chevalley oracle, which
 builds on the library's Krylov minimal polynomial, matrix Horner evaluation
-and rational inverse: routines that classify itself does not call.
+and rational inverse, and the rational invariants oracle, which builds on
+its RatPoly gcd, radical and cyclotomic table: routines that classify
+itself does not call.
 """
 from __future__ import annotations
 
@@ -245,6 +247,36 @@ def newton_jordan_chevalley_oracle(T):
     else:
         raise AssertionError("matrix Newton iteration did not converge")
     return semisimple, X, QMatrix.from_int_matrix(T) - X
+
+
+def rational_invariants_oracle(T):
+    """(semisimple, radical, factorization) for a square IntMatrix T by the
+    rational route: r = squarefree_part(char_poly(T)) by Euclid over Q,
+    semisimple iff r(T) = 0 on rational matrices, and the cyclotomic
+    factorization of chi by RatPoly trial division over
+    cyclotomics_up_to_degree (None with a non-cyclotomic factor or a zero
+    eigenvalue).  classify computes the same in Z[x] instead."""
+    from divlat.exactalg import QMatrix, char_poly, cyclotomics_up_to_degree, squarefree_part
+
+    n = T.rows
+    chi = char_poly(T)
+    r = squarefree_part(chi)
+    semisimple = r.eval_matrix(QMatrix.from_int_matrix(T)).is_zero()
+    if n == 0:
+        return semisimple, r, ()
+    if chi.coeffs[0] == 0:
+        return semisimple, r, None
+    remaining, factorization = chi, []
+    for k, phi_k in cyclotomics_up_to_degree(n):
+        e = 0
+        while remaining.degree >= phi_k.degree:
+            q, rem = divmod(remaining, phi_k)
+            if not rem.is_zero():
+                break
+            remaining, e = q, e + 1
+        if e:
+            factorization.append((k, e))
+    return semisimple, r, tuple(factorization) if remaining.degree == 0 else None
 
 
 # -- Pell / fundamental unit oracle ----------------------------------------

@@ -23,10 +23,17 @@ from divlat.exactalg import (
     QMatrix,
     RatPoly,
     char_poly,
+    companion_matrix,
+    cyclotomic,
     min_poly,
     poly_gcd,
 )
-from helpers import newton_jordan_chevalley_oracle
+from divlat.corpus import KINDS, block_diagonal, finite_order_matrix, gen_corpus
+from divlat.divisibility import impossibility_certificates
+from divlat.numberring import ZZ
+from divlat.primes import euler_phi
+from divlat.verifier import verify
+from helpers import newton_jordan_chevalley_oracle, rational_invariants_oracle
 from test_exactalg import rand_matrix, rand_unimodular
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
@@ -248,6 +255,114 @@ class TestAgainstMatrixNewtonOracle:
             classify._newton = lambda *args: RatPoly(())
             try:
                 out = classify.jordan_chevalley(IntMatrix.from_rows([[1, 1], [0, 1]]))
+            except AssertionError:
+                print("raised")
+            else:
+                print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised"
+
+
+def invariants_operators():
+    """Seeded operators with n = 0..8: the corpus kinds, conjugated Jordan
+    sums with repeated eigenvalues, finite-order sums with repeated Phi_k,
+    operators with cyclotomic chi that are not semisimple, |det| = 1
+    operators of infinite order, and nilpotent ones."""
+    rng = random.Random(103)
+    ops = [IntMatrix(0, 0, ()), IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[-1]])]
+    for kind in KINDS:
+        for seed in (1, 2):
+            ops += [p.operator for p in gen_corpus(kind, seed) if p.operator.rows <= 8]
+    ops += oracle_operators()[1]
+    for ks in ((1, 1), (4, 4), (1, 2), (2, 2, 2), (3, 6, 3), (1, 1, 2, 4), (6, 6, 4, 4), (5, 10)):
+        ops.append(finite_order_matrix(list(ks), rand_unimodular(rng, sum(map(euler_phi, ks)))))
+    phi = cyclotomic
+    cat = IntMatrix.from_rows([[2, 1], [1, 1]])
+    blocks = [
+        [companion_matrix(phi(1) * phi(1))], [companion_matrix(phi(4) * phi(4))],
+        [companion_matrix(phi(1) * phi(2))], [companion_matrix(phi(3) * phi(3) * phi(1))],
+        [IntMatrix.from_rows([[-1, 1], [0, -1]]), companion_matrix(phi(6))],
+        [cat], [cat, cat], [cat, companion_matrix(phi(4))], [IntMatrix.from_rows([[0, 1], [1, 1]])],
+        [companion_matrix(RatPoly.of(1, -3, 1) * RatPoly.of(1, -3, 1))],
+    ]
+    for bs in blocks:
+        T = block_diagonal(bs)
+        ops += [T, conjugated(T, rand_unimodular(rng, T.rows))]
+    for n in range(1, 9):
+        upper = IntMatrix(n, n, tuple(rng.randint(-2, 2) if j > i else 0
+                                      for i in range(n) for j in range(n)))
+        ops.append(conjugated(upper, rand_unimodular(rng, n)))
+    return ops
+
+
+class TestAgainstRationalInvariantsOracle:
+    """classify computes rad(chi), semisimplicity and the cyclotomic
+    factorization in Z[x]; the oracle takes the rational route: Euclid over
+    Q, rational matrices and RatPoly trial division."""
+
+    def test_invariants_match_the_oracle(self):
+        kinds = set()
+        for T in invariants_operators():
+            semisimple, radical, factorization = rational_invariants_oracle(T)
+            inv = classify._Invariants(T)
+            assert (inv.semisimple, RatPoly(inv.radical), inv.factorization) \
+                == (semisimple, radical, factorization), T
+            if factorization is None:
+                kinds.add("unit, infinite order" if abs(inv.det) == 1 else "|det| != 1")
+            else:
+                kinds.add("cyclotomic" if semisimple else "cyclotomic, not semisimple")
+                if any(e > 1 for _, e in factorization):
+                    kinds.add("repeated Phi_k")
+            if T.rows and not any(inv.chi[:-1]):
+                kinds.add("nilpotent")
+        assert kinds == {"|det| != 1", "unit, infinite order", "cyclotomic",
+                         "cyclotomic, not semisimple", "repeated Phi_k", "nilpotent"}
+
+    def test_no_rational_polynomial_arithmetic(self, monkeypatch):
+        """The certificates, verify and classify_operator never divide
+        RatPolys and never take a rational gcd or radical; a random 10x10
+        operator, whose chi is squarefree, evaluates no r(T)."""
+        calls = {"divmod": 0, "poly_gcd": 0, "squarefree_part": 0, "r(T)": 0}
+
+        def counting(name, impl):
+            def wrapper(*args):
+                calls[name] += 1
+                return impl(*args)
+            return wrapper
+
+        monkeypatch.setattr(RatPoly, "__divmod__", counting("divmod", RatPoly.__divmod__))
+        for name in ("poly_gcd", "squarefree_part"):
+            wrapped = counting(name, getattr(exactalg, name))
+            monkeypatch.setattr(exactalg, name, wrapped)
+            monkeypatch.setattr(classify, name, wrapped, raising=False)
+        rng = random.Random(107)
+        order_4 = finite_order_matrix([4, 1], rand_unimodular(rng, 3))
+        assert classify._Invariants(order_4).order == 4
+        impossibility_certificates(order_4, 2)
+        problem = gen_corpus("finite-order", 1)[0]
+        verify(ZZ, None, problem.operator, problem.exponent_set, problem.witnesses)
+        repeated = finite_order_matrix([3, 3, 4, 4, 1, 1], rand_unimodular(rng, 10))
+        assert classify_operator(repeated).semisimple
+        assert calls == {"divmod": 0, "poly_gcd": 0, "squarefree_part": 0, "r(T)": 0}
+        monkeypatch.setattr(classify, "_scaled_eval", counting("r(T)", classify._scaled_eval))
+        assert classify_operator(rand_matrix(rng, 10, 3)).semisimple
+        assert calls == {"divmod": 0, "poly_gcd": 0, "squarefree_part": 0, "r(T)": 0}
+
+    def test_broken_gcd_raises_under_optimize(self):
+        """A gcd helper that hands back a polynomial not dividing chi makes
+        semisimplicity raise, also under python -O."""
+        code = textwrap.dedent("""
+            import divlat.exactalg as exactalg
+            from divlat.classify import _Invariants
+            from divlat.exactalg import IntMatrix
+            exactalg._zgcd = lambda a, b: (1, 1)
+            try:
+                out = _Invariants(IntMatrix.from_rows([[1, 1], [0, 1]])).semisimple
             except AssertionError:
                 print("raised")
             else:

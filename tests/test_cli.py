@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
@@ -297,3 +300,84 @@ class TestSharedParser:
         assert main(["classify", write(tmp_path, "m.json", ROT3_JSON), "--json"]) == 0
         assert constructed == []
         assert build_parser() is build_parser()
+
+
+GOLDEN_COMMANDS = {
+    "classify": ["classify"],
+    "classify --json": ["classify", "--json"],
+    "verify --json": ["verify", "--json"],
+    "root": ["root", "--s", "2", "--bound", "1", "--json"],
+    "spectrum": ["spectrum", "--s-max", "3", "--bound", "1"],
+}
+# sha256 over (exit code, stdout, stderr) of every problem of corpus seeds 1
+# and 2, in corpus order, per kind and command.  Recorded with the
+# Fraction-polynomial classify that the Z[x] kernels replaced: a change of
+# a digest is a change of CLI output bytes.
+GOLDEN_DIGESTS = {
+    "finite-order classify":
+        "02665df42a11c302e13d370221807e094792eeefb02cbdfdbcd54ebcd16df1a7",
+    "finite-order classify --json":
+        "8c57c7dcd74ed6ae2025d5723cb60d293f24e76c195f1bda578559c37133069e",
+    "finite-order verify --json":
+        "8444b6bc387ab73c0571b961b3ec2387f80e052e13dd8f75fcf69e64c2350b7b",
+    "finite-order root":
+        "a055c02483fea297fd177f808c6d5401af24d487db8f56579b732a90a9b4f208",
+    "finite-order spectrum":
+        "2aef39c1dc660b74db38c37b24eecf822ea6f14ed00d862b439c4c75fbc9d15d",
+    "nilpotent classify":
+        "b696ce419ee4c88319c02806329cdbdcd32518816ffccd31fa6e9d25a979a683",
+    "nilpotent classify --json":
+        "202c9e6ac6137fd97f7edc73cefae45a1cb6924437f296b8f0b80a723c42666f",
+    "nilpotent verify --json":
+        "774ff5470f57bc77d595c95208050d6483f60bd0b3d885015e657be4140cc8a5",
+    "nilpotent root":
+        "da15f147f3aa35d6a2b16cc00a512fbbc17ff9aa59d145ba59f8e7e72634e417",
+    "nilpotent spectrum":
+        "6ad5c2f0bc4b73d287bdf32f59c8ad1725fdd405b253f8c356206e0a9656fcae",
+    "random classify":
+        "009a122b92e6e2b00db9bf5b2f32fe1ed573d642fe9cfb2ccbfd51ff78cb5a0d",
+    "random classify --json":
+        "15cec94189e947a1c4ca51c7d3b2284994a8bbf90df8d625255720e38efb14e9",
+    "random verify --json":
+        "5527cadb3e0545ac2fd963861dc0856a8ee79d8bc72dfc0121f15a610548aae7",
+    "random root":
+        "eb0d1e8c29c74a15b2db71318484e2c53242eb0ee97f1a8dca52b7f323f66600",
+    "random spectrum":
+        "d3b55b8527db7361f3b2db2dc0c2b5c3b50d623badeb0bcea5a77668eb5e5419",
+    "powers classify":
+        "e64cdb13701592459bdedcf0578ad94a33d2cfcf6aecb7fecbd0d4b2c1258780",
+    "powers classify --json":
+        "5f223aa9209d3c05980eb69d8aad8ed3fd97f5ea1eae8b43e82821af14372aad",
+    "powers verify --json":
+        "1d9b68e3c0b9b38aa61af18cb6711de1ad942997c4524e3c1a1b55d9593df402",
+    "powers root":
+        "df25605ff7c88b175c3e6563c056fea9b2db6bdb9383e354ec4b55f2038f39dd",
+    "powers spectrum":
+        "4e9476f5aed88298b2e17729b7d5a263427f235d656c5d37e2fad0c537e55107",
+}
+
+
+def corpus_digests(tmp_path):
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        return rc, out.getvalue(), err.getvalue()
+
+    digests = {}
+    for kind in KINDS:
+        hashes = {name: hashlib.sha256() for name in GOLDEN_COMMANDS}
+        for seed in ("1", "2"):
+            rc, out, _ = run(["corpus", kind, "--seed", seed])
+            assert rc == 0
+            for i, problem in enumerate(json.loads(out)):
+                path = write(tmp_path, f"{kind}-{seed}-{i}.json", problem)
+                for name, (command, *args) in GOLDEN_COMMANDS.items():
+                    hashes[name].update(repr(run([command, path] + args)).encode())
+        digests.update({f"{kind} {name}": h.hexdigest() for name, h in hashes.items()})
+    return digests
+
+
+class TestGoldenBytes:
+    def test_corpus_outputs_match_the_recorded_digests(self, tmp_path):
+        assert corpus_digests(tmp_path) == GOLDEN_DIGESTS

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -27,6 +27,7 @@ from divlat.divisibility import (
 )
 from divlat.exactalg import IntMatrix, Lattice, kernel_saturated
 from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
+from divlat.primes import euler_phi
 from helpers import brute_root_search
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
@@ -58,6 +59,19 @@ class TestRealizableOrders:
 
     def test_gl4(self):
         assert sorted(realizable_orders(4)) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+
+    def test_matches_a_knapsack_over_every_index_up_to_2n2_plus_1(self):
+        """The least phi-cost of each lcm over subsets of the k <= 2n^2 + 1
+        with phi(k) <= n, by 0/1 knapsack; the orders are the lcms of cost
+        at most n."""
+        for n in range(1, 13):
+            cost = {1: 0}
+            for k in (k for k in range(1, 2 * n * n + 2) if euler_phi(k) <= n):
+                for order, c in list(cost.items()):
+                    new, c = lcm(order, k), c + euler_phi(k)
+                    if c <= n and c < cost.get(new, n + 1):
+                        cost[new] = c
+            assert realizable_orders(n) == frozenset(cost), n
 
 
 class TestCertificates:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
@@ -20,7 +21,7 @@ from divlat.exactalg import (
     snf,
     squarefree_part,
 )
-from divlat.exactalg import _tuple_det, _tuple_mul, _tuple_pow
+from divlat.exactalg import _tuple_det, _tuple_mul, _tuple_pow, _zdivmod, _zgcd, _zradical
 from helpers import char_poly_cofactor, frac_det, frac_rank, mat_mul, mat_pow
 
 
@@ -309,6 +310,61 @@ class TestCyclotomics:
                 prod = prod * cyclotomic(d)
             expected = RatPoly.of(*([-1] + [0] * (k - 1) + [1]))
             assert prod == expected
+
+
+def rand_zpoly(rng, degree, bound=3, monic=False):
+    """A random integer polynomial of the given degree, ascending; () for -1."""
+    if degree < 0:
+        return ()
+    lead = 1 if monic else rng.choice([-1, 1]) * rng.randint(1, bound)
+    return tuple(rng.randint(-bound, bound) for _ in range(degree)) + (lead,)
+
+
+def zmul(*factors):
+    return tuple(int(c) for c in prod((RatPoly(f) for f in factors), start=RatPoly.of(1)).coeffs)
+
+
+class TestIntegerPolynomialKernels:
+    """The Z[x] kernels against RatPoly divmod, poly_gcd and squarefree_part."""
+
+    def test_divmod_by_a_monic_divisor(self):
+        rng = random.Random(211)
+        for _ in range(300):
+            b = rand_zpoly(rng, rng.randint(0, 4), monic=True)
+            a = rand_zpoly(rng, rng.randint(-1, 8), bound=rng.choice([3, 10 ** 12]))
+            if rng.random() < 0.3:
+                a = zmul(a, b)
+            Q, R = divmod(RatPoly(a), RatPoly(b))
+            assert _zdivmod(a, b) == tuple(tuple(int(c) for c in p.coeffs) for p in (Q, R)), (a, b)
+
+    def test_gcd(self):
+        rng = random.Random(223)
+        for _ in range(300):
+            g = rand_zpoly(rng, rng.randint(0, 3))  # often not monic
+            a = zmul(g, rand_zpoly(rng, rng.randint(0, 3)), rng.choice([(1,), g, (6,)]))
+            b = zmul(g, rand_zpoly(rng, rng.randint(0, 3)), rng.choice([(1,), (-4,)]))
+            for x, y in ((a, b), (b, a), (a, ()), ((), b), (a, (5,)), ((0, 3), b)):
+                z, expected = _zgcd(x, y), poly_gcd(RatPoly(x), RatPoly(y))
+                assert z and z[-1] > 0 and gcd(*z) == 1, (x, y)
+                assert RatPoly(z).monic() == expected, (x, y)
+        assert _zgcd((), ()) == ()
+        assert _zgcd((0, -4, 2), (-6, 3)) == (-2, 1)
+
+    def test_radical(self):
+        rng = random.Random(227)
+        for _ in range(300):
+            factors = [rand_zpoly(rng, rng.randint(1, 2), monic=True) for _ in range(rng.randint(0, 3))]
+            p = zmul(*factors, *(f for f in factors if rng.random() < 0.5),
+                     *(factors[:1] * rng.randint(0, 3)))
+            assert RatPoly(_zradical(p)) == squarefree_part(RatPoly(p)), p
+        assert _zradical((1,)) == (1,)
+        assert _zradical((5, 1)) == (5, 1)
+        assert _zradical((0, 0, 0, 1)) == (0, 1)
+
+    def test_radical_of_a_non_monic_square_raises(self):
+        # (2x + 1)^2: gcd(p, p') = 2x + 1 is primitive but not monic
+        with pytest.raises(AssertionError, match="not monic"):
+            _zradical((1, 4, 4))
 
 
 class TestRatPoly:
