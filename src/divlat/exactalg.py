@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and rationals.
 
 Dense, immutable, arbitrary-precision matrices; Hermite and Smith normal
-forms; saturated kernels and honest images as canonical lattices; and exact
-characteristic/minimal polynomials.  Nothing here ever touches a float.
+forms; saturated kernels and honest images as canonical lattices, both read
+off one Hermite form (the Smith form serves only the ``snf`` command); and
+exact characteristic/minimal polynomials.  Nothing here ever touches a float.
 """
 from __future__ import annotations
 
@@ -219,6 +220,8 @@ class IntMatrix(_Matrix):
             raise ValueError("negative dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
+        if set(map(type, self.entries)) <= {int}:
+            return  # the library's own products and sums: plain ints only
         for e in self.entries:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise TypeError(f"non-integer entry {e!r}")
@@ -368,22 +371,22 @@ def hnf(M: IntMatrix) -> IntMatrix:
                 work[r], work[i0] = work[i0], work[r]
             if work[r][j] < 0:
                 work[r] = [-x for x in work[r]]
-            p = work[r][j]
+            p, tail = work[r][j], work[r][j:]
             done = True
             for i in range(r + 1, m):
                 q = work[i][j] // p
                 if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+                    work[i][j:] = [a - q * b for a, b in zip(work[i][j:], tail)]
                 if work[i][j]:
                     done = False
             if done:
                 break
         if work[r][j]:
-            p = work[r][j]
+            p, tail = work[r][j], work[r][j:]
             for i in range(r):
                 q = work[i][j] // p
                 if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+                    work[i][j:] = [a - q * b for a, b in zip(work[i][j:], tail)]
             r += 1
     return IntMatrix.from_rows(work, cols=n)
 
@@ -465,10 +468,29 @@ def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 # Lattices
 
 
+def _is_hnf(B: IntMatrix) -> bool:
+    """Whether B is a row HNF without zero rows, in O(rows x cols): each
+    row's pivot (first nonzero entry) positive and strictly right of the
+    previous row's, every entry above a pivot in [0, pivot).  By the
+    uniqueness of the HNF these are exactly the B with hnf(B) == B and no
+    zero row."""
+    last = -1
+    for i in range(B.rows):
+        row = B.row(i)
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None or p <= last or row[p] < 0:
+            return False
+        if any(not 0 <= x < row[p] for x in B.entries[p : i * B.cols : B.cols]):
+            return False
+        last = p
+    return True
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A sublattice of Z^ambient_rank, stored as an HNF basis (rows) with
-    zero rows dropped; equality is therefore structural."""
+    zero rows dropped; equality is therefore structural.  The basis is
+    checked by its shape (_is_hnf), not by recomputing its HNF."""
 
     ambient_rank: int
     basis: IntMatrix
@@ -476,11 +498,12 @@ class Lattice:
     def __post_init__(self):
         if self.basis.cols != self.ambient_rank:
             raise ValueError("basis column count must equal the ambient rank")
+        if _is_hnf(self.basis):
+            return
         H = hnf(self.basis)
         if any(not any(H.row(i)) for i in range(H.rows)):
             raise ValueError("basis rows must be independent (no zero HNF rows)")
-        if H != self.basis:
-            raise ValueError("basis must be in Hermite normal form")
+        raise ValueError("basis must be in Hermite normal form")
 
     @classmethod
     def from_generators(cls, ambient: int, gens) -> "Lattice":
@@ -553,13 +576,29 @@ class Lattice:
         return Lattice.from_generators(self.ambient_rank, gens)
 
 
+def _kernel_and_image(T: IntMatrix) -> tuple[Lattice, Lattice]:
+    """(ker T, im T) from one row HNF of the augmented cols x (rows + cols)
+    matrix [T^t | I] (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4).  Its row span is {(T v, v) : v in Z^cols}.  The rows with
+    a nonzero left block come first, and their left blocks are the HNF of
+    the span of the columns of T, im T.  The rest have a zero left block,
+    and their right blocks are the HNF of {v : T v = 0}, ker T.  Both come
+    out canonical, so neither is re-reduced."""
+    m, n = T.rows, T.cols
+    H = hnf(IntMatrix(n, m + n, tuple(x for j in range(n)
+                                      for x in T.column(j) + (0,) * j + (1,) + (0,) * (n - 1 - j))))
+    rows = [H.row(i) for i in range(n)]
+    r = next((i for i, row in enumerate(rows) if not any(row[:m])), n)
+    image = Lattice(m, IntMatrix(r, m, tuple(x for row in rows[:r] for x in row[:m])))
+    kernel = Lattice(n, IntMatrix(n - r, n, tuple(x for row in rows[r:] for x in row[m:])))
+    return kernel, image
+
+
 def kernel_saturated(T: IntMatrix) -> Lattice:
-    """The lattice {v in Z^cols : T v = 0}.  Kernels of integer matrices are
+    """The lattice {v in Z^cols : T v = 0}, read off the same Hermite form as
+    the image (_kernel_and_image).  Kernels of integer matrices are
     automatically saturated: the quotient by them is torsion-free."""
-    D, U, V = snf(T)
-    r = sum(1 for i in range(min(T.rows, T.cols)) if D[i, i] != 0)
-    gens = [V.column(j) for j in range(r, T.cols)]
-    return Lattice.from_generators(T.cols, gens)
+    return _kernel_and_image(T)[0]
 
 
 def image_lattice(T: IntMatrix) -> Lattice:

@@ -1,22 +1,18 @@
 """Kernel-image splitting of integer operators.
 
-Iterated kernels stabilize after at most n steps.  The resulting candidate
-split M = ker T^m (+) im T^m is then decided honestly over Z: the stacked
-bases must form a unimodular matrix (images need not be direct summands, so
-this is a real test, not an assumption), and the restriction of T to the
-image part must have unit determinant.
+Each power T^m gives ker T^m and im T^m from one Hermite form.  Their ranks
+add up to n, so the stacked bases are square, and one determinant decides
+the split: it is nonzero exactly when the two meet only in 0, which by
+Fitting's lemma is when the kernel chain has stabilized, and +-1 exactly
+when the candidate split M = ker T^m (+) im T^m holds over Z.  Images need
+not be direct summands, so this is a real test, not an assumption; the
+restriction of T to the image part must also have unit determinant.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import (
-    IntMatrix,
-    Lattice,
-    image_lattice,
-    kernel_saturated,
-    restrict_to_lattice,
-)
+from .exactalg import IntMatrix, Lattice, _kernel_and_image, restrict_to_lattice
 
 
 @dataclass(frozen=True)
@@ -45,23 +41,24 @@ class CleanSplit:
     reason: str
 
 
-def _stack(a: Lattice, b: Lattice) -> IntMatrix:
-    rows = [a.basis.row(i) for i in range(a.rank)] + [b.basis.row(i) for i in range(b.rank)]
-    return IntMatrix.from_rows(rows, cols=a.ambient_rank)
-
-
-def _direct_and_full(a: Lattice, b: Lattice) -> tuple[bool, IntMatrix]:
-    """Whether a + b is direct and equals the ambient Z^n, certified by the
-    stacked bases being square with determinant +-1 (a square integer matrix
-    has all invariant factors 1 exactly when its determinant is a unit)."""
-    stacked = _stack(a, b)
-    if stacked.rows != a.ambient_rank:
-        return False, stacked
-    return abs(stacked.det()) == 1, stacked
+def _split_det(kernel: Lattice, image: Lattice) -> tuple[int, IntMatrix]:
+    """The stacked bases of ker T^m and im T^m, and their determinant.  The
+    ranks add up to n, so the stack is square; its determinant is 0 exactly
+    when the two lattices meet outside 0, and +-1 exactly when their sum is
+    direct and equals Z^n (a square integer matrix has all invariant
+    factors 1 exactly when its determinant is a unit)."""
+    rows = kernel.basis.entries + image.basis.entries
+    n = kernel.ambient_rank
+    if len(rows) != n * n:
+        raise AssertionError("ranks of kernel and image do not add up to n")
+    stacked = IntMatrix(n, n, rows)
+    return stacked.det(), stacked
 
 
 def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
-    """Stabilize ker T, ker T^2, ... and report the split honestly.
+    """Stop at the first m where ker T^m and im T^m meet only in 0, which by
+    Fitting's lemma is the first m with ker T^m = ker T^(m+1), and report
+    the split honestly.
 
     Unlike the abstract statement this mirrors, onto-ness of the induced map
     is never presumed: ``is_direct`` can come back False.
@@ -75,17 +72,14 @@ def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
         module.require_endomorphism(T)
     m = 1
     power = T
-    kernel = kernel_saturated(T)
     while True:
-        next_power = power * T
-        next_kernel = kernel_saturated(next_power)
-        if next_kernel == kernel:
+        kernel, image = _kernel_and_image(power)
+        det, _ = _split_det(kernel, image)
+        if det:
             break
-        kernel, power, m = next_kernel, next_power, m + 1
+        power, m = power * T, m + 1
         if m > n:
             raise AssertionError("kernel chain failed to stabilize within n steps")
-    image = image_lattice(power)
-    direct, _ = _direct_and_full(kernel, image)
     restriction = restrict_to_lattice(T, image)
     if restriction.rows == 0:
         invertible = True  # rank-0 restriction: vacuously an automorphism
@@ -100,24 +94,25 @@ def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
     for i in range(kernel.rank):
         if not kernel.contains(T.apply(kernel.basis.row(i))):
             raise AssertionError("kernel part not invariant")
-    return FittingSplit(m, kernel, image, direct, invertible, restriction)
+    return FittingSplit(m, kernel, image, abs(det) == 1, invertible, restriction)
 
 
 def clean_split(T: IntMatrix, module=None) -> CleanSplit:
     """Decide whether Z^n = ker T (+) im T already at the first power, with
-    T invertible on the image part; returns the certifying bases."""
+    T invertible on the image part; returns the certifying bases.  Both
+    lattices come from one Hermite form, and the determinant of their
+    stacked bases decides: +-1 is the split, 0 a nontrivial intersection,
+    anything else a proper sublattice."""
     if not T.is_square:
         raise ValueError("clean_split requires a square matrix")
     if T.rows == 0:
         raise ValueError("empty operator")
     if module is not None:
         module.require_endomorphism(T)
-    kernel = kernel_saturated(T)
-    image = image_lattice(T)
-    direct, stacked = _direct_and_full(kernel, image)
-    if not direct:
-        inter = kernel.intersect(image)
-        if inter.rank:
+    kernel, image = _kernel_and_image(T)
+    det, stacked = _split_det(kernel, image)
+    if abs(det) != 1:
+        if det == 0:
             reason = "ker T and im T intersect nontrivially"
         else:
             reason = "ker T + im T is a proper sublattice of Z^n"

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .classify import _Invariants
-from .divisibility import coprime_root
-from .exactalg import IntMatrix, QMatrix, char_poly, restrict_to_lattice
+from .divisibility import _coprime_roots
+from .exactalg import IntMatrix, QMatrix, restrict_to_lattice
 from .fitting import clean_split
 from .numberring import IntegerRing, OKModule, QuadraticOrder, ZZ, lchar, mult_hypothesis
 from .primes import prime_factors
@@ -86,15 +86,15 @@ def order_is_outside(d: int, primes: PrimeSet) -> bool:
     return all(not primes.contains(p) for p in prime_factors(d))
 
 
-def _kernel_invariants(T: IntMatrix, kernel_rank: int) -> tuple[int, int]:
-    """The rank g of the generalised kernel of T and the determinant of the
-    map induced by T on Z^n / ker T, both read off chi_T.  g is the
+def _kernel_invariants(inv: _Invariants, kernel_rank: int) -> tuple[int, int]:
+    """The rank g of the generalised kernel of T = inv.T and the determinant
+    of the map induced by T on Z^n / ker T, both read off chi_T.  g is the
     multiplicity of the root 0 of chi_T.  T vanishes on its kernel of rank
     k, so chi_T = x^k * chi of the induced map, whose constant term is
     (-1)^(n - k) times that determinant."""
-    chi = char_poly(T).coeffs
+    chi = inv.chi
     g = next(i for i, c in enumerate(chi) if c)
-    return g, (-1) ** (T.rows - kernel_rank) * int(chi[kernel_rank])
+    return g, (-1) ** (inv.T.rows - kernel_rank) * chi[kernel_rank]
 
 
 def _check_witness(T, s, X, module, S) -> WitnessCheck:
@@ -150,14 +150,15 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
 
     # clause 1: the split, plus what the verified witnesses already force.
     cs = clean_split(T, module=module)
-    g, qdet = _kernel_invariants(T, cs.kernel.rank)
+    inv = _Invariants(T)
+    g, qdet = _kernel_invariants(inv, cs.kernel.rank)
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)
     cond_det = abs(qdet) == 1 or any(c.valid and 2 ** c.s > abs(qdet) for c in checks)
     clause1 = Clause1(cs.split, cs.reason, cond_kernel and cond_det)
 
     # clause 2: semisimplicity of the restriction to the honest image.
     restriction = cs.restriction if cs.split else restrict_to_lattice(T, cs.image)
-    invariants = _Invariants(restriction)
+    invariants = inv if restriction == T else _Invariants(restriction)
     clause2 = Clause2(invariants.semisimple)
 
     # clause 3: finite order outside Pi_S.
@@ -180,8 +181,7 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
             if gcd(n_exp, d) == 1:
                 sample.append(n_exp)
             n_exp += 1
-        for n_exp in sample:
-            roots.append((n_exp, coprime_root(T, d, n_exp)))
+        roots = list(zip(sample, _coprime_roots(T, d, sample)))
     clause4 = Clause4(tuple(roots), applicable)
 
     conclusions_hold = (

@@ -4,9 +4,11 @@ Everything here is deliberately re-implemented from scratch on nested lists
 and Fractions, without importing the code paths under test, so the checks
 stay two-sided.  The exceptions are the Jordan-Chevalley oracle, which
 builds on the library's Krylov minimal polynomial, matrix Horner evaluation
-and rational inverse, and the rational invariants oracle, which builds on
+and rational inverse, the rational invariants oracle, which builds on
 its RatPoly gcd, radical and cyclotomic table: routines that classify
-itself does not call.
+itself does not call, and the Smith-form kernel and kernel-chain oracles,
+which build on the library's Smith form, which no kernel, image or split
+calls.
 """
 from __future__ import annotations
 
@@ -177,6 +179,38 @@ def oracle_intersection_rank(a_rows, b_rows):
         return 0
     ra, rb = frac_rank(a_rows), frac_rank(b_rows)
     return ra + rb - frac_rank(list(a_rows) + list(b_rows))
+
+
+# -- kernel and kernel-chain oracles ---------------------------------------
+
+
+def snf_kernel_oracle(T):
+    """The saturated kernel of an IntMatrix T from its Smith form U T V = D:
+    the columns of V beyond the rank of D span {v : T v = 0}."""
+    from divlat.exactalg import Lattice, snf
+
+    D, _, V = snf(T)
+    r = sum(1 for i in range(min(T.rows, T.cols)) if D[i, i])
+    return Lattice.from_generators(T.cols, [V.column(j) for j in range(r, T.cols)])
+
+
+def image_oracle(T):
+    """The honest image of an IntMatrix T: the HNF of its columns."""
+    from divlat.exactalg import Lattice
+
+    return Lattice.from_generators(T.rows, [T.column(j) for j in range(T.cols)])
+
+
+def fitting_chain_oracle(T):
+    """(m, ker T^m, im T^m) for the first m with ker T^m = ker T^(m+1),
+    found by comparing consecutive Smith-form kernels of the powers."""
+    m, power, kernel = 1, T, snf_kernel_oracle(T)
+    while True:
+        next_power = power * T
+        next_kernel = snf_kernel_oracle(next_power)
+        if next_kernel == kernel:
+            return m, kernel, image_oracle(power)
+        m, power, kernel = m + 1, next_power, next_kernel
 
 
 # -- char poly oracle -------------------------------------------------------

@@ -305,21 +305,32 @@ class TestSharedParser:
 GOLDEN_COMMANDS = {
     "classify": ["classify"],
     "classify --json": ["classify", "--json"],
+    "verify": ["verify"],
     "verify --json": ["verify", "--json"],
+    "fitting": ["fitting"],
+    "fitting --json": ["fitting", "--json"],
     "root": ["root", "--s", "2", "--bound", "1", "--json"],
     "spectrum": ["spectrum", "--s-max", "3", "--bound", "1"],
 }
 # sha256 over (exit code, stdout, stderr) of every problem of corpus seeds 1
 # and 2, in corpus order, per kind and command.  Recorded with the
-# Fraction-polynomial classify that the Z[x] kernels replaced: a change of
-# a digest is a change of CLI output bytes.
+# Fraction-polynomial classify that the Z[x] kernels replaced, and the
+# verify and fitting rows with the Smith-form kernels and the kernel-chain
+# loop that the one-Hermite-form split replaced: a change of a digest is a
+# change of CLI output bytes.
 GOLDEN_DIGESTS = {
     "finite-order classify":
         "02665df42a11c302e13d370221807e094792eeefb02cbdfdbcd54ebcd16df1a7",
     "finite-order classify --json":
         "8c57c7dcd74ed6ae2025d5723cb60d293f24e76c195f1bda578559c37133069e",
+    "finite-order verify":
+        "c30244bcb32c666510093eaecd5bf6e559c744589b4a3c58b43c720b6ded8f85",
     "finite-order verify --json":
         "8444b6bc387ab73c0571b961b3ec2387f80e052e13dd8f75fcf69e64c2350b7b",
+    "finite-order fitting":
+        "3d6aaa2fe417ebd2e4b16ef3f3c165a0d744b2754568f21310f073ecf4a22df2",
+    "finite-order fitting --json":
+        "b40004dbce1c1e1ab1b371acbc94a9c7f7370786eb1658c07ee446666f5191a5",
     "finite-order root":
         "a055c02483fea297fd177f808c6d5401af24d487db8f56579b732a90a9b4f208",
     "finite-order spectrum":
@@ -328,8 +339,14 @@ GOLDEN_DIGESTS = {
         "b696ce419ee4c88319c02806329cdbdcd32518816ffccd31fa6e9d25a979a683",
     "nilpotent classify --json":
         "202c9e6ac6137fd97f7edc73cefae45a1cb6924437f296b8f0b80a723c42666f",
+    "nilpotent verify":
+        "8ae5a85798fee9c6971b34c2cd72aabcfc5560a91e530d51b040a104df782bdf",
     "nilpotent verify --json":
         "774ff5470f57bc77d595c95208050d6483f60bd0b3d885015e657be4140cc8a5",
+    "nilpotent fitting":
+        "a929c5110c8d32f76d96711ad5dd542b2ec8629e6f4606f97c8e8fc7748b5357",
+    "nilpotent fitting --json":
+        "6ea7050632ed5aead6fddaf3a948c0e7d79a5864c900caad5fa29c5e9c14f506",
     "nilpotent root":
         "da15f147f3aa35d6a2b16cc00a512fbbc17ff9aa59d145ba59f8e7e72634e417",
     "nilpotent spectrum":
@@ -338,8 +355,14 @@ GOLDEN_DIGESTS = {
         "009a122b92e6e2b00db9bf5b2f32fe1ed573d642fe9cfb2ccbfd51ff78cb5a0d",
     "random classify --json":
         "15cec94189e947a1c4ca51c7d3b2284994a8bbf90df8d625255720e38efb14e9",
+    "random verify":
+        "5d58dce2f4de010c2f710350272f30e62eef5d363464a4e9e947a669ae488d65",
     "random verify --json":
         "5527cadb3e0545ac2fd963861dc0856a8ee79d8bc72dfc0121f15a610548aae7",
+    "random fitting":
+        "c60c5257a518f0f92b71f3891ce550f6334ba4a239f7376563c9ae7d6feb2636",
+    "random fitting --json":
+        "2863ee418d8afbe3a0e90bc263865b0c45f61aed26d122b11afd3f15a3631ea0",
     "random root":
         "eb0d1e8c29c74a15b2db71318484e2c53242eb0ee97f1a8dca52b7f323f66600",
     "random spectrum":
@@ -348,8 +371,14 @@ GOLDEN_DIGESTS = {
         "e64cdb13701592459bdedcf0578ad94a33d2cfcf6aecb7fecbd0d4b2c1258780",
     "powers classify --json":
         "5f223aa9209d3c05980eb69d8aad8ed3fd97f5ea1eae8b43e82821af14372aad",
+    "powers verify":
+        "f444dc3c14b64e35f447a631eaef80d42be3f80d35e2b4b3505bc6968468423b",
     "powers verify --json":
         "1d9b68e3c0b9b38aa61af18cb6711de1ad942997c4524e3c1a1b55d9593df402",
+    "powers fitting":
+        "3823721de756ecf5b68156c3d58185c5fbfc39d9fd1d7d54e8756541e04764ab",
+    "powers fitting --json":
+        "cfc85e11fae34d7269e4082d31d44baf644e6ba383bfd6be570b8c83761fcf6b",
     "powers root":
         "df25605ff7c88b175c3e6563c056fea9b2db6bdb9383e354ec4b55f2038f39dd",
     "powers spectrum":

@@ -21,8 +21,8 @@ from divlat.exactalg import (
     snf,
     squarefree_part,
 )
-from divlat.exactalg import _tuple_det, _tuple_mul, _tuple_pow, _zdivmod, _zgcd, _zradical
-from helpers import char_poly_cofactor, frac_det, frac_rank, mat_mul, mat_pow
+from divlat.exactalg import _kernel_and_image, _tuple_det, _tuple_mul, _tuple_pow, _zdivmod, _zgcd, _zradical
+from helpers import char_poly_cofactor, frac_det, frac_rank, image_oracle, mat_mul, mat_pow, snf_kernel_oracle
 
 
 def rand_matrix(rng, n, bound):
@@ -426,3 +426,143 @@ class TestArbitraryPrecision:
         T = IntMatrix.from_rows([[big, -big], [2 * big, -2 * big]])
         K = kernel_saturated(T)
         assert K.basis == IntMatrix.from_rows([[1, 1]])
+
+
+def rank_k_matrix(rng, rows, cols, k, bound=3):
+    """A rows x cols product of random rows x k and k x cols factors."""
+    left = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(k)]
+    return IntMatrix.from_rows([[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+                                for i in range(rows)], cols=cols)
+
+
+class TestKernelAndImageAgainstOracles:
+    """_kernel_and_image against the Smith-form kernel and the HNF of the
+    columns, which it replaced."""
+
+    def check(self, T):
+        kernel, image = _kernel_and_image(T)
+        assert kernel == snf_kernel_oracle(T), T
+        assert image == image_oracle(T), T
+        assert (kernel_saturated(T), image_lattice(T)) == (kernel, image)
+        assert kernel.rank + image.rank == T.cols
+        return image.rank
+
+    def test_square_and_rectangular(self):
+        rng = random.Random(167)
+        ranks = set()
+        for _ in range(400):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            if rng.random() < 0.3:
+                T = IntMatrix(rows, cols, tuple(rng.randint(-4, 4) for _ in range(rows * cols)))
+            else:
+                T = rank_k_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+            rank = self.check(T)
+            ranks.add("zero" if rank == 0 else "full" if rank == min(rows, cols) else "between")
+        assert ranks == {"zero", "between", "full"}
+
+    def test_empty_shapes(self):
+        for n in range(4):
+            for T in (IntMatrix(0, n, ()), IntMatrix(n, 0, ()), IntMatrix.zeros(n, n)):
+                self.check(T)
+        assert _kernel_and_image(IntMatrix(0, 3, ()))[0] == Lattice.full(3)
+        assert _kernel_and_image(IntMatrix(3, 0, ()))[1] == Lattice.zero(3)
+
+    def test_commutator_systems(self):
+        from test_divisibility import commutator_equations, seeded_module_problems
+
+        rng = random.Random(173)
+        for n in (1, 2, 3, 4):
+            for _ in range(6):
+                T = rank_k_matrix(rng, n, n, rng.randint(0, n), 2) if rng.random() < 0.5 else rand_matrix(rng, n, 2)
+                E = commutator_equations((T,), n)
+                self.check(E)
+                self.check(hnf(E))
+        for T, module in seeded_module_problems(179):
+            self.check(commutator_equations((T, module.omega_action), T.rows))
+
+
+class TestHermiteShapeCheck:
+    """Lattice validates its basis by _is_hnf; on mutated HNF bases that
+    must agree with hnf(B) == B without zero rows, error text included."""
+
+    @staticmethod
+    def recomputed_error(B):
+        H = hnf(B)
+        if any(not any(H.row(i)) for i in range(H.rows)):
+            return "basis rows must be independent (no zero HNF rows)"
+        return None if H == B else "basis must be in Hermite normal form"
+
+    @staticmethod
+    def mutants(rng, B):
+        rows = [list(B.row(i)) for i in range(B.rows)]
+        pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+        k, out = len(rows), {}
+        i = rng.randrange(k)
+        out["negated pivot"] = rows[:i] + [[-x for x in rows[i]]] + rows[i + 1 :]
+        if k >= 2:
+            i = rng.randrange(1, k)
+            a, p = rng.randrange(i), pivots[i]
+            for name, value in (("entry above a pivot at the pivot", rows[i][p]),
+                                ("entry above a pivot negative", -1),
+                                ("entry above a pivot in range", rng.randrange(rows[i][p]))):
+                changed = [list(r) for r in rows]
+                changed[a][p] = value
+                out[name] = changed
+            a, b = rng.sample(range(k), 2)
+            swapped = [list(r) for r in rows]
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            out["swapped rows"] = swapped
+            out["dependent rows"] = rows + [[x + y for x, y in zip(rows[a], rows[b])]]
+        i = rng.randint(0, k)
+        out["zero row"] = rows[:i] + [[0] * B.cols] + rows[i:]
+        out["repeated row"] = rows + [list(rows[-1])]
+        out["doubled row below"] = rows + [[2 * x for x in rows[-1]]]  # same pivot, entry above in range
+        return out
+
+    def test_mutated_bases(self):
+        from divlat.exactalg import _is_hnf
+
+        rng = random.Random(181)
+        seen = set()
+        for _ in range(300):
+            N = rng.randint(1, 5)
+            gens = [[rng.randint(-5, 5) for _ in range(N)] for _ in range(rng.randint(1, N))]
+            B = Lattice.from_generators(N, gens).basis
+            if not B.rows:
+                continue
+            cases = {"unchanged": B.nested(), **self.mutants(rng, B)}
+            for name, rows in cases.items():
+                M = IntMatrix.from_rows(rows, cols=N)
+                want = self.recomputed_error(M)
+                assert _is_hnf(M) == (want is None), (name, rows)
+                if want is None:
+                    assert Lattice(N, M).basis == M
+                else:
+                    with pytest.raises(ValueError) as err:
+                        Lattice(N, M)
+                    assert str(err.value) == want, (name, rows)
+                seen.add((name, want))
+        assert {want for _, want in seen} == {None, "basis rows must be independent (no zero HNF rows)",
+                                              "basis must be in Hermite normal form"}
+
+
+class TestIntMatrixValidation:
+    def test_plain_int_entries(self):
+        M = IntMatrix(2, 2, (1, -2, 10 ** 30, 0))
+        assert M.entries == (1, -2, 10 ** 30, 0)
+        assert IntMatrix(0, 3, ()).rows == 0
+
+    def test_int_subclasses_are_accepted(self):
+        class Tagged(int):
+            pass
+
+        M = IntMatrix(1, 2, (Tagged(3), 4))
+        assert M.entries == (3, 4) and type(M.entries[0]) is Tagged
+
+    def test_bool_and_non_integers_are_rejected(self):
+        for bad, entries in ((True, (1, True)), (False, (False, 0)), (Fraction(1, 2), (Fraction(1, 2), 1)),
+                             (1.0, (2, 1.0)), ("1", ("1", 1))):
+            with pytest.raises(TypeError) as err:
+                IntMatrix(1, 2, entries)
+            assert str(err.value) == f"non-integer entry {bad!r}"

@@ -3,10 +3,50 @@ from itertools import product
 
 import pytest
 
-from divlat.exactalg import IntMatrix, Lattice, QMatrix
+from divlat import exactalg
+from divlat.corpus import block_diagonal, conjugate, random_unimodular
+from divlat.exactalg import IntMatrix, Lattice, QMatrix, companion_matrix, cyclotomic
 from divlat.fitting import clean_split, fitting_decompose
-from helpers import oracle_direct_and_full
+from divlat.primes import euler_phi
+from helpers import (
+    fitting_chain_oracle,
+    oracle_direct_and_full,
+    oracle_intersection_rank,
+    snf_kernel_oracle,
+)
+from test_divisibility import seeded_module_problems
 from test_exactalg import rand_matrix, rand_unimodular
+
+
+def seeded_fitting_operators(seed, count, n_max=8):
+    """Square operators of sizes 1..n_max: random, and conjugated
+    nilpotent, low-rank, and zero plus finite order (a zero block beside
+    cyclotomic companion blocks)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        kind = rng.choice(("random", "nilpotent", "low-rank", "finite-order"))
+        if kind == "random":
+            yield rand_matrix(rng, n, 3)
+            continue
+        if kind == "nilpotent":
+            T = IntMatrix.from_rows([[rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+                                     for i in range(n)])
+        elif kind == "low-rank":
+            k = rng.randint(0, n)
+            left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            T = IntMatrix.from_rows([[sum(left[i][t] * right[t][j] for t in range(k))
+                                      for j in range(n)] for i in range(n)])
+        else:
+            zeros = rng.randint(0, n - 1)
+            blocks, left = [IntMatrix.zeros(zeros, zeros)] if zeros else [], n - zeros
+            while left:
+                k = rng.choice([k for k in range(1, 13) if euler_phi(k) <= left])
+                blocks.append(companion_matrix(cyclotomic(k)))
+                left -= euler_phi(k)
+            T = block_diagonal(blocks)
+        yield conjugate(T, random_unimodular(n, rng, steps=2 * n))
 
 
 class TestFittingDecompose:
@@ -44,10 +84,8 @@ class TestFittingDecompose:
             split = fitting_decompose(T)
             assert 1 <= split.exponent_m <= n
             # stabilized: ker T^m = ker T^(m+1)
-            from divlat.exactalg import kernel_saturated
-
-            assert kernel_saturated(T ** split.exponent_m) == split.gen_kernel
-            assert kernel_saturated(T ** (split.exponent_m + 1)) == split.gen_kernel
+            assert snf_kernel_oracle(T ** split.exponent_m) == split.gen_kernel
+            assert snf_kernel_oracle(T ** (split.exponent_m + 1)) == split.gen_kernel
             # both parts are T-invariant
             for i in range(split.gen_kernel.rank):
                 assert split.gen_kernel.contains(T.apply(split.gen_kernel.basis.row(i)))
@@ -157,3 +195,70 @@ class TestCleanSplit:
             count += 1
             assert not clean_split(T).split
         assert count == 16
+
+
+class TestAgainstTheKernelChainOracle:
+    def test_operators_up_to_eight(self):
+        """fitting_decompose stops at the first m whose kernel and image
+        meet only in 0; the oracle compares ker T^m with ker T^(m+1)."""
+        exponents, directness = set(), set()
+        for T in seeded_fitting_operators(71, 250):
+            split = fitting_decompose(T)
+            m, kernel, image = fitting_chain_oracle(T)
+            assert (split.exponent_m, split.gen_kernel, split.image_part) == (m, kernel, image), T
+            direct = oracle_direct_and_full(kernel.basis.nested(), image.basis.nested(), T.rows)
+            assert split.is_direct == direct, T
+            exponents.add(m)
+            directness.add(direct)
+        assert {1, 2, 3} <= exponents
+        assert directness == {True, False}
+
+    def test_module_operators(self):
+        for T, module in seeded_module_problems(73):
+            split = fitting_decompose(T, module=module)
+            m, kernel, image = fitting_chain_oracle(T)
+            assert (split.exponent_m, split.gen_kernel, split.image_part) == (m, kernel, image), T
+
+    def test_clean_split_reasons(self):
+        """The stacked determinant's three outcomes against the Smith-form
+        kernel, the rational intersection rank and the integrality oracle."""
+        reasons = set()
+        for T in seeded_fitting_operators(79, 300, n_max=6):
+            cs = clean_split(T)
+            kernel = snf_kernel_oracle(T)
+            assert cs.kernel == kernel
+            direct = oracle_direct_and_full(kernel.basis.nested(), cs.image.basis.nested(), T.rows)
+            assert cs.split == direct, T
+            if not direct:
+                meets = oracle_intersection_rank(kernel.basis.nested(), cs.image.basis.nested()) > 0
+                assert cs.reason == ("ker T and im T intersect nontrivially" if meets
+                                     else "ker T + im T is a proper sublattice of Z^n"), T
+            reasons.add(cs.reason)
+        assert len(reasons) == 3
+
+
+class TestNoSmithForm:
+    def test_split_verify_and_root_search_make_no_smith_form(self, monkeypatch):
+        from divlat.corpus import KINDS, gen_corpus
+        from divlat.divisibility import root_search
+        from divlat.numberring import ZZ
+        from divlat.verifier import verify
+
+        calls = []
+        snf = exactalg.snf
+
+        def counting(M):
+            calls.append(M)
+            return snf(M)
+
+        monkeypatch.setattr(exactalg, "snf", counting)
+        for T in seeded_fitting_operators(83, 40, n_max=5):
+            clean_split(T)
+            fitting_decompose(T)
+        for kind in KINDS:
+            for problem in gen_corpus(kind, 1)[:4]:
+                verify(ZZ, None, problem.operator, problem.exponent_set, problem.witnesses)
+                root_search(problem.operator, 2, 1)
+        for T, module in seeded_module_problems(89):
+            root_search(T, 2, 1, module=module)
+        assert calls == []

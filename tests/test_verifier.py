@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from divlat.classify import _Invariants
 from divlat.exactalg import IntMatrix, QMatrix, kernel_saturated
 from divlat.numberring import OKModule, QuadraticOrder, ZZ
 from divlat.serialize import canonical_dumps, theorem_report_to_json
@@ -28,7 +29,7 @@ class TestQuotientDeterminant:
             if rng.random() < 0.3:
                 rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             T = IntMatrix.from_rows(rows)
-            _, got = _kernel_invariants(T, kernel_saturated(T).rank)
+            _, got = _kernel_invariants(_Invariants(T), kernel_saturated(T).rank)
             assert got == frac_quotient_det(rows), rows
 
 
@@ -51,8 +52,33 @@ class TestGeneralisedKernelRank:
                 rows = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(n)]
                         for i in range(n)]
             T = IntMatrix.from_rows(rows)
-            g, _ = _kernel_invariants(T, kernel_saturated(T).rank)
+            g, _ = _kernel_invariants(_Invariants(T), kernel_saturated(T).rank)
             assert g == fitting_decompose(T).gen_kernel.rank, rows
+
+
+class TestCharacteristicPolynomialOnce:
+    def test_one_char_poly_for_a_unimodular_operator(self, monkeypatch):
+        """For |det T| = 1 the restriction to the image is T itself, so the
+        kernel invariants and clauses 2 and 3 share one chi."""
+        import divlat.classify
+        import divlat.exactalg
+        import divlat.verifier
+
+        T = IntMatrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 2, 1]])
+        assert abs(T.det()) == 1
+        calls = []
+        char_poly = divlat.exactalg.char_poly
+
+        def counting(M):
+            calls.append(M)
+            return char_poly(M)
+
+        for module in (divlat.exactalg, divlat.classify, divlat.verifier):
+            if hasattr(module, "char_poly"):
+                monkeypatch.setattr(module, "char_poly", counting)
+        report = verify(ZZ, None, T, Geometric(2, 1), [])
+        assert report.clause1.holds
+        assert calls == [T]
 
 
 class TestVerifyExamples:
