@@ -36,19 +36,13 @@ from .exactalg import (
     IntMatrix,
     Lattice,
     QMatrix,
-    RatPoly,
     char_poly,
     companion_matrix,
     cyclotomic,
-    cyclotomics_up_to_degree,
     hnf,
-    image_lattice,
     kernel_saturated,
-    min_poly,
-    poly_gcd,
     restrict_to_lattice,
     snf,
-    squarefree_part,
 )
 from .fitting import CleanSplit, FittingSplit, clean_split, fitting_decompose
 from .numberring import (

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .exactalg import (IntMatrix, QMatrix, RatPoly, _cyclotomic_indices, _zcyclotomic, _zdivmod,
-                       _zgcd, _zradical, char_poly)
+from .exactalg import (IntMatrix, QMatrix, _cyclotomic_indices, _zcyclotomic, _zdivmod, _zgcd, _zradical,
+                       char_poly)
 from .primes import prime_factors
 
 
@@ -37,7 +37,7 @@ class _Invariants:
 
     @cached_property
     def chi(self) -> tuple[int, ...]:
-        return tuple(c.numerator for c in char_poly(self.T).coeffs)
+        return char_poly(self.T)
 
     @cached_property
     def radical(self) -> tuple[int, ...]:
@@ -136,7 +136,7 @@ def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
     if inv.semisimple:
         return QMatrix.from_int_matrix(T), QMatrix.zeros(n, n)
     # r(p) = 0 mod chi and chi(T) = 0 give r(S) = 0, r squarefree: S is semisimple.
-    D, DS = _scaled_eval(_newton(inv.radical, inv.chi).coeffs, T)
+    D, DS = _scaled_eval(_newton(inv.radical, inv.chi), T)
     DN = T * D - DS
     if not (DN ** n).is_zero():
         raise AssertionError("nilpotent part is not nilpotent")
@@ -146,33 +146,60 @@ def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
             QMatrix(n, n, tuple(Fraction(e, D) for e in DN.entries)))
 
 
-def _newton(r: tuple[int, ...], chi: tuple[int, ...]) -> RatPoly:
-    """The p in Q[x]/(chi) with r(p) = 0 and p = x mod r, r = rad(chi)."""
+def _newton(r: tuple[int, ...], chi: tuple[int, ...]) -> tuple:
+    """The p in Q[x]/(chi) with r(p) = 0 and p = x mod r, r = rad(chi), as
+    ascending int or Fraction coefficients."""
     if len(_zgcd(r, tuple(i * c for i, c in enumerate(r) if i))) > 1:
         raise AssertionError("radical of chi is not squarefree")
-    r, chi = RatPoly(r), RatPoly(chi)
     # Quadratic convergence: chi divides r^n, so ceil(log2 n) + 2 steps
     # suffice; exceeding the cap is a bug, not an input property.
-    cap = max(1, (chi.degree - 1).bit_length()) + 2
-    p = RatPoly.of(0, 1)
+    cap = max(1, (len(chi) - 2).bit_length()) + 2
+    p = (0, 1)
     for step in range(cap + 1):
-        value = slope = RatPoly(())  # r(p) and r'(p) mod chi, by Horner's rule
-        for c in reversed(r.coeffs):
-            value, slope = (value * p + RatPoly((c,))) % chi, (slope * p + value) % chi
-        if value.is_zero():
+        value = slope = ()  # r(p) and r'(p) mod chi, by Horner's rule
+        for c in reversed(r):
+            value, slope = (_zdivmod(_add(_mul(value, p), (c,)), chi)[1],
+                            _zdivmod(_add(_mul(slope, p), value), chi)[1])
+        if not value:
             return p
         if step == cap:
             raise AssertionError("Newton iteration failed to converge within the cap")
-        p = (p - value * _inverse_mod(slope, chi)) % chi
+        p = _zdivmod(_add(p, _mul(value, _inverse_mod(slope, chi)), -1), chi)[1]
 
 
-def _inverse_mod(a: RatPoly, m: RatPoly) -> RatPoly:
-    """a^{-1} mod m by the extended Euclidean algorithm."""
-    r0, r1, s0, s1 = m, a, RatPoly(()), RatPoly.of(1)
-    while not r1.is_zero():
-        q, rem = divmod(r0, r1)
-        r0, r1, s0, s1 = r1, rem, s1, s0 - q * s1
-    return s0 * (1 / r0.leading) % m
+def _inverse_mod(a: tuple, m: tuple) -> tuple:
+    """a^{-1} mod a monic m, by the extended Euclidean algorithm with every
+    divisor made monic, so that _zdivmod divides exactly."""
+    r0, r1, s0, s1 = m, a, (), (1,)
+    while r1:
+        lead = Fraction(r1[-1])
+        r1, s1 = tuple(c / lead for c in r1), tuple(c / lead for c in s1)
+        q, rem = _zdivmod(r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, _add(s0, _mul(q, s1), -1)
+    if r0 != (1,):
+        raise AssertionError("r'(p) is not invertible modulo chi")
+    return _zdivmod(s0, m)[1]
+
+
+def _add(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    """a + sign * b, trailing zeros trimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _scaled_eval(coeffs, T: IntMatrix) -> tuple[int, IntMatrix]:

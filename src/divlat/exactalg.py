@@ -3,13 +3,15 @@
 Dense, immutable, arbitrary-precision matrices; Hermite and Smith normal
 forms; saturated kernels and honest images as canonical lattices, both read
 off one Hermite form (the Smith form serves only the ``snf`` command); and
-exact characteristic/minimal polynomials.  Nothing here ever touches a float.
+the characteristic and cyclotomic polynomials, as ascending coefficient
+tuples.  Nothing here ever touches a float.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from operator import add, floordiv, mul, sub, truediv
 
@@ -80,12 +82,15 @@ def _tuple_det(x, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial kernels.  A polynomial in Z[x] is an ascending tuple of
-# ints without trailing zeros; () is the zero polynomial.
+# Polynomial kernels.  A polynomial is an ascending tuple of coefficients
+# without trailing zeros; () is the zero polynomial.  The coefficients are
+# ints, in Z[x], except in the Newton step of classify, which works in
+# Q[x]/(chi) on Fraction coefficients.
 
 
-def _zdivmod(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(q, r) with a = q b + r and deg r < deg b, for a monic b: exact in Z."""
+def _zdivmod(a, b) -> tuple[tuple, tuple]:
+    """(q, r) with a = q b + r and deg r < deg b, for a monic b: exact for
+    any coefficient type, in Z[x] for integer a and b."""
     d, r = len(b) - 1, list(a)
     q = [0] * max(len(a) - d, 0)
     for shift in reversed(range(len(q))):
@@ -349,6 +354,12 @@ class QMatrix(_Matrix):
 # Canonical forms
 
 
+def _stacked(rows, cols: int) -> IntMatrix:
+    """The IntMatrix with the given rows of ints, which are not re-converted
+    as IntMatrix.from_rows would."""
+    return IntMatrix(len(rows), cols, tuple(chain.from_iterable(rows)))
+
+
 def hnf(M: IntMatrix) -> IntMatrix:
     """Row Hermite normal form (unimodular row operations only).
 
@@ -388,7 +399,7 @@ def hnf(M: IntMatrix) -> IntMatrix:
                 if q:
                     work[i][j:] = [a - q * b for a, b in zip(work[i][j:], tail)]
             r += 1
-    return IntMatrix.from_rows(work, cols=n)
+    return _stacked(work, n)
 
 
 def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -460,8 +471,7 @@ def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 dirty = True
             entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
         t += 1
-    D = IntMatrix.from_rows(A, cols=n)
-    return D, IntMatrix.from_rows(U, cols=m), IntMatrix.from_rows(V, cols=n)
+    return _stacked(A, n), _stacked(U, m), _stacked(V, n)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +521,7 @@ class Lattice:
         if not gens:
             return cls(ambient, IntMatrix(0, ambient, ()))
         H = hnf(IntMatrix.from_rows(gens, cols=ambient))
-        rows = [H.row(i) for i in range(H.rows) if any(H.row(i))]
-        return cls(ambient, IntMatrix.from_rows(rows, cols=ambient))
+        return cls(ambient, _stacked([H.row(i) for i in range(H.rows) if any(H.row(i))], ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "Lattice":
@@ -547,34 +556,6 @@ class Lattice:
     def contains(self, vec) -> bool:
         return self.coords_of(vec) is not None
 
-    def add(self, other: "Lattice") -> "Lattice":
-        if self.ambient_rank != other.ambient_rank:
-            raise ValueError("ambient rank mismatch")
-        gens = [self.basis.row(i) for i in range(self.rank)]
-        gens += [other.basis.row(i) for i in range(other.rank)]
-        return Lattice.from_generators(self.ambient_rank, gens)
-
-    def intersect(self, other: "Lattice") -> "Lattice":
-        """Exact lattice intersection via the integer kernel of the stacked
-        relation matrix."""
-        if self.ambient_rank != other.ambient_rank:
-            raise ValueError("ambient rank mismatch")
-        if self.rank == 0 or other.rank == 0:
-            return Lattice.zero(self.ambient_rank)
-        stacked = IntMatrix.from_rows(
-            [self.basis.row(i) for i in range(self.rank)]
-            + [other.basis.row(i) for i in range(other.rank)],
-            cols=self.ambient_rank,
-        )
-        relations = kernel_saturated(stacked.transpose())
-        gens = []
-        for i in range(relations.rank):
-            z = relations.basis.row(i)
-            x = z[: self.rank]
-            gens.append(tuple(sum(x[t] * self.basis[t, j] for t in range(self.rank))
-                              for j in range(self.ambient_rank)))
-        return Lattice.from_generators(self.ambient_rank, gens)
-
 
 def _kernel_and_image(T: IntMatrix) -> tuple[Lattice, Lattice]:
     """(ker T, im T) from one row HNF of the augmented cols x (rows + cols)
@@ -601,11 +582,6 @@ def kernel_saturated(T: IntMatrix) -> Lattice:
     return _kernel_and_image(T)[0]
 
 
-def image_lattice(T: IntMatrix) -> Lattice:
-    """The honest image T * Z^cols (not saturated by design)."""
-    return Lattice.from_generators(T.rows, [T.column(j) for j in range(T.cols)])
-
-
 def restrict_to_lattice(T: IntMatrix, lat: Lattice) -> IntMatrix:
     """Matrix of T on the basis of a T-invariant lattice (column-vector
     convention).  Raises if the lattice is not invariant."""
@@ -619,163 +595,16 @@ def restrict_to_lattice(T: IntMatrix, lat: Lattice) -> IntMatrix:
         if coords is None:
             raise ValueError("lattice is not invariant under the operator")
         cols.append(coords)
-    return IntMatrix.from_rows([[cols[j][i] for j in range(k)] for i in range(k)], cols=k)
+    return IntMatrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)))
 
 
 # ---------------------------------------------------------------------------
-# Polynomials
+# Polynomials, as ascending coefficient tuples (see the kernels above)
 
 
-@dataclass(frozen=True)
-class RatPoly:
-    """Polynomial over Q, coefficients ascending, trailing zeros trimmed."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        cs = [_frac(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def of(cls, *coeffs) -> "RatPoly":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading == 1
-
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RatPoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return RatPoly(tuple(c * other for c in self.coeffs))
-        if isinstance(other, RatPoly):
-            if self.is_zero() or other.is_zero():
-                return RatPoly(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    for j, d in enumerate(other.coeffs):
-                        out[i + j] += c * d
-            return RatPoly(tuple(out))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        r = list(self.coeffs)
-        d = other.coeffs
-        while len(r) >= len(d) and any(r):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            shift = len(r) - len(d)
-            f = r[-1] / d[-1]
-            q[shift] = f
-            for i, c in enumerate(d):
-                r[shift + i] -= f * c
-            r.pop()
-        return RatPoly(tuple(q)), RatPoly(tuple(r))
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero():
-            return self
-        lead = self.leading
-        return RatPoly(tuple(c / lead for c in self.coeffs))
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_matrix(self, M: QMatrix) -> QMatrix:
-        """Horner evaluation at a square rational matrix."""
-        n = M.rows
-        acc = QMatrix.zeros(n, n)
-        eye = QMatrix.identity(n)
-        for c in reversed(self.coeffs):
-            acc = acc * M + eye * c
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                body = x if mag == 1 else f"{mag}*{x}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-def squarefree_part(p: RatPoly) -> RatPoly:
-    """p divided by gcd(p, p'), made monic: the radical of p."""
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    q, r = divmod(p, g)
-    if not r.is_zero():
-        raise AssertionError("gcd(p, p') does not divide p")
-    return q.monic()
-
-
-def char_poly(T: IntMatrix) -> RatPoly:
-    """Characteristic polynomial det(xI - T), monic with integer coefficients,
-    by the Faddeev-LeVerrier recurrence (exact divisions), whose last matrix,
+def char_poly(T: IntMatrix) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - T), monic in Z[x], by the
+    Faddeev-LeVerrier recurrence (exact divisions), whose last matrix,
     chi(T), is checked to be zero."""
     if not T.is_square:
         raise ValueError("char_poly requires a square matrix")
@@ -792,50 +621,16 @@ def char_poly(T: IntMatrix) -> RatPoly:
         M = tuple(a + c if i % (n + 1) == 0 else a for i, a in enumerate(N))
     if any(M):  # M = chi(T), zero by Cayley-Hamilton
         raise AssertionError("Faddeev-LeVerrier recurrence did not terminate at zero")
-    ascending = [Fraction(c) for c in reversed(cs)] + [Fraction(1)]
-    return RatPoly(tuple(ascending))
+    return tuple(reversed(cs)) + (1,)
 
 
-def min_poly(T) -> RatPoly:
-    """Monic minimal polynomial of an IntMatrix or QMatrix, found as the
-    first exact linear dependence among I, T, T^2, ... (Krylov search over
-    Q; the powers stay in the entry type of T)."""
-    if T.rows != T.cols:
-        raise ValueError("min_poly requires a square matrix")
-    n = T.rows
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = _identity(n)
-    for k in range(n + 1):
-        vec = list(power)
-        combo = [Fraction(0)] * k + [Fraction(1)]
-        for pivot, bvec, bcombo in basis:
-            f = vec[pivot]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, bvec)]
-                for i, c in enumerate(bcombo):
-                    combo[i] -= f * c
-        if not any(vec):
-            return RatPoly(tuple(combo))
-        pivot = next(i for i, a in enumerate(vec) if a)
-        scale = Fraction(vec[pivot])
-        vec = [a / scale for a in vec]
-        combo = [c / scale for c in combo]
-        basis.append((pivot, vec, combo))
-        power = _tuple_mul(power, T.entries, n, n, n)
-    raise AssertionError("no annihilating polynomial up to degree n")
-
-
-def companion_matrix(p: RatPoly) -> IntMatrix:
-    """Companion matrix of a monic integer polynomial."""
-    if not (p.is_monic() and p.is_integer() and p.degree >= 1):
+def companion_matrix(p) -> IntMatrix:
+    """Companion matrix of a monic integer polynomial of degree >= 1."""
+    n = len(p) - 1
+    if n < 1 or p[-1] != 1 or not all(isinstance(c, int) and not isinstance(c, bool) for c in p):
         raise ValueError("companion matrix needs a monic integer polynomial of degree >= 1")
-    n = p.degree
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    for i in range(n):
-        rows[i][n - 1] = -int(p.coeffs[i])
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(n, n, tuple(-p[i] if j == n - 1 else int(i == j + 1)
+                                 for i in range(n) for j in range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -857,16 +652,8 @@ def _cyclotomic_indices(n: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, 2 * n * n + 2) if euler_phi(k) <= n)
 
 
-@lru_cache(maxsize=None)
-def cyclotomic(k: int) -> RatPoly:
+def cyclotomic(k: int) -> tuple[int, ...]:
     """The k-th cyclotomic polynomial."""
     if k < 1:
         raise ValueError("cyclotomic index must be positive")
-    return RatPoly(_zcyclotomic(k))
-
-
-def cyclotomics_up_to_degree(n: int) -> list[tuple[int, RatPoly]]:
-    """All (k, Phi_k) with phi(k) <= n, sorted by k."""
-    if n < 1:
-        raise ValueError("degree bound must be positive")
-    return [(k, cyclotomic(k)) for k in _cyclotomic_indices(n)]
+    return _zcyclotomic(k)

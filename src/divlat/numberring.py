@@ -52,9 +52,6 @@ class QuadraticOrder:
         return IntMatrix.from_rows([[0, c], [1, t]])
 
     # -- element arithmetic (works for int and Fraction components) ----
-    def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
     def sub(self, x, y):
         return (x[0] - y[0], x[1] - y[1])
 

@@ -81,9 +81,9 @@ def _entry_value(x, what: str, allow_rational: bool):
 
 
 def matrix_from_json(obj, what: str = "matrix", allow_rational: bool = False):
-    """Parse {"rows", "cols", "entries"}; entries may be flat or nested and
-    are normalized.  With allow_rational, returns a QMatrix when any entry
-    is fractional."""
+    """Parse {"rows", "cols", "entries"}; entries are flat, or nested as
+    exactly rows lists of cols entries each.  With allow_rational, returns
+    a QMatrix when any entry is fractional."""
     _expect_keys(obj, {"rows", "cols", "entries"}, what=what)
     rows = _int(obj["rows"], f"{what}.rows")
     cols = _int(obj["cols"], f"{what}.cols")
@@ -91,7 +91,12 @@ def matrix_from_json(obj, what: str = "matrix", allow_rational: bool = False):
     if not isinstance(raw, list):
         raise InputError(f"{what}.entries: expected a list")
     if raw and isinstance(raw[0], list):
-        flat = [x for row in raw for x in (row if isinstance(row, list) else [row])]
+        for i, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != cols:
+                raise InputError(f"{what}.entries[{i}]: expected a row of {cols} entries")
+        if len(raw) != rows:
+            raise InputError(f"{what}.entries: expected {rows} rows, got {len(raw)}")
+        flat = [x for row in raw for x in row]
     else:
         flat = list(raw)
     if len(flat) != rows * cols:

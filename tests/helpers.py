@@ -1,19 +1,19 @@
 """Independent oracles for cross-checking the library.
 
-Everything here is deliberately re-implemented from scratch on nested lists
-and Fractions, without importing the code paths under test, so the checks
-stay two-sided.  The exceptions are the Jordan-Chevalley oracle, which
-builds on the library's Krylov minimal polynomial, matrix Horner evaluation
-and rational inverse, the rational invariants oracle, which builds on
-its RatPoly gcd, radical and cyclotomic table: routines that classify
-itself does not call, and the Smith-form kernel and kernel-chain oracles,
-which build on the library's Smith form, which no kernel, image or split
-calls.
+Everything here is deliberately re-implemented from scratch on nested lists,
+ascending coefficient lists and Fractions, without importing the code paths
+under test, so the checks stay two-sided.  That includes the Jordan-Chevalley
+and rational-invariants oracles, which build on the polynomial arithmetic
+over Q below.  The exceptions are the Smith-form kernel and kernel-chain
+oracles, which build on the library's Smith form, which no kernel, image or
+split calls.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import gcd
 
 
 # -- naive matrix arithmetic on nested lists ------------------------------
@@ -213,104 +213,214 @@ def fitting_chain_oracle(T):
         m, power, kernel = m + 1, next_power, next_kernel
 
 
-# -- char poly oracle -------------------------------------------------------
+# -- polynomials over Q on ascending coefficient lists ----------------------
+
+
+def qpoly_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def qpoly_add(a, b):
+    width = max(len(a), len(b))
+    return qpoly_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(width))
+
+
+def qpoly_mul(*factors):
+    """The product of the given polynomials, trimmed; [1] for none."""
+    out = [1]
+    for q in factors:
+        q = qpoly_trim(q)
+        if not q or not out:
+            return []
+        prod = [0] * (len(out) + len(q) - 1)
+        for i, c in enumerate(out):
+            for j, d in enumerate(q):
+                prod[i + j] += c * d
+        out = prod
+    return qpoly_trim(out)
+
+
+def qpoly_divmod(a, b):
+    """(q, r) with a = q b + r, deg r < deg b, over Q for any nonzero b."""
+    b = qpoly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [Fraction(c) for c in qpoly_trim(a)]
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        shift, f = len(r) - len(b), r[-1] / b[-1]
+        q[shift] = f
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r = qpoly_trim(r)
+    return qpoly_trim(q), r
+
+
+def qpoly_monic(p):
+    p = qpoly_trim(p)
+    return [Fraction(c) / p[-1] for c in p] if p else []
+
+
+def qpoly_gcd(a, b):
+    """Monic gcd over Q by Euclid; [] when both are zero."""
+    a, b = qpoly_trim(a), qpoly_trim(b)
+    while b:
+        a, b = b, qpoly_divmod(a, b)[1]
+    return qpoly_monic(a)
+
+
+def qpoly_derivative(p):
+    return qpoly_trim([i * c for i, c in enumerate(p) if i])
+
+
+def qpoly_radical(p):
+    """p / gcd(p, p'), monic: the squarefree part of a nonzero p."""
+    q, r = qpoly_divmod(p, qpoly_gcd(p, qpoly_derivative(p)))
+    if r:
+        raise AssertionError("gcd(p, p') does not divide p")
+    return qpoly_monic(q)
+
+
+def qpoly_eval_matrix(p, rows):
+    """p(A) for a square nested list A, by Horner's rule over Fractions."""
+    n = len(rows)
+    A = [[Fraction(x) for x in row] for row in rows]
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(qpoly_trim(p)):
+        acc = mat_mul(acc, A) if n else []
+        for i in range(n):
+            acc[i][i] += c
+    return acc
+
+
+def frac_min_poly(rows):
+    """Monic minimal polynomial of a square nested list over Q: the first
+    linear dependence among I, A, A^2, ... (Krylov search)."""
+    n = len(rows)
+    A = [[Fraction(x) for x in row] for row in rows]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    basis = []  # (pivot, reduced vector, combination of powers)
+    for k in range(n + 1):
+        vec = [x for row in power for x in row]
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for pivot, bvec, bcombo in basis:
+            f = vec[pivot]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, bvec)]
+                for i, c in enumerate(bcombo):
+                    combo[i] -= f * c
+        if not any(vec):
+            return combo
+        pivot = next(i for i, a in enumerate(vec) if a)
+        scale = vec[pivot]
+        basis.append((pivot, [a / scale for a in vec], [c / scale for c in combo]))
+        power = mat_mul(power, A)
+    raise AssertionError("no annihilating polynomial up to degree n")
+
+
+def min_poly_is_squarefree(rows):
+    """Whether a square nested list is semisimple over Q."""
+    mu = frac_min_poly(rows)
+    return len(qpoly_gcd(mu, qpoly_derivative(mu))) == 1
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_table(n):
+    """Every (k, Phi_k) with phi(k) <= n, ascending in k: phi by counting
+    units mod k, Phi_k by dividing x^k - 1 by Phi_d for each proper
+    divisor d.  phi(k) >= sqrt(k / 2), so k <= 2 n^2 + 1 suffices."""
+    table, polys = [], {}
+    for k in range(1, 2 * n * n + 2):
+        poly = [-1] + [0] * (k - 1) + [1]
+        for d in range(1, k):
+            if k % d == 0:
+                poly, rem = qpoly_divmod(poly, polys[d])
+                if rem:
+                    raise AssertionError(f"Phi_{d} does not divide x^{k} - 1")
+        polys[k] = tuple(int(c) for c in poly)
+        if sum(1 for j in range(1, k + 1) if gcd(j, k) == 1) <= n:
+            table.append((k, polys[k]))
+    return tuple(table)
 
 
 def char_poly_cofactor(T):
-    """det(xI - T) by direct cofactor expansion over polynomial coefficient
-    lists (ascending); independent of the library implementation."""
-
-    def poly_mul(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, c in enumerate(p):
-            for j, d in enumerate(q):
-                out[i + j] += c * d
-        return out
-
-    def poly_add(p, q):
-        n = max(len(p), len(q))
-        return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-    def poly_scale(p, c):
-        return [c * x for x in p]
-
-    def det_poly(m):
-        k = len(m)
-        if k == 0:
-            return [1]
-        if k == 1:
-            return m[0][0]
-        acc = [0]
-        for j in range(k):
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = poly_mul(m[0][j], det_poly(minor))
-            acc = poly_add(acc, poly_scale(term, (-1) ** j))
-        return acc
-
+    """det(xI - T) for a square nested list T, ascending, by cofactor
+    expansion along the rows over polynomial entries, memoized on the set
+    of columns left; independent of the library implementation."""
     n = len(T)
-    m = [[[-T[i][j], 1] if i == j else [-T[i][j]] for j in range(n)] for i in range(n)]
-    coeffs = det_poly(m)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    entry = [[[-T[i][j], 1] if i == j else [-T[i][j]] for j in range(n)] for i in range(n)]
+
+    @lru_cache(maxsize=None)
+    def minor(cols):
+        i = n - len(cols)
+        if not cols:
+            return (1,)
+        acc = []
+        for t, j in enumerate(cols):
+            term = qpoly_mul(entry[i][j], minor(cols[:t] + cols[t + 1 :]))
+            acc = qpoly_add(acc, [-c for c in term] if t % 2 else term)
+        return tuple(acc)
+
+    return list(minor(tuple(range(n))))
 
 
-# -- Jordan-Chevalley oracle ------------------------------------------------
+# -- Jordan-Chevalley and rational invariants oracles -----------------------
 
 
 def newton_jordan_chevalley_oracle(T):
-    """(semisimple, S, N) for an IntMatrix T by the matrix-space route: the
-    Krylov minimal polynomial mu over Q decides
-    semisimplicity (gcd(mu, mu') = 1), and Newton iteration
+    """(semisimple, S, N) for an IntMatrix T, S and N nested lists of
+    Fractions, by the matrix-space route: the Krylov minimal polynomial mu
+    decides semisimplicity (gcd(mu, mu') = 1), and Newton iteration
     X <- X - r(X) r'(X)^{-1} on r = rad(mu) runs on rational matrices from
-    X = T.  classify works on chi and on polynomials modulo chi instead; the
-    two share only the polynomial gcd and radical."""
-    from divlat.exactalg import QMatrix, min_poly, poly_gcd, squarefree_part
-
-    n = T.rows
-    X = QMatrix.from_int_matrix(T)
-    mu = min_poly(T)
-    semisimple = poly_gcd(mu, mu.derivative()).degree <= 0
-    r = squarefree_part(mu)
-    r_d = r.derivative()
+    X = T.  classify works on chi and on polynomials modulo chi instead."""
+    rows = T.nested()
+    n = len(rows)
+    mu = frac_min_poly(rows)
+    semisimple = len(qpoly_gcd(mu, qpoly_derivative(mu))) == 1
+    r = qpoly_radical(mu)
+    r_d = qpoly_derivative(r)
+    X = [[Fraction(x) for x in row] for row in rows]
     for _ in range(n + 1):
-        value = r.eval_matrix(X)
-        if value.is_zero():
+        value = qpoly_eval_matrix(r, X)
+        if not any(any(row) for row in value):
             break
-        X = X - value * r_d.eval_matrix(X).inverse()
+        step = mat_mul(value, frac_inverse(qpoly_eval_matrix(r_d, X)))
+        X = [[a - b for a, b in zip(x, y)] for x, y in zip(X, step)]
     else:
         raise AssertionError("matrix Newton iteration did not converge")
-    return semisimple, X, QMatrix.from_int_matrix(T) - X
+    return semisimple, X, [[a - b for a, b in zip(t, x)] for t, x in zip(rows, X)]
 
 
 def rational_invariants_oracle(T):
     """(semisimple, radical, factorization) for a square IntMatrix T by the
-    rational route: r = squarefree_part(char_poly(T)) by Euclid over Q,
-    semisimple iff r(T) = 0 on rational matrices, and the cyclotomic
-    factorization of chi by RatPoly trial division over
-    cyclotomics_up_to_degree (None with a non-cyclotomic factor or a zero
-    eigenvalue).  classify computes the same in Z[x] instead."""
-    from divlat.exactalg import QMatrix, char_poly, cyclotomics_up_to_degree, squarefree_part
-
-    n = T.rows
-    chi = char_poly(T)
-    r = squarefree_part(chi)
-    semisimple = r.eval_matrix(QMatrix.from_int_matrix(T)).is_zero()
+    rational route: chi by cofactor expansion, r = rad(chi) by Euclid over
+    Q, semisimple iff r(T) = 0 on rational matrices, and the cyclotomic
+    factorization of chi by trial division over Q with cyclotomic_table
+    (None with a non-cyclotomic factor or a zero eigenvalue).  classify
+    computes the same in Z[x] instead."""
+    rows = T.nested()
+    n = len(rows)
+    chi = char_poly_cofactor(rows)
+    r = qpoly_radical(chi)
+    semisimple = not any(any(row) for row in qpoly_eval_matrix(r, rows))
     if n == 0:
         return semisimple, r, ()
-    if chi.coeffs[0] == 0:
+    if chi[0] == 0:
         return semisimple, r, None
     remaining, factorization = chi, []
-    for k, phi_k in cyclotomics_up_to_degree(n):
+    for k, phi_k in cyclotomic_table(n):
         e = 0
-        while remaining.degree >= phi_k.degree:
-            q, rem = divmod(remaining, phi_k)
-            if not rem.is_zero():
+        while len(remaining) >= len(phi_k):
+            q, rem = qpoly_divmod(remaining, phi_k)
+            if rem:
                 break
             remaining, e = q, e + 1
         if e:
             factorization.append((k, e))
-    return semisimple, r, tuple(factorization) if remaining.degree == 0 else None
+    return semisimple, r, tuple(factorization) if len(remaining) == 1 else None
 
 
 # -- Pell / fundamental unit oracle ----------------------------------------

@@ -9,7 +9,6 @@ import pytest
 
 import divlat
 import divlat.classify as classify
-import divlat.exactalg as exactalg
 from divlat.classify import (
     classify_operator,
     finite_order,
@@ -18,22 +17,14 @@ from divlat.classify import (
     roots_of_unity_spectrum,
     unipotent_divisible_is_identity_check,
 )
-from divlat.exactalg import (
-    IntMatrix,
-    QMatrix,
-    RatPoly,
-    char_poly,
-    companion_matrix,
-    cyclotomic,
-    min_poly,
-    poly_gcd,
-)
+from divlat.exactalg import IntMatrix, QMatrix, char_poly, companion_matrix, cyclotomic
 from divlat.corpus import KINDS, block_diagonal, finite_order_matrix, gen_corpus
 from divlat.divisibility import impossibility_certificates
 from divlat.numberring import ZZ
 from divlat.primes import euler_phi
 from divlat.verifier import verify
-from helpers import newton_jordan_chevalley_oracle, rational_invariants_oracle
+from helpers import (frac_min_poly, min_poly_is_squarefree, newton_jordan_chevalley_oracle, qpoly_add, qpoly_divmod,
+                     qpoly_mul, qpoly_radical, rational_invariants_oracle)
 from test_exactalg import rand_matrix, rand_unimodular
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
@@ -69,17 +60,14 @@ class TestSpectrum:
         # the squarefree part of char(T) divides it exactly
         from math import lcm
 
-        from divlat.exactalg import squarefree_part
-
         samples = [ROT3, IntMatrix.identity(3), IntMatrix.identity(2) * -1,
                    IntMatrix.from_rows([[0, -1], [1, 1]]), IntMatrix.from_rows([[0, -1], [1, 0]])]
         for T in samples:
             ok, fact = roots_of_unity_spectrum(T)
             assert ok
             L = lcm(*(k for k, _ in fact))
-            x_L = RatPoly.of(*([-1] + [0] * (L - 1) + [1]))
-            q, r = divmod(x_L, squarefree_part(char_poly(T)))
-            assert r.is_zero()
+            q, r = qpoly_divmod([-1] + [0] * (L - 1) + [1], qpoly_radical(char_poly(T)))
+            assert not r
 
 
 class TestFiniteOrder:
@@ -144,8 +132,7 @@ class TestJordanChevalley:
             assert S + N == Tq
             assert S * N == N * S
             assert (N ** n).is_zero()
-            mu = min_poly(S)
-            assert poly_gcd(mu, mu.derivative()).degree <= 0
+            assert min_poly_is_squarefree([list(S.row(i)) for i in range(n)])
 
     def test_rational_output(self):
         # eigenvalues can live outside Z even for integer input; entries of
@@ -201,6 +188,18 @@ def oracle_operators():
     return ops, derogatory
 
 
+def squared_and_cubed_golden_blocks():
+    """companion((x^2 - 3x + 1)^e) for e = 2, 3 and a conjugate of each:
+    a single eigenvalue pair outside Q with one Jordan block each, where
+    Newton needs e - 1 updates of p."""
+    rng = random.Random(101)
+    ops = []
+    for e in (2, 3):
+        T = companion_matrix(tuple(qpoly_mul(*[(1, -3, 1)] * e)))
+        ops += [(e - 1, T), (e - 1, conjugated(T, rand_unimodular(rng, T.rows)))]
+    return ops
+
+
 class TestAgainstMatrixNewtonOracle:
     """classify runs Newton on polynomials modulo chi and decides
     semisimplicity by rad(chi)(T) = 0; the oracle runs on mu and on rational
@@ -208,33 +207,58 @@ class TestAgainstMatrixNewtonOracle:
 
     def test_parts_and_semisimplicity_match_the_oracle(self):
         ops, derogatory = oracle_operators()
+        ops += [T for _, T in squared_and_cubed_golden_blocks()]
         non_integral = 0
         for T in ops + derogatory:
             semisimple, S, N = newton_jordan_chevalley_oracle(T)
-            assert jordan_chevalley(T) == (S, N), T
+            assert jordan_chevalley(T) == (QMatrix.from_rows(S), QMatrix.from_rows(N)), T
             assert is_semisimple(T) == semisimple, T
-            non_integral += not S.is_integral()
+            non_integral += not QMatrix.from_rows(S).is_integral()
         for T in derogatory:
-            assert min_poly(T).degree < T.rows and not is_semisimple(T), T
+            assert len(frac_min_poly(T.nested())) <= T.rows and not is_semisimple(T), T
         assert non_integral >= 8
+
+    def test_newton_steps_on_fraction_coefficients(self, monkeypatch):
+        """The Newton step runs in Q[x]/(chi) on Fraction tuples: on the
+        golden-ratio blocks it inverts r'(p) once per update, and the p it
+        returns has non-integral coefficients and solves r(p) = 0 mod chi."""
+        inverses, results = [], []
+        inverse_impl, newton_impl = classify._inverse_mod, classify._newton
+
+        def counting_inverse(a, m):
+            inverses.append(a)
+            return inverse_impl(a, m)
+
+        def recording_newton(r, chi):
+            results.append((r, chi, newton_impl(r, chi)))
+            return results[-1][2]
+
+        monkeypatch.setattr(classify, "_inverse_mod", counting_inverse)
+        monkeypatch.setattr(classify, "_newton", recording_newton)
+        for updates, T in squared_and_cubed_golden_blocks():
+            inverses.clear()
+            results.clear()
+            semisimple, S, N = newton_jordan_chevalley_oracle(T)
+            assert not semisimple
+            assert jordan_chevalley(T) == (QMatrix.from_rows(S), QMatrix.from_rows(N))
+            assert len(inverses) == updates
+            (r, chi, p), = results
+            assert r == (1, -3, 1) and any(isinstance(c, Fraction) and c.denominator > 1 for c in p)
+            value = []
+            for c in reversed(r):
+                value = qpoly_add(qpoly_mul(value, p), [c])
+            assert not qpoly_divmod(value, chi)[1]
 
     def test_no_krylov_polynomial_and_no_rational_inverse(self, monkeypatch):
         """classify_operator reads everything off chi: on a 10x10 random and
-        a 10x10 nilpotent operator it never builds the minimal polynomial
-        and never inverts a rational matrix."""
-        calls = {"min_poly": 0, "inverse": 0}
-        min_poly_impl, inverse_impl = exactalg.min_poly, QMatrix.inverse
-
-        def counting_min_poly(T):
-            calls["min_poly"] += 1
-            return min_poly_impl(T)
+        a 10x10 nilpotent operator it never inverts a rational matrix."""
+        calls = {"inverse": 0}
+        inverse_impl = QMatrix.inverse
 
         def counting_inverse(self):
             calls["inverse"] += 1
             return inverse_impl(self)
 
-        monkeypatch.setattr(exactalg, "min_poly", counting_min_poly)
-        monkeypatch.setattr(classify, "min_poly", counting_min_poly, raising=False)
         monkeypatch.setattr(QMatrix, "inverse", counting_inverse)
         rng = random.Random(97)
         n = 10
@@ -244,15 +268,15 @@ class TestAgainstMatrixNewtonOracle:
         random_report, nilpotent_report = classify_operator(random_op), classify_operator(nilpotent)
         assert random_report.semisimple and not nilpotent_report.semisimple
         assert nilpotent_report.jordan_nilpotent_part == QMatrix.from_int_matrix(nilpotent)
-        assert calls == {"min_poly": 0, "inverse": 0}
+        assert calls == {"inverse": 0}
 
     def test_broken_newton_result_raises_under_optimize(self):
         """A Newton helper that hands back p = 0 makes jordan_chevalley
         raise, also under python -O, where assert statements are stripped."""
         code = textwrap.dedent("""
             import divlat.classify as classify
-            from divlat.exactalg import IntMatrix, RatPoly
-            classify._newton = lambda *args: RatPoly(())
+            from divlat.exactalg import IntMatrix
+            classify._newton = lambda *args: ()
             try:
                 out = classify.jordan_chevalley(IntMatrix.from_rows([[1, 1], [0, 1]]))
             except AssertionError:
@@ -281,14 +305,17 @@ def invariants_operators():
     ops += oracle_operators()[1]
     for ks in ((1, 1), (4, 4), (1, 2), (2, 2, 2), (3, 6, 3), (1, 1, 2, 4), (6, 6, 4, 4), (5, 10)):
         ops.append(finite_order_matrix(list(ks), rand_unimodular(rng, sum(map(euler_phi, ks)))))
-    phi = cyclotomic
+    def phi(*ks):
+        return tuple(qpoly_mul(*map(cyclotomic, ks)))
+
     cat = IntMatrix.from_rows([[2, 1], [1, 1]])
     blocks = [
-        [companion_matrix(phi(1) * phi(1))], [companion_matrix(phi(4) * phi(4))],
-        [companion_matrix(phi(1) * phi(2))], [companion_matrix(phi(3) * phi(3) * phi(1))],
+        [companion_matrix(phi(1, 1))], [companion_matrix(phi(4, 4))],
+        [companion_matrix(phi(1, 2))], [companion_matrix(phi(3, 3, 1))],
         [IntMatrix.from_rows([[-1, 1], [0, -1]]), companion_matrix(phi(6))],
         [cat], [cat, cat], [cat, companion_matrix(phi(4))], [IntMatrix.from_rows([[0, 1], [1, 1]])],
-        [companion_matrix(RatPoly.of(1, -3, 1) * RatPoly.of(1, -3, 1))],
+        [companion_matrix(tuple(qpoly_mul((1, -3, 1), (1, -3, 1))))],
+        [companion_matrix(tuple(qpoly_mul((1, -3, 1), (1, -3, 1), (1, -3, 1))))],
     ]
     for bs in blocks:
         T = block_diagonal(bs)
@@ -303,14 +330,14 @@ def invariants_operators():
 class TestAgainstRationalInvariantsOracle:
     """classify computes rad(chi), semisimplicity and the cyclotomic
     factorization in Z[x]; the oracle takes the rational route: Euclid over
-    Q, rational matrices and RatPoly trial division."""
+    Q, rational matrices and trial division over Q."""
 
     def test_invariants_match_the_oracle(self):
         kinds = set()
         for T in invariants_operators():
             semisimple, radical, factorization = rational_invariants_oracle(T)
             inv = classify._Invariants(T)
-            assert (inv.semisimple, RatPoly(inv.radical), inv.factorization) \
+            assert (inv.semisimple, list(inv.radical), inv.factorization) \
                 == (semisimple, radical, factorization), T
             if factorization is None:
                 kinds.add("unit, infinite order" if abs(inv.det) == 1 else "|det| != 1")
@@ -324,10 +351,11 @@ class TestAgainstRationalInvariantsOracle:
                          "cyclotomic, not semisimple", "repeated Phi_k", "nilpotent"}
 
     def test_no_rational_polynomial_arithmetic(self, monkeypatch):
-        """The certificates, verify and classify_operator never divide
-        RatPolys and never take a rational gcd or radical; a random 10x10
-        operator, whose chi is squarefree, evaluates no r(T)."""
-        calls = {"divmod": 0, "poly_gcd": 0, "squarefree_part": 0, "r(T)": 0}
+        """On semisimple operators the certificates, verify and
+        classify_operator stay in Z[x]: they never enter the Newton step,
+        classify's only arithmetic in Q[x]; a random 10x10 operator, whose
+        chi is squarefree, evaluates no r(T)."""
+        calls = {"newton": 0, "inverse mod chi": 0, "r(T)": 0}
 
         def counting(name, impl):
             def wrapper(*args):
@@ -335,11 +363,8 @@ class TestAgainstRationalInvariantsOracle:
                 return impl(*args)
             return wrapper
 
-        monkeypatch.setattr(RatPoly, "__divmod__", counting("divmod", RatPoly.__divmod__))
-        for name in ("poly_gcd", "squarefree_part"):
-            wrapped = counting(name, getattr(exactalg, name))
-            monkeypatch.setattr(exactalg, name, wrapped)
-            monkeypatch.setattr(classify, name, wrapped, raising=False)
+        monkeypatch.setattr(classify, "_newton", counting("newton", classify._newton))
+        monkeypatch.setattr(classify, "_inverse_mod", counting("inverse mod chi", classify._inverse_mod))
         rng = random.Random(107)
         order_4 = finite_order_matrix([4, 1], rand_unimodular(rng, 3))
         assert classify._Invariants(order_4).order == 4
@@ -348,10 +373,12 @@ class TestAgainstRationalInvariantsOracle:
         verify(ZZ, None, problem.operator, problem.exponent_set, problem.witnesses)
         repeated = finite_order_matrix([3, 3, 4, 4, 1, 1], rand_unimodular(rng, 10))
         assert classify_operator(repeated).semisimple
-        assert calls == {"divmod": 0, "poly_gcd": 0, "squarefree_part": 0, "r(T)": 0}
+        assert calls == {"newton": 0, "inverse mod chi": 0, "r(T)": 0}
         monkeypatch.setattr(classify, "_scaled_eval", counting("r(T)", classify._scaled_eval))
         assert classify_operator(rand_matrix(rng, 10, 3)).semisimple
-        assert calls == {"divmod": 0, "poly_gcd": 0, "squarefree_part": 0, "r(T)": 0}
+        assert calls == {"newton": 0, "inverse mod chi": 0, "r(T)": 0}
+        assert not classify_operator(IntMatrix.from_rows([[1, 1], [0, 1]])).semisimple
+        assert calls == {"newton": 1, "inverse mod chi": 1, "r(T)": 2}
 
     def test_broken_gcd_raises_under_optimize(self):
         """A gcd helper that hands back a polynomial not dividing chi makes

@@ -113,6 +113,12 @@ class TestExitCodes:
         assert main(["classify", bad]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_ragged_entries_are_a_schema_violation(self, tmp_path, capsys):
+        for entries in ([[1, 2, 3], [4]], [[1, 2], 3, 4]):
+            bad = write(tmp_path, "m.json", {"rows": 2, "cols": 2, "entries": entries})
+            assert main(["classify", bad]) == 1
+            assert "expected a row of 2 entries" in capsys.readouterr().err
+
     def test_schema_violation_is_1(self, tmp_path, capsys):
         bad = write(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[1]], "extra": True})
         assert main(["classify", bad]) == 1

@@ -1,28 +1,15 @@
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 import pytest
 
-from divlat.exactalg import (
-    IntMatrix,
-    Lattice,
-    QMatrix,
-    RatPoly,
-    char_poly,
-    companion_matrix,
-    cyclotomic,
-    cyclotomics_up_to_degree,
-    hnf,
-    image_lattice,
-    kernel_saturated,
-    min_poly,
-    poly_gcd,
-    snf,
-    squarefree_part,
-)
-from divlat.exactalg import _kernel_and_image, _tuple_det, _tuple_mul, _tuple_pow, _zdivmod, _zgcd, _zradical
-from helpers import char_poly_cofactor, frac_det, frac_rank, image_oracle, mat_mul, mat_pow, snf_kernel_oracle
+from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_matrix, cyclotomic, hnf, kernel_saturated, snf
+from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _tuple_det, _tuple_mul, _tuple_pow, _zdivmod, _zgcd,
+                             _zradical)
+from helpers import (char_poly_cofactor, cyclotomic_table, frac_det, frac_min_poly, frac_rank, image_oracle, mat_mul,
+                     mat_pow, qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical,
+                     qpoly_trim, snf_kernel_oracle)
 
 
 def rand_matrix(rng, n, bound):
@@ -93,12 +80,6 @@ class TestKernels:
                          (qa ** 3, A ** 3), (qa * 2, A * 2), (2 * qa, 2 * A)):
                 assert q == QMatrix.from_int_matrix(i)
 
-    def test_min_poly_same_over_int_and_rational_input(self):
-        rng = random.Random(44)
-        for _ in range(30):
-            T = rand_matrix(rng, rng.randint(1, 4), 3)
-            assert min_poly(T) == min_poly(QMatrix.from_int_matrix(T))
-
 
 class TestHNF:
     def test_canonical_example(self):
@@ -133,6 +114,22 @@ class TestHNF:
                 for above in range(i):
                     assert 0 <= H.row(above)[j] < row[j]
             assert pivots == sorted(pivots)
+
+
+    def test_forms_are_built_without_reconverting_entries(self, monkeypatch):
+        """hnf and snf assemble their results from rows that hold only ints,
+        so they skip IntMatrix.from_rows and its per-entry int()."""
+        rng = random.Random(7)
+        cases = [rand_matrix(rng, 4, 9), IntMatrix(2, 3, (1, 2, 3, 4, 5, 6)), IntMatrix(0, 2, ()), IntMatrix(2, 0, ())]
+        expected = [(hnf(M), snf(M)) for M in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("IntMatrix.from_rows called")
+
+        monkeypatch.setattr(IntMatrix, "from_rows", classmethod(refuse))
+        for M, (H, forms) in zip(cases, expected):
+            assert hnf(M) == H and snf(M) == forms
+            assert all(type(x) is int for X in (hnf(M),) + snf(M) for x in X.entries)
 
 
 class TestSNF:
@@ -172,40 +169,29 @@ class TestSNF:
 class TestCharMinPoly:
     def test_char_2x2_against_cofactor(self):
         T = IntMatrix.from_rows([[0, -1], [1, -1]])
-        assert char_poly(T) == RatPoly.of(*char_poly_cofactor(T.nested()))
-        assert char_poly(T) == RatPoly.of(1, 1, 1)
+        assert char_poly(T) == tuple(char_poly_cofactor(T.nested()))
+        assert char_poly(T) == (1, 1, 1)
 
     def test_char_cofactor_randomized(self):
         rng = random.Random(23)
         for _ in range(60):
             T = rand_matrix(rng, rng.randint(1, 4), 6)
-            assert char_poly(T) == RatPoly.of(*char_poly_cofactor(T.nested()))
-
-    def test_min_poly_identity(self):
-        assert min_poly(IntMatrix.identity(3)) == RatPoly.of(-1, 1)
-
-    def test_min_poly_jordan_block(self):
-        T = IntMatrix.from_rows([[1, 1], [0, 1]])
-        mu = min_poly(T)
-        assert mu == RatPoly.of(1, -2, 1)  # (x-1)^2
-        eye = IntMatrix.identity(2)
-        assert ((T - eye) * (T - eye)).is_zero()
-        # I and T are independent, so degree 2 is minimal
-        assert mu.degree == 2
+            assert char_poly(T) == tuple(char_poly_cofactor(T.nested()))
+        assert char_poly(IntMatrix(0, 0, ())) == (1,)
 
     def test_cayley_hamilton_randomized(self):
         rng = random.Random(29)
         for _ in range(200):
             T = rand_matrix(rng, rng.randint(1, 5), 5)
             chi = char_poly(T)
-            assert chi.eval_matrix(QMatrix.from_int_matrix(T)).is_zero()
+            assert not any(any(row) for row in qpoly_eval_matrix(chi, T.nested()))
 
     def test_min_divides_char(self):
         rng = random.Random(31)
         for _ in range(100):
             T = rand_matrix(rng, rng.randint(1, 4), 4)
-            q, r = divmod(char_poly(T), min_poly(T))
-            assert r.is_zero()
+            q, r = qpoly_divmod(char_poly(T), frac_min_poly(T.nested()))
+            assert not r
 
     def test_conjugation_invariance(self):
         rng = random.Random(37)
@@ -216,7 +202,6 @@ class TestCharMinPoly:
             Uq = QMatrix.from_int_matrix(U)
             C = (Uq * QMatrix.from_int_matrix(T) * Uq.inverse()).to_int_matrix()
             assert char_poly(C) == char_poly(T)
-            assert min_poly(C) == min_poly(T)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -228,7 +213,7 @@ class TestKernelImage:
         assert kernel_saturated(IntMatrix.diagonal([0, 1])).basis == IntMatrix.from_rows([[1, 0]])
 
     def test_image_scaled_axis(self):
-        assert image_lattice(IntMatrix.diagonal([0, 2])).basis == IntMatrix.from_rows([[0, 2]])
+        assert _kernel_and_image(IntMatrix.diagonal([0, 2]))[1].basis == IntMatrix.from_rows([[0, 2]])
 
     def test_kernel_saturation(self):
         # solve 2a = 2b exactly; content division saturates to (1, 1)
@@ -265,51 +250,31 @@ class TestLattice:
         assert L.coords_of((4, 3)) == (2, 1)
         assert L.coords_of((1, 0)) is None
 
-    def test_sum_and_intersection(self):
-        a = Lattice.from_generators(2, [(2, 0)])
-        b = Lattice.from_generators(2, [(3, 0)])
-        assert a.add(b) == Lattice.from_generators(2, [(1, 0)])
-        assert a.intersect(b) == Lattice.from_generators(2, [(6, 0)])
-
-    def test_intersection_randomized(self):
-        rng = random.Random(47)
-        for _ in range(60):
-            n = rng.randint(2, 4)
-            a = Lattice.from_generators(n, [[rng.randint(-4, 4) for _ in range(n)]
-                                            for _ in range(rng.randint(1, n))])
-            b = Lattice.from_generators(n, [[rng.randint(-4, 4) for _ in range(n)]
-                                            for _ in range(rng.randint(1, n))])
-            inter = a.intersect(b)
-            for i in range(inter.rank):
-                v = inter.basis.row(i)
-                assert a.contains(v) and b.contains(v)
-            from helpers import oracle_intersection_rank
-
-            assert inter.rank == oracle_intersection_rank(a.basis.nested(), b.basis.nested())
-
 
 class TestCyclotomics:
     def test_degree_one(self):
-        assert cyclotomics_up_to_degree(1) == [(1, RatPoly.of(-1, 1)), (2, RatPoly.of(1, 1))]
+        assert [(k, cyclotomic(k)) for k in _cyclotomic_indices(1)] == [(1, (-1, 1)), (2, (1, 1))]
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                cyclotomic(k)
 
     def test_degree_two_members(self):
-        table = dict(cyclotomics_up_to_degree(2))
-        assert table[3] == RatPoly.of(1, 1, 1)
-        assert table[4] == RatPoly.of(1, 0, 1)
-        assert table[6] == RatPoly.of(1, -1, 1)
+        assert cyclotomic(3) == (1, 1, 1)
+        assert cyclotomic(4) == (1, 0, 1)
+        assert cyclotomic(6) == (1, -1, 1)
 
     def test_degree_two_exact_count(self):
-        assert [k for k, _ in cyclotomics_up_to_degree(2)] == [1, 2, 3, 4, 6]
+        assert _cyclotomic_indices(2) == (1, 2, 3, 4, 6)
 
     def test_product_over_divisors(self):
         from divlat.primes import divisors
 
         for k in (6, 12, 30):
-            prod = RatPoly.of(1)
-            for d in divisors(k):
-                prod = prod * cyclotomic(d)
-            expected = RatPoly.of(*([-1] + [0] * (k - 1) + [1]))
-            assert prod == expected
+            assert qpoly_mul(*(cyclotomic(d) for d in divisors(k))) == [-1] + [0] * (k - 1) + [1]
+
+    def test_table_against_the_oracle(self):
+        for n in range(1, 9):
+            assert tuple((k, cyclotomic(k)) for k in _cyclotomic_indices(n)) == cyclotomic_table(n)
 
 
 def rand_zpoly(rng, degree, bound=3, monic=False):
@@ -321,11 +286,11 @@ def rand_zpoly(rng, degree, bound=3, monic=False):
 
 
 def zmul(*factors):
-    return tuple(int(c) for c in prod((RatPoly(f) for f in factors), start=RatPoly.of(1)).coeffs)
+    return tuple(qpoly_mul(*factors))
 
 
 class TestIntegerPolynomialKernels:
-    """The Z[x] kernels against RatPoly divmod, poly_gcd and squarefree_part."""
+    """The Z[x] kernels against the helpers' arithmetic over Q on lists."""
 
     def test_divmod_by_a_monic_divisor(self):
         rng = random.Random(211)
@@ -334,8 +299,19 @@ class TestIntegerPolynomialKernels:
             a = rand_zpoly(rng, rng.randint(-1, 8), bound=rng.choice([3, 10 ** 12]))
             if rng.random() < 0.3:
                 a = zmul(a, b)
-            Q, R = divmod(RatPoly(a), RatPoly(b))
-            assert _zdivmod(a, b) == tuple(tuple(int(c) for c in p.coeffs) for p in (Q, R)), (a, b)
+            Q, R = qpoly_divmod(a, b)
+            assert _zdivmod(a, b) == (tuple(Q), tuple(R)), (a, b)
+            assert all(type(c) is int for p in _zdivmod(a, b) for c in p), (a, b)
+
+    def test_divmod_over_q_by_a_monic_divisor(self):
+        """The Newton step of classify divides Fraction polynomials by the
+        monic remainders of extended Euclid."""
+        rng = random.Random(229)
+        for _ in range(300):
+            b = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))) + (1,)
+            a = tuple(qpoly_trim([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 8))]))
+            Q, R = qpoly_divmod(a, b)
+            assert _zdivmod(a, b) == (tuple(Q), tuple(R)), (a, b)
 
     def test_gcd(self):
         rng = random.Random(223)
@@ -344,9 +320,9 @@ class TestIntegerPolynomialKernels:
             a = zmul(g, rand_zpoly(rng, rng.randint(0, 3)), rng.choice([(1,), g, (6,)]))
             b = zmul(g, rand_zpoly(rng, rng.randint(0, 3)), rng.choice([(1,), (-4,)]))
             for x, y in ((a, b), (b, a), (a, ()), ((), b), (a, (5,)), ((0, 3), b)):
-                z, expected = _zgcd(x, y), poly_gcd(RatPoly(x), RatPoly(y))
+                z, expected = _zgcd(x, y), qpoly_gcd(x, y)
                 assert z and z[-1] > 0 and gcd(*z) == 1, (x, y)
-                assert RatPoly(z).monic() == expected, (x, y)
+                assert qpoly_monic(z) == expected, (x, y)
         assert _zgcd((), ()) == ()
         assert _zgcd((0, -4, 2), (-6, 3)) == (-2, 1)
 
@@ -356,7 +332,7 @@ class TestIntegerPolynomialKernels:
             factors = [rand_zpoly(rng, rng.randint(1, 2), monic=True) for _ in range(rng.randint(0, 3))]
             p = zmul(*factors, *(f for f in factors if rng.random() < 0.5),
                      *(factors[:1] * rng.randint(0, 3)))
-            assert RatPoly(_zradical(p)) == squarefree_part(RatPoly(p)), p
+            assert list(_zradical(p)) == qpoly_radical(p), p
         assert _zradical((1,)) == (1,)
         assert _zradical((5, 1)) == (5, 1)
         assert _zradical((0, 0, 0, 1)) == (0, 1)
@@ -367,25 +343,27 @@ class TestIntegerPolynomialKernels:
             _zradical((1, 4, 4))
 
 
-class TestRatPoly:
+class TestPolynomialTuples:
     def test_gcd_and_squarefree(self):
-        p = RatPoly.of(1, -2, 1)  # (x-1)^2
-        assert poly_gcd(p, p.derivative()) == RatPoly.of(-1, 1)
-        assert squarefree_part(p) == RatPoly.of(-1, 1)
+        p = (1, -2, 1)  # (x-1)^2
+        assert _zgcd(p, (-2, 2)) == (-1, 1)
+        assert _zradical(p) == (-1, 1)
 
     def test_divmod_exact(self):
-        a = RatPoly.of(-1, 0, 0, 1)  # x^3 - 1
-        q, r = divmod(a, RatPoly.of(-1, 1))
-        assert r.is_zero()
-        assert q == RatPoly.of(1, 1, 1)
+        assert _zdivmod((-1, 0, 0, 1), (-1, 1)) == ((1, 1, 1), ())  # x^3 - 1 = (x^2 + x + 1)(x - 1)
 
     def test_fraction_coefficients(self):
-        p = RatPoly.of(Fraction(1, 2), 1)
-        assert p(Fraction(1, 2)) == 1
+        # x^2 + 1/2 = (x + 1/2)(x - 1/2) + 3/4
+        assert _zdivmod((Fraction(1, 2), 0, 1), (Fraction(-1, 2), 1)) == ((Fraction(1, 2), 1), (Fraction(3, 4),))
 
     def test_companion_matrix(self):
         C = companion_matrix(cyclotomic(6))
         assert char_poly(C) == cyclotomic(6)
+        assert companion_matrix((5, 1)) == IntMatrix.from_rows([[-5]])
+        assert companion_matrix((1, 2, 3, 1)) == IntMatrix.from_rows([[0, 0, -1], [1, 0, -2], [0, 1, -3]])
+        for p in ((1,), (), (2,), (1, 2), (1, 1, 0), (1, -1, 2), (Fraction(1), 1), (1.0, 1), (1, True)):
+            with pytest.raises(ValueError, match="monic integer polynomial of degree >= 1"):
+                companion_matrix(p)
 
 
 class TestCanonicalUniqueness:
@@ -418,8 +396,8 @@ class TestArbitraryPrecision:
         assert U * M * V == D
         assert D == IntMatrix.identity(2)
         chi = char_poly(M)
-        assert chi == RatPoly.of(1, -2 * big, 1)
-        assert chi.eval_matrix(QMatrix.from_int_matrix(M)).is_zero()
+        assert chi == (1, -2 * big, 1)
+        assert not any(any(row) for row in qpoly_eval_matrix(chi, M.nested()))
 
     def test_huge_kernel(self):
         big = 10 ** 18
@@ -444,7 +422,7 @@ class TestKernelAndImageAgainstOracles:
         kernel, image = _kernel_and_image(T)
         assert kernel == snf_kernel_oracle(T), T
         assert image == image_oracle(T), T
-        assert (kernel_saturated(T), image_lattice(T)) == (kernel, image)
+        assert kernel_saturated(T) == kernel
         assert kernel.rank + image.rank == T.cols
         return image.rank
 

@@ -49,6 +49,27 @@ class TestMatrixJson:
         with pytest.raises(InputError, match="expected 4 entries"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [1, 2, 3]})
 
+    def test_nested_entries_must_be_rows_of_cols_entries(self):
+        """Nested entries are exactly rows lists of cols entries each; a
+        ragged or mixed nesting is not reshaped but rejected by row."""
+        cases = [
+            ([[1, 2, 3], [4]], r"matrix\.entries\[0\]: expected a row of 2 entries"),
+            ([[1, 2], [3]], r"matrix\.entries\[1\]: expected a row of 2 entries"),
+            ([[1, 2], 3, 4], r"matrix\.entries\[1\]: expected a row of 2 entries"),
+            ([[1, 2], [3, 4], []], r"matrix\.entries\[2\]: expected a row of 2 entries"),
+            ([[1, 2]], r"matrix\.entries: expected 2 rows, got 1"),
+            ([[1, 2], [3, 4], [5, 6]], r"matrix\.entries: expected 2 rows, got 3"),
+        ]
+        for entries, message in cases:
+            with pytest.raises(InputError, match=message):
+                matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+        with pytest.raises(InputError, match=r"op\.entries\[0\]: expected a row of 0 entries"):
+            matrix_from_json({"rows": 1, "cols": 0, "entries": [[1]]}, what="op")
+        with pytest.raises(InputError, match=r"matrix\.entries: expected 2 rows, got 1"):
+            matrix_from_json({"rows": 2, "cols": 0, "entries": [[]]})
+        assert matrix_from_json({"rows": 2, "cols": 0, "entries": [[], []]}) == IntMatrix(2, 0, ())
+        assert matrix_from_json({"rows": 0, "cols": 0, "entries": []}) == IntMatrix(0, 0, ())
+
     def test_unknown_field_rejected(self):
         with pytest.raises(InputError, match="unknown field"):
             matrix_from_json({"rows": 1, "cols": 1, "entries": [1], "pad": 0})
