@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .divisibility import coprime_root
-from .exactalg import IntMatrix, cyclotomic, companion_matrix
+from .exactalg import IntMatrix, cyclotomic, companion_matrix, hnf
 from .primes import euler_phi
 from .supernat import AllFrom, Factorials, Geometric, Residue, SDescriptor
 
@@ -50,12 +50,15 @@ def random_unimodular(n: int, rng: random.Random, steps: int = 12) -> IntMatrix:
 
 
 def conjugate(T: IntMatrix, U: IntMatrix) -> IntMatrix:
-    """U T U^{-1}, exactly (U unimodular, so the inverse is integral)."""
-    from .exactalg import QMatrix
-
-    Uq = QMatrix.from_int_matrix(U)
-    result = Uq * QMatrix.from_int_matrix(T) * Uq.inverse()
-    return result.to_int_matrix()
+    """U T U^{-1}, in integers.  The row Hermite form of [U | I] is P [U | I]
+    for a unimodular P, so it is [I | U^{-1}] exactly when U is unimodular
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
+    n, m = U.rows, U.cols
+    H = hnf(IntMatrix.from_rows([list(U.row(i)) + [int(i == j) for j in range(n)] for i in range(n)],
+                                cols=m + n))
+    if IntMatrix.from_rows([H.row(i)[:m] for i in range(n)], cols=m) != IntMatrix.identity(n):
+        raise ValueError("conjugation needs a unimodular matrix")
+    return U * T * IntMatrix.from_rows([H.row(i)[m:] for i in range(n)], cols=n)
 
 
 def block_diagonal(blocks: list[IntMatrix]) -> IntMatrix:

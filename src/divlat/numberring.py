@@ -255,14 +255,8 @@ class OKModule:
         """The free module of the given rank, with omega acting blockwise."""
         if rank < 1:
             raise ValueError("rank must be positive")
-        W0 = order.omega_companion()
-        n = 2 * rank
-        rows = [[0] * n for _ in range(n)]
-        for blk in range(rank):
-            for i in range(2):
-                for j in range(2):
-                    rows[2 * blk + i][2 * blk + j] = W0[i, j]
-        return cls(order, n, IntMatrix.from_rows(rows))
+        omega = [[(0, int(i == j)) for j in range(rank)] for i in range(rank)]
+        return cls(order, 2 * rank, embed_ok_matrix(order, omega))
 
     @property
     def module_rank(self) -> int:
@@ -291,58 +285,30 @@ class OKModule:
         """Determinant of a commuting operator as a ring element (a, b).
 
         The module is turned into a vector space over the quadratic field by
-        choosing greedily a basis v with {v, W v} rationally independent;
-        the operator's entries over the field are read off and eliminated
-        with exact field arithmetic.  The result is integral because the
-        operator preserves the lattice."""
+        keeping a standard vector e while e, W e and the vectors kept so far
+        stay independent.  In the basis B of the kept pairs (e, W e), the
+        2 x 2 blocks of B^-1 T B are the operator's entries a + b*omega over
+        the field; their first columns, B^-1 T e, give (a, b).  The entries
+        are eliminated with exact field arithmetic, and the result is
+        integral because the operator preserves the lattice."""
         self.require_endomorphism(T)
         n = self.z_rank
         r = self.module_rank
         W = self.omega_action
-        chosen: list[tuple[int, ...]] = []
-        span: list[tuple[int, list[Fraction]]] = []  # (pivot, reduced row)
-
-        def reduce(vec):
-            vec = [Fraction(x) for x in vec]
-            for pivot, row in span:
-                f = vec[pivot]
-                if f:
-                    vec = [a - f * b for a, b in zip(vec, row)]
-            return vec
-
-        def insert(vec) -> bool:
-            vec = reduce(vec)
-            pivot = next((i for i, x in enumerate(vec) if x), None)
-            if pivot is None:
-                return False
-            scale = vec[pivot]
-            span.append((pivot, [x / scale for x in vec]))
-            return True
-
+        kept: list[tuple[int, ...]] = []
         for i in range(n):
             e = tuple(1 if j == i else 0 for j in range(n))
-            if insert(e):
-                if not insert(W.apply(e)):
-                    raise AssertionError("omega image unexpectedly dependent")
-                chosen.append(e)
-                if len(chosen) == r:
+            trial = kept + [e, W.apply(e)]
+            if IntMatrix.from_rows(trial).rank() == len(trial):
+                kept = trial
+                if len(kept) == n:
                     break
-        if len(chosen) != r:
+        if len(kept) != n:
             raise AssertionError("fewer basis vectors than the module rank")
-        columns = []
-        for v in chosen:
-            columns.append(list(v))
-            columns.append(list(W.apply(v)))
-        B = QMatrix.from_rows([[Fraction(columns[j][i]) for j in range(n)] for i in range(n)])
-        Binv = B.inverse()
-        kmat: list[list[tuple[Fraction, Fraction]]] = [[None] * r for _ in range(r)]
-        for j, v in enumerate(chosen):
-            w = T.apply(v)
-            coords = [sum(Binv[i, t] * w[t] for t in range(n)) for i in range(n)]
-            for i in range(r):
-                kmat[i][j] = (coords[2 * i], coords[2 * i + 1])
-        det = self._field_det(kmat)
-        a, b = det
+        B = QMatrix.from_int_matrix(IntMatrix.from_rows(kept).transpose())
+        TE = IntMatrix.from_rows([T.apply(e) for e in kept[::2]]).transpose()
+        A = B.inverse() * QMatrix.from_int_matrix(TE)
+        a, b = self._field_det([[(A[2 * i, j], A[2 * i + 1, j]) for j in range(r)] for i in range(r)])
         if a.denominator != 1 or b.denominator != 1:
             raise AssertionError("determinant not integral")
         return (int(a), int(b))

@@ -76,9 +76,6 @@ class Supernatural:
     def support(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def is_one(self) -> bool:
-        return not self.factors
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"

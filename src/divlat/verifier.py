@@ -184,14 +184,7 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
         roots = list(zip(sample, _coprime_roots(T, d, sample)))
     clause4 = Clause4(tuple(roots), applicable)
 
-    conclusions_hold = (
-        clause1.holds
-        and clause2.holds
-        and d is not None
-        and coprime is not False
-        and (not applicable or len(roots) > 0)
-    )
-    if conclusions_hold:
+    if clause1.holds and clause2.holds and clause3.holds:
         verdict = "CONSISTENT"
         reason = "every conclusion holds for this operator"
     else:
@@ -200,7 +193,7 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
             failing.append("(1)")
         if not clause2.holds:
             failing.append("(2)")
-        if d is None or coprime is False:
+        if not clause3.holds:
             failing.append("(3)")
         hypotheses_pass = has_valid and all_valid and additive_ok is True and mult_ok is True
         if not clause1.holds and hypotheses_pass and clause1.forced_by_witnesses:

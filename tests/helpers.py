@@ -4,15 +4,16 @@ Everything here is deliberately re-implemented from scratch on nested lists,
 ascending coefficient lists and Fractions, without importing the code paths
 under test, so the checks stay two-sided.  That includes the Jordan-Chevalley
 and rational-invariants oracles, which build on the polynomial arithmetic
-over Q below.  The exceptions are the Smith-form kernel and kernel-chain
-oracles, which build on the library's Smith form, which no kernel, image or
-split calls.
+over Q below, and the kernel predicate and kernel chain, which use rational
+ranks and minors only.  The exception is the image oracle, which reduces
+the columns with the library's Hermite form so that lattices compare
+entry-wise.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 from math import gcd
 
 
@@ -184,14 +185,18 @@ def oracle_intersection_rank(a_rows, b_rows):
 # -- kernel and kernel-chain oracles ---------------------------------------
 
 
-def snf_kernel_oracle(T):
-    """The saturated kernel of an IntMatrix T from its Smith form U T V = D:
-    the columns of V beyond the rank of D span {v : T v = 0}."""
-    from divlat.exactalg import Lattice, snf
-
-    D, _, V = snf(T)
-    r = sum(1 for i in range(min(T.rows, T.cols)) if D[i, i])
-    return Lattice.from_generators(T.cols, [V.column(j) for j in range(r, T.cols)])
+def is_saturated_kernel(T, lattice):
+    """Whether a Lattice is {v in Z^n : T v = 0} for an IntMatrix T: T kills
+    every basis row, the rank is n - rank_Q T, and the maximal minors of the
+    basis have gcd 1, so the lattice is saturated in Z^n."""
+    rows, basis = T.nested(), lattice.basis.nested()
+    if any(any(sum(t * x for t, x in zip(row, b)) for row in rows) for b in basis):
+        return False
+    if len(basis) != T.cols - frac_rank(rows):
+        return False
+    minors = [frac_det([[b[j] for j in cols] for b in basis])
+              for cols in combinations(range(T.cols), len(basis))]
+    return gcd(*(int(m) for m in minors)) == 1
 
 
 def image_oracle(T):
@@ -202,15 +207,54 @@ def image_oracle(T):
 
 
 def fitting_chain_oracle(T):
-    """(m, ker T^m, im T^m) for the first m with ker T^m = ker T^(m+1),
-    found by comparing consecutive Smith-form kernels of the powers."""
-    m, power, kernel = 1, T, snf_kernel_oracle(T)
+    """(m, T^m) for the first m with rank_Q T^m = rank_Q T^(m+1).  The
+    kernels of the powers grow with m and are saturated, so equal ranks
+    mean ker T^m = ker T^(m+1)."""
+    from divlat.exactalg import IntMatrix
+
+    rows = T.nested()
+    m, power = 1, rows
     while True:
-        next_power = power * T
-        next_kernel = snf_kernel_oracle(next_power)
-        if next_kernel == kernel:
-            return m, kernel, image_oracle(power)
-        m, power, kernel = m + 1, next_power, next_kernel
+        next_power = mat_mul(power, rows)
+        if frac_rank(power) == frac_rank(next_power):
+            return m, IntMatrix.from_rows(power)
+        m, power = m + 1, next_power
+
+
+# -- matrices over a quadratic order ----------------------------------------
+
+
+def ring_mul(params, x, y):
+    """(a + b w)(e + f w) for pairs x = (a, b), y = (e, f), where
+    w^2 = t w + c and params = (t, c)."""
+    t, c = params
+    (a, b), (e, f) = x, y
+    return (a * e + c * b * f, a * f + b * e + t * b * f)
+
+
+def ring_mat_mul(params, X, Y):
+    """Product of an n x k and a k x m matrix of ring pairs."""
+    out = []
+    for row in X:
+        out.append([])
+        for j in range(len(Y[0])):
+            terms = [ring_mul(params, x, Y[t][j]) for t, x in enumerate(row)]
+            out[-1].append((sum(a for a, _ in terms), sum(b for _, b in terms)))
+    return out
+
+
+def ring_det_leibniz(params, entries):
+    """Determinant of a square matrix of ring pairs by the Leibniz expansion:
+    the signed sum over all permutations of the products of entries."""
+    n = len(entries)
+    total = (0, 0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = ((-1) ** inversions, 0)
+        for i in range(n):
+            term = ring_mul(params, term, entries[i][perm[i]])
+        total = (total[0] + term[0], total[1] + term[1])
+    return total
 
 
 # -- polynomials over Q on ascending coefficient lists ----------------------

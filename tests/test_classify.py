@@ -18,7 +18,7 @@ from divlat.classify import (
     unipotent_divisible_is_identity_check,
 )
 from divlat.exactalg import IntMatrix, QMatrix, char_poly, companion_matrix, cyclotomic
-from divlat.corpus import KINDS, block_diagonal, finite_order_matrix, gen_corpus
+from divlat.corpus import KINDS, block_diagonal, conjugate, finite_order_matrix, gen_corpus
 from divlat.divisibility import impossibility_certificates
 from divlat.numberring import ZZ
 from divlat.primes import euler_phi
@@ -101,9 +101,7 @@ class TestFiniteOrder:
         for T in (ROT3, IntMatrix.from_rows([[0, -1], [1, 1]]), IntMatrix.identity(2) * -1):
             for _ in range(20):
                 U = rand_unimodular(rng, 2)
-                Uq = QMatrix.from_int_matrix(U)
-                C = (Uq * QMatrix.from_int_matrix(T) * Uq.inverse()).to_int_matrix()
-                assert finite_order(C) == finite_order(T)
+                assert finite_order(conjugate(T, U)) == finite_order(T)
 
 
 class TestJordanChevalley:
@@ -142,11 +140,6 @@ class TestJordanChevalley:
         assert S + N == QMatrix.from_int_matrix(T)
 
 
-def conjugated(T, U):
-    Uq = QMatrix.from_int_matrix(U)
-    return (Uq * QMatrix.from_int_matrix(T) * Uq.inverse()).to_int_matrix()
-
-
 def coupled_jordan_sum(rng, blocks):
     """The sum of the Jordan blocks J_k(lam), (lam, k) in blocks sorted by
     lam, with random entries above the diagonal coupling blocks of distinct
@@ -177,14 +170,14 @@ def oracle_operators():
             ops.append(rand_matrix(rng, n, 3))
         upper = IntMatrix(n, n, tuple(rng.randint(-2, 2) if j > i else 0
                                       for i in range(n) for j in range(n)))
-        ops.append(conjugated(upper, rand_unimodular(rng, n)))
+        ops.append(conjugate(upper, rand_unimodular(rng, n)))
     derogatory = []
     for _ in range(16):
         lam, gap = rng.choice([-2, 0, 1]), rng.choice([2, 3])
         blocks = sorted([(lam, rng.choice([2, 3])), (lam, rng.choice([1, 2]))]
                         + [(lam + gap, rng.choice([1, 2])) for _ in range(rng.randint(1, 2))])
         T = coupled_jordan_sum(rng, blocks)
-        derogatory.append(conjugated(T, rand_unimodular(rng, T.rows)))
+        derogatory.append(conjugate(T, rand_unimodular(rng, T.rows)))
     return ops, derogatory
 
 
@@ -196,7 +189,7 @@ def squared_and_cubed_golden_blocks():
     ops = []
     for e in (2, 3):
         T = companion_matrix(tuple(qpoly_mul(*[(1, -3, 1)] * e)))
-        ops += [(e - 1, T), (e - 1, conjugated(T, rand_unimodular(rng, T.rows)))]
+        ops += [(e - 1, T), (e - 1, conjugate(T, rand_unimodular(rng, T.rows)))]
     return ops
 
 
@@ -319,11 +312,11 @@ def invariants_operators():
     ]
     for bs in blocks:
         T = block_diagonal(bs)
-        ops += [T, conjugated(T, rand_unimodular(rng, T.rows))]
+        ops += [T, conjugate(T, rand_unimodular(rng, T.rows))]
     for n in range(1, 9):
         upper = IntMatrix(n, n, tuple(rng.randint(-2, 2) if j > i else 0
                                       for i in range(n) for j in range(n)))
-        ops.append(conjugated(upper, rand_unimodular(rng, n)))
+        ops.append(conjugate(upper, rand_unimodular(rng, n)))
     return ops
 
 

@@ -3,13 +3,16 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from divlat.cli import build_parser, main
-from divlat.corpus import KINDS, gen_corpus
+from divlat.corpus import KINDS, conjugate, gen_corpus, random_unimodular
+from divlat.exactalg import IntMatrix
 from divlat.serialize import problem_from_json, problem_to_json
 from divlat.numberring import ZZ
+from helpers import frac_inverse, mat_mul
 
 
 def write(tmp_path, name, obj):
@@ -178,6 +181,21 @@ class TestCorpus:
     def test_nilpotent_entries_vanish(self):
         for p in gen_corpus("nilpotent", 1):
             assert (p.operator ** p.operator.rows).is_zero()
+
+    def test_conjugate_against_the_rational_inverse(self):
+        rng = random.Random(173)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            T = IntMatrix(n, n, tuple(rng.randint(-4, 4) for _ in range(n * n)))
+            U = random_unimodular(n, rng, steps=3 * n)
+            expected = mat_mul(mat_mul(U.nested(), T.nested()), frac_inverse(U.nested()))
+            assert conjugate(T, U).nested() == expected, (T, U)
+
+    def test_conjugate_rejects_a_matrix_outside_gl_n_z(self):
+        T = IntMatrix.from_rows([[1, 2], [3, 4]])
+        for U in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[2, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]):
+            with pytest.raises(ValueError):
+                conjugate(T, IntMatrix.from_rows(U))
 
     def test_json_round_trip_lossless(self):
         for kind in KINDS:

@@ -4,11 +4,13 @@ import signal
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
 
 import pytest
 
 import divlat
-from divlat.exactalg import IntMatrix
+from divlat.corpus import conjugate, random_unimodular
+from divlat.exactalg import IntMatrix, Lattice, restrict_to_lattice
 from divlat.fitting import fitting_decompose
 from divlat.numberring import (
     OKModule,
@@ -21,7 +23,7 @@ from divlat.numberring import (
     unit_s_divisible,
 )
 from divlat.supernat import Factorials, FiniteSet, Geometric, PrimeSet, Residue
-from helpers import brute_fundamental_unit
+from helpers import brute_fundamental_unit, ring_det_leibniz, ring_mat_mul
 
 
 class TestQuadraticOrder:
@@ -279,6 +281,60 @@ class TestOKModule:
             na = O.norm(M.det_as_ring_element(A))
             nb = O.norm(M.det_as_ring_element(B))
             assert O.norm(M.det_as_ring_element(A * B)) == na * nb
+
+    def test_ring_determinant_on_conjugated_modules(self):
+        """omega action and operator both conjugated by a unimodular U: the
+        basis choice skips standard vectors, and the ring determinant is
+        still that of the ring matrix."""
+        rng = random.Random(131)
+        for d in (-5, -1, 2, 5, 13):
+            O = QuadraticOrder(d)
+            for r in (1, 2, 3):
+                M = OKModule.regular(O, r)
+                for _ in range(8):
+                    X = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(r)] for _ in range(r)]
+                    U = random_unimodular(2 * r, rng)
+                    C = OKModule(O, 2 * r, conjugate(M.omega_action, U))
+                    T = conjugate(embed_ok_matrix(O, X), U)
+                    assert C.det_as_ring_element(T) == ring_det_leibniz(O.omega_params, X), (d, X, U)
+
+    def test_ring_determinant_on_image_submodules(self):
+        """L = im S for S = embed(Y), Y = P Q of rank at most k, and T = S A
+        for A = embed(X).  T maps into L, so its ring determinant on L, of
+        rank k' = L.rank / 2, is the sum of the principal k' x k' minors of
+        Y X, the coefficient of x^(r - k') in its characteristic polynomial
+        up to sign.  For d = -5 the first L is the non-free ideal
+        (2, 1 + omega) beside 0."""
+        rng = random.Random(137)
+        lower_rank = 0
+        for d in (-5, -1, 2, 5, 13):
+            O = QuadraticOrder(d)
+            params = O.omega_params
+            for r in (1, 2, 3):
+                M = OKModule.regular(O, r)
+                for trial in range(8):
+                    if d == -5 and r == 2 and trial == 0:
+                        Y = [[(2, 0), (1, 1)], [(0, 0), (0, 0)]]
+                    else:
+                        k = rng.randint(1, r)
+                        P = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(k)] for _ in range(r)]
+                        Q = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(r)] for _ in range(k)]
+                        Y = ring_mat_mul(params, P, Q)
+                    X = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(r)] for _ in range(r)]
+                    S = embed_ok_matrix(O, Y)
+                    L = Lattice.from_generators(2 * r, [S.column(j) for j in range(2 * r)])
+                    if L.rank == 0:
+                        continue
+                    sub = M.submodule(L)
+                    Z = ring_mat_mul(params, Y, X)
+                    expected = (0, 0)
+                    for rows in combinations(range(r), sub.module_rank):
+                        minor = ring_det_leibniz(params, [[Z[i][j] for j in rows] for i in rows])
+                        expected = (expected[0] + minor[0], expected[1] + minor[1])
+                    T = restrict_to_lattice(S * embed_ok_matrix(O, X), L)
+                    assert sub.det_as_ring_element(T) == expected, (d, Y, X)
+                    lower_rank += sub.module_rank < r
+        assert lower_rank >= 10
 
     def test_fitting_with_module_context(self):
         # multiplication by omega on the regular module: invertible iff the
