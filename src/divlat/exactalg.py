@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from operator import add, floordiv, mul, sub, truediv
+from operator import add, mul, sub
 
 from .primes import divisors, euler_phi
 
@@ -46,9 +46,9 @@ def _tuple_pow(x, n: int, k: int) -> tuple:
     return _identity(n) if result is None else result
 
 
-def _tuple_det(x, n: int):
-    """Determinant of a square n x n entry tuple: closed forms up to 3 x 3
-    (the root-search scan calls this millions of times), fraction-free
+def _tuple_det(x, n: int) -> int:
+    """Determinant of a square n x n integer entry tuple: closed forms up to
+    3 x 3 (the root-search scan calls this millions of times), fraction-free
     Bareiss elimination beyond, whose divisions are exact."""
     if n == 0:
         return 1
@@ -60,7 +60,6 @@ def _tuple_det(x, n: int):
         return (x[0] * (x[4] * x[8] - x[5] * x[7])
                 - x[1] * (x[3] * x[8] - x[5] * x[6])
                 + x[2] * (x[3] * x[7] - x[4] * x[6]))
-    div = floordiv if all(type(e) is int for e in x) else truediv
     a = [list(x[i * n : (i + 1) * n]) for i in range(n)]
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -75,7 +74,7 @@ def _tuple_det(x, n: int):
         top, pivot = a[k], a[k][k]
         for row in a[k + 1 :]:
             for j in range(k + 1, n):
-                row[j] = div(row[j] * pivot - row[k] * top[j], prev)
+                row[j] = (row[j] * pivot - row[k] * top[j]) // prev
             row[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]

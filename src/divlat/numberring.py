@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exactalg import IntMatrix, Lattice, QMatrix, restrict_to_lattice
+from .exactalg import IntMatrix, Lattice, restrict_to_lattice
 from .primes import is_squarefree
 from .supernat import FiniteSet, PrimeSet, SDescriptor
 
@@ -52,12 +52,6 @@ class QuadraticOrder:
         return IntMatrix.from_rows([[0, c], [1, t]])
 
     # -- element arithmetic (works for int and Fraction components) ----
-    def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    def neg(self, x):
-        return (-x[0], -x[1])
-
     def mul(self, x, y):
         t, c = self.omega_params
         a, b = x
@@ -284,56 +278,35 @@ class OKModule:
     def det_as_ring_element(self, T: IntMatrix):
         """Determinant of a commuting operator as a ring element (a, b).
 
-        The module is turned into a vector space over the quadratic field by
-        keeping a standard vector e while e, W e and the vectors kept so far
-        stay independent.  In the basis B of the kept pairs (e, W e), the
-        2 x 2 blocks of B^-1 T B are the operator's entries a + b*omega over
-        the field; their first columns, B^-1 T e, give (a, b).  The entries
-        are eliminated with exact field arithmetic, and the result is
+        Over the quadratic field K the module is a vector space of dimension
+        r = module_rank on which W is the scalar omega, and the trace over Q
+        of a K-linear map is the field trace of its trace over K.  So
+        p_k = a + b*omega, the trace of T^k over K, follows from the integer
+        traces u = tr(T^k) = 2a + t*b and v = tr(W T^k) = t*a + (t^2 + 2c)*b,
+        a system of determinant t^2 + 4c != 0.  Newton's identities
+        k*e_k = sum_i (-1)^(i-1) e_(k-i) p_i then give det T = e_r, which is
         integral because the operator preserves the lattice."""
         self.require_endomorphism(T)
-        n = self.z_rank
-        r = self.module_rank
+        order = self.order
+        t, c = order.omega_params
+        delta = t * t + 4 * c
         W = self.omega_action
-        kept: list[tuple[int, ...]] = []
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            trial = kept + [e, W.apply(e)]
-            if IntMatrix.from_rows(trial).rank() == len(trial):
-                kept = trial
-                if len(kept) == n:
-                    break
-        if len(kept) != n:
-            raise AssertionError("fewer basis vectors than the module rank")
-        B = QMatrix.from_int_matrix(IntMatrix.from_rows(kept).transpose())
-        TE = IntMatrix.from_rows([T.apply(e) for e in kept[::2]]).transpose()
-        A = B.inverse() * QMatrix.from_int_matrix(TE)
-        a, b = self._field_det([[(A[2 * i, j], A[2 * i + 1, j]) for j in range(r)] for i in range(r)])
+        power = IntMatrix.identity(self.z_rank)
+        p: list[tuple[Fraction, Fraction]] = []  # p[k - 1] = trace of T^k over K
+        e = [(1, 0)]  # e[k] = k-th elementary symmetric function of the eigenvalues
+        for k in range(1, self.module_rank + 1):
+            power = power * T
+            u, v = power.trace(), (W * power).trace()
+            p.append((Fraction((t * t + 2 * c) * u - t * v, delta), Fraction(2 * v - t * u, delta)))
+            a = b = 0
+            for i in range(1, k + 1):
+                x, y = order.mul(e[k - i], p[i - 1])
+                a, b = a + (-1) ** (i - 1) * x, b + (-1) ** (i - 1) * y
+            e.append((a / k, b / k))
+        a, b = e[-1]
         if a.denominator != 1 or b.denominator != 1:
             raise AssertionError("determinant not integral")
         return (int(a), int(b))
-
-    def _field_det(self, kmat):
-        order = self.order
-        r = len(kmat)
-        rows = [list(row) for row in kmat]
-        det = (Fraction(1), Fraction(0))
-        for col in range(r):
-            pivot = next((i for i in range(col, r) if rows[i][col] != (0, 0)), None)
-            if pivot is None:
-                return (Fraction(0), Fraction(0))
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = order.neg(det)
-            pv = rows[col][col]
-            det = order.mul(det, pv)
-            nm = order.norm(pv)
-            inv = tuple(x / nm for x in order.conj(pv))
-            for i in range(col + 1, r):
-                f = order.mul(rows[i][col], inv)
-                if f != (0, 0):
-                    rows[i] = [order.sub(x, order.mul(f, y)) for x, y in zip(rows[i], rows[col])]
-        return det
 
 
 def embed_ok_matrix(order: QuadraticOrder, entries) -> IntMatrix:

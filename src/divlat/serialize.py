@@ -56,6 +56,12 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise InputError(f"{what}: expected a {'list' if kind is list else 'JSON object'}, got {type(value).__name__}")
+    return value
+
+
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -136,7 +142,7 @@ def supernatural_to_json(x: Supernatural) -> dict:
 def supernatural_from_json(obj, what: str = "supernatural") -> Supernatural:
     _expect_keys(obj, {"factors"}, what=what)
     factors = {}
-    for key, e in obj["factors"].items():
+    for key, e in _typed(obj["factors"], dict, f"{what}.factors").items():
         try:
             p = int(key)
         except ValueError as exc:
@@ -171,7 +177,7 @@ def sdescriptor_from_json(obj, what: str = "S") -> SDescriptor:
     (key, value), = obj.items()
     try:
         if key == "finite":
-            return FiniteSet(tuple(_int(v, what) for v in value))
+            return FiniteSet(tuple(_int(v, what) for v in _typed(value, list, key)))
         if key == "geometric":
             _expect_keys(value, {"base"}, {"scale"}, what=f"{what}.geometric")
             return Geometric(_int(value["base"], what), _int(value.get("scale", 1), what))
@@ -203,11 +209,11 @@ def primeset_from_json(obj, what: str = "primes") -> PrimeSet:
     (key, value), = obj.items()
     try:
         if key == "finite":
-            return PrimeSet.finite(_int(v, what) for v in value)
+            return PrimeSet.finite(_int(v, what) for v in _typed(value, list, key))
         if key == "all_primes":
             return PrimeSet.all_primes()
         if key == "all_except":
-            return PrimeSet.all_except(_int(v, what) for v in value)
+            return PrimeSet.all_except(_int(v, what) for v in _typed(value, list, key))
     except ValueError as exc:
         raise InputError(f"{what}: {exc}") from exc
     raise InputError(f"{what}: unknown prime-set kind {key!r}")
@@ -274,7 +280,7 @@ def problem_from_json(obj, what: str = "problem") -> dict:
     operator = matrix_from_json(obj["operator"], what=f"{what}.operator")
     S = sdescriptor_from_json(obj["S"], what=f"{what}.S") if "S" in obj else None
     witnesses = []
-    for i, w in enumerate(obj.get("witnesses", [])):
+    for i, w in enumerate(_typed(obj.get("witnesses", []), list, f"{what}.witnesses")):
         _expect_keys(w, {"s", "matrix"}, what=f"{what}.witnesses[{i}]")
         s = _int(w["s"], f"{what}.witnesses[{i}].s")
         X = matrix_from_json(w["matrix"], what=f"{what}.witnesses[{i}].matrix", allow_rational=True)

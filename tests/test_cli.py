@@ -135,6 +135,22 @@ class TestExitCodes:
     def test_missing_file_is_1(self, capsys):
         assert main(["classify", "/nonexistent/x.json"]) == 1
 
+    @pytest.mark.parametrize("command, obj", [
+        ("supernat", {"nu": {"p": 2, "n": {"factors": [1, 2]}}}),
+        ("supernat", {"lcm": [{"factors": "2"}, {"factors": {}}]}),
+        ("supernat", {"gcd": [{"factors": {}}, {"factors": None}]}),
+        ("verify", {"operator": ROT3_JSON, "S": {"finite": 3}}),
+        ("verify", {"operator": ROT3_JSON, "S": {"finite": None}}),
+        ("supernat", {"additive": {"S": {"all_from": 2}, "lchar": {"finite": 3}}}),
+        ("supernat", {"pi_s": {"finite": None}}),
+        ("verify", {"operator": ROT3_JSON, "witnesses": None}),
+        ("verify", {"operator": ROT3_JSON, "witnesses": 5}),
+    ], ids=["factors-list", "factors-string", "factors-null", "S-finite-int", "S-finite-null",
+            "lchar-finite-int", "pi_s-finite-null", "witnesses-null", "witnesses-int"])
+    def test_malformed_shape_is_a_schema_violation(self, tmp_path, capsys, command, obj):
+        assert main([command, write(tmp_path, "bad.json", obj)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestThreadsDeterminism:
     def test_thread_count_never_changes_output(self, tmp_path, capsys):
@@ -254,6 +270,55 @@ class TestQuadraticProblemEndToEnd:
         checks = payload["hypothesis_checks"]["witnesses"]
         assert checks[0]["reason"] == "witness not integral"
         assert payload["verdict"] == "INCONCLUSIVE"
+
+
+def _module_problem(d, omega_action, operator):
+    n = len(operator)
+    return {"ring": {"quadratic": {"d": d}},
+            "module": {"z_rank": n, "omega_action": omega_action},
+            "operator": {"rows": n, "cols": n, "entries": operator}}
+
+
+IDEAL_OMEGA = [[-1, -3], [2, 1]]  # omega on the non-free ideal (2, 1 + omega) of Z[sqrt(-5)]
+REGULAR_5 = [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]  # Z[(1+sqrt 5)/2]^2
+
+
+class TestModuleFittingGolden:
+    """fitting --json on module problems, where the invertibility of the
+    restriction is decided by its ring determinant.  The expected bytes were
+    recorded before the ring determinant was computed from traces."""
+
+    @pytest.mark.parametrize("problem, m, kernel, image, direct, restriction, invertible", [
+        # T = omega on the regular module of d = 2: norm(sqrt 2) = -2
+        (_module_problem(2, [[0, 2], [1, 0]], [[0, 2], [1, 0]]),
+         1, [], [[2, 0], [0, 1]], False, [[0, 1], [2, 0]], False),
+        # the scalar 2 + omega on the ideal: norm 9
+        (_module_problem(-5, IDEAL_OMEGA, [[1, -3], [2, 3]]),
+         1, [], [[1, 2], [0, 9]], False, [[-5, -27], [2, 9]], False),
+        # the scalar -1 on the ideal
+        (_module_problem(-5, IDEAL_OMEGA, [[-1, 0], [0, -1]]),
+         1, [], [[1, 0], [0, 1]], True, [[-1, 0], [0, -1]], True),
+        # embed([[2 + omega, 0], [2 + omega, 0]]) over d = 5: the image
+        # (2 + omega)(1, 1) has module rank 1 and omega acts on its Hermite
+        # basis by [[3, 5], [-1, -2]], not by the regular companion matrix
+        (_module_problem(5, REGULAR_5, [[2, 1, 0, 0], [1, 3, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0]]),
+         1, [[0, 0, 1, 0], [0, 0, 0, 1]], [[1, 3, 1, 3], [0, 5, 0, 5]], False, [[5, 5], [-1, 0]], False),
+    ], ids=["omega-d2", "ideal-2-plus-omega", "ideal-minus-one", "d5-image-rank-1"])
+    def test_fitting_json_bytes(self, tmp_path, capsys, problem, m, kernel, image, direct,
+                                restriction, invertible):
+        n = problem["operator"]["rows"]
+        expected = {
+            "exponent_m": m,
+            "gen_kernel": {"ambient_rank": n, "basis": kernel},
+            "image_part": {"ambient_rank": n, "basis": image},
+            "is_direct": direct,
+            "restriction": {"rows": len(restriction), "cols": len(restriction), "entries": restriction},
+            "restriction_invertible": invertible,
+        }
+        assert main(["fitting", write(tmp_path, "p.json", problem), "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert err == ""
 
 
 class TestSupernatNu:

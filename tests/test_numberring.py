@@ -239,12 +239,12 @@ class TestOKModule:
         M = OKModule.regular(O, 2)
         a, b, c, d = (1, 1), (0, 1), (2, 0), (1, -1)
         T = embed_ok_matrix(O, [[a, b], [c, d]])
-        expected = O.sub(O.mul(a, d), O.mul(b, c))
-        assert M.det_as_ring_element(T) == expected
+        assert M.det_as_ring_element(T) == ring_det_leibniz(O.omega_params, [[a, b], [c, d]])
 
     def test_ring_determinant_holds_under_optimize(self):
-        """The basis choice in det_as_ring_element runs under python -O,
-        where assert statements and their side effects are stripped."""
+        """The trace computation and the integrality check in
+        det_as_ring_element run under python -O, where assert statements and
+        their side effects are stripped."""
         code = textwrap.dedent("""
             from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
             O = QuadraticOrder(-1)
@@ -283,13 +283,13 @@ class TestOKModule:
             assert O.norm(M.det_as_ring_element(A * B)) == na * nb
 
     def test_ring_determinant_on_conjugated_modules(self):
-        """omega action and operator both conjugated by a unimodular U: the
-        basis choice skips standard vectors, and the ring determinant is
-        still that of the ring matrix."""
+        """omega action and operator both conjugated by a unimodular U: W is
+        no longer blockwise, and the ring determinant is still that of the
+        ring matrix.  d = -3 and 17 give t^2 + 4c = d with c < 0 and c > 0."""
         rng = random.Random(131)
-        for d in (-5, -1, 2, 5, 13):
+        for d in (-5, -3, -1, 2, 5, 13, 17):
             O = QuadraticOrder(d)
-            for r in (1, 2, 3):
+            for r in (1, 2, 3, 4):
                 M = OKModule.regular(O, r)
                 for _ in range(8):
                     X = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(r)] for _ in range(r)]
@@ -307,10 +307,10 @@ class TestOKModule:
         (2, 1 + omega) beside 0."""
         rng = random.Random(137)
         lower_rank = 0
-        for d in (-5, -1, 2, 5, 13):
+        for d in (-5, -3, -1, 2, 5, 13, 17):
             O = QuadraticOrder(d)
             params = O.omega_params
-            for r in (1, 2, 3):
+            for r in (1, 2, 3, 4):
                 M = OKModule.regular(O, r)
                 for trial in range(8):
                     if d == -5 and r == 2 and trial == 0:
