@@ -5,7 +5,9 @@ rad(chi)(T) = 0 (at once for a squarefree chi, as chi(T) = 0 is checked),
 root-of-unity spectra via exhaustive cyclotomic trial division of chi (no
 numerics: the candidate list with phi(k) <= n is provably complete) and
 finite orders.  In Q[x]/(chi): the exact semisimple-plus-nilpotent
-splitting by Newton iteration.
+splitting by Newton iteration.  _Invariants also holds the split
+T = 0 (+) (T on im T) and the analysis of that image part, which verify,
+the certificates and the divisibility spectrum read.
 """
 from __future__ import annotations
 
@@ -15,21 +17,24 @@ from functools import cached_property
 from math import lcm
 
 from .exactalg import (IntMatrix, QMatrix, _cyclotomic_indices, _zcyclotomic, _zdivmod, _zgcd, _zradical,
-                       char_poly)
+                       char_poly, restrict_to_lattice)
+from .fitting import CleanSplit, clean_split
 from .primes import prime_factors
 
 
 class _Invariants:
-    """The invariants of one square operator that the public analyses read:
-    det, chi and its radical r (ascending int tuples), semisimplicity
-    (r(T) = 0), the cyclotomic factorization of chi and the order.  Each is
-    computed on first use, at most once per instance; an analysis builds one
-    instance and passes it down."""
+    """The analysis of one square operator T and its module (None over Z;
+    callers check commutation): det, chi and its radical r (ascending int
+    tuples), semisimplicity (r(T) = 0), the cyclotomic factorization of chi,
+    the order, and the split T = 0 (+) (T on im T) with the analysis of the
+    image part.  Each is computed on first use, at most once per instance;
+    an analysis builds one instance and reads everything off it."""
 
-    def __init__(self, T):
+    def __init__(self, T, module=None):
         if not T.is_square:
             raise ValueError("square matrix required")
         self.T = T
+        self.module = module
 
     @cached_property
     def det(self) -> int:
@@ -92,6 +97,34 @@ class _Invariants:
             if T ** (d // p) == eye:
                 raise AssertionError("candidate order not minimal")
         return d
+
+    @cached_property
+    def split(self) -> CleanSplit:
+        """Z^n = ker T (+) im T, decided by fitting.clean_split."""
+        return clean_split(self.T)
+
+    @cached_property
+    def image_part(self) -> _Invariants:
+        """The analysis of T on im T; self when that matrix is T."""
+        M = self.split.restriction if self.split.split else restrict_to_lattice(self.T, self.split.image)
+        return self if M == self.T else _Invariants(M)
+
+    @cached_property
+    def zero_plus_order(self) -> int | None:
+        """The order of the invertible part when T is zero plus an
+        invertible finite-order operator, else None."""
+        return self.image_part.order if self.split.split else None
+
+    @cached_property
+    def kernel_invariants(self) -> tuple[int, int]:
+        """The rank g of the generalised kernel of T and the determinant of
+        the map induced by T on Z^n / ker T, both read off chi_T.  g is the
+        multiplicity of the root 0 of chi_T.  T vanishes on its kernel of
+        rank k, so chi_T = x^k * chi of the induced map, whose constant term
+        is (-1)^(n - k) times that determinant."""
+        chi, k = self.chi, self.split.kernel.rank
+        g = next(i for i, c in enumerate(chi) if c)
+        return g, (-1) ** (self.T.rows - k) * chi[k]
 
 
 def is_semisimple(T) -> bool:

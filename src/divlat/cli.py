@@ -18,11 +18,12 @@ import sys
 from . import corpus as corpus_mod
 from .classify import classify_operator
 from .divisibility import divisibility_spectrum, root_search
-from .exactalg import IntMatrix, snf
+from .exactalg import snf
 from .fitting import fitting_decompose
 from .numberring import IntegerRing, unit_group
 from .serialize import (
     InputError,
+    _expect_keys,
     canonical_dumps,
     classify_to_json,
     fitting_to_json,
@@ -172,7 +173,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_units(args) -> int:
     obj = _load_json(args.file)
-    ring = ring_from_json(obj.get("ring", obj) if isinstance(obj, dict) else obj)
+    if isinstance(obj, dict) and "ring" in obj:
+        _expect_keys(obj, {"ring"}, what="units file")
+        obj = obj["ring"]
+    ring = ring_from_json(obj)
     if isinstance(ring, IntegerRing):
         raise InputError("units: need a quadratic ring, e.g. {\"ring\": {\"quadratic\": {\"d\": 2}}}")
     desc = unit_group(ring)
@@ -189,11 +193,7 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_snf(args) -> int:
-    obj = _load_json(args.file)
-    M = matrix_from_json(obj)
-    if not isinstance(M, IntMatrix):
-        raise InputError("snf: matrix must be integral")
-    D, U, V = snf(M)
+    D, U, V = snf(matrix_from_json(_load_json(args.file)))
     payload = {"D": matrix_to_json(D), "U": matrix_to_json(U), "V": matrix_to_json(V)}
     text = f"D = {D.nested()}\nU = {U.nested()}\nV = {V.nested()}"
     return _emit(args, payload, text)

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
-from .divisibility import coprime_root
+from .divisibility import _coprime_exponents, coprime_root
 from .exactalg import IntMatrix, cyclotomic, companion_matrix, hnf
 from .primes import euler_phi
 from .supernat import AllFrom, Factorials, Geometric, Residue, SDescriptor
@@ -80,16 +80,6 @@ def finite_order_matrix(ks: list[int], U: IntMatrix | None = None) -> IntMatrix:
     return T if U is None else conjugate(T, U)
 
 
-def _witness_exponents(d: int, count: int = 2) -> list[int]:
-    out = []
-    s = 2
-    while len(out) < count:
-        if gcd(s, d) == 1:
-            out.append(s)
-        s += 1
-    return out
-
-
 def _finite_order_problems(rng: random.Random) -> list[Problem]:
     problems = []
     # always include an order-6 element of GL_2(Z)
@@ -106,7 +96,7 @@ def _finite_order_problems(rng: random.Random) -> list[Problem]:
         n = sum(euler_phi(k) for k in ks)
         T = finite_order_matrix(ks, random_unimodular(n, rng))
         d = lcm(*ks)
-        witnesses = tuple((s, coprime_root(T, d, s)) for s in _witness_exponents(d))
+        witnesses = tuple((s, coprime_root(T, d, s)) for s in _coprime_exponents(d, 2))
         S = Residue(1 % d, d) if d > 1 else Geometric(2, 1)
         problems.append(Problem(f"finite-order-{i}", "finite-order", T, S, witnesses))
     return problems

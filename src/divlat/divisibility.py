@@ -11,13 +11,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count, islice
 from math import gcd, inf, lcm, prod
 from operator import add
 from typing import Union
 
-from .classify import _Invariants, finite_order
+from .classify import _Invariants
 from .exactalg import IntMatrix, Lattice, _cyclotomic_indices, _tuple_det, _tuple_pow, hnf, kernel_saturated
-from .fitting import clean_split
 from .primes import euler_phi, is_prime, signed_root
 
 DEFAULT_MAX_CANDIDATES = 20_000_000
@@ -129,13 +129,13 @@ def realizable_orders(n: int) -> frozenset[int]:
 def impossibility_certificates(T: IntMatrix, s: int, module=None) -> list[CertKind]:
     """Every certificate proving T has no s-th root; sound by construction,
     empty on actual s-th powers."""
-    return _certificates(_Invariants(T), s, module)
+    return _certificates(_Invariants(T, module), s)
 
 
-def _certificates(inv: _Invariants, s: int, module) -> list[CertKind]:
+def _certificates(inv: _Invariants, s: int) -> list[CertKind]:
     if s < 2:
         raise ValueError("exponent must be at least 2")
-    T = inv.T
+    T, module = inv.T, inv.module
     n = T.rows
     certs: list[CertKind] = []
     # determinant route: det T = (det X)^s in Z; over a quadratic order the
@@ -176,11 +176,7 @@ _DEADLINE_EVERY = 4096  # walk steps between two deadline checks
 
 
 class _Operator(_Invariants):
-    """_Invariants plus the module and the commutant, shared by a spectrum."""
-
-    def __init__(self, T, module):
-        super().__init__(T)
-        self.module = module
+    """_Invariants plus the commutant, shared by a spectrum."""
 
     @cached_property
     def commutant(self) -> Lattice:
@@ -275,7 +271,7 @@ def _search(op: _Operator, s: int, bound: int, timeout_ms, max_candidates) -> Ro
         raise ValueError("exponent must be at least 2")
     if bound < 1:
         raise ValueError("bound must be positive")
-    certs = _certificates(op, s, op.module)
+    certs = _certificates(op, s)
     if certs:
         return ProvedImpossible(certs[0])
     if deadline is not None and time.monotonic() >= deadline:
@@ -307,6 +303,11 @@ def coprime_root(T: IntMatrix, d: int, n_exp: int) -> IntMatrix:
     return _coprime_roots(T, d, (n_exp,))[0]
 
 
+def _coprime_exponents(d: int, k: int) -> list[int]:
+    """The first k exponents s >= 2 with gcd(s, d) = 1."""
+    return list(islice((s for s in count(2) if gcd(s, d) == 1), k))
+
+
 def _coprime_roots(T: IntMatrix, d: int, exponents) -> list[IntMatrix]:
     """coprime_root for each exponent, checking T^(d+1) = T once; every
     root is still re-verified by exact multiplication."""
@@ -330,10 +331,7 @@ def _coprime_roots(T: IntMatrix, d: int, exponents) -> list[IntMatrix]:
 def zero_plus_finite_order(T: IntMatrix) -> int | None:
     """Order of the invertible part when T splits cleanly as zero plus an
     invertible finite-order operator; None otherwise."""
-    cs = clean_split(T)
-    if not cs.split:
-        return None
-    return finite_order(cs.restriction)
+    return _Invariants(T).zero_plus_order
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +353,19 @@ class SpectrumTable:
     sufficient_set: str | None
 
 
-def divisibility_spectrum(
-    T: IntMatrix,
-    s_max: int,
-    bound: int,
-    *,
-    module=None,
-    timeout_ms: int | None = None,
-) -> SpectrumTable:
+def divisibility_spectrum(T: IntMatrix, s_max: int, bound: int, *, module=None) -> SpectrumTable:
     """Per-exponent verdict table: bounded search outcomes plus the
     guaranteed construction for exponents coprime to the finite order of the
     invertible part (when that structure is present)."""
     if s_max < 2:
         raise ValueError("s_max must be at least 2")
-    d = zero_plus_finite_order(T)
     op = _Operator(T, module)
+    d = op.zero_plus_order
     coprime = [] if d is None else [s for s in range(2, s_max + 1) if gcd(s, d) == 1]
     troots = dict(zip(coprime, _coprime_roots(T, d, coprime))) if coprime else {}
     rows = []
     for s in range(2, s_max + 1):
-        outcome = _search(op, s, bound, timeout_ms, DEFAULT_MAX_CANDIDATES)
+        outcome = _search(op, s, bound, None, DEFAULT_MAX_CANDIDATES)
         troot = troots.get(s)
         if isinstance(outcome, Found):
             verdict = "yes-witness"

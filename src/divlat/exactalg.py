@@ -260,9 +260,6 @@ class IntMatrix(_Matrix):
     # benchmark's tracer) finds methods in the class __dict__.
     __pow__ = _Matrix.__pow__
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)))
-
     def trace(self) -> int:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
@@ -279,10 +276,6 @@ class IntMatrix(_Matrix):
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         return _tuple_det(self.entries, self.rows)
-
-    def rank(self) -> int:
-        H = hnf(self)
-        return sum(1 for i in range(self.rows) if any(H.row(i)))
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(list(self.row(i))) for i in range(self.rows)) + "]"

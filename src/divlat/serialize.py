@@ -177,7 +177,7 @@ def sdescriptor_from_json(obj, what: str = "S") -> SDescriptor:
     (key, value), = obj.items()
     try:
         if key == "finite":
-            return FiniteSet(tuple(_int(v, what) for v in _typed(value, list, key)))
+            return FiniteSet(tuple(_int(v, what) for v in _typed(value, list, f"{what}.{key}")))
         if key == "geometric":
             _expect_keys(value, {"base"}, {"scale"}, what=f"{what}.geometric")
             return Geometric(_int(value["base"], what), _int(value.get("scale", 1), what))
@@ -190,6 +190,8 @@ def sdescriptor_from_json(obj, what: str = "S") -> SDescriptor:
             return Residue(_int(value["a"], what), _int(value["m"], what))
         if key == "all_from":
             return AllFrom(_int(value, what))
+    except InputError:
+        raise
     except ValueError as exc:
         raise InputError(f"{what}: {exc}") from exc
     raise InputError(f"{what}: unknown descriptor kind {key!r}")
@@ -209,11 +211,15 @@ def primeset_from_json(obj, what: str = "primes") -> PrimeSet:
     (key, value), = obj.items()
     try:
         if key == "finite":
-            return PrimeSet.finite(_int(v, what) for v in _typed(value, list, key))
+            return PrimeSet.finite(_int(v, what) for v in _typed(value, list, f"{what}.{key}"))
         if key == "all_primes":
+            if value is not True:
+                raise InputError(f"{what}: all_primes takes the value true")
             return PrimeSet.all_primes()
         if key == "all_except":
-            return PrimeSet.all_except(_int(v, what) for v in _typed(value, list, key))
+            return PrimeSet.all_except(_int(v, what) for v in _typed(value, list, f"{what}.{key}"))
+    except InputError:
+        raise
     except ValueError as exc:
         raise InputError(f"{what}: {exc}") from exc
     raise InputError(f"{what}: unknown prime-set kind {key!r}")
@@ -237,6 +243,8 @@ def ring_from_json(obj, what: str = "ring"):
         _expect_keys(obj["quadratic"], {"d"}, what=f"{what}.quadratic")
         try:
             return QuadraticOrder(_int(obj["quadratic"]["d"], what))
+        except InputError:
+            raise
         except ValueError as exc:
             raise InputError(f"{what}: {exc}") from exc
     raise InputError(f"{what}: expected \"Z\" or {{\"quadratic\": {{\"d\": ...}}}}")

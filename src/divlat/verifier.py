@@ -11,12 +11,10 @@ test suite treats any occurrence as fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .classify import _Invariants
-from .divisibility import _coprime_roots
-from .exactalg import IntMatrix, QMatrix, restrict_to_lattice
-from .fitting import clean_split
+from .divisibility import _coprime_exponents, _coprime_roots
+from .exactalg import IntMatrix, QMatrix
 from .numberring import IntegerRing, OKModule, QuadraticOrder, ZZ, lchar, mult_hypothesis
 from .primes import prime_factors
 from .supernat import FiniteSet, PrimeSet, SDescriptor, additive_hypothesis, pi_S
@@ -86,17 +84,6 @@ def order_is_outside(d: int, primes: PrimeSet) -> bool:
     return all(not primes.contains(p) for p in prime_factors(d))
 
 
-def _kernel_invariants(inv: _Invariants, kernel_rank: int) -> tuple[int, int]:
-    """The rank g of the generalised kernel of T = inv.T and the determinant
-    of the map induced by T on Z^n / ker T, both read off chi_T.  g is the
-    multiplicity of the root 0 of chi_T.  T vanishes on its kernel of rank
-    k, so chi_T = x^k * chi of the induced map, whose constant term is
-    (-1)^(n - k) times that determinant."""
-    chi = inv.chi
-    g = next(i for i, c in enumerate(chi) if c)
-    return g, (-1) ** (inv.T.rows - kernel_rank) * chi[kernel_rank]
-
-
 def _check_witness(T, s, X, module, S) -> WitnessCheck:
     in_set = S.contains(s) if S is not None else None
     if s < 2:
@@ -149,20 +136,18 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
         mult_ok, mult_trace = mult_hypothesis(S, ring)
 
     # clause 1: the split, plus what the verified witnesses already force.
-    cs = clean_split(T, module=module)
     inv = _Invariants(T)
-    g, qdet = _kernel_invariants(inv, cs.kernel.rank)
+    cs = inv.split
+    g, qdet = inv.kernel_invariants
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)
     cond_det = abs(qdet) == 1 or any(c.valid and 2 ** c.s > abs(qdet) for c in checks)
     clause1 = Clause1(cs.split, cs.reason, cond_kernel and cond_det)
 
     # clause 2: semisimplicity of the restriction to the honest image.
-    restriction = cs.restriction if cs.split else restrict_to_lattice(T, cs.image)
-    invariants = inv if restriction == T else _Invariants(restriction)
-    clause2 = Clause2(invariants.semisimple)
+    clause2 = Clause2(inv.image_part.semisimple)
 
     # clause 3: finite order outside Pi_S.
-    d = invariants.order
+    d = inv.image_part.order
     pset = None
     coprime = None
     if S is not None and S.infinite:
@@ -172,17 +157,11 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     clause3 = Clause3(d, pset, coprime)
 
     # clause 4: construct roots for a sample of exponents coprime to d.
-    roots: list[tuple[int, IntMatrix]] = []
-    applicable = d is not None and cs.split
-    if applicable:
-        sample = []
-        n_exp = 2
-        while len(sample) < 4:
-            if gcd(n_exp, d) == 1:
-                sample.append(n_exp)
-            n_exp += 1
-        roots = list(zip(sample, _coprime_roots(T, d, sample)))
-    clause4 = Clause4(tuple(roots), applicable)
+    roots: tuple[tuple[int, IntMatrix], ...] = ()
+    if inv.zero_plus_order is not None:
+        sample = _coprime_exponents(d, 4)
+        roots = tuple(zip(sample, _coprime_roots(T, d, sample)))
+    clause4 = Clause4(roots, inv.zero_plus_order is not None)
 
     if clause1.holds and clause2.holds and clause3.holds:
         verdict = "CONSISTENT"

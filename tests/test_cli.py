@@ -11,7 +11,8 @@ from divlat.cli import build_parser, main
 from divlat.corpus import KINDS, conjugate, gen_corpus, random_unimodular
 from divlat.exactalg import IntMatrix
 from divlat.serialize import problem_from_json, problem_to_json
-from divlat.numberring import ZZ
+from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
+from divlat.supernat import AllFrom, Geometric
 from helpers import frac_inverse, mat_mul
 
 
@@ -150,6 +151,53 @@ class TestExitCodes:
     def test_malformed_shape_is_a_schema_violation(self, tmp_path, capsys, command, obj):
         assert main([command, write(tmp_path, "bad.json", obj)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_all_primes_takes_only_true(self, tmp_path, capsys):
+        obj = {"additive": {"S": {"all_from": 2}, "lchar": {"all_primes": False}}}
+        assert main(["supernat", write(tmp_path, "a.json", obj)]) == 1
+        assert capsys.readouterr() == ("", "error: primes: all_primes takes the value true\n")
+
+    @pytest.mark.parametrize("command, obj, err", [
+        ("supernat", {"pi_s": {"finite": ["a"]}}, "S: expected an integer, got 'a'"),
+        ("supernat", {"additive": {"S": {"all_from": 2}, "lchar": {"finite": ["a"]}}},
+         "primes: expected an integer, got 'a'"),
+        ("units", {"quadratic": {"d": "x"}}, "ring: expected an integer, got 'x'"),
+    ], ids=["S", "primes", "ring"])
+    def test_an_error_names_its_field_once(self, tmp_path, capsys, command, obj, err):
+        assert main([command, write(tmp_path, "bad.json", obj)]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_units_rejects_unknown_fields(self, tmp_path, capsys):
+        obj = {"ring": {"quadratic": {"d": 2}}, "bogus": 1}
+        assert main(["units", write(tmp_path, "r.json", obj)]) == 1
+        assert capsys.readouterr() == ("", "error: units file: unknown field(s) ['bogus']\n")
+
+
+NONCOMMUTING_JSON = {"ring": {"quadratic": {"d": -1}},
+                     "module": {"z_rank": 2, "omega_action": [[0, -1], [1, 0]]},
+                     "operator": {"rows": 2, "cols": 2, "entries": [[1, 2], [3, 4]]}}
+
+
+class TestErrorPrecedence:
+    """The error a bad request reports first.  Recorded before the split
+    moved into the operator analysis, except the non-square spectrum
+    message, which now matches root and classify."""
+
+    @pytest.mark.parametrize("obj, argv, err", [
+        (NONCOMMUTING_JSON, ["root", "--s", "1", "--bound", "1"], "exponent must be at least 2"),
+        (NONCOMMUTING_JSON, ["root", "--s", "2", "--bound", "0"], "bound must be positive"),
+        (NONCOMMUTING_JSON, ["spectrum", "--s-max", "3", "--bound", "0"], "bound must be positive"),
+        (NONCOMMUTING_JSON, ["spectrum", "--s-max", "3", "--bound", "1"],
+         "operator does not commute with the ring action"),
+        ({"rows": 0, "cols": 0, "entries": []}, ["spectrum", "--s-max", "3", "--bound", "1"], "empty operator"),
+        ({"rows": 2, "cols": 3, "entries": [[1, 2, 3], [4, 5, 6]]}, ["spectrum", "--s-max", "3", "--bound", "1"],
+         "square matrix required"),
+    ], ids=["root-s-1", "root-bound-0", "spectrum-bound-0", "spectrum-noncommuting", "spectrum-0x0",
+            "spectrum-non-square"])
+    def test_first_error(self, tmp_path, capsys, obj, argv, err):
+        command, *args = argv
+        assert main([command, write(tmp_path, "p.json", obj)] + args) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 class TestThreadsDeterminism:
@@ -475,27 +523,85 @@ GOLDEN_DIGESTS = {
 }
 
 
-def corpus_digests(tmp_path):
-    def run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-        return rc, out.getvalue(), err.getvalue()
+# The same over the module problems of module_problems, recorded before the
+# split moved into the operator analysis.
+GOLDEN_MODULE_DIGESTS = {
+    "module classify":
+        "b8a97f4b63488855110ed2fbdd728668edca9f539ca8654f0f4f2bcfb415770a",
+    "module classify --json":
+        "2c6b7662e43c5659f7d1468a4a84bf13291bf2dc88c0b33e17f461e4ec423f27",
+    "module verify":
+        "6fb62b5d2cf36bf9fbb1e0db5581132903db7dc14947f5de9823d36e06ed1362",
+    "module verify --json":
+        "b3ef7b933a1d405376a3d2d6fc5c9c510999fe55af270ffb4ed3a94b1d356d0e",
+    "module fitting":
+        "d74b1444fdd6914576f32b4cfc2c3715e3d780ffaa2c0f221a951f76c1479a2e",
+    "module fitting --json":
+        "05d0d5497d6ec073f3ff04d90f60bcd7729eea1a62ec996a05d91a7fc04e8f87",
+    "module root":
+        "6be338c028eb7b157afcb1c21d0600d96dcfe994d0d922949f0aa7174f7f1997",
+    "module spectrum":
+        "55bf87044ab406f04f0e5a45d205f481741da24ddaccbabe2da7fcf892bc0a73",
+}
 
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _digests(prefix, paths):
+    """sha256 per command over (exit code, stdout, stderr) on every path."""
+    hashes = {name: hashlib.sha256() for name in GOLDEN_COMMANDS}
+    for path in paths:
+        for name, (command, *args) in GOLDEN_COMMANDS.items():
+            hashes[name].update(repr(_run([command, path] + args)).encode())
+    return {f"{prefix} {name}": h.hexdigest() for name, h in hashes.items()}
+
+
+def corpus_digests(tmp_path):
     digests = {}
     for kind in KINDS:
-        hashes = {name: hashlib.sha256() for name in GOLDEN_COMMANDS}
+        paths = []
         for seed in ("1", "2"):
-            rc, out, _ = run(["corpus", kind, "--seed", seed])
+            rc, out, _ = _run(["corpus", kind, "--seed", seed])
             assert rc == 0
-            for i, problem in enumerate(json.loads(out)):
-                path = write(tmp_path, f"{kind}-{seed}-{i}.json", problem)
-                for name, (command, *args) in GOLDEN_COMMANDS.items():
-                    hashes[name].update(repr(run([command, path] + args)).encode())
-        digests.update({f"{kind} {name}": h.hexdigest() for name, h in hashes.items()})
+            paths += [write(tmp_path, f"{kind}-{seed}-{i}.json", p) for i, p in enumerate(json.loads(out))]
+        digests.update(_digests(kind, paths))
     return digests
+
+
+def module_problems():
+    """Over the regular modules of ranks 1 and 2 over O_d: a random
+    operator, one with a zero last row, a projection onto the first
+    coordinate, and a square carrying its root as witness."""
+    rng = random.Random(13)
+    problems = []
+    for d in (-5, -1, 2, 5):
+        order = QuadraticOrder(d)
+        for rank in (1, 2):
+            for shape in ("random", "singular", "projection", "square"):
+                rows = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rank)] for _ in range(rank)]
+                if shape == "singular":
+                    rows[-1] = [(0, 0)] * rank
+                elif shape == "projection":
+                    rows = [[(int(i == j == 0), 0) for j in range(rank)] for i in range(rank)]
+                X = embed_ok_matrix(order, rows)
+                if shape == "square":
+                    T, S, witnesses = X ** 2, AllFrom(2), ((2, X),)
+                else:
+                    T, S, witnesses = X, Geometric(2, 1), ()
+                problems.append(problem_to_json(order, OKModule.regular(order, rank), T, S, witnesses,
+                                                name=f"module-{d}-{rank}-{shape}"))
+    return problems
 
 
 class TestGoldenBytes:
     def test_corpus_outputs_match_the_recorded_digests(self, tmp_path):
         assert corpus_digests(tmp_path) == GOLDEN_DIGESTS
+
+    def test_module_outputs_match_the_recorded_digests(self, tmp_path):
+        paths = [write(tmp_path, f"{p['name']}.json", p) for p in module_problems()]
+        assert _digests("module", paths) == GOLDEN_MODULE_DIGESTS

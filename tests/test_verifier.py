@@ -3,12 +3,13 @@ import random
 import pytest
 
 from divlat.classify import _Invariants
-from divlat.exactalg import IntMatrix, QMatrix, kernel_saturated
+from divlat.divisibility import divisibility_spectrum
+from divlat.exactalg import IntMatrix, QMatrix
 from divlat.numberring import OKModule, QuadraticOrder, ZZ
 from divlat.serialize import canonical_dumps, theorem_report_to_json
 from divlat.supernat import FiniteSet, Geometric, PrimeSet, Residue
 from divlat.fitting import fitting_decompose
-from divlat.verifier import _kernel_invariants, intro_scenarios, order_is_outside, verify
+from divlat.verifier import intro_scenarios, order_is_outside, verify
 from helpers import frac_quotient_det
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
@@ -29,7 +30,7 @@ class TestQuotientDeterminant:
             if rng.random() < 0.3:
                 rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             T = IntMatrix.from_rows(rows)
-            _, got = _kernel_invariants(_Invariants(T), kernel_saturated(T).rank)
+            _, got = _Invariants(T).kernel_invariants
             assert got == frac_quotient_det(rows), rows
 
 
@@ -52,20 +53,21 @@ class TestGeneralisedKernelRank:
                 rows = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(n)]
                         for i in range(n)]
             T = IntMatrix.from_rows(rows)
-            g, _ = _kernel_invariants(_Invariants(T), kernel_saturated(T).rank)
+            g, _ = _Invariants(T).kernel_invariants
             assert g == fitting_decompose(T).gen_kernel.rank, rows
 
 
 class TestCharacteristicPolynomialOnce:
-    def test_one_char_poly_for_a_unimodular_operator(self, monkeypatch):
-        """For |det T| = 1 the restriction to the image is T itself, so the
-        kernel invariants and clauses 2 and 3 share one chi."""
+    """For |det T| = 1 the restriction to the image is T itself, so the
+    kernel invariants, the image part and its order share one chi."""
+
+    T = IntMatrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 2, 1]])
+
+    def counted_char_polys(self, monkeypatch):
         import divlat.classify
         import divlat.exactalg
-        import divlat.verifier
 
-        T = IntMatrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 2, 1]])
-        assert abs(T.det()) == 1
+        assert abs(self.T.det()) == 1
         calls = []
         char_poly = divlat.exactalg.char_poly
 
@@ -73,12 +75,23 @@ class TestCharacteristicPolynomialOnce:
             calls.append(M)
             return char_poly(M)
 
-        for module in (divlat.exactalg, divlat.classify, divlat.verifier):
-            if hasattr(module, "char_poly"):
-                monkeypatch.setattr(module, "char_poly", counting)
-        report = verify(ZZ, None, T, Geometric(2, 1), [])
+        for module in (divlat.exactalg, divlat.classify):
+            monkeypatch.setattr(module, "char_poly", counting)
+        return calls
+
+    def test_one_char_poly_for_a_unimodular_operator(self, monkeypatch):
+        calls = self.counted_char_polys(monkeypatch)
+        report = verify(ZZ, None, self.T, Geometric(2, 1), [])
         assert report.clause1.holds
-        assert calls == [T]
+        assert calls == [self.T]
+
+    def test_one_char_poly_per_spectrum(self, monkeypatch):
+        """The zero-plus-finite-order structure and every search of the
+        spectrum read one analysis of T."""
+        calls = self.counted_char_polys(monkeypatch)
+        table = divisibility_spectrum(self.T, 4, 1)
+        assert table.order is None and len(table.rows) == 3
+        assert calls == [self.T]
 
 
 class TestVerifyExamples:
