@@ -63,14 +63,29 @@ def _load_json(path: str):
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _load_operator(path: str):
-    """Accept either a bare matrix file or a problem file with an operator."""
+def _load_problem(path: str, matrix_file: bool = True) -> dict:
+    """The problem file at path or, with matrix_file, a bare matrix file as
+    {"operator": T, "module": None}: the one place where an operator from
+    outside is refused, non-square or 0x0, before any argument or the ring
+    action is checked.  The library accepts 0x0 (a rank-0 image part)."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "operator" in obj:
         problem = problem_from_json(obj)
-        return problem["operator"], problem["module"]
-    T = matrix_from_json(obj)
-    return T, None
+    else:
+        try:
+            problem = {"operator": matrix_from_json(obj), "module": None}
+        except InputError:
+            if matrix_file:
+                raise
+            problem_from_json(obj)  # neither file kind: raises the problem parser's error
+    T = problem["operator"]
+    if not T.is_square:
+        raise InputError("square matrix required")
+    if not T.rows:
+        raise InputError("empty operator")
+    if "ring" not in problem and not matrix_file:
+        problem_from_json(obj)  # a bare matrix is no problem file: raises
+    return problem
 
 
 def _emit(args, payload: dict, text: str) -> int:
@@ -82,8 +97,8 @@ def _emit(args, payload: dict, text: str) -> int:
 
 
 def _cmd_fitting(args) -> int:
-    T, module = _load_operator(args.file)
-    split = fitting_decompose(T, module=module)
+    problem = _load_problem(args.file)
+    split = fitting_decompose(problem["operator"], module=problem["module"])
     text = (
         f"m = {split.exponent_m}\n"
         f"gen kernel (rank {split.gen_kernel.rank}): {split.gen_kernel.basis.nested()}\n"
@@ -96,8 +111,9 @@ def _cmd_fitting(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    T, module = _load_operator(args.file)
-    report = classify_operator(T, module=module)
+    problem = _load_problem(args.file)
+    T = problem["operator"]
+    report = classify_operator(T, module=problem["module"])
     lines = [
         f"semisimple: {'yes' if report.semisimple else 'no'}",
         f"eigenvalues all roots of unity: {'yes' if report.all_eigen_roots_of_unity else 'no'}",
@@ -112,8 +128,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_root(args) -> int:
-    T, module = _load_operator(args.file)
-    outcome = root_search(T, args.s, args.bound, module=module, timeout_ms=args.timeout_ms)
+    problem = _load_problem(args.file)
+    outcome = root_search(problem["operator"], args.s, args.bound, module=problem["module"],
+                          timeout_ms=args.timeout_ms)
     payload = outcome_to_json(outcome)
     if "found" in payload:
         text = f"FOUND witness {payload['found']['witness']['entries']} (re-multiplied exactly)"
@@ -126,8 +143,8 @@ def _cmd_root(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    T, module = _load_operator(args.file)
-    table = divisibility_spectrum(T, args.s_max, args.bound, module=module)
+    problem = _load_problem(args.file)
+    table = divisibility_spectrum(problem["operator"], args.s_max, args.bound, module=problem["module"])
     lines = [f"order of invertible part: {table.order if table.order is not None else 'none'}"]
     if table.sufficient_set:
         lines.append(f"guaranteed divisible for {table.sufficient_set}")
@@ -144,7 +161,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    problem = problem_from_json(_load_json(args.file))
+    problem = _load_problem(args.file, matrix_file=False)
     report = verify(
         problem["ring"], problem["module"], problem["operator"], problem["S"], problem["witnesses"]
     )
@@ -228,7 +245,7 @@ def _cmd_supernat(args) -> int:
         if not isinstance(value, dict) or set(value) != {"S", "lchar"}:
             raise InputError('additive takes {"S": DESCRIPTOR, "lchar": PRIMESET}')
         S = sdescriptor_from_json(value["S"])
-        ps = primeset_from_json(value["lchar"])
+        ps = primeset_from_json(value["lchar"], what="lchar")
         result = additive_hypothesis(S, ps)
         return _emit(args, {"additive_hypothesis": result}, str(result).lower())
     raise InputError(f"unknown supernat operation {op!r}")

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count, islice
 from math import gcd, inf, lcm, prod
 from operator import add
 from typing import Union
 
 from .classify import _Invariants
-from .exactalg import IntMatrix, Lattice, _cyclotomic_indices, _tuple_det, _tuple_pow, hnf, kernel_saturated
+from .exactalg import IntMatrix, Lattice, _cyclotomic_indices, _tuple_det, _tuple_pow
 from .primes import euler_phi, is_prime, signed_root
 
 DEFAULT_MAX_CANDIDATES = 20_000_000
@@ -129,12 +129,13 @@ def realizable_orders(n: int) -> frozenset[int]:
 def impossibility_certificates(T: IntMatrix, s: int, module=None) -> list[CertKind]:
     """Every certificate proving T has no s-th root; sound by construction,
     empty on actual s-th powers."""
+    if s < 2:
+        raise ValueError("exponent must be at least 2")
     return _certificates(_Invariants(T, module), s)
 
 
 def _certificates(inv: _Invariants, s: int) -> list[CertKind]:
-    if s < 2:
-        raise ValueError("exponent must be at least 2")
+    """The certificates for an exponent s >= 2."""
     T, module = inv.T, inv.module
     n = T.rows
     certs: list[CertKind] = []
@@ -148,11 +149,9 @@ def _certificates(inv: _Invariants, s: int) -> list[CertKind]:
                 certs.append(NegativeDetEvenPower(s, dt))
             elif signed_root(dt, s) is None:
                 certs.append(DetNotPower(s, dt))
-    else:
-        module.require_endomorphism(T)
-        if dt != 0 and ((dt < 0 and s % 2 == 0) or signed_root(dt, s) is None):
-            certs.append(SpectralObstruction(
-                f"field norm of det T is {dt}, not an exact {s}-th power in Z"))
+    elif dt != 0 and ((dt < 0 and s % 2 == 0) or signed_root(dt, s) is None):
+        certs.append(SpectralObstruction(
+            f"field norm of det T is {dt}, not an exact {s}-th power in Z"))
     # nilpotent route (chi = x^n): roots of nilpotents are nilpotent, hence
     # vanish at the module rank.
     rank_bound = module.module_rank if module is not None else n
@@ -173,23 +172,6 @@ def _certificates(inv: _Invariants, s: int) -> list[CertKind]:
 
 
 _DEADLINE_EVERY = 4096  # walk steps between two deadline checks
-
-
-class _Operator(_Invariants):
-    """_Invariants plus the commutant, shared by a spectrum."""
-
-    @cached_property
-    def commutant(self) -> Lattice:
-        """C(T), or C(T) meet C(omega): the kernel of X -> (XM - MX for each
-        M), X flattened row-major.  HNF first halves the cost of the kernel's
-        augmented Hermite form: 0.27 s, not 0.56 s, for four random 8 x 8 T,
-        and 6.3 s for a random 12 x 12 T (CPython 3.11, 2 cores)."""
-        n = self.T.rows
-        mats = (self.T,) if self.module is None else (self.T, self.module.omega_action)
-        equations = [[(M[j, b] if a == i else 0) - (M[a, i] if j == b else 0)
-                      for i in range(n) for j in range(n)]
-                     for M in mats for a in range(n) for b in range(n)]
-        return kernel_saturated(hnf(IntMatrix.from_rows(equations, cols=n * n)))
 
 
 def _box_points(lattice: Lattice, bound: int, deadline=None):
@@ -229,13 +211,13 @@ def _box_points(lattice: Lattice, bound: int, deadline=None):
     return walk(0, (0,) * N)
 
 
-def _scan(candidates, op: _Operator, s: int):
+def _scan(candidates, inv: _Invariants, s: int):
     """The first candidate X with X^s = T, or None; those with
     det(X)^s != det T or, for prime s, tr(X) != tr(T) mod s are skipped."""
-    n, target, trace_target, prime_s = op.T.rows, op.T.entries, op.T.trace(), is_prime(s)
+    n, target, trace_target, prime_s = inv.T.rows, inv.T.entries, inv.T.trace(), is_prime(s)
     diag = slice(None, None, n + 1)
     for cand in candidates:
-        if _tuple_det(cand, n) ** s != op.det:
+        if _tuple_det(cand, n) ** s != inv.det:
             continue
         if prime_s and (sum(cand[diag]) - trace_target) % s:
             continue  # tr(X^p) = tr(X) mod p for prime p
@@ -251,7 +233,6 @@ def root_search(
     *,
     module=None,
     timeout_ms: int | None = None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> RootSearchOutcome:
     """Certificates first; then exhaustive search, in row-major lexicographic
     order, over the X with max-norm <= bound that commute with T (and omega),
@@ -259,35 +240,38 @@ def root_search(
 
     The timeout runs from the call; the deadline is checked after the
     certificates and every 4096 walk steps (_box_points), not during the
-    certificates or the commutant.  max_candidates bounds the product over
-    the commutant's pivots of 2*bound // pivot + 1, an upper bound on the
-    points enumerated.  Either budget cut gives Exhausted(complete=False)."""
-    return _search(_Operator(T, module), s, bound, timeout_ms, max_candidates)
-
-
-def _search(op: _Operator, s: int, bound: int, timeout_ms, max_candidates) -> RootSearchOutcome:
+    certificates or the commutant.  The candidate budget is
+    DEFAULT_MAX_CANDIDATES: it bounds the product over the commutant's
+    pivots of 2*bound // pivot + 1, an upper bound on the points
+    enumerated.  Either budget cut gives Exhausted(complete=False)."""
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
     if s < 2:
         raise ValueError("exponent must be at least 2")
     if bound < 1:
         raise ValueError("bound must be positive")
-    certs = _certificates(op, s)
+    return _search(_Invariants(T, module), s, bound, deadline)
+
+
+def _search(inv: _Invariants, s: int, bound: int, deadline) -> RootSearchOutcome:
+    """root_search on an analysis, for s >= 2 and bound >= 1; deadline is a
+    time.monotonic() value or None."""
+    certs = _certificates(inv, s)
     if certs:
         return ProvedImpossible(certs[0])
     if deadline is not None and time.monotonic() >= deadline:
         return Exhausted(bound, complete=False)
-    basis = op.commutant.basis
-    if prod(2 * bound // next(filter(None, basis.row(i))) + 1 for i in range(basis.rows)) > max_candidates:
+    basis = inv.commutant.basis
+    if prod(2 * bound // next(filter(None, basis.row(i))) + 1 for i in range(basis.rows)) > DEFAULT_MAX_CANDIDATES:
         return Exhausted(bound, complete=False)
     try:
-        hit = _scan(_box_points(op.commutant, bound, deadline), op, s)
+        hit = _scan(_box_points(inv.commutant, bound, deadline), inv, s)
     except TimeoutError:
         return Exhausted(bound, complete=False)
     if hit is None:
         return Exhausted(bound)
-    witness = IntMatrix(op.T.rows, op.T.rows, hit)
+    witness = IntMatrix(inv.T.rows, inv.T.rows, hit)
     power = witness ** s
-    if power != op.T:
+    if power != inv.T:
         raise AssertionError("witness failed final re-multiplication")
     return Found(witness, power)
 
@@ -359,13 +343,15 @@ def divisibility_spectrum(T: IntMatrix, s_max: int, bound: int, *, module=None) 
     invertible part (when that structure is present)."""
     if s_max < 2:
         raise ValueError("s_max must be at least 2")
-    op = _Operator(T, module)
-    d = op.zero_plus_order
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    inv = _Invariants(T, module)
+    d = inv.zero_plus_order
     coprime = [] if d is None else [s for s in range(2, s_max + 1) if gcd(s, d) == 1]
     troots = dict(zip(coprime, _coprime_roots(T, d, coprime))) if coprime else {}
     rows = []
     for s in range(2, s_max + 1):
-        outcome = _search(op, s, bound, None, DEFAULT_MAX_CANDIDATES)
+        outcome = _search(inv, s, bound, None)
         troot = troots.get(s)
         if isinstance(outcome, Found):
             verdict = "yes-witness"

@@ -1,12 +1,13 @@
 """Kernel-image splitting of integer operators.
 
-Each power T^m gives ker T^m and im T^m from one Hermite form.  Their ranks
-add up to n, so the stacked bases are square, and one determinant decides
-the split: it is nonzero exactly when the two meet only in 0, which by
-Fitting's lemma is when the kernel chain has stabilized, and +-1 exactly
-when the candidate split M = ker T^m (+) im T^m holds over Z.  Images need
-not be direct summands, so this is a real test, not an assumption; the
-restriction of T to the image part must also have unit determinant.
+The kernel chain has one step: for P = T^m, ker P and im P from one Hermite
+form and the determinant of their stacked bases, square as the ranks add up
+to n.  It is nonzero exactly when the two meet only in 0, which by Fitting's
+lemma is when the chain has stabilized, and +-1 exactly when the candidate
+split M = ker T^m (+) im T^m holds over Z.  clean_split is the first step,
+fitting_decompose iterates it.  Images need not be direct summands, so this
+is a real test, not an assumption; the restriction of T to the image part
+must also have unit determinant.
 """
 from __future__ import annotations
 
@@ -36,23 +37,22 @@ class CleanSplit:
     split: bool
     kernel: Lattice
     image: Lattice
-    change_of_basis: IntMatrix | None
     restriction: IntMatrix | None
     reason: str
 
 
-def _split_det(kernel: Lattice, image: Lattice) -> tuple[int, IntMatrix]:
-    """The stacked bases of ker T^m and im T^m, and their determinant.  The
-    ranks add up to n, so the stack is square; its determinant is 0 exactly
-    when the two lattices meet outside 0, and +-1 exactly when their sum is
-    direct and equals Z^n (a square integer matrix has all invariant
-    factors 1 exactly when its determinant is a unit)."""
+def _step(P: IntMatrix) -> tuple[Lattice, Lattice, int]:
+    """ker P, im P and the determinant of their stacked bases; +-1 means
+    Z^n = ker P (+) im P, as a square integer matrix has all invariant
+    factors 1 exactly when its determinant is a unit."""
+    if not P.is_square:
+        raise ValueError("square matrix required")
+    kernel, image = _kernel_and_image(P)
+    n = P.rows
     rows = kernel.basis.entries + image.basis.entries
-    n = kernel.ambient_rank
     if len(rows) != n * n:
         raise AssertionError("ranks of kernel and image do not add up to n")
-    stacked = IntMatrix(n, n, rows)
-    return stacked.det(), stacked
+    return kernel, image, IntMatrix(n, n, rows).det()
 
 
 def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
@@ -63,23 +63,15 @@ def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
     Unlike the abstract statement this mirrors, onto-ness of the induced map
     is never presumed: ``is_direct`` can come back False.
     """
-    if not T.is_square:
-        raise ValueError("fitting_decompose requires a square matrix")
-    n = T.rows
-    if n == 0:
-        raise ValueError("empty operator")
+    kernel, image, det = _step(T)
     if module is not None:
         module.require_endomorphism(T)
-    m = 1
-    power = T
-    while True:
-        kernel, image = _kernel_and_image(power)
-        det, _ = _split_det(kernel, image)
-        if det:
-            break
+    m, power = 1, T
+    while not det:
         power, m = power * T, m + 1
-        if m > n:
+        if m > T.rows:
             raise AssertionError("kernel chain failed to stabilize within n steps")
+        kernel, image, det = _step(power)
     restriction = restrict_to_lattice(T, image)
     if restriction.rows == 0:
         invertible = True  # rank-0 restriction: vacuously an automorphism
@@ -97,30 +89,22 @@ def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
     return FittingSplit(m, kernel, image, abs(det) == 1, invertible, restriction)
 
 
-def clean_split(T: IntMatrix, module=None) -> CleanSplit:
+def clean_split(T: IntMatrix) -> CleanSplit:
     """Decide whether Z^n = ker T (+) im T already at the first power, with
-    T invertible on the image part; returns the certifying bases.  Both
-    lattices come from one Hermite form, and the determinant of their
-    stacked bases decides: +-1 is the split, 0 a nontrivial intersection,
-    anything else a proper sublattice."""
-    if not T.is_square:
-        raise ValueError("clean_split requires a square matrix")
-    if T.rows == 0:
-        raise ValueError("empty operator")
-    if module is not None:
-        module.require_endomorphism(T)
-    kernel, image = _kernel_and_image(T)
-    det, stacked = _split_det(kernel, image)
+    T invertible on the image part; returns the certifying bases.  The
+    chain's first step decides: a stacked determinant of +-1 is the split,
+    0 a nontrivial intersection, anything else a proper sublattice."""
+    kernel, image, det = _step(T)
     if abs(det) != 1:
         if det == 0:
             reason = "ker T and im T intersect nontrivially"
         else:
             reason = "ker T + im T is a proper sublattice of Z^n"
-        return CleanSplit(False, kernel, image, None, None, reason)
+        return CleanSplit(False, kernel, image, None, reason)
     restriction = restrict_to_lattice(T, image)
     # With a direct full split the image satisfies im T = T(im T), so the
     # restriction is automatically an automorphism.
     if restriction.rows and abs(restriction.det()) != 1:
         raise AssertionError("restriction to the image part is not invertible")
-    return CleanSplit(True, kernel, image, stacked, restriction,
+    return CleanSplit(True, kernel, image, restriction,
                       "Z^n = ker T (+) im T with invertible restriction")

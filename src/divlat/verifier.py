@@ -105,16 +105,14 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     """Validate hypotheses, run the full pipeline, and report clause by
     clause.  Bad witnesses do not abort the run: the pipeline continues in
     diagnostic mode and the verdict says why nothing can be concluded."""
-    if not T.is_square or T.rows == 0:
-        raise ValueError("operator must be square and nonempty")
     if isinstance(ring, QuadraticOrder):
         if module is None:
             raise ValueError("quadratic rings need an explicit module (omega action)")
-        module.require_endomorphism(T)
     elif isinstance(ring, IntegerRing):
         module = None
     else:
         raise TypeError(f"unsupported ring {ring!r}")
+    inv = _Invariants(T, module)
 
     notes = [
         "witnesses are finite evidence: divisibility for the full exponent set is never proven by a run",
@@ -136,7 +134,6 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
         mult_ok, mult_trace = mult_hypothesis(S, ring)
 
     # clause 1: the split, plus what the verified witnesses already force.
-    inv = _Invariants(T)
     cs = inv.split
     g, qdet = inv.kernel_invariants
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)

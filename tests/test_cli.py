@@ -155,14 +155,16 @@ class TestExitCodes:
     def test_all_primes_takes_only_true(self, tmp_path, capsys):
         obj = {"additive": {"S": {"all_from": 2}, "lchar": {"all_primes": False}}}
         assert main(["supernat", write(tmp_path, "a.json", obj)]) == 1
-        assert capsys.readouterr() == ("", "error: primes: all_primes takes the value true\n")
+        assert capsys.readouterr() == ("", "error: lchar: all_primes takes the value true\n")
 
     @pytest.mark.parametrize("command, obj, err", [
         ("supernat", {"pi_s": {"finite": ["a"]}}, "S: expected an integer, got 'a'"),
         ("supernat", {"additive": {"S": {"all_from": 2}, "lchar": {"finite": ["a"]}}},
-         "primes: expected an integer, got 'a'"),
+         "lchar: expected an integer, got 'a'"),
+        ("supernat", {"additive": {"S": {"all_from": 2}, "lchar": {"finite": 3}}},
+         "lchar.finite: expected a list, got int"),
         ("units", {"quadratic": {"d": "x"}}, "ring: expected an integer, got 'x'"),
-    ], ids=["S", "primes", "ring"])
+    ], ids=["S", "primes", "lchar-finite", "ring"])
     def test_an_error_names_its_field_once(self, tmp_path, capsys, command, obj, err):
         assert main([command, write(tmp_path, "bad.json", obj)]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
@@ -198,6 +200,32 @@ class TestErrorPrecedence:
         command, *args = argv
         assert main([command, write(tmp_path, "p.json", obj)] + args) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+class TestOperatorShape:
+    """Every command reads its operator through one loader, which refuses a
+    0x0 or non-square operator before the command checks its arguments."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fitting"], ["classify"], ["root", "--s", "2", "--bound", "1"], ["root", "--s", "1", "--bound", "0"],
+        ["spectrum", "--s-max", "3", "--bound", "1"], ["spectrum", "--s-max", "1", "--bound", "0"], ["verify"],
+    ], ids=["fitting", "classify", "root", "root-bad-args", "spectrum", "spectrum-bad-args", "verify"])
+    @pytest.mark.parametrize("matrix, err", [
+        ({"rows": 0, "cols": 0, "entries": []}, "empty operator"),
+        ({"rows": 2, "cols": 3, "entries": [[1, 2, 3], [4, 5, 6]]}, "square matrix required"),
+    ], ids=["0x0", "2x3"])
+    @pytest.mark.parametrize("as_problem", [False, True], ids=["matrix-file", "problem-file"])
+    def test_refused_by_every_command(self, tmp_path, capsys, argv, matrix, err, as_problem):
+        command, *args = argv
+        path = write(tmp_path, "p.json", {"operator": matrix} if as_problem else matrix)
+        assert main([command, path] + args) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_verify_still_requires_a_problem_file(self, tmp_path, capsys):
+        assert main(["verify", write(tmp_path, "m.json", ROT3_JSON)]) == 1
+        assert capsys.readouterr() == ("", "error: problem: missing field(s) ['operator']\n")
+        assert main(["verify", write(tmp_path, "x.json", {"S": {"all_from": 2}})]) == 1
+        assert capsys.readouterr() == ("", "error: problem: missing field(s) ['operator']\n")
 
 
 class TestThreadsDeterminism:

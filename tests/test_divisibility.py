@@ -10,6 +10,7 @@ import pytest
 
 import divlat
 import divlat.divisibility as divisibility
+from divlat.classify import _Invariants
 from divlat.divisibility import (
     DetNotPower,
     Exhausted,
@@ -228,7 +229,8 @@ class TestRootSearch:
 
     def test_candidate_budget_returns_incomplete(self):
         T = IntMatrix.identity(3)
-        out = root_search(T, 2, 6, max_candidates=10)
+        assert 13 ** 9 > divisibility.DEFAULT_MAX_CANDIDATES  # commutant Z^9, bound 6
+        out = root_search(T, 2, 6)
         assert out == Exhausted(6, complete=False)
 
     def test_large_box_general_path_matches_bucket_path(self):
@@ -290,17 +292,17 @@ class TestCommutantWalk:
 
     def test_commutant_is_the_saturated_kernel(self):
         for T in seeded_operators(139, 150):
-            commutant = divisibility._Operator(T, None).commutant
+            commutant = _Invariants(T, None).commutant
             assert commutant == kernel_saturated(commutator_equations((T,), T.rows))
         for T, module in seeded_module_problems(149):
-            commutant = divisibility._Operator(T, module).commutant
+            commutant = _Invariants(T, module).commutant
             assert commutant == kernel_saturated(commutator_equations((T, module.omega_action), T.rows))
 
     def test_walk_lists_the_commuting_box_points_of_operators(self):
         for T in seeded_operators(151, 12):
             n = T.rows
             bound = 2 if n == 2 else 1
-            lattice = divisibility._Operator(T, None).commutant
+            lattice = _Invariants(T, None).commutant
             box = list(product(range(-bound, bound + 1), repeat=n * n))
             want = [p for p in box if lattice.contains(p)]
             assert want == [p for p in box if IntMatrix(n, n, p) * T == T * IntMatrix(n, n, p)]
@@ -313,7 +315,7 @@ class TestCommutantWalk:
         bound = 1
         for T, module in seeded_module_problems(157):
             order, rank = module.order, module.module_rank
-            lattice = divisibility._Operator(T, module).commutant
+            lattice = _Invariants(T, module).commutant
             ring_box = product(range(-bound, bound + 1), repeat=2 * rank * rank)
             omega_box = []
             for c in ring_box:
@@ -501,7 +503,7 @@ class TestZeroPlusOrderSpectrum:
         X = IntMatrix.from_rows([[1, big], [0, 1]])
         T = X * X
         assert T[0, 1] == 2 * big
-        out = root_search(T, 2, big, max_candidates=1)  # box far beyond budget
+        out = root_search(T, 2, big)  # box far beyond DEFAULT_MAX_CANDIDATES
         assert out == Exhausted(big, complete=False)
         # but the certificate layer stays silent on this true power
         assert impossibility_certificates(T, 2) == []

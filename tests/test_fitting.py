@@ -138,7 +138,19 @@ class TestCleanSplit:
         cs = clean_split(IntMatrix.diagonal([0, -1]))
         assert cs.split
         assert cs.restriction == IntMatrix.from_rows([[-1]])
-        assert abs(cs.change_of_basis.det()) == 1
+        stacked = IntMatrix.from_rows(cs.kernel.basis.nested() + cs.image.basis.nested())
+        assert abs(stacked.det()) == 1
+
+    def test_empty_and_non_square(self):
+        """The library takes 0x0 as the trivial split (only the CLI refuses
+        it); the chain's one step refuses a non-square matrix."""
+        empty = IntMatrix(0, 0, ())
+        assert clean_split(empty).split
+        split = fitting_decompose(empty)
+        assert (split.exponent_m, split.is_direct, split.restriction_invertible) == (1, True, True)
+        for decide in (clean_split, fitting_decompose):
+            with pytest.raises(ValueError, match="^square matrix required$"):
+                decide(IntMatrix(2, 3, (1,) * 6))
 
     def test_nilpotent_fails(self):
         cs = clean_split(IntMatrix.from_rows([[0, 1], [0, 0]]))

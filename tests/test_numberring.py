@@ -396,11 +396,11 @@ class TestNonFreeModule:
                 assert M.det_as_ring_element(T) == (a, b)
 
     def test_fitting_on_scalar_action(self):
-        from divlat.fitting import clean_split
+        from divlat.classify import _Invariants
 
         O, M = self._ideal_module()
         T = M.scalar_matrix((2, 1))  # norm 4 + 5 = 9, not a unit
-        cs = clean_split(T, module=M)
+        cs = _Invariants(T, M).split
         assert not cs.split  # injective but not onto: image is a proper sublattice
         U = M.scalar_matrix((-1, 0))
-        assert clean_split(U, module=M).split
+        assert _Invariants(U, M).split.split

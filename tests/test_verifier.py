@@ -5,7 +5,7 @@ import pytest
 from divlat.classify import _Invariants
 from divlat.divisibility import divisibility_spectrum
 from divlat.exactalg import IntMatrix, QMatrix
-from divlat.numberring import OKModule, QuadraticOrder, ZZ
+from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
 from divlat.serialize import canonical_dumps, theorem_report_to_json
 from divlat.supernat import FiniteSet, Geometric, PrimeSet, Residue
 from divlat.fitting import fitting_decompose
@@ -92,6 +92,27 @@ class TestCharacteristicPolynomialOnce:
         table = divisibility_spectrum(self.T, 4, 1)
         assert table.order is None and len(table.rows) == 3
         assert calls == [self.T]
+
+
+class TestRingActionCheckedOnce:
+    """The analysis checks that T commutes with the ring action when it is
+    built, not once per exponent of a spectrum."""
+
+    def test_one_check_per_spectrum(self, monkeypatch):
+        order = QuadraticOrder(-1)
+        module = OKModule.regular(order, 2)
+        T = embed_ok_matrix(order, [[(0, 1), (1, 0)], [(0, 0), (-1, 0)]])
+        calls = []
+        endomorphism_ok = OKModule.endomorphism_ok
+
+        def counting(self, M):
+            calls.append(M)
+            return endomorphism_ok(self, M)
+
+        monkeypatch.setattr(OKModule, "endomorphism_ok", counting)
+        table = divisibility_spectrum(T, 6, 1, module=module)
+        assert len(table.rows) == 5
+        assert calls == [T]
 
 
 class TestVerifyExamples:
