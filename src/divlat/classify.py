@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
 
 from .exactalg import (IntMatrix, Lattice, QMatrix, _cyclotomic_indices, _zcyclotomic, _zdivmod, _zgcd,
@@ -28,11 +28,13 @@ class _Invariants:
     """The analysis of one square operator T and its module (None over Z):
     det, chi and its radical r (ascending int tuples), semisimplicity
     (r(T) = 0), the cyclotomic factorization of chi, the order, the split
-    T = 0 (+) (T on im T) with the analysis of the image part, and the
-    commutant.  The constructor checks that T is square and, given a module,
-    that T commutes with its ring action; 0x0 is valid.  Each invariant is
-    computed on first use, at most once per instance; an analysis builds one
-    instance and reads everything off it."""
+    T = 0 (+) (T on im T) with the analysis of the image part, the
+    commutant, and the powers of T, all built from one ladder of squares
+    T, T^2, T^4, ...  The constructor checks that T is square and, given a
+    module, that T commutes with its ring action; 0x0 is valid.  Each
+    invariant, and each square of the ladder, is computed on first use, at
+    most once per instance; an analysis builds one instance and reads
+    everything off it."""
 
     def __init__(self, T, module=None):
         if not T.is_square:
@@ -41,6 +43,15 @@ class _Invariants:
             module.require_endomorphism(T)
         self.T = T
         self.module = module
+        self._ladder = [T]  # T^(2^i) at index i
+
+    def power(self, k: int) -> IntMatrix:
+        """T^k for k >= 0: the product of the ladder squares T^(2^i) over the
+        bits of k, the ladder extended by squaring its top as needed."""
+        while len(self._ladder) < k.bit_length():
+            self._ladder.append(self._ladder[-1] * self._ladder[-1])
+        factors = [square for i, square in enumerate(self._ladder) if k >> i & 1]
+        return reduce(IntMatrix.__mul__, factors) if factors else IntMatrix.identity(self.T.rows)
 
     @cached_property
     def det(self) -> int:
@@ -87,9 +98,9 @@ class _Invariants:
     @cached_property
     def order(self) -> int | None:
         """Multiplicative order, or None for infinite order or a zero
-        eigenvalue: the lcm of the cyclotomic indices of a semisimple
-        operator, re-verified by exact exponentiation and checked minimal
-        over the maximal proper divisors."""
+        eigenvalue: the lcm d of the cyclotomic indices of a semisimple
+        operator, re-verified as T^d = I and checked minimal as T^(d/p) != I
+        for each prime p | d, every power exact and read off the ladder."""
         T = self.T
         if T.rows == 0:
             return 1
@@ -97,10 +108,10 @@ class _Invariants:
             return None
         d = lcm(*(k for k, _ in self.factorization))
         eye = IntMatrix.identity(T.rows)
-        if T ** d != eye:
+        if self.power(d) != eye:
             raise AssertionError("candidate order failed re-verification")
         for p in prime_factors(d):
-            if T ** (d // p) == eye:
+            if self.power(d // p) == eye:
                 raise AssertionError("candidate order not minimal")
         return d
 
@@ -111,9 +122,19 @@ class _Invariants:
 
     @cached_property
     def image_part(self) -> _Invariants:
-        """The analysis of T on im T; self when that matrix is T."""
+        """The analysis of T on im T; self when that matrix M is T.  T maps
+        Q^n into im T, so it induces 0 on the quotient and chi_T = x^k chi_M,
+        k = rank ker T: chi_M is chi_T without that factor, once its k low
+        coefficients are checked to be 0 and it agrees with tr M and det M."""
         M = self.split.restriction if self.split.split else restrict_to_lattice(self.T, self.split.image)
-        return self if M == self.T else _Invariants(M)
+        if M == self.T:
+            return self
+        part, k, m = _Invariants(M), self.split.kernel.rank, M.rows
+        chi = self.chi[k:]
+        if any(self.chi[:k]) or (m and (chi[-2] != -M.trace() or chi[0] != (-1) ** m * part.det)):
+            raise AssertionError("chi of the image part disagrees with its trace or determinant")
+        part.chi = chi
+        return part
 
     @cached_property
     def zero_plus_order(self) -> int | None:

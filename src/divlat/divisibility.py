@@ -284,7 +284,7 @@ def coprime_root(T: IntMatrix, d: int, n_exp: int) -> IntMatrix:
     """X with X^n_exp = T when T is zero plus an order-d operator and
     gcd(n_exp, d) = 1: take X = T^m for m the inverse of n_exp mod d.
     The result is re-verified by exact multiplication before returning."""
-    return _coprime_roots(T, d, (n_exp,))[0]
+    return _coprime_roots(_Invariants(T), d, (n_exp,))[0]
 
 
 def _coprime_exponents(d: int, k: int) -> list[int]:
@@ -292,20 +292,21 @@ def _coprime_exponents(d: int, k: int) -> list[int]:
     return list(islice((s for s in count(2) if gcd(s, d) == 1), k))
 
 
-def _coprime_roots(T: IntMatrix, d: int, exponents) -> list[IntMatrix]:
-    """coprime_root for each exponent, checking T^(d+1) = T once; every
-    root is still re-verified by exact multiplication."""
-    if not T.is_square:
-        raise ValueError("square matrix required")
+def _coprime_roots(inv: _Invariants, d: int, exponents) -> list[IntMatrix]:
+    """coprime_root for each exponent on the analysis of T: T^(d+1) = T is
+    checked once, T^(d+1) and each root T^m are products of the analysis's
+    ladder of squares, and each root X is still re-verified as X^n_exp = T
+    from its own entries."""
+    T = inv.T
     if d < 1 or any(n_exp < 1 for n_exp in exponents):
         raise ValueError("order and exponent must be positive")
     if any(gcd(n_exp, d) != 1 for n_exp in exponents):
         raise ValueError("no coprime inverse")
-    if T ** (d + 1) != T:
+    if inv.power(d + 1) != T:
         raise ValueError(f"operator is not zero plus an operator of order dividing {d}")
     roots = []
     for n_exp in exponents:
-        X = T ** (pow(n_exp, -1, d) if d > 1 else 1)
+        X = inv.power(pow(n_exp, -1, d) if d > 1 else 1)
         if X ** n_exp != T:
             raise AssertionError("constructed root failed re-verification")
         roots.append(X)
@@ -348,7 +349,7 @@ def divisibility_spectrum(T: IntMatrix, s_max: int, bound: int, *, module=None) 
     inv = _Invariants(T, module)
     d = inv.zero_plus_order
     coprime = [] if d is None else [s for s in range(2, s_max + 1) if gcd(s, d) == 1]
-    troots = dict(zip(coprime, _coprime_roots(T, d, coprime))) if coprime else {}
+    troots = dict(zip(coprime, _coprime_roots(inv, d, coprime))) if coprime else {}
     rows = []
     for s in range(2, s_max + 1):
         outcome = _search(inv, s, bound, None)

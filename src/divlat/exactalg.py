@@ -28,10 +28,11 @@ def _identity(n: int) -> tuple[int, ...]:
 
 
 def _tuple_mul(a, b, rows: int, inner: int, cols: int) -> tuple:
-    """Product of a (rows x inner) and b (inner x cols)."""
+    """Product of a (rows x inner) and b (inner x cols), slicing each row of a
+    and each column of b once."""
     columns = [b[j::cols] for j in range(cols)]
-    return tuple(sum(map(mul, a[i * inner : (i + 1) * inner], col))
-                 for i in range(rows) for col in columns)
+    return tuple(sum(map(mul, row, col))
+                 for row in [a[i * inner : (i + 1) * inner] for i in range(rows)] for col in columns)
 
 
 def _tuple_pow(x, n: int, k: int) -> tuple:

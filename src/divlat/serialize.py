@@ -275,7 +275,8 @@ def problem_from_json(obj, what: str = "problem") -> dict:
 
     Returns a dict with keys ring, module, operator, S, witnesses, name; the
     witnesses keep QMatrix entries so non-integral ones can be reported
-    rather than rejected at the parse stage."""
+    rather than rejected at the parse stage.  With a module, an operator of
+    another size than z_rank x z_rank is rejected here."""
     _expect_keys(obj, {"operator"}, {"ring", "module", "S", "witnesses", "name"}, what=what)
     ring = ring_from_json(obj.get("ring", "Z"), what=f"{what}.ring")
     module = None
@@ -286,6 +287,8 @@ def problem_from_json(obj, what: str = "problem") -> dict:
     elif "module" in obj:
         raise InputError(f"{what}: module only makes sense for a quadratic ring")
     operator = matrix_from_json(obj["operator"], what=f"{what}.operator")
+    if module is not None and (operator.rows, operator.cols) != (module.z_rank, module.z_rank):
+        raise InputError("operator size does not match the module")
     S = sdescriptor_from_json(obj["S"], what=f"{what}.S") if "S" in obj else None
     witnesses = []
     for i, w in enumerate(_typed(obj.get("witnesses", []), list, f"{what}.witnesses")):

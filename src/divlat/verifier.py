@@ -157,7 +157,7 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     roots: tuple[tuple[int, IntMatrix], ...] = ()
     if inv.zero_plus_order is not None:
         sample = _coprime_exponents(d, 4)
-        roots = tuple(zip(sample, _coprime_roots(T, d, sample)))
+        roots = tuple(zip(sample, _coprime_roots(inv, d, sample)))
     clause4 = Clause4(roots, inv.zero_plus_order is not None)
 
     if clause1.holds and clause2.holds and clause3.holds:

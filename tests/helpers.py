@@ -577,3 +577,43 @@ def residue_pi_estimate(a, m, limit, primes):
             k_max += 1
         verdict[p] = maxes[p] >= k_max
     return verdict
+
+
+# -- seeded operators -------------------------------------------------------
+
+
+def unimodular_pair(n, rng, steps):
+    """(U, U^-1) as nested lists: U a product of `steps` random elementary
+    matrices I + c e_ij, c = +-1, and U^-1 the product of their inverses."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    uinv = [row[:] for row in u]
+    for _ in range(steps):
+        i, j, c = rng.randrange(n), rng.randrange(n), rng.choice((-1, 1))
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            for row in uinv:
+                row[j] -= c * row[i]
+    return u, uinv
+
+
+def seeded_operator(kind, n, rng):
+    """An n x n operator as nested lists: entries in [-3, 3] ("random"), or
+    a block sum of companion matrices of Phi_k with phi(k) <= 6
+    ("finite-order") or a strictly upper triangular matrix ("nilpotent"),
+    each conjugated by a random unimodular matrix."""
+    if kind == "random":
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if kind == "nilpotent":
+        T = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    else:
+        T, left = [[0] * n for _ in range(n)], n
+        while left:
+            phi = rng.choice([p for _, p in cyclotomic_table(6) if len(p) - 1 <= left])
+            m, off = len(phi) - 1, n - left
+            for i in range(m):
+                T[off + i][off + m - 1] = -phi[i]
+                if i:
+                    T[off + i][off + i - 1] = 1
+            left -= m
+    u, uinv = unimodular_pair(n, rng, n)
+    return mat_mul(mat_mul(u, T), uinv)

@@ -24,7 +24,7 @@ from divlat.numberring import ZZ
 from divlat.primes import euler_phi
 from divlat.verifier import verify
 from helpers import (frac_min_poly, min_poly_is_squarefree, newton_jordan_chevalley_oracle, qpoly_add, qpoly_divmod,
-                     qpoly_mul, qpoly_radical, rational_invariants_oracle)
+                     qpoly_mul, qpoly_radical, rational_invariants_oracle, seeded_operator)
 from test_exactalg import rand_matrix, rand_unimodular
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
@@ -394,6 +394,83 @@ class TestAgainstRationalInvariantsOracle:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "raised"
+
+
+class TestPowerLadder:
+    """Every power of T in one analysis is a product of the squares T^(2^i),
+    each computed once."""
+
+    def test_power_matches_exponentiation(self):
+        rng = random.Random(151)
+        operators = [IntMatrix(0, 0, ()), IntMatrix.from_rows([[-2]]), IntMatrix.from_rows([[1]])]
+        for n in (2, 4, 6):
+            operators += [IntMatrix.from_rows(seeded_operator(kind, n, rng))
+                          for kind in ("finite-order", "random")]
+        for T in operators:
+            inv, ks = classify._Invariants(T), list(range(41))
+            rng.shuffle(ks)  # the ladder grows out of order
+            for k in ks:
+                assert inv.power(k) == T ** k, (T, k)
+
+    def test_verify_squares_no_matrix_twice(self, monkeypatch):
+        """The order checks T^d = I and T^(d/p) != I, the check T^(d+1) = T
+        and the roots T^m share one ladder.  T has order 120 and trace 1, so
+        neither chi's recurrence nor the re-multiplication of a root squares
+        a matrix the ladder has squared."""
+        import divlat.exactalg as exactalg
+
+        T = IntMatrix.from_rows(seeded_operator("finite-order", 12, random.Random(9)))
+        assert (classify._Invariants(T).order, T.trace()) == (120, 1)
+        squared = []
+        tuple_mul = exactalg._tuple_mul
+
+        def counting(a, b, *shape):
+            if a == b:
+                squared.append(a)
+            return tuple_mul(a, b, *shape)
+
+        monkeypatch.setattr(exactalg, "_tuple_mul", counting)
+        report = verify(ZZ, None, T, None, ())
+        assert len(report.clause4.constructed_roots) == 4
+        assert squared and len(set(squared)) == len(squared)
+
+
+class TestImagePart:
+    """chi of the image part is chi_T without its factor x^k."""
+
+    def operators(self):
+        rng = random.Random(157)
+        ops = [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2, 0], [0, 0]]),
+               IntMatrix.diagonal([0, 0, 1, -1, 3])]
+        for n in range(2, 8):
+            ops.append(IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)))
+            rank = rng.randint(1, n - 1)
+            ops.append(IntMatrix(n, rank, tuple(rng.randint(-3, 3) for _ in range(n * rank)))
+                       * IntMatrix(rank, n, tuple(rng.randint(-3, 3) for _ in range(rank * n))))
+            U = rand_unimodular(rng, n)
+            ops.append(conjugate(block_diagonal([IntMatrix.zeros(1, 1), rand_unimodular(rng, n - 1)]), U))
+        return ops
+
+    def test_chi_matches_a_direct_char_poly(self):
+        kinds = set()
+        for T in self.operators():
+            inv = classify._Invariants(T)
+            part = inv.image_part
+            assert part is not inv and part.T.rows < T.rows, T
+            assert part.chi == char_poly(part.T), T
+            kinds.add("split" if inv.split.split else "not split")
+            kinds.add("nilpotent" if not any(inv.chi[:-1]) else "not nilpotent")
+        assert kinds == {"split", "not split", "nilpotent", "not nilpotent"}
+
+    @pytest.mark.parametrize("chi", [(1, -2, -1, 1), (0, -2, 3, 1), (0, 5, -1, 1)],
+                             ids=["low coefficient", "trace", "determinant"])
+    def test_a_chi_disagreeing_with_the_image_part_raises(self, chi):
+        """T = diag(0, 2, -1) has chi_T = x (x - 2)(x + 1) = (0, -2, -1, 1)
+        and image part diag(2, -1); each corrupted chi_T is refused."""
+        inv = classify._Invariants(IntMatrix.diagonal([0, 2, -1]))
+        inv.chi = chi
+        with pytest.raises(AssertionError, match="chi of the image part"):
+            inv.image_part
 
 
 class TestClassifyReport:

@@ -13,7 +13,7 @@ from divlat.exactalg import IntMatrix
 from divlat.serialize import problem_from_json, problem_to_json
 from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
 from divlat.supernat import AllFrom, Geometric
-from helpers import frac_inverse, mat_mul
+from helpers import frac_inverse, mat_mul, seeded_operator
 
 
 def write(tmp_path, name, obj):
@@ -220,6 +220,24 @@ class TestOperatorShape:
         path = write(tmp_path, "p.json", {"operator": matrix} if as_problem else matrix)
         assert main([command, path] + args) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["fitting"], ["classify"], ["root", "--s", "1", "--bound", "1"], ["root", "--s", "2", "--bound", "1"],
+        ["spectrum", "--s-max", "1", "--bound", "1"], ["spectrum", "--s-max", "3", "--bound", "1"], ["verify"],
+    ], ids=["fitting", "classify", "root-s-1", "root", "spectrum-s-max-1", "spectrum", "verify"])
+    @pytest.mark.parametrize("operator", [
+        {"rows": 3, "cols": 3, "entries": [[1, 0, 0]] * 3},
+        {"rows": 2, "cols": 3, "entries": [[1, 0, 0]] * 2},
+        {"rows": 0, "cols": 0, "entries": []},
+    ], ids=["3x3", "2x3", "0x0"])
+    def test_size_against_the_module_is_checked_first(self, tmp_path, capsys, argv, operator):
+        """An operator of another size than the 2x2 omega action is refused
+        when the file is read, before the command checks its arguments or
+        the operator's shape."""
+        problem = dict(NONCOMMUTING_JSON, operator=operator)
+        command, *args = argv
+        assert main([command, write(tmp_path, "p.json", problem)] + args) == 1
+        assert capsys.readouterr() == ("", "error: operator size does not match the module\n")
 
     def test_verify_still_requires_a_problem_file(self, tmp_path, capsys):
         assert main(["verify", write(tmp_path, "m.json", ROT3_JSON)]) == 1
@@ -580,11 +598,12 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def _digests(prefix, paths):
+def _digests(prefix, paths, commands=tuple(GOLDEN_COMMANDS)):
     """sha256 per command over (exit code, stdout, stderr) on every path."""
-    hashes = {name: hashlib.sha256() for name in GOLDEN_COMMANDS}
+    hashes = {name: hashlib.sha256() for name in commands}
     for path in paths:
-        for name, (command, *args) in GOLDEN_COMMANDS.items():
+        for name in commands:
+            command, *args = GOLDEN_COMMANDS[name]
             hashes[name].update(repr(_run([command, path] + args)).encode())
     return {f"{prefix} {name}": h.hexdigest() for name, h in hashes.items()}
 
@@ -626,6 +645,28 @@ def module_problems():
     return problems
 
 
+def large_problems():
+    """One problem with S = 2^N per kind of helpers.seeded_operator and
+    n = 6..12."""
+    rng = random.Random(19)
+    return [{"name": f"{kind}-{n}", "S": {"geometric": {"base": 2, "scale": 1}},
+             "operator": {"rows": n, "cols": n, "entries": seeded_operator(kind, n, rng)}}
+            for kind in ("random", "finite-order", "nilpotent") for n in range(6, 13)]
+
+
+LARGE_COMMANDS = ("classify --json", "fitting --json", "verify --json")
+# The same over large_problems, recorded before the powers of an operator
+# were read off one ladder of squares.
+GOLDEN_LARGE_DIGESTS = {
+    "large classify --json":
+        "ad6caa584b3cb1fc52106b701cc29281d0f6f0aefe0153cefeb7897347f3a363",
+    "large fitting --json":
+        "b159efd2da19adc8b1aa108b398adc9e2349ef0a82325f7b777dce6db2263bea",
+    "large verify --json":
+        "cee631b4709b298293f11a6779037add917ea3276bfaf00356276af4089c4a90",
+}
+
+
 class TestGoldenBytes:
     def test_corpus_outputs_match_the_recorded_digests(self, tmp_path):
         assert corpus_digests(tmp_path) == GOLDEN_DIGESTS
@@ -633,3 +674,7 @@ class TestGoldenBytes:
     def test_module_outputs_match_the_recorded_digests(self, tmp_path):
         paths = [write(tmp_path, f"{p['name']}.json", p) for p in module_problems()]
         assert _digests("module", paths) == GOLDEN_MODULE_DIGESTS
+
+    def test_large_operator_outputs_match_the_recorded_digests(self, tmp_path):
+        paths = [write(tmp_path, f"{p['name']}.json", p) for p in large_problems()]
+        assert _digests("large", paths, LARGE_COMMANDS) == GOLDEN_LARGE_DIGESTS

@@ -364,27 +364,34 @@ class TestCoprimeRoot:
     def test_precondition_is_checked_once_for_many_exponents(self, monkeypatch):
         T, d, exponents = IntMatrix.diagonal([0, -1, 1]), 2, (3, 5, 7, 9)
         want = [coprime_root(T, d, e) for e in exponents]
-        powers = []
-        power = IntMatrix.__pow__
+        ladder, powers = [], []
+        power, ladder_power = IntMatrix.__pow__, _Invariants.power
 
         def counting(self, k):
             powers.append(k)
             return power(self, k)
 
+        def counting_ladder(self, k):
+            ladder.append(k)
+            return ladder_power(self, k)
+
         monkeypatch.setattr(IntMatrix, "__pow__", counting)
-        assert divisibility._coprime_roots(T, d, exponents) == want
-        # T^(d+1) once, then T^m and the re-multiplication per exponent
-        assert len(powers) == 1 + 2 * len(exponents)
+        monkeypatch.setattr(_Invariants, "power", counting_ladder)
+        assert divisibility._coprime_roots(_Invariants(T), d, exponents) == want
+        # T^(d+1) once and T^m per exponent off the ladder, then the
+        # re-multiplication X^n_exp per exponent
+        assert ladder == [d + 1] + [1] * len(exponents)
+        assert powers == list(exponents)
 
     def test_precondition_failure_and_bad_arguments(self):
         with pytest.raises(ValueError, match="not zero plus an operator of order dividing 3"):
             coprime_root(J, 3, 2)
         with pytest.raises(ValueError, match="not zero plus an operator of order dividing 3"):
-            divisibility._coprime_roots(J, 3, (2, 4))
+            divisibility._coprime_roots(_Invariants(J), 3, (2, 4))
         with pytest.raises(ValueError, match="must be positive"):
-            divisibility._coprime_roots(ROT3, 3, (2, 0))
+            divisibility._coprime_roots(_Invariants(ROT3), 3, (2, 0))
         with pytest.raises(ValueError, match="no coprime inverse"):
-            divisibility._coprime_roots(ROT3, 3, (2, 6))
+            divisibility._coprime_roots(_Invariants(ROT3), 3, (2, 6))
 
 
 class TestSpectrum:

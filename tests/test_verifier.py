@@ -10,7 +10,7 @@ from divlat.serialize import canonical_dumps, theorem_report_to_json
 from divlat.supernat import FiniteSet, Geometric, PrimeSet, Residue
 from divlat.fitting import fitting_decompose
 from divlat.verifier import intro_scenarios, order_is_outside, verify
-from helpers import frac_quotient_det
+from helpers import frac_quotient_det, seeded_operator
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 
@@ -59,7 +59,8 @@ class TestGeneralisedKernelRank:
 
 class TestCharacteristicPolynomialOnce:
     """For |det T| = 1 the restriction to the image is T itself, so the
-    kernel invariants, the image part and its order share one chi."""
+    kernel invariants, the image part and its order share one chi; for a
+    singular T the image part's chi is read off chi_T."""
 
     T = IntMatrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 2, 1]])
 
@@ -84,6 +85,19 @@ class TestCharacteristicPolynomialOnce:
         report = verify(ZZ, None, self.T, Geometric(2, 1), [])
         assert report.clause1.holds
         assert calls == [self.T]
+
+    def test_one_char_poly_per_verify_of_a_singular_operator(self, monkeypatch):
+        calls = self.counted_char_polys(monkeypatch)
+        rng = random.Random(163)
+        operators = [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2, 0], [0, 0]]),
+                     IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+                     IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, -1]])]
+        operators += [IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)) for n in (4, 8)]
+        for T in operators:
+            calls.clear()
+            verify(ZZ, None, T, Geometric(2, 1), [])
+            assert calls == [T]
+            assert _Invariants(T).image_part.T != T
 
     def test_one_char_poly_per_spectrum(self, monkeypatch):
         """The zero-plus-finite-order structure and every search of the
