@@ -3,6 +3,8 @@ integer matrices and endomorphisms of quadratic-ring lattices."""
 
 from .classify import (
     ClassifyReport,
+    CleanSplit,
+    FittingSplit,
     UnipotentCheck,
     classify_operator,
     finite_order,
@@ -44,7 +46,7 @@ from .exactalg import (
     restrict_to_lattice,
     snf,
 )
-from .fitting import CleanSplit, FittingSplit, clean_split, fitting_decompose
+from .fitting import clean_split, fitting_decompose
 from .numberring import (
     IntegerRing,
     OKModule,

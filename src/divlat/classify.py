@@ -5,11 +5,21 @@ rad(chi)(T) = 0 (at once for a squarefree chi, as chi(T) = 0 is checked),
 root-of-unity spectra via exhaustive cyclotomic trial division of chi (no
 numerics: the candidate list with phi(k) <= n is provably complete) and
 finite orders.  In Q[x]/(chi): the exact semisimple-plus-nilpotent
-splitting by Newton iteration.  _Invariants is the one analysis of an
-operator: it checks the operator once, and also holds the split
-T = 0 (+) (T on im T), the analysis of that image part and the commutant,
-which verify, the certificates, the root search and the divisibility
-spectrum read.
+splitting by Newton iteration.
+
+Fitting's kernel chain has one step, _step: for P = T^m, ker P and im P
+from one Hermite form and the determinant of their stacked bases, square as
+the ranks add up to n.  It is nonzero exactly when the two meet only in 0,
+which by Fitting's lemma is when the chain has stabilized, and +-1 exactly
+when Z^n = ker P (+) im P, as a square integer matrix has all invariant
+factors 1 exactly when its determinant is a unit.  Images need not be
+direct summands, so this is a real test, not an assumption.
+
+_Invariants is the one analysis of an operator: it checks the operator
+once, and also holds the split T = 0 (+) (T on im T) at the first step and
+at the stable exponent, the analysis of that image part and the commutant,
+which verify, fitting, the certificates, the root search and the
+divisibility spectrum read.
 """
 from __future__ import annotations
 
@@ -18,23 +28,53 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
 
-from .exactalg import (IntMatrix, Lattice, QMatrix, _cyclotomic_indices, _zcyclotomic, _zdivmod, _zgcd,
-                       _zradical, char_poly, hnf, kernel_saturated, restrict_to_lattice)
-from .fitting import CleanSplit, clean_split
+from .exactalg import (IntMatrix, Lattice, QMatrix, _cyclotomic_indices, _kernel_and_image, _zcyclotomic,
+                       _zdivmod, _zgcd, _zradical, char_poly, hnf, kernel_saturated, restrict_to_lattice)
 from .primes import prime_factors
+
+
+@dataclass(frozen=True)
+class CleanSplit:
+    split: bool
+    kernel: Lattice
+    image: Lattice
+    restriction: IntMatrix | None
+    reason: str
+
+
+@dataclass(frozen=True)
+class FittingSplit:
+    """The split at the stable exponent; ``restriction`` is the matrix of
+    the operator on the basis of ``image_part`` (column vectors)."""
+
+    exponent_m: int
+    gen_kernel: Lattice
+    image_part: Lattice
+    is_direct: bool
+    restriction_invertible: bool
+    restriction: IntMatrix
+
+
+def _step(P: IntMatrix) -> tuple[Lattice, Lattice, int]:
+    """The chain step at P: ker P, im P and their stacked determinant."""
+    kernel, image = _kernel_and_image(P)
+    n, rows = P.rows, kernel.basis.entries + image.basis.entries
+    if len(rows) != n * n:
+        raise AssertionError("ranks of kernel and image do not add up to n")
+    return kernel, image, IntMatrix(n, n, rows).det()
 
 
 class _Invariants:
     """The analysis of one square operator T and its module (None over Z):
     det, chi and its radical r (ascending int tuples), semisimplicity
     (r(T) = 0), the cyclotomic factorization of chi, the order, the split
-    T = 0 (+) (T on im T) with the analysis of the image part, the
-    commutant, and the powers of T, all built from one ladder of squares
-    T, T^2, T^4, ...  The constructor checks that T is square and, given a
-    module, that T commutes with its ring action; 0x0 is valid.  Each
-    invariant, and each square of the ladder, is computed on first use, at
-    most once per instance; an analysis builds one instance and reads
-    everything off it."""
+    T = 0 (+) (T on im T) at Fitting's first and stable exponents, the image
+    part's analysis, the commutant, and the powers of T, off one ladder of
+    squares T, T^2, T^4, ...  The constructor checks that T is square and,
+    given a module, that T commutes with its ring action; 0x0 is valid.
+    Each invariant, and each square of the ladder, is computed on first
+    use, at most once per instance; an analysis builds one instance and
+    reads everything off it."""
 
     def __init__(self, T, module=None):
         if not T.is_square:
@@ -116,9 +156,62 @@ class _Invariants:
         return d
 
     @cached_property
+    def first_step(self) -> tuple[Lattice, Lattice, int]:
+        """_step(T), read by both split and fitting."""
+        return _step(self.T)
+
+    @cached_property
     def split(self) -> CleanSplit:
-        """Z^n = ker T (+) im T, decided by fitting.clean_split."""
-        return clean_split(self.T)
+        """Whether Z^n = ker T (+) im T already at the first power, with T
+        invertible on the image part: a stacked determinant of +-1 is the
+        split, 0 a nontrivial intersection, anything else a proper
+        sublattice."""
+        kernel, image, det = self.first_step
+        if abs(det) != 1:
+            reason = ("ker T and im T intersect nontrivially" if det == 0
+                      else "ker T + im T is a proper sublattice of Z^n")
+            return CleanSplit(False, kernel, image, None, reason)
+        restriction = restrict_to_lattice(self.T, image)
+        # With a direct full split the image satisfies im T = T(im T), so the
+        # restriction is automatically an automorphism.
+        if restriction.rows and abs(restriction.det()) != 1:
+            raise AssertionError("restriction to the image part is not invertible")
+        return CleanSplit(True, kernel, image, restriction,
+                          "Z^n = ker T (+) im T with invertible restriction")
+
+    @cached_property
+    def fitting(self) -> FittingSplit:
+        """The split at the exponent m where the chain stabilizes, is_direct
+        reported, never presumed.  m = 1 when the first step's determinant is
+        nonzero.  Else, with chi = x^g h and h(0) != 0, h(T) is 0 on the
+        invertible part and invertible on the generalised kernel, so m is
+        the least m >= 1 with T^m h(T) = 0, at most g; one step at T^m off
+        the ladder gives the split."""
+        T, (kernel, image, det), m = self.T, self.first_step, 1
+        if not det:
+            g = self.kernel_invariants[0]
+            P = T * _scaled_eval(self.chi[g:], T)[1]
+            while not P.is_zero():
+                P, m = T * P, m + 1
+                if m > g:
+                    raise AssertionError("kernel chain failed to stabilize within g steps")
+            kernel, image, det = _step(self.power(m))
+            if not det:
+                raise AssertionError("kernel chain not stable at the exponent read off chi")
+        restriction = restrict_to_lattice(T, image)
+        if restriction.rows == 0:
+            invertible = True  # rank-0 restriction: vacuously an automorphism
+        elif self.module is not None:
+            det_el = self.module.submodule(image).det_as_ring_element(restriction)
+            invertible = self.module.order.norm(det_el) in (1, -1)
+            if invertible != (abs(restriction.det()) == 1):
+                raise AssertionError("ring and integer determinants disagree on invertibility")
+        else:
+            invertible = abs(restriction.det()) == 1
+        for i in range(kernel.rank):
+            if not kernel.contains(T.apply(kernel.basis.row(i))):
+                raise AssertionError("kernel part not invariant")
+        return FittingSplit(m, kernel, image, abs(det) == 1, invertible, restriction)
 
     @cached_property
     def image_part(self) -> _Invariants:

@@ -509,14 +509,6 @@ class Lattice:
         raise ValueError("basis must be in Hermite normal form")
 
     @classmethod
-    def from_generators(cls, ambient: int, gens) -> "Lattice":
-        gens = [list(g) for g in gens]
-        if not gens:
-            return cls(ambient, IntMatrix(0, ambient, ()))
-        H = hnf(IntMatrix.from_rows(gens, cols=ambient))
-        return cls(ambient, _stacked([H.row(i) for i in range(H.rows) if any(H.row(i))], ambient))
-
-    @classmethod
     def zero(cls, ambient: int) -> "Lattice":
         return cls(ambient, IntMatrix(0, ambient, ()))
 

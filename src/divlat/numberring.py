@@ -271,10 +271,6 @@ class OKModule:
         W_sub = restrict_to_lattice(self.omega_action, lat)
         return OKModule(self.order, lat.rank, W_sub)
 
-    def scalar_matrix(self, x: Element) -> IntMatrix:
-        a, b = x
-        return IntMatrix.identity(self.z_rank) * a + self.omega_action * b
-
     def det_as_ring_element(self, T: IntMatrix):
         """Determinant of a commuting operator as a ring element (a, b).
 

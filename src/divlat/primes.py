@@ -97,15 +97,3 @@ def signed_root(v: int, k: int) -> int | None:
         return None
     r = integer_root(-v, k)
     return -r if r is not None else None
-
-
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(n + 1) if sieve[i]]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .classify import ClassifyReport
+from .classify import ClassifyReport, FittingSplit
 from .divisibility import (
     CertKind,
     Found,
@@ -18,7 +18,6 @@ from .divisibility import (
     SpectrumTable,
 )
 from .exactalg import IntMatrix, Lattice, QMatrix
-from .fitting import FittingSplit
 from .numberring import IntegerRing, OKModule, QuadraticOrder, UnitGroupDesc, ZZ
 from .supernat import (
     INF,

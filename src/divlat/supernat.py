@@ -176,9 +176,6 @@ class PrimeSet:
     def is_empty(self) -> bool:
         return self.kind == "finite" and not self.primes
 
-    def is_infinite(self) -> bool:
-        return self.kind in ("all", "all_except")
-
     def intersect(self, other: "PrimeSet") -> "PrimeSet":
         if self.kind == "finite":
             return PrimeSet.finite(p for p in self.primes if other.contains(p))

@@ -5,9 +5,10 @@ ascending coefficient lists and Fractions, without importing the code paths
 under test, so the checks stay two-sided.  That includes the Jordan-Chevalley
 and rational-invariants oracles, which build on the polynomial arithmetic
 over Q below, and the kernel predicate and kernel chain, which use rational
-ranks and minors only.  The exception is the image oracle, which reduces
-the columns with the library's Hermite form so that lattices compare
-entry-wise.
+ranks and minors only.  The exceptions are the image oracle and
+lattice_from_generators, which reduce with the library's Hermite form so
+that lattices compare entry-wise, and scalar_matrix, prime_set_is_infinite
+and primes_up_to, which build test inputs and have no caller in the library.
 """
 from __future__ import annotations
 
@@ -199,11 +200,19 @@ def is_saturated_kernel(T, lattice):
     return gcd(*(int(m) for m in minors)) == 1
 
 
+def lattice_from_generators(ambient, gens):
+    """The Lattice spanned by integer vectors of length ambient: the nonzero
+    rows of their Hermite form."""
+    from divlat.exactalg import IntMatrix, Lattice, hnf
+
+    gens = [list(g) for g in gens]
+    H = hnf(IntMatrix.from_rows(gens, cols=ambient)) if gens else IntMatrix(0, ambient, ())
+    return Lattice(ambient, IntMatrix.from_rows([r for r in H.nested() if any(r)], cols=ambient))
+
+
 def image_oracle(T):
     """The honest image of an IntMatrix T: the HNF of its columns."""
-    from divlat.exactalg import Lattice
-
-    return Lattice.from_generators(T.rows, [T.column(j) for j in range(T.cols)])
+    return lattice_from_generators(T.rows, [T.column(j) for j in range(T.cols)])
 
 
 def fitting_chain_oracle(T):
@@ -255,6 +264,15 @@ def ring_det_leibniz(params, entries):
             term = ring_mul(params, term, entries[i][perm[i]])
         total = (total[0] + term[0], total[1] + term[1])
     return total
+
+
+def scalar_matrix(module, x):
+    """Multiplication by x = (a, b) = a + b w on an OKModule, as an
+    IntMatrix."""
+    from divlat.exactalg import IntMatrix
+
+    a, b = x
+    return IntMatrix.identity(module.z_rank) * a + module.omega_action * b
 
 
 # -- polynomials over Q on ascending coefficient lists ----------------------
@@ -545,6 +563,23 @@ def brute_fundamental_unit(d, b_max=None):
 
 
 # -- Pi_S enumeration oracles -----------------------------------------------
+
+
+def primes_up_to(n):
+    """All primes <= n by sieve."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i in range(n + 1) if sieve[i]]
+
+
+def prime_set_is_infinite(P):
+    """Whether a PrimeSet holds infinitely many primes."""
+    return P.kind in ("all", "all_except")
 
 
 def residue_class_max_exponents(a, m, limit, primes):

@@ -22,7 +22,7 @@ from divlat.divisibility import (
 from divlat.exactalg import IntMatrix, QMatrix, companion_matrix, cyclotomic
 from divlat.fitting import fitting_decompose
 from divlat.numberring import QuadraticOrder, ZZ, unit_group
-from divlat.primes import euler_phi, primes_up_to
+from divlat.primes import euler_phi
 from divlat.supernat import (
     INF,
     Factorials,
@@ -42,6 +42,7 @@ from helpers import (
     is_saturated_kernel,
     min_poly_is_squarefree,
     oracle_direct_and_full,
+    primes_up_to,
     residue_pi_estimate,
 )
 

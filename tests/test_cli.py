@@ -375,6 +375,13 @@ def _module_problem(d, omega_action, operator):
 
 IDEAL_OMEGA = [[-1, -3], [2, 1]]  # omega on the non-free ideal (2, 1 + omega) of Z[sqrt(-5)]
 REGULAR_5 = [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]  # Z[(1+sqrt 5)/2]^2
+REGULAR_5_RANK_3 = [[0, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+                    [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 1]]  # Z[(1+sqrt 5)/2]^3
+IDENTITY_6 = [[int(i == j) for j in range(6)] for i in range(6)]
+NILPOTENT_5 = [[0, 0, 0, 1, 1, 0], [0, 0, 1, 1, 0, 1], [0, 0, 0, 0, 0, 1],
+               [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
+J2_PLUS_5 = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0],
+             [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 1], [0, 0, 0, 0, 1, 3]]
 
 
 class TestModuleFittingGolden:
@@ -397,7 +404,15 @@ class TestModuleFittingGolden:
         # basis by [[3, 5], [-1, -2]], not by the regular companion matrix
         (_module_problem(5, REGULAR_5, [[2, 1, 0, 0], [1, 3, 0, 0], [2, 1, 0, 0], [1, 3, 0, 0]]),
          1, [[0, 0, 1, 0], [0, 0, 0, 1]], [[1, 3, 1, 3], [0, 5, 0, 5]], False, [[5, 5], [-1, 0]], False),
-    ], ids=["omega-d2", "ideal-2-plus-omega", "ideal-minus-one", "d5-image-rank-1"])
+        # m >= 2, recorded while the chain was walked one power at a time:
+        # embed([[0, omega, 1], [0, 0, omega], [0, 0, 0]]) over d = 5, nilpotent
+        (_module_problem(5, REGULAR_5_RANK_3, NILPOTENT_5),
+         3, IDENTITY_6, [], True, [], True),
+        # embed(J_2(0) (+) (2 + omega)) over d = 5: norm(2 + omega) = 5
+        (_module_problem(5, REGULAR_5_RANK_3, J2_PLUS_5),
+         2, IDENTITY_6[:4], [[0, 0, 0, 0, 5, 0], [0, 0, 0, 0, 0, 5]], False, [[2, 1], [1, 3]], False),
+    ], ids=["omega-d2", "ideal-2-plus-omega", "ideal-minus-one", "d5-image-rank-1",
+            "d5-nilpotent-m-3", "d5-j2-plus-unit-m-2"])
     def test_fitting_json_bytes(self, tmp_path, capsys, problem, m, kernel, image, direct,
                                 restriction, invertible):
         n = problem["operator"]["rows"]

@@ -26,10 +26,10 @@ from divlat.divisibility import (
     root_search,
     zero_plus_finite_order,
 )
-from divlat.exactalg import IntMatrix, Lattice, kernel_saturated
+from divlat.exactalg import IntMatrix, kernel_saturated
 from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
 from divlat.primes import euler_phi
-from helpers import brute_root_search
+from helpers import brute_root_search, lattice_from_generators
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 J = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
@@ -285,7 +285,7 @@ class TestCommutantWalk:
         for _ in range(200):
             N = rng.choice((2, 3, 4))
             gens = [[rng.randint(-3, 3) for _ in range(N)] for _ in range(rng.randint(0, N))]
-            lattice = Lattice.from_generators(N, gens)
+            lattice = lattice_from_generators(N, gens)
             bound = rng.choice((1, 2, 3))
             want = [p for p in product(range(-bound, bound + 1), repeat=N) if lattice.contains(p)]
             assert list(divisibility._box_points(lattice, bound)) == want

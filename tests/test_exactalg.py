@@ -9,8 +9,8 @@ from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_ma
 from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _tuple_mul, _tuple_pow, _zdivmod, _zgcd,
                              _zradical)
 from helpers import (char_poly_cofactor, cyclotomic_table, frac_det, frac_min_poly, frac_rank, image_oracle,
-                     is_saturated_kernel, mat_mul, mat_pow, qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic,
-                     qpoly_mul, qpoly_radical, qpoly_trim)
+                     is_saturated_kernel, lattice_from_generators, mat_mul, mat_pow, qpoly_divmod, qpoly_eval_matrix,
+                     qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical, qpoly_trim)
 
 
 def rand_matrix(rng, n, bound):
@@ -93,8 +93,8 @@ class TestHNF:
             n = rng.randint(1, 4)
             M = IntMatrix(m, n, tuple(rng.randint(-9, 9) for _ in range(m * n)))
             H = hnf(M)
-            LM = Lattice.from_generators(n, [M.row(i) for i in range(m)])
-            LH = Lattice.from_generators(n, [H.row(i) for i in range(m)])
+            LM = lattice_from_generators(n, [M.row(i) for i in range(m)])
+            LH = lattice_from_generators(n, [H.row(i) for i in range(m)])
             assert LM == LH
 
     def test_canonical_shape(self):
@@ -245,7 +245,7 @@ class TestKernelImage:
 
 class TestLattice:
     def test_membership_and_coords(self):
-        L = Lattice.from_generators(2, [(2, 0), (0, 3)])
+        L = lattice_from_generators(2, [(2, 0), (0, 3)])
         assert L.coords_of((4, 3)) == (2, 1)
         assert L.coords_of((1, 0)) is None
 
@@ -372,7 +372,7 @@ class TestCanonicalUniqueness:
         for _ in range(60):
             n = rng.randint(2, 4)
             gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, n))]
-            L1 = Lattice.from_generators(n, gens)
+            L1 = lattice_from_generators(n, gens)
             # scramble: integer row ops and redundant generators
             extra = [g[:] for g in gens]
             for _ in range(6):
@@ -382,7 +382,7 @@ class TestCanonicalUniqueness:
                     extra[i] = [a + c * b for a, b in zip(extra[i], extra[j])]
             extra.append([sum(g[k] for g in gens) for k in range(n)])
             rng.shuffle(extra)
-            L2 = Lattice.from_generators(n, extra)
+            L2 = lattice_from_generators(n, extra)
             assert L1 == L2
 
 
@@ -505,7 +505,7 @@ class TestHermiteShapeCheck:
         for _ in range(300):
             N = rng.randint(1, 5)
             gens = [[rng.randint(-5, 5) for _ in range(N)] for _ in range(rng.randint(1, N))]
-            B = Lattice.from_generators(N, gens).basis
+            B = lattice_from_generators(N, gens).basis
             if not B.rows:
                 continue
             cases = {"unchanged": B.nested(), **self.mutants(rng, B)}

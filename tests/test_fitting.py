@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     is_saturated_kernel,
     oracle_direct_and_full,
     oracle_intersection_rank,
+    seeded_operator,
 )
 from test_divisibility import seeded_module_problems
 from test_exactalg import rand_matrix, rand_unimodular
@@ -48,6 +50,29 @@ def seeded_fitting_operators(seed, count, n_max=8):
                 left -= euler_phi(k)
             T = block_diagonal(blocks)
         yield conjugate(T, random_unimodular(n, rng, steps=2 * n))
+
+
+def seeded_nilpotent_operators():
+    """helpers.seeded_operator("nilpotent", n, Random(5)) for n = 6..12,
+    whose kernel chains stop at m = 5..11."""
+    rng = random.Random(5)
+    return [IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)) for n in range(6, 13)]
+
+
+def nilpotent_plus_invertible(seed, count):
+    """(k, T) with T conjugate to N (+) A: N a k x k strictly upper
+    triangular block with a nonzero superdiagonal, so nilpotent of index
+    k >= 2, and A a nonsingular block, so chi = x^k chi_A with chi_A(0) != 0
+    and chi_A(T) != I.  The chain stops at m = k."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k, r = rng.randint(2, 4), rng.randint(1, 4)
+        N = IntMatrix.from_rows([[rng.choice((-2, -1, 1, 2)) if j == i + 1 else rng.randint(-2, 2) if j > i else 0
+                                  for j in range(k)] for i in range(k)])
+        A = rand_matrix(rng, r, 3)
+        while not A.det():
+            A = rand_matrix(rng, r, 3)
+        yield k, conjugate(block_diagonal([N, A]), random_unimodular(k + r, rng, steps=2 * (k + r)))
 
 
 class TestFittingDecompose:
@@ -210,14 +235,17 @@ class TestCleanSplit:
 
 
 class TestAgainstTheKernelChainOracle:
-    def test_operators_up_to_eight(self):
+    def test_seeded_operators(self):
         """fitting_decompose stops at the first m whose kernel and image
         meet only in 0; the oracle compares the rational ranks of T^m and
-        T^(m+1)."""
+        T^(m+1).  The inputs: operators of sizes up to 8, nilpotent
+        operators of sizes 6..12, and nilpotent-plus-invertible ones."""
         exponents, directness = set(), set()
-        for T in seeded_fitting_operators(71, 250):
+        operators = list(seeded_fitting_operators(71, 250)) + seeded_nilpotent_operators()
+        for k, T in [(None, T) for T in operators] + list(nilpotent_plus_invertible(97, 40)):
             split = fitting_decompose(T)
             m, power = fitting_chain_oracle(T)
+            assert k in (None, m), T
             assert (split.exponent_m, split.image_part) == (m, image_oracle(power)), T
             assert is_saturated_kernel(power, split.gen_kernel), T
             direct = oracle_direct_and_full(split.gen_kernel.basis.nested(),
@@ -225,7 +253,7 @@ class TestAgainstTheKernelChainOracle:
             assert split.is_direct == direct, T
             exponents.add(m)
             directness.add(direct)
-        assert {1, 2, 3} <= exponents
+        assert {1, 2, 3, 11} <= exponents
         assert directness == {True, False}
 
     def test_module_operators(self):
@@ -251,6 +279,27 @@ class TestAgainstTheKernelChainOracle:
                                      else "ker T + im T is a proper sublattice of Z^n"), T
             reasons.add(cs.reason)
         assert len(reasons) == 3
+
+
+class TestStableExponentFromChi:
+    def test_two_chain_steps_on_nilpotent_operators(self, monkeypatch):
+        """The stable exponent is read off chi, not walked: a nilpotent T
+        takes the first chain step and the step at T^m, two Hermite forms
+        of [P^t | I] in place of m."""
+        calls = []
+        kernel_and_image = exactalg._kernel_and_image
+
+        def counting(P):
+            calls.append(P)
+            return kernel_and_image(P)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("divlat") and getattr(module, "_kernel_and_image", None) is kernel_and_image:
+                monkeypatch.setattr(module, "_kernel_and_image", counting)
+        for T in seeded_nilpotent_operators():
+            calls.clear()
+            split = fitting_decompose(T)
+            assert split.exponent_m >= 5 and len(calls) <= 2, (T, split.exponent_m, len(calls))
 
 
 class TestNoSmithForm:
