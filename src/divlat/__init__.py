@@ -5,13 +5,11 @@ from .classify import (
     ClassifyReport,
     CleanSplit,
     FittingSplit,
-    UnipotentCheck,
     classify_operator,
     finite_order,
     is_semisimple,
     jordan_chevalley,
     roots_of_unity_spectrum,
-    unipotent_divisible_is_identity_check,
 )
 from .divisibility import (
     DEFAULT_MAX_CANDIDATES,
@@ -71,12 +69,11 @@ from .supernat import (
     Supernatural,
     additive_hypothesis,
     gcd_sn,
-    lcm_of,
     lcm_sn,
     mul_sn,
     nu,
     pi_S,
 )
-from .verifier import Scenario, TheoremReport, intro_scenarios, verify
+from .verifier import TheoremReport, verify
 
 __version__ = "0.1.0"

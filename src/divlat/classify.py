@@ -397,53 +397,3 @@ def classify_operator(T: IntMatrix, module=None) -> ClassifyReport:
         raise AssertionError("order disagrees with semisimplicity and spectrum")
     S, N = _jordan_chevalley(inv)
     return ClassifyReport(inv.semisimple, factorization is not None, order, factorization, S, N)
-
-
-@dataclass(frozen=True)
-class UnipotentCheck:
-    """Finite-evidence verdict for divisibility of a unipotent operator."""
-
-    is_identity: bool
-    witness_reports: tuple[tuple[int, str], ...]
-    max_verified_s: int | None
-    note: str
-
-
-def unipotent_divisible_is_identity_check(T: IntMatrix, witnesses) -> UnipotentCheck:
-    """Check supplied root witnesses of a unipotent operator.
-
-    Witnesses may be rational matrices; non-integral ones are rejected in
-    the verdict (a root taken outside the integers does not witness
-    divisibility in the endomorphism ring).  An integral witness that fails
-    re-multiplication is an error naming the offending exponent.
-    """
-    if not T.is_square:
-        raise ValueError("square matrix required")
-    n = T.rows
-    eye = IntMatrix.identity(n)
-    if not ((T - eye) ** n).is_zero():
-        raise ValueError("operator is not unipotent")
-    reports = []
-    max_verified = None
-    for s, X in witnesses:
-        if s < 2:
-            raise ValueError(f"witness exponent {s} must be at least 2")
-        if isinstance(X, QMatrix):
-            if not X.is_integral():
-                reports.append((s, "rejected: witness not integral"))
-                continue
-            X = X.to_int_matrix()
-        if X ** s != T:
-            raise ValueError(f"witness for s={s} fails re-multiplication")
-        reports.append((s, "verified"))
-        max_verified = s if max_verified is None else max(max_verified, s)
-    if T == eye:
-        note = "operator is the identity; every verified witness is consistent"
-    elif max_verified is not None:
-        note = (
-            f"unipotent, not the identity, with divisibility verified up to s={max_verified}; "
-            "no integral witness family can cover exponents with unbounded prime support"
-        )
-    else:
-        note = "unipotent, not the identity; no witnesses verified"
-    return UnipotentCheck(T == eye, tuple(reports), max_verified, note)

@@ -142,16 +142,16 @@ def _certificates(inv: _Invariants, s: int) -> list[CertKind]:
     # determinant route: det T = (det X)^s in Z; over a quadratic order the
     # same equation holds for field norms of ring determinants, and the
     # field norm of the ring determinant of T is det T.
+    # signed_root has no root for a negative value at an even exponent.
     dt = inv.det
-    if module is None:
-        if dt != 0:
-            if dt < 0 and s % 2 == 0:
-                certs.append(NegativeDetEvenPower(s, dt))
-            elif signed_root(dt, s) is None:
-                certs.append(DetNotPower(s, dt))
-    elif dt != 0 and ((dt < 0 and s % 2 == 0) or signed_root(dt, s) is None):
-        certs.append(SpectralObstruction(
-            f"field norm of det T is {dt}, not an exact {s}-th power in Z"))
+    if dt != 0 and signed_root(dt, s) is None:
+        if module is not None:
+            certs.append(SpectralObstruction(
+                f"field norm of det T is {dt}, not an exact {s}-th power in Z"))
+        elif dt < 0 and s % 2 == 0:
+            certs.append(NegativeDetEvenPower(s, dt))
+        else:
+            certs.append(DetNotPower(s, dt))
     # nilpotent route (chi = x^n): roots of nilpotents are nilpotent, hence
     # vanish at the module rank.
     rank_bound = module.module_rank if module is not None else n

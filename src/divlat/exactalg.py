@@ -243,12 +243,6 @@ class IntMatrix(_Matrix):
             raise ValueError("empty matrix needs an explicit column count")
         return cls(len(rows), cols, tuple(int(x) for r in rows for x in r))
 
-    @classmethod
-    def diagonal(cls, values) -> "IntMatrix":
-        values = list(values)
-        n = len(values)
-        return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
-
     # -- access --------------------------------------------------------
     def column(self, j: int) -> tuple[int, ...]:
         return self.entries[j :: self.cols] if self.cols else ()
@@ -507,10 +501,6 @@ class Lattice:
         if any(not any(H.row(i)) for i in range(H.rows)):
             raise ValueError("basis rows must be independent (no zero HNF rows)")
         raise ValueError("basis must be in Hermite normal form")
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Lattice":
-        return cls(ambient, IntMatrix(0, ambient, ()))
 
     @classmethod
     def full(cls, ambient: int) -> "Lattice":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .primes import is_prime, prime_factors
 
@@ -58,12 +58,6 @@ class Supernatural:
         items = tuple(sorted((p, e) for p, e in factors.items() if e != 0))
         return cls(items)
 
-    @classmethod
-    def from_int(cls, n: int) -> "Supernatural":
-        if n < 1:
-            raise ValueError("from_int needs n >= 1")
-        return cls.of(prime_factors(n))
-
     def nu(self, p: int) -> Exponent:
         """p-adic valuation; 0 for primes absent from the product."""
         _check_prime(p)
@@ -90,9 +84,6 @@ class Supernatural:
         return "*".join(parts)
 
 
-ONE = Supernatural()
-
-
 def nu(p: int, x: Supernatural) -> Exponent:
     return x.nu(p)
 
@@ -117,16 +108,6 @@ def gcd_sn(a: Supernatural, b: Supernatural) -> Supernatural:
 
 def mul_sn(a: Supernatural, b: Supernatural) -> Supernatural:
     return _merge(a, b, lambda x, y: x + y)
-
-
-def lcm_of(values) -> Supernatural:
-    """Fold lcm over ints and Supernaturals."""
-    acc = ONE
-    for v in values:
-        if isinstance(v, int):
-            v = Supernatural.from_int(v)
-        acc = lcm_sn(acc, v)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +197,6 @@ class FiniteSet:
     def contains(self, s: int) -> bool:
         return s in self.elements
 
-    def elements_up_to(self, limit: int) -> Iterator[int]:
-        return iter(e for e in self.elements if e <= limit)
-
 
 @dataclass(frozen=True)
 class Geometric:
@@ -241,12 +219,6 @@ class Geometric:
             q //= self.base
         return q == 1
 
-    def elements_up_to(self, limit: int) -> Iterator[int]:
-        v = self.scale
-        while v <= limit:
-            yield v
-            v *= self.base
-
 
 @dataclass(frozen=True)
 class Factorials:
@@ -260,13 +232,6 @@ class Factorials:
             j += 1
             f *= j
         return f == s
-
-    def elements_up_to(self, limit: int) -> Iterator[int]:
-        f, j = 1, 1
-        while f <= limit:
-            yield f
-            j += 1
-            f *= j
 
 
 @dataclass(frozen=True)
@@ -285,12 +250,6 @@ class Residue:
     def contains(self, s: int) -> bool:
         return s > 0 and s % self.m == self.a
 
-    def elements_up_to(self, limit: int) -> Iterator[int]:
-        v = self.a if self.a > 0 else self.m
-        while v <= limit:
-            yield v
-            v += self.m
-
 
 @dataclass(frozen=True)
 class AllFrom:
@@ -306,9 +265,6 @@ class AllFrom:
 
     def contains(self, s: int) -> bool:
         return s >= self.start
-
-    def elements_up_to(self, limit: int) -> Iterator[int]:
-        return iter(range(self.start, limit + 1))
 
 
 SDescriptor = Union[FiniteSet, Geometric, Factorials, Residue, AllFrom]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .classify import _Invariants
 from .divisibility import _coprime_exponents, _coprime_roots
 from .exactalg import IntMatrix, QMatrix
-from .numberring import IntegerRing, OKModule, QuadraticOrder, ZZ, lchar, mult_hypothesis
+from .numberring import IntegerRing, QuadraticOrder, lchar, mult_hypothesis
 from .primes import prime_factors
 from .supernat import FiniteSet, PrimeSet, SDescriptor, additive_hypothesis, pi_S
 
@@ -191,44 +191,3 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     hyp = HypothesisChecks(checks, all_valid, additive_ok, mult_ok, mult_trace, s_infinite)
     return TheoremReport(hyp, clause1, clause2, clause3, clause4, verdict, reason, tuple(notes))
 
-
-# ---------------------------------------------------------------------------
-# Canned scenarios
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    ring: object
-    module: OKModule | None
-    operator: IntMatrix
-    exponent_set: SDescriptor
-    witnesses: tuple[tuple[int, IntMatrix], ...]
-    report: TheoremReport
-
-
-def intro_scenarios() -> list[Scenario]:
-    """Five concrete runs over Z covering the motivating questions: infinite
-    exponent sets (sign flip with odd exponents), all-but-finitely-many
-    exponents (identity), finite order from infinitely many exponents, order
-    coprime to the exponents' prime support, and the singular split case."""
-    from .supernat import AllFrom, Geometric, Residue
-
-    eye2 = IntMatrix.identity(2)
-    minus_one = IntMatrix.from_rows([[-1]])
-    rot3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
-    hex6 = IntMatrix.from_rows([[0, -1], [1, 1]])  # order 6 (companion of x^2 - x + 1)
-    sing = IntMatrix.diagonal([0, 1])
-
-    runs = [
-        ("minus-one-odd", minus_one, Residue(1, 2), ((3, minus_one), (5, minus_one))),
-        ("cavachi-identity", eye2, Geometric(2, 1), ((2, eye2), (4, eye2))),
-        ("finite-order-rotation", rot3, Residue(1, 3), ((4, rot3), (7, rot3))),
-        ("order-coprime-exponents", hex6, Geometric(5, 1), ((5, hex6 ** 5), (25, hex6))),
-        ("singular-idempotent", sing, AllFrom(2), ((2, sing), (3, sing))),
-    ]
-    out = []
-    for name, T, S, ws in runs:
-        report = verify(ZZ, None, T, S, ws)
-        out.append(Scenario(name, ZZ, None, T, S, ws, report))
-    return out

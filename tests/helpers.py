@@ -7,15 +7,16 @@ and rational-invariants oracles, which build on the polynomial arithmetic
 over Q below, and the kernel predicate and kernel chain, which use rational
 ranks and minors only.  The exceptions are the image oracle and
 lattice_from_generators, which reduce with the library's Hermite form so
-that lattices compare entry-wise, and scalar_matrix, prime_set_is_infinite
-and primes_up_to, which build test inputs and have no caller in the library.
+that lattices compare entry-wise, and diagonal_matrix, scalar_matrix,
+prime_set_is_infinite and primes_up_to, which build test inputs and have no
+caller in the library.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import gcd
+from itertools import combinations, count, permutations, product, takewhile
+from math import factorial, gcd
 
 
 # -- naive matrix arithmetic on nested lists ------------------------------
@@ -198,6 +199,14 @@ def is_saturated_kernel(T, lattice):
     minors = [frac_det([[b[j] for j in cols] for b in basis])
               for cols in combinations(range(T.cols), len(basis))]
     return gcd(*(int(m) for m in minors)) == 1
+
+
+def diagonal_matrix(values):
+    """The square IntMatrix with the given diagonal."""
+    from divlat.exactalg import IntMatrix
+
+    n = len(values)
+    return IntMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
 
 
 def lattice_from_generators(ambient, gens):
@@ -562,7 +571,7 @@ def brute_fundamental_unit(d, b_max=None):
     return None
 
 
-# -- Pi_S enumeration oracles -----------------------------------------------
+# -- exponent-set and Pi_S enumeration oracles ------------------------------
 
 
 def primes_up_to(n):
@@ -580,6 +589,27 @@ def primes_up_to(n):
 def prime_set_is_infinite(P):
     """Whether a PrimeSet holds infinitely many primes."""
     return P.kind in ("all", "all_except")
+
+
+def elements_up_to(S, limit):
+    """The elements <= limit of an exponent-set descriptor, ascending,
+    generated from its fields by the set's definition, not by the
+    descriptor's own code: scale * base^j (j >= 0), j! (j >= 1),
+    a + k*m (positive only), start, start + 1, ..., or the finite list."""
+    kind = type(S).__name__
+    if kind == "FiniteSet":
+        return sorted(e for e in set(S.elements) if e <= limit)
+    if kind == "Geometric":
+        terms = (S.scale * S.base ** j for j in count())
+    elif kind == "Factorials":
+        terms = (factorial(j) for j in count(1))
+    elif kind == "Residue":
+        terms = (S.a + k * S.m for k in count(0 if S.a else 1))
+    elif kind == "AllFrom":
+        terms = count(S.start)
+    else:
+        raise TypeError(f"unknown descriptor {S!r}")
+    return list(takewhile(lambda v: v <= limit, terms))
 
 
 def residue_class_max_exponents(a, m, limit, primes):

@@ -15,7 +15,6 @@ from divlat.classify import (
     is_semisimple,
     jordan_chevalley,
     roots_of_unity_spectrum,
-    unipotent_divisible_is_identity_check,
 )
 from divlat.exactalg import IntMatrix, QMatrix, char_poly, companion_matrix, cyclotomic
 from divlat.corpus import KINDS, block_diagonal, conjugate, finite_order_matrix, gen_corpus
@@ -23,8 +22,8 @@ from divlat.divisibility import impossibility_certificates
 from divlat.numberring import ZZ
 from divlat.primes import euler_phi
 from divlat.verifier import verify
-from helpers import (frac_min_poly, min_poly_is_squarefree, newton_jordan_chevalley_oracle, qpoly_add, qpoly_divmod,
-                     qpoly_mul, qpoly_radical, rational_invariants_oracle, seeded_operator)
+from helpers import (diagonal_matrix, frac_min_poly, min_poly_is_squarefree, newton_jordan_chevalley_oracle, qpoly_add,
+                     qpoly_divmod, qpoly_mul, qpoly_radical, rational_invariants_oracle, seeded_operator)
 from test_exactalg import rand_matrix, rand_unimodular
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
@@ -46,14 +45,14 @@ class TestSpectrum:
         assert roots_of_unity_spectrum(ROT3) == (True, ((3, 1),))
 
     def test_non_root_eigenvalue(self):
-        assert roots_of_unity_spectrum(IntMatrix.diagonal([1, 2])) == (False, None)
+        assert roots_of_unity_spectrum(diagonal_matrix([1, 2])) == (False, None)
 
     def test_minus_identity(self):
         assert roots_of_unity_spectrum(IntMatrix.identity(2) * -1) == (True, ((2, 2),))
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="zero eigenvalue"):
-            roots_of_unity_spectrum(IntMatrix.diagonal([0, 1]))
+            roots_of_unity_spectrum(diagonal_matrix([0, 1]))
 
     def test_success_implies_radical_divides_x_pow_L_minus_1(self):
         # x^L - 1 is squarefree, so it picks up each cyclotomic factor once:
@@ -117,7 +116,7 @@ class TestJordanChevalley:
 
     def test_single_eigenvalue_2(self):
         S, N = jordan_chevalley(IntMatrix.from_rows([[2, 1], [0, 2]]))
-        assert S == QMatrix.from_int_matrix(IntMatrix.diagonal([2, 2]))
+        assert S == QMatrix.from_int_matrix(diagonal_matrix([2, 2]))
         assert N == QMatrix.from_rows([[0, 1], [0, 0]])
 
     def test_invariants_randomized(self):
@@ -441,7 +440,7 @@ class TestImagePart:
     def operators(self):
         rng = random.Random(157)
         ops = [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2, 0], [0, 0]]),
-               IntMatrix.diagonal([0, 0, 1, -1, 3])]
+               diagonal_matrix([0, 0, 1, -1, 3])]
         for n in range(2, 8):
             ops.append(IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)))
             rank = rng.randint(1, n - 1)
@@ -467,7 +466,7 @@ class TestImagePart:
     def test_a_chi_disagreeing_with_the_image_part_raises(self, chi):
         """T = diag(0, 2, -1) has chi_T = x (x - 2)(x + 1) = (0, -2, -1, 1)
         and image part diag(2, -1); each corrupted chi_T is refused."""
-        inv = classify._Invariants(IntMatrix.diagonal([0, 2, -1]))
+        inv = classify._Invariants(diagonal_matrix([0, 2, -1]))
         inv.chi = chi
         with pytest.raises(AssertionError, match="chi of the image part"):
             inv.image_part
@@ -482,7 +481,7 @@ class TestClassifyReport:
         assert report.cyclotomic_factorization == ((3, 1),)
 
     def test_singular_operator_report(self):
-        report = classify_operator(IntMatrix.diagonal([0, 1]))
+        report = classify_operator(diagonal_matrix([0, 1]))
         assert report.semisimple
         assert not report.all_eigen_roots_of_unity
         assert report.order is None
@@ -496,36 +495,3 @@ class TestClassifyReport:
             assert (report.order is not None) == (
                 report.semisimple and report.all_eigen_roots_of_unity
             )
-
-
-class TestUnipotentCheck:
-    def test_identity_consistent(self):
-        eye = IntMatrix.identity(2)
-        check = unipotent_divisible_is_identity_check(eye, [(2, eye), (3, eye)])
-        assert check.is_identity
-        assert all(status == "verified" for _, status in check.witness_reports)
-
-    def test_non_integral_witness_rejected(self):
-        T = IntMatrix.from_rows([[1, 1], [0, 1]])
-        X = QMatrix.from_rows([[1, Fraction(1, 2)], [0, 1]])
-        check = unipotent_divisible_is_identity_check(T, [(2, X)])
-        assert check.witness_reports == ((2, "rejected: witness not integral"),)
-        assert check.max_verified_s is None
-
-    def test_verified_witness_noted(self):
-        T = IntMatrix.from_rows([[1, 2], [0, 1]])
-        X = IntMatrix.from_rows([[1, 1], [0, 1]])
-        check = unipotent_divisible_is_identity_check(T, [(2, X)])
-        assert check.witness_reports == ((2, "verified"),)
-        assert not check.is_identity
-        assert check.max_verified_s == 2
-        assert "not the identity" in check.note
-
-    def test_failing_remultiplication_is_an_error(self):
-        T = IntMatrix.from_rows([[1, 2], [0, 1]])
-        with pytest.raises(ValueError, match="s=3"):
-            unipotent_divisible_is_identity_check(T, [(3, IntMatrix.identity(2))])
-
-    def test_non_unipotent_rejected(self):
-        with pytest.raises(ValueError, match="not unipotent"):
-            unipotent_divisible_is_identity_check(ROT3, [])

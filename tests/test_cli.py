@@ -164,7 +164,11 @@ class TestExitCodes:
         ("supernat", {"additive": {"S": {"all_from": 2}, "lchar": {"finite": 3}}},
          "lchar.finite: expected a list, got int"),
         ("units", {"quadratic": {"d": "x"}}, "ring: expected an integer, got 'x'"),
-    ], ids=["S", "primes", "lchar-finite", "ring"])
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to every base 2..37
+        ("supernat", {"nu": {"p": 318665857834031151167461,
+                             "n": {"factors": {"318665857834031151167461": 2}}}},
+         "supernatural: not a prime: 318665857834031151167461"),
+    ], ids=["S", "primes", "lchar-finite", "ring", "pseudoprime-key"])
     def test_an_error_names_its_field_once(self, tmp_path, capsys, command, obj, err):
         assert main([command, write(tmp_path, "bad.json", obj)]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")

@@ -29,7 +29,7 @@ from divlat.divisibility import (
 from divlat.exactalg import IntMatrix, kernel_saturated
 from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
 from divlat.primes import euler_phi
-from helpers import brute_root_search, lattice_from_generators
+from helpers import brute_root_search, diagonal_matrix, lattice_from_generators
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 J = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
@@ -164,7 +164,7 @@ class TestRootSearch:
             raise AssertionError("the walk started")
 
         monkeypatch.setattr(divisibility, "_box_points", no_walk)
-        T = IntMatrix.diagonal([1, 2, 2])  # det 4, no certificate fires for s=2
+        T = diagonal_matrix([1, 2, 2])  # det 4, no certificate fires for s=2
         out = root_search(T, 2, 2, timeout_ms=0)
         assert isinstance(out, Exhausted)
         assert not out.complete
@@ -341,7 +341,7 @@ class TestCoprimeRoot:
             assert coprime_root(eye, 1, n) == eye
 
     def test_zero_plus_sign(self):
-        T = IntMatrix.diagonal([0, -1])
+        T = diagonal_matrix([0, -1])
         X = coprime_root(T, 2, 3)
         assert X == T
         assert X ** 3 == T
@@ -362,7 +362,7 @@ class TestCoprimeRoot:
 
 
     def test_precondition_is_checked_once_for_many_exponents(self, monkeypatch):
-        T, d, exponents = IntMatrix.diagonal([0, -1, 1]), 2, (3, 5, 7, 9)
+        T, d, exponents = diagonal_matrix([0, -1, 1]), 2, (3, 5, 7, 9)
         want = [coprime_root(T, d, e) for e in exponents]
         ladder, powers = [], []
         power, ladder_power = IntMatrix.__pow__, _Invariants.power

@@ -10,6 +10,7 @@ from divlat.exactalg import IntMatrix, Lattice, QMatrix, companion_matrix, cyclo
 from divlat.fitting import clean_split, fitting_decompose
 from divlat.primes import euler_phi
 from helpers import (
+    diagonal_matrix,
     fitting_chain_oracle,
     image_oracle,
     is_saturated_kernel,
@@ -77,7 +78,7 @@ def nilpotent_plus_invertible(seed, count):
 
 class TestFittingDecompose:
     def test_idempotent_diagonal(self):
-        split = fitting_decompose(IntMatrix.diagonal([0, 1]))
+        split = fitting_decompose(diagonal_matrix([0, 1]))
         assert split.exponent_m == 1
         assert split.gen_kernel.basis == IntMatrix.from_rows([[1, 0]])
         assert split.image_part.basis == IntMatrix.from_rows([[0, 1]])
@@ -86,7 +87,7 @@ class TestFittingDecompose:
 
     def test_non_summand_image(self):
         # Z (+) 2Z is a proper sublattice of Z^2
-        split = fitting_decompose(IntMatrix.diagonal([0, 2]))
+        split = fitting_decompose(diagonal_matrix([0, 2]))
         assert split.exponent_m == 1
         assert not split.is_direct
 
@@ -160,7 +161,7 @@ class TestCleanSplit:
         assert clean_split(IntMatrix.identity(3)).split
 
     def test_zero_plus_sign(self):
-        cs = clean_split(IntMatrix.diagonal([0, -1]))
+        cs = clean_split(diagonal_matrix([0, -1]))
         assert cs.split
         assert cs.restriction == IntMatrix.from_rows([[-1]])
         stacked = IntMatrix.from_rows(cs.kernel.basis.nested() + cs.image.basis.nested())

@@ -37,3 +37,52 @@ def test_module_level_imports_are_acyclic():
     while leaves := {name for name, deps in graph.items() if not deps}:
         graph = {name: deps - leaves for name, deps in graph.items() if name not in leaves}
     assert graph == {}
+
+
+# The public names that stay although no library code names them, by reason.
+# The set is exact: a name that gains a library caller leaves it.
+KEPT_WITHOUT_A_LIBRARY_CALLER = {
+    # perfbench/tracer.py wraps them by name (FUNCTIONS, METHODS); a missing
+    # method fails every benchmark run
+    "classify.finite_order", "classify.is_semisimple", "classify.jordan_chevalley",
+    "classify.roots_of_unity_spectrum", "divisibility.impossibility_certificates",
+    "divisibility.zero_plus_finite_order", "fitting.clean_split", "exactalg.QMatrix.inverse",
+    # the benchmark's workloads build their modules with it
+    "numberring.OKModule.regular",
+    # the console script of pyproject.toml
+    "cli.run",
+    # the exact s-th power test in O_K that a ring-determinant certificate
+    # needs (ROADMAP.md, module certificates)
+    "numberring.QuadraticOrder.conj", "numberring.unit_s_divisible",
+}
+
+
+def _public_definitions(module, tree):
+    """(qualified name, node) of each public top-level function and class,
+    and of each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_"):
+                        yield f"{module}.{node.name}.{meth.name}", meth
+
+
+def test_no_public_name_only_tests_use():
+    """Code that only tests call belongs in tests/, as an oracle or an input
+    builder.  Every public name of the library modules (divlat/__init__
+    only re-exports) occurs as a Name or an Attribute somewhere in them,
+    outside its own definition.  The check goes by name: a use of another
+    object of the same name counts."""
+    trees = [(name, tree) for name, tree in _trees() if name != "__init__.py"]
+    uses = {}
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                used = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(used, []).append((name, node.lineno))
+    unused = {qualified for name, tree in trees for qualified, node in _public_definitions(name[:-3], tree)
+              if all(where == name and node.lineno <= line <= node.end_lineno
+                     for where, line in uses.get(node.name, ()))}
+    assert unused == KEPT_WITHOUT_A_LIBRARY_CALLER

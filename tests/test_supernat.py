@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -13,13 +14,13 @@ from divlat.supernat import (
     Supernatural,
     additive_hypothesis,
     gcd_sn,
-    lcm_of,
     lcm_sn,
     mul_sn,
     nu,
     pi_S,
 )
-from helpers import prime_set_is_infinite, primes_up_to
+from divlat.primes import is_prime, prime_factors
+from helpers import elements_up_to, prime_set_is_infinite, primes_up_to
 
 
 def sn(d):
@@ -35,7 +36,8 @@ class TestValuation:
 
     def test_nu_of_lcm(self):
         # factor each element, take the max exponent
-        assert nu(3, lcm_of([6, 12, 18])) == 2
+        lcm = reduce(lcm_sn, (Supernatural.of(prime_factors(k)) for k in (6, 12, 18)))
+        assert nu(3, lcm) == 2
 
     def test_nu_rejects_composite(self):
         with pytest.raises(ValueError, match="not a prime"):
@@ -98,9 +100,14 @@ class TestDescriptors:
         assert not AllFrom(5).contains(4)
 
     def test_elements_up_to(self):
-        assert list(Geometric(2, 3).elements_up_to(30)) == [3, 6, 12, 24]
-        assert list(Factorials().elements_up_to(30)) == [1, 2, 6, 24]
-        assert list(Residue(0, 4).elements_up_to(13)) == [4, 8, 12]
+        """Each descriptor's contains against the enumeration by definition."""
+        assert elements_up_to(Geometric(2, 3), 30) == [3, 6, 12, 24]
+        assert elements_up_to(Factorials(), 30) == [1, 2, 6, 24]
+        assert elements_up_to(Residue(0, 4), 13) == [4, 8, 12]
+        limit = 200
+        for S in (FiniteSet((7, 1, 3, 300)), Geometric(2), Geometric(3, 5), Geometric(6, 4), Factorials(),
+                  Residue(0, 1), Residue(0, 4), Residue(1, 3), Residue(5, 9), AllFrom(1), AllFrom(17)):
+            assert [s for s in range(1, limit + 1) if S.contains(s)] == elements_up_to(S, limit), S
 
 
 class TestPiS:
@@ -135,8 +142,6 @@ class TestPiS:
     def test_geometric_against_growth_heuristic(self):
         # max exponent over j <= 40 exceeds 3x the max over j <= 20 only for
         # primes dividing the base
-        from divlat.primes import prime_factors
-
         rng = random.Random(11)
         for _ in range(50):
             b = rng.randint(2, 50)
@@ -206,3 +211,13 @@ class TestPrimeSet:
         assert PrimeSet.finite([]).is_empty()
         assert not PrimeSet.all_except([2]).is_empty()
         assert prime_set_is_infinite(PrimeSet.all_except([2]))
+
+
+class TestPrimality:
+    def test_strong_pseudoprime_to_the_first_twelve_prime_bases(self):
+        """psi_12, the least strong pseudoprime to every base 2..37, is
+        composite; base 41 exposes it."""
+        p, q = 399165290221, 798330580441
+        assert not is_prime(p * q)
+        assert is_prime(p) and is_prime(q)
+        assert [n for n in range(60) if is_prime(n)] == primes_up_to(59)

@@ -7,10 +7,10 @@ from divlat.divisibility import divisibility_spectrum
 from divlat.exactalg import IntMatrix, QMatrix
 from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
 from divlat.serialize import canonical_dumps, theorem_report_to_json
-from divlat.supernat import FiniteSet, Geometric, PrimeSet, Residue
+from divlat.supernat import AllFrom, FiniteSet, Geometric, PrimeSet, Residue
 from divlat.fitting import fitting_decompose
-from divlat.verifier import intro_scenarios, order_is_outside, verify
-from helpers import frac_quotient_det, seeded_operator
+from divlat.verifier import order_is_outside, verify
+from helpers import diagonal_matrix, frac_quotient_det, seeded_operator
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 
@@ -176,6 +176,11 @@ class TestVerdictTaxonomy:
         assert report.hypothesis_checks.witnesses[0].reason == "re-multiplication failed"
         # pipeline still ran: the conclusions all hold for the identity
         assert report.verdict == "CONSISTENT"
+        # on a unipotent T != I the failed witness leaves clause (2) failing
+        T = IntMatrix.from_rows([[1, 2], [0, 1]])
+        report = verify(ZZ, None, T, Geometric(2, 1), [(3, eye)])
+        assert report.hypothesis_checks.witnesses[0].reason == "re-multiplication failed"
+        assert report.verdict == "INCONCLUSIVE"
 
     def test_non_integral_witness_reported(self):
         from fractions import Fraction
@@ -184,6 +189,12 @@ class TestVerdictTaxonomy:
         half = QMatrix(2, 2, (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)))
         report = verify(ZZ, None, eye, Geometric(2, 1), [(2, half)])
         assert report.hypothesis_checks.witnesses[0].reason == "witness not integral"
+        # a rational square root of a unipotent T is no integral witness
+        T = IntMatrix.from_rows([[1, 1], [0, 1]])
+        X = QMatrix.from_rows([[1, Fraction(1, 2)], [0, 1]])
+        report = verify(ZZ, None, T, Geometric(2, 1), [(2, X)])
+        assert report.hypothesis_checks.witnesses[0].reason == "witness not integral"
+        assert not report.hypothesis_checks.all_witnesses_valid
 
     def test_unipotent_power_is_inconclusive_not_counterexample(self):
         # T is 2-divisible, hypotheses pass, yet T is not semisimple: finite
@@ -209,7 +220,7 @@ class TestVerdictTaxonomy:
         assert report.verdict == "INCONCLUSIVE"
 
     def test_no_witnesses_failing_clause_is_inconclusive(self):
-        T = IntMatrix.diagonal([0, 2])
+        T = diagonal_matrix([0, 2])
         report = verify(ZZ, None, T, Geometric(2, 1), [])
         assert not report.clause1.holds
         assert report.verdict == "INCONCLUSIVE"
@@ -221,6 +232,9 @@ class TestVerdictTaxonomy:
         assert report.hypothesis_checks.additive_ok is None
         assert report.hypothesis_checks.s_symbolic_infinite is False
         assert any("evidence, not proof" in n for n in report.notes)
+        report = verify(ZZ, None, eye, FiniteSet((2, 3)), [(2, eye), (3, eye)])
+        assert [c.reason for c in report.hypothesis_checks.witnesses] == ["verified", "verified"]
+        assert report.verdict == "CONSISTENT"
 
 
 class TestClause4RoundTrip:
@@ -238,7 +252,7 @@ class TestClause4RoundTrip:
 
 class TestDeterminism:
     def test_byte_identical_reports(self):
-        T = IntMatrix.diagonal([0, -1])
+        T = diagonal_matrix([0, -1])
         runs = [
             canonical_dumps(theorem_report_to_json(
                 verify(ZZ, None, T, Residue(1, 2), [(3, T)])
@@ -274,23 +288,43 @@ class TestQuadraticRing:
         )
 
 
+EYE2 = IntMatrix.identity(2)
+MINUS_ONE = IntMatrix.from_rows([[-1]])
+HEX6 = IntMatrix.from_rows([[0, -1], [1, 1]])  # order 6 (companion of x^2 - x + 1)
+SING = diagonal_matrix([0, 1])
+
+# Five runs over Z covering the motivating questions: infinite exponent sets
+# (sign flip with odd exponents), all-but-finitely-many exponents (identity),
+# finite order from infinitely many exponents, order coprime to the
+# exponents' prime support, and the singular split case.
+INTRO_SCENARIOS = (
+    ("minus-one-odd", MINUS_ONE, Residue(1, 2), ((3, MINUS_ONE), (5, MINUS_ONE))),
+    ("cavachi-identity", EYE2, Geometric(2, 1), ((2, EYE2), (4, EYE2))),
+    ("finite-order-rotation", ROT3, Residue(1, 3), ((4, ROT3), (7, ROT3))),
+    ("order-coprime-exponents", HEX6, Geometric(5, 1), ((5, HEX6 ** 5), (25, HEX6))),
+    ("singular-idempotent", SING, AllFrom(2), ((2, SING), (3, SING))),
+)
+
+
+def intro_reports():
+    return {name: verify(ZZ, None, T, S, ws) for name, T, S, ws in INTRO_SCENARIOS}
+
+
 class TestIntroScenarios:
     def test_five_scenarios_all_consistent(self):
-        scenarios = intro_scenarios()
-        assert len(scenarios) == 5
-        names = [s.name for s in scenarios]
-        assert names == [
+        reports = intro_reports()
+        assert list(reports) == [
             "minus-one-odd",
             "cavachi-identity",
             "finite-order-rotation",
             "order-coprime-exponents",
             "singular-idempotent",
         ]
-        for s in scenarios:
-            assert s.report.verdict == "CONSISTENT", s.name
+        for name, report in reports.items():
+            assert report.verdict == "CONSISTENT", name
 
     def test_expected_orders(self):
-        by_name = {s.name: s.report for s in intro_scenarios()}
+        by_name = intro_reports()
         assert by_name["cavachi-identity"].clause3.order == 1
         assert by_name["minus-one-odd"].clause3.order == 2
         assert by_name["finite-order-rotation"].clause3.order == 3
@@ -298,10 +332,9 @@ class TestIntroScenarios:
         assert by_name["singular-idempotent"].clause3.order == 1
 
     def test_singular_idempotent_details(self):
-        sc = next(s for s in intro_scenarios() if s.name == "singular-idempotent")
-        assert sc.report.clause1.holds
+        rep = intro_reports()["singular-idempotent"]
+        assert rep.clause1.holds
         # the invertible part is the 1x1 identity
-        rep = sc.report
         assert rep.clause3.order == 1
 
 
@@ -318,6 +351,6 @@ class TestSingularIdempotentRestriction:
     def test_invertible_part_is_one(self):
         from divlat.fitting import clean_split
 
-        cs = clean_split(IntMatrix.diagonal([0, 1]))
+        cs = clean_split(diagonal_matrix([0, 1]))
         assert cs.split
         assert cs.restriction == IntMatrix.from_rows([[1]])
