@@ -502,10 +502,6 @@ class Lattice:
             raise ValueError("basis rows must be independent (no zero HNF rows)")
         raise ValueError("basis must be in Hermite normal form")
 
-    @classmethod
-    def full(cls, ambient: int) -> "Lattice":
-        return cls(ambient, IntMatrix.identity(ambient))
-
     @property
     def rank(self) -> int:
         return self.basis.rows

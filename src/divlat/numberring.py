@@ -107,23 +107,16 @@ class UnitGroupDesc:
     fundamental_unit: Element | None
 
 
-def _torsion_units(order: QuadraticOrder) -> list[Element]:
-    # Imaginary case: |N| = 1 forces N = 1 and bounds both coordinates by 2.
-    units = []
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            if order.norm((a, b)) == 1:
-                units.append((a, b))
-    return units
-
-
-def _element_order(order: QuadraticOrder, x: Element) -> int:
-    acc = x
-    for k in range(1, 13):
-        if acc == (1, 0):
-            return k
-        acc = order.mul(acc, x)
-    raise AssertionError("torsion unit of unexpected order")
+def _torsion(order: QuadraticOrder) -> tuple[int, Element]:
+    """(w, generator) of the roots of unity.  Dirichlet's unit theorem: the
+    units are mu_K x Z^(r1 + r2 - 1), and a quadratic field holds a primitive
+    n-th root only if phi(n) <= 2, so w = 4 (i) for d = -1, w = 6 (omega) for
+    d = -3 and w = 2 (-1) otherwise; Neukirch, ch. I, section 7."""
+    if order.d == -1:
+        return 4, (0, 1)
+    if order.d == -3:
+        return 6, (0, 1)
+    return 2, (-1, 0)
 
 
 _CF_STEPS = 100000  # continued-fraction steps before giving up on a unit
@@ -175,14 +168,9 @@ def _fundamental_unit(order: QuadraticOrder) -> Element:
 
 
 def unit_group(order: QuadraticOrder) -> UnitGroupDesc:
-    """Unit group description; Pell-type minimal solution in the real case."""
-    if order.d < 0:
-        units = _torsion_units(order)
-        w = len(units)
-        full = [u for u in units if _element_order(order, u) == w]
-        generator = max(full, key=lambda u: (u[1], u[0]))
-        return UnitGroupDesc(w, generator, None)
-    return UnitGroupDesc(2, (-1, 0), _fundamental_unit(order))
+    """Torsion from Dirichlet's table; the fundamental unit by continued fraction."""
+    w, generator = _torsion(order)
+    return UnitGroupDesc(w, generator, _fundamental_unit(order) if order.d > 0 else None)
 
 
 def unit_s_divisible(u: tuple[int, int], s: int, order: QuadraticOrder) -> bool:
@@ -194,12 +182,11 @@ def unit_s_divisible(u: tuple[int, int], s: int, order: QuadraticOrder) -> bool:
     if s < 2:
         raise ValueError("exponent must be at least 2")
     t, k = u
-    desc = unit_group(order)
-    if desc.fundamental_unit is None and k != 0:
+    if order.d < 0 and k != 0:
         raise ValueError("imaginary quadratic units have no free part")
     if k % s != 0:
         return False
-    return t % gcd(s, desc.torsion_order) == 0
+    return t % gcd(s, _torsion(order)[0]) == 0
 
 
 def mult_hypothesis(S: SDescriptor, ring) -> tuple[bool, str]:

@@ -197,9 +197,9 @@ def sdescriptor_from_json(obj, what: str = "S") -> SDescriptor:
 
 
 def primeset_to_json(ps: PrimeSet) -> dict:
-    if ps.kind == "finite":
+    if not ps.cofinite:
         return {"finite": list(ps.primes)}
-    if ps.kind == "all":
+    if not ps.primes:
         return {"all_primes": True}
     return {"all_except": list(ps.primes)}
 

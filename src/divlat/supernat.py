@@ -116,64 +116,51 @@ def mul_sn(a: Supernatural, b: Supernatural) -> Supernatural:
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """A set of primes: an explicit finite set, all primes, or a cofinite set."""
+    """A set of primes: the finite set ``primes`` or, when ``cofinite``,
+    every prime except ``primes``."""
 
-    kind: str
+    cofinite: bool
     primes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("finite", "all", "all_except"):
-            raise ValueError(f"bad PrimeSet kind {self.kind!r}")
         last = 0
         for p in self.primes:
             _check_prime(p)
             if p <= last:
                 raise ValueError("prime list must be sorted and duplicate-free")
             last = p
-        if self.kind == "all" and self.primes:
-            raise ValueError("'all' takes no prime list")
 
     @classmethod
     def finite(cls, primes) -> "PrimeSet":
-        return cls("finite", tuple(sorted(set(primes))))
+        return cls(False, tuple(sorted(set(primes))))
 
     @classmethod
     def all_primes(cls) -> "PrimeSet":
-        return cls("all")
+        return cls(True)
 
     @classmethod
     def all_except(cls, primes) -> "PrimeSet":
-        ps = tuple(sorted(set(primes)))
-        return cls("all_except", ps) if ps else cls("all")
+        return cls(True, tuple(sorted(set(primes))))
 
     def contains(self, p: int) -> bool:
         _check_prime(p)
-        if self.kind == "finite":
-            return p in self.primes
-        if self.kind == "all":
-            return True
-        return p not in self.primes
+        return (p in self.primes) != self.cofinite
 
     def is_empty(self) -> bool:
-        return self.kind == "finite" and not self.primes
+        return not self.cofinite and not self.primes
 
     def intersect(self, other: "PrimeSet") -> "PrimeSet":
-        if self.kind == "finite":
+        if not self.cofinite:
             return PrimeSet.finite(p for p in self.primes if other.contains(p))
-        if other.kind == "finite":
+        if not other.cofinite:
             return other.intersect(self)
-        if self.kind == "all":
-            return other
-        if other.kind == "all":
-            return self
         return PrimeSet.all_except(set(self.primes) | set(other.primes))
 
     def __str__(self) -> str:
-        if self.kind == "finite":
-            return "{" + ", ".join(map(str, self.primes)) + "}"
-        if self.kind == "all":
-            return "all primes"
-        return "all primes except {" + ", ".join(map(str, self.primes)) + "}"
+        listed = "{" + ", ".join(map(str, self.primes)) + "}"
+        if not self.cofinite:
+            return listed
+        return f"all primes except {listed}" if self.primes else "all primes"
 
 
 # ---------------------------------------------------------------------------

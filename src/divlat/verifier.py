@@ -108,8 +108,11 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     if isinstance(ring, QuadraticOrder):
         if module is None:
             raise ValueError("quadratic rings need an explicit module (omega action)")
+        if module.order != ring:
+            raise ValueError(f"the module is over {module.order}, not over the ring {ring}")
     elif isinstance(ring, IntegerRing):
-        module = None
+        if module is not None:
+            raise ValueError("a module only makes sense for a quadratic ring")
     else:
         raise TypeError(f"unsupported ring {ring!r}")
     inv = _Invariants(T, module)

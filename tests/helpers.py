@@ -7,9 +7,9 @@ and rational-invariants oracles, which build on the polynomial arithmetic
 over Q below, and the kernel predicate and kernel chain, which use rational
 ranks and minors only.  The exceptions are the image oracle and
 lattice_from_generators, which reduce with the library's Hermite form so
-that lattices compare entry-wise, and diagonal_matrix, scalar_matrix,
-prime_set_is_infinite and primes_up_to, which build test inputs and have no
-caller in the library.
+that lattices compare entry-wise, and diagonal_matrix, full_lattice,
+scalar_matrix, prime_set_is_infinite and primes_up_to, which build test
+inputs and have no caller in the library.
 """
 from __future__ import annotations
 
@@ -207,6 +207,13 @@ def diagonal_matrix(values):
 
     n = len(values)
     return IntMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def full_lattice(ambient):
+    """Z^ambient as a Lattice: the identity basis."""
+    from divlat.exactalg import IntMatrix, Lattice
+
+    return Lattice(ambient, IntMatrix.identity(ambient))
 
 
 def lattice_from_generators(ambient, gens):
@@ -494,7 +501,27 @@ def rational_invariants_oracle(T):
     return semisimple, r, tuple(factorization) if len(remaining) == 1 else None
 
 
-# -- Pell / fundamental unit oracle ----------------------------------------
+# -- unit group oracles -----------------------------------------------------
+
+
+def torsion_by_enumeration(d):
+    """(w, generator) of the roots of unity of the ring of integers of
+    Q(sqrt(d)) for squarefree d < 0: the elements a + b*omega of norm 1,
+    which have |a|, |b| <= 2, their orders by repeated multiplication, and
+    the largest (b, a) among those of order w.  Norms and products come
+    from omega^2 = t*omega + c."""
+    t, c = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+    units = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a * a + t * a * b - c * b * b == 1]
+
+    def order(x):
+        k, power = 1, x
+        while power != (1, 0):
+            k, power = k + 1, ring_mul((t, c), power, x)
+        return k
+
+    w = len(units)
+    b, a = max((b, a) for a, b in units if order((a, b)) == w)
+    return w, (a, b)
 
 
 def brute_fundamental_unit(d, b_max=None):
@@ -588,7 +615,7 @@ def primes_up_to(n):
 
 def prime_set_is_infinite(P):
     """Whether a PrimeSet holds infinitely many primes."""
-    return P.kind in ("all", "all_except")
+    return P.cofinite
 
 
 def elements_up_to(S, limit):

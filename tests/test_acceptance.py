@@ -27,6 +27,7 @@ from divlat.supernat import (
     INF,
     Factorials,
     Geometric,
+    PrimeSet,
     Residue,
     Supernatural,
     gcd_sn,
@@ -267,7 +268,7 @@ def test_criterion_10_supernatural_algebra():
     # factorials: every prime accumulates; enumeration to 10^6 sees strict
     # growth for p = 2, 3 and presence for 5, 7
     facts = elements_up_to(Factorials(), limit)
-    assert pi_S(Factorials()).kind == "all"
+    assert pi_S(Factorials()) == PrimeSet.all_primes()
     for p in (2, 3):
         def nu_int(e, p=p):
             k = 0

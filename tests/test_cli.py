@@ -12,6 +12,7 @@ from divlat.corpus import KINDS, conjugate, gen_corpus, random_unimodular
 from divlat.exactalg import IntMatrix
 from divlat.serialize import problem_from_json, problem_to_json
 from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
+from divlat.primes import is_squarefree
 from divlat.supernat import AllFrom, Geometric
 from helpers import frac_inverse, mat_mul, seeded_operator
 
@@ -686,6 +687,17 @@ GOLDEN_LARGE_DIGESTS = {
 }
 
 
+def unit_rings():
+    """The ring file of every quadratic order with d in [-200, 200]."""
+    return [{"ring": {"quadratic": {"d": d}}} for d in range(-200, 201) if d not in (0, 1) and is_squarefree(d)]
+
+
+# sha256 over (exit code, stdout, stderr) of units and units --json on every
+# ring of unit_rings, recorded while the torsion units were found by
+# enumerating the small elements of norm 1.
+GOLDEN_UNITS_DIGEST = "30a7eb07633a9a8da8d292da73e245b283169439d9b4a6f34c23060422dbc261"
+
+
 class TestGoldenBytes:
     def test_corpus_outputs_match_the_recorded_digests(self, tmp_path):
         assert corpus_digests(tmp_path) == GOLDEN_DIGESTS
@@ -697,3 +709,13 @@ class TestGoldenBytes:
     def test_large_operator_outputs_match_the_recorded_digests(self, tmp_path):
         paths = [write(tmp_path, f"{p['name']}.json", p) for p in large_problems()]
         assert _digests("large", paths, LARGE_COMMANDS) == GOLDEN_LARGE_DIGESTS
+
+    def test_units_outputs_match_the_recorded_digest(self, tmp_path):
+        rings = unit_rings()
+        assert len(rings) == 243
+        digest = hashlib.sha256()
+        for ring in rings:
+            path = write(tmp_path, "ring.json", ring)
+            for args in ([], ["--json"]):
+                digest.update(repr(_run(["units", path] + args)).encode())
+        assert digest.hexdigest() == GOLDEN_UNITS_DIGEST

@@ -9,8 +9,8 @@ from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_ma
 from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _tuple_mul, _tuple_pow, _zdivmod, _zgcd,
                              _zradical)
 from helpers import (char_poly_cofactor, cyclotomic_table, diagonal_matrix, frac_det, frac_min_poly, frac_rank,
-                     image_oracle, is_saturated_kernel, lattice_from_generators, mat_mul, mat_pow, qpoly_divmod,
-                     qpoly_eval_matrix, qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical, qpoly_trim)
+                     full_lattice, image_oracle, is_saturated_kernel, lattice_from_generators, mat_mul, mat_pow,
+                     qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical, qpoly_trim)
 
 
 def rand_matrix(rng, n, bound):
@@ -442,7 +442,7 @@ class TestKernelAndImageAgainstOracles:
         for n in range(4):
             for T in (IntMatrix(0, n, ()), IntMatrix(n, 0, ()), IntMatrix.zeros(n, n)):
                 self.check(T)
-        assert _kernel_and_image(IntMatrix(0, 3, ()))[0] == Lattice.full(3)
+        assert _kernel_and_image(IntMatrix(0, 3, ()))[0] == full_lattice(3)
         assert _kernel_and_image(IntMatrix(3, 0, ()))[1] == Lattice(3, IntMatrix(0, 3, ()))
 
     def test_commutator_systems(self):

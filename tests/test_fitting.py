@@ -6,12 +6,13 @@ import pytest
 
 from divlat import exactalg
 from divlat.corpus import block_diagonal, conjugate, random_unimodular
-from divlat.exactalg import IntMatrix, Lattice, QMatrix, companion_matrix, cyclotomic
+from divlat.exactalg import IntMatrix, QMatrix, companion_matrix, cyclotomic
 from divlat.fitting import clean_split, fitting_decompose
 from divlat.primes import euler_phi
 from helpers import (
     diagonal_matrix,
     fitting_chain_oracle,
+    full_lattice,
     image_oracle,
     is_saturated_kernel,
     oracle_direct_and_full,
@@ -94,7 +95,7 @@ class TestFittingDecompose:
     def test_nilpotent_jordan_block(self):
         split = fitting_decompose(IntMatrix.from_rows([[0, 1], [0, 0]]))
         assert split.exponent_m == 2
-        assert split.gen_kernel == Lattice.full(2)
+        assert split.gen_kernel == full_lattice(2)
         assert split.image_part.rank == 0
         assert split.is_direct
         assert split.restriction_invertible  # rank-0 restriction is vacuously invertible

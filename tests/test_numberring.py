@@ -23,7 +23,8 @@ from divlat.numberring import (
     unit_s_divisible,
 )
 from divlat.supernat import Factorials, FiniteSet, Geometric, PrimeSet, Residue
-from helpers import brute_fundamental_unit, lattice_from_generators, ring_det_leibniz, ring_mat_mul, scalar_matrix
+from helpers import (brute_fundamental_unit, lattice_from_generators, ring_det_leibniz, ring_mat_mul, scalar_matrix,
+                     torsion_by_enumeration)
 
 
 class TestQuadraticOrder:
@@ -123,6 +124,17 @@ class TestUnitGroup:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert got == known
+
+    def test_torsion_matches_enumeration_for_imaginary_d(self):
+        """Dirichlet's table against the norm-1 elements and their orders,
+        for every squarefree d in [-200, -1]."""
+        from divlat.primes import is_squarefree
+
+        imaginary = [d for d in range(-200, 0) if is_squarefree(d)]
+        assert len(imaginary) == 122
+        for d in imaginary:
+            desc = unit_group(QuadraticOrder(d))
+            assert (desc.torsion_order, desc.torsion_generator) == torsion_by_enumeration(d), d
 
     def test_torsion_generator_has_exact_order(self):
         for d in (-1, -3, -2, -7):

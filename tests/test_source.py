@@ -42,18 +42,21 @@ def test_module_level_imports_are_acyclic():
 # The public names that stay although no library code names them, by reason.
 # The set is exact: a name that gains a library caller leaves it.
 KEPT_WITHOUT_A_LIBRARY_CALLER = {
-    # perfbench/tracer.py wraps them by name (FUNCTIONS, METHODS); a missing
-    # method fails every benchmark run
+    # divlat's public API, exported from divlat/__init__; perfbench/tracer.py
+    # also reports their calls (FUNCTIONS), where a missing one reads 0
     "classify.finite_order", "classify.is_semisimple", "classify.jordan_chevalley",
     "classify.roots_of_unity_spectrum", "divisibility.impossibility_certificates",
-    "divisibility.zero_plus_finite_order", "fitting.clean_split", "exactalg.QMatrix.inverse",
+    "divisibility.zero_plus_finite_order", "fitting.clean_split",
+    # perfbench/tracer.py wraps its METHODS by name, so a traced benchmark
+    # run fails without it
+    "exactalg.QMatrix.inverse",
     # the benchmark's workloads build their modules with it
     "numberring.OKModule.regular",
     # the console script of pyproject.toml
     "cli.run",
     # the exact s-th power test in O_K that a ring-determinant certificate
     # needs (ROADMAP.md, module certificates)
-    "numberring.QuadraticOrder.conj", "numberring.unit_s_divisible",
+    "numberring.QuadraticOrder.conj", "numberring.QuadraticOrder.pow", "numberring.unit_s_divisible",
 }
 
 
@@ -72,17 +75,25 @@ def _public_definitions(module, tree):
 def test_no_public_name_only_tests_use():
     """Code that only tests call belongs in tests/, as an oracle or an input
     builder.  Every public name of the library modules (divlat/__init__
-    only re-exports) occurs as a Name or an Attribute somewhere in them,
-    outside its own definition.  The check goes by name: a use of another
-    object of the same name counts."""
+    only re-exports) occurs somewhere in them, outside its own definition:
+    a method as an Attribute, a top-level function or class as a Name or an
+    Attribute, so a local variable or a builtin of a method's name does not
+    count.  The check goes by name: a use of another object of the same
+    name counts."""
     trees = [(name, tree) for name, tree in _trees() if name != "__init__.py"]
-    uses = {}
+    names, attributes = {}, {}
     for name, tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                used = node.id if isinstance(node, ast.Name) else node.attr
-                uses.setdefault(used, []).append((name, node.lineno))
-    unused = {qualified for name, tree in trees for qualified, node in _public_definitions(name[:-3], tree)
-              if all(where == name and node.lineno <= line <= node.end_lineno
-                     for where, line in uses.get(node.name, ()))}
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, []).append((name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append((name, node.lineno))
+    unused = set()
+    for name, tree in trees:
+        for qualified, node in _public_definitions(name[:-3], tree):
+            uses = attributes.get(node.name, [])
+            if qualified.count(".") == 1:  # a top-level function or class
+                uses = uses + names.get(node.name, [])
+            if all(where == name and node.lineno <= line <= node.end_lineno for where, line in uses):
+                unused.add(qualified)
     assert unused == KEPT_WITHOUT_A_LIBRARY_CALLER

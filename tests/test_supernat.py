@@ -206,10 +206,12 @@ class TestPrimeSet:
         assert PrimeSet.finite([2, 3]).intersect(PrimeSet.all_except([3])) == PrimeSet.finite([2])
         assert PrimeSet.all_except([2]).intersect(PrimeSet.all_except([3])) == PrimeSet.all_except([2, 3])
         assert PrimeSet.all_primes().intersect(PrimeSet.finite([5])) == PrimeSet.finite([5])
+        assert PrimeSet.all_primes().intersect(PrimeSet.all_except([5])) == PrimeSet.all_except([5])
 
     def test_empty_and_infinite(self):
         assert PrimeSet.finite([]).is_empty()
         assert not PrimeSet.all_except([2]).is_empty()
+        assert PrimeSet.all_except([]) == PrimeSet.all_primes() and not PrimeSet.all_primes().is_empty()
         assert prime_set_is_infinite(PrimeSet.all_except([2]))
 
 

@@ -277,6 +277,18 @@ class TestQuadraticRing:
         with pytest.raises(ValueError, match="module"):
             verify(QuadraticOrder(-1), None, IntMatrix.identity(2), Geometric(2, 1), [])
 
+    def test_module_over_another_order_rejected(self):
+        """A module over Z[sqrt(2)] is no module over Z[i]: verify would
+        report the multiplicative trace of the wrong unit group."""
+        M = OKModule.regular(QuadraticOrder(2), 1)
+        with pytest.raises(ValueError, match="module"):
+            verify(QuadraticOrder(-1), M, M.omega_action, Geometric(2, 1), [])
+
+    def test_module_rejected_over_the_integers(self):
+        M = OKModule.regular(QuadraticOrder(-1), 1)
+        with pytest.raises(ValueError, match="module"):
+            verify(ZZ, M, M.omega_action, Geometric(2, 1), [])
+
     def test_non_commuting_witness_rejected(self):
         O = QuadraticOrder(2)
         M = OKModule.regular(O, 1)
