@@ -3,7 +3,6 @@ integer matrices and endomorphisms of quadratic-ring lattices."""
 
 from .classify import (
     ClassifyReport,
-    CleanSplit,
     FittingSplit,
     classify_operator,
     finite_order,

@@ -7,19 +7,19 @@ numerics: the candidate list with phi(k) <= n is provably complete) and
 finite orders.  In Q[x]/(chi): the exact semisimple-plus-nilpotent
 splitting by Newton iteration.
 
-Fitting's kernel chain has one step, _step: for P = T^m, ker P and im P
-from one Hermite form and the determinant of their stacked bases, square as
-the ranks add up to n.  It is nonzero exactly when the two meet only in 0,
-which by Fitting's lemma is when the chain has stabilized, and +-1 exactly
-when Z^n = ker P (+) im P, as a square integer matrix has all invariant
-factors 1 exactly when its determinant is a unit.  Images need not be
-direct summands, so this is a real test, not an assumption.
+Fitting's kernel chain is read one step at a time: for P = T^m, ker P and
+im P from one Hermite form and the determinant of their stacked bases,
+square as the ranks add up to n.  It is nonzero exactly when the two meet
+only in 0, which by Fitting's lemma is when the chain has stabilized, and
++-1 exactly when Z^n = ker P (+) im P, as a square integer matrix has all
+invariant factors 1 exactly when its determinant is a unit.  Images need
+not be direct summands, so this is a real test, not an assumption.
 
 _Invariants is the one analysis of an operator: it checks the operator
 once, and also holds the split T = 0 (+) (T on im T) at the first step and
-at the stable exponent, the analysis of that image part and the commutant,
-which verify, fitting, the certificates, the root search and the
-divisibility spectrum read.
+at the stable exponent, one FittingSplit record each, the analysis of that
+image part and the commutant, which verify, fitting, the certificates, the
+root search and the divisibility spectrum read.
 """
 from __future__ import annotations
 
@@ -34,34 +34,21 @@ from .primes import prime_factors
 
 
 @dataclass(frozen=True)
-class CleanSplit:
-    split: bool
-    kernel: Lattice
-    image: Lattice
-    restriction: IntMatrix | None
-    reason: str
-
-
-@dataclass(frozen=True)
 class FittingSplit:
-    """The split at the stable exponent; ``restriction`` is the matrix of
-    the operator on the basis of ``image_part`` (column vectors)."""
+    """Fitting's split at exponent m: ker T^m, im T^m, the determinant of
+    their stacked bases (nonzero once the chain is stable, +-1 when the
+    split is direct) and T on the basis of ``image_part`` (column vectors)."""
 
     exponent_m: int
     gen_kernel: Lattice
     image_part: Lattice
-    is_direct: bool
+    det: int
     restriction_invertible: bool
     restriction: IntMatrix
 
-
-def _step(P: IntMatrix) -> tuple[Lattice, Lattice, int]:
-    """The chain step at P: ker P, im P and their stacked determinant."""
-    kernel, image = _kernel_and_image(P)
-    n, rows = P.rows, kernel.basis.entries + image.basis.entries
-    if len(rows) != n * n:
-        raise AssertionError("ranks of kernel and image do not add up to n")
-    return kernel, image, IntMatrix(n, n, rows).det()
+    @property
+    def is_direct(self) -> bool:
+        return abs(self.det) == 1
 
 
 class _Invariants:
@@ -157,61 +144,58 @@ class _Invariants:
 
     @cached_property
     def first_step(self) -> tuple[Lattice, Lattice, int]:
-        """_step(T), read by both split and fitting."""
-        return _step(self.T)
+        """The chain's step at T: ker T, im T and their stacked determinant,
+        read where the split's restriction to im T is not needed."""
+        kernel, image = _kernel_and_image(self.T)
+        n, rows = self.T.rows, kernel.basis.entries + image.basis.entries
+        if len(rows) != n * n:
+            raise AssertionError("ranks of kernel and image do not add up to n")
+        return kernel, image, IntMatrix(n, n, rows).det()
+
+    def _split_at(self, m: int) -> FittingSplit:
+        """The first step of the analysis of T^m, off the ladder, and T on
+        im T^m.  T^m maps Z^n / ker T^m onto im T^m, so |det of T on im T^m|^m
+        = [im T^m : T^m(im T^m)] = [Z^n : ker T^m (+) im T^m] = |det|: T is
+        invertible there exactly when the split is direct, as the
+        restriction's own determinant confirms when it is."""
+        kernel, image, det = (self if m == 1 else _Invariants(self.power(m))).first_step
+        restriction = restrict_to_lattice(self.T, image)
+        if abs(det) == 1 and restriction.rows and abs(restriction.det()) != 1:
+            raise AssertionError("restriction to the image part is not invertible")
+        return FittingSplit(m, kernel, image, det, abs(det) == 1, restriction)
 
     @cached_property
-    def split(self) -> CleanSplit:
-        """Whether Z^n = ker T (+) im T already at the first power, with T
-        invertible on the image part: a stacked determinant of +-1 is the
-        split, 0 a nontrivial intersection, anything else a proper
-        sublattice."""
-        kernel, image, det = self.first_step
-        if abs(det) != 1:
-            reason = ("ker T and im T intersect nontrivially" if det == 0
-                      else "ker T + im T is a proper sublattice of Z^n")
-            return CleanSplit(False, kernel, image, None, reason)
-        restriction = restrict_to_lattice(self.T, image)
-        # With a direct full split the image satisfies im T = T(im T), so the
-        # restriction is automatically an automorphism.
-        if restriction.rows and abs(restriction.det()) != 1:
-            raise AssertionError("restriction to the image part is not invertible")
-        return CleanSplit(True, kernel, image, restriction,
-                          "Z^n = ker T (+) im T with invertible restriction")
+    def split(self) -> FittingSplit:
+        """The split at m = 1, direct exactly when Z^n = ker T (+) im T."""
+        return self._split_at(1)
 
     @cached_property
     def fitting(self) -> FittingSplit:
         """The split at the exponent m where the chain stabilizes, is_direct
-        reported, never presumed.  m = 1 when the first step's determinant is
-        nonzero.  Else, with chi = x^g h and h(0) != 0, h(T) is 0 on the
-        invertible part and invertible on the generalised kernel, so m is
-        the least m >= 1 with T^m h(T) = 0, at most g; one step at T^m off
-        the ladder gives the split."""
-        T, (kernel, image, det), m = self.T, self.first_step, 1
-        if not det:
-            g = self.kernel_invariants[0]
+        reported, never presumed: split itself when the first step's
+        determinant is nonzero.  Else, with chi = x^g h and h(0) != 0, h(T)
+        is 0 on the invertible part and invertible on the generalised
+        kernel, so m is the least m >= 1 with T^m h(T) = 0, at most g."""
+        T = self.T
+        if self.first_step[2]:
+            split = self.split
+        else:
+            g, m = self.kernel_invariants[0], 1
             P = T * _scaled_eval(self.chi[g:], T)[1]
             while not P.is_zero():
                 P, m = T * P, m + 1
                 if m > g:
                     raise AssertionError("kernel chain failed to stabilize within g steps")
-            kernel, image, det = _step(self.power(m))
-            if not det:
+            split = self._split_at(m)
+            if not split.det:
                 raise AssertionError("kernel chain not stable at the exponent read off chi")
-        restriction = restrict_to_lattice(T, image)
-        if restriction.rows == 0:
-            invertible = True  # rank-0 restriction: vacuously an automorphism
-        elif self.module is not None:
-            det_el = self.module.submodule(image).det_as_ring_element(restriction)
-            invertible = self.module.order.norm(det_el) in (1, -1)
-            if invertible != (abs(restriction.det()) == 1):
+        if self.module is not None and split.restriction.rows:
+            det_el = self.module.submodule(split.image_part).det_as_ring_element(split.restriction)
+            if (self.module.order.norm(det_el) in (1, -1)) != split.restriction_invertible:
                 raise AssertionError("ring and integer determinants disagree on invertibility")
-        else:
-            invertible = abs(restriction.det()) == 1
-        for i in range(kernel.rank):
-            if not kernel.contains(T.apply(kernel.basis.row(i))):
-                raise AssertionError("kernel part not invariant")
-        return FittingSplit(m, kernel, image, abs(det) == 1, invertible, restriction)
+        if not all(split.gen_kernel.contains(T.apply(v)) for v in split.gen_kernel.basis.nested()):
+            raise AssertionError("kernel part not invariant")
+        return split
 
     @cached_property
     def image_part(self) -> _Invariants:
@@ -219,10 +203,10 @@ class _Invariants:
         Q^n into im T, so it induces 0 on the quotient and chi_T = x^k chi_M,
         k = rank ker T: chi_M is chi_T without that factor, once its k low
         coefficients are checked to be 0 and it agrees with tr M and det M."""
-        M = self.split.restriction if self.split.split else restrict_to_lattice(self.T, self.split.image)
+        M = self.split.restriction
         if M == self.T:
             return self
-        part, k, m = _Invariants(M), self.split.kernel.rank, M.rows
+        part, k, m = _Invariants(M), self.split.gen_kernel.rank, M.rows
         chi = self.chi[k:]
         if any(self.chi[:k]) or (m and (chi[-2] != -M.trace() or chi[0] != (-1) ** m * part.det)):
             raise AssertionError("chi of the image part disagrees with its trace or determinant")
@@ -233,7 +217,7 @@ class _Invariants:
     def zero_plus_order(self) -> int | None:
         """The order of the invertible part when T is zero plus an
         invertible finite-order operator, else None."""
-        return self.image_part.order if self.split.split else None
+        return self.image_part.order if abs(self.first_step[2]) == 1 else None
 
     @cached_property
     def kernel_invariants(self) -> tuple[int, int]:
@@ -242,7 +226,7 @@ class _Invariants:
         multiplicity of the root 0 of chi_T.  T vanishes on its kernel of
         rank k, so chi_T = x^k * chi of the induced map, whose constant term
         is (-1)^(n - k) times that determinant."""
-        chi, k = self.chi, self.split.kernel.rank
+        chi, k = self.chi, self.first_step[0].rank
         g = next(i for i, c in enumerate(chi) if c)
         return g, (-1) ** (self.T.rows - k) * chi[k]
 

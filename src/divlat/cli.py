@@ -53,13 +53,22 @@ PROBLEM_SCHEMA = (
 )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a repeated key (json.load keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise InputError(f"repeated key {key!r}")
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, InputError) as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 

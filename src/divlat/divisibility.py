@@ -249,6 +249,8 @@ def root_search(
         raise ValueError("exponent must be at least 2")
     if bound < 1:
         raise ValueError("bound must be positive")
+    if timeout_ms is not None and timeout_ms < 0:
+        raise ValueError("timeout must be nonnegative")
     return _search(_Invariants(T, module), s, bound, deadline)
 
 

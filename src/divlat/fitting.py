@@ -2,7 +2,7 @@
 split that classify._Invariants computes off its kernel chain."""
 from __future__ import annotations
 
-from .classify import CleanSplit, FittingSplit, _Invariants
+from .classify import FittingSplit, _Invariants
 from .exactalg import IntMatrix
 
 
@@ -12,6 +12,6 @@ def fitting_decompose(T: IntMatrix, module=None) -> FittingSplit:
     return _Invariants(T, module).fitting
 
 
-def clean_split(T: IntMatrix) -> CleanSplit:
-    """The split Z^n = ker T (+) im T at the first power, if it holds."""
+def clean_split(T: IntMatrix) -> FittingSplit:
+    """The split at m = 1; is_direct tells whether Z^n = ker T (+) im T."""
     return _Invariants(T).split

@@ -92,6 +92,9 @@ def matrix_from_json(obj, what: str = "matrix", allow_rational: bool = False):
     _expect_keys(obj, {"rows", "cols", "entries"}, what=what)
     rows = _int(obj["rows"], f"{what}.rows")
     cols = _int(obj["cols"], f"{what}.cols")
+    for field, size in (("rows", rows), ("cols", cols)):
+        if size < 0:
+            raise InputError(f"{what}.{field}: expected a nonnegative integer, got {size}")
     raw = obj["entries"]
     if not isinstance(raw, list):
         raise InputError(f"{what}.entries: expected a list")
@@ -142,10 +145,9 @@ def supernatural_from_json(obj, what: str = "supernatural") -> Supernatural:
     _expect_keys(obj, {"factors"}, what=what)
     factors = {}
     for key, e in _typed(obj["factors"], dict, f"{what}.factors").items():
-        try:
-            p = int(key)
-        except ValueError as exc:
-            raise InputError(f"{what}: bad prime key {key!r}") from exc
+        if not (key.isascii() and key.isdecimal() and str(int(key)) == key):  # no sign, space, '_' or 0 prefix
+            raise InputError(f"{what}: bad prime key {key!r}")
+        p = int(key)
         if e == "inf":
             factors[p] = INF
         else:

@@ -137,11 +137,14 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
         mult_ok, mult_trace = mult_hypothesis(S, ring)
 
     # clause 1: the split, plus what the verified witnesses already force.
-    cs = inv.split
+    split = inv.split
     g, qdet = inv.kernel_invariants
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)
     cond_det = abs(qdet) == 1 or any(c.valid and 2 ** c.s > abs(qdet) for c in checks)
-    clause1 = Clause1(cs.split, cs.reason, cond_kernel and cond_det)
+    reason = ("Z^n = ker T (+) im T with invertible restriction" if split.is_direct
+              else "ker T and im T intersect nontrivially" if split.det == 0
+              else "ker T + im T is a proper sublattice of Z^n")
+    clause1 = Clause1(split.is_direct, reason, cond_kernel and cond_det)
 
     # clause 2: semisimplicity of the restriction to the honest image.
     clause2 = Clause2(inv.image_part.semisimple)

@@ -457,7 +457,7 @@ class TestImagePart:
             part = inv.image_part
             assert part is not inv and part.T.rows < T.rows, T
             assert part.chi == char_poly(part.T), T
-            kinds.add("split" if inv.split.split else "not split")
+            kinds.add("split" if inv.split.is_direct else "not split")
             kinds.add("nilpotent" if not any(inv.chi[:-1]) else "not nilpotent")
         assert kinds == {"split", "not split", "nilpotent", "not nilpotent"}
 

@@ -169,10 +169,29 @@ class TestExitCodes:
         ("supernat", {"nu": {"p": 318665857834031151167461,
                              "n": {"factors": {"318665857834031151167461": 2}}}},
          "supernatural: not a prime: 318665857834031151167461"),
-    ], ids=["S", "primes", "lchar-finite", "ring", "pseudoprime-key"])
+        # json.load keeps every one of these keys, and int() reads each as 3 or 11
+        ("supernat", {"nu": {"p": 3, "n": {"factors": {"3": 1, "03": 2}}}}, "supernatural: bad prime key '03'"),
+        ("supernat", {"nu": {"p": 11, "n": {"factors": {"1_1": 1}}}}, "supernatural: bad prime key '1_1'"),
+        ("supernat", {"nu": {"p": 3, "n": {"factors": {" 3": 1}}}}, "supernatural: bad prime key ' 3'"),
+        ("classify", {"rows": -1, "cols": -1, "entries": [5]}, "matrix.rows: expected a nonnegative integer, got -1"),
+        ("verify", {"operator": ROT3_JSON, "witnesses": [{"s": 2, "matrix": {"rows": 2, "cols": -1, "entries": []}}]},
+         "problem.witnesses[0].matrix.cols: expected a nonnegative integer, got -1"),
+    ], ids=["S", "primes", "lchar-finite", "ring", "pseudoprime-key", "zero-padded-key", "underscored-key",
+            "spaced-key", "negative-operator-shape", "negative-witness-shape"])
     def test_an_error_names_its_field_once(self, tmp_path, capsys, command, obj, err):
         assert main([command, write(tmp_path, "bad.json", obj)]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("classify", '{"rows": 1, "cols": 1, "entries": [1], "rows": 1}', "rows"),
+        ("supernat", '{"nu": {"p": 3, "n": {"factors": {"3": 1, "3": 2}}}}', "3"),
+    ], ids=["top-level", "nested"])
+    def test_a_repeated_key_is_refused(self, tmp_path, capsys, command, text, key):
+        """json.load alone keeps the last of two equal keys, at any depth."""
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: invalid JSON (repeated key {key!r})\n")
 
     def test_units_rejects_unknown_fields(self, tmp_path, capsys):
         obj = {"ring": {"quadratic": {"d": 2}}, "bogus": 1}
@@ -193,13 +212,19 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("obj, argv, err", [
         (NONCOMMUTING_JSON, ["root", "--s", "1", "--bound", "1"], "exponent must be at least 2"),
         (NONCOMMUTING_JSON, ["root", "--s", "2", "--bound", "0"], "bound must be positive"),
+        (NONCOMMUTING_JSON, ["root", "--s", "2", "--bound", "0", "--timeout-ms", "-5"], "bound must be positive"),
+        (NONCOMMUTING_JSON, ["root", "--s", "2", "--bound", "1", "--timeout-ms", "-5"],
+         "timeout must be nonnegative"),
+        (NONCOMMUTING_JSON, ["root", "--s", "2", "--bound", "1", "--timeout-ms", "0"],
+         "operator does not commute with the ring action"),
         (NONCOMMUTING_JSON, ["spectrum", "--s-max", "3", "--bound", "0"], "bound must be positive"),
         (NONCOMMUTING_JSON, ["spectrum", "--s-max", "3", "--bound", "1"],
          "operator does not commute with the ring action"),
         ({"rows": 0, "cols": 0, "entries": []}, ["spectrum", "--s-max", "3", "--bound", "1"], "empty operator"),
         ({"rows": 2, "cols": 3, "entries": [[1, 2, 3], [4, 5, 6]]}, ["spectrum", "--s-max", "3", "--bound", "1"],
          "square matrix required"),
-    ], ids=["root-s-1", "root-bound-0", "spectrum-bound-0", "spectrum-noncommuting", "spectrum-0x0",
+    ], ids=["root-s-1", "root-bound-0", "root-bound-0-timeout-negative", "root-timeout-negative",
+            "root-timeout-0", "spectrum-bound-0", "spectrum-noncommuting", "spectrum-0x0",
             "spectrum-non-square"])
     def test_first_error(self, tmp_path, capsys, obj, argv, err):
         command, *args = argv

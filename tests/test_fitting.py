@@ -16,7 +16,6 @@ from helpers import (
     image_oracle,
     is_saturated_kernel,
     oracle_direct_and_full,
-    oracle_intersection_rank,
     seeded_operator,
 )
 from test_divisibility import seeded_module_problems
@@ -159,20 +158,20 @@ class TestFittingDecompose:
 
 class TestCleanSplit:
     def test_identity(self):
-        assert clean_split(IntMatrix.identity(3)).split
+        assert clean_split(IntMatrix.identity(3)).is_direct
 
     def test_zero_plus_sign(self):
         cs = clean_split(diagonal_matrix([0, -1]))
-        assert cs.split
+        assert cs.is_direct
         assert cs.restriction == IntMatrix.from_rows([[-1]])
-        stacked = IntMatrix.from_rows(cs.kernel.basis.nested() + cs.image.basis.nested())
+        stacked = IntMatrix.from_rows(cs.gen_kernel.basis.nested() + cs.image_part.basis.nested())
         assert abs(stacked.det()) == 1
 
     def test_empty_and_non_square(self):
         """The library takes 0x0 as the trivial split (only the CLI refuses
         it); the chain's one step refuses a non-square matrix."""
         empty = IntMatrix(0, 0, ())
-        assert clean_split(empty).split
+        assert clean_split(empty).is_direct
         split = fitting_decompose(empty)
         assert (split.exponent_m, split.is_direct, split.restriction_invertible) == (1, True, True)
         for decide in (clean_split, fitting_decompose):
@@ -181,21 +180,21 @@ class TestCleanSplit:
 
     def test_nilpotent_fails(self):
         cs = clean_split(IntMatrix.from_rows([[0, 1], [0, 0]]))
-        assert not cs.split
-        assert "intersect" in cs.reason
+        assert not cs.is_direct
+        assert cs.det == 0  # ker T and im T intersect nontrivially
 
     def test_agreement_with_fitting_at_m_1(self):
-        rng = random.Random(61)
+        rng, direct = random.Random(61), 0
         for _ in range(150):
             n = rng.randint(1, 4)
             T = rand_matrix(rng, n, 4)
             cs = clean_split(T)
-            if cs.split:
-                split = fitting_decompose(T)
-                assert split.exponent_m == 1
-                assert split.is_direct and split.restriction_invertible
-                assert split.gen_kernel == cs.kernel
-                assert split.image_part == cs.image
+            if cs.det:  # the chain stops at m = 1, directly or not
+                assert fitting_decompose(T) == cs
+            if cs.is_direct:
+                assert cs.exponent_m == 1 and cs.restriction_invertible
+                direct += 1
+        assert direct > 10
 
     def test_conjugation_invariance(self):
         rng = random.Random(67)
@@ -204,7 +203,7 @@ class TestCleanSplit:
             T = rand_matrix(rng, n, 4)
             U = rand_unimodular(rng, n)
             C = conjugate(T, U)
-            assert clean_split(C).split == clean_split(T).split
+            assert clean_split(C).is_direct == clean_split(T).is_direct
 
     def test_split_against_the_independent_oracle(self):
         # the operators drawn in this file: seed, count and entry bound
@@ -215,13 +214,13 @@ class TestCleanSplit:
                 n = rng.randint(1, 4)
                 T = rand_matrix(rng, n, bound)
                 cs = clean_split(T)
-                for i in range(cs.kernel.rank):
-                    assert not any(T.apply(cs.kernel.basis.row(i)))
+                for i in range(cs.gen_kernel.rank):
+                    assert not any(T.apply(cs.gen_kernel.basis.row(i)))
                 for j in range(n):
-                    assert cs.image.contains(tuple(T[i, j] for i in range(n)))
-                oracle = oracle_direct_and_full(cs.kernel.basis.nested(), cs.image.basis.nested(), n)
-                assert cs.split == oracle
-                outcomes.add(cs.split)
+                    assert cs.image_part.contains(tuple(T[i, j] for i in range(n)))
+                oracle = oracle_direct_and_full(cs.gen_kernel.basis.nested(), cs.image_part.basis.nested(), n)
+                assert cs.is_direct == oracle
+                outcomes.add(cs.is_direct)
         assert outcomes == {True, False}
 
     def test_nonzero_nilpotent_2x2_exhaustive(self):
@@ -232,7 +231,7 @@ class TestCleanSplit:
             if T.is_zero() or not (T * T).is_zero():
                 continue
             count += 1
-            assert not clean_split(T).split
+            assert not clean_split(T).is_direct
         assert count == 16
 
 
@@ -265,43 +264,46 @@ class TestAgainstTheKernelChainOracle:
             assert (split.exponent_m, split.image_part) == (m, image_oracle(power)), T
             assert is_saturated_kernel(power, split.gen_kernel), T
 
-    def test_clean_split_reasons(self):
-        """The stacked determinant's three outcomes against the saturated-
-        kernel predicate, the rational intersection rank and the integrality
-        oracle."""
-        reasons = set()
-        for T in seeded_fitting_operators(79, 300, n_max=6):
-            cs = clean_split(T)
-            assert is_saturated_kernel(T, cs.kernel), T
-            direct = oracle_direct_and_full(cs.kernel.basis.nested(), cs.image.basis.nested(), T.rows)
-            assert cs.split == direct, T
-            if not direct:
-                meets = oracle_intersection_rank(cs.kernel.basis.nested(), cs.image.basis.nested()) > 0
-                assert cs.reason == ("ker T and im T intersect nontrivially" if meets
-                                     else "ker T + im T is a proper sublattice of Z^n"), T
-            reasons.add(cs.reason)
-        assert len(reasons) == 3
-
 
 class TestStableExponentFromChi:
     def test_two_chain_steps_on_nilpotent_operators(self, monkeypatch):
         """The stable exponent is read off chi, not walked: a nilpotent T
         takes the first chain step and the step at T^m, two Hermite forms
-        of [P^t | I] in place of m."""
-        calls = []
-        kernel_and_image = exactalg._kernel_and_image
+        of [P^t | I] in place of m.  T is restricted to an image once per
+        split: once per fitting_decompose, whether or not the first step
+        stops the chain, and once per verify."""
+        from divlat.numberring import ZZ
+        from divlat.verifier import verify
 
-        def counting(P):
-            calls.append(P)
-            return kernel_and_image(P)
+        calls = {exactalg._kernel_and_image: [], exactalg.restrict_to_lattice: []}
+
+        def counting(f):
+            def counted(*args):
+                calls[f].append(args)
+                return f(*args)
+            return counted
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("divlat") and getattr(module, "_kernel_and_image", None) is kernel_and_image:
-                monkeypatch.setattr(module, "_kernel_and_image", counting)
+            for f in calls:
+                if name.startswith("divlat") and getattr(module, f.__name__, None) is f:
+                    monkeypatch.setattr(module, f.__name__, counting(f))
+        steps, restrictions = calls.values()
         for T in seeded_nilpotent_operators():
-            calls.clear()
+            steps.clear()
+            restrictions.clear()
             split = fitting_decompose(T)
-            assert split.exponent_m >= 5 and len(calls) <= 2, (T, split.exponent_m, len(calls))
+            assert split.exponent_m >= 5 and len(steps) <= 2, (T, split.exponent_m, len(steps))
+            assert len(restrictions) == 1, T
+        stops_at_1 = set()
+        for T in seeded_fitting_operators(71, 60):
+            restrictions.clear()
+            split = fitting_decompose(T)
+            assert len(restrictions) == 1, T
+            restrictions.clear()
+            verify(ZZ, None, T, None, ())
+            assert len(restrictions) == 1, T
+            stops_at_1.add(split.exponent_m == 1)
+        assert stops_at_1 == {True, False}
 
 
 class TestNoSmithForm:

@@ -413,6 +413,6 @@ class TestNonFreeModule:
         O, M = self._ideal_module()
         T = scalar_matrix(M, (2, 1))  # norm 4 + 5 = 9, not a unit
         cs = _Invariants(T, M).split
-        assert not cs.split  # injective but not onto: image is a proper sublattice
+        assert not cs.is_direct  # injective but not onto: image is a proper sublattice
         U = scalar_matrix(M, (-1, 0))
-        assert _Invariants(U, M).split.split
+        assert _Invariants(U, M).split.is_direct

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,15 @@ class TestMatrixJson:
         assert matrix_from_json({"rows": 2, "cols": 0, "entries": [[], []]}) == IntMatrix(2, 0, ())
         assert matrix_from_json({"rows": 0, "cols": 0, "entries": []}) == IntMatrix(0, 0, ())
 
+    def test_negative_shape_rejected_by_field(self):
+        for obj, field in (({"rows": -1, "cols": -1, "entries": [5]}, "rows"),
+                           ({"rows": 1, "cols": -2, "entries": []}, "cols")):
+            for allow_rational in (False, True):
+                with pytest.raises(InputError, match=rf"^w\.{field}: expected a nonnegative integer"):
+                    matrix_from_json(obj, what="w", allow_rational=allow_rational)
+        with pytest.raises(InputError, match=r"^w\.rows: "):
+            matrix_from_json({"rows": -1, "cols": -1, "entries": ["1/2"]}, what="w", allow_rational=True)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(InputError, match="unknown field"):
             matrix_from_json({"rows": 1, "cols": 1, "entries": [1], "pad": 0})
@@ -97,6 +107,14 @@ class TestSupernaturalJson:
     def test_bad_prime_rejected(self):
         with pytest.raises(InputError):
             supernatural_from_json({"factors": {"4": 1}})
+
+    @pytest.mark.parametrize("key", ["03", "1_1", " 3", "3 ", "+3", "-3", "\u0663", "", "x", "None"])
+    def test_a_prime_key_has_one_spelling(self, key):
+        """Only the canonical decimal form of a prime is a key: int() reads
+        each of the first seven as some integer, so two keys could name one
+        prime and one of them be dropped."""
+        with pytest.raises(InputError, match=f"^{re.escape(f'supernatural: bad prime key {key!r}')}$"):
+            supernatural_from_json({"factors": {key: 1}})
 
 
 class TestDescriptorJson:

@@ -8,11 +8,34 @@ from divlat.exactalg import IntMatrix, QMatrix
 from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
 from divlat.serialize import canonical_dumps, theorem_report_to_json
 from divlat.supernat import AllFrom, FiniteSet, Geometric, PrimeSet, Residue
-from divlat.fitting import fitting_decompose
+from divlat.fitting import clean_split, fitting_decompose
 from divlat.verifier import order_is_outside, verify
-from helpers import diagonal_matrix, frac_quotient_det, seeded_operator
+from helpers import (diagonal_matrix, frac_quotient_det, image_oracle, is_saturated_kernel,
+                     oracle_direct_and_full, oracle_intersection_rank, seeded_operator)
+from test_fitting import seeded_fitting_operators
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
+
+
+class TestClause1Reasons:
+    def test_split_reasons(self):
+        """Clause 1's verdict and reason, read off the stacked determinant's
+        three outcomes, against the saturated-kernel predicate, the
+        rational intersection rank and the integrality oracle."""
+        reasons = set()
+        for T in seeded_fitting_operators(79, 300, n_max=6):
+            clause1 = verify(ZZ, None, T, None, ()).clause1
+            kernel_lattice = clean_split(T).gen_kernel
+            assert is_saturated_kernel(T, kernel_lattice), T
+            kernel, image = kernel_lattice.basis.nested(), image_oracle(T).basis.nested()
+            direct = oracle_direct_and_full(kernel, image, T.rows)
+            assert clause1.holds == direct, T
+            if not direct:
+                meets = oracle_intersection_rank(kernel, image) > 0
+                assert clause1.reason == ("ker T and im T intersect nontrivially" if meets
+                                          else "ker T + im T is a proper sublattice of Z^n"), T
+            reasons.add(clause1.reason)
+        assert len(reasons) == 3
 
 
 class TestQuotientDeterminant:
@@ -361,8 +384,6 @@ class TestOrderCoprimality:
 
 class TestSingularIdempotentRestriction:
     def test_invertible_part_is_one(self):
-        from divlat.fitting import clean_split
-
         cs = clean_split(diagonal_matrix([0, 1]))
-        assert cs.split
+        assert cs.is_direct
         assert cs.restriction == IntMatrix.from_rows([[1]])
