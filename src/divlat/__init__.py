@@ -70,7 +70,6 @@ from .supernat import (
     gcd_sn,
     lcm_sn,
     mul_sn,
-    nu,
     pi_S,
 )
 from .verifier import TheoremReport, verify

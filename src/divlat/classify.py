@@ -23,7 +23,7 @@ root search and the divisibility spectrum read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
@@ -35,20 +35,33 @@ from .primes import prime_factors
 
 @dataclass(frozen=True)
 class FittingSplit:
-    """Fitting's split at exponent m: ker T^m, im T^m, the determinant of
-    their stacked bases (nonzero once the chain is stable, +-1 when the
-    split is direct) and T on the basis of ``image_part`` (column vectors)."""
+    """Fitting's split of T at exponent m: ker T^m, im T^m and the
+    determinant of their stacked bases (nonzero once the chain is stable,
+    +-1 when the split is direct), and T, kept to restrict it to im T^m."""
 
     exponent_m: int
     gen_kernel: Lattice
     image_part: Lattice
     det: int
-    restriction_invertible: bool
-    restriction: IntMatrix
+    operator: IntMatrix = field(repr=False)
 
     @property
     def is_direct(self) -> bool:
         return abs(self.det) == 1
+
+    # T^m maps Z^n / ker T^m onto im T^m, so |det of T on im T^m|^m =
+    # [im T^m : T^m(im T^m)] = [Z^n : ker T^m (+) im T^m] = |det|: T is
+    # invertible on the image part exactly when the split is direct.
+    restriction_invertible = is_direct
+
+    @cached_property
+    def restriction(self) -> IntMatrix:
+        """T on the basis of image_part (column vectors), built when first
+        read and checked invertible by its own determinant when direct."""
+        restriction = restrict_to_lattice(self.operator, self.image_part)
+        if self.is_direct and restriction.rows and abs(restriction.det()) != 1:
+            raise AssertionError("restriction to the image part is not invertible")
+        return restriction
 
 
 class _Invariants:
@@ -142,27 +155,14 @@ class _Invariants:
                 raise AssertionError("candidate order not minimal")
         return d
 
-    @cached_property
-    def first_step(self) -> tuple[Lattice, Lattice, int]:
-        """The chain's step at T: ker T, im T and their stacked determinant,
-        read where the split's restriction to im T is not needed."""
-        kernel, image = _kernel_and_image(self.T)
+    def _split_at(self, m: int) -> FittingSplit:
+        """The chain's step at T^m, off the ladder: ker T^m and im T^m from
+        one Hermite form and the determinant of their stacked bases."""
+        kernel, image = _kernel_and_image(self.power(m))
         n, rows = self.T.rows, kernel.basis.entries + image.basis.entries
         if len(rows) != n * n:
             raise AssertionError("ranks of kernel and image do not add up to n")
-        return kernel, image, IntMatrix(n, n, rows).det()
-
-    def _split_at(self, m: int) -> FittingSplit:
-        """The first step of the analysis of T^m, off the ladder, and T on
-        im T^m.  T^m maps Z^n / ker T^m onto im T^m, so |det of T on im T^m|^m
-        = [im T^m : T^m(im T^m)] = [Z^n : ker T^m (+) im T^m] = |det|: T is
-        invertible there exactly when the split is direct, as the
-        restriction's own determinant confirms when it is."""
-        kernel, image, det = (self if m == 1 else _Invariants(self.power(m))).first_step
-        restriction = restrict_to_lattice(self.T, image)
-        if abs(det) == 1 and restriction.rows and abs(restriction.det()) != 1:
-            raise AssertionError("restriction to the image part is not invertible")
-        return FittingSplit(m, kernel, image, det, abs(det) == 1, restriction)
+        return FittingSplit(m, kernel, image, IntMatrix(n, n, rows).det(), self.T)
 
     @cached_property
     def split(self) -> FittingSplit:
@@ -176,10 +176,8 @@ class _Invariants:
         determinant is nonzero.  Else, with chi = x^g h and h(0) != 0, h(T)
         is 0 on the invertible part and invertible on the generalised
         kernel, so m is the least m >= 1 with T^m h(T) = 0, at most g."""
-        T = self.T
-        if self.first_step[2]:
-            split = self.split
-        else:
+        T, split = self.T, self.split
+        if not split.det:
             g, m = self.kernel_invariants[0], 1
             P = T * _scaled_eval(self.chi[g:], T)[1]
             while not P.is_zero():
@@ -189,9 +187,9 @@ class _Invariants:
             split = self._split_at(m)
             if not split.det:
                 raise AssertionError("kernel chain not stable at the exponent read off chi")
-        if self.module is not None and split.restriction.rows:
+        if self.module is not None and split.image_part.rank:
             det_el = self.module.submodule(split.image_part).det_as_ring_element(split.restriction)
-            if (self.module.order.norm(det_el) in (1, -1)) != split.restriction_invertible:
+            if (self.module.order.norm(det_el) in (1, -1)) != split.is_direct:
                 raise AssertionError("ring and integer determinants disagree on invertibility")
         if not all(split.gen_kernel.contains(T.apply(v)) for v in split.gen_kernel.basis.nested()):
             raise AssertionError("kernel part not invariant")
@@ -217,7 +215,7 @@ class _Invariants:
     def zero_plus_order(self) -> int | None:
         """The order of the invertible part when T is zero plus an
         invertible finite-order operator, else None."""
-        return self.image_part.order if abs(self.first_step[2]) == 1 else None
+        return self.image_part.order if self.split.is_direct else None
 
     @cached_property
     def kernel_invariants(self) -> tuple[int, int]:
@@ -226,7 +224,7 @@ class _Invariants:
         multiplicity of the root 0 of chi_T.  T vanishes on its kernel of
         rank k, so chi_T = x^k * chi of the induced map, whose constant term
         is (-1)^(n - k) times that determinant."""
-        chi, k = self.chi, self.first_step[0].rank
+        chi, k = self.chi, self.split.gen_kernel.rank
         g = next(i for i, c in enumerate(chi) if c)
         return g, (-1) ** (self.T.rows - k) * chi[k]
 

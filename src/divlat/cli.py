@@ -62,10 +62,16 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+_STRICT_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)  # built once, not per file
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
+        if text.startswith("\ufeff"):  # json.loads refuses a BOM; decode alone does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _STRICT_JSON.decode(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, InputError) as exc:

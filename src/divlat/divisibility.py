@@ -212,12 +212,14 @@ def _box_points(lattice: Lattice, bound: int, deadline=None):
 
 
 def _scan(candidates, inv: _Invariants, s: int):
-    """The first candidate X with X^s = T, or None; those with
-    det(X)^s != det T or, for prime s, tr(X) != tr(T) mod s are skipped."""
+    """The first candidate X with X^s = T, or None; those with det X no
+    s-th root of det T or, for prime s, tr X != tr T mod s are skipped."""
     n, target, trace_target, prime_s = inv.T.rows, inv.T.entries, inv.T.trace(), is_prime(s)
     diag = slice(None, None, n + 1)
+    r = signed_root(inv.det, s)
+    dets = () if r is None else (r, -r) if s % 2 == 0 else (r,)
     for cand in candidates:
-        if _tuple_det(cand, n) ** s != inv.det:
+        if _tuple_det(cand, n) not in dets:
             continue
         if prime_s and (sum(cand[diag]) - trace_target) % s:
             continue  # tr(X^p) = tr(X) mod p for prime p

@@ -79,10 +79,10 @@ def integer_root(v: int, k: int) -> int | None:
         raise ValueError("integer_root needs v >= 0, k >= 1")
     if v in (0, 1) or k == 1:
         return v
-    hi = 1
-    while hi ** k <= v:
-        hi *= 2
-    lo = hi // 2
+    bits = v.bit_length()
+    if k >= bits:  # 2^k > v > 1: no root, and 2^k is never built
+        return None
+    lo, hi = 1 << ((bits - 1) // k), 1 << (bits // k + 1)  # lo^k <= v < hi^k
     while lo < hi - 1:
         mid = (lo + hi) // 2
         if mid ** k <= v:

@@ -7,6 +7,7 @@ supernatural exponent travels as the string "inf".
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .classify import ClassifyReport, FittingSplit
@@ -59,6 +60,17 @@ def _typed(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise InputError(f"{what}: expected a {'list' if kind is list else 'JSON object'}, got {type(value).__name__}")
     return value
+
+
+@contextmanager
+def _library_errors(what: str):
+    """A library ValueError as an InputError naming what; an InputError passes through."""
+    try:
+        yield
+    except InputError:
+        raise
+    except ValueError as exc:
+        raise InputError(f"{what}: {exc}") from exc
 
 
 def canonical_dumps(obj) -> str:
@@ -152,10 +164,8 @@ def supernatural_from_json(obj, what: str = "supernatural") -> Supernatural:
             factors[p] = INF
         else:
             factors[p] = _int(e, f"{what}.factors[{key}]")
-    try:
+    with _library_errors(what):
         return Supernatural.of(factors)
-    except ValueError as exc:
-        raise InputError(f"{what}: {exc}") from exc
 
 
 def sdescriptor_to_json(S: SDescriptor) -> dict:
@@ -176,7 +186,7 @@ def sdescriptor_from_json(obj, what: str = "S") -> SDescriptor:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InputError(f"{what}: expected an object with exactly one descriptor key")
     (key, value), = obj.items()
-    try:
+    with _library_errors(what):
         if key == "finite":
             return FiniteSet(tuple(_int(v, what) for v in _typed(value, list, f"{what}.{key}")))
         if key == "geometric":
@@ -191,10 +201,6 @@ def sdescriptor_from_json(obj, what: str = "S") -> SDescriptor:
             return Residue(_int(value["a"], what), _int(value["m"], what))
         if key == "all_from":
             return AllFrom(_int(value, what))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"{what}: {exc}") from exc
     raise InputError(f"{what}: unknown descriptor kind {key!r}")
 
 
@@ -210,7 +216,7 @@ def primeset_from_json(obj, what: str = "primes") -> PrimeSet:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InputError(f"{what}: expected an object with exactly one key")
     (key, value), = obj.items()
-    try:
+    with _library_errors(what):
         if key == "finite":
             return PrimeSet.finite(_int(v, what) for v in _typed(value, list, f"{what}.{key}"))
         if key == "all_primes":
@@ -219,10 +225,6 @@ def primeset_from_json(obj, what: str = "primes") -> PrimeSet:
             return PrimeSet.all_primes()
         if key == "all_except":
             return PrimeSet.all_except(_int(v, what) for v in _typed(value, list, f"{what}.{key}"))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(f"{what}: {exc}") from exc
     raise InputError(f"{what}: unknown prime-set kind {key!r}")
 
 
@@ -242,12 +244,8 @@ def ring_from_json(obj, what: str = "ring"):
         return ZZ
     if isinstance(obj, dict) and set(obj) == {"quadratic"}:
         _expect_keys(obj["quadratic"], {"d"}, what=f"{what}.quadratic")
-        try:
+        with _library_errors(what):
             return QuadraticOrder(_int(obj["quadratic"]["d"], what))
-        except InputError:
-            raise
-        except ValueError as exc:
-            raise InputError(f"{what}: {exc}") from exc
     raise InputError(f"{what}: expected \"Z\" or {{\"quadratic\": {{\"d\": ...}}}}")
 
 
@@ -258,14 +256,12 @@ def okmodule_to_json(module: OKModule) -> dict:
 def okmodule_from_json(obj, order: QuadraticOrder, what: str = "module") -> OKModule:
     _expect_keys(obj, {"z_rank", "omega_action"}, what=what)
     z_rank = _int(obj["z_rank"], f"{what}.z_rank")
-    W = matrix_from_json(
-        {"rows": z_rank, "cols": z_rank, "entries": obj["omega_action"]},
-        what=f"{what}.omega_action",
-    )
-    try:
+    if z_rank < 0:
+        raise InputError(f"{what}.z_rank: expected a nonnegative integer, got {z_rank}")
+    W = matrix_from_json({"rows": z_rank, "cols": z_rank, "entries": obj["omega_action"]},
+                         what=f"{what}.omega_action")
+    with _library_errors(what):
         return OKModule(order, z_rank, W)
-    except ValueError as exc:
-        raise InputError(f"{what}: {exc}") from exc
 
 
 # -- problem files --------------------------------------------------------

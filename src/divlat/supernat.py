@@ -84,10 +84,6 @@ class Supernatural:
         return "*".join(parts)
 
 
-def nu(p: int, x: Supernatural) -> Exponent:
-    return x.nu(p)
-
-
 def _merge(a: Supernatural, b: Supernatural, combine) -> Supernatural:
     primes = sorted(set(a.support) | set(b.support))
     out = {}

@@ -176,8 +176,10 @@ class TestExitCodes:
         ("classify", {"rows": -1, "cols": -1, "entries": [5]}, "matrix.rows: expected a nonnegative integer, got -1"),
         ("verify", {"operator": ROT3_JSON, "witnesses": [{"s": 2, "matrix": {"rows": 2, "cols": -1, "entries": []}}]},
          "problem.witnesses[0].matrix.cols: expected a nonnegative integer, got -1"),
+        ("fitting", {"ring": {"quadratic": {"d": -1}}, "module": {"z_rank": -2, "omega_action": []},
+                     "operator": ROT3_JSON}, "problem.module.z_rank: expected a nonnegative integer, got -2"),
     ], ids=["S", "primes", "lchar-finite", "ring", "pseudoprime-key", "zero-padded-key", "underscored-key",
-            "spaced-key", "negative-operator-shape", "negative-witness-shape"])
+            "spaced-key", "negative-operator-shape", "negative-witness-shape", "negative-z-rank"])
     def test_an_error_names_its_field_once(self, tmp_path, capsys, command, obj, err):
         assert main([command, write(tmp_path, "bad.json", obj)]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
@@ -192,6 +194,14 @@ class TestExitCodes:
         path.write_text(text)
         assert main([command, str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {path}: invalid JSON (repeated key {key!r})\n")
+
+    def test_a_byte_order_mark_is_refused(self, tmp_path, capsys):
+        """As json.load refuses a file that starts with a UTF-8 BOM."""
+        path = tmp_path / "bom.json"
+        path.write_bytes(b'\xef\xbb\xbf{"rows": 1, "cols": 1, "entries": [1]}')
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: invalid JSON (Unexpected UTF-8 BOM "
+                                           "(decode using utf-8-sig): line 1 column 1 (char 0))\n")
 
     def test_units_rejects_unknown_fields(self, tmp_path, capsys):
         obj = {"ring": {"quadratic": {"d": 2}}, "bogus": 1}

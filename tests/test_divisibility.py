@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import product
 from math import gcd, lcm
 
@@ -28,7 +29,7 @@ from divlat.divisibility import (
 )
 from divlat.exactalg import IntMatrix, kernel_saturated
 from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
-from divlat.primes import euler_phi
+from divlat.primes import euler_phi, signed_root
 from helpers import brute_root_search, diagonal_matrix, lattice_from_generators
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
@@ -226,6 +227,23 @@ class TestRootSearch:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "raised"
+
+    def test_a_huge_exponent_builds_no_huge_integer(self):
+        """Neither 2^s nor any det(X)^s is built: at s = 10^7 each call
+        allocates less than 1 MB.  2^61 has bit length 62, so the early
+        exit leaves a root at k = bit length - 1 alone."""
+        I2 = IntMatrix.identity(2)
+        for call, args in ((signed_root, (2, 10 ** 7)), (root_search, (I2, 10 ** 7 + 1, 1))):
+            tracemalloc.start()
+            try:
+                out = call(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (call.__name__, peak)
+        assert out == Found(I2, I2)
+        assert signed_root(2, 10 ** 7) is None
+        assert (signed_root(2 ** 61, 61), signed_root(-(3 ** 5), 5), signed_root(3 ** 5, 6)) == (2, -3, None)
 
     def test_candidate_budget_returns_incomplete(self):
         T = IntMatrix.identity(3)

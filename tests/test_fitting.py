@@ -269,9 +269,10 @@ class TestStableExponentFromChi:
     def test_two_chain_steps_on_nilpotent_operators(self, monkeypatch):
         """The stable exponent is read off chi, not walked: a nilpotent T
         takes the first chain step and the step at T^m, two Hermite forms
-        of [P^t | I] in place of m.  T is restricted to an image once per
-        split: once per fitting_decompose, whether or not the first step
-        stops the chain, and once per verify."""
+        of [P^t | I] in place of m.  Over Z a split restricts T to its image
+        only when its restriction is read: not before the first read, once
+        however often it is read, whether or not the first step stops the
+        chain, and once per verify."""
         from divlat.numberring import ZZ
         from divlat.verifier import verify
 
@@ -293,11 +294,15 @@ class TestStableExponentFromChi:
             restrictions.clear()
             split = fitting_decompose(T)
             assert split.exponent_m >= 5 and len(steps) <= 2, (T, split.exponent_m, len(steps))
+            assert restrictions == [], T
+            assert split.restriction is split.restriction
             assert len(restrictions) == 1, T
         stops_at_1 = set()
         for T in seeded_fitting_operators(71, 60):
             restrictions.clear()
             split = fitting_decompose(T)
+            assert restrictions == [], T
+            assert split.restriction is split.restriction
             assert len(restrictions) == 1, T
             restrictions.clear()
             verify(ZZ, None, T, None, ())

@@ -72,28 +72,42 @@ def _public_definitions(module, tree):
                         yield f"{module}.{node.name}.{meth.name}", meth
 
 
+def _module_aliases(tree):
+    """The names a module binds to imported modules: import m [as a] and
+    from . import m [as a]."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.level and not node.module
+            for alias in node.names}
+
+
 def test_no_public_name_only_tests_use():
     """Code that only tests call belongs in tests/, as an oracle or an input
     builder.  Every public name of the library modules (divlat/__init__
     only re-exports) occurs somewhere in them, outside its own definition:
     a method as an Attribute, a top-level function or class as a Name or an
-    Attribute, so a local variable or a builtin of a method's name does not
-    count.  The check goes by name: a use of another object of the same
-    name counts."""
+    Attribute read off a module (corpus_mod.gen_corpus), so a local
+    variable or a builtin of a method's name does not count, and a method
+    of a top-level function's name does not keep the function.  The check
+    goes by name: a use of another object of the same name counts."""
     trees = [(name, tree) for name, tree in _trees() if name != "__init__.py"]
-    names, attributes = {}, {}
+    names, attributes, module_attributes = {}, {}, {}
     for name, tree in trees:
+        modules = _module_aliases(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.setdefault(node.id, []).append((name, node.lineno))
             elif isinstance(node, ast.Attribute):
                 attributes.setdefault(node.attr, []).append((name, node.lineno))
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    module_attributes.setdefault(node.attr, []).append((name, node.lineno))
     unused = set()
     for name, tree in trees:
         for qualified, node in _public_definitions(name[:-3], tree):
-            uses = attributes.get(node.name, [])
             if qualified.count(".") == 1:  # a top-level function or class
-                uses = uses + names.get(node.name, [])
+                uses = module_attributes.get(node.name, []) + names.get(node.name, [])
+            else:
+                uses = attributes.get(node.name, [])
             if all(where == name and node.lineno <= line <= node.end_lineno for where, line in uses):
                 unused.add(qualified)
     assert unused == KEPT_WITHOUT_A_LIBRARY_CALLER

@@ -16,7 +16,6 @@ from divlat.supernat import (
     gcd_sn,
     lcm_sn,
     mul_sn,
-    nu,
     pi_S,
 )
 from divlat.primes import is_prime, prime_factors
@@ -29,19 +28,19 @@ def sn(d):
 
 class TestValuation:
     def test_nu_infinite(self):
-        assert nu(2, sn({2: INF, 3: 1})) == INF
+        assert sn({2: INF, 3: 1}).nu(2) == INF
 
     def test_nu_absent_prime(self):
-        assert nu(5, sn({2: INF, 3: 1})) == 0
+        assert sn({2: INF, 3: 1}).nu(5) == 0
 
     def test_nu_of_lcm(self):
         # factor each element, take the max exponent
         lcm = reduce(lcm_sn, (Supernatural.of(prime_factors(k)) for k in (6, 12, 18)))
-        assert nu(3, lcm) == 2
+        assert lcm.nu(3) == 2
 
     def test_nu_rejects_composite(self):
         with pytest.raises(ValueError, match="not a prime"):
-            nu(4, sn({2: 1}))
+            sn({2: 1}).nu(4)
 
     def test_canonical_form_rejects_zero_exponent(self):
         with pytest.raises(ValueError):
@@ -69,9 +68,9 @@ class TestLcmGcdMul:
         for _ in range(300):
             a, b, c = rand_sn(), rand_sn(), rand_sn()
             for p in primes:
-                assert nu(p, lcm_sn(a, b)) == max(nu(p, a), nu(p, b))
-                assert nu(p, gcd_sn(a, b)) == min(nu(p, a), nu(p, b))
-                assert nu(p, mul_sn(a, b)) == nu(p, a) + nu(p, b)
+                assert lcm_sn(a, b).nu(p) == max(a.nu(p), b.nu(p))
+                assert gcd_sn(a, b).nu(p) == min(a.nu(p), b.nu(p))
+                assert mul_sn(a, b).nu(p) == a.nu(p) + b.nu(p)
             assert lcm_sn(a, b) == lcm_sn(b, a)
             assert gcd_sn(a, b) == gcd_sn(b, a)
             assert lcm_sn(a, lcm_sn(b, c)) == lcm_sn(lcm_sn(a, b), c)
