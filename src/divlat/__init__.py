@@ -41,7 +41,6 @@ from .exactalg import (
     hnf,
     kernel_saturated,
     restrict_to_lattice,
-    snf,
 )
 from .fitting import clean_split, fitting_decompose
 from .numberring import (

@@ -18,7 +18,6 @@ import sys
 from . import corpus as corpus_mod
 from .classify import classify_operator
 from .divisibility import divisibility_spectrum, root_search
-from .exactalg import snf
 from .fitting import fitting_decompose
 from .numberring import IntegerRing, unit_group
 from .serialize import (
@@ -28,7 +27,6 @@ from .serialize import (
     classify_to_json,
     fitting_to_json,
     matrix_from_json,
-    matrix_to_json,
     outcome_to_json,
     primeset_from_json,
     primeset_to_json,
@@ -74,7 +72,7 @@ def _load_json(path: str):
         return _STRICT_JSON.decode(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, InputError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, a repeated key, an int past CPython's digit limit
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -224,13 +222,6 @@ def _cmd_units(args) -> int:
     return _emit(args, unit_group_to_json(desc), text)
 
 
-def _cmd_snf(args) -> int:
-    D, U, V = snf(matrix_from_json(_load_json(args.file)))
-    payload = {"D": matrix_to_json(D), "U": matrix_to_json(U), "V": matrix_to_json(V)}
-    text = f"D = {D.nested()}\nU = {U.nested()}\nV = {V.nested()}"
-    return _emit(args, payload, text)
-
-
 def _cmd_supernat(args) -> int:
     obj = _load_json(args.file)
     if not isinstance(obj, dict) or len(obj) != 1:
@@ -308,7 +299,6 @@ _SUBCOMMANDS = {
     "verify": (_cmd_verify, "clause-by-clause report for a problem file", PROBLEM_SCHEMA, [_FILE]),
     "units": (_cmd_units, "unit group of a quadratic order",
               'ring file: {"ring": {"quadratic": {"d": 2}}}', [_FILE]),
-    "snf": (_cmd_snf, "Smith normal form with transforms", MATRIX_SCHEMA, [_FILE]),
     "supernat": (_cmd_supernat, "supernatural arithmetic and Pi_S",
                  'file: {"pi_s": {"geometric": {"base": 2, "scale": 3}}} etc.', [_FILE]),
     "corpus": (_cmd_corpus, "emit a deterministic problem corpus as JSON", None,

@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
-Dense, immutable, arbitrary-precision matrices; Hermite and Smith normal
-forms; saturated kernels and honest images as canonical lattices, both read
-off one Hermite form (the Smith form serves only the ``snf`` command); and
-the characteristic and cyclotomic polynomials, as ascending coefficient
-tuples.  Nothing here ever touches a float.
+Dense, immutable, arbitrary-precision matrices; the Hermite normal form,
+the one lattice elimination; saturated kernels and honest images as
+canonical lattices, both read off one Hermite form; and the characteristic
+and cyclotomic polynomials, as ascending coefficient tuples.  Nothing here
+ever touches a float.
 """
 from __future__ import annotations
 
@@ -272,9 +272,6 @@ class IntMatrix(_Matrix):
             raise ValueError("determinant of a non-square matrix")
         return _tuple_det(self.entries, self.rows)
 
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(list(self.row(i))) for i in range(self.rows)) + "]"
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -341,12 +338,6 @@ class QMatrix(_Matrix):
 # Canonical forms
 
 
-def _stacked(rows, cols: int) -> IntMatrix:
-    """The IntMatrix with the given rows of ints, which are not re-converted
-    as IntMatrix.from_rows would."""
-    return IntMatrix(len(rows), cols, tuple(chain.from_iterable(rows)))
-
-
 def hnf(M: IntMatrix) -> IntMatrix:
     """Row Hermite normal form (unimodular row operations only).
 
@@ -386,79 +377,7 @@ def hnf(M: IntMatrix) -> IntMatrix:
                 if q:
                     work[i][j:] = [a - q * b for a, b in zip(work[i][j:], tail)]
             r += 1
-    return _stacked(work, n)
-
-
-def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns (D, U, V) with U*M*V = D, U and V
-    unimodular, D diagonal with non-negative d_1 | d_2 | ... entries."""
-    m, n = M.rows, M.cols
-    A = [list(M.row(i)) for i in range(m)]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_sub(i, k, q):
-        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_sub(j, k, q):
-        for row in A:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-
-    def swap_rows(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-
-    def swap_cols(j, k):
-        for row in A:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
-        if not entries:
-            break
-        while True:
-            _, pi, pj = min(entries)
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            if A[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        row_sub(i, t, q)
-                    if A[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        col_sub(j, t, q)
-                    if A[t][j]:
-                        dirty = True
-            if not dirty:
-                bad = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                            if A[i][j] % A[t][t] != 0), None)
-                if bad is None:
-                    break
-                row_sub(t, bad[0], -1)  # row t += row bad
-                dirty = True
-            entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
-        t += 1
-    return _stacked(A, n), _stacked(U, m), _stacked(V, n)
+    return IntMatrix(m, n, tuple(chain.from_iterable(work)))  # ints already: no from_rows re-conversion
 
 
 # ---------------------------------------------------------------------------

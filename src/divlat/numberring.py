@@ -124,11 +124,12 @@ _CF_STEPS = 100000  # continued-fraction steps before giving up on a unit
 
 def _fundamental_unit(order: QuadraticOrder) -> Element:
     """Fundamental unit of a real quadratic order: the first convergent
-    h/k (always k >= 1) of alpha with h + k*omega of norm +-1.
+    h/k (always k >= 1) of alpha with h + k*omega of norm +-1, found without
+    multiplying the norm out.
 
-    alpha is -conj(omega): sqrt(d), or (sqrt(d) - 1)/2 for d = 1 (mod 4),
-    so conj(h + k*omega) = h - k*alpha.  Why the first unit convergent is
-    the fundamental unit eps = a + b*omega:
+    alpha = -conj(omega) = (P0 + sqrt(d))/Q0, with (P0, Q0) = (-1, 2) for
+    d = 1 (mod 4) and (0, 1) otherwise, so conj(h + k*omega) = h - k*alpha.
+    Why the first unit convergent is the fundamental unit eps = a + b*omega:
 
     - eps > 1 > |conj(eps)|, so eps - conj(eps) = b*(omega - conj(omega))
       gives b >= 1, and conj(eps) = a - b*alpha > -1 gives a >= 0.
@@ -145,12 +146,22 @@ def _fundamental_unit(order: QuadraticOrder) -> Element:
       once eps > 2 (eps^m - conj(eps)^m > eps^2 - 1 > eps - conj(eps)),
       so no unit convergent comes before eps.
 
+    The norm is read off the complete quotients.  f(t, s) = ((Q0*t - P0*s)^2
+    - d*s^2)/Q0 has the root alpha, discriminant 4d and f(h, k) = Q0*N(h +
+    k*omega).  The convergent h/k, after h'/k', comes before the complete
+    quotient x = (P + sqrt(d))/Q, and alpha = (h*x + h')/(k*x + k') with
+    h*k' - h'*k = +-1.  That unimodular substitution turns f into a form of
+    discriminant 4d, roots x and conj(x) and leading coefficient f(h, k), so
+    4d = f(h, k)^2 * (x - conj(x))^2 = f(h, k)^2 * 4d/Q^2: f(h, k) = +-Q,
+    and h + k*omega is a unit exactly when the next Q is Q0.
+
     See Lenstra, "Solving the Pell equation", Notices AMS 49(2), 2002.
     """
     d = order.d
     # complete quotients (P + sqrt(d)) / Q; every one after the first is
     # reduced, so Q stays positive
     P, Q = (-1, 2) if d % 4 == 1 else (0, 1)
+    Q0 = Q
     sq = isqrt(d)
     h, h_prev = 1, 0
     k, k_prev = 0, 1
@@ -158,12 +169,14 @@ def _fundamental_unit(order: QuadraticOrder) -> Element:
         a = (P + sq) // Q  # floor of the complete quotient: sqrt(d) is irrational
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
-        if order.norm((h, k)) in (1, -1):
-            return (h, k)
         P = a * Q - P
         Q, rem = divmod(d - P * P, Q)
         if rem or Q <= 0:
             raise AssertionError("continued fraction left the reduced quadratic irrationals")
+        if Q == Q0:
+            if order.norm((h, k)) not in (1, -1):
+                raise AssertionError("a convergent with Q = Q0 is not a unit")
+            return (h, k)
     raise ValueError(f"no unit of Q(sqrt({d})) within {_CF_STEPS} continued-fraction steps")
 
 

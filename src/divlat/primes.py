@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # is_prime is proven below this
 
 
 def is_prime(n: int) -> bool:
@@ -33,7 +34,11 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division."""
+    """Prime factorization of n >= 1 by trial division, which ends early at
+    a proven-prime cofactor: once the divisors f pass 1000, a cofactor
+    n >= f^2 below psi_13, where is_prime is deterministic, is tested once
+    per value and, if prime, is the last factor.  Two large prime factors
+    still cost trial division up to the smaller one."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -41,8 +46,12 @@ def prime_factors(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
+    f, tested = 5, 1
     while f * f <= n:
+        if f > 1000 and n != tested:
+            if n < _PSI_13 and is_prime(n):
+                break
+            tested = n
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

@@ -7,12 +7,18 @@ and rational-invariants oracles, which build on the polynomial arithmetic
 over Q below, and the kernel predicate and kernel chain, which use rational
 ranks and minors only.  The exceptions are the image oracle and
 lattice_from_generators, which reduce with the library's Hermite form so
-that lattices compare entry-wise, and diagonal_matrix, full_lattice,
+that lattices compare entry-wise; diagonal_matrix, full_lattice,
 scalar_matrix, prime_set_is_infinite and primes_up_to, which build test
-inputs and have no caller in the library.
+inputs and have no caller in the library; and the seeded builders at the
+end (rand_matrix to seeded_fitting_operators), which make test inputs with
+the library's constructors.  time_limit bounds a test that could hang.
+Test modules share code only through this file: none imports another.
 """
 from __future__ import annotations
 
+import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, permutations, product, takewhile
@@ -709,3 +715,123 @@ def seeded_operator(kind, n, rng):
             left -= m
     u, uinv = unimodular_pair(n, rng, n)
     return mat_mul(mat_mul(u, T), uinv)
+
+
+# -- seeded inputs built with the library's constructors -------------------
+
+
+def rand_matrix(rng, n, bound):
+    """An n x n IntMatrix with entries in [-bound, bound]."""
+    from divlat.exactalg import IntMatrix
+
+    return IntMatrix(n, n, tuple(rng.randint(-bound, bound) for _ in range(n * n)))
+
+
+def rand_unimodular(rng, n):
+    """A product of ten random elementary row operations with multipliers
+    in {-2, -1, 1, 2}, as an IntMatrix."""
+    from divlat.exactalg import IntMatrix
+
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(10):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.choice([-2, -1, 1, 2])
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+def commutator_equations(mats, n):
+    """The integer matrix of X -> (XM - MX for M in mats) on X flattened
+    row-major."""
+    from divlat.exactalg import IntMatrix
+
+    rows = []
+    for M in mats:
+        for a in range(n):
+            for b in range(n):
+                row = [0] * (n * n)
+                for j in range(n):
+                    row[a * n + j] += M[j, b]
+                for i in range(n):
+                    row[i * n + b] -= M[a, i]
+                rows.append(row)
+    return IntMatrix.from_rows(rows, cols=n * n)
+
+
+def seeded_module_problems(seed):
+    """(T, module) over the regular modules of ranks 1 and 2 over O_d."""
+    from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
+
+    rng = random.Random(seed)
+    for d in (-1, -3, 2, 5):
+        order = QuadraticOrder(d)
+        for rank in (1, 2):
+            module = OKModule.regular(order, rank)
+            for _ in range(2):
+                X = embed_ok_matrix(order, [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rank)]
+                                            for _ in range(rank)])
+                yield X ** rng.choice((1, 2, 3)), module
+
+
+def seeded_fitting_operators(seed, count, n_max=8):
+    """Square operators of sizes 1..n_max: random, and conjugated
+    nilpotent, low-rank, and zero plus finite order (a zero block beside
+    cyclotomic companion blocks)."""
+    from divlat.corpus import block_diagonal, conjugate, random_unimodular
+    from divlat.exactalg import IntMatrix, companion_matrix, cyclotomic
+    from divlat.primes import euler_phi
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        kind = rng.choice(("random", "nilpotent", "low-rank", "finite-order"))
+        if kind == "random":
+            yield rand_matrix(rng, n, 3)
+            continue
+        if kind == "nilpotent":
+            T = IntMatrix.from_rows([[rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+                                     for i in range(n)])
+        elif kind == "low-rank":
+            k = rng.randint(0, n)
+            left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            T = IntMatrix.from_rows([[sum(left[i][t] * right[t][j] for t in range(k))
+                                      for j in range(n)] for i in range(n)])
+        else:
+            zeros = rng.randint(0, n - 1)
+            blocks, left = [IntMatrix.zeros(zeros, zeros)] if zeros else [], n - zeros
+            while left:
+                k = rng.choice([k for k in range(1, 13) if euler_phi(k) <= left])
+                blocks.append(companion_matrix(cyclotomic(k)))
+                left -= euler_phi(k)
+            T = block_diagonal(blocks)
+        yield conjugate(T, random_unimodular(n, rng, steps=2 * n))
+
+
+# -- time limits ---------------------------------------------------------------
+
+
+class _OverBudget(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError once it has run for `seconds`, so a
+    hang fails the test instead of stalling the suite (SIGALRM: POSIX, main
+    thread only).  The error is raised afresh here, without the frames the
+    alarm interrupted: pytest cannot always render a frame stopped between
+    two lines."""
+    def over_budget(signum, frame):
+        raise _OverBudget
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _OverBudget:
+        raise TimeoutError(f"took longer than {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

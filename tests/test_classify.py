@@ -23,8 +23,8 @@ from divlat.numberring import ZZ
 from divlat.primes import euler_phi
 from divlat.verifier import verify
 from helpers import (diagonal_matrix, frac_min_poly, min_poly_is_squarefree, newton_jordan_chevalley_oracle, qpoly_add,
-                     qpoly_divmod, qpoly_mul, qpoly_radical, rational_invariants_oracle, seeded_operator)
-from test_exactalg import rand_matrix, rand_unimodular
+                     qpoly_divmod, qpoly_mul, qpoly_radical, rand_matrix, rand_unimodular, rational_invariants_oracle,
+                     seeded_operator)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
 

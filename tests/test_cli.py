@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import random
+import sys
 
 import pytest
 
+import divlat
 from divlat.cli import build_parser, main
 from divlat.corpus import KINDS, conjugate, gen_corpus, random_unimodular
 from divlat.exactalg import IntMatrix
@@ -70,10 +72,13 @@ class TestSubcommands:
         assert rc == 0
         assert "fundamental unit: [1, 1]" in capsys.readouterr().out
 
-    def test_snf(self, tmp_path, capsys):
+    def test_there_is_no_smith_form(self, tmp_path, capsys):
+        """Hermite is the one lattice elimination: snf is neither a
+        subcommand nor a library name."""
         rc = main(["snf", write(tmp_path, "m.json", {"rows": 2, "cols": 2, "entries": [[2, 0], [0, 3]]})])
-        assert rc == 0
-        assert "D = [[1, 0], [0, 6]]" in capsys.readouterr().out
+        assert rc == 2
+        assert "invalid choice: 'snf'" in capsys.readouterr().err
+        assert not hasattr(divlat.exactalg, "snf") and not hasattr(divlat, "snf")
 
     def test_supernat_pi_s(self, tmp_path, capsys):
         rc = main(["supernat", write(tmp_path, "s.json", {"pi_s": {"residue": {"a": 1, "m": 3}}})])
@@ -202,6 +207,21 @@ class TestExitCodes:
         assert main(["classify", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {path}: invalid JSON (Unexpected UTF-8 BOM "
                                            "(decode using utf-8-sig): line 1 column 1 (char 0))\n")
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+        pytest.param(b'{"rows": 1, "cols": 1, "entries": [' + b"7" * 5000 + b"]}", id="entry-past-the-int-digit-limit",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="CPython without the int digit limit")),
+    ])
+    def test_every_undecodable_file_is_named(self, tmp_path, capsys, content):
+        """A decoding error, a 5000-digit integer (past CPython's default
+        limit of 4300) included, names the file as bad JSON does."""
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        assert main(["classify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: invalid JSON (")
 
     def test_units_rejects_unknown_fields(self, tmp_path, capsys):
         obj = {"ring": {"quadratic": {"d": 2}}, "bogus": 1}

@@ -28,9 +28,10 @@ from divlat.divisibility import (
     zero_plus_finite_order,
 )
 from divlat.exactalg import IntMatrix, kernel_saturated
-from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
+from divlat.numberring import embed_ok_matrix
 from divlat.primes import euler_phi, signed_root
-from helpers import brute_root_search, diagonal_matrix, lattice_from_generators
+from helpers import (brute_root_search, commutator_equations, diagonal_matrix, lattice_from_generators,
+                     seeded_module_problems)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 J = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
@@ -261,40 +262,11 @@ class TestRootSearch:
         assert out_large.witness.entries <= out_small.witness.entries
 
 
-def commutator_equations(mats, n):
-    """The integer matrix of X -> (XM - MX for M in mats) on X flattened
-    row-major."""
-    rows = []
-    for M in mats:
-        for a in range(n):
-            for b in range(n):
-                row = [0] * (n * n)
-                for j in range(n):
-                    row[a * n + j] += M[j, b]
-                for i in range(n):
-                    row[i * n + b] -= M[a, i]
-                rows.append(row)
-    return IntMatrix.from_rows(rows, cols=n * n)
-
-
 def seeded_operators(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.choice((2, 3))
         yield IntMatrix(n, n, tuple(rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(n * n)))
-
-
-def seeded_module_problems(seed):
-    """(T, module) over the regular modules of ranks 1 and 2 over O_d."""
-    rng = random.Random(seed)
-    for d in (-1, -3, 2, 5):
-        order = QuadraticOrder(d)
-        for rank in (1, 2):
-            module = OKModule.regular(order, rank)
-            for _ in range(2):
-                X = embed_ok_matrix(order, [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rank)]
-                                            for _ in range(rank)])
-                yield X ** rng.choice((1, 2, 3)), module
 
 
 class TestCommutantWalk:

@@ -5,26 +5,13 @@ from math import gcd
 import pytest
 
 from divlat.corpus import conjugate
-from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_matrix, cyclotomic, hnf, kernel_saturated, snf
+from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_matrix, cyclotomic, hnf, kernel_saturated
 from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _tuple_mul, _tuple_pow, _zdivmod, _zgcd,
                              _zradical)
-from helpers import (char_poly_cofactor, cyclotomic_table, diagonal_matrix, frac_det, frac_min_poly, frac_rank,
-                     full_lattice, image_oracle, is_saturated_kernel, lattice_from_generators, mat_mul, mat_pow,
-                     qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical, qpoly_trim)
-
-
-def rand_matrix(rng, n, bound):
-    return IntMatrix(n, n, tuple(rng.randint(-bound, bound) for _ in range(n * n)))
-
-
-def rand_unimodular(rng, n):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(10):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            c = rng.choice([-2, -1, 1, 2])
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return IntMatrix.from_rows(rows)
+from helpers import (char_poly_cofactor, commutator_equations, cyclotomic_table, diagonal_matrix, frac_det,
+                     frac_min_poly, frac_rank, full_lattice, image_oracle, is_saturated_kernel, lattice_from_generators,
+                     mat_mul, mat_pow, qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical,
+                     qpoly_trim, rand_matrix, rand_unimodular, seeded_module_problems)
 
 
 class TestKernels:
@@ -117,53 +104,19 @@ class TestHNF:
 
 
     def test_forms_are_built_without_reconverting_entries(self, monkeypatch):
-        """hnf and snf assemble their results from rows that hold only ints,
-        so they skip IntMatrix.from_rows and its per-entry int()."""
+        """hnf assembles its result from rows that hold only ints, so it
+        skips IntMatrix.from_rows and its per-entry int()."""
         rng = random.Random(7)
         cases = [rand_matrix(rng, 4, 9), IntMatrix(2, 3, (1, 2, 3, 4, 5, 6)), IntMatrix(0, 2, ()), IntMatrix(2, 0, ())]
-        expected = [(hnf(M), snf(M)) for M in cases]
+        expected = [hnf(M) for M in cases]
 
         def refuse(*args, **kwargs):
             raise AssertionError("IntMatrix.from_rows called")
 
         monkeypatch.setattr(IntMatrix, "from_rows", classmethod(refuse))
-        for M, (H, forms) in zip(cases, expected):
-            assert hnf(M) == H and snf(M) == forms
-            assert all(type(x) is int for X in (hnf(M),) + snf(M) for x in X.entries)
-
-
-class TestSNF:
-    def test_diag_2_3(self):
-        D, U, V = snf(diagonal_matrix([2, 3]))
-        assert D == diagonal_matrix([1, 6])
-
-    def test_zero_matrix(self):
-        D, U, V = snf(IntMatrix.zeros(2, 2))
-        assert D == IntMatrix.zeros(2, 2)
-        assert U == IntMatrix.identity(2)
-        assert V == IntMatrix.identity(2)
-
-    def test_remultiplication_randomized(self):
-        rng = random.Random(17)
-        for _ in range(500):
-            m = rng.randint(1, 5)
-            n = rng.randint(1, 5)
-            M = IntMatrix(m, n, tuple(rng.randint(-50, 50) for _ in range(m * n)))
-            D, U, V = snf(M)
-            assert U * M * V == D
-            assert abs(frac_det(U.nested())) == 1
-            assert abs(frac_det(V.nested())) == 1
-            diag = [D[i, i] for i in range(min(m, n))]
-            assert all(d >= 0 for d in diag)
-            for a, b in zip(diag, diag[1:]):
-                if a == 0:
-                    assert b == 0
-                else:
-                    assert b % a == 0
-            for i in range(m):
-                for j in range(n):
-                    if i != j:
-                        assert D[i, j] == 0
+        for M, H in zip(cases, expected):
+            assert hnf(M) == H
+            assert all(type(x) is int for x in hnf(M).entries)
 
 
 class TestCharMinPoly:
@@ -391,9 +344,7 @@ class TestArbitraryPrecision:
         big = 10 ** 20
         M = IntMatrix.from_rows([[big, big + 1], [big - 1, big]])
         assert M.det() == big * big - (big + 1) * (big - 1) == 1
-        D, U, V = snf(M)
-        assert U * M * V == D
-        assert D == IntMatrix.identity(2)
+        assert hnf(M) == IntMatrix.identity(2)  # unimodular: its rows span Z^2
         chi = char_poly(M)
         assert chi == (1, -2 * big, 1)
         assert not any(any(row) for row in qpoly_eval_matrix(chi, M.nested()))
@@ -446,8 +397,6 @@ class TestKernelAndImageAgainstOracles:
         assert _kernel_and_image(IntMatrix(3, 0, ()))[1] == Lattice(3, IntMatrix(0, 3, ()))
 
     def test_commutator_systems(self):
-        from test_divisibility import commutator_equations, seeded_module_problems
-
         rng = random.Random(173)
         for n in (1, 2, 3, 4):
             for _ in range(6):

@@ -6,9 +6,8 @@ import pytest
 
 from divlat import exactalg
 from divlat.corpus import block_diagonal, conjugate, random_unimodular
-from divlat.exactalg import IntMatrix, QMatrix, companion_matrix, cyclotomic
+from divlat.exactalg import IntMatrix, QMatrix
 from divlat.fitting import clean_split, fitting_decompose
-from divlat.primes import euler_phi
 from helpers import (
     diagonal_matrix,
     fitting_chain_oracle,
@@ -16,41 +15,12 @@ from helpers import (
     image_oracle,
     is_saturated_kernel,
     oracle_direct_and_full,
+    rand_matrix,
+    rand_unimodular,
+    seeded_fitting_operators,
+    seeded_module_problems,
     seeded_operator,
 )
-from test_divisibility import seeded_module_problems
-from test_exactalg import rand_matrix, rand_unimodular
-
-
-def seeded_fitting_operators(seed, count, n_max=8):
-    """Square operators of sizes 1..n_max: random, and conjugated
-    nilpotent, low-rank, and zero plus finite order (a zero block beside
-    cyclotomic companion blocks)."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, n_max)
-        kind = rng.choice(("random", "nilpotent", "low-rank", "finite-order"))
-        if kind == "random":
-            yield rand_matrix(rng, n, 3)
-            continue
-        if kind == "nilpotent":
-            T = IntMatrix.from_rows([[rng.randint(-2, 2) if j > i else 0 for j in range(n)]
-                                     for i in range(n)])
-        elif kind == "low-rank":
-            k = rng.randint(0, n)
-            left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
-            right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
-            T = IntMatrix.from_rows([[sum(left[i][t] * right[t][j] for t in range(k))
-                                      for j in range(n)] for i in range(n)])
-        else:
-            zeros = rng.randint(0, n - 1)
-            blocks, left = [IntMatrix.zeros(zeros, zeros)] if zeros else [], n - zeros
-            while left:
-                k = rng.choice([k for k in range(1, 13) if euler_phi(k) <= left])
-                blocks.append(companion_matrix(cyclotomic(k)))
-                left -= euler_phi(k)
-            T = block_diagonal(blocks)
-        yield conjugate(T, random_unimodular(n, rng, steps=2 * n))
 
 
 def seeded_nilpotent_operators():
@@ -311,28 +281,3 @@ class TestStableExponentFromChi:
         assert stops_at_1 == {True, False}
 
 
-class TestNoSmithForm:
-    def test_split_verify_and_root_search_make_no_smith_form(self, monkeypatch):
-        from divlat.corpus import KINDS, gen_corpus
-        from divlat.divisibility import root_search
-        from divlat.numberring import ZZ
-        from divlat.verifier import verify
-
-        calls = []
-        snf = exactalg.snf
-
-        def counting(M):
-            calls.append(M)
-            return snf(M)
-
-        monkeypatch.setattr(exactalg, "snf", counting)
-        for T in seeded_fitting_operators(83, 40, n_max=5):
-            clean_split(T)
-            fitting_decompose(T)
-        for kind in KINDS:
-            for problem in gen_corpus(kind, 1)[:4]:
-                verify(ZZ, None, problem.operator, problem.exponent_set, problem.witnesses)
-                root_search(problem.operator, 2, 1)
-        for T, module in seeded_module_problems(89):
-            root_search(T, 2, 1, module=module)
-        assert calls == []

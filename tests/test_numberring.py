@@ -1,6 +1,5 @@
 import os
 import random
-import signal
 import subprocess
 import sys
 import textwrap
@@ -24,7 +23,7 @@ from divlat.numberring import (
 )
 from divlat.supernat import Factorials, FiniteSet, Geometric, PrimeSet, Residue
 from helpers import (brute_fundamental_unit, lattice_from_generators, ring_det_leibniz, ring_mat_mul, scalar_matrix,
-                     torsion_by_enumeration)
+                     time_limit, torsion_by_enumeration)
 
 
 class TestQuadraticOrder:
@@ -113,17 +112,16 @@ class TestUnitGroup:
             199: (16266196520, 1153080099),
         }
 
-        def over_budget(signum, frame):
-            raise TimeoutError("fundamental units took longer than the budget")
-
-        previous = signal.signal(signal.SIGALRM, over_budget)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
+        with time_limit(5.0):
             got = {d: unit_group(QuadraticOrder(d)).fundamental_unit for d in known}
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert got == known
+
+    def test_the_step_budget_ends_a_long_period(self):
+        """d = 10^18 + 3 is prime, so checking it squarefree costs one
+        primality test, and its unit lies beyond the continued-fraction
+        budget, which ends the search in seconds."""
+        with time_limit(15.0), pytest.raises(ValueError, match="within 100000 continued-fraction steps"):
+            unit_group(QuadraticOrder(10 ** 18 + 3))
 
     def test_torsion_matches_enumeration_for_imaginary_d(self):
         """Dirichlet's table against the norm-1 elements and their orders,

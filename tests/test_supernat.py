@@ -19,7 +19,7 @@ from divlat.supernat import (
     pi_S,
 )
 from divlat.primes import is_prime, prime_factors
-from helpers import elements_up_to, prime_set_is_infinite, primes_up_to
+from helpers import elements_up_to, prime_set_is_infinite, primes_up_to, time_limit
 
 
 def sn(d):
@@ -222,3 +222,15 @@ class TestPrimality:
         assert not is_prime(p * q)
         assert is_prime(p) and is_prime(q)
         assert [n for n in range(60) if is_prime(n)] == primes_up_to(59)
+
+    def test_a_proven_prime_cofactor_ends_trial_division(self):
+        """Past the small divisors, a cofactor below psi_13 that is prime
+        is the last factor: trial division up to the square root of
+        p = 10^18 + 3 would take minutes.  Small n keep plain trial
+        division."""
+        p = 10 ** 18 + 3
+        with time_limit(5.0):
+            assert prime_factors(p) == {p: 1}
+            assert prime_factors(6 * 1009 ** 2 * p) == {2: 1, 3: 1, 1009: 2, p: 1}
+            assert pi_S(Geometric(p)) == PrimeSet.finite([p])
+        assert [n for n in range(2, 3000) if prime_factors(n) == {n: 1}] == primes_up_to(2999)

@@ -11,8 +11,7 @@ from divlat.supernat import AllFrom, FiniteSet, Geometric, PrimeSet, Residue
 from divlat.fitting import clean_split, fitting_decompose
 from divlat.verifier import order_is_outside, verify
 from helpers import (diagonal_matrix, frac_quotient_det, image_oracle, is_saturated_kernel,
-                     oracle_direct_and_full, oracle_intersection_rank, seeded_operator)
-from test_fitting import seeded_fitting_operators
+                     oracle_direct_and_full, oracle_intersection_rank, seeded_fitting_operators, seeded_operator)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 
