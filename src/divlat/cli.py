@@ -210,14 +210,17 @@ def _cmd_units(args) -> int:
     if isinstance(ring, IntegerRing):
         raise InputError("units: need a quadratic ring, e.g. {\"ring\": {\"quadratic\": {\"d\": 2}}}")
     desc = unit_group(ring)
+    unit = desc.fundamental_unit
+    try:
+        unit_text = "none (imaginary field)" if unit is None else f"{list(unit)} (norm {ring.norm(unit)})"
+    except ValueError:  # a coordinate past CPython's digit limit for int to str, in --json too
+        bits = max(abs(c).bit_length() for c in unit)
+        raise InputError(f"units: {ring}: the fundamental unit has a {bits}-bit coordinate, more decimal digits "
+                         f"than sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} allows") from None
     text = (
         f"{ring}\n"
         f"torsion order: {desc.torsion_order}, generator {list(desc.torsion_generator)}\n"
-        + (
-            f"fundamental unit: {list(desc.fundamental_unit)} (norm {ring.norm(desc.fundamental_unit)})"
-            if desc.fundamental_unit is not None
-            else "fundamental unit: none (imaginary field)"
-        )
+        f"fundamental unit: {unit_text}"
     )
     return _emit(args, unit_group_to_json(desc), text)
 

@@ -1,8 +1,12 @@
 """Small exact number-theory helpers shared across the package."""
 from __future__ import annotations
 
+from math import gcd
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981  # is_prime is proven below this
+_RHO_CONSTANTS = 8  # Brent's rho tries x^2 + c for c = 1.._RHO_CONSTANTS
+_RHO_BATCH = 128  # steps whose differences share one gcd
 
 
 def is_prime(n: int) -> bool:
@@ -33,12 +37,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _brent_divisor(n: int) -> int | None:
+    """A proper divisor of the odd composite n by Brent's variant of
+    Pollard's rho (R. P. Brent, BIT 20 (1980)), iterating x^2 + c from 2
+    for c = 1, 2, ..., or None when every constant fails.  A prime factor
+    p of n costs about sqrt(p) steps."""
+    for c in range(1, _RHO_CONSTANTS + 1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: step again one at a time from its start
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    return None
+
+
 def prime_factors(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division, which ends early at
-    a proven-prime cofactor: once the divisors f pass 1000, a cofactor
-    n >= f^2 below psi_13, where is_prime is deterministic, is tested once
-    per value and, if prime, is the last factor.  Two large prime factors
-    still cost trial division up to the smaller one."""
+    """Prime factorization of n >= 1, in ascending order of the primes.
+    Trial division ends early at a proven-prime cofactor: once the divisors
+    f pass 1000, a cofactor n >= f^2 below psi_13, where is_prime is
+    deterministic, is tested once per value and, if prime, is the last
+    factor; if composite, Brent's rho splits it and each part is factored
+    in turn.  Where rho fails, and at or above psi_13, trial division goes
+    on, so two large prime factors there still cost trial division up to
+    the smaller one.  A number below 1001^2 never reaches rho."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -49,8 +86,15 @@ def prime_factors(n: int) -> dict[int, int]:
     f, tested = 5, 1
     while f * f <= n:
         if f > 1000 and n != tested:
-            if n < _PSI_13 and is_prime(n):
-                break
+            if n < _PSI_13:
+                if is_prime(n):
+                    break
+                d = _brent_divisor(n)
+                if d is not None:
+                    for part in (d, n // d):
+                        for p, e in prime_factors(part).items():
+                            out[p] = out.get(p, 0) + e
+                    return dict(sorted(out.items()))
             tested = n
         for p in (f, f + 2):
             while n % p == 0:

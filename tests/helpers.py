@@ -11,7 +11,9 @@ that lattices compare entry-wise; diagonal_matrix, full_lattice,
 scalar_matrix, prime_set_is_infinite and primes_up_to, which build test
 inputs and have no caller in the library; and the seeded builders at the
 end (rand_matrix to seeded_fitting_operators), which make test inputs with
-the library's constructors.  time_limit bounds a test that could hang.
+the library's constructors, and the golden problem sets of the CLI
+(module_problems, large_problems, unit_rings).  time_limit bounds a test
+that could hang.
 Test modules share code only through this file: none imports another.
 """
 from __future__ import annotations
@@ -619,6 +621,20 @@ def primes_up_to(n):
     return [i for i in range(n + 1) if sieve[i]]
 
 
+def trial_factors(n):
+    """The prime factorization of n >= 1 by trial division alone, by 2 and
+    the odd numbers."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def prime_set_is_infinite(P):
     """Whether a PrimeSet holds infinitely many primes."""
     return P.cofinite
@@ -807,6 +823,53 @@ def seeded_fitting_operators(seed, count, n_max=8):
                 left -= euler_phi(k)
             T = block_diagonal(blocks)
         yield conjugate(T, random_unimodular(n, rng, steps=2 * n))
+
+
+# -- the golden problem sets of the CLI -------------------------------------
+
+
+def module_problems():
+    """Over the regular modules of ranks 1 and 2 over O_d: a random
+    operator, one with a zero last row, a projection onto the first
+    coordinate, and a square carrying its root as witness."""
+    from divlat.numberring import OKModule, QuadraticOrder, embed_ok_matrix
+    from divlat.serialize import problem_to_json
+    from divlat.supernat import AllFrom, Geometric
+
+    rng = random.Random(13)
+    problems = []
+    for d in (-5, -1, 2, 5):
+        order = QuadraticOrder(d)
+        for rank in (1, 2):
+            for shape in ("random", "singular", "projection", "square"):
+                rows = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rank)] for _ in range(rank)]
+                if shape == "singular":
+                    rows[-1] = [(0, 0)] * rank
+                elif shape == "projection":
+                    rows = [[(int(i == j == 0), 0) for j in range(rank)] for i in range(rank)]
+                X = embed_ok_matrix(order, rows)
+                if shape == "square":
+                    T, S, witnesses = X ** 2, AllFrom(2), ((2, X),)
+                else:
+                    T, S, witnesses = X, Geometric(2, 1), ()
+                problems.append(problem_to_json(order, OKModule.regular(order, rank), T, S, witnesses,
+                                                name=f"module-{d}-{rank}-{shape}"))
+    return problems
+
+
+def large_problems():
+    """One problem with S = 2^N per kind of seeded_operator and n = 6..12."""
+    rng = random.Random(19)
+    return [{"name": f"{kind}-{n}", "S": {"geometric": {"base": 2, "scale": 1}},
+             "operator": {"rows": n, "cols": n, "entries": seeded_operator(kind, n, rng)}}
+            for kind in ("random", "finite-order", "nilpotent") for n in range(6, 13)]
+
+
+def unit_rings():
+    """The ring file of every quadratic order with d in [-200, 200]."""
+    from divlat.primes import is_squarefree
+
+    return [{"ring": {"quadratic": {"d": d}}} for d in range(-200, 201) if d not in (0, 1) and is_squarefree(d)]
 
 
 # -- time limits ---------------------------------------------------------------

@@ -13,10 +13,8 @@ from divlat.cli import build_parser, main
 from divlat.corpus import KINDS, conjugate, gen_corpus, random_unimodular
 from divlat.exactalg import IntMatrix
 from divlat.serialize import problem_from_json, problem_to_json
-from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
-from divlat.primes import is_squarefree
-from divlat.supernat import AllFrom, Geometric
-from helpers import frac_inverse, mat_mul, seeded_operator
+from divlat.numberring import ZZ
+from helpers import frac_inverse, large_problems, mat_mul, module_problems, time_limit, unit_rings
 
 
 def write(tmp_path, name, obj):
@@ -71,6 +69,21 @@ class TestSubcommands:
         rc = main(["units", write(tmp_path, "r.json", {"ring": {"quadratic": {"d": 2}}})])
         assert rc == 0
         assert "fundamental unit: [1, 1]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_units_names_the_ring_of_an_unprintable_unit(self, tmp_path, capsys, flags):
+        """A fundamental unit past CPython's digit limit for int to str is
+        an input error naming the ring, the unit's size and the limit, in
+        text and JSON alike; the process-wide limit stays as it was."""
+        limit = sys.get_int_max_str_digits()
+        with time_limit(10.0):
+            rc = main(flags + ["units", write(tmp_path, "r.json", {"ring": {"quadratic": {"d": 1000000007}}})])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == (
+            "error: units: Z[sqrt(1000000007)]: the fundamental unit has a 21198-bit coordinate, "
+            f"more decimal digits than sys.get_int_max_str_digits() = {limit} allows\n")
+        assert sys.get_int_max_str_digits() == limit
 
     def test_there_is_no_smith_form(self, tmp_path, capsys):
         """Hermite is the one lattice elimination: snf is neither a
@@ -695,40 +708,6 @@ def corpus_digests(tmp_path):
     return digests
 
 
-def module_problems():
-    """Over the regular modules of ranks 1 and 2 over O_d: a random
-    operator, one with a zero last row, a projection onto the first
-    coordinate, and a square carrying its root as witness."""
-    rng = random.Random(13)
-    problems = []
-    for d in (-5, -1, 2, 5):
-        order = QuadraticOrder(d)
-        for rank in (1, 2):
-            for shape in ("random", "singular", "projection", "square"):
-                rows = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rank)] for _ in range(rank)]
-                if shape == "singular":
-                    rows[-1] = [(0, 0)] * rank
-                elif shape == "projection":
-                    rows = [[(int(i == j == 0), 0) for j in range(rank)] for i in range(rank)]
-                X = embed_ok_matrix(order, rows)
-                if shape == "square":
-                    T, S, witnesses = X ** 2, AllFrom(2), ((2, X),)
-                else:
-                    T, S, witnesses = X, Geometric(2, 1), ()
-                problems.append(problem_to_json(order, OKModule.regular(order, rank), T, S, witnesses,
-                                                name=f"module-{d}-{rank}-{shape}"))
-    return problems
-
-
-def large_problems():
-    """One problem with S = 2^N per kind of helpers.seeded_operator and
-    n = 6..12."""
-    rng = random.Random(19)
-    return [{"name": f"{kind}-{n}", "S": {"geometric": {"base": 2, "scale": 1}},
-             "operator": {"rows": n, "cols": n, "entries": seeded_operator(kind, n, rng)}}
-            for kind in ("random", "finite-order", "nilpotent") for n in range(6, 13)]
-
-
 LARGE_COMMANDS = ("classify --json", "fitting --json", "verify --json")
 # The same over large_problems, recorded before the powers of an operator
 # were read off one ladder of squares.
@@ -740,11 +719,6 @@ GOLDEN_LARGE_DIGESTS = {
     "large verify --json":
         "cee631b4709b298293f11a6779037add917ea3276bfaf00356276af4089c4a90",
 }
-
-
-def unit_rings():
-    """The ring file of every quadratic order with d in [-200, 200]."""
-    return [{"ring": {"quadratic": {"d": d}}} for d in range(-200, 201) if d not in (0, 1) and is_squarefree(d)]
 
 
 # sha256 over (exit code, stdout, stderr) of units and units --json on every

@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
+import divlat.cli
+from divlat.corpus import KINDS
 from divlat.exactalg import IntMatrix, QMatrix
 from divlat.numberring import OKModule, QuadraticOrder, ZZ
 from divlat.serialize import (
     InputError,
+    _stdlib_canonical,
+    _write_canonical,
     canonical_dumps,
     matrix_from_json,
     matrix_to_json,
@@ -34,6 +42,7 @@ from divlat.supernat import (
     Residue,
     Supernatural,
 )
+from helpers import large_problems, module_problems, unit_rings
 
 
 class TestMatrixJson:
@@ -208,3 +217,108 @@ class TestCanonicalDumps:
         b = canonical_dumps({"a": [3, {"y": 2, "z": 1}], "b": 1})
         assert a == b
         assert a.endswith("\n")
+
+
+def _stdlib(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _golden_payloads(tmp_path, monkeypatch):
+    """Every payload the CLI writes with --json on the golden problem sets:
+    corpus seeds 1 and 2 of every kind (the corpus itself, classify,
+    verify, fitting, root and spectrum), the module and large-operator
+    problems and the unit rings."""
+    payloads = []
+    monkeypatch.setattr(divlat.cli, "canonical_dumps", lambda obj: payloads.append(obj) or "")
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return divlat.cli.main(["--json"] + argv)
+
+    def paths(problems):
+        for i, problem in enumerate(problems):
+            path = tmp_path / f"p{i}.json"
+            path.write_text(json.dumps(problem))
+            yield str(path)
+
+    problems = module_problems()
+    for kind in KINDS:
+        for seed in ("1", "2"):
+            assert run(["corpus", kind, "--seed", seed]) == 0
+            problems += payloads[-1]
+    every = (["classify"], ["verify"], ["fitting"], ["root", "--s", "2", "--bound", "1"],
+             ["spectrum", "--s-max", "3", "--bound", "1"])
+    for path in paths(problems):
+        for command, *args in every:
+            run([command, path] + args)
+    for path in paths(large_problems()):
+        for command in ("classify", "fitting", "verify"):
+            run([command, path])
+    for path in paths(unit_rings()):
+        run(["units", path])
+    return payloads
+
+
+def _random_tree(rng, depth):
+    """A JSON-like tree of depth <= depth: dicts with str keys, lists and
+    tuples, some empty, and leaves that mix bools into ints, negative and
+    4300-digit ints, None and strings."""
+    leaves = [lambda: rng.randint(-10 ** 6, 10 ** 6), lambda: rng.choice([True, False, 0, 1]),
+              lambda: -rng.randrange(10 ** 4299, 10 ** 4300), lambda: None,
+              lambda: "".join(rng.choice("ab\"\\\n\x00é€😀") for _ in range(rng.randint(0, 4)))]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    size = rng.choice([0, 1, 2, 5])
+    kind = rng.choice(["dict", "list", "tuple", "ints"])
+    if kind == "dict":
+        return {rng.choice(["", "a", "b", "ß", "\t", "key"]) + str(i): _random_tree(rng, depth - 1)
+                for i in range(size)}
+    if kind == "ints":
+        return [rng.choice([rng.randint(-9, 9), rng.choice([True, False])]) for _ in range(size)]
+    items = [_random_tree(rng, depth - 1) for _ in range(size)]
+    return items if kind == "list" else tuple(items)
+
+
+class TestCanonicalWriter:
+    """The writer against json.dumps(obj, sort_keys=True, indent=2) + "\n",
+    on every Python, whichever of the two canonical_dumps is."""
+
+    def test_canonical_dumps_is_the_writer_before_python_3_13(self):
+        assert canonical_dumps is (_write_canonical if sys.version_info < (3, 13) else _stdlib_canonical)
+
+    def test_every_golden_payload(self, tmp_path, monkeypatch):
+        payloads = _golden_payloads(tmp_path, monkeypatch)
+        assert len(payloads) > 800
+        for obj in payloads:
+            assert _write_canonical(obj) == _stdlib(obj) == _stdlib_canonical(obj)
+
+    def test_seeded_random_trees(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            obj = _random_tree(rng, 5)
+            assert _write_canonical(obj) == _stdlib(obj)
+
+    def test_empty_containers_and_scalars(self):
+        for obj in ({}, [], (), [[]], {"a": {}}, {"a": []}, 0, -1, True, False, None, "", [True, 1, False, 0]):
+            assert _write_canonical(obj) == _stdlib(obj)
+
+    def test_escapes(self):
+        text = '"\\/' + "".join(map(chr, range(32))) + "\x7f é ß € \u2028 😀 \U0010ffff \ud800"
+        for obj in (text, [text], {text: text}, {"a": text, text[:5]: [text, 1]}):
+            assert _write_canonical(obj) == _stdlib(obj)
+
+    def test_an_int_past_the_digit_limit_raises_as_in_json(self):
+        limit = sys.get_int_max_str_digits()
+        for obj in (10 ** limit, [10 ** limit, 1], {"a": -10 ** limit}, [[1, 10 ** limit]]):
+            with pytest.raises(ValueError):
+                _stdlib(obj)
+            with pytest.raises(ValueError, match="integer string conversion"):
+                _write_canonical(obj)
+
+    @pytest.mark.parametrize("obj", [1.5, [0.0], {"a": Fraction(1, 2)}, {1, 2}, {1: 2}, {"a": 1, 2: 3},
+                                     {(1,): 2}, [b"x"]])
+    def test_anything_else_is_a_type_error(self, obj):
+        """A float json.dumps accepts, and a non-str key it would convert,
+        are refused: no divlat payload holds one."""
+        with pytest.raises(TypeError):
+            _write_canonical(obj)

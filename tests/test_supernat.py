@@ -18,8 +18,9 @@ from divlat.supernat import (
     mul_sn,
     pi_S,
 )
+from divlat import primes
 from divlat.primes import is_prime, prime_factors
-from helpers import elements_up_to, prime_set_is_infinite, primes_up_to, time_limit
+from helpers import elements_up_to, prime_set_is_infinite, primes_up_to, time_limit, trial_factors
 
 
 def sn(d):
@@ -234,3 +235,41 @@ class TestPrimality:
             assert prime_factors(6 * 1009 ** 2 * p) == {2: 1, 3: 1, 1009: 2, p: 1}
             assert pi_S(Geometric(p)) == PrimeSet.finite([p])
         assert [n for n in range(2, 3000) if prime_factors(n) == {n: 1}] == primes_up_to(2999)
+
+    def test_rho_agrees_with_trial_division(self, monkeypatch):
+        """Seeded semiprimes, squares and cubes below 10^12 of primes above
+        1000, alone and times small factors, factor as trial division
+        factors them, in ascending order of the primes; each reaches rho."""
+        split = []
+        brent = primes._brent_divisor
+        monkeypatch.setattr(primes, "_brent_divisor", lambda n: split.append(n) or brent(n))
+        rng = random.Random(29)
+        big = rng.sample([p for p in primes_up_to(10 ** 6) if p > 1000], 16)
+        cases = ([p * q for p, q in zip(big[::2], big[1::2])] + [p ** 2 for p in big[:4]]
+                 + [p ** 3 for p in rng.sample(primes_up_to(10 ** 4)[200:], 2)]
+                 + [2 ** 5 * 9 * 7 * p * q for p, q in zip(big[:4], big[4:8])])
+        with time_limit(20.0):
+            for n in cases:
+                factors = prime_factors(n)
+                assert factors == trial_factors(n) and list(factors) == sorted(factors)
+        assert len(split) >= len(cases)
+
+    def test_rho_splits_two_large_primes_below_psi_13(self):
+        """Rho splits (10^9 + 7)(10^9 + 9), where trial division would run
+        up to 10^9, at once, and a product of two primes near 1.8 * 10^12,
+        just below psi_13, within seconds."""
+        with time_limit(2.0):
+            assert prime_factors(1000000016000000063) == {1000000007: 1, 1000000009: 1}
+            assert pi_S(Geometric(1000000016000000063)) == PrimeSet.finite([1000000007, 1000000009])
+        with time_limit(20.0):
+            assert prime_factors(1800000000047 * 1820000000011) == {1800000000047: 1, 1820000000011: 1}
+
+    def test_small_numbers_never_reach_rho(self, monkeypatch):
+        """Rho starts only past divisors 1000, so below 1001^2, and on every
+        |d| <= 200, trial division alone answers."""
+        def no_rho(n):
+            raise AssertionError(f"rho on {n}")
+
+        monkeypatch.setattr(primes, "_brent_divisor", no_rho)
+        for n in list(range(1, 3000)) + list(range(1001 ** 2 - 1000, 1001 ** 2)):
+            assert prime_factors(n) == trial_factors(n)
