@@ -5,14 +5,20 @@ from math import gcd
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981  # is_prime is proven below this
+_TRIAL_DIVISORS = (2, 3, *(k + i for k in range(6, 1000, 6) for i in (-1, 1)))  # 2, 3, 6k +- 1 < 1000
 _RHO_CONSTANTS = 8  # Brent's rho tries x^2 + c for c = 1.._RHO_CONSTANTS
 _RHO_BATCH = 128  # steps whose differences share one gcd
+# rho gives up past rounds this long, after about 2^24 steps: enough for a
+# least prime factor up to sqrt(psi_13) ~ 1.82e12
+_RHO_MAX_R = 2 ** 22
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the thirteen prime bases 2..41, deterministic below
+    """Miller-Rabin with the thirteen prime bases 2..41.  A witness proves n
+    composite at any size; passing every base proves n prime below
     psi_13 = 3317044064679887385961981 > 3.3e24 (Sorenson and Webster, Math.
-    Comp. 86 (2017)).  The twelve bases 2..37 alone pass the composite
+    Comp. 86 (2017)) and nothing from there on, so there it raises
+    ValueError.  The twelve bases 2..37 alone pass the composite
     psi_12 = 318665857834031151167461 = 399165290221 * 798330580441."""
     if n < 2:
         return False
@@ -34,17 +40,21 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise ValueError(f"cannot prove {n} prime: Miller-Rabin proves nothing at or above psi_13")
     return True
 
 
 def _brent_divisor(n: int) -> int | None:
     """A proper divisor of the odd composite n by Brent's variant of
     Pollard's rho (R. P. Brent, BIT 20 (1980)), iterating x^2 + c from 2
-    for c = 1, 2, ..., or None when every constant fails.  A prime factor
-    p of n costs about sqrt(p) steps."""
+    for c = 1, 2, ..., or None when every constant fails or a round passes
+    _RHO_MAX_R steps.  A prime factor p of n costs about sqrt(p) steps."""
     for c in range(1, _RHO_CONSTANTS + 1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if r > _RHO_MAX_R:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -69,41 +79,31 @@ def _brent_divisor(n: int) -> int | None:
 
 def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, in ascending order of the primes.
-    Trial division ends early at a proven-prime cofactor: once the divisors
-    f pass 1000, a cofactor n >= f^2 below psi_13, where is_prime is
-    deterministic, is tested once per value and, if prime, is the last
-    factor; if composite, Brent's rho splits it and each part is factored
-    in turn.  Where rho fails, and at or above psi_13, trial division goes
-    on, so two large prime factors there still cost trial division up to
-    the smaller one.  A number below 1001^2 never reaches rho."""
+    Trial division by 2, 3 and 6k +- 1 below 1000 stops at the first f with
+    f^2 > n.  A work list then holds the cofactor: a number below f^2 is
+    prime, as it has no prime factor below f; otherwise is_prime proves it
+    prime or composite, and rho splits a composite into two parts that go
+    back on the list.  A number below 1001^2 never reaches rho.  Raises
+    ValueError naming a number that is_prime cannot decide or rho cannot split."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f, tested = 5, 1
-    while f * f <= n:
-        if f > 1000 and n != tested:
-            if n < _PSI_13:
-                if is_prime(n):
-                    break
-                d = _brent_divisor(n)
-                if d is not None:
-                    for part in (d, n // d):
-                        for p, e in prime_factors(part).items():
-                            out[p] = out.get(p, 0) + e
-                    return dict(sorted(out.items()))
-            tested = n
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for f in _TRIAL_DIVISORS:
+        if f * f > n:
+            break
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+    work = [n] if n > 1 else []
+    while work:
+        m = work.pop()
+        if m < f * f or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        elif (d := _brent_divisor(m)) is not None:
+            work += (d, m // d)
+        else:
+            raise ValueError(f"cannot factor {m}: rho finds no divisor within its step bound")
+    return dict(sorted(out.items()))
 
 
 def is_squarefree(n: int) -> bool:

@@ -60,15 +60,7 @@ class Supernatural:
 
     def nu(self, p: int) -> Exponent:
         """p-adic valuation; 0 for primes absent from the product."""
-        _check_prime(p)
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+        return dict(self.factors).get(_check_prime(p), 0)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -85,13 +77,9 @@ class Supernatural:
 
 
 def _merge(a: Supernatural, b: Supernatural, combine) -> Supernatural:
-    primes = sorted(set(a.support) | set(b.support))
-    out = {}
-    for p in primes:
-        e = combine(a.nu(p), b.nu(p))
-        if e != 0:
-            out[p] = e if e == INF else int(e)
-    return Supernatural.of(out)
+    """combine on the exponents of each prime; of proves each prime once."""
+    fa, fb = dict(a.factors), dict(b.factors)
+    return Supernatural.of({p: combine(fa.get(p, 0), fb.get(p, 0)) for p in fa.keys() | fb.keys()})
 
 
 def lcm_sn(a: Supernatural, b: Supernatural) -> Supernatural:

@@ -517,6 +517,49 @@ class TestSupernatNu:
         assert json.loads(capsys.readouterr().out) == {"nu": 0}
 
 
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521, a strong pseudoprime to every base 2..41
+I2_JSON = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}
+
+
+class TestNoInputHangs:
+    @pytest.mark.parametrize("obj, where, n", [
+        ({"nu": {"p": PSI_13, "n": {"factors": {str(PSI_13): 2}}}}, "supernatural: ", PSI_13),
+        ({"additive": {"S": {"all_from": 2}, "lchar": {"finite": [PSI_13]}}}, "lchar: ", PSI_13),
+        ({"pi_s": {"geometric": {"base": PSI_13}}}, "", PSI_13),
+        ({"pi_s": {"geometric": {"base": 10 ** 25 + 13}}}, "", 10 ** 25 + 13),
+    ], ids=["nu-key", "lchar", "base-psi-13", "prime-base"])
+    def test_an_unprovable_prime_is_refused(self, tmp_path, capsys, obj, where, n):
+        """A prime key, a prime-set prime or a factor that Miller-Rabin
+        cannot prove prime, at or above psi_13, is an input error naming
+        the number, given at once."""
+        with time_limit(1.0):
+            rc = main(["supernat", write(tmp_path, "s.json", obj)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"error: {where}cannot prove {n} prime: Miller-Rabin proves nothing at or above psi_13\n")
+
+    def test_a_base_above_psi_13_is_split(self, tmp_path, capsys):
+        obj = {"pi_s": {"geometric": {"base": 3640000000027460000000033}}}
+        with time_limit(5.0):
+            rc = main(["supernat", write(tmp_path, "s.json", obj)])
+        assert rc == 0
+        assert capsys.readouterr().out == "{1820000000011, 2000000000003}\n"
+
+    def test_a_huge_exponent_on_a_finite_order_operator(self, tmp_path, capsys):
+        """root and verify on I2 at s = 10^8, and root at the prime
+        s = 10^25 + 13, answer at once."""
+        path = write(tmp_path, "i2.json", I2_JSON)
+        problem = {"operator": I2_JSON, "S": {"geometric": {"base": 2, "scale": 1}},
+                   "witnesses": [{"s": 10 ** 8, "matrix": {"rows": 2, "cols": 2, "entries": [[2, 1], [1, 1]]}}]}
+        with time_limit(2.0):
+            assert main(["root", path, "--s", str(10 ** 8), "--bound", "1", "--timeout-ms", "1000"]) == 0
+            assert capsys.readouterr().out == "FOUND witness [[-1, -1], [0, 1]] (re-multiplied exactly)\n"
+            assert main(["root", path, "--s", str(10 ** 25 + 13), "--bound", "1"]) == 0
+            assert capsys.readouterr().out == "FOUND witness [[1, 0], [0, 1]] (re-multiplied exactly)\n"
+            assert main(["verify", write(tmp_path, "p.json", problem)]) == 0
+        assert capsys.readouterr().out.startswith("witness s=100000000: re-multiplication failed\n")
+
+
 class TestGlobalFlags:
     def run(self, capsys, argv):
         rc = main(argv)

@@ -27,11 +27,12 @@ from divlat.divisibility import (
     root_search,
     zero_plus_finite_order,
 )
-from divlat.exactalg import IntMatrix, kernel_saturated
+from divlat.corpus import gen_corpus
+from divlat.exactalg import IntMatrix, _tuple_pow, kernel_saturated
 from divlat.numberring import embed_ok_matrix
 from divlat.primes import euler_phi, signed_root
 from helpers import (brute_root_search, commutator_equations, diagonal_matrix, lattice_from_generators,
-                     seeded_module_problems)
+                     seeded_module_problems, time_limit)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 J = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
@@ -245,6 +246,41 @@ class TestRootSearch:
         assert out == Found(I2, I2)
         assert signed_root(2, 10 ** 7) is None
         assert (signed_root(2 ** 61, 61), signed_root(-(3 ** 5), 5), signed_root(3 ** 5, 6)) == (2, -3, None)
+
+    def test_a_finite_order_target_reduces_a_huge_exponent(self):
+        """For T of finite order, X^s = T iff X has a finite order e and
+        X^(s mod e) = T.  On I2 at s = 10^8 the first candidate passing the
+        determinant filter, [[-1, -1], [-1, 0]], has powers that grow like
+        Fibonacci numbers and no finite order; the first root is the order-2
+        [[-1, -1], [0, 1]].  At the prime s = 10^25 + 13, which is_prime cannot decide,
+        the scan goes on without the trace filter to I2 itself."""
+        I2 = IntMatrix.identity(2)
+        with time_limit(2.0):
+            X = IntMatrix.from_rows([[-1, -1], [0, 1]])
+            assert root_search(I2, 10 ** 8, 1, timeout_ms=1000) == Found(X, I2)
+            assert root_search(I2, 10 ** 25 + 13, 1) == Found(I2, I2)
+
+    def test_the_reduced_root_test_agrees_with_the_direct_power(self):
+        """From s = lcm(realizable_orders(n)) on, a finite-order T takes the
+        reduced test.  It agrees with X^s multiplied out on every X in
+        [-1, 1]^4 and on seeded X in [-1, 1]^9, for the 2x2 and 3x3
+        finite-order corpus operators of seeds 1-3, I2 and -I3, and it
+        finds roots among them."""
+        Ts = [p.operator for seed in (1, 2, 3) for p in gen_corpus("finite-order", seed) if p.operator.rows <= 3]
+        Ts += [IntMatrix.identity(2), IntMatrix.identity(3) * -1]
+        rng = random.Random(41)
+        cube = [tuple(rng.choice((-1, 0, 1)) for _ in range(9)) for _ in range(300)]
+        roots = 0
+        with time_limit(20.0):
+            for T in Ts:
+                n, inv = T.rows, _Invariants(T)
+                assert lcm(*realizable_orders(n)) == 12
+                for s in (12, 13, 25, 37, 61) if n == 2 else (12, 25):
+                    is_root = divisibility._root_test(inv, s)
+                    for x in product((-1, 0, 1), repeat=4) if n == 2 else cube:
+                        assert is_root(x) == (_tuple_pow(x, n, s) == T.entries), (T, s, x)
+                        roots += is_root(x)
+        assert roots > 50
 
     def test_candidate_budget_returns_incomplete(self):
         T = IntMatrix.identity(3)

@@ -18,9 +18,12 @@ from divlat.supernat import (
     mul_sn,
     pi_S,
 )
-from divlat import primes
+from divlat import primes, supernat
 from divlat.primes import is_prime, prime_factors
 from helpers import elements_up_to, prime_set_is_infinite, primes_up_to, time_limit, trial_factors
+
+
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521, a strong pseudoprime to every base 2..41
 
 
 def sn(d):
@@ -58,6 +61,16 @@ class TestLcmGcdMul:
 
     def test_mul_absorbs_infinity(self):
         assert mul_sn(sn({2: 3}), sn({2: INF})) == sn({2: INF})
+
+    def test_each_prime_is_proven_once(self, monkeypatch):
+        """lcm, gcd and mul read both factor lists and prove each prime of
+        the result once, as the result is built."""
+        a, b = sn({2: INF, 3: 1}), sn({2: 2, 3: INF, 5: 1})
+        for op in (lcm_sn, gcd_sn, mul_sn):
+            proven = []
+            monkeypatch.setattr(supernat, "is_prime", lambda p: proven.append(p) or True)
+            result = op(a, b)
+            assert proven == [p for p, _ in result.factors]
 
     def test_identity_laws_randomized(self):
         rng = random.Random(7)
@@ -224,6 +237,19 @@ class TestPrimality:
         assert is_prime(p) and is_prime(q)
         assert [n for n in range(60) if is_prime(n)] == primes_up_to(59)
 
+    def test_nothing_is_proven_prime_at_or_above_psi_13(self):
+        """Passing all thirteen bases proves nothing from psi_13 on: the
+        composite psi_13 and the prime 10^25 + 13 both pass, and is_prime
+        refuses them, naming them.  A witness still proves a composite
+        there, and psi_13's factors lie below it and are proven prime."""
+        with time_limit(1.0):
+            for n in (PSI_13, 10 ** 25 + 13):
+                with pytest.raises(ValueError, match=f"cannot prove {n} prime"):
+                    is_prime(n)
+            assert not is_prime((10 ** 20 + 39) * (2 * 10 ** 20 + 89))
+            assert 1287836182261 * 2575672364521 == PSI_13
+            assert is_prime(1287836182261) and is_prime(2575672364521)
+
     def test_a_proven_prime_cofactor_ends_trial_division(self):
         """Past the small divisors, a cofactor below psi_13 that is prime
         is the last factor: trial division up to the square root of
@@ -273,3 +299,33 @@ class TestPrimality:
         monkeypatch.setattr(primes, "_brent_divisor", no_rho)
         for n in list(range(1, 3000)) + list(range(1001 ** 2 - 1000, 1001 ** 2)):
             assert prime_factors(n) == trial_factors(n)
+
+    def test_both_phases_agree_with_trial_division(self):
+        """Every n < 4 * 10^5, the n within 3000 of 1001^2, where trial
+        division hands over to the work list, and seeded n < 10^14, which
+        reach is_prime and rho, factor as trial division factors them."""
+        rng = random.Random(31)
+        cases = [*range(1, 4 * 10 ** 5), *range(1001 ** 2 - 3000, 1001 ** 2 + 3000),
+                 *(rng.randrange(1, 10 ** 14) for _ in range(40))]
+        with time_limit(30.0):
+            for n in cases:
+                assert prime_factors(n) == trial_factors(n), n
+
+    def test_rho_splits_a_composite_above_psi_13(self):
+        """1820000000011 * 2000000000003 lies above psi_13, where a witness
+        still proves it composite; rho splits it, and both parts lie below."""
+        with time_limit(5.0):
+            assert prime_factors(3640000000027460000000033) == {1820000000011: 1, 2000000000003: 1}
+
+    def test_a_number_nothing_settles_is_refused(self):
+        """A cofactor that is_prime cannot decide is refused at once; a
+        composite whose least prime factor, about 10^20, is past rho's step
+        bound is refused once rho gives up.  Each error names its number."""
+        with time_limit(1.0):
+            for n in (PSI_13, 10 ** 25 + 13):
+                with pytest.raises(ValueError, match=f"cannot prove {n} prime"):
+                    prime_factors(n)
+        n = (10 ** 20 + 39) * (2 * 10 ** 20 + 89)
+        with time_limit(30.0):
+            with pytest.raises(ValueError, match=f"cannot factor {n}: rho"):
+                prime_factors(n)

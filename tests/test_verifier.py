@@ -11,7 +11,8 @@ from divlat.supernat import AllFrom, FiniteSet, Geometric, PrimeSet, Residue
 from divlat.fitting import clean_split, fitting_decompose
 from divlat.verifier import order_is_outside, verify
 from helpers import (diagonal_matrix, frac_quotient_det, image_oracle, is_saturated_kernel,
-                     oracle_direct_and_full, oracle_intersection_rank, seeded_fitting_operators, seeded_operator)
+                     oracle_direct_and_full, oracle_intersection_rank, seeded_fitting_operators, seeded_operator,
+                     time_limit)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 
@@ -187,6 +188,18 @@ class TestVerifyExamples:
         by_s = {c.s: c.in_exponent_set for c in report.hypothesis_checks.witnesses}
         assert by_s[2] is True
         assert by_s[3] is False  # 3 is not a power of 2
+
+    def test_a_huge_exponent_witness_of_a_finite_order_target(self):
+        """On I2 the witness X = [[2, 1], [1, 1]] at s = 10^8, whose powers
+        grow like Fibonacci numbers, fails at once: X has no finite order.
+        The order-2 X = [[-1, -1], [0, 1]] passes at that s and fails at
+        s + 1."""
+        eye = IntMatrix.identity(2)
+        X, Y = IntMatrix.from_rows([[2, 1], [1, 1]]), IntMatrix.from_rows([[-1, -1], [0, 1]])
+        with time_limit(2.0):
+            report = verify(ZZ, None, eye, Geometric(2, 1), [(10 ** 8, X), (10 ** 8, Y), (10 ** 8 + 1, Y)])
+        assert [(c.valid, c.reason) for c in report.hypothesis_checks.witnesses] == [
+            (False, "re-multiplication failed"), (True, "verified"), (False, "re-multiplication failed")]
 
 
 class TestVerdictTaxonomy:
