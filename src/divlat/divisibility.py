@@ -211,27 +211,22 @@ def _box_points(lattice: Lattice, bound: int, deadline=None):
     return walk(0, (0,) * N)
 
 
-def _root_test(inv: _Invariants, s: int):
-    """A test of X^s = T on the entry tuple of an n x n X.  For T of finite
-    order d and s >= lcm(realizable_orders(n)), s is reduced: X^s = T forces
-    X^(sd) = I, so X has a finite order e, which the analysis of X computes
-    exactly, and then X^s = T iff X^(s mod e) = T.  Otherwise X^s is
-    multiplied out, which at small s costs less than the analysis."""
-    n, target = inv.T.rows, inv.T.entries
-    if inv.order is None or s < lcm(*realizable_orders(n)):
-        return lambda x: _tuple_pow(x, n, s) == target
-
-    def reduced(x):
-        e = _Invariants(IntMatrix(n, n, x)).order
-        return e is not None and _tuple_pow(x, n, s % e) == target
-    return reduced
+def _root_exponent(inv: _Invariants, s: int) -> int:
+    """The exponent k <= s at which X^s = T is tested: X^k = T exactly when
+    X^s = T.  For T of finite order, k = (s - 1) % L + 1 with
+    L = lcm(realizable_orders(n)): if X^s = T or X^k = T, a power of X is
+    I, so X has a realizable order, which divides L and hence s - k, and
+    X^s = X^k.  For T without finite order, k = s."""
+    if inv.order is None:
+        return s
+    return (s - 1) % lcm(*realizable_orders(inv.T.rows)) + 1
 
 
 def _scan(candidates, inv: _Invariants, s: int):
     """The first candidate X with X^s = T, or None; those with det X no
     s-th root of det T or, for s that is_prime proves prime, tr X != tr T
     mod s are skipped."""
-    n, trace_target, is_root = inv.T.rows, inv.T.trace(), _root_test(inv, s)
+    n, target, trace_target, k = inv.T.rows, inv.T.entries, inv.T.trace(), _root_exponent(inv, s)
     try:
         prime_s = is_prime(s)
     except ValueError:  # s >= psi_13 passes every base: undecided, so no trace filter
@@ -244,7 +239,7 @@ def _scan(candidates, inv: _Invariants, s: int):
             continue
         if prime_s and (sum(cand[diag]) - trace_target) % s:
             continue  # tr(X^p) = tr(X) mod p for prime p
-        if is_root(cand):
+        if _tuple_pow(cand, n, k) == target:
             return cand
     return None
 

@@ -8,8 +8,10 @@ _PSI_13 = 3317044064679887385961981  # is_prime is proven below this
 _TRIAL_DIVISORS = (2, 3, *(k + i for k in range(6, 1000, 6) for i in (-1, 1)))  # 2, 3, 6k +- 1 < 1000
 _RHO_CONSTANTS = 8  # Brent's rho tries x^2 + c for c = 1.._RHO_CONSTANTS
 _RHO_BATCH = 128  # steps whose differences share one gcd
-# rho gives up past rounds this long, after about 2^24 steps: enough for a
-# least prime factor up to sqrt(psi_13) ~ 1.82e12
+# rho's last round, comparing points up to 2^23 apart: it misses a prime
+# p < sqrt(psi_13) ~ 1.82e12 only if p's rho tail or cycle, near Rayleigh
+# with scale sqrt(p), passes 2^23 ~ 6.2 sqrt(p), odds ~ e^-19 ~ 4e-9.  One
+# walk, not a restart at the next c: two walks of r <= 2^21 fail likelier.
 _RHO_MAX_R = 2 ** 22
 
 
@@ -48,8 +50,9 @@ def is_prime(n: int) -> bool:
 def _brent_divisor(n: int) -> int | None:
     """A proper divisor of the odd composite n by Brent's variant of
     Pollard's rho (R. P. Brent, BIT 20 (1980)), iterating x^2 + c from 2
-    for c = 1, 2, ..., or None when every constant fails or a round passes
-    _RHO_MAX_R steps.  A prime factor p of n costs about sqrt(p) steps."""
+    for c = 1, 2, ..., or None when every constant ends in the trivial
+    divisor n or a walk outruns _RHO_MAX_R.  A prime factor p of n costs
+    about sqrt(p) steps."""
     for c in range(1, _RHO_CONSTANTS + 1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
@@ -107,9 +110,7 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e == 1 for e in prime_factors(abs(n)).values())
+    return n != 0 and all(e == 1 for e in prime_factors(abs(n)).values())
 
 
 def euler_phi(n: int) -> int:

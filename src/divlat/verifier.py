@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import _Invariants
-from .divisibility import _coprime_exponents, _coprime_roots, _root_test
+from .divisibility import _coprime_exponents, _coprime_roots, _root_exponent
 from .exactalg import IntMatrix, QMatrix
 from .numberring import IntegerRing, QuadraticOrder, lchar, mult_hypothesis
 from .primes import prime_factors
@@ -84,9 +84,9 @@ def order_is_outside(d: int, primes: PrimeSet) -> bool:
     return all(not primes.contains(p) for p in prime_factors(d))
 
 
-def _check_witness(inv: _Invariants, s, X, S) -> WitnessCheck:
-    """The check of one witness (s, X) against the T of the analysis."""
-    T, module = inv.T, inv.module
+def _check_witness(T, s, X, module, S, k) -> WitnessCheck:
+    """The check of one witness (s, X); X^s = T is tested as X^k = T, k
+    being _root_exponent of s."""
     in_set = S.contains(s) if S is not None else None
     if s < 2:
         return WitnessCheck(s, False, "exponent below 2", in_set)
@@ -98,7 +98,7 @@ def _check_witness(inv: _Invariants, s, X, S) -> WitnessCheck:
         return WitnessCheck(s, False, "witness shape mismatch", in_set)
     if module is not None and not module.endomorphism_ok(X):
         return WitnessCheck(s, False, "witness does not commute with the ring action", in_set)
-    if not _root_test(inv, s)(X.entries):
+    if X ** k != T:
         return WitnessCheck(s, False, "re-multiplication failed", in_set)
     return WitnessCheck(s, True, "verified", in_set)
 
@@ -123,7 +123,7 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
         "witnesses are finite evidence: divisibility for the full exponent set is never proven by a run",
         "root witnesses are taken in the base ring only; extension-ring witnesses are out of scope",
     ]
-    checks = tuple(_check_witness(inv, s, X, S) for s, X in witnesses)
+    checks = tuple(_check_witness(T, s, X, module, S, _root_exponent(inv, s)) for s, X in witnesses)
     all_valid = all(c.valid for c in checks)
     has_valid = any(c.valid for c in checks)
 

@@ -248,24 +248,24 @@ class TestRootSearch:
         assert (signed_root(2 ** 61, 61), signed_root(-(3 ** 5), 5), signed_root(3 ** 5, 6)) == (2, -3, None)
 
     def test_a_finite_order_target_reduces_a_huge_exponent(self):
-        """For T of finite order, X^s = T iff X has a finite order e and
-        X^(s mod e) = T.  On I2 at s = 10^8 the first candidate passing the
-        determinant filter, [[-1, -1], [-1, 0]], has powers that grow like
-        Fibonacci numbers and no finite order; the first root is the order-2
-        [[-1, -1], [0, 1]].  At the prime s = 10^25 + 13, which is_prime cannot decide,
-        the scan goes on without the trace filter to I2 itself."""
+        """For T of finite order, X^s = T is tested as X^k = T with
+        k = (s - 1) % 12 + 1 on 2x2 operators.  On I2 at s = 10^8, k = 4, and
+        the first root is the order-2 [[-1, -1], [0, 1]].  At the prime
+        s = 10^25 + 13, k = 5; is_prime cannot decide s, so the scan goes on
+        without the trace filter to I2 itself."""
         I2 = IntMatrix.identity(2)
         with time_limit(2.0):
             X = IntMatrix.from_rows([[-1, -1], [0, 1]])
             assert root_search(I2, 10 ** 8, 1, timeout_ms=1000) == Found(X, I2)
             assert root_search(I2, 10 ** 25 + 13, 1) == Found(I2, I2)
 
-    def test_the_reduced_root_test_agrees_with_the_direct_power(self):
-        """From s = lcm(realizable_orders(n)) on, a finite-order T takes the
-        reduced test.  It agrees with X^s multiplied out on every X in
-        [-1, 1]^4 and on seeded X in [-1, 1]^9, for the 2x2 and 3x3
-        finite-order corpus operators of seeds 1-3, I2 and -I3, and it
-        finds roots among them."""
+    def test_the_root_exponent_agrees_with_the_direct_power(self):
+        """Past s = lcm(realizable_orders(n)) = 12, a finite-order T is
+        tested at a reduced exponent k, which agrees with X^s multiplied out
+        on every X in [-1, 1]^4 and on seeded X in [-1, 1]^9, for the 2x2
+        and 3x3 finite-order corpus operators of seeds 1-3, I2 and -I3;
+        roots turn up among them.  Up to 12, and for T without finite order,
+        k = s."""
         Ts = [p.operator for seed in (1, 2, 3) for p in gen_corpus("finite-order", seed) if p.operator.rows <= 3]
         Ts += [IntMatrix.identity(2), IntMatrix.identity(3) * -1]
         rng = random.Random(41)
@@ -275,12 +275,16 @@ class TestRootSearch:
             for T in Ts:
                 n, inv = T.rows, _Invariants(T)
                 assert lcm(*realizable_orders(n)) == 12
+                assert [divisibility._root_exponent(inv, s) for s in range(2, 13)] == list(range(2, 13))
                 for s in (12, 13, 25, 37, 61) if n == 2 else (12, 25):
-                    is_root = divisibility._root_test(inv, s)
+                    k = divisibility._root_exponent(inv, s)
+                    assert k == (s - 1) % 12 + 1
                     for x in product((-1, 0, 1), repeat=4) if n == 2 else cube:
-                        assert is_root(x) == (_tuple_pow(x, n, s) == T.entries), (T, s, x)
-                        roots += is_root(x)
+                        is_root = _tuple_pow(x, n, k) == T.entries
+                        assert is_root == (_tuple_pow(x, n, s) == T.entries), (T, s, x)
+                        roots += is_root
         assert roots > 50
+        assert divisibility._root_exponent(_Invariants(IntMatrix.from_rows([[2, 1], [1, 1]])), 10 ** 8) == 10 ** 8
 
     def test_candidate_budget_returns_incomplete(self):
         T = IntMatrix.identity(3)
