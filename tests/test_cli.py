@@ -625,13 +625,15 @@ GOLDEN_COMMANDS = {
     "fitting --json": ["fitting", "--json"],
     "root": ["root", "--s", "2", "--bound", "1", "--json"],
     "spectrum": ["spectrum", "--s-max", "3", "--bound", "1"],
+    "spectrum --json": ["spectrum", "--s-max", "3", "--bound", "1", "--json"],
 }
 # sha256 over (exit code, stdout, stderr) of every problem of corpus seeds 1
 # and 2, in corpus order, per kind and command.  Recorded with the
 # Fraction-polynomial classify that the Z[x] kernels replaced, and the
 # verify and fitting rows with the Smith-form kernels and the kernel-chain
-# loop that the one-Hermite-form split replaced: a change of a digest is a
-# change of CLI output bytes.
+# loop that the one-Hermite-form split replaced, and the spectrum --json rows
+# while verify read clause 1's quotient determinant off chi_T: a change of a
+# digest is a change of CLI output bytes.
 GOLDEN_DIGESTS = {
     "finite-order classify":
         "02665df42a11c302e13d370221807e094792eeefb02cbdfdbcd54ebcd16df1a7",
@@ -649,6 +651,8 @@ GOLDEN_DIGESTS = {
         "a055c02483fea297fd177f808c6d5401af24d487db8f56579b732a90a9b4f208",
     "finite-order spectrum":
         "2aef39c1dc660b74db38c37b24eecf822ea6f14ed00d862b439c4c75fbc9d15d",
+    "finite-order spectrum --json":
+        "ebea429dbf0c365743cd5aef204385b0d0bd313a05d2c2c49ee22d29448a3d74",
     "nilpotent classify":
         "b696ce419ee4c88319c02806329cdbdcd32518816ffccd31fa6e9d25a979a683",
     "nilpotent classify --json":
@@ -665,6 +669,8 @@ GOLDEN_DIGESTS = {
         "da15f147f3aa35d6a2b16cc00a512fbbc17ff9aa59d145ba59f8e7e72634e417",
     "nilpotent spectrum":
         "6ad5c2f0bc4b73d287bdf32f59c8ad1725fdd405b253f8c356206e0a9656fcae",
+    "nilpotent spectrum --json":
+        "63fc66ffbfa765bc1c9c1c7a7881a9285158d198ad1e57788bc5092d26db6154",
     "random classify":
         "009a122b92e6e2b00db9bf5b2f32fe1ed573d642fe9cfb2ccbfd51ff78cb5a0d",
     "random classify --json":
@@ -681,6 +687,8 @@ GOLDEN_DIGESTS = {
         "eb0d1e8c29c74a15b2db71318484e2c53242eb0ee97f1a8dca52b7f323f66600",
     "random spectrum":
         "d3b55b8527db7361f3b2db2dc0c2b5c3b50d623badeb0bcea5a77668eb5e5419",
+    "random spectrum --json":
+        "43924f654f4e3affc5ef5fb80e6767b8ee69d493bf13bc26115c5d4d094c0371",
     "powers classify":
         "e64cdb13701592459bdedcf0578ad94a33d2cfcf6aecb7fecbd0d4b2c1258780",
     "powers classify --json":
@@ -697,11 +705,14 @@ GOLDEN_DIGESTS = {
         "df25605ff7c88b175c3e6563c056fea9b2db6bdb9383e354ec4b55f2038f39dd",
     "powers spectrum":
         "4e9476f5aed88298b2e17729b7d5a263427f235d656c5d37e2fad0c537e55107",
+    "powers spectrum --json":
+        "def09be636dd75af6af74dc6f85121775b65d5110d15feefe40164cb520718f3",
 }
 
 
 # The same over the module problems of module_problems, recorded before the
-# split moved into the operator analysis.
+# split moved into the operator analysis (spectrum --json with the corpus
+# row).
 GOLDEN_MODULE_DIGESTS = {
     "module classify":
         "b8a97f4b63488855110ed2fbdd728668edca9f539ca8654f0f4f2bcfb415770a",
@@ -719,6 +730,8 @@ GOLDEN_MODULE_DIGESTS = {
         "6be338c028eb7b157afcb1c21d0600d96dcfe994d0d922949f0aa7174f7f1997",
     "module spectrum":
         "55bf87044ab406f04f0e5a45d205f481741da24ddaccbabe2da7fcf892bc0a73",
+    "module spectrum --json":
+        "0495aef2436039cd34f7bb42cc9f2b7cf2e375ab9b9bdcd49518224428269675",
 }
 
 
@@ -739,16 +752,31 @@ def _digests(prefix, paths, commands=tuple(GOLDEN_COMMANDS)):
     return {f"{prefix} {name}": h.hexdigest() for name, h in hashes.items()}
 
 
-def corpus_digests(tmp_path):
+def corpus_digests(tmp_path, seeds=(1, 2), commands=tuple(GOLDEN_COMMANDS)):
     digests = {}
     for kind in KINDS:
         paths = []
-        for seed in ("1", "2"):
-            rc, out, _ = _run(["corpus", kind, "--seed", seed])
+        for seed in seeds:
+            rc, out, _ = _run(["corpus", kind, "--seed", str(seed)])
             assert rc == 0
             paths += [write(tmp_path, f"{kind}-{seed}-{i}.json", p) for i, p in enumerate(json.loads(out))]
-        digests.update(_digests(kind, paths))
+        digests.update(_digests(kind, paths, commands))
     return digests
+
+
+# The same for verify --json over corpus seeds 3 to 8, which with seeds 1
+# and 2 make up the 320 corpus problems of seeds 1-8; recorded while verify
+# read clause 1's quotient determinant off chi_T.
+GOLDEN_LATER_SEED_DIGESTS = {
+    "finite-order verify --json":
+        "802f5686bf6e4ef21632479cf926ddc369fc6bbdb71e33a4faad67af23fa50fa",
+    "nilpotent verify --json":
+        "92e6e27a51d4146e575885e2116171624bfbef729a0584934de91e37c5687c2e",
+    "random verify --json":
+        "f36caeedd2ad7798d38699a52adc3c724c3493ecd462af7aed976f40616a468d",
+    "powers verify --json":
+        "29fcf392de1114caa3f633b339c0b4f2f5bfdc229e7b46c25aa2c16d746dc195",
+}
 
 
 LARGE_COMMANDS = ("classify --json", "fitting --json", "verify --json")
@@ -773,6 +801,9 @@ GOLDEN_UNITS_DIGEST = "30a7eb07633a9a8da8d292da73e245b283169439d9b4a6f34c2306042
 class TestGoldenBytes:
     def test_corpus_outputs_match_the_recorded_digests(self, tmp_path):
         assert corpus_digests(tmp_path) == GOLDEN_DIGESTS
+
+    def test_later_seed_verify_outputs_match_the_recorded_digests(self, tmp_path):
+        assert corpus_digests(tmp_path, range(3, 9), ("verify --json",)) == GOLDEN_LATER_SEED_DIGESTS
 
     def test_module_outputs_match_the_recorded_digests(self, tmp_path):
         paths = [write(tmp_path, f"{p['name']}.json", p) for p in module_problems()]
