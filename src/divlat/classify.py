@@ -178,7 +178,7 @@ class _Invariants:
         kernel, so m is the least m >= 1 with T^m h(T) = 0, at most g."""
         T, split = self.T, self.split
         if not split.det:
-            g, m = self.kernel_invariants[0], 1
+            g, m = self.gen_kernel_rank, 1
             P = T * _scaled_eval(self.chi[g:], T)[1]
             while not P.is_zero():
                 P, m = T * P, m + 1
@@ -218,15 +218,10 @@ class _Invariants:
         return self.image_part.order if self.split.is_direct else None
 
     @cached_property
-    def kernel_invariants(self) -> tuple[int, int]:
-        """The rank g of the generalised kernel of T and the determinant of
-        the map induced by T on Z^n / ker T, both read off chi_T.  g is the
-        multiplicity of the root 0 of chi_T.  T vanishes on its kernel of
-        rank k, so chi_T = x^k * chi of the induced map, whose constant term
-        is (-1)^(n - k) times that determinant."""
-        chi, k = self.chi, self.split.gen_kernel.rank
-        g = next(i for i, c in enumerate(chi) if c)
-        return g, (-1) ** (self.T.rows - k) * chi[k]
+    def gen_kernel_rank(self) -> int:
+        """The rank g of the generalised kernel of T: the multiplicity of
+        the root 0 of chi_T."""
+        return next(i for i, c in enumerate(self.chi) if c)
 
     @cached_property
     def commutant(self) -> Lattice:

@@ -232,8 +232,8 @@ def _scan(candidates, inv: _Invariants, s: int):
     except ValueError:  # s >= psi_13 passes every base: undecided, so no trace filter
         prime_s = False
     diag = slice(None, None, n + 1)
-    r = signed_root(inv.det, s)
-    dets = () if r is None else (r, -r) if s % 2 == 0 else (r,)
+    r = signed_root(inv.det, s)  # never None: _certificates, run first, refuses a det T != 0 with no s-th root
+    dets = (r, -r) if s % 2 == 0 else (r,)
     for cand in candidates:
         if _tuple_det(cand, n) not in dets:
             continue

@@ -17,7 +17,7 @@ from .divisibility import _coprime_exponents, _coprime_roots, _root_exponent
 from .exactalg import IntMatrix, QMatrix
 from .numberring import IntegerRing, QuadraticOrder, lchar, mult_hypothesis
 from .primes import prime_factors
-from .supernat import FiniteSet, PrimeSet, SDescriptor, additive_hypothesis, pi_S
+from .supernat import PrimeSet, SDescriptor, additive_hypothesis, pi_S
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,6 @@ class TheoremReport:
     notes: tuple[str, ...]
 
 
-def order_is_outside(d: int, primes: PrimeSet) -> bool:
-    """True when no prime factor of d lies in the given prime set."""
-    return all(not primes.contains(p) for p in prime_factors(d))
-
-
 def _check_witness(T, s, X, module, S, k) -> WitnessCheck:
     """The check of one witness (s, X); X^s = T is tested as X^k = T, k
     being _root_exponent of s."""
@@ -127,22 +122,27 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     all_valid = all(c.valid for c in checks)
     has_valid = any(c.valid for c in checks)
 
-    s_infinite = None if S is None else S.infinite
-    additive_ok = mult_ok = None
-    mult_trace = None
+    # hypotheses, and clause 3: finite order d of the image part outside Pi_S.
+    d = inv.image_part.order
+    additive_ok = mult_ok = mult_trace = pset = coprime = None
     if S is None:
         notes.append("no exponent-set descriptor supplied; hypothesis checks skipped")
-    elif isinstance(S, FiniteSet):
+    elif not S.infinite:
         notes.append("finite exponent set: hypothesis checks are evidence, not proof")
     else:
         additive_ok = additive_hypothesis(S, lchar(ring))
         mult_ok, mult_trace = mult_hypothesis(S, ring)
+        pset = pi_S(S)
+        if d is not None:
+            coprime = not any(pset.contains(p) for p in prime_factors(d))
+    clause3 = Clause3(d, pset, coprime)
 
     # clause 1: the split, plus what the verified witnesses already force.
-    split = inv.split
-    g, qdet = inv.kernel_invariants
+    # T induces on Z^n / ker T what it is on im T, so the quotient
+    # determinant is that of the image part.
+    split, g, qdet = inv.split, inv.gen_kernel_rank, inv.image_part.det
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)
-    cond_det = abs(qdet) == 1 or any(c.valid and 2 ** c.s > abs(qdet) for c in checks)
+    cond_det = abs(qdet) == 1 or any(c.valid and c.s >= qdet.bit_length() for c in checks)
     reason = ("Z^n = ker T (+) im T with invertible restriction" if split.is_direct
               else "ker T and im T intersect nontrivially" if split.det == 0
               else "ker T + im T is a proper sublattice of Z^n")
@@ -151,16 +151,6 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     # clause 2: semisimplicity of the restriction to the honest image.
     clause2 = Clause2(inv.image_part.semisimple)
 
-    # clause 3: finite order outside Pi_S.
-    d = inv.image_part.order
-    pset = None
-    coprime = None
-    if S is not None and S.infinite:
-        pset = pi_S(S)
-        if d is not None:
-            coprime = order_is_outside(d, pset)
-    clause3 = Clause3(d, pset, coprime)
-
     # clause 4: construct roots for a sample of exponents coprime to d.
     roots: tuple[tuple[int, IntMatrix], ...] = ()
     if inv.zero_plus_order is not None:
@@ -168,34 +158,23 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
         roots = tuple(zip(sample, _coprime_roots(inv, d, sample)))
     clause4 = Clause4(roots, inv.zero_plus_order is not None)
 
-    if clause1.holds and clause2.holds and clause3.holds:
-        verdict = "CONSISTENT"
-        reason = "every conclusion holds for this operator"
+    failing = [f"({i})" for i, clause in enumerate((clause1, clause2, clause3), 1) if not clause.holds]
+    if not failing:
+        verdict, reason = "CONSISTENT", "every conclusion holds for this operator"
+    elif (not clause1.holds and clause1.forced_by_witnesses and has_valid and all_valid
+          and additive_ok is True and mult_ok is True):
+        verdict = "COUNTEREXAMPLE-CANDIDATE"
+        reason = (
+            "verified witnesses force the split, yet the computed split fails; "
+            "this state is unreachable without an artifact bug"
+        )
     else:
-        failing = []
-        if not clause1.holds:
-            failing.append("(1)")
-        if not clause2.holds:
-            failing.append("(2)")
-        if not clause3.holds:
-            failing.append("(3)")
-        hypotheses_pass = has_valid and all_valid and additive_ok is True and mult_ok is True
-        if not clause1.holds and hypotheses_pass and clause1.forced_by_witnesses:
-            verdict = "COUNTEREXAMPLE-CANDIDATE"
-            reason = (
-                "verified witnesses force the split, yet the computed split fails; "
-                "this state is unreachable without an artifact bug"
-            )
-        else:
-            verdict = "INCONCLUSIVE"
-            if not has_valid:
-                why = "no verified witnesses"
-            elif not all_valid:
-                why = "some witnesses failed verification"
-            else:
-                why = "finite witness evidence cannot establish divisibility for the whole exponent set"
-            reason = f"conclusion clause(s) {', '.join(failing)} fail; {why}"
+        verdict = "INCONCLUSIVE"
+        why = ("no verified witnesses" if not has_valid
+               else "some witnesses failed verification" if not all_valid
+               else "finite witness evidence cannot establish divisibility for the whole exponent set")
+        reason = f"conclusion clause(s) {', '.join(failing)} fail; {why}"
 
-    hyp = HypothesisChecks(checks, all_valid, additive_ok, mult_ok, mult_trace, s_infinite)
+    hyp = HypothesisChecks(checks, all_valid, additive_ok, mult_ok, mult_trace, None if S is None else S.infinite)
     return TheoremReport(hyp, clause1, clause2, clause3, clause4, verdict, reason, tuple(notes))
 

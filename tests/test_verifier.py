@@ -6,11 +6,11 @@ from divlat.classify import _Invariants
 from divlat.divisibility import divisibility_spectrum
 from divlat.exactalg import IntMatrix, QMatrix
 from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
-from divlat.serialize import canonical_dumps, theorem_report_to_json
+from divlat.serialize import canonical_dumps, problem_from_json, theorem_report_to_json
 from divlat.supernat import AllFrom, FiniteSet, Geometric, PrimeSet, Residue
 from divlat.fitting import clean_split, fitting_decompose
-from divlat.verifier import order_is_outside, verify
-from helpers import (diagonal_matrix, frac_quotient_det, image_oracle, is_saturated_kernel,
+from divlat.verifier import verify
+from helpers import (diagonal_matrix, frac_quotient_det, image_oracle, is_saturated_kernel, module_problems,
                      oracle_direct_and_full, oracle_intersection_rank, seeded_fitting_operators, seeded_operator,
                      time_limit)
 
@@ -40,8 +40,10 @@ class TestClause1Reasons:
 
 class TestQuotientDeterminant:
     def test_against_adapted_basis_oracle(self):
-        """(-1)^r [x^k] chi_T against det of the induced map computed in a
-        basis adapted to ker T, on invertible, singular and zero operators."""
+        """The determinant of the image part, which verify reads as that of
+        the map T induces on Z^n / ker T, against det of the induced map
+        computed in a basis adapted to ker T, on invertible, singular and
+        zero operators and on the operators of the module problems."""
         rng = random.Random(77)
         for _ in range(300):
             n = rng.randint(1, 6)
@@ -53,8 +55,10 @@ class TestQuotientDeterminant:
             if rng.random() < 0.3:
                 rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             T = IntMatrix.from_rows(rows)
-            _, got = _Invariants(T).kernel_invariants
-            assert got == frac_quotient_det(rows), rows
+            assert _Invariants(T).image_part.det == frac_quotient_det(rows), rows
+        for problem in map(problem_from_json, module_problems()):
+            T = problem["operator"]
+            assert _Invariants(T, problem["module"]).image_part.det == frac_quotient_det(T.nested()), T
 
 
 class TestGeneralisedKernelRank:
@@ -76,8 +80,7 @@ class TestGeneralisedKernelRank:
                 rows = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(n)]
                         for i in range(n)]
             T = IntMatrix.from_rows(rows)
-            g, _ = _Invariants(T).kernel_invariants
-            assert g == fitting_decompose(T).gen_kernel.rank, rows
+            assert _Invariants(T).gen_kernel_rank == fitting_decompose(T).gen_kernel.rank, rows
 
 
 class TestCharacteristicPolynomialOnce:
@@ -387,11 +390,11 @@ class TestIntroScenarios:
 
 class TestOrderCoprimality:
     def test_order_is_outside(self):
-        assert order_is_outside(6, PrimeSet.finite([5]))
-        assert not order_is_outside(6, PrimeSet.finite([2]))
-        assert order_is_outside(1, PrimeSet.all_primes())
-        assert not order_is_outside(2, PrimeSet.all_primes())
-        assert order_is_outside(2, PrimeSet.all_except([2]))
+        """Clause 3 holds when no prime factor of the order lies in Pi_S."""
+        I2 = IntMatrix.identity(2)
+        for T, S, outside in ((HEX6, Geometric(5), True), (HEX6, Geometric(2), False),
+                              (I2, AllFrom(2), True), (-I2, AllFrom(2), False), (-I2, Residue(1, 2), True)):
+            assert verify(ZZ, None, T, S, ()).clause3.order_coprime_to_pi_s is outside, (T, S)
 
 
 class TestSingularIdempotentRestriction:
