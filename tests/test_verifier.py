@@ -257,6 +257,15 @@ class TestVerdictTaxonomy:
         assert not report.clause1.forced_by_witnesses
         assert report.verdict == "INCONCLUSIVE"
 
+    def test_a_witness_forces_the_quotient_determinant_only_below_2_to_the_s(self):
+        # diag(0, 4) = diag(0, 2)^2: its quotient determinant is 4 = 2^s
+        X = diagonal_matrix([0, 2])
+        report = verify(ZZ, None, X * X, Geometric(2, 1), [(2, X)])
+        assert report.hypothesis_checks.all_witnesses_valid
+        assert not report.clause1.holds
+        assert not report.clause1.forced_by_witnesses
+        assert report.verdict == "INCONCLUSIVE"
+
     def test_no_witnesses_failing_clause_is_inconclusive(self):
         T = diagonal_matrix([0, 2])
         report = verify(ZZ, None, T, Geometric(2, 1), [])
