@@ -144,7 +144,7 @@ class _Invariants:
         T = self.T
         if T.rows == 0:
             return 1
-        if self.det == 0 or not self.semisimple or self.factorization is None:
+        if self.factorization is None or not self.semisimple:
             return None
         d = lcm(*(k for k, _ in self.factorization))
         eye = IntMatrix.identity(T.rows)

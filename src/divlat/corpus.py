@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from math import lcm
 
 from .divisibility import _coprime_exponents, coprime_root
-from .exactalg import IntMatrix, cyclotomic, companion_matrix, hnf
+from .exactalg import IntMatrix, _cyclotomic_indices, cyclotomic, companion_matrix, hnf
 from .primes import euler_phi
 from .supernat import AllFrom, Factorials, Geometric, Residue, SDescriptor
 
 KINDS = ("finite-order", "nilpotent", "random", "powers")
 
-_CYCLOTOMIC_KS = (1, 2, 3, 4, 6)  # phi(k) <= 2, enough for 2x2 and 3x3 blocks
+_CYCLOTOMIC_KS = _cyclotomic_indices(2)  # (1, 2, 3, 4, 6): phi(k) <= 2, enough for 2x2 and 3x3 blocks
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import count, islice
 from math import gcd, inf, lcm, prod
 from operator import add
-from typing import Union
+from typing import Iterator, Union
 
 from .classify import _Invariants
 from .exactalg import IntMatrix, Lattice, _cyclotomic_indices, _tuple_det, _tuple_pow
@@ -109,21 +109,16 @@ RootSearchOutcome = Union[Found, ProvedImpossible, Exhausted]
 def realizable_orders(n: int) -> frozenset[int]:
     """Finite orders realizable in GL_n(Z): exactly the lcms of index sets
     {k_i} with sum of phi(k_i) at most n (companion blocks realize them; the
-    cyclotomic factorization of a finite-order element forces the bound)."""
-    if n < 1:
-        return frozenset({1})
-    ks = _cyclotomic_indices(n)
-    found: set[int] = set()
-
-    def rec(idx: int, budget: int, cur: int):
-        found.add(cur)
-        for i in range(idx, len(ks)):
-            cost = euler_phi(ks[i])
-            if cost <= budget:
-                rec(i + 1, budget - cost, lcm(cur, ks[i]))
-
-    rec(0, n, 1)
-    return frozenset(found)
+    cyclotomic factorization of a finite-order element forces the bound).
+    One 0/1 knapsack pass over the indices keeps the least phi-cost of each
+    lcm reached; each index extends a snapshot of it, so is used once."""
+    cost = {1: 0}
+    for k in _cyclotomic_indices(n):
+        for order, c in list(cost.items()):
+            new, c = lcm(order, k), c + euler_phi(k)
+            if c <= n and c < cost.get(new, n + 1):
+                cost[new] = c
+    return frozenset(cost)
 
 
 def impossibility_certificates(T: IntMatrix, s: int, module=None) -> list[CertKind]:
@@ -131,14 +126,13 @@ def impossibility_certificates(T: IntMatrix, s: int, module=None) -> list[CertKi
     empty on actual s-th powers."""
     if s < 2:
         raise ValueError("exponent must be at least 2")
-    return _certificates(_Invariants(T, module), s)
+    return list(_certificates(_Invariants(T, module), s))
 
 
-def _certificates(inv: _Invariants, s: int) -> list[CertKind]:
-    """The certificates for an exponent s >= 2."""
+def _certificates(inv: _Invariants, s: int) -> Iterator[CertKind]:
+    """The certificates for an exponent s >= 2, in a fixed order, each
+    route computing only what it reads: the first ends a root search."""
     T, module = inv.T, inv.module
-    n = T.rows
-    certs: list[CertKind] = []
     # determinant route: det T = (det X)^s in Z; over a quadratic order the
     # same equation holds for field norms of ring determinants, and the
     # field norm of the ring determinant of T is det T.
@@ -146,25 +140,23 @@ def _certificates(inv: _Invariants, s: int) -> list[CertKind]:
     dt = inv.det
     if dt != 0 and signed_root(dt, s) is None:
         if module is not None:
-            certs.append(SpectralObstruction(
-                f"field norm of det T is {dt}, not an exact {s}-th power in Z"))
+            yield SpectralObstruction(f"field norm of det T is {dt}, not an exact {s}-th power in Z")
         elif dt < 0 and s % 2 == 0:
-            certs.append(NegativeDetEvenPower(s, dt))
+            yield NegativeDetEvenPower(s, dt)
         else:
-            certs.append(DetNotPower(s, dt))
+            yield DetNotPower(s, dt)
     # nilpotent route (chi = x^n): roots of nilpotents are nilpotent, hence
-    # vanish at the module rank.
-    rank_bound = module.module_rank if module is not None else n
-    if n > 0 and not T.is_zero() and s >= rank_bound and not any(inv.chi[:-1]):
-        certs.append(NilpotentRankBound(s, rank_bound))
+    # vanish at the module rank.  A nilpotent T is singular, and a 0x0 T
+    # has det 1.
+    rank_bound = module.module_rank if module is not None else T.rows
+    if dt == 0 and not T.is_zero() and s >= rank_bound and not any(inv.chi[:-1]):
+        yield NilpotentRankBound(s, rank_bound)
     # finite-order route: any root of a finite-order operator is itself of
     # finite order realizable in GL_n(Z); only fires because the realizable
     # set is enumerated exhaustively.
     d = inv.order
-    if d is not None:
-        if not any(e // gcd(e, s) == d for e in realizable_orders(n)):
-            certs.append(OrderObstruction(s, d))
-    return certs
+    if d is not None and not any(e // gcd(e, s) == d for e in realizable_orders(T.rows)):
+        yield OrderObstruction(s, d)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +205,15 @@ def _box_points(lattice: Lattice, bound: int, deadline=None):
 
 def _root_exponent(inv: _Invariants, s: int) -> int:
     """The exponent k <= s at which X^s = T is tested: X^k = T exactly when
-    X^s = T.  For T of finite order, k = (s - 1) % L + 1 with
-    L = lcm(realizable_orders(n)): if X^s = T or X^k = T, a power of X is
-    I, so X has a realizable order, which divides L and hence s - k, and
-    X^s = X^k.  For T without finite order, k = s."""
+    X^s = T.  For T of finite order, k = (s - 1) % L + 1 with L the lcm
+    of the cyclotomic indices m, phi(m) <= n, which is the lcm of
+    realizable_orders(n): each index is realizable alone, and each
+    realizable order is an lcm of indices.  If X^s = T or X^k = T, a power
+    of X is I, so X has a realizable order, which divides L and hence
+    s - k, and X^s = X^k.  For T without finite order, k = s."""
     if inv.order is None:
         return s
-    return (s - 1) % lcm(*realizable_orders(inv.T.rows)) + 1
+    return (s - 1) % lcm(*_cyclotomic_indices(inv.T.rows)) + 1
 
 
 def _scan(candidates, inv: _Invariants, s: int):
@@ -275,9 +269,9 @@ def root_search(
 def _search(inv: _Invariants, s: int, bound: int, deadline) -> RootSearchOutcome:
     """root_search on an analysis, for s >= 2 and bound >= 1; deadline is a
     time.monotonic() value or None."""
-    certs = _certificates(inv, s)
-    if certs:
-        return ProvedImpossible(certs[0])
+    cert = next(_certificates(inv, s), None)
+    if cert is not None:
+        return ProvedImpossible(cert)
     if deadline is not None and time.monotonic() >= deadline:
         return Exhausted(bound, complete=False)
     basis = inv.commutant.basis

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .primes import is_prime, prime_factors
@@ -241,11 +242,13 @@ class AllFrom:
 SDescriptor = Union[FiniteSet, Geometric, Factorials, Residue, AllFrom]
 
 
+@lru_cache(maxsize=None)
 def pi_S(S: SDescriptor) -> PrimeSet:
     """Primes whose valuation over the described set is unbounded.
 
     Decided symbolically per descriptor variant; finite sets have a finite
-    lcm, so the question is rejected for them.
+    lcm, so the question is rejected for them.  Descriptors are frozen and
+    the result is immutable, so each is decided once per process.
     """
     if isinstance(S, FiniteSet):
         raise ValueError("Pi_S undefined for finite S")

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, permutations, product, takewhile
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 
 # -- naive matrix arithmetic on nested lists ------------------------------
@@ -414,6 +414,29 @@ def min_poly_is_squarefree(rows):
 
 
 @lru_cache(maxsize=None)
+def count_units(k):
+    """phi(k), by counting the units mod k."""
+    return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+
+
+def realizable_orders_by_walk(n):
+    """The lcms of the sets of indices k, phi(k) <= n, whose phis sum to at
+    most n: a recursive walk over those subsets, each index taken at most
+    once.  Exponential in n."""
+    ks = [k for k in range(1, 2 * n * n + 2) if count_units(k) <= n]
+    found = set()
+
+    def walk(start, budget, order):
+        found.add(order)
+        for i in range(start, len(ks)):
+            if count_units(ks[i]) <= budget:
+                walk(i + 1, budget - count_units(ks[i]), lcm(order, ks[i]))
+
+    walk(0, n, 1)
+    return frozenset(found)
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_table(n):
     """Every (k, Phi_k) with phi(k) <= n, ascending in k: phi by counting
     units mod k, Phi_k by dividing x^k - 1 by Phi_d for each proper
@@ -427,7 +450,7 @@ def cyclotomic_table(n):
                 if rem:
                     raise AssertionError(f"Phi_{d} does not divide x^{k} - 1")
         polys[k] = tuple(int(c) for c in poly)
-        if sum(1 for j in range(1, k + 1) if gcd(j, k) == 1) <= n:
+        if count_units(k) <= n:
             table.append((k, polys[k]))
     return tuple(table)
 

@@ -27,12 +27,12 @@ from divlat.divisibility import (
     root_search,
     zero_plus_finite_order,
 )
-from divlat.corpus import gen_corpus
-from divlat.exactalg import IntMatrix, _tuple_pow, kernel_saturated
+from divlat.corpus import block_diagonal, gen_corpus
+from divlat.exactalg import IntMatrix, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, kernel_saturated
 from divlat.numberring import embed_ok_matrix
-from divlat.primes import euler_phi, signed_root
+from divlat.primes import signed_root
 from helpers import (brute_root_search, commutator_equations, diagonal_matrix, lattice_from_generators,
-                     seeded_module_problems, time_limit)
+                     realizable_orders_by_walk, seeded_module_problems, time_limit)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 J = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
@@ -65,17 +65,16 @@ class TestRealizableOrders:
         assert sorted(realizable_orders(4)) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
 
     def test_matches_a_knapsack_over_every_index_up_to_2n2_plus_1(self):
-        """The least phi-cost of each lcm over subsets of the k <= 2n^2 + 1
-        with phi(k) <= n, by 0/1 knapsack; the orders are the lcms of cost
-        at most n."""
-        for n in range(1, 13):
-            cost = {1: 0}
-            for k in (k for k in range(1, 2 * n * n + 2) if euler_phi(k) <= n):
-                for order, c in list(cost.items()):
-                    new, c = lcm(order, k), c + euler_phi(k)
-                    if c <= n and c < cost.get(new, n + 1):
-                        cost[new] = c
-            assert realizable_orders(n) == frozenset(cost), n
+        """The one knapsack pass over the indices k <= 2n^2 + 1 with
+        phi(k) <= n gives the lcms the subset walk collects."""
+        for n in range(0, 19):
+            assert realizable_orders(n) == realizable_orders_by_walk(n), n
+
+    def test_their_lcm_is_the_lcm_of_the_indices(self):
+        """The period of X^s for T of finite order, L, is the lcm of the
+        indices: each is realizable alone, each order an lcm of indices."""
+        for n in range(0, 25):
+            assert lcm(*_cyclotomic_indices(n)) == lcm(*realizable_orders(n)), n
 
 
 class TestCertificates:
@@ -98,6 +97,24 @@ class TestCertificates:
         for cert in (DetNotPower(2, 2), NegativeDetEvenPower(2, -1),
                      NilpotentRankBound(2, 2), OrderObstruction(2, 4)):
             assert str(cert.s) in cert.statement()
+
+    def test_every_certificate_in_route_order(self):
+        """The swap has det -1, no 4th power, and order 2, which no order
+        realizable in GL_2(Z) reaches as ord(X)/gcd(ord(X), 4)."""
+        swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+        assert impossibility_certificates(swap, 4) == [NegativeDetEvenPower(4, -1), OrderObstruction(4, 2)]
+
+    def test_a_determinant_search_computes_no_char_poly(self, monkeypatch):
+        """The determinant settles a refused det T, and |det T| != 1 rules
+        out finite order, so neither search below needs chi."""
+        import divlat.classify
+
+        calls = []
+        char_poly = divlat.classify.char_poly
+        monkeypatch.setattr(divlat.classify, "char_poly", lambda M: calls.append(M) or char_poly(M))
+        assert root_search(IntMatrix.from_rows([[2, 0], [0, 1]]), 2, 1) == ProvedImpossible(DetNotPower(2, 2))
+        assert isinstance(root_search(IntMatrix.from_rows([[4, 0], [0, 1]]), 2, 2), Found)
+        assert calls == []
 
     def test_never_fires_on_true_powers_exhaustive(self):
         # every 2x2 power with entries in [-2, 2], s in {2, 3}
@@ -258,6 +275,14 @@ class TestRootSearch:
             X = IntMatrix.from_rows([[-1, -1], [0, 1]])
             assert root_search(I2, 10 ** 8, 1, timeout_ms=1000) == Found(X, I2)
             assert root_search(I2, 10 ** 25 + 13, 1) == Found(I2, I2)
+
+    def test_a_large_finite_order_operator_is_refused_at_once(self):
+        """On Phi_32's companion (+) I12, 28 x 28 of order 32, a square root
+        would have order 64, which needs phi-cost 32 > 28: one knapsack
+        pass over the indices refuses it within the timeout."""
+        T = block_diagonal([companion_matrix(cyclotomic(32)), IntMatrix.identity(12)])
+        with time_limit(1.0):
+            assert root_search(T, 2, 1, timeout_ms=500) == ProvedImpossible(OrderObstruction(2, 32))
 
     def test_the_root_exponent_agrees_with_the_direct_power(self):
         """Past s = lcm(realizable_orders(n)) = 12, a finite-order T is

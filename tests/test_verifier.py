@@ -4,7 +4,8 @@ import pytest
 
 from divlat.classify import _Invariants
 from divlat.divisibility import divisibility_spectrum
-from divlat.exactalg import IntMatrix, QMatrix
+from divlat.corpus import block_diagonal
+from divlat.exactalg import IntMatrix, QMatrix, companion_matrix, cyclotomic
 from divlat.numberring import OKModule, QuadraticOrder, ZZ, embed_ok_matrix
 from divlat.serialize import canonical_dumps, problem_from_json, theorem_report_to_json
 from divlat.supernat import AllFrom, FiniteSet, Geometric, PrimeSet, Residue
@@ -203,6 +204,30 @@ class TestVerifyExamples:
             report = verify(ZZ, None, eye, Geometric(2, 1), [(10 ** 8, X), (10 ** 8, Y), (10 ** 8 + 1, Y)])
         assert [(c.valid, c.reason) for c in report.hypothesis_checks.witnesses] == [
             (False, "re-multiplication failed"), (True, "verified"), (False, "re-multiplication failed")]
+
+    def test_a_large_finite_order_witness(self):
+        """On Phi_32's companion (+) I12, 28 x 28 of order 32, the witness
+        X = T at s = 33 is tested at the exponent reduced by the lcm of the
+        indices k with phi(k) <= 28, and verify ends within a second."""
+        T = block_diagonal([companion_matrix(cyclotomic(32)), IntMatrix.identity(12)])
+        with time_limit(1.0):
+            report = verify(ZZ, None, T, Residue(1, 32), [(33, T)])
+        assert [(c.valid, c.reason) for c in report.hypothesis_checks.witnesses] == [(True, "verified")]
+        assert report.verdict == "CONSISTENT" and report.clause3.order == 32
+
+    def test_pi_s_is_decided_once(self, monkeypatch):
+        """The additive hypothesis and clause 3 read one Pi_S: 6 is
+        factored once per descriptor."""
+        import divlat.supernat as supernat
+
+        calls = []
+        prime_factors = supernat.prime_factors
+        monkeypatch.setattr(supernat, "prime_factors", lambda n: calls.append(n) or prime_factors(n))
+        supernat.pi_S.cache_clear()
+        eye = IntMatrix.identity(2)
+        for _ in range(2):
+            assert verify(ZZ, None, eye, Geometric(6), ()).clause3.pi_s == PrimeSet.finite([2, 3])
+        assert calls == [6]
 
 
 class TestVerdictTaxonomy:
