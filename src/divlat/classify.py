@@ -28,8 +28,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
 
-from .exactalg import (IntMatrix, Lattice, QMatrix, _cyclotomic_indices, _kernel_and_image, _zcyclotomic,
-                       _zdivmod, _zgcd, _zradical, char_poly, hnf, kernel_saturated, restrict_to_lattice)
+from .exactalg import (IntMatrix, Lattice, QMatrix, _cyclotomic_indices, _kernel_and_image, _zdivmod, _zgcd,
+                       _zradical, char_poly, cyclotomic, hnf, kernel_saturated, restrict_to_lattice)
 from .primes import prime_factors
 
 
@@ -59,7 +59,7 @@ class FittingSplit:
         """T on the basis of image_part (column vectors), built when first
         read and checked invertible by its own determinant when direct."""
         restriction = restrict_to_lattice(self.operator, self.image_part)
-        if self.is_direct and restriction.rows and abs(restriction.det()) != 1:
+        if self.is_direct and abs(restriction.det()) != 1:
             raise AssertionError("restriction to the image part is not invertible")
         return restriction
 
@@ -67,7 +67,8 @@ class FittingSplit:
 class _Invariants:
     """The analysis of one square operator T and its module (None over Z):
     det, chi and its radical r (ascending int tuples), semisimplicity
-    (r(T) = 0), the cyclotomic factorization of chi, the order, the split
+    (r(T) = 0), the cyclotomic factorization of chi and whether T is
+    torsion-spectral, the order, the split
     T = 0 (+) (T on im T) at Fitting's first and stable exponents, the image
     part's analysis, the commutant, and the powers of T, off one ladder of
     squares T, T^2, T^4, ...  The constructor checks that T is square and,
@@ -117,23 +118,13 @@ class _Invariants:
         """((k, multiplicity), ...) when chi is a product of cyclotomic
         polynomials, else None.  Every Phi_k(0) is +-1, so that needs
         |det T| = |chi(0)| = 1."""
-        if self.T.rows == 0:
-            return ()
-        if abs(self.det) != 1:
-            return None
-        remaining = self.chi
-        factorization = []
-        for k in _cyclotomic_indices(self.T.rows):
-            phi_k, e = _zcyclotomic(k), 0
-            while len(remaining) >= len(phi_k):
-                q, r = _zdivmod(remaining, phi_k)
-                if r:
-                    break
-                remaining = q
-                e += 1
-            if e:
-                factorization.append((k, e))
-        return tuple(factorization) if len(remaining) == 1 else None
+        return _cyclotomic_factorization(self.chi) if abs(self.det) == 1 else None
+
+    @cached_property
+    def torsion_spectral(self) -> bool:
+        """Every eigenvalue is 0 or a root of unity: chi is x^g times a
+        product of cyclotomic polynomials, g = gen_kernel_rank."""
+        return _cyclotomic_factorization(self.chi[self.gen_kernel_rank:]) is not None
 
     @cached_property
     def order(self) -> int | None:
@@ -142,8 +133,6 @@ class _Invariants:
         operator, re-verified as T^d = I and checked minimal as T^(d/p) != I
         for each prime p | d, every power exact and read off the ladder."""
         T = self.T
-        if T.rows == 0:
-            return 1
         if self.factorization is None or not self.semisimple:
             return None
         d = lcm(*(k for k, _ in self.factorization))
@@ -187,23 +176,23 @@ class _Invariants:
             split = self._split_at(m)
             if not split.det:
                 raise AssertionError("kernel chain not stable at the exponent read off chi")
-        if self.module is not None and split.image_part.rank:
-            det_el = self.module.submodule(split.image_part).det_as_ring_element(split.restriction)
-            if (self.module.order.norm(det_el) in (1, -1)) != split.is_direct:
-                raise AssertionError("ring and integer determinants disagree on invertibility")
         if not all(split.gen_kernel.contains(T.apply(v)) for v in split.gen_kernel.basis.nested()):
             raise AssertionError("kernel part not invariant")
         return split
 
     @cached_property
     def image_part(self) -> _Invariants:
-        """The analysis of T on im T; self when that matrix M is T.  T maps
-        Q^n into im T, so it induces 0 on the quotient and chi_T = x^k chi_M,
-        k = rank ker T: chi_M is chi_T without that factor, once its k low
-        coefficients are checked to be 0 and it agrees with tr M and det M."""
-        M = self.split.restriction
-        if M == self.T:
+        """The analysis of the matrix M of T on im T.  For det T != 0 it is
+        self: in the basis Te_1, ..., Te_n of im T the restriction is T
+        itself, so M is GL_n(Z)-conjugate to T and shares its det, chi,
+        order and semisimplicity, all that is read off the image part.
+        Else T maps Q^n into im T, so it induces 0 on the quotient and
+        chi_T = x^k chi_M, k = rank ker T: chi_M is chi_T without that
+        factor, once its k low coefficients are checked to be 0 and it
+        agrees with tr M and det M."""
+        if self.det:
             return self
+        M = self.split.restriction
         part, k, m = _Invariants(M), self.split.gen_kernel.rank, M.rows
         chi = self.chi[k:]
         if any(self.chi[:k]) or (m and (chi[-2] != -M.trace() or chi[0] != (-1) ** m * part.det)):
@@ -235,6 +224,23 @@ class _Invariants:
                       for i in range(n) for j in range(n)]
                      for M in mats for a in range(n) for b in range(n)]
         return kernel_saturated(hnf(IntMatrix.from_rows(equations, cols=n * n)))
+
+
+def _cyclotomic_factorization(p) -> tuple[tuple[int, int], ...] | None:
+    """((k, multiplicity), ...) when the monic p in Z[x] is a product of
+    cyclotomic polynomials, else None, by trial division by every Phi_k of
+    degree at most deg p: the candidate list is complete."""
+    remaining, factorization = p, []
+    for k in _cyclotomic_indices(len(p) - 1):
+        phi_k, e = cyclotomic(k), 0
+        while len(remaining) >= len(phi_k):
+            q, r = _zdivmod(remaining, phi_k)
+            if r:
+                break
+            remaining, e = q, e + 1
+        if e:
+            factorization.append((k, e))
+    return tuple(factorization) if len(remaining) == 1 else None
 
 
 def is_semisimple(T) -> bool:

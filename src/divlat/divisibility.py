@@ -216,17 +216,43 @@ def _root_exponent(inv: _Invariants, s: int) -> int:
     return (s - 1) % lcm(*_cyclotomic_indices(inv.T.rows)) + 1
 
 
+def _beyond_root_height(inv: _Invariants, s: int) -> bool:
+    """True when T is not torsion-spectral (some eigenvalue is neither 0 nor
+    a root of unity) and s >= 4n bit_length(R), R = 1 + max |c_k| over the
+    coefficients of chi below its leading one: then T has no s-th root.
+
+    Theorem (Dimitrov, arXiv:1912.12545, proving Schinzel-Zassenhaus): an
+    algebraic integer of degree d, neither 0 nor a root of unity, has a
+    conjugate of modulus at least 2^(1/(4d)).  If X^s = T, an eigenvalue
+    lambda of T that is neither is mu^s for an eigenvalue mu of X that is
+    neither, of degree at most n; its large conjugate is an eigenvalue of X
+    too, so T has an eigenvalue of modulus at least 2^(s/(4n)).  Cauchy's
+    bound keeps every eigenvalue of T below R < 2^bit_length(R), so
+    s < 4n bit_length(R).  As chi is not x^n, R >= 2: s >= 8n is tested
+    first, and chi is read only beyond it."""
+    n = inv.T.rows
+    if s < 8 * n:
+        return False
+    R = 1 + max(map(abs, inv.chi[:-1]), default=0)
+    return s >= 4 * n * R.bit_length() and not inv.torsion_spectral
+
+
 def _scan(candidates, inv: _Invariants, s: int):
-    """The first candidate X with X^s = T, or None; those with det X no
-    s-th root of det T or, for s that is_prime proves prime, tr X != tr T
-    mod s are skipped."""
+    """The one test of X^s = T, for the search's candidates and verify's
+    witnesses alike: the first candidate X with X^s = T, or None.  None at
+    once when det T != 0 has no s-th root or _beyond_root_height holds;
+    else the candidates with det X no s-th root of det T or, for s that
+    is_prime proves prime, tr X != tr T mod s are skipped, and X^s = T is
+    tested as X^k = T, k = _root_exponent(inv, s)."""
+    r = signed_root(inv.det, s)
+    if r is None or _beyond_root_height(inv, s):
+        return None
     n, target, trace_target, k = inv.T.rows, inv.T.entries, inv.T.trace(), _root_exponent(inv, s)
     try:
         prime_s = is_prime(s)
     except ValueError:  # s >= psi_13 passes every base: undecided, so no trace filter
         prime_s = False
     diag = slice(None, None, n + 1)
-    r = signed_root(inv.det, s)  # never None: _certificates, run first, refuses a det T != 0 with no s-th root
     dets = (r, -r) if s % 2 == 0 else (r,)
     for cand in candidates:
         if _tuple_det(cand, n) not in dets:

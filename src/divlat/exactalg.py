@@ -476,8 +476,6 @@ def restrict_to_lattice(T: IntMatrix, lat: Lattice) -> IntMatrix:
     """Matrix of T on the basis of a T-invariant lattice (column-vector
     convention).  Raises if the lattice is not invariant."""
     k = lat.rank
-    if k == 0:
-        return IntMatrix(0, 0, ())
     cols = []
     for i in range(k):
         image = T.apply(lat.basis.row(i))
@@ -524,12 +522,15 @@ def companion_matrix(p) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _zcyclotomic(k: int) -> tuple[int, ...]:
-    """Phi_k in Z[x], by iterated exact division of x^k - 1."""
+def cyclotomic(k: int) -> tuple[int, ...]:
+    """The k-th cyclotomic polynomial Phi_k in Z[x], by iterated exact
+    division of x^k - 1."""
+    if k < 1:
+        raise ValueError("cyclotomic index must be positive")
     poly = (-1,) + (0,) * (k - 1) + (1,)
     for d in divisors(k):
         if d < k:
-            poly, rem = _zdivmod(poly, _zcyclotomic(d))
+            poly, rem = _zdivmod(poly, cyclotomic(d))
             if rem:
                 raise AssertionError(f"Phi_{d} does not divide x^{k} - 1")
     return poly
@@ -540,10 +541,3 @@ def _cyclotomic_indices(n: int) -> tuple[int, ...]:
     """Every k with phi(k) <= n, ascending.  phi(k)^2 >= k/2 for every k,
     so scanning k <= 2n^2 + 1 is exhaustive."""
     return tuple(k for k in range(1, 2 * n * n + 2) if euler_phi(k) <= n)
-
-
-def cyclotomic(k: int) -> tuple[int, ...]:
-    """The k-th cyclotomic polynomial."""
-    if k < 1:
-        raise ValueError("cyclotomic index must be positive")
-    return _zcyclotomic(k)

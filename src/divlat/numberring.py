@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exactalg import IntMatrix, Lattice, restrict_to_lattice
+from .exactalg import IntMatrix
 from .primes import is_squarefree
 from .supernat import FiniteSet, PrimeSet, SDescriptor
 
@@ -265,11 +265,6 @@ class OKModule:
     def require_endomorphism(self, T: IntMatrix) -> None:
         if not self.endomorphism_ok(T):
             raise ValueError("operator does not commute with the ring action")
-
-    def submodule(self, lat: Lattice) -> "OKModule":
-        """The module structure induced on an omega-invariant sublattice."""
-        W_sub = restrict_to_lattice(self.omega_action, lat)
-        return OKModule(self.order, lat.rank, W_sub)
 
     def det_as_ring_element(self, T: IntMatrix):
         """Determinant of a commuting operator as a ring element (a, b).

@@ -10,10 +10,10 @@ lattice_from_generators, which reduce with the library's Hermite form so
 that lattices compare entry-wise; diagonal_matrix, full_lattice,
 scalar_matrix, prime_set_is_infinite and primes_up_to, which build test
 inputs and have no caller in the library; and the seeded builders at the
-end (rand_matrix to seeded_fitting_operators), which make test inputs with
-the library's constructors, and the golden problem sets of the CLI
-(module_problems, large_problems, unit_rings).  time_limit bounds a test
-that could hang.
+end (rand_matrix to seeded_fitting_operators, submodule among them),
+which make test inputs with the library's constructors, and the golden
+problem sets of the CLI (module_problems, large_problems, unit_rings).
+time_limit bounds a test that could hang.
 Test modules share code only through this file: none imports another.
 """
 from __future__ import annotations
@@ -811,6 +811,15 @@ def seeded_module_problems(seed):
                 X = embed_ok_matrix(order, [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rank)]
                                             for _ in range(rank)])
                 yield X ** rng.choice((1, 2, 3)), module
+
+
+def submodule(module, lattice):
+    """The OKModule that module's ring action induces on an omega-invariant
+    sublattice: omega restricted to the lattice's basis."""
+    from divlat.exactalg import restrict_to_lattice
+    from divlat.numberring import OKModule
+
+    return OKModule(module.order, lattice.rank, restrict_to_lattice(module.omega_action, lattice))
 
 
 def seeded_fitting_operators(seed, count, n_max=8):

@@ -461,6 +461,34 @@ class TestImagePart:
             kinds.add("nilpotent" if not any(inv.chi[:-1]) else "not nilpotent")
         assert kinds == {"split", "not split", "nilpotent", "not nilpotent"}
 
+    def test_an_injective_operator_is_its_own_image_part(self):
+        """For det T != 0 the image part's analysis is T's own: the
+        restriction M to the Hermite basis of im T is GL_n(Z)-conjugate to
+        T and agrees with it on det, order and semisimplicity.  The seeded
+        operators, n <= 6, are random, finite-order and a non-semisimple
+        2 (J_2(1) (+) X) for X finite-order, so that M != T for most."""
+        rng = random.Random(167)
+        ops = []
+        for n in range(1, 7):
+            for kind in ("random", "finite-order"):
+                ops += [IntMatrix.from_rows(seeded_operator(kind, n, rng)) for _ in range(4)]
+            if n >= 3:
+                X = IntMatrix.from_rows(seeded_operator("finite-order", n - 2, rng))
+                ops.append(block_diagonal([IntMatrix.from_rows([[1, 1], [0, 1]]), X]) * 2)
+        moved, facts = 0, set()
+        for T in ops:
+            inv = classify._Invariants(T)
+            if not inv.det:
+                continue
+            M = inv.split.restriction
+            assert inv.image_part is inv, T
+            part = classify._Invariants(M)
+            assert (part.det, part.order, part.semisimple) == (inv.det, inv.order, inv.semisimple), T
+            moved += M != T
+            facts.add((inv.order is not None, inv.semisimple))
+        assert moved >= 10
+        assert facts == {(True, True), (False, True), (False, False)}
+
     @pytest.mark.parametrize("chi", [(1, -2, -1, 1), (0, -2, 3, 1), (0, 5, -1, 1)],
                              ids=["low coefficient", "trace", "determinant"])
     def test_a_chi_disagreeing_with_the_image_part_raises(self, chi):

@@ -559,6 +559,21 @@ class TestNoInputHangs:
             assert main(["verify", write(tmp_path, "p.json", problem)]) == 0
         assert capsys.readouterr().out.startswith("witness s=100000000: re-multiplication failed\n")
 
+    def test_a_huge_exponent_on_an_operator_without_finite_order(self, tmp_path, capsys):
+        """[[2, 1], [1, 1]] has an eigenvalue that is neither 0 nor a root of
+        unity, so at s = 10^8 it has no s-th root (a height bound): root
+        exhausts its box and verify refuses the Fibonacci witness, both
+        without multiplying out a 10^8-th power."""
+        T = {"rows": 2, "cols": 2, "entries": [[2, 1], [1, 1]]}
+        problem = {"operator": T, "S": {"geometric": {"base": 2, "scale": 1}},
+                   "witnesses": [{"s": 10 ** 8, "matrix": {"rows": 2, "cols": 2, "entries": [[1, 1], [1, 0]]}}]}
+        with time_limit(2.0):
+            assert main(["root", write(tmp_path, "t.json", T), "--s", str(10 ** 8), "--bound", "1",
+                         "--timeout-ms", "1000"]) == 0
+            assert capsys.readouterr().out == "EXHAUSTED bound 1\n"
+            assert main(["verify", write(tmp_path, "p.json", problem)]) == 0
+        assert capsys.readouterr().out.startswith("witness s=100000000: re-multiplication failed\n")
+
 
 class TestGlobalFlags:
     def run(self, capsys, argv):

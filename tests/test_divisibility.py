@@ -327,6 +327,50 @@ class TestRootSearch:
         assert out_large.witness.entries <= out_small.witness.entries
 
 
+class TestRootHeightBound:
+    """_beyond_root_height: for T not torsion-spectral, no s-th root exists
+    at s >= 4n bit_length(R), R the Cauchy bound of chi."""
+
+    def test_the_threshold_of_a_fibonacci_square(self):
+        """chi = x^2 - 3x + 1 gives R = 4 and the threshold 4 * 2 * 3 = 24;
+        diag(0, 2), singular, has chi = x^2 - 2x, R = 3 and 4 * 2 * 2 = 16."""
+        for rows, threshold in (([[2, 1], [1, 1]], 24), ([[0, 0], [0, 2]], 16)):
+            inv = _Invariants(IntMatrix.from_rows(rows))
+            assert not inv.torsion_spectral
+            fires = [divisibility._beyond_root_height(inv, s) for s in range(2, 60)]
+            assert fires == [s >= threshold for s in range(2, 60)], rows
+            assert divisibility._beyond_root_height(inv, 10 ** 8)
+
+    def test_true_powers_pass_the_one_root_test(self):
+        """The bound is sound: for seeded X, n <= 3, whose chi is not a power
+        of x times cyclotomic factors, the scan still finds X among the
+        candidates for T = X^s, s <= 40."""
+        rng = random.Random(173)
+        tried = 0
+        while tried < 60:
+            n = rng.randint(1, 3)
+            X = IntMatrix(n, n, tuple(rng.randint(-2, 2) for _ in range(n * n)))
+            if _Invariants(X).torsion_spectral:
+                continue
+            tried += 1
+            for s in (2, 3, 7, 8 * n, 40):
+                assert divisibility._scan([X.entries], _Invariants(X ** s), s) == X.entries, (X, s)
+
+    def test_the_bound_never_fires_on_a_torsion_spectral_operator(self):
+        """Nilpotent, finite-order, zero-plus-finite-order and unipotent
+        operators, J_2(1) (+) I_2 among them, keep every candidate at huge s."""
+        Ts = [IntMatrix.zeros(1, 1), IntMatrix.identity(3), IntMatrix.from_rows([[0, 1], [0, 0]]),
+              block_diagonal([IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.identity(2)]),
+              block_diagonal([IntMatrix.zeros(2, 2), companion_matrix(cyclotomic(5))]),
+              block_diagonal([IntMatrix.from_rows([[-1, 1], [0, -1]]), companion_matrix(cyclotomic(12))])]
+        Ts += [p.operator for kind in ("finite-order", "nilpotent") for p in gen_corpus(kind, 1)]
+        for T in Ts:
+            inv = _Invariants(T)
+            assert inv.torsion_spectral, T
+            for s in (2, 8 * T.rows, 10 ** 8, 10 ** 25 + 13):
+                assert not divisibility._beyond_root_height(inv, s), (T, s)
+
+
 def seeded_operators(seed, count):
     rng = random.Random(seed)
     for _ in range(count):

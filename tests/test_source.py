@@ -48,8 +48,10 @@ KEPT_WITHOUT_A_LIBRARY_CALLER = {
     "classify.roots_of_unity_spectrum", "divisibility.impossibility_certificates",
     "divisibility.zero_plus_finite_order", "fitting.clean_split",
     # perfbench/tracer.py wraps its METHODS by name, so a traced benchmark
-    # run fails without it
-    "exactalg.QMatrix.inverse",
+    # run fails without them; the ring determinant is also what a module
+    # certificate stronger than its norm needs (ROADMAP.md, module
+    # certificates), and tests/test_fitting.py cross-checks the split with it
+    "exactalg.QMatrix.inverse", "numberring.OKModule.det_as_ring_element",
     # the benchmark's workloads build their modules with it
     "numberring.OKModule.regular",
     # the console script of pyproject.toml
