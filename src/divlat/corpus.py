@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from .divisibility import _coprime_exponents, coprime_root
+from .classify import _Invariants
+from .divisibility import _coprime_exponents, _coprime_roots
 from .exactalg import IntMatrix, _cyclotomic_indices, cyclotomic, companion_matrix, hnf
 from .primes import euler_phi
 from .supernat import AllFrom, Factorials, Geometric, Residue, SDescriptor
@@ -96,7 +97,7 @@ def _finite_order_problems(rng: random.Random) -> list[Problem]:
         n = sum(euler_phi(k) for k in ks)
         T = finite_order_matrix(ks, random_unimodular(n, rng))
         d = lcm(*ks)
-        witnesses = tuple((s, coprime_root(T, d, s)) for s in _coprime_exponents(d, 2))
+        witnesses = tuple(_coprime_roots(_Invariants(T), d, _coprime_exponents(d, 2)))
         S = Residue(1 % d, d) if d > 1 else Geometric(2, 1)
         problems.append(Problem(f"finite-order-{i}", "finite-order", T, S, witnesses))
     return problems

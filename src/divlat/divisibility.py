@@ -203,51 +203,41 @@ def _box_points(lattice: Lattice, bound: int, deadline=None):
     return walk(0, (0,) * N)
 
 
-def _root_exponent(inv: _Invariants, s: int) -> int:
-    """The exponent k <= s at which X^s = T is tested: X^k = T exactly when
-    X^s = T.  For T of finite order, k = (s - 1) % L + 1 with L the lcm
-    of the cyclotomic indices m, phi(m) <= n, which is the lcm of
-    realizable_orders(n): each index is realizable alone, and each
-    realizable order is an lcm of indices.  If X^s = T or X^k = T, a power
-    of X is I, so X has a realizable order, which divides L and hence
-    s - k, and X^s = X^k.  For T without finite order, k = s."""
-    if inv.order is None:
-        return s
-    return (s - 1) % lcm(*_cyclotomic_indices(inv.T.rows)) + 1
-
-
 def _beyond_root_height(inv: _Invariants, s: int) -> bool:
-    """True when T is not torsion-spectral (some eigenvalue is neither 0 nor
-    a root of unity) and s >= 4n bit_length(R), R = 1 + max |c_k| over the
-    coefficients of chi below its leading one: then T has no s-th root.
+    """True when s >= 4n bit_length(R), R = 1 + max |c_k| over the
+    coefficients of chi below its leading one: then every s-th root of T is
+    torsion-spectral (each eigenvalue 0 or a root of unity).
 
     Theorem (Dimitrov, arXiv:1912.12545, proving Schinzel-Zassenhaus): an
     algebraic integer of degree d, neither 0 nor a root of unity, has a
-    conjugate of modulus at least 2^(1/(4d)).  If X^s = T, an eigenvalue
-    lambda of T that is neither is mu^s for an eigenvalue mu of X that is
-    neither, of degree at most n; its large conjugate is an eigenvalue of X
-    too, so T has an eigenvalue of modulus at least 2^(s/(4n)).  Cauchy's
-    bound keeps every eigenvalue of T below R < 2^bit_length(R), so
-    s < 4n bit_length(R).  As chi is not x^n, R >= 2: s >= 8n is tested
-    first, and chi is read only beyond it."""
+    conjugate of modulus at least 2^(1/(4d)).  If X^s = T and an eigenvalue
+    mu of X is neither, of degree at most n, its large conjugate is an
+    eigenvalue of X too, whose s-th power is an eigenvalue of T of modulus
+    at least 2^(s/(4n)).  Cauchy's bound keeps every eigenvalue of T below
+    R < 2^bit_length(R), so s < 4n bit_length(R).  R >= 2 unless chi = x^n,
+    whose roots are nilpotent anyway: s >= 8n is tested first, and chi is
+    read only beyond it."""
     n = inv.T.rows
     if s < 8 * n:
         return False
     R = 1 + max(map(abs, inv.chi[:-1]), default=0)
-    return s >= 4 * n * R.bit_length() and not inv.torsion_spectral
+    return s >= 4 * n * R.bit_length()
 
 
 def _scan(candidates, inv: _Invariants, s: int):
     """The one test of X^s = T, for the search's candidates and verify's
     witnesses alike: the first candidate X with X^s = T, or None.  None at
-    once when det T != 0 has no s-th root or _beyond_root_height holds;
-    else the candidates with det X no s-th root of det T or, for s that
-    is_prime proves prime, tr X != tr T mod s are skipped, and X^s = T is
-    tested as X^k = T, k = _root_exponent(inv, s)."""
+    once when det T != 0 has no s-th root, or when _beyond_root_height
+    holds and T is not torsion-spectral; else the candidates with det X no
+    s-th root of det T or, for s that is_prime proves prime,
+    tr X != tr T mod s are skipped, and so, beyond the height bound, are
+    those not torsion-spectral.  Every candidate left there has entries of
+    X^k polynomial in k, so X^s, multiplied out, stays small at any s."""
     r = signed_root(inv.det, s)
-    if r is None or _beyond_root_height(inv, s):
+    beyond = _beyond_root_height(inv, s)
+    if r is None or beyond and not inv.torsion_spectral:
         return None
-    n, target, trace_target, k = inv.T.rows, inv.T.entries, inv.T.trace(), _root_exponent(inv, s)
+    n, target, trace_target = inv.T.rows, inv.T.entries, inv.T.trace()
     try:
         prime_s = is_prime(s)
     except ValueError:  # s >= psi_13 passes every base: undecided, so no trace filter
@@ -259,7 +249,9 @@ def _scan(candidates, inv: _Invariants, s: int):
             continue
         if prime_s and (sum(cand[diag]) - trace_target) % s:
             continue  # tr(X^p) = tr(X) mod p for prime p
-        if _tuple_pow(cand, n, k) == target:
+        if beyond and not _Invariants(IntMatrix(n, n, cand)).torsion_spectral:
+            continue
+        if _tuple_pow(cand, n, s) == target:
             return cand
     return None
 
@@ -324,7 +316,7 @@ def coprime_root(T: IntMatrix, d: int, n_exp: int) -> IntMatrix:
     """X with X^n_exp = T when T is zero plus an order-d operator and
     gcd(n_exp, d) = 1: take X = T^m for m the inverse of n_exp mod d.
     The result is re-verified by exact multiplication before returning."""
-    return _coprime_roots(_Invariants(T), d, (n_exp,))[0]
+    return _coprime_roots(_Invariants(T), d, (n_exp,))[0][1]
 
 
 def _coprime_exponents(d: int, k: int) -> list[int]:
@@ -332,11 +324,11 @@ def _coprime_exponents(d: int, k: int) -> list[int]:
     return list(islice((s for s in count(2) if gcd(s, d) == 1), k))
 
 
-def _coprime_roots(inv: _Invariants, d: int, exponents) -> list[IntMatrix]:
-    """coprime_root for each exponent on the analysis of T: T^(d+1) = T is
-    checked once, T^(d+1) and each root T^m are products of the analysis's
-    ladder of squares, and each root X is still re-verified as X^n_exp = T
-    from its own entries."""
+def _coprime_roots(inv: _Invariants, d: int, exponents) -> list[tuple[int, IntMatrix]]:
+    """The pairs (n_exp, coprime_root(T, d, n_exp)) for each exponent, on
+    the analysis of T: T^(d+1) = T is checked once, T^(d+1) and each root
+    T^m are products of the analysis's ladder of squares, and each root X
+    is still re-verified as X^n_exp = T from its own entries."""
     T = inv.T
     if d < 1 or any(n_exp < 1 for n_exp in exponents):
         raise ValueError("order and exponent must be positive")
@@ -349,7 +341,7 @@ def _coprime_roots(inv: _Invariants, d: int, exponents) -> list[IntMatrix]:
         X = inv.power(pow(n_exp, -1, d) if d > 1 else 1)
         if X ** n_exp != T:
             raise AssertionError("constructed root failed re-verification")
-        roots.append(X)
+        roots.append((n_exp, X))
     return roots
 
 
@@ -389,7 +381,7 @@ def divisibility_spectrum(T: IntMatrix, s_max: int, bound: int, *, module=None) 
     inv = _Invariants(T, module)
     d = inv.zero_plus_order
     coprime = [] if d is None else [s for s in range(2, s_max + 1) if gcd(s, d) == 1]
-    troots = dict(zip(coprime, _coprime_roots(inv, d, coprime))) if coprime else {}
+    troots = dict(_coprime_roots(inv, d, coprime)) if coprime else {}
     rows = []
     for s in range(2, s_max + 1):
         outcome = _search(inv, s, bound, None)

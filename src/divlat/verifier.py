@@ -155,8 +155,7 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     # clause 4: construct roots for a sample of exponents coprime to d.
     roots: tuple[tuple[int, IntMatrix], ...] = ()
     if inv.zero_plus_order is not None:
-        sample = _coprime_exponents(d, 4)
-        roots = tuple(zip(sample, _coprime_roots(inv, d, sample)))
+        roots = tuple(_coprime_roots(inv, d, _coprime_exponents(d, 4)))
     clause4 = Clause4(roots, inv.zero_plus_order is not None)
 
     failing = [f"({i})" for i, clause in enumerate((clause1, clause2, clause3), 1) if not clause.holds]

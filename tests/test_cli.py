@@ -104,6 +104,25 @@ class TestSubcommands:
         assert rc == 0
         assert "2^inf*3^2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("op, want", [
+        ("gcd", "1\n"),  # the empty product
+        ("lcm", "2*3^2\n"),  # exponent 1 prints the bare prime
+    ])
+    def test_supernat_products_print_as_products(self, tmp_path, capsys, op, want):
+        obj = {op: [{"factors": {"2": 1}}, {"factors": {"3": 2}}]}
+        assert main(["supernat", write(tmp_path, "s.json", obj)]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("prime, want", [(2, "true"), (3, "false")])
+    def test_supernat_additive(self, tmp_path, capsys, prime, want):
+        """Pi_S of the powers of 2 is {2}: it meets lchar = {2}, not {3}."""
+        obj = {"additive": {"S": {"geometric": {"base": 2, "scale": 1}}, "lchar": {"finite": [prime]}}}
+        path = write(tmp_path, "a.json", obj)
+        assert main(["supernat", path]) == 0
+        assert capsys.readouterr().out == want + "\n"
+        assert main(["supernat", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"additive_hypothesis": want == "true"}
+
 
 class TestJsonOutput:
     def test_classify_json_parses(self, tmp_path, capsys):
@@ -235,6 +254,21 @@ class TestExitCodes:
         assert main(["classify", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {path}: invalid JSON (")
+
+    @pytest.mark.parametrize("command, obj, err", [
+        ("supernat", [], "supernat file: exactly one of pi_s, nu, lcm, gcd, mul, additive"),
+        ("supernat", {"nu": {"p": 2}, "lcm": []}, "supernat file: exactly one of pi_s, nu, lcm, gcd, mul, additive"),
+        ("supernat", {"nu": {"p": 2}}, 'nu takes {"p": prime, "n": SUPERNATURAL}'),
+        ("supernat", {"lcm": [{"factors": {}}]}, "lcm takes a pair of supernaturals"),
+        ("supernat", {"mul": 5}, "mul takes a pair of supernaturals"),
+        ("supernat", {"additive": {"S": {"all_from": 2}}}, 'additive takes {"S": DESCRIPTOR, "lchar": PRIMESET}'),
+        ("supernat", {"sqrt": 4}, "unknown supernat operation 'sqrt'"),
+        ("units", {"ring": "Z"}, 'units: need a quadratic ring, e.g. {"ring": {"quadratic": {"d": 2}}}'),
+    ], ids=["not-a-dict", "two-operations", "nu-fields", "lcm-single", "mul-int", "additive-fields",
+            "unknown-operation", "units-over-Z"])
+    def test_a_malformed_request_is_refused(self, tmp_path, capsys, command, obj, err):
+        assert main([command, write(tmp_path, "bad.json", obj)]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_units_rejects_unknown_fields(self, tmp_path, capsys):
         obj = {"ring": {"quadratic": {"d": 2}}, "bogus": 1}
@@ -573,6 +607,25 @@ class TestNoInputHangs:
             assert capsys.readouterr().out == "EXHAUSTED bound 1\n"
             assert main(["verify", write(tmp_path, "p.json", problem)]) == 0
         assert capsys.readouterr().out.startswith("witness s=100000000: re-multiplication failed\n")
+
+    def test_a_huge_exponent_on_a_unipotent_operator(self, tmp_path, capsys):
+        """J2(1) (+) I2 is torsion-spectral without finite order.  At
+        s = 10^8, past the height bound, root tries only torsion-spectral
+        candidates, whose powers grow polynomially, until its budget cuts
+        the scan; verify refuses a Fibonacci block witness, not
+        torsion-spectral, at once, and T itself, whose 10^8-th power is not
+        T, after multiplying it out."""
+        T = {"rows": 4, "cols": 4, "entries": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+        fib = {"rows": 4, "cols": 4, "entries": [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+        problem = {"operator": T, "S": {"geometric": {"base": 2, "scale": 1}},
+                   "witnesses": [{"s": 10 ** 8, "matrix": fib}, {"s": 10 ** 8, "matrix": T}]}
+        with time_limit(3.0):
+            assert main(["root", write(tmp_path, "t.json", T), "--s", str(10 ** 8), "--bound", "1",
+                         "--timeout-ms", "1000"]) == 0
+        assert capsys.readouterr().out == "EXHAUSTED bound 1 (budget cut the scan)\n"
+        with time_limit(1.0):
+            assert main(["verify", write(tmp_path, "p.json", problem)]) == 0
+        assert capsys.readouterr().out.startswith("witness s=100000000: re-multiplication failed\n" * 2)
 
 
 class TestGlobalFlags:

@@ -27,7 +27,7 @@ from divlat.divisibility import (
     root_search,
     zero_plus_finite_order,
 )
-from divlat.corpus import block_diagonal, gen_corpus
+from divlat.corpus import block_diagonal, conjugate, gen_corpus, random_unimodular
 from divlat.exactalg import IntMatrix, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, kernel_saturated
 from divlat.numberring import embed_ok_matrix
 from divlat.primes import signed_root
@@ -71,8 +71,8 @@ class TestRealizableOrders:
             assert realizable_orders(n) == realizable_orders_by_walk(n), n
 
     def test_their_lcm_is_the_lcm_of_the_indices(self):
-        """The period of X^s for T of finite order, L, is the lcm of the
-        indices: each is realizable alone, each order an lcm of indices."""
+        """The lcm of the realizable orders is the lcm of the indices: each
+        is realizable alone, each order an lcm of indices."""
         for n in range(0, 25):
             assert lcm(*_cyclotomic_indices(n)) == lcm(*realizable_orders(n)), n
 
@@ -265,11 +265,11 @@ class TestRootSearch:
         assert (signed_root(2 ** 61, 61), signed_root(-(3 ** 5), 5), signed_root(3 ** 5, 6)) == (2, -3, None)
 
     def test_a_finite_order_target_reduces_a_huge_exponent(self):
-        """For T of finite order, X^s = T is tested as X^k = T with
-        k = (s - 1) % 12 + 1 on 2x2 operators.  On I2 at s = 10^8, k = 4, and
-        the first root is the order-2 [[-1, -1], [0, 1]].  At the prime
-        s = 10^25 + 13, k = 5; is_prime cannot decide s, so the scan goes on
-        without the trace filter to I2 itself."""
+        """Past the height bound only torsion-spectral candidates are
+        multiplied out, at s itself.  On I2 at s = 10^8 the first root is
+        the order-2 [[-1, -1], [0, 1]].  At the prime s = 10^25 + 13,
+        is_prime cannot decide s, so the scan goes on without the trace
+        filter to I2 itself."""
         I2 = IntMatrix.identity(2)
         with time_limit(2.0):
             X = IntMatrix.from_rows([[-1, -1], [0, 1]])
@@ -284,32 +284,28 @@ class TestRootSearch:
         with time_limit(1.0):
             assert root_search(T, 2, 1, timeout_ms=500) == ProvedImpossible(OrderObstruction(2, 32))
 
-    def test_the_root_exponent_agrees_with_the_direct_power(self):
-        """Past s = lcm(realizable_orders(n)) = 12, a finite-order T is
-        tested at a reduced exponent k, which agrees with X^s multiplied out
-        on every X in [-1, 1]^4 and on seeded X in [-1, 1]^9, for the 2x2
-        and 3x3 finite-order corpus operators of seeds 1-3, I2 and -I3;
-        roots turn up among them.  Up to 12, and for T without finite order,
-        k = s."""
-        Ts = [p.operator for seed in (1, 2, 3) for p in gen_corpus("finite-order", seed) if p.operator.rows <= 3]
-        Ts += [IntMatrix.identity(2), IntMatrix.identity(3) * -1]
-        rng = random.Random(41)
-        cube = [tuple(rng.choice((-1, 0, 1)) for _ in range(9)) for _ in range(300)]
+    def test_the_scan_finds_the_direct_first_root_at_large_s(self):
+        """Beyond the height bound, s >= 16 on these operators, the scan
+        tries only torsion-spectral candidates; below it, every candidate.
+        Either way it returns the first root that multiplying each X in
+        [-1, 1]^4 out to X^s finds, for the 2x2 finite-order corpus
+        operators of seeds 1-3, +-I2, J2(1) and [[-1, 2], [0, -1]], at s in
+        {12, 13, 16, 25, 37, 61}; roots turn up among them."""
+        Ts = [p.operator for seed in (1, 2, 3) for p in gen_corpus("finite-order", seed) if p.operator.rows == 2]
+        Ts += [IntMatrix.identity(2), MINUS_I2, IntMatrix.from_rows([[1, 1], [0, 1]]),
+               IntMatrix.from_rows([[-1, 2], [0, -1]])]
+        box = list(product((-1, 0, 1), repeat=4))
+        exponents = (12, 13, 16, 25, 37, 61)
         roots = 0
-        with time_limit(20.0):
+        with time_limit(10.0):
             for T in Ts:
-                n, inv = T.rows, _Invariants(T)
-                assert lcm(*realizable_orders(n)) == 12
-                assert [divisibility._root_exponent(inv, s) for s in range(2, 13)] == list(range(2, 13))
-                for s in (12, 13, 25, 37, 61) if n == 2 else (12, 25):
-                    k = divisibility._root_exponent(inv, s)
-                    assert k == (s - 1) % 12 + 1
-                    for x in product((-1, 0, 1), repeat=4) if n == 2 else cube:
-                        is_root = _tuple_pow(x, n, k) == T.entries
-                        assert is_root == (_tuple_pow(x, n, s) == T.entries), (T, s, x)
-                        roots += is_root
-        assert roots > 50
-        assert divisibility._root_exponent(_Invariants(IntMatrix.from_rows([[2, 1], [1, 1]])), 10 ** 8) == 10 ** 8
+                inv = _Invariants(T)
+                assert [divisibility._beyond_root_height(inv, s) for s in exponents] == [s >= 16 for s in exponents]
+                for s in exponents:
+                    first = next((x for x in box if _tuple_pow(x, 2, s) == T.entries), None)
+                    assert divisibility._scan(box, inv, s) == first, (T, s)
+                    roots += first is not None
+        assert roots == 48
 
     def test_candidate_budget_returns_incomplete(self):
         T = IntMatrix.identity(3)
@@ -328,8 +324,9 @@ class TestRootSearch:
 
 
 class TestRootHeightBound:
-    """_beyond_root_height: for T not torsion-spectral, no s-th root exists
-    at s >= 4n bit_length(R), R the Cauchy bound of chi."""
+    """_beyond_root_height: at s >= 4n bit_length(R), R the Cauchy bound of
+    chi, every s-th root of T is torsion-spectral, so a T that is not has
+    none."""
 
     def test_the_threshold_of_a_fibonacci_square(self):
         """chi = x^2 - 3x + 1 gives R = 4 and the threshold 4 * 2 * 3 = 24;
@@ -356,19 +353,29 @@ class TestRootHeightBound:
             for s in (2, 3, 7, 8 * n, 40):
                 assert divisibility._scan([X.entries], _Invariants(X ** s), s) == X.entries, (X, s)
 
-    def test_the_bound_never_fires_on_a_torsion_spectral_operator(self):
-        """Nilpotent, finite-order, zero-plus-finite-order and unipotent
-        operators, J_2(1) (+) I_2 among them, keep every candidate at huge s."""
-        Ts = [IntMatrix.zeros(1, 1), IntMatrix.identity(3), IntMatrix.from_rows([[0, 1], [0, 0]]),
-              block_diagonal([IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.identity(2)]),
-              block_diagonal([IntMatrix.zeros(2, 2), companion_matrix(cyclotomic(5))]),
-              block_diagonal([IntMatrix.from_rows([[-1, 1], [0, -1]]), companion_matrix(cyclotomic(12))])]
-        Ts += [p.operator for kind in ("finite-order", "nilpotent") for p in gen_corpus(kind, 1)]
-        for T in Ts:
-            inv = _Invariants(T)
-            assert inv.torsion_spectral, T
-            for s in (2, 8 * T.rows, 10 ** 8, 10 ** 25 + 13):
-                assert not divisibility._beyond_root_height(inv, s), (T, s)
+    def test_torsion_spectral_roots_pass_past_the_bound(self):
+        """Beyond the bound only torsion-spectral candidates are tried, and
+        none of them is lost: for 60 seeded X, n <= 4, conjugated block sums
+        of Phi_k companions, J2(+-1), zero blocks and [[0, 1], [0, 0]], the
+        scan finds X among the candidates for T = X^s at s = 8n, where the
+        bound first can fire, and at 61, 10^8 and 10^25 + 13."""
+        blocks = [companion_matrix(cyclotomic(k)) for k in _cyclotomic_indices(4)]
+        blocks += [IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.from_rows([[-1, 1], [0, -1]]),
+                   IntMatrix.zeros(1, 1), IntMatrix.from_rows([[0, 1], [0, 0]])]
+        rng = random.Random(181)
+        with time_limit(10.0):
+            for _ in range(60):
+                parts, n = [], 0
+                while not parts or rng.random() < 0.5:
+                    fits = [b for b in blocks if n + b.rows <= 4]
+                    if not fits:
+                        break
+                    parts.append(rng.choice(fits))
+                    n += parts[-1].rows
+                X = conjugate(block_diagonal(parts), random_unimodular(n, rng))
+                assert _Invariants(X).torsion_spectral, X
+                for s in (8 * n, 61, 10 ** 8, 10 ** 25 + 13):
+                    assert divisibility._scan([X.entries], _Invariants(X ** s), s) == X.entries, (X, s)
 
 
 def seeded_operators(seed, count):
@@ -476,7 +483,7 @@ class TestCoprimeRoot:
 
         monkeypatch.setattr(IntMatrix, "__pow__", counting)
         monkeypatch.setattr(_Invariants, "power", counting_ladder)
-        assert divisibility._coprime_roots(_Invariants(T), d, exponents) == want
+        assert divisibility._coprime_roots(_Invariants(T), d, exponents) == list(zip(exponents, want))
         # T^(d+1) once and T^m per exponent off the ladder, then the
         # re-multiplication X^n_exp per exponent
         assert ladder == [d + 1] + [1] * len(exponents)

@@ -54,6 +54,10 @@ KEPT_WITHOUT_A_LIBRARY_CALLER = {
     "exactalg.QMatrix.inverse", "numberring.OKModule.det_as_ring_element",
     # the benchmark's workloads build their modules with it
     "numberring.OKModule.regular",
+    # divlat's public constructor of one coprime root, exported from
+    # divlat/__init__ and traced by perfbench/tracer.py; the corpus builds
+    # both witnesses of a problem off one analysis with _coprime_roots
+    "divisibility.coprime_root",
     # the console script of pyproject.toml
     "cli.run",
     # the exact s-th power test in O_K that a ring-determinant certificate

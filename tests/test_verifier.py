@@ -207,8 +207,8 @@ class TestVerifyExamples:
 
     def test_a_large_finite_order_witness(self):
         """On Phi_32's companion (+) I12, 28 x 28 of order 32, the witness
-        X = T at s = 33 is tested at the exponent reduced by the lcm of the
-        indices k with phi(k) <= 28, and verify ends within a second."""
+        X = T at s = 33 is multiplied out, and verify ends within a
+        second."""
         T = block_diagonal([companion_matrix(cyclotomic(32)), IntMatrix.identity(12)])
         with time_limit(1.0):
             report = verify(ZZ, None, T, Residue(1, 32), [(33, T)])
@@ -258,6 +258,19 @@ class TestVerdictTaxonomy:
         report = verify(ZZ, None, T, Geometric(2, 1), [(2, X)])
         assert report.hypothesis_checks.witnesses[0].reason == "witness not integral"
         assert not report.hypothesis_checks.all_witnesses_valid
+
+    def test_exponent_and_shape_are_checked_before_the_power(self):
+        """A witness below exponent 2 or of the wrong shape fails with its
+        own reason; an integral QMatrix witness is read as an integer one
+        and verifies."""
+        from fractions import Fraction
+
+        T = IntMatrix.from_rows([[1, 2], [0, 1]])
+        X = IntMatrix.from_rows([[1, 1], [0, 1]])
+        witnesses = [(1, X), (2, IntMatrix.identity(3)), (2, QMatrix.from_rows([[Fraction(2, 2), 1], [0, 1]]))]
+        report = verify(ZZ, None, T, Geometric(2, 1), witnesses)
+        assert [(c.s, c.valid, c.reason) for c in report.hypothesis_checks.witnesses] == [
+            (1, False, "exponent below 2"), (2, False, "witness shape mismatch"), (2, True, "verified")]
 
     def test_unipotent_power_is_inconclusive_not_counterexample(self):
         # T is 2-divisible, hypotheses pass, yet T is not semisimple: finite
