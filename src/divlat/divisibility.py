@@ -163,24 +163,20 @@ def _certificates(inv: _Invariants, s: int) -> Iterator[CertKind]:
 # Bounded search
 
 
-_DEADLINE_EVERY = 4096  # walk steps between two deadline checks
-
-
 def _box_points(lattice: Lattice, bound: int, deadline=None):
     """The lattice points with every entry in [-bound, bound], in
     lexicographic order: the HNF pivots p_0 < p_1 < ... are positive with
     zeros to their left, so entries before p_i depend on c_0..c_(i-1) only
     and the entry at p_i grows with c_i.  Each c_i runs over the interval
     keeping entries p_i..p_(i+1) - 1 in the box.  A step (one c_i taken, at
-    any depth) costs O(ambient rank); the deadline is checked before the
-    first and every _DEADLINE_EVERY after, raising TimeoutError."""
+    any depth) costs O(ambient rank); the deadline is checked before every
+    step, raising TimeoutError, so a spent budget ends the walk before the
+    next candidate."""
     N = lattice.ambient_rank
     rows = [lattice.basis.row(i) for i in range(lattice.rank)]
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows] + [N]
-    steps = 0
 
     def walk(i, point):
-        nonlocal steps
         if i == len(rows):
             yield point
             return
@@ -194,9 +190,8 @@ def _box_points(lattice: Lattice, bound: int, deadline=None):
                 return
         point = tuple(x + (lo - 1) * y for x, y in zip(point, row))
         for _ in range(hi - lo + 1):
-            if deadline is not None and not steps % _DEADLINE_EVERY and time.monotonic() >= deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError
-            steps += 1
             point = tuple(map(add, point, row))
             yield from walk(i + 1, point)
 
@@ -269,7 +264,8 @@ def root_search(
     as every root of T = X^s does; returns the lexicographically smallest.
 
     The timeout runs from the call; the deadline is checked after the
-    certificates and every 4096 walk steps (_box_points), not during the
+    certificates and before every walk step (_box_points), so a spent budget
+    stops the scan before the next candidate; it is not checked during the
     certificates or the commutant.  The candidate budget is
     DEFAULT_MAX_CANDIDATES: it bounds the product over the commutant's
     pivots of 2*bound // pivot + 1, an upper bound on the points

@@ -190,11 +190,11 @@ class TestRootSearch:
         assert not out.complete
 
     def test_timeout_counts_every_enumerated_candidate(self, monkeypatch):
-        """The deadline is checked every 4096 steps of the commutant walk,
+        """The deadline is checked before every step of the commutant walk,
         whatever the filters do with the points: on a clock that advances
         one microsecond per enumerated point, a 10 ms budget stops the
         search of I3 (commutant Z^9, first square root at point 27 348)
-        within one check interval of 10 000 points."""
+        after exactly 10 000 points."""
         enumerated = count_walked_points(monkeypatch)
 
         class Clock:
@@ -204,7 +204,29 @@ class TestRootSearch:
 
         monkeypatch.setattr(divisibility, "time", Clock)
         assert root_search(IntMatrix.identity(3), 2, 2, timeout_ms=10) == Exhausted(2, complete=False)
-        assert 10_000 < enumerated[0] <= 10_000 + 4096
+        assert enumerated[0] == 10_000
+
+    def test_a_spent_budget_stops_the_scan_before_the_next_candidate(self, monkeypatch):
+        """Past the height bound one candidate can cost O(log s) matrix
+        products.  On J2(1) (+) I2 at s = 10^8, a clock that jumps past the
+        deadline once the first candidate has been raised to s stops the
+        walk there: no second candidate is raised."""
+        powers = [0]
+
+        def counting_pow(*args):
+            powers[0] += 1
+            return _tuple_pow(*args)
+
+        class Clock:
+            @staticmethod
+            def monotonic():
+                return 1e9 if powers[0] else 0.0
+
+        monkeypatch.setattr(divisibility, "_tuple_pow", counting_pow)
+        monkeypatch.setattr(divisibility, "time", Clock)
+        T = block_diagonal([IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.identity(2)])
+        assert root_search(T, 10 ** 8, 1, timeout_ms=200) == Exhausted(1, complete=False)
+        assert powers[0] == 1
 
     def test_jordan_block_walks_its_commutant_only(self, monkeypatch):
         """J3 commutes only with a + bN + cN^2 (N = J3 - I), so bound 2
