@@ -361,6 +361,8 @@ def _scaled_eval(coeffs, T: IntMatrix) -> tuple[int, IntMatrix]:
     return D, acc
 
 
+# A report record: serialize writes it as the dict of its fields, so a
+# field's name is its JSON key.
 @dataclass(frozen=True)
 class ClassifyReport:
     semisimple: bool

@@ -168,7 +168,8 @@ def _cmd_spectrum(args) -> int:
         elif "proved_impossible" in out:
             detail = out["proved_impossible"]["statement"]
         else:
-            detail = f"exhausted at bound {out['exhausted']['bound']}"
+            ex = out["exhausted"]
+            detail = f"exhausted at bound {ex['bound']}" + ("" if ex["complete"] else ", budget cut the scan")
         lines.append(f"s={row.s}: {row.verdict} ({detail})")
     return _emit(args, spectrum_to_json(table), "\n".join(lines))
 
@@ -185,9 +186,9 @@ def _cmd_verify(args) -> int:
         lines.append(f"witness s={c.s}: {c.reason}")
     lines.append(f"additive hypothesis: {report.hypothesis_checks.additive_ok}")
     lines.append(f"multiplicative hypothesis: {report.hypothesis_checks.mult_ok}")
-    lines.append(f"clause 1 (zero (+) invertible split): {'holds' if report.clause1.holds else 'fails'}")
-    lines.append(f"clause 2 (semisimple restriction): {'holds' if report.clause2.holds else 'fails'}")
-    d = report.clause3.order
+    lines.append(f"clause 1 (zero (+) invertible split): {'holds' if report.clause1.clean_split else 'fails'}")
+    lines.append(f"clause 2 (semisimple restriction): {'holds' if report.clause2.semisimple else 'fails'}")
+    d = report.clause3.finite_order
     lines.append(f"clause 3 (finite order): {d if d is not None else 'no finite order'}"
                  + (f", coprime to Pi_S: {report.clause3.order_coprime_to_pi_s}" if report.clause3.pi_s is not None else ""))
     lines.append(f"clause 4 roots constructed: {[n for n, _ in report.clause4.constructed_roots]}")

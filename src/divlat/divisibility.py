@@ -24,7 +24,8 @@ DEFAULT_MAX_CANDIDATES = 20_000_000
 
 
 # ---------------------------------------------------------------------------
-# Certificates
+# Certificates: serialize writes each as its kind, its statement and its
+# fields by name.
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,8 @@ CertKind = Union[DetNotPower, NegativeDetEvenPower, NilpotentRankBound, Spectral
 
 
 # ---------------------------------------------------------------------------
-# Outcomes
+# Outcomes: serialize writes each under its kind, found or exhausted as the
+# dict of its fields, proved_impossible as its certificate.
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,8 @@ def zero_plus_finite_order(T: IntMatrix) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Divisibility spectrum
+# Divisibility spectrum.  Its records are reports: serialize writes each as
+# the dict of its fields, so a field's name is its JSON key.
 
 
 @dataclass(frozen=True)

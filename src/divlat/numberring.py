@@ -96,6 +96,8 @@ def lchar(ring) -> PrimeSet:
 # Unit groups
 
 
+# A report record: serialize writes it as the dict of its fields, so a
+# field's name is its JSON key.
 @dataclass(frozen=True)
 class UnitGroupDesc:
     """Unit group of a quadratic order: cyclic torsion of order w plus, in

@@ -4,6 +4,11 @@ Strict parsing: objects are schema-checked and unknown fields are rejected.
 Rational entries travel as "p/q" strings, never as floats; the infinite
 supernatural exponent travels as the string "inf".
 
+Reports are written by one rule: a record (a dataclass or a NamedTuple) is
+the dict of its fields by name, a tuple is a list, and IntMatrix, QMatrix,
+PrimeSet and the root-search outcomes keep writers of their own.  A report
+field's name is thus its JSON key.
+
 Output has one canonical form: canonical_dumps(obj) is exactly
 json.dumps(obj, sort_keys=True, indent=2) + "\n".  Below Python 3.13 a
 writer of its own produces these bytes, as json.dumps with indent runs in
@@ -25,6 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .classify import ClassifyReport, FittingSplit
 from .divisibility import (
     CertKind,
+    Exhausted,
     Found,
     ProvedImpossible,
     RootSearchOutcome,
@@ -376,10 +382,7 @@ def problem_to_json(ring, module, operator: IntMatrix, S, witnesses, name=None) 
     if S is not None:
         out["S"] = sdescriptor_to_json(S)
     if witnesses:
-        out["witnesses"] = [
-            {"s": s, "matrix": matrix_to_json(X) if isinstance(X, IntMatrix) else qmatrix_to_json(X)}
-            for s, X in witnesses
-        ]
+        out["witnesses"] = [{"s": s, "matrix": _json(X)} for s, X in witnesses]
     if name is not None:
         out["name"] = name
     return out
@@ -388,22 +391,44 @@ def problem_to_json(ring, module, operator: IntMatrix, S, witnesses, name=None) 
 # -- results ---------------------------------------------------------------
 
 
+def _json(value):
+    """value written by the report rule of the module docstring.  The
+    writers of their own are called by their module-level names, which
+    the benchmark's tracer rebinds."""
+    if value is None or type(value) in (bool, int, str):
+        return value
+    if type(value) is tuple:  # a NamedTuple is a record
+        return [_json(v) for v in value]
+    if isinstance(value, IntMatrix):  # IntMatrix, QMatrix and PrimeSet are dataclasses too
+        return matrix_to_json(value)
+    if isinstance(value, QMatrix):
+        return qmatrix_to_json(value)
+    if isinstance(value, PrimeSet):
+        return primeset_to_json(value)
+    if isinstance(value, (Found, ProvedImpossible, Exhausted)):
+        return outcome_to_json(value)
+    return _fields(value)
+
+
+def _fields(record) -> dict:
+    """The dict of a record's fields by name, each written by the rule."""
+    names = record._fields if isinstance(record, tuple) else record.__dataclass_fields__
+    return {name: _json(getattr(record, name)) for name in names}
+
+
 def certificate_to_json(cert: CertKind) -> dict:
-    out = {"kind": type(cert).__name__, "statement": cert.statement()}
-    for field in getattr(cert, "__dataclass_fields__", {}):
-        out[field] = getattr(cert, field)
-    return out
+    return {"kind": type(cert).__name__, "statement": cert.statement(), **_fields(cert)}
 
 
 def outcome_to_json(outcome: RootSearchOutcome) -> dict:
-    if isinstance(outcome, Found):
-        return {"found": {"witness": matrix_to_json(outcome.witness), "power": matrix_to_json(outcome.power)}}
     if isinstance(outcome, ProvedImpossible):
         return {"proved_impossible": certificate_to_json(outcome.certificate)}
-    return {"exhausted": {"bound": outcome.bound, "complete": outcome.complete}}
+    return {"found" if isinstance(outcome, Found) else "exhausted": _fields(outcome)}
 
 
 def fitting_to_json(split: FittingSplit) -> dict:
+    """Not by the rule: the split's JSON holds its properties and leaves out
+    det and T."""
     return {
         "exponent_m": split.exponent_m,
         "gen_kernel": lattice_to_json(split.gen_kernel),
@@ -415,75 +440,16 @@ def fitting_to_json(split: FittingSplit) -> dict:
 
 
 def classify_to_json(report: ClassifyReport) -> dict:
-    return {
-        "semisimple": report.semisimple,
-        "all_eigen_roots_of_unity": report.all_eigen_roots_of_unity,
-        "order": report.order,
-        "cyclotomic_factorization": (
-            None
-            if report.cyclotomic_factorization is None
-            else [[k, e] for k, e in report.cyclotomic_factorization]
-        ),
-        "jordan_semisimple_part": qmatrix_to_json(report.jordan_semisimple_part),
-        "jordan_nilpotent_part": qmatrix_to_json(report.jordan_nilpotent_part),
-    }
+    return _fields(report)
 
 
 def spectrum_to_json(table: SpectrumTable) -> dict:
-    return {
-        "order": table.order,
-        "sufficient_set": table.sufficient_set,
-        "rows": [
-            {
-                "s": row.s,
-                "outcome": outcome_to_json(row.outcome),
-                "theorem_root": None if row.theorem_root is None else matrix_to_json(row.theorem_root),
-                "verdict": row.verdict,
-            }
-            for row in table.rows
-        ],
-    }
+    return _fields(table)
 
 
 def unit_group_to_json(desc: UnitGroupDesc) -> dict:
-    return {
-        "torsion_order": desc.torsion_order,
-        "torsion_generator": list(desc.torsion_generator),
-        "fundamental_unit": None if desc.fundamental_unit is None else list(desc.fundamental_unit),
-    }
+    return _fields(desc)
 
 
 def theorem_report_to_json(report: TheoremReport) -> dict:
-    return {
-        "hypothesis_checks": {
-            "witnesses": [
-                {"s": c.s, "valid": c.valid, "reason": c.reason, "in_exponent_set": c.in_exponent_set}
-                for c in report.hypothesis_checks.witnesses
-            ],
-            "all_witnesses_valid": report.hypothesis_checks.all_witnesses_valid,
-            "additive_ok": report.hypothesis_checks.additive_ok,
-            "mult_ok": report.hypothesis_checks.mult_ok,
-            "mult_trace": report.hypothesis_checks.mult_trace,
-            "s_symbolic_infinite": report.hypothesis_checks.s_symbolic_infinite,
-        },
-        "clause1": {
-            "clean_split": report.clause1.holds,
-            "reason": report.clause1.reason,
-            "forced_by_witnesses": report.clause1.forced_by_witnesses,
-        },
-        "clause2": {"semisimple": report.clause2.holds},
-        "clause3": {
-            "finite_order": report.clause3.order,
-            "pi_s": None if report.clause3.pi_s is None else primeset_to_json(report.clause3.pi_s),
-            "order_coprime_to_pi_s": report.clause3.order_coprime_to_pi_s,
-        },
-        "clause4": {
-            "applicable": report.clause4.applicable,
-            "constructed_roots": [
-                {"n": n, "root": matrix_to_json(X)} for n, X in report.clause4.constructed_roots
-            ],
-        },
-        "verdict": report.verdict,
-        "reason": report.reason,
-        "notes": list(report.notes),
-    }
+    return _fields(report)

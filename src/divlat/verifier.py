@@ -11,6 +11,7 @@ test suite treats any occurrence as fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import _Invariants
 from .divisibility import _coprime_exponents, _coprime_roots, _scan
@@ -18,6 +19,10 @@ from .exactalg import IntMatrix, QMatrix
 from .numberring import IntegerRing, QuadraticOrder, lchar, mult_hypothesis
 from .primes import prime_factors
 from .supernat import PrimeSet, SDescriptor, additive_hypothesis, pi_S
+
+
+# Report records: serialize writes each as the dict of its fields, so a
+# field's name is its JSON key.
 
 
 @dataclass(frozen=True)
@@ -40,30 +45,36 @@ class HypothesisChecks:
 
 @dataclass(frozen=True)
 class Clause1:
-    holds: bool
+    clean_split: bool
     reason: str
     forced_by_witnesses: bool
 
 
 @dataclass(frozen=True)
 class Clause2:
-    holds: bool
+    semisimple: bool
 
 
 @dataclass(frozen=True)
 class Clause3:
-    order: int | None
+    finite_order: int | None
     pi_s: PrimeSet | None
     order_coprime_to_pi_s: bool | None
 
     @property
     def holds(self) -> bool:
-        return self.order is not None and self.order_coprime_to_pi_s is not False
+        return self.finite_order is not None and self.order_coprime_to_pi_s is not False
+
+
+class ConstructedRoot(NamedTuple):
+    """A root X with X^n = T; it unpacks as the witness pair (s, X)."""
+    n: int
+    root: IntMatrix
 
 
 @dataclass(frozen=True)
 class Clause4:
-    constructed_roots: tuple[tuple[int, IntMatrix], ...]
+    constructed_roots: tuple[ConstructedRoot, ...]
     applicable: bool
 
 
@@ -153,15 +164,15 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     clause2 = Clause2(inv.image_part.semisimple)
 
     # clause 4: construct roots for a sample of exponents coprime to d.
-    roots: tuple[tuple[int, IntMatrix], ...] = ()
+    roots: tuple[ConstructedRoot, ...] = ()
     if inv.zero_plus_order is not None:
-        roots = tuple(_coprime_roots(inv, d, _coprime_exponents(d, 4)))
+        roots = tuple(ConstructedRoot(n, X) for n, X in _coprime_roots(inv, d, _coprime_exponents(d, 4)))
     clause4 = Clause4(roots, inv.zero_plus_order is not None)
 
-    failing = [f"({i})" for i, clause in enumerate((clause1, clause2, clause3), 1) if not clause.holds]
+    failing = [f"({i})" for i, ok in enumerate((clause1.clean_split, clause2.semisimple, clause3.holds), 1) if not ok]
     if not failing:
         verdict, reason = "CONSISTENT", "every conclusion holds for this operator"
-    elif (not clause1.holds and clause1.forced_by_witnesses and has_valid and all_valid
+    elif (not clause1.clean_split and clause1.forced_by_witnesses and has_valid and all_valid
           and additive_ok is True and mult_ok is True):
         verdict = "COUNTEREXAMPLE-CANDIDATE"
         reason = (

@@ -50,6 +50,20 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "s=4: no-certificate" in out
 
+    def test_spectrum_text_names_a_budget_cut(self, tmp_path, capsys):
+        """The 2000001^4-point box of I_2 at bound 10^6 exceeds the candidate
+        budget, so each row's scan is cut; the text says so, as root's does,
+        and agrees with the row's "complete": false under --json."""
+        path = write(tmp_path, "m.json", {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]})
+        args = ["spectrum", path, "--s-max", "3", "--bound", "1000000"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [f"s={s}: yes-coprime-order (exhausted at bound 1000000, budget cut the scan)"
+                             for s in (2, 3)]
+        assert main(["--json"] + args) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["outcome"] for row in rows] == [{"exhausted": {"bound": 1000000, "complete": False}}] * 2
+
     def test_verify_identity_consistent(self, tmp_path, capsys):
         problem = {
             "ring": "Z",

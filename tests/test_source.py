@@ -94,14 +94,16 @@ def test_no_public_name_only_tests_use():
     a method as an Attribute, a top-level function or class as a Name or an
     Attribute read off a module (corpus_mod.gen_corpus), so a local
     variable or a builtin of a method's name does not count, and a method
-    of a top-level function's name does not keep the function.  The check
+    of a top-level function's name does not keep the function.  A Name
+    counts only where it is read: a definition, such as a record field
+    finite_order: int | None, is no use of classify.finite_order.  The check
     goes by name: a use of another object of the same name counts."""
     trees = [(name, tree) for name, tree in _trees() if name != "__init__.py"]
     names, attributes, module_attributes = {}, {}, {}
     for name, tree in trees:
         modules = _module_aliases(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.setdefault(node.id, []).append((name, node.lineno))
             elif isinstance(node, ast.Attribute):
                 attributes.setdefault(node.attr, []).append((name, node.lineno))

@@ -30,7 +30,7 @@ class TestClause1Reasons:
             assert is_saturated_kernel(T, kernel_lattice), T
             kernel, image = kernel_lattice.basis.nested(), image_oracle(T).basis.nested()
             direct = oracle_direct_and_full(kernel, image, T.rows)
-            assert clause1.holds == direct, T
+            assert clause1.clean_split == direct, T
             if not direct:
                 meets = oracle_intersection_rank(kernel, image) > 0
                 assert clause1.reason == ("ker T and im T intersect nontrivially" if meets
@@ -110,7 +110,7 @@ class TestCharacteristicPolynomialOnce:
     def test_one_char_poly_for_a_unimodular_operator(self, monkeypatch):
         calls = self.counted_char_polys(monkeypatch)
         report = verify(ZZ, None, self.T, Geometric(2, 1), [])
-        assert report.clause1.holds
+        assert report.clause1.clean_split
         assert calls == [self.T]
 
     def test_one_char_poly_per_verify_of_a_singular_operator(self, monkeypatch):
@@ -161,9 +161,9 @@ class TestVerifyExamples:
         eye = IntMatrix.identity(2)
         report = verify(ZZ, None, eye, Geometric(2, 1), [(2, eye), (4, eye)])
         assert report.verdict == "CONSISTENT"
-        assert report.clause1.holds
-        assert report.clause2.holds
-        assert report.clause3.order == 1
+        assert report.clause1.clean_split
+        assert report.clause2.semisimple
+        assert report.clause3.finite_order == 1
         assert report.clause3.order_coprime_to_pi_s
         assert report.hypothesis_checks.all_witnesses_valid
 
@@ -171,7 +171,7 @@ class TestVerifyExamples:
         T = IntMatrix.from_rows([[-1]])
         report = verify(ZZ, None, T, Residue(1, 2), [(3, T), (5, T)])
         assert report.verdict == "CONSISTENT"
-        assert report.clause3.order == 2
+        assert report.clause3.finite_order == 2
         assert report.clause3.pi_s == PrimeSet.all_except([2])
         # 2 is outside Pi_S, so the order is made of primes outside Pi_S
         assert report.clause3.order_coprime_to_pi_s
@@ -181,9 +181,9 @@ class TestVerifyExamples:
         # T^4 = T since the invertible part has order 3
         report = verify(ZZ, None, T, Residue(1, 3), [(4, T), (7, T)])
         assert report.verdict == "CONSISTENT"
-        assert report.clause1.holds
-        assert report.clause2.holds
-        assert report.clause3.order == 3
+        assert report.clause1.clean_split
+        assert report.clause2.semisimple
+        assert report.clause3.finite_order == 3
         assert report.clause3.order_coprime_to_pi_s  # 3 is excluded from Pi_S
 
     def test_witness_exponent_membership_is_tracked(self):
@@ -213,7 +213,7 @@ class TestVerifyExamples:
         with time_limit(1.0):
             report = verify(ZZ, None, T, Residue(1, 32), [(33, T)])
         assert [(c.valid, c.reason) for c in report.hypothesis_checks.witnesses] == [(True, "verified")]
-        assert report.verdict == "CONSISTENT" and report.clause3.order == 32
+        assert report.verdict == "CONSISTENT" and report.clause3.finite_order == 32
 
     def test_pi_s_is_decided_once(self, monkeypatch):
         """The additive hypothesis and clause 3 read one Pi_S: 6 is
@@ -281,7 +281,7 @@ class TestVerdictTaxonomy:
         assert report.hypothesis_checks.all_witnesses_valid
         assert report.hypothesis_checks.additive_ok
         assert report.hypothesis_checks.mult_ok
-        assert not report.clause2.holds
+        assert not report.clause2.semisimple
         assert report.verdict == "INCONCLUSIVE"
 
     def test_nilpotent_power_is_inconclusive_not_counterexample(self):
@@ -291,7 +291,7 @@ class TestVerdictTaxonomy:
         T = J3 * J3
         report = verify(ZZ, None, T, Geometric(2, 1), [(2, J3)])
         assert report.hypothesis_checks.all_witnesses_valid
-        assert not report.clause1.holds
+        assert not report.clause1.clean_split
         assert not report.clause1.forced_by_witnesses
         assert report.verdict == "INCONCLUSIVE"
 
@@ -300,14 +300,14 @@ class TestVerdictTaxonomy:
         X = diagonal_matrix([0, 2])
         report = verify(ZZ, None, X * X, Geometric(2, 1), [(2, X)])
         assert report.hypothesis_checks.all_witnesses_valid
-        assert not report.clause1.holds
+        assert not report.clause1.clean_split
         assert not report.clause1.forced_by_witnesses
         assert report.verdict == "INCONCLUSIVE"
 
     def test_no_witnesses_failing_clause_is_inconclusive(self):
         T = diagonal_matrix([0, 2])
         report = verify(ZZ, None, T, Geometric(2, 1), [])
-        assert not report.clause1.holds
+        assert not report.clause1.clean_split
         assert report.verdict == "INCONCLUSIVE"
         assert "no verified witnesses" in report.reason
 
@@ -354,7 +354,7 @@ class TestQuadraticRing:
         W = M.omega_action  # multiplication by i, order 4
         report = verify(O, M, W, Residue(1, 4), [(5, W), (9, W)])
         assert report.verdict == "CONSISTENT"
-        assert report.clause3.order == 4
+        assert report.clause3.finite_order == 4
         # Pi_S of 1 mod 4 excludes 2, so order 4 = 2^2 stays outside Pi_S
         assert report.clause3.order_coprime_to_pi_s
 
@@ -422,17 +422,17 @@ class TestIntroScenarios:
 
     def test_expected_orders(self):
         by_name = intro_reports()
-        assert by_name["cavachi-identity"].clause3.order == 1
-        assert by_name["minus-one-odd"].clause3.order == 2
-        assert by_name["finite-order-rotation"].clause3.order == 3
-        assert by_name["order-coprime-exponents"].clause3.order == 6
-        assert by_name["singular-idempotent"].clause3.order == 1
+        assert by_name["cavachi-identity"].clause3.finite_order == 1
+        assert by_name["minus-one-odd"].clause3.finite_order == 2
+        assert by_name["finite-order-rotation"].clause3.finite_order == 3
+        assert by_name["order-coprime-exponents"].clause3.finite_order == 6
+        assert by_name["singular-idempotent"].clause3.finite_order == 1
 
     def test_singular_idempotent_details(self):
         rep = intro_reports()["singular-idempotent"]
-        assert rep.clause1.holds
+        assert rep.clause1.clean_split
         # the invertible part is the 1x1 identity
-        assert rep.clause3.order == 1
+        assert rep.clause3.finite_order == 1
 
 
 class TestOrderCoprimality:
