@@ -1,12 +1,15 @@
 """divlat command-line interface.
 
-File-based JSON in, JSON (--json) or human-readable text out.  Exit codes:
-0 success, 1 domain error (bad input values, schema violations), 2 usage
-error.  The grammar is declared once: the global flags in _GLOBAL_FLAGS,
-accepted before or after the subcommand, and the subcommands in
-_SUBCOMMANDS; build_parser builds it once per process.  The --threads flag
-is accepted for compatibility and ignored: every search runs in the calling
-thread.  --seed drives corpus generation only.
+File-based JSON in.  Out goes one rendering of the record a command
+computes: its JSON under --json, else human-readable text read off the
+record itself; _emit builds only the rendering it prints.  verify's text
+is a summary followed by the full JSON.  Exit codes: 0 success, 1 domain
+error (bad input values, schema violations), 2 usage error.  The grammar
+is declared once: the global flags in _GLOBAL_FLAGS, accepted before or
+after the subcommand, and the subcommands in _SUBCOMMANDS; build_parser
+builds it once per process.  The --threads flag is accepted for
+compatibility and ignored: every search runs in the calling thread.
+--seed drives corpus generation only.
 """
 from __future__ import annotations
 
@@ -17,9 +20,9 @@ import sys
 
 from . import corpus as corpus_mod
 from .classify import classify_operator
-from .divisibility import divisibility_spectrum, root_search
+from .divisibility import Found, ProvedImpossible, divisibility_spectrum, root_search
 from .fitting import fitting_decompose
-from .numberring import IntegerRing, unit_group
+from .numberring import ZZ, IntegerRing, unit_group
 from .serialize import (
     InputError,
     _expect_keys,
@@ -101,18 +104,15 @@ def _load_problem(path: str, matrix_file: bool = True) -> dict:
     return problem
 
 
-def _emit(args, payload: dict, text: str) -> int:
-    if args.json:
-        sys.stdout.write(canonical_dumps(payload))
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(args, record, writer, render) -> int:
+    """Print one rendering of record: writer's JSON under --json, else the
+    text of render; the other is never built."""
+    sys.stdout.write(canonical_dumps(writer(record)) if args.json else render(record) + "\n")
     return 0
 
 
-def _cmd_fitting(args) -> int:
-    problem = _load_problem(args.file)
-    split = fitting_decompose(problem["operator"], module=problem["module"])
-    text = (
+def _fitting_text(split) -> str:
+    return (
         f"m = {split.exponent_m}\n"
         f"gen kernel (rank {split.gen_kernel.rank}): {split.gen_kernel.basis.nested()}\n"
         f"image part (rank {split.image_part.rank}): {split.image_part.basis.nested()}\n"
@@ -120,13 +120,15 @@ def _cmd_fitting(args) -> int:
         f"restriction invertible: {'yes' if split.restriction_invertible else 'no'}\n"
         f"restriction: {split.restriction.nested()}"
     )
-    return _emit(args, fitting_to_json(split), text)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_fitting(args) -> int:
     problem = _load_problem(args.file)
-    T = problem["operator"]
-    report = classify_operator(T, module=problem["module"])
+    split = fitting_decompose(problem["operator"], module=problem["module"])
+    return _emit(args, split, fitting_to_json, _fitting_text)
+
+
+def _classify_text(report) -> str:
     lines = [
         f"semisimple: {'yes' if report.semisimple else 'no'}",
         f"eigenvalues all roots of unity: {'yes' if report.all_eigen_roots_of_unity else 'no'}",
@@ -135,70 +137,76 @@ def _cmd_classify(args) -> int:
         factors = " * ".join(f"Phi_{k}^{e}" if e > 1 else f"Phi_{k}" for k, e in report.cyclotomic_factorization)
         lines.append(f"cyclotomic factorization: {factors if factors else '1'}")
     lines.append(f"order: {report.order if report.order is not None else 'none (infinite or undefined)'}")
-    lines.append(f"semisimple part: {[[str(x) for x in report.jordan_semisimple_part.row(i)] for i in range(T.rows)]}")
-    lines.append(f"nilpotent part: {[[str(x) for x in report.jordan_nilpotent_part.row(i)] for i in range(T.rows)]}")
-    return _emit(args, classify_to_json(report), "\n".join(lines))
+    for name, part in (("semisimple", report.jordan_semisimple_part), ("nilpotent", report.jordan_nilpotent_part)):
+        # row by row: a QMatrix has no nested()
+        lines.append(f"{name} part: {[[str(x) for x in part.row(i)] for i in range(part.rows)]}")
+    return "\n".join(lines)
+
+
+def _cmd_classify(args) -> int:
+    problem = _load_problem(args.file)
+    report = classify_operator(problem["operator"], module=problem["module"])
+    return _emit(args, report, classify_to_json, _classify_text)
+
+
+def _root_text(outcome) -> str:
+    if isinstance(outcome, Found):
+        return f"FOUND witness {outcome.witness.nested()} (re-multiplied exactly)"
+    if isinstance(outcome, ProvedImpossible):
+        return f"IMPOSSIBLE: {outcome.certificate.statement()}"
+    return f"EXHAUSTED bound {outcome.bound}" + ("" if outcome.complete else " (budget cut the scan)")
 
 
 def _cmd_root(args) -> int:
     problem = _load_problem(args.file)
     outcome = root_search(problem["operator"], args.s, args.bound, module=problem["module"],
                           timeout_ms=args.timeout_ms)
-    payload = outcome_to_json(outcome)
-    if "found" in payload:
-        text = f"FOUND witness {payload['found']['witness']['entries']} (re-multiplied exactly)"
-    elif "proved_impossible" in payload:
-        text = f"IMPOSSIBLE: {payload['proved_impossible']['statement']}"
-    else:
-        ex = payload["exhausted"]
-        text = f"EXHAUSTED bound {ex['bound']}" + ("" if ex["complete"] else " (budget cut the scan)")
-    return _emit(args, payload, text)
+    return _emit(args, outcome, outcome_to_json, _root_text)
+
+
+def _spectrum_text(table) -> str:
+    lines = [f"order of invertible part: {table.order if table.order is not None else 'none'}"]
+    if table.sufficient_set:
+        lines.append(f"guaranteed divisible for {table.sufficient_set}")
+    for row in table.rows:
+        out = row.outcome
+        if isinstance(out, Found):
+            detail = f"witness {out.witness.nested()}"
+        elif isinstance(out, ProvedImpossible):
+            detail = out.certificate.statement()
+        else:
+            detail = f"exhausted at bound {out.bound}" + ("" if out.complete else ", budget cut the scan")
+        lines.append(f"s={row.s}: {row.verdict} ({detail})")
+    return "\n".join(lines)
 
 
 def _cmd_spectrum(args) -> int:
     problem = _load_problem(args.file)
     table = divisibility_spectrum(problem["operator"], args.s_max, args.bound, module=problem["module"])
-    lines = [f"order of invertible part: {table.order if table.order is not None else 'none'}"]
-    if table.sufficient_set:
-        lines.append(f"guaranteed divisible for {table.sufficient_set}")
-    for row in table.rows:
-        out = outcome_to_json(row.outcome)
-        if "found" in out:
-            detail = f"witness {out['found']['witness']['entries']}"
-        elif "proved_impossible" in out:
-            detail = out["proved_impossible"]["statement"]
-        else:
-            ex = out["exhausted"]
-            detail = f"exhausted at bound {ex['bound']}" + ("" if ex["complete"] else ", budget cut the scan")
-        lines.append(f"s={row.s}: {row.verdict} ({detail})")
-    return _emit(args, spectrum_to_json(table), "\n".join(lines))
+    return _emit(args, table, spectrum_to_json, _spectrum_text)
 
 
 def _cmd_verify(args) -> int:
+    """The full report as JSON; in text mode the summary lines before it."""
     problem = _load_problem(args.file, matrix_file=False)
     report = verify(
         problem["ring"], problem["module"], problem["operator"], problem["S"], problem["witnesses"]
     )
-    lines = []
-    if problem["name"]:
-        lines.append(f"problem: {problem['name']}")
-    for c in report.hypothesis_checks.witnesses:
-        lines.append(f"witness s={c.s}: {c.reason}")
-    lines.append(f"additive hypothesis: {report.hypothesis_checks.additive_ok}")
-    lines.append(f"multiplicative hypothesis: {report.hypothesis_checks.mult_ok}")
-    lines.append(f"clause 1 (zero (+) invertible split): {'holds' if report.clause1.clean_split else 'fails'}")
-    lines.append(f"clause 2 (semisimple restriction): {'holds' if report.clause2.semisimple else 'fails'}")
-    d = report.clause3.finite_order
-    lines.append(f"clause 3 (finite order): {d if d is not None else 'no finite order'}"
-                 + (f", coprime to Pi_S: {report.clause3.order_coprime_to_pi_s}" if report.clause3.pi_s is not None else ""))
-    lines.append(f"clause 4 roots constructed: {[n for n, _ in report.clause4.constructed_roots]}")
-    lines.append(f"verdict: {report.verdict} ({report.reason})")
-    payload = theorem_report_to_json(report)
-    if args.json:
-        return _emit(args, payload, "")
-    # default mode prints the summary followed by the full report
-    sys.stdout.write("\n".join(lines) + "\n")
-    sys.stdout.write(canonical_dumps(payload))
+    if not args.json:
+        lines = [f"problem: {problem['name']}"] if problem["name"] else []
+        for c in report.hypothesis_checks.witnesses:
+            lines.append(f"witness s={c.s}: {c.reason}")
+        lines.append(f"additive hypothesis: {report.hypothesis_checks.additive_ok}")
+        lines.append(f"multiplicative hypothesis: {report.hypothesis_checks.mult_ok}")
+        lines.append(f"clause 1 (zero (+) invertible split): {'holds' if report.clause1.clean_split else 'fails'}")
+        lines.append(f"clause 2 (semisimple restriction): {'holds' if report.clause2.semisimple else 'fails'}")
+        d = report.clause3.finite_order
+        lines.append(f"clause 3 (finite order): {d if d is not None else 'no finite order'}"
+                     + (f", coprime to Pi_S: {report.clause3.order_coprime_to_pi_s}" if report.clause3.pi_s is not None else ""))
+        lines.append(f"clause 4 roots constructed: {[n for n, _ in report.clause4.constructed_roots]}")
+        lines.append(f"verdict: {report.verdict} ({report.reason})")
+        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(canonical_dumps(theorem_report_to_json(report)))
     return 0
 
 
@@ -213,17 +221,15 @@ def _cmd_units(args) -> int:
     desc = unit_group(ring)
     unit = desc.fundamental_unit
     try:
-        unit_text = "none (imaginary field)" if unit is None else f"{list(unit)} (norm {ring.norm(unit)})"
-    except ValueError:  # a coordinate past CPython's digit limit for int to str, in --json too
+        return _emit(args, desc, unit_group_to_json, lambda desc: (
+            f"{ring}\n"
+            f"torsion order: {desc.torsion_order}, generator {list(desc.torsion_generator)}\n"
+            f"fundamental unit: {'none (imaginary field)' if unit is None else f'{list(unit)} (norm {ring.norm(unit)})'}"
+        ))
+    except ValueError:  # a coordinate past CPython's digit limit for int to str, in text and JSON alike
         bits = max(abs(c).bit_length() for c in unit)
         raise InputError(f"units: {ring}: the fundamental unit has a {bits}-bit coordinate, more decimal digits "
                          f"than sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} allows") from None
-    text = (
-        f"{ring}\n"
-        f"torsion order: {desc.torsion_order}, generator {list(desc.torsion_generator)}\n"
-        f"fundamental unit: {unit_text}"
-    )
-    return _emit(args, unit_group_to_json(desc), text)
 
 
 def _cmd_supernat(args) -> int:
@@ -234,37 +240,31 @@ def _cmd_supernat(args) -> int:
         )
     (op, value), = obj.items()
     if op == "pi_s":
-        result = pi_S(sdescriptor_from_json(value))
-        return _emit(args, primeset_to_json(result), str(result))
+        return _emit(args, pi_S(sdescriptor_from_json(value)), primeset_to_json, str)
     if op == "nu":
         if not isinstance(value, dict) or set(value) != {"p", "n"}:
             raise InputError('nu takes {"p": prime, "n": SUPERNATURAL}')
-        x = supernatural_from_json(value["n"])
-        e = x.nu(value["p"])
-        payload = {"nu": "inf" if e == float("inf") else int(e)}
-        return _emit(args, payload, str(payload["nu"]))
+        e = supernatural_from_json(value["n"]).nu(value["p"])
+        return _emit(args, "inf" if e == float("inf") else int(e), lambda nu: {"nu": nu}, str)
     if op in ("lcm", "gcd", "mul"):
         if not isinstance(value, list) or len(value) != 2:
             raise InputError(f"{op} takes a pair of supernaturals")
         a = supernatural_from_json(value[0])
         b = supernatural_from_json(value[1])
         fn = {"lcm": lcm_sn, "gcd": gcd_sn, "mul": mul_sn}[op]
-        result = fn(a, b)
-        return _emit(args, supernatural_to_json(result), str(result))
+        return _emit(args, fn(a, b), supernatural_to_json, str)
     if op == "additive":
         if not isinstance(value, dict) or set(value) != {"S", "lchar"}:
             raise InputError('additive takes {"S": DESCRIPTOR, "lchar": PRIMESET}')
         S = sdescriptor_from_json(value["S"])
         ps = primeset_from_json(value["lchar"], what="lchar")
-        result = additive_hypothesis(S, ps)
-        return _emit(args, {"additive_hypothesis": result}, str(result).lower())
+        return _emit(args, additive_hypothesis(S, ps), lambda ok: {"additive_hypothesis": ok},
+                     lambda ok: str(ok).lower())
     raise InputError(f"unknown supernat operation {op!r}")
 
 
 def _cmd_corpus(args) -> int:
     problems = corpus_mod.gen_corpus(args.kind, args.seed)
-    from .numberring import ZZ
-
     payload = [
         problem_to_json(ZZ, None, p.operator, p.exponent_set, p.witnesses, name=p.name)
         for p in problems

@@ -1,10 +1,12 @@
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -642,6 +644,64 @@ class TestNoInputHangs:
         assert capsys.readouterr().out.startswith("witness s=100000000: re-multiplication failed\n" * 2)
 
 
+class TestOneRendering:
+    """A command prints one rendering of its record and builds no other: the
+    text reads the record itself, and only --json calls a JSON writer."""
+
+    @pytest.fixture
+    def writer_calls(self, monkeypatch):
+        """Calls of each JSON writer by name.  The writers are rebound in
+        divlat.serialize, whose report rule calls them by their module-level
+        names, and in divlat.cli, which imports them by name."""
+        calls = collections.Counter()
+        for name, fn in list(vars(divlat.serialize).items()):
+            if not (name.endswith("_to_json") or name == "canonical_dumps"):
+                continue
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in (divlat.serialize, divlat.cli):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, obj", [
+        (["spectrum", "--s-max", "6", "--bound", "1"], MINUS_I2_JSON),
+        (["root", "--s", "2", "--bound", "1"], MINUS_I2_JSON),
+        (["classify"], ROT3_JSON),
+        (["fitting"], MINUS_I2_JSON),
+        (["units"], {"ring": {"quadratic": {"d": 2}}}),
+    ], ids=["spectrum", "root", "classify", "fitting", "units"])
+    def test_text_calls_no_json_writer(self, tmp_path, capsys, writer_calls, argv, obj):
+        command, *rest = argv
+        assert main([command, write(tmp_path, "in.json", obj)] + rest) == 0
+        assert capsys.readouterr().out
+        assert writer_calls == {}
+
+    def test_json_spectrum_writes_each_outcome_once(self, tmp_path, capsys, writer_calls):
+        argv = ["--json", "spectrum", write(tmp_path, "m.json", MINUS_I2_JSON), "--s-max", "6", "--bound", "1"]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 5
+        assert writer_calls["outcome_to_json"] == 5
+        assert writer_calls["canonical_dumps"] == 1
+
+    def test_json_classify_stringifies_no_entry(self, tmp_path, capsys, monkeypatch):
+        """The Jordan parts travel as JSON entries; their text is not built."""
+        stringified = []
+        to_str = Fraction.__str__
+
+        def counted_str(x):
+            stringified.append(x)
+            return to_str(x)
+
+        monkeypatch.setattr(Fraction, "__str__", counted_str)
+        assert main(["--json", "classify", write(tmp_path, "m.json", ROT3_JSON)]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 3
+        assert stringified == []
+
+
 class TestGlobalFlags:
     def run(self, capsys, argv):
         rc = main(argv)
@@ -706,6 +766,7 @@ GOLDEN_COMMANDS = {
     "fitting": ["fitting"],
     "fitting --json": ["fitting", "--json"],
     "root": ["root", "--s", "2", "--bound", "1", "--json"],
+    "root text": ["root", "--s", "2", "--bound", "1"],
     "spectrum": ["spectrum", "--s-max", "3", "--bound", "1"],
     "spectrum --json": ["spectrum", "--s-max", "3", "--bound", "1", "--json"],
 }
@@ -714,8 +775,9 @@ GOLDEN_COMMANDS = {
 # Fraction-polynomial classify that the Z[x] kernels replaced, and the
 # verify and fitting rows with the Smith-form kernels and the kernel-chain
 # loop that the one-Hermite-form split replaced, and the spectrum --json rows
-# while verify read clause 1's quotient determinant off chi_T: a change of a
-# digest is a change of CLI output bytes.
+# while verify read clause 1's quotient determinant off chi_T, and the root
+# text rows while the CLI rendered an outcome from its JSON payload: a change
+# of a digest is a change of CLI output bytes.
 GOLDEN_DIGESTS = {
     "finite-order classify":
         "02665df42a11c302e13d370221807e094792eeefb02cbdfdbcd54ebcd16df1a7",
@@ -731,6 +793,8 @@ GOLDEN_DIGESTS = {
         "b40004dbce1c1e1ab1b371acbc94a9c7f7370786eb1658c07ee446666f5191a5",
     "finite-order root":
         "a055c02483fea297fd177f808c6d5401af24d487db8f56579b732a90a9b4f208",
+    "finite-order root text":
+        "f317db1b920599ff26f20467928c0b016c0447895ed27dd480b04931ebb6de2f",
     "finite-order spectrum":
         "2aef39c1dc660b74db38c37b24eecf822ea6f14ed00d862b439c4c75fbc9d15d",
     "finite-order spectrum --json":
@@ -749,6 +813,8 @@ GOLDEN_DIGESTS = {
         "6ea7050632ed5aead6fddaf3a948c0e7d79a5864c900caad5fa29c5e9c14f506",
     "nilpotent root":
         "da15f147f3aa35d6a2b16cc00a512fbbc17ff9aa59d145ba59f8e7e72634e417",
+    "nilpotent root text":
+        "f18dd3a5e85df0da35d1fdd4461069e6970e00f5634de615418d036b23e8ebdb",
     "nilpotent spectrum":
         "6ad5c2f0bc4b73d287bdf32f59c8ad1725fdd405b253f8c356206e0a9656fcae",
     "nilpotent spectrum --json":
@@ -767,6 +833,8 @@ GOLDEN_DIGESTS = {
         "2863ee418d8afbe3a0e90bc263865b0c45f61aed26d122b11afd3f15a3631ea0",
     "random root":
         "eb0d1e8c29c74a15b2db71318484e2c53242eb0ee97f1a8dca52b7f323f66600",
+    "random root text":
+        "36c2cac2e47184b1f74211084a11393a514568aac144f437998e3c27afc481d2",
     "random spectrum":
         "d3b55b8527db7361f3b2db2dc0c2b5c3b50d623badeb0bcea5a77668eb5e5419",
     "random spectrum --json":
@@ -785,6 +853,8 @@ GOLDEN_DIGESTS = {
         "cfc85e11fae34d7269e4082d31d44baf644e6ba383bfd6be570b8c83761fcf6b",
     "powers root":
         "df25605ff7c88b175c3e6563c056fea9b2db6bdb9383e354ec4b55f2038f39dd",
+    "powers root text":
+        "8a7052c5bc9a1935232e53210394e18247eea5845046f9bc0ffd02ee3411a781",
     "powers spectrum":
         "4e9476f5aed88298b2e17729b7d5a263427f235d656c5d37e2fad0c537e55107",
     "powers spectrum --json":
@@ -793,8 +863,8 @@ GOLDEN_DIGESTS = {
 
 
 # The same over the module problems of module_problems, recorded before the
-# split moved into the operator analysis (spectrum --json with the corpus
-# row).
+# split moved into the operator analysis (spectrum --json and root text
+# with the corpus rows).
 GOLDEN_MODULE_DIGESTS = {
     "module classify":
         "b8a97f4b63488855110ed2fbdd728668edca9f539ca8654f0f4f2bcfb415770a",
@@ -810,6 +880,8 @@ GOLDEN_MODULE_DIGESTS = {
         "05d0d5497d6ec073f3ff04d90f60bcd7729eea1a62ec996a05d91a7fc04e8f87",
     "module root":
         "6be338c028eb7b157afcb1c21d0600d96dcfe994d0d922949f0aa7174f7f1997",
+    "module root text":
+        "f797b10f6fc1a921059f0bef4a42825e590f9df6117593b37cc326b0e50217ba",
     "module spectrum":
         "55bf87044ab406f04f0e5a45d205f481741da24ddaccbabe2da7fcf892bc0a73",
     "module spectrum --json":
