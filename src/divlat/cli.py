@@ -6,10 +6,16 @@ record itself; _emit builds only the rendering it prints.  verify's text
 is a summary followed by the full JSON.  Exit codes: 0 success, 1 domain
 error (bad input values, schema violations), 2 usage error.  The grammar
 is declared once: the global flags in _GLOBAL_FLAGS, accepted before or
-after the subcommand, and the subcommands in _SUBCOMMANDS; build_parser
-builds it once per process.  The --threads flag is accepted for
-compatibility and ignored: every search runs in the calling thread.
---seed drives corpus generation only.
+after the subcommand, and the subcommands in _SUBCOMMANDS.  A command line
+is read in one of two ways.  A plain one (the subcommand first, then each
+of its flags at most once, spelled in full, with a value of the declared
+type, and its positional) is read by _read_argv straight off that grammar,
+through lookups prepared once per process.  Every other form goes to the
+argparse parser that build_parser builds once per process from the same
+grammar: help, usage errors (exit 2), flags before the subcommand,
+abbreviations, --flag=value, repeats, negative values and "--".  The
+--threads flag is accepted for compatibility and ignored: every search
+runs in the calling thread.  --seed drives corpus generation only.
 """
 from __future__ import annotations
 
@@ -43,7 +49,7 @@ from .serialize import (
     theorem_report_to_json,
     unit_group_to_json,
 )
-from .supernat import additive_hypothesis, gcd_sn, lcm_sn, mul_sn, pi_S
+from .supernat import INF, additive_hypothesis, gcd_sn, lcm_sn, mul_sn, pi_S
 from .verifier import verify
 
 MATRIX_SCHEMA = 'matrix file: {"rows": 2, "cols": 2, "entries": [[0, -1], [1, -1]]}'
@@ -75,7 +81,8 @@ def _load_json(path: str):
         return _STRICT_JSON.decode(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, a repeated key, an int past CPython's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a repeated key, an int past
+        # CPython's digit limit, arrays or objects nested past the recursion limit
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -252,7 +259,14 @@ def _cmd_supernat(args) -> int:
         a = supernatural_from_json(value[0])
         b = supernatural_from_json(value[1])
         fn = {"lcm": lcm_sn, "gcd": gcd_sn, "mul": mul_sn}[op]
-        return _emit(args, fn(a, b), supernatural_to_json, str)
+        result = fn(a, b)
+        try:
+            return _emit(args, result, supernatural_to_json, str)
+        except ValueError:  # a product's exponent past CPython's digit limit, in text and JSON alike
+            p, e = max((f for f in result.factors if f[1] != INF), key=lambda f: f[1])
+            raise InputError(f"supernat: {op}: the exponent of {p} has {e.bit_length()} bits, more decimal "
+                             f"digits than sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} "
+                             "allows") from None
     if op == "additive":
         if not isinstance(value, dict) or set(value) != {"S", "lchar"}:
             raise InputError('additive takes {"S": DESCRIPTOR, "lchar": PRIMESET}')
@@ -335,11 +349,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_grammar(name: str, handler, arguments: list) -> tuple:
+    """One subcommand's grammar as _read_argv looks it up: flag -> spec,
+    the positionals' specs in order, the dests a plain argv must give, and
+    the namespace before any token is read (the top-level defaults of the
+    global flags, command, func and the other flags' defaults).  A spec is
+    (dest, type, choices), with type None for a store_true switch."""
+    flags, positionals, required = {}, [], set()
+    start = {"command": name, "func": handler}
+    global_flags = [(flag, dict(options, default=default)) for flag, default, options in _GLOBAL_FLAGS]
+    for flag, options in global_flags + arguments:
+        is_flag = flag.startswith("-")
+        dest = flag.lstrip("-").replace("-", "_") if is_flag else flag  # argparse's rule
+        spec = (dest, None if options.get("action") == "store_true" else options.get("type", str),
+                options.get("choices"))
+        if is_flag:
+            flags[flag] = spec
+            start[dest] = options.get("default")
+        else:
+            positionals.append(spec)
+        if options.get("required") or not is_flag:
+            required.add(dest)
+    return flags, positionals, required, start
+
+
+_PLAIN_GRAMMARS = {name: _plain_grammar(name, handler, arguments)
+                   for name, (handler, _, _, arguments) in _SUBCOMMANDS.items()}
+
+
+def _read_argv(argv):
+    """The namespace build_parser().parse_args(argv) returns, read straight
+    off the declared grammar when argv is plain: a subcommand, then each of
+    its flags (the global ones included) spelled in full and at most once,
+    every value not starting with "-" and of its declared type and choices,
+    and exactly its positionals.  None for every other argv, which argparse
+    then reads; so this never reports an error of its own."""
+    grammar = _PLAIN_GRAMMARS.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    flags, positionals, required, start = grammar
+    ns, given, tokens, waiting = dict(start), set(), iter(argv[1:]), iter(positionals)
+    for token in tokens:
+        if token[:1] == "-":
+            spec = flags.get(token)
+            value = next(tokens, "-") if spec and spec[1] else True  # "-": the value is missing
+        else:
+            spec, value = next(waiting, None), token
+        if spec is None or spec[0] in given or (value is not True and value[:1] == "-"):
+            return None
+        dest, convert, choices = spec
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        ns[dest] = value
+        given.add(dest)
+    return argparse.Namespace(**ns) if required <= given else None
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
     except ValueError as exc:  # InputError included

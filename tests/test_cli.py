@@ -3,6 +3,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -11,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import divlat
-from divlat.cli import build_parser, main
+from divlat import cli
+from divlat.cli import _read_argv, build_parser, main
 from divlat.corpus import KINDS, conjugate, gen_corpus, random_unimodular
 from divlat.exactalg import IntMatrix
 from divlat.serialize import problem_from_json, problem_to_json
@@ -100,6 +102,21 @@ class TestSubcommands:
             "error: units: Z[sqrt(1000000007)]: the fundamental unit has a 21198-bit coordinate, "
             f"more decimal digits than sys.get_int_max_str_digits() = {limit} allows\n")
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_supernat_names_the_prime_of_an_unprintable_exponent(self, tmp_path, capsys, flags):
+        """A product whose exponent is past CPython's digit limit for int to
+        str is an input error naming the operation, the prime, the
+        exponent's size and the limit, in text and JSON alike."""
+        limit = sys.get_int_max_str_digits()
+        n = int("9" * limit)  # the largest exponent a file can hold; n + n has one digit more
+        half = {"factors": {"3": 1, "2": n}}
+        rc = main(flags + ["supernat", write(tmp_path, "s.json", {"mul": [half, half]})])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: supernat: mul: the exponent of 2 has {(2 * n).bit_length()} bits, "
+            f"more decimal digits than sys.get_int_max_str_digits() = {limit} allows\n")
 
     def test_there_is_no_smith_form(self, tmp_path, capsys):
         """Hermite is the one lattice elimination: snf is neither a
@@ -270,6 +287,20 @@ class TestExitCodes:
         assert main(["classify", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {path}: invalid JSON (")
+
+    @pytest.mark.parametrize("command, head, tail", [
+        ("classify", '{"rows": 1, "cols": 1, "entries": ', "}"),
+        ("verify", '{"operator": ', "}"),
+        ("units", '{"ring": ', "}"),
+    ], ids=["matrix", "problem", "units"])
+    def test_nesting_past_the_recursion_limit_is_named(self, tmp_path, capsys, command, head, tail):
+        """100 000 nested arrays exhaust the decoder's recursion limit; the
+        file is named as bad JSON is, with no traceback."""
+        path = tmp_path / "deep.json"
+        path.write_text(head + "[" * 100000 + "]" * 100000 + tail)
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: invalid JSON (") and "Traceback" not in err
 
     @pytest.mark.parametrize("command, obj, err", [
         ("supernat", [], "supernat file: exactly one of pi_s, nu, lcm, gcd, mul, additive"),
@@ -756,6 +787,109 @@ class TestSharedParser:
         assert main(["classify", write(tmp_path, "m.json", ROT3_JSON), "--json"]) == 0
         assert constructed == []
         assert build_parser() is build_parser()
+
+    def test_a_plain_call_parses_nothing(self, tmp_path, capsys, monkeypatch):
+        """A plain command line is read off the declared grammar; argparse
+        parses only the forms the reader declines."""
+        parsed = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting_parse(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+        path = write(tmp_path, "m.json", MINUS_I2_JSON)
+        assert main(["root", path, "--s", "2", "--bound", "1", "--json"]) == 0
+        assert parsed == []
+        plain = capsys.readouterr()
+        assert main(["--json", "root", path, "--s", "2", "--bound", "1"]) == 0
+        assert parsed[:1] == ["divlat"]
+        assert capsys.readouterr() == plain
+
+
+def _plain_argvs(operand, value, every_order):
+    """Plain argvs of every subcommand: operand(name) as its positional,
+    value(flag, k) as the k-th value given to a flag, the global flags after
+    the subcommand.  With every_order, each subset of the optional flags in
+    every order with the positional and the required flags; otherwise all
+    flags in declared order and reversed."""
+    k = itertools.count()
+    for name, (_, _, _, arguments) in cli._SUBCOMMANDS.items():
+        required, optional = [[operand(name)]], []
+        for flag, options in arguments + [(flag, options) for flag, _, options in cli._GLOBAL_FLAGS]:
+            if not flag.startswith("-"):
+                continue
+            group = [flag] if options.get("action") == "store_true" else [flag, None]
+            (required if options.get("required") else optional).append(group)
+        if every_order:
+            orders = (order for r in range(len(optional) + 1) for subset in itertools.combinations(optional, r)
+                      for order in itertools.permutations(required + list(subset)))
+        else:
+            orders = (required + optional, (required + optional)[::-1])
+        for order in orders:
+            argv = [name]
+            for group in order:
+                argv += group[:1] + [value(group[0], next(k)) for _ in group[1:]]
+            yield argv
+
+
+class TestPlainReader:
+    """_read_argv returns argparse's namespace for every plain argv and
+    declines every other form, which argparse then reads as before."""
+
+    def test_every_plain_argv_reads_as_argparse_reads_it(self):
+        spellings = ("3", "+3", "3_0", " 3")
+        argvs = list(_plain_argvs(lambda name: "powers" if name == "corpus" else "in.json",
+                                  lambda flag, k: spellings[k % len(spellings)], every_order=True))
+        assert len(argvs) > 10000
+        for argv in argvs:
+            args = _read_argv(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return {
+            "matrix": write(tmp_path, "m.json", MINUS_I2_JSON),
+            "verify": write(tmp_path, "p.json", {"operator": MINUS_I2_JSON, "S": {"finite": [2, 3]},
+                                                 "witnesses": []}),
+            "units": write(tmp_path, "r.json", {"ring": {"quadratic": {"d": 2}}}),
+            "supernat": write(tmp_path, "s.json", {"pi_s": {"geometric": {"base": 6, "scale": 1}}}),
+        }
+
+    def outputs_match_argparse(self, monkeypatch, argv):
+        ours = _run(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_argv", lambda argv: None)
+            theirs = _run(argv)
+        assert ours == theirs, argv
+        return ours
+
+    def test_a_plain_argv_prints_what_argparse_prints(self, files, monkeypatch):
+        numbers = {"--s": 2, "--bound": 1, "--s-max": 3, "--timeout-ms": 1000, "--threads": 2, "--seed": 2}
+        spellings = ("{}", "+{}", "0_{}", " {}")
+        operand = {"corpus": "nilpotent", "verify": files["verify"], "units": files["units"],
+                   "supernat": files["supernat"]}
+        for spelling in spellings:
+            for argv in _plain_argvs(lambda name: operand.get(name, files["matrix"]),
+                                     lambda flag, k: spelling.format(numbers[flag]), every_order=False):
+                assert _read_argv(argv) is not None, argv
+                assert self.outputs_match_argparse(monkeypatch, argv)[0] == 0, argv
+
+    @pytest.mark.parametrize("form", [
+        [], ["-h"], ["root", "-h"], ["root", "M", "--s", "2", "--bou", "1"], ["root", "M", "--s=2", "--bound", "1"],
+        ["root", "M", "--s", "-1", "--bound", "1"], ["root", "M", "--s", "x", "--bound", "1"],
+        ["root", "M", "--s", "2", "--bound", "1", "--s", "3"], ["classify", "M", "--json", "--json"],
+        ["--json", "classify", "M"], ["classify", "--", "M"], ["classify", "M", "M"], ["nosuch", "M"],
+        ["root", "M", "--bound", "1"], ["root", "M", "--s", "2", "--bound"], ["corpus", "bogus"],
+    ], ids=["empty", "help", "subcommand-help", "abbreviation", "equals", "negative", "malformed",
+            "repeated-value", "repeated-switch", "flag-first", "double-dash", "two-files", "unknown-subcommand",
+            "missing-flag", "missing-value", "bad-choice"])
+    def test_every_other_form_goes_to_argparse(self, files, monkeypatch, form):
+        argv = [files["matrix"] if tok == "M" else tok for tok in form]
+        assert _read_argv(argv) is None
+        self.outputs_match_argparse(monkeypatch, argv)
 
 
 GOLDEN_COMMANDS = {
