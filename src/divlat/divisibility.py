@@ -170,34 +170,50 @@ def _box_points(lattice: Lattice, bound: int, deadline=None):
     lexicographic order: the HNF pivots p_0 < p_1 < ... are positive with
     zeros to their left, so entries before p_i depend on c_0..c_(i-1) only
     and the entry at p_i grows with c_i.  Each c_i runs over the interval
-    keeping entries p_i..p_(i+1) - 1 in the box.  A step (one c_i taken, at
-    any depth) costs O(ambient rank); the deadline is checked before every
-    step, raising TimeoutError, so a spent budget ends the walk before the
-    next candidate."""
-    N = lattice.ambient_rank
-    rows = [lattice.basis.row(i) for i in range(lattice.rank)]
+    keeping entries p_i..p_(i+1) - 1 in the box.  One odometer walks them:
+    points[i] is the point with c_0..c_(i-1) taken, left[i] the values of
+    c_i still to take, and the last coefficient runs in an inner loop that
+    yields its points.  A step (one c_i taken, at any depth) costs
+    O(ambient rank); the deadline is checked before every step, raising
+    TimeoutError, so a spent budget ends the walk before the next
+    candidate."""
+    N, last = lattice.ambient_rank, lattice.rank - 1
+    rows = [lattice.basis.row(i) for i in range(last + 1)]
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows] + [N]
-
-    def walk(i, point):
-        if i == len(rows):
-            yield point
-            return
-        row, p, end = rows[i], pivots[i], pivots[i + 1]
+    points, left = [(0,) * N], []
+    if last < 0:
+        yield points[0]
+        return
+    while True:
+        i = len(left)  # enter level i: c_i's interval, from the point one step before it
+        row, p, end, point = rows[i], pivots[i], pivots[i + 1], points[i]
         lo, hi = -inf, inf  # the pivot, first, makes them ints
         for a, x in zip(row[p:end], point[p:end]):
             if a:
                 a, x = (a, x) if a > 0 else (-a, -x)
                 lo, hi = max(lo, -((bound + x) // a)), min(hi, (bound - x) // a)
             elif abs(x) > bound:
-                return
+                lo, hi = 1, 0
+                break
         point = tuple(x + (lo - 1) * y for x, y in zip(point, row))
-        for _ in range(hi - lo + 1):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError
-            point = tuple(map(add, point, row))
-            yield from walk(i + 1, point)
-
-    return walk(0, (0,) * N)
+        if i < last:
+            points.append(point)
+            left.append(hi - lo + 1)
+        else:
+            for _ in range(hi - lo + 1):
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise TimeoutError
+                point = tuple(map(add, point, row))
+                yield point
+        while left and left[-1] <= 0:
+            left.pop()
+            points.pop()
+        if not left:
+            return
+        if deadline is not None and time.monotonic() >= deadline:
+            raise TimeoutError
+        left[-1] -= 1
+        points[-1] = tuple(map(add, points[-1], rows[len(left) - 1]))
 
 
 def _beyond_root_height(inv: _Invariants, s: int) -> bool:

@@ -10,6 +10,7 @@ from math import gcd, lcm
 import pytest
 
 import divlat
+import divlat.classify as classify
 import divlat.divisibility as divisibility
 from divlat.classify import _Invariants
 from divlat.divisibility import (
@@ -31,7 +32,7 @@ from divlat.corpus import block_diagonal, conjugate, gen_corpus, random_unimodul
 from divlat.exactalg import IntMatrix, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, kernel_saturated
 from divlat.numberring import embed_ok_matrix
 from divlat.primes import signed_root
-from helpers import (brute_root_search, commutator_equations, diagonal_matrix, lattice_from_generators,
+from helpers import (brute_root_search, commutator_equations, diagonal_matrix, frac_rank, lattice_from_generators,
                      realizable_orders_by_walk, seeded_module_problems, time_limit)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
@@ -454,6 +455,133 @@ class TestCommutantWalk:
             want = sorted(X.entries for X in omega_box if lattice.contains(X.entries))
             assert want == sorted(X.entries for X in omega_box if X * T == T * X)
             assert list(divisibility._box_points(lattice, bound)) == want
+
+
+def krylov_rows(T):
+    """I, T, ..., T^(n-1), each flattened row-major."""
+    rows, P = [], IntMatrix.identity(T.rows)
+    for _ in range(T.rows):
+        rows.append(P.entries)
+        P = P * T
+    return rows
+
+
+def nonderogatory_operators(seed):
+    """Seeded nonderogatory T, n = 1..6: a random X, X^2 and X^3, and for
+    n >= 2 a unimodular conjugate of c*I + p*Y for p in {2, 3, 6, 12}, whose
+    commutant contains Y, so Z[T] has saturation index at least p."""
+    rng = random.Random(163)
+
+    def draw(n, make):
+        while True:
+            T = make()
+            if frac_rank(krylov_rows(T)) == n:
+                return T
+
+    for n in range(1, 7):
+        for k in (1, 2, 3):
+            yield draw(n, lambda: IntMatrix(n, n, tuple(rng.randint(-2, 2) for _ in range(n * n))) ** k)
+        if n > 1:
+            for p in (2, 3, 6, 12):
+                Y = draw(n, lambda: IntMatrix(n, n, tuple(rng.randint(-2, 2) for _ in range(n * n))))
+                T = IntMatrix.identity(n) * rng.randint(-3, 3) + Y * p
+                yield conjugate(T, random_unimodular(n, rng, steps=2 * n))
+
+
+def scalar_module_problems():
+    """(c*I, module) over the rank-1 regular modules over O_d: T is scalar,
+    so omega, not T, is the nonderogatory matrix of the pair."""
+    from divlat.numberring import OKModule, QuadraticOrder
+
+    for d in (-5, -3, -1, 2, 3, 5):
+        module = OKModule.regular(QuadraticOrder(d), 1)
+        for c in (-2, 0, 1, 3):
+            yield IntMatrix.identity(2) * c, module
+
+
+class TestNonderogatoryCommutant:
+    """C(M) = sat(Z[M]) for a nonderogatory M, read off the n x n^2 Hermite
+    form of I, M, ..., M^(n-1) instead of the n^2 commutator equations."""
+
+    def test_commutant_is_the_saturated_kernel(self):
+        indices = set()
+        for T in nonderogatory_operators(163):
+            commutant = _Invariants(T).commutant
+            assert commutant == kernel_saturated(commutator_equations((T,), T.rows)), T
+            indices.add(lattice_from_generators(T.rows ** 2, krylov_rows(T)) != commutant)
+        assert indices == {False, True}
+
+    def test_saturation_index_can_be_composite(self):
+        """Y (nonderogatory) lies in C(6Y + I) but not in Z[6Y + I]: the
+        index is divisible by 6."""
+        Y = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [2, -1, 1]])
+        T = Y * 6 + IntMatrix.identity(3)
+        commutant = _Invariants(T).commutant
+        assert commutant.contains(Y.entries)
+        assert not lattice_from_generators(9, krylov_rows(T)).contains(Y.entries)
+        assert commutant == kernel_saturated(commutator_equations((T,), 3))
+
+    def test_a_scalar_module_operator_takes_omega_s_path(self):
+        for T, module in scalar_module_problems():
+            commutant = _Invariants(T, module).commutant
+            assert commutant == kernel_saturated(commutator_equations((T, module.omega_action), 2))
+            assert commutant.rank == 2
+
+    def test_only_derogatory_operators_build_the_commutator_equations(self, monkeypatch):
+        built = []
+
+        def recording(E):
+            built.append(E.rows)
+            return kernel_saturated(E)
+
+        monkeypatch.setattr(classify, "kernel_saturated", recording)
+        for T in nonderogatory_operators(167):
+            _Invariants(T).commutant
+        for T, module in scalar_module_problems():
+            _Invariants(T, module).commutant
+        assert built == []
+        for T in (IntMatrix.identity(3) * 2, diagonal_matrix([1, 1, 2])):
+            _Invariants(T).commutant
+        assert built == [9, 9]
+
+    def test_twelve_by_twelve_square_within_a_second(self):
+        """T = X^2 for the 12 x 12 X with entries in [-1, 1] drawn from
+        Random(5): its commutant took seconds through the 144 commutator
+        equations, so a 500 ms search overran its budget.  X commutes with
+        T, so it lies in the saturation though not in Z[T]."""
+        rng = random.Random(5)
+        X = IntMatrix(12, 12, tuple(rng.randint(-1, 1) for _ in range(144)))
+        T = X * X
+        with time_limit(1.0):
+            commutant = _Invariants(T).commutant
+        assert commutant.rank == 12 and commutant.contains(X.entries)
+        assert all(IntMatrix(12, 12, b) * T == T * IntMatrix(12, 12, b)
+                   for b in map(tuple, commutant.basis.nested()))
+        with time_limit(1.0):
+            assert root_search(T, 2, 1, timeout_ms=500) == Exhausted(1, complete=False)
+
+    def test_a_non_integral_saturation_vector_raises_under_optimize(self):
+        """A left kernel mod q whose vector w has w.B / q non-integral makes
+        the commutant raise, also under python -O, where assert statements
+        are stripped."""
+        code = textwrap.dedent("""
+            import divlat.exactalg as exactalg
+            from divlat.classify import _Invariants
+            from divlat.exactalg import IntMatrix
+            exactalg._left_kernel_mod = lambda rows, q: (1, [[1] + [0] * (len(rows) - 1)])
+            try:
+                out = _Invariants(IntMatrix.from_rows([[1, 2], [0, 1]])).commutant
+            except AssertionError:
+                print("raised")
+            else:
+                print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised"
 
 
 class TestCoprimeRoot:
