@@ -1,11 +1,11 @@
 """Spectral classification of integer operators, read off chi = char(T).
 
 In Z[x], where chi, its radical and every Phi_k are monic: semisimplicity as
-rad(chi)(T) = 0 (at once for a squarefree chi, as chi(T) = 0 is checked),
-root-of-unity spectra via exhaustive cyclotomic trial division of chi (no
-numerics: the candidate list with phi(k) <= n is provably complete) and
-finite orders.  In Q[x]/(chi): the exact semisimple-plus-nilpotent
-splitting by Newton iteration.
+rad(chi)(T) = 0 (at once for a squarefree chi, as chi(T) = 0 holds by
+Cayley-Hamilton), root-of-unity spectra via exhaustive cyclotomic trial
+division of chi (no numerics: the candidate list with phi(k) <= n is
+provably complete) and finite orders.  In Q[x]/(chi): the exact
+semisimple-plus-nilpotent splitting by Newton iteration.
 
 Fitting's kernel chain is read one step at a time: for P = T^m, ker P and
 im P from one Hermite form and the determinant of their stacked bases,
@@ -111,7 +111,7 @@ class _Invariants:
 
     @cached_property
     def semisimple(self) -> bool:
-        if self.radical == self.chi:  # squarefree: r(T) = chi(T) = 0
+        if self.radical == self.chi:  # squarefree: r(T) = chi(T) = 0 by Cayley-Hamilton
             return True
         return _scaled_eval(self.radical, self.T)[1].is_zero()
 
@@ -382,11 +382,16 @@ def _mul(a: tuple, b: tuple) -> tuple:
 
 def _scaled_eval(coeffs, T: IntMatrix) -> tuple[int, IntMatrix]:
     """(D, D p(T)) for p's ascending int or Fraction coefficients and D the
-    lcm of their denominators, by Horner's rule in Z."""
-    D = lcm(*(c.denominator for c in coeffs))
-    acc, eye = IntMatrix.zeros(T.rows, T.rows), IntMatrix.identity(T.rows)
-    for c in reversed(coeffs):
-        acc = acc * T + eye * (c * D).numerator
+    lcm of their denominators, by Horner's rule in Z: from the leading
+    coefficient times I, each later coefficient added on the diagonal."""
+    D, n = lcm(*(c.denominator for c in coeffs)), T.rows
+    if not coeffs:
+        return D, IntMatrix.zeros(n, n)
+    acc = IntMatrix.identity(n) * (coeffs[-1] * D).numerator
+    for c in coeffs[-2::-1]:
+        entries, c = list(_tuple_mul(acc.entries, T.entries, n, n, n)), (c * D).numerator
+        entries[:: n + 1] = [a + c for a in entries[:: n + 1]]
+        acc = IntMatrix(n, n, tuple(entries))
     return D, acc
 
 

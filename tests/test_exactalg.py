@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import divlat
+import divlat.exactalg as exactalg
 from divlat.corpus import conjugate
 from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_matrix, cyclotomic, hnf, kernel_saturated
 from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _tuple_mul, _tuple_pow, _zdivmod, _zgcd,
@@ -11,7 +17,7 @@ from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _tuple_mul,
 from helpers import (char_poly_cofactor, commutator_equations, cyclotomic_table, diagonal_matrix, frac_det,
                      frac_min_poly, frac_rank, full_lattice, image_oracle, is_saturated_kernel, lattice_from_generators,
                      mat_mul, mat_pow, qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical,
-                     qpoly_trim, rand_matrix, rand_unimodular, seeded_module_problems)
+                     qpoly_trim, rand_matrix, rand_unimodular, seeded_module_problems, seeded_operator)
 
 
 class TestKernels:
@@ -138,6 +144,69 @@ class TestCharMinPoly:
             T = rand_matrix(rng, rng.randint(1, 5), 5)
             chi = char_poly(T)
             assert not any(any(row) for row in qpoly_eval_matrix(chi, T.nested()))
+
+    @staticmethod
+    def _oracle_cases(rng, n_max):
+        """Every seeded_operator kind for n = 1..n_max, entries around 10^20
+        for n = 0..n_max, and the 0x0 and 1x1 matrices, as nested lists."""
+        yield from ([], [[0]], [[-7]], [[10**20 + 1]])
+        for n in range(1, n_max + 1):
+            for kind in ("random", "finite-order", "nilpotent"):
+                yield seeded_operator(kind, n, rng)
+        for n in range(n_max + 1):
+            yield [[rng.randint(-10**20, 10**20) for _ in range(n)] for _ in range(n)]
+            yield [[10**20 + rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+    def test_char_against_cofactor_on_seeded_operators(self):
+        for rows in self._oracle_cases(random.Random(41), 10):
+            T = IntMatrix.from_rows(rows, len(rows))
+            assert char_poly(T) == tuple(char_poly_cofactor(rows)), rows
+
+    def test_cayley_hamilton_in_full_on_seeded_operators(self):
+        """The library checks chi(T) v = 0 for one vector only; chi(T) = 0
+        in full is checked here."""
+        for rows in self._oracle_cases(random.Random(43), 8):
+            chi = char_poly(IntMatrix.from_rows(rows, len(rows)))
+            assert not any(any(row) for row in qpoly_eval_matrix(chi, rows)), rows
+
+    def test_char_poly_makes_matrix_vector_products_only(self, monkeypatch):
+        """chi of a 12x12 operator takes matrix-vector products only: no
+        _tuple_mul call with more than one output column.  The recording
+        hook itself sees a full product."""
+        shapes = []
+
+        def recording(a, b, rows, inner, cols):
+            shapes.append((rows, inner, cols))
+            return _tuple_mul(a, b, rows, inner, cols)
+
+        monkeypatch.setattr(exactalg, "_tuple_mul", recording)
+        T = IntMatrix.from_rows(seeded_operator("random", 12, random.Random(47)))
+        char_poly(T)
+        assert [shape for shape in shapes if shape[2] > 1] == []
+        T * T
+        assert shapes[-1] == (12, 12, 12)
+
+    def test_wrong_recurrence_raises_under_optimize(self):
+        """A Berkowitz helper that hands back a wrong constant term fails the
+        chi(T) v = 0 check, also under python -O."""
+        code = textwrap.dedent("""
+            import divlat.exactalg as exactalg
+            from divlat.exactalg import IntMatrix, char_poly
+            berkowitz = exactalg._berkowitz
+            exactalg._berkowitz = lambda e, n: (berkowitz(e, n)[0] + 1,) + berkowitz(e, n)[1:]
+            try:
+                out = char_poly(IntMatrix.from_rows([[2, 1], [1, 1]]))
+            except AssertionError:
+                print("raised")
+            else:
+                print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised"
 
     def test_min_divides_char(self):
         rng = random.Random(31)
