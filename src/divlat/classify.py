@@ -13,7 +13,11 @@ square as the ranks add up to n.  It is nonzero exactly when the two meet
 only in 0, which by Fitting's lemma is when the chain has stabilized, and
 +-1 exactly when Z^n = ker P (+) im P, as a square integer matrix has all
 invariant factors 1 exactly when its determinant is a unit.  Images need
-not be direct summands, so this is a real test, not an assumption.
+not be direct summands, so this is a real test, not an assumption.  For
+det T != 0 the first step needs no such form: ker T = 0 and
+[Z^n : im T] = |det T|, so that determinant is |det T|, read without a
+lattice, and im T, when its basis is read, is the n x n Hermite form of
+T^t.
 
 _Invariants is the one analysis of an operator: it checks the operator
 once, and also holds the split T = 0 (+) (T on im T) at the first step and
@@ -71,10 +75,12 @@ class _Invariants:
     det, chi and its radical r (ascending int tuples), semisimplicity
     (r(T) = 0), the cyclotomic factorization of chi and whether T is
     torsion-spectral, the order, the split
-    T = 0 (+) (T on im T) at Fitting's first and stable exponents, the image
-    part's analysis, the commutant, and the powers of T, off one ladder of
-    squares T, T^2, T^4, ...  The constructor checks that T is square and,
-    given a module, that T commutes with its ring action; 0x0 is valid.
+    T = 0 (+) (T on im T) at Fitting's first and stable exponents, the first
+    split's determinant alone (split_det, which for det T != 0 builds no
+    lattice), the image part's analysis, the commutant, and the powers of
+    T, off one ladder of squares T, T^2, T^4, ...  The constructor checks
+    that T is square and, given a module, that T commutes with its ring
+    action; 0x0 is valid.
     Each invariant, and each square of the ladder, is computed on first
     use, at most once per instance; an analysis builds one instance and
     reads everything off it."""
@@ -157,8 +163,24 @@ class _Invariants:
 
     @cached_property
     def split(self) -> FittingSplit:
-        """The split at m = 1, direct exactly when Z^n = ker T (+) im T."""
-        return self._split_at(1)
+        """The split at m = 1, direct exactly when Z^n = ker T (+) im T.
+        For det T != 0, ker T = 0 and im T is the row Hermite form of T^t,
+        n x n, whose determinant, the product of its pivots, is
+        [Z^n : im T] = |det T|: the same canonical lattices and determinant
+        as _split_at(1), which a singular T takes."""
+        T, n = self.T, self.T.rows
+        if not self.det:
+            return self._split_at(1)
+        image = hnf(IntMatrix(n, n, tuple(x for j in range(n) for x in T.column(j))))
+        return FittingSplit(1, Lattice(n, IntMatrix(0, n, ())), Lattice(n, image), abs(self.det), T)
+
+    @cached_property
+    def split_det(self) -> int:
+        """split.det, +-[Z^n : ker T (+) im T] or 0 when ker T and im T meet,
+        so the split is direct exactly when it is +-1.  For det T != 0 it is
+        |det T|, as ker T = 0 and [Z^n : im T] = |det T| (Cohen, GTM 138,
+        2.4): no lattice is built."""
+        return abs(self.det) if self.det else self.split.det
 
     @cached_property
     def fitting(self) -> FittingSplit:
@@ -205,8 +227,9 @@ class _Invariants:
     @cached_property
     def zero_plus_order(self) -> int | None:
         """The order of the invertible part when T is zero plus an
-        invertible finite-order operator, else None."""
-        return self.image_part.order if self.split.is_direct else None
+        invertible finite-order operator, else None: the split is read off
+        split_det, so for det T != 0 no lattice is built."""
+        return self.image_part.order if abs(self.split_det) == 1 else None
 
     @cached_property
     def gen_kernel_rank(self) -> int:

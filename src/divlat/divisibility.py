@@ -342,7 +342,9 @@ def _coprime_roots(inv: _Invariants, d: int, exponents) -> list[tuple[int, IntMa
     """The pairs (n_exp, coprime_root(T, d, n_exp)) for each exponent, on
     the analysis of T: T^(d+1) = T is checked once, T^(d+1) and each root
     T^m are products of the analysis's ladder of squares, and each root X
-    is still re-verified as X^n_exp = T from its own entries."""
+    is still re-verified as X^n_exp = T from its own entries, off one
+    ladder of X's squares per distinct root, shared by the exponents with
+    that root; a root equal to T reads the analysis's own ladder."""
     T = inv.T
     if d < 1 or any(n_exp < 1 for n_exp in exponents):
         raise ValueError("order and exponent must be positive")
@@ -350,10 +352,13 @@ def _coprime_roots(inv: _Invariants, d: int, exponents) -> list[tuple[int, IntMa
         raise ValueError("no coprime inverse")
     if inv.power(d + 1) != T:
         raise ValueError(f"operator is not zero plus an operator of order dividing {d}")
-    roots = []
+    roots, ladders = [], {T.entries: inv}
     for n_exp in exponents:
         X = inv.power(pow(n_exp, -1, d) if d > 1 else 1)
-        if X ** n_exp != T:
+        ladder = ladders.get(X.entries)
+        if ladder is None:
+            ladder = ladders[X.entries] = _Invariants(X)
+        if ladder.power(n_exp) != T:
             raise AssertionError("constructed root failed re-verification")
         roots.append((n_exp, X))
     return roots

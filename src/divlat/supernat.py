@@ -162,7 +162,9 @@ class FiniteSet:
 
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
-        if not elems or elems[0] < 1:
+        if not elems:
+            raise ValueError("the exponent set is empty")
+        if elems[0] < 1:
             raise ValueError("elements must be positive integers")
         object.__setattr__(self, "elements", elems)
 

@@ -149,16 +149,18 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
             coprime = not any(pset.contains(p) for p in prime_factors(d))
     clause3 = Clause3(d, pset, coprime)
 
-    # clause 1: the split, plus what the verified witnesses already force.
-    # T induces on Z^n / ker T what it is on im T, so the quotient
-    # determinant is that of the image part.
-    split, g, qdet = inv.split, inv.gen_kernel_rank, inv.image_part.det
+    # clause 1: the split, read off its determinant alone (|det T| when
+    # det T != 0, with no lattice built), plus what the verified witnesses
+    # already force.  T induces on Z^n / ker T what it is on im T, so the
+    # quotient determinant is that of the image part.
+    split_det, g, qdet = inv.split_det, inv.gen_kernel_rank, inv.image_part.det
+    direct = abs(split_det) == 1
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)
     cond_det = abs(qdet) == 1 or any(c.valid and c.s >= qdet.bit_length() for c in checks)
-    reason = ("Z^n = ker T (+) im T with invertible restriction" if split.is_direct
-              else "ker T and im T intersect nontrivially" if split.det == 0
+    reason = ("Z^n = ker T (+) im T with invertible restriction" if direct
+              else "ker T and im T intersect nontrivially" if split_det == 0
               else "ker T + im T is a proper sublattice of Z^n")
-    clause1 = Clause1(split.is_direct, reason, cond_kernel and cond_det)
+    clause1 = Clause1(direct, reason, cond_kernel and cond_det)
 
     # clause 2: semisimplicity of the restriction to the honest image.
     clause2 = Clause2(inv.image_part.semisimple)

@@ -248,8 +248,11 @@ class TestExitCodes:
          "problem.witnesses[0].matrix.cols: expected a nonnegative integer, got -1"),
         ("fitting", {"ring": {"quadratic": {"d": -1}}, "module": {"z_rank": -2, "omega_action": []},
                      "operator": ROT3_JSON}, "problem.module.z_rank: expected a nonnegative integer, got -2"),
+        ("verify", {"operator": ROT3_JSON, "S": {"finite": []}}, "problem.S: the exponent set is empty"),
+        ("verify", {"operator": ROT3_JSON, "S": {"finite": [0, 2]}}, "problem.S: elements must be positive integers"),
     ], ids=["S", "primes", "lchar-finite", "ring", "pseudoprime-key", "zero-padded-key", "underscored-key",
-            "spaced-key", "negative-operator-shape", "negative-witness-shape", "negative-z-rank"])
+            "spaced-key", "negative-operator-shape", "negative-witness-shape", "negative-z-rank", "empty-finite-S",
+            "nonpositive-finite-S"])
     def test_an_error_names_its_field_once(self, tmp_path, capsys, command, obj, err):
         assert main([command, write(tmp_path, "bad.json", obj)]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")

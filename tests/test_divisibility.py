@@ -618,8 +618,18 @@ class TestCoprimeRoot:
 
 
     def test_precondition_is_checked_once_for_many_exponents(self, monkeypatch):
-        T, d, exponents = diagonal_matrix([0, -1, 1]), 2, (3, 5, 7, 9)
-        want = [coprime_root(T, d, e) for e in exponents]
+        """T^(d+1) = T is checked once on the analysis's ladder, and each
+        root T^m is read off it; each root X is re-multiplied as X^n_exp off
+        one ladder of X's squares per distinct root, the analysis's own when
+        X = T, and never by IntMatrix.__pow__.  diag(0, -1, 1) is its every
+        root; J's roots alternate between J^3 (one new ladder) and J."""
+        cases = [  # (T, d, exponents, the roots with a ladder of their own, the ladder calls)
+            (diagonal_matrix([0, -1, 1]), 2, (3, 5, 7, 9), [],
+             [(0, 3), (0, 1), (0, 3), (0, 1), (0, 5), (0, 1), (0, 7), (0, 1), (0, 9)]),
+            (J, 4, (3, 5, 7, 9, 11), [-J],
+             [(0, 5), (0, 3), (1, 3), (0, 1), (0, 5), (0, 3), (1, 7), (0, 1), (0, 9), (0, 3), (1, 11)]),
+        ]
+        wants = [[coprime_root(T, d, e) for e in exponents] for T, d, exponents, _, _ in cases]
         ladder, powers = [], []
         power, ladder_power = IntMatrix.__pow__, _Invariants.power
 
@@ -628,16 +638,48 @@ class TestCoprimeRoot:
             return power(self, k)
 
         def counting_ladder(self, k):
-            ladder.append(k)
+            ladder.append((self, k))
             return ladder_power(self, k)
 
         monkeypatch.setattr(IntMatrix, "__pow__", counting)
         monkeypatch.setattr(_Invariants, "power", counting_ladder)
-        assert divisibility._coprime_roots(_Invariants(T), d, exponents) == list(zip(exponents, want))
-        # T^(d+1) once and T^m per exponent off the ladder, then the
-        # re-multiplication X^n_exp per exponent
-        assert ladder == [d + 1] + [1] * len(exponents)
-        assert powers == list(exponents)
+        for (T, d, exponents, roots, calls), want in zip(cases, wants):
+            ladder.clear()
+            inv = _Invariants(T)
+            assert divisibility._coprime_roots(inv, d, exponents) == list(zip(exponents, want))
+            ladders = list(dict.fromkeys(lad for lad, _ in ladder))  # in order of first use
+            assert ladders[0] is inv
+            assert [(ladders.index(lad), k) for lad, k in ladder] == calls
+            assert [lad.T for lad in ladders[1:]] == roots
+        assert powers == []
+
+    def test_a_corrupted_root_raises_under_optimize(self):
+        """A root that is not an n_exp-th root of T fails its
+        re-multiplication, off its own ladder (I) or off the analysis's (T
+        itself), also under python -O, where assert statements are
+        stripped.  Only the analysis's T^3, the root for n_exp = 7, is
+        corrupted; the re-multiplication reads T^7."""
+        code = textwrap.dedent("""
+            from divlat.classify import _Invariants
+            from divlat.divisibility import _coprime_roots
+            from divlat.exactalg import IntMatrix
+            J = IntMatrix.from_rows([[0, -1], [1, 0]])
+            for wrong in (IntMatrix.identity(2), J):
+                inv = _Invariants(J)
+                inv.power = lambda k, power=inv.power, wrong=wrong: wrong if k == 3 else power(k)
+                try:
+                    _coprime_roots(inv, 4, (5, 7))
+                except AssertionError as exc:
+                    print(exc)
+                else:
+                    print("returned")
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["constructed root failed re-verification"] * 2
 
     def test_precondition_failure_and_bad_arguments(self):
         with pytest.raises(ValueError, match="not zero plus an operator of order dividing 3"):

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from divlat import exactalg
+from divlat.classify import _Invariants
 from divlat.corpus import block_diagonal, conjugate, random_unimodular
 from divlat.exactalg import IntMatrix, QMatrix
 from divlat.fitting import clean_split, fitting_decompose
@@ -45,6 +46,35 @@ def nilpotent_plus_invertible(seed, count):
         while not A.det():
             A = rand_matrix(rng, r, 3)
         yield k, conjugate(block_diagonal([N, A]), random_unimodular(k + r, rng, steps=2 * (k + r)))
+
+
+def invertible_operators(seed):
+    """(T, module) with det T != 0: random operators of sizes 1..8 with
+    entries up to 10^20 and up to 3, the nonsingular ones among
+    seeded_fitting_operators and among the rank-1 and rank-2 module
+    operators of seeded_module_problems."""
+    rng = random.Random(seed)
+    operators = [rand_matrix(rng, rng.randint(1, 8), bound) for bound in (10 ** 20, 3) for _ in range(30)]
+    problems = [(T, None) for T in operators + list(seeded_fitting_operators(seed, 60))]
+    return [(T, module) for T, module in problems + list(seeded_module_problems(seed)) if T.det()]
+
+
+def counting_calls(monkeypatch, *functions):
+    """Record the arguments of every call of the given exactalg functions
+    from any divlat module, one list per function."""
+    calls = {f: [] for f in functions}
+
+    def counting(f):
+        def counted(*args):
+            calls[f].append(args)
+            return f(*args)
+        return counted
+
+    for name, module in list(sys.modules.items()):
+        for f in calls:
+            if name.startswith("divlat") and getattr(module, f.__name__, None) is f:
+                monkeypatch.setattr(module, f.__name__, counting(f))
+    return calls.values()
 
 
 class TestFittingDecompose:
@@ -258,19 +288,7 @@ class TestStableExponentFromChi:
         from divlat.numberring import ZZ
         from divlat.verifier import verify
 
-        calls = {exactalg._kernel_and_image: [], exactalg.restrict_to_lattice: []}
-
-        def counting(f):
-            def counted(*args):
-                calls[f].append(args)
-                return f(*args)
-            return counted
-
-        for name, module in list(sys.modules.items()):
-            for f in calls:
-                if name.startswith("divlat") and getattr(module, f.__name__, None) is f:
-                    monkeypatch.setattr(module, f.__name__, counting(f))
-        steps, restrictions = calls.values()
+        steps, restrictions = counting_calls(monkeypatch, exactalg._kernel_and_image, exactalg.restrict_to_lattice)
         for T in seeded_nilpotent_operators():
             steps.clear()
             restrictions.clear()
@@ -293,3 +311,65 @@ class TestStableExponentFromChi:
         assert stops_at_1 == {True, False}
 
 
+class TestInvertibleSplit:
+    def test_split_matches_the_augmented_hermite_form(self):
+        """For det T != 0 the split read off the n x n Hermite form of T^t
+        is _split_at(1)'s, off the n x 2n one of [T^t | I], field by field,
+        its determinant |det T| up to sign."""
+        direct = set()
+        for T, module in invertible_operators(83):
+            inv = _Invariants(T, module)
+            split, step = inv.split, inv._split_at(1)
+            assert (split.exponent_m, split.gen_kernel, split.image_part, split.operator) == \
+                (step.exponent_m, step.gen_kernel, step.image_part, step.operator), T
+            assert split.gen_kernel.rank == 0 and abs(split.det) == abs(step.det) == abs(T.det()), T
+            assert inv.split_det == split.det, T
+            direct.add(split.is_direct)
+        assert direct == {True, False}
+
+    def test_directness_off_det_agrees_with_the_oracle(self):
+        """split_det, |det T| for det T != 0 and else the stacked
+        determinant, is +-1 exactly when the oracle finds
+        Z^n = ker T (+) im T, on invertible and singular operators."""
+        from divlat.numberring import ZZ
+        from divlat.verifier import verify
+
+        operators = [T for T, _ in invertible_operators(89)] + list(seeded_fitting_operators(89, 120))
+        seen = set()
+        for T in operators:
+            inv = _Invariants(T)
+            kernel = inv.split.gen_kernel
+            assert is_saturated_kernel(T, kernel), T
+            oracle = oracle_direct_and_full(kernel.basis.nested(), image_oracle(T).basis.nested(), T.rows)
+            assert (abs(inv.split_det) == 1) == oracle, T
+            assert verify(ZZ, None, T, None, ()).clause1.clean_split == oracle, T
+            seen.add((bool(T.det()), oracle))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_no_augmented_hermite_form_for_an_invertible_operator(self, monkeypatch):
+        """verify, divisibility_spectrum and zero_plus_finite_order on a
+        nonsingular T never take the Hermite form of [T^t | I], and verify
+        and zero_plus_finite_order take none at all; fitting_decompose and
+        clean_split take one, n x n.  The operators are nonderogatory, so
+        the spectrum's commutant is sat(Z[T]), not a kernel."""
+        from divlat.divisibility import divisibility_spectrum, zero_plus_finite_order
+        from divlat.numberring import ZZ
+        from divlat.verifier import verify
+
+        operators = [IntMatrix.from_rows([[0, -1], [1, -1]]), IntMatrix.from_rows([[2, 1], [1, 1]]),
+                     IntMatrix.from_rows([[3, 1], [0, 2]]), exactalg.companion_matrix((1, -2, 0, 1))]
+        steps, hnfs = counting_calls(monkeypatch, exactalg._kernel_and_image, exactalg.hnf)
+        for T in operators:
+            n = T.rows
+            for run in (lambda: verify(ZZ, None, T, None, ((2, T),)), lambda: zero_plus_finite_order(T)):
+                steps.clear()
+                hnfs.clear()
+                run()
+                assert (steps, hnfs) == ([], []), T
+            steps.clear()
+            divisibility_spectrum(T, 3, 1)
+            assert steps == [], T
+            for decide in (fitting_decompose, clean_split):
+                hnfs.clear()
+                decide(T)
+                assert [(M.rows, M.cols) for M, in hnfs] == [(n, n)], T

@@ -99,8 +99,10 @@ class TestDescriptors:
             Geometric(1)
         with pytest.raises(ValueError):
             Residue(3, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the exponent set is empty$"):
             FiniteSet(())
+        with pytest.raises(ValueError, match="^elements must be positive integers$"):
+            FiniteSet((0, 2))
 
     def test_contains(self):
         assert Geometric(2, 3).contains(12)
