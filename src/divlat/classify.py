@@ -19,10 +19,18 @@ det T != 0 the first step needs no such form: ker T = 0 and
 lattice, and im T, when its basis is read, is the n x n Hermite form of
 T^t.
 
+The split T = 0 (+) (T on im T) needs no lattice where only its facts are
+read.  With k = rank ker T, off one fraction-free elimination of T, T
+induces 0 on Q^n / im T, so chi_T = x^k chi_M for M = T on im T.  M is
+then read off chi_M: |det M| = [Z^n : ker T (+) im T], 0 when the two
+meet; M is semisimple when rad(chi_M)(T) T = 0; its order d is
+re-verified as T^(d+1) = T.  Only Fitting's split, which prints its
+lattices, builds them.
+
 _Invariants is the one analysis of an operator: it checks the operator
 once, and also holds the split T = 0 (+) (T on im T) at the first step and
-at the stable exponent, one FittingSplit record each, the analysis of that
-image part and the commutant, which verify, fitting, the certificates, the
+at the stable exponent, one FittingSplit record each, the image part's
+facts and the commutant, which verify, fitting, the certificates, the
 root search and the divisibility spectrum read.
 """
 from __future__ import annotations
@@ -34,8 +42,8 @@ from itertools import chain
 from math import lcm
 
 from .exactalg import (IntMatrix, Lattice, QMatrix, _cyclotomic_indices, _identity, _kernel_and_image, _saturation,
-                       _tuple_mul, _zdivmod, _zgcd, _zradical, char_poly, cyclotomic, hnf, kernel_saturated,
-                       restrict_to_lattice)
+                       _tuple_det, _tuple_mul, _tuple_rank_profile, _zdivmod, _zgcd, _zradical, char_poly, cyclotomic,
+                       hnf, kernel_saturated, restrict_to_lattice)
 from .primes import prime_factors
 
 
@@ -75,15 +83,16 @@ class _Invariants:
     det, chi and its radical r (ascending int tuples), semisimplicity
     (r(T) = 0), the cyclotomic factorization of chi and whether T is
     torsion-spectral, the order, the split
-    T = 0 (+) (T on im T) at Fitting's first and stable exponents, the first
-    split's determinant alone (split_det, which for det T != 0 builds no
-    lattice), the image part's analysis, the commutant, and the powers of
-    T, off one ladder of squares T, T^2, T^4, ...  The constructor checks
-    that T is square and, given a module, that T commutes with its ring
-    action; 0x0 is valid.
-    Each invariant, and each square of the ladder, is computed on first
-    use, at most once per instance; an analysis builds one instance and
-    reads everything off it."""
+    T = 0 (+) (T on im T) at Fitting's first and stable exponents, the facts
+    of the image part M = T on im T that verify and the divisibility
+    spectrum read (split_det, chi, det, semisimplicity and order of M, all
+    read off chi_T and T with no lattice built), the commutant, and the
+    powers of T, off one ladder of squares T, T^2, T^4, ...  The
+    constructor checks that T is square and, given a module, that T
+    commutes with its ring action; 0x0 is valid.
+    Each invariant, each square of the ladder and each power is computed
+    on first use, at most once per instance; an analysis builds one
+    instance and reads everything off it."""
 
     def __init__(self, T, module=None):
         if not T.is_square:
@@ -93,14 +102,20 @@ class _Invariants:
         self.T = T
         self.module = module
         self._ladder = [T]  # T^(2^i) at index i
+        self._powers = {}  # T^k by k
 
     def power(self, k: int) -> IntMatrix:
         """T^k for k >= 0: the product of the ladder squares T^(2^i) over the
-        bits of k, the ladder extended by squaring its top as needed."""
-        while len(self._ladder) < k.bit_length():
-            self._ladder.append(self._ladder[-1] * self._ladder[-1])
-        factors = [square for i, square in enumerate(self._ladder) if k >> i & 1]
-        return reduce(IntMatrix.__mul__, factors) if factors else IntMatrix.identity(self.T.rows)
+        bits of k, the ladder extended by squaring its top as needed, kept
+        by k."""
+        power = self._powers.get(k)
+        if power is None:
+            while len(self._ladder) < k.bit_length():
+                self._ladder.append(self._ladder[-1] * self._ladder[-1])
+            factors = [square for i, square in enumerate(self._ladder) if k >> i & 1]
+            power = reduce(IntMatrix.__mul__, factors) if factors else IntMatrix.identity(self.T.rows)
+            self._powers[k] = power
+        return power
 
     @cached_property
     def det(self) -> int:
@@ -140,15 +155,19 @@ class _Invariants:
         eigenvalue: the lcm d of the cyclotomic indices of a semisimple
         operator, re-verified as T^d = I and checked minimal as T^(d/p) != I
         for each prime p | d, every power exact and read off the ladder."""
-        T = self.T
         if self.factorization is None or not self.semisimple:
             return None
-        d = lcm(*(k for k, _ in self.factorization))
-        eye = IntMatrix.identity(T.rows)
-        if self.power(d) != eye:
+        return self._checked_order(self.factorization, 0)
+
+    def _checked_order(self, factorization, shift: int) -> int:
+        """The lcm d of the indices of a cyclotomic factorization,
+        re-verified as T^(d + shift) = T^shift and checked minimal as
+        T^(d/p + shift) != T^shift for each prime p | d."""
+        d, target = lcm(*(k for k, _ in factorization)), self.power(shift)
+        if self.power(d + shift) != target:
             raise AssertionError("candidate order failed re-verification")
         for p in prime_factors(d):
-            if self.power(d // p) == eye:
+            if self.power(d // p + shift) == target:
                 raise AssertionError("candidate order not minimal")
         return d
 
@@ -176,11 +195,12 @@ class _Invariants:
 
     @cached_property
     def split_det(self) -> int:
-        """split.det, +-[Z^n : ker T (+) im T] or 0 when ker T and im T meet,
-        so the split is direct exactly when it is +-1.  For det T != 0 it is
-        |det T|, as ker T = 0 and [Z^n : im T] = |det T| (Cohen, GTM 138,
-        2.4): no lattice is built."""
-        return abs(self.det) if self.det else self.split.det
+        """|split.det| = [Z^n : ker T (+) im T], or 0 when ker T and im T
+        meet, so the split is direct exactly when it is 1: |det M| for M
+        the matrix of T on im T, as T maps Z^n / ker T onto im T
+        (FittingSplit.restriction_invertible).  For det T != 0 it is
+        |det T| (Cohen, GTM 138, 2.4).  No lattice is built."""
+        return abs(self.image_det)
 
     @cached_property
     def fitting(self) -> FittingSplit:
@@ -205,31 +225,68 @@ class _Invariants:
         return split
 
     @cached_property
-    def image_part(self) -> _Invariants:
-        """The analysis of the matrix M of T on im T.  For det T != 0 it is
-        self: in the basis Te_1, ..., Te_n of im T the restriction is T
-        itself, so M is GL_n(Z)-conjugate to T and shares its det, chi,
-        order and semisimplicity, all that is read off the image part.
-        Else T maps Q^n into im T, so it induces 0 on the quotient and
-        chi_T = x^k chi_M, k = rank ker T: chi_M is chi_T without that
-        factor, once its k low coefficients are checked to be 0 and it
-        agrees with tr M and det M."""
+    def image_chi(self) -> tuple[int, ...]:
+        """chi_M for M the matrix of T on im T, read off chi_T: T maps Q^n
+        into im T, so it induces 0 on the quotient and chi_T = x^k chi_M,
+        k = n - r, r = rank T.  For det T != 0 it is chi_T.  Else r, and row
+        and column sets I and J with T[I, J] nonsingular, come from one
+        fraction-free elimination of T, and chi_T is checked to have k zero
+        low coefficients and -tr T next to its leading one, and against
+        det (T^2)[I, J] = (-1)^r chi_T(k) det T[I, J]: with C = T[:, J], a
+        Q-basis of im T, T C = C M' for an M' similar to M over Q, whose
+        rows I read T[I, :] T[:, J] = T[I, J] M'."""
+        T, n, chi = self.T, self.T.rows, self.chi
         if self.det:
-            return self
-        M = self.split.restriction
-        part, k, m = _Invariants(M), self.split.gen_kernel.rank, M.rows
-        chi = self.chi[k:]
-        if any(self.chi[:k]) or (m and (chi[-2] != -M.trace() or chi[0] != (-1) ** m * part.det)):
-            raise AssertionError("chi of the image part disagrees with its trace or determinant")
-        part.chi = chi
-        return part
+            return chi
+        r, I, J = _tuple_rank_profile(T.entries, n, n)
+        k = n - r
+        if any(chi[:k]):
+            raise AssertionError(f"chi of the image part: x^{k} does not divide chi_T, k = rank ker T")
+        if chi[-2] != -T.trace():
+            raise AssertionError("chi of the image part: chi_T disagrees with the trace of T")
+        rows_I = tuple(x for i in I for x in T.row(i))
+        columns_J = tuple(T[i, j] for i in range(n) for j in J)
+        minor = _tuple_det(tuple(T[i, j] for i in I for j in J), r)
+        if not minor or _tuple_det(_tuple_mul(rows_I, columns_J, r, n, r), r) != (-1) ** r * chi[k] * minor:
+            raise AssertionError("chi of the image part: chi_T disagrees with det (T^2)[I, J] / det T[I, J]")
+        return chi[k:]
+
+    @cached_property
+    def image_det(self) -> int:
+        """det M = (-1)^r chi_M(0), r = rank T: det T when det T != 0."""
+        return self.det or (-1) ** (len(self.image_chi) - 1) * self.image_chi[0]
+
+    @cached_property
+    def image_semisimple(self) -> bool:
+        """Whether M is semisimple: semisimple when det T != 0.  Else when
+        chi_M is squarefree, or else when rad(chi_M)(T) T = 0, as the
+        columns of T span im T."""
+        if self.det:
+            return self.semisimple
+        radical = _zradical(self.image_chi)
+        return radical == self.image_chi or (_scaled_eval(radical, self.T)[1] * self.T).is_zero()
+
+    @cached_property
+    def image_order(self) -> int | None:
+        """The order of M, or None for infinite order or a zero eigenvalue:
+        order when det T != 0.  Else the lcm d of the cyclotomic indices of
+        chi_M for a semisimple M, re-verified in the matrix ring as
+        T^(d+1) = T, which is M^d = I on the columns of T, and checked
+        minimal as T^(d/p+1) != T for each prime p | d."""
+        if self.det:
+            return self.order
+        chi = self.image_chi
+        factorization = _cyclotomic_factorization(chi) if abs(chi[0]) == 1 else None
+        if factorization is None or not self.image_semisimple:
+            return None
+        return self._checked_order(factorization, 1)
 
     @cached_property
     def zero_plus_order(self) -> int | None:
-        """The order of the invertible part when T is zero plus an
-        invertible finite-order operator, else None: the split is read off
-        split_det, so for det T != 0 no lattice is built."""
-        return self.image_part.order if abs(self.split_det) == 1 else None
+        """The order of M when T is zero plus an invertible finite-order
+        operator, else None: the split and M's order are read off chi_T,
+        with no lattice built."""
+        return self.image_order if self.split_det == 1 else None
 
     @cached_property
     def gen_kernel_rank(self) -> int:

@@ -81,6 +81,35 @@ def _tuple_det(x, n: int) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _tuple_rank_profile(x, rows: int, cols: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(r, I, J) for a rows x cols integer entry tuple: its rank r and
+    ascending row and column index tuples I and J of length r whose minor
+    x[I, J] is nonsingular, by fraction-free Bareiss elimination (E. H.
+    Bareiss, Math. Comp. 22 (1968) 565-578) with row pivoting.  A column
+    with no pivot left is skipped; each entry after a step is a minor of x,
+    so every division is exact, and the pivot rows and columns give
+    x[I, J] an echelon form with nonzero diagonal."""
+    a = [list(x[i * cols : (i + 1) * cols]) for i in range(rows)]
+    origin, J, prev = list(range(rows)), [], 1
+    for j in range(cols):
+        r = len(J)
+        i0 = next((i for i in range(r, rows) if a[i][j]), None)
+        if i0 is None:
+            continue
+        a[r], a[i0], origin[r], origin[i0] = a[i0], a[r], origin[i0], origin[r]
+        top, pivot = a[r], a[r][j]
+        for row in a[r + 1 :]:
+            f = row[j]
+            for c in range(j + 1, cols):
+                row[c] = (row[c] * pivot - f * top[c]) // prev
+            row[j] = 0
+        prev = pivot
+        J.append(j)
+        if len(J) == rows:
+            break
+    return len(J), tuple(sorted(origin[: len(J)])), tuple(J)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial kernels.  A polynomial is an ascending tuple of coefficients
 # without trailing zeros; () is the zero polynomial.  The coefficients are

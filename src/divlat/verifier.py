@@ -134,8 +134,10 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     all_valid = all(c.valid for c in checks)
     has_valid = any(c.valid for c in checks)
 
-    # hypotheses, and clause 3: finite order d of the image part outside Pi_S.
-    d = inv.image_part.order
+    # hypotheses, and clause 3: finite order d of the image part M = T on
+    # im T outside Pi_S, read off chi_M = chi_T / x^k and verified as
+    # T^(d+1) = T, with no lattice built.
+    d = inv.image_order
     additive_ok = mult_ok = mult_trace = pset = coprime = None
     if S is None:
         notes.append("no exponent-set descriptor supplied; hypothesis checks skipped")
@@ -149,12 +151,12 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
             coprime = not any(pset.contains(p) for p in prime_factors(d))
     clause3 = Clause3(d, pset, coprime)
 
-    # clause 1: the split, read off its determinant alone (|det T| when
-    # det T != 0, with no lattice built), plus what the verified witnesses
-    # already force.  T induces on Z^n / ker T what it is on im T, so the
-    # quotient determinant is that of the image part.
-    split_det, g, qdet = inv.split_det, inv.gen_kernel_rank, inv.image_part.det
-    direct = abs(split_det) == 1
+    # clause 1: the split, read off its determinant alone, |det M| =
+    # |chi_T(k)|, k = rank ker T (|det T| when det T != 0), with no lattice
+    # built, plus what the verified witnesses already force.  T induces on
+    # Z^n / ker T what it is on im T, so the quotient determinant is det M.
+    split_det, g, qdet = inv.split_det, inv.gen_kernel_rank, inv.image_det
+    direct = split_det == 1
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)
     cond_det = abs(qdet) == 1 or any(c.valid and c.s >= qdet.bit_length() for c in checks)
     reason = ("Z^n = ker T (+) im T with invertible restriction" if direct
@@ -163,7 +165,7 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     clause1 = Clause1(direct, reason, cond_kernel and cond_det)
 
     # clause 2: semisimplicity of the restriction to the honest image.
-    clause2 = Clause2(inv.image_part.semisimple)
+    clause2 = Clause2(inv.image_semisimple)
 
     # clause 4: construct roots for a sample of exponents coprime to d.
     roots: tuple[ConstructedRoot, ...] = ()

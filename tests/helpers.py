@@ -7,12 +7,15 @@ and rational-invariants oracles, which build on the polynomial arithmetic
 over Q below, and the kernel predicate and kernel chain, which use rational
 ranks and minors only.  The exceptions are the image oracle and
 lattice_from_generators, which reduce with the library's Hermite form so
-that lattices compare entry-wise; diagonal_matrix, full_lattice,
-scalar_matrix, prime_set_is_infinite and primes_up_to, which build test
-inputs and have no caller in the library; and the seeded builders at the
-end (rand_matrix to seeded_fitting_operators, submodule among them),
-which make test inputs with the library's constructors, and the golden
-problem sets of the CLI (module_problems, large_problems, unit_rings).
+that lattices compare entry-wise; oracle_image_facts, which reads the image
+part of an operator by the library's lattice route, restriction and
+analysis, against the facts the analysis reads off chi_T; diagonal_matrix,
+full_lattice, scalar_matrix, prime_set_is_infinite and primes_up_to, which
+build test inputs and have no caller in the library; and the seeded
+builders at the end (rand_matrix to seeded_fitting_operators, submodule
+among them), which make test inputs with the library's constructors, and
+the golden problem sets of the CLI (module_problems, large_problems,
+unit_rings).
 time_limit bounds a test that could hang.
 Test modules share code only through this file: none imports another.
 """
@@ -237,6 +240,22 @@ def lattice_from_generators(ambient, gens):
 def image_oracle(T):
     """The honest image of an IntMatrix T: the HNF of its columns."""
     return lattice_from_generators(T.rows, [T.column(j) for j in range(T.cols)])
+
+
+def oracle_image_facts(T):
+    """(|split det|, det M, whether M is semisimple, the order of M or None)
+    for M the matrix of an IntMatrix T on im T, by the lattice route: ker T
+    and im T from the library's augmented Hermite form, the split's
+    determinant that of their stacked bases, M by restriction to the basis
+    of im T, and M's facts from a fresh analysis of M."""
+    from divlat.classify import _Invariants
+    from divlat.exactalg import IntMatrix, _kernel_and_image, restrict_to_lattice
+
+    kernel, image = _kernel_and_image(T)
+    n = T.rows
+    part = _Invariants(restrict_to_lattice(T, image))
+    split_det = abs(IntMatrix(n, n, kernel.basis.entries + image.basis.entries).det())
+    return split_det, part.det, part.semisimple, part.order
 
 
 def fitting_chain_oracle(T):

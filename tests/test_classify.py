@@ -16,15 +16,16 @@ from divlat.classify import (
     jordan_chevalley,
     roots_of_unity_spectrum,
 )
-from divlat.exactalg import IntMatrix, QMatrix, char_poly, companion_matrix, cyclotomic
+from divlat.exactalg import IntMatrix, QMatrix, _tuple_rank_profile, char_poly, companion_matrix, cyclotomic
 from divlat.corpus import KINDS, block_diagonal, conjugate, finite_order_matrix, gen_corpus
 from divlat.divisibility import impossibility_certificates
 from divlat.numberring import ZZ
 from divlat.primes import euler_phi
 from divlat.verifier import verify
-from helpers import (diagonal_matrix, frac_min_poly, min_poly_is_squarefree, newton_jordan_chevalley_oracle, qpoly_add,
-                     qpoly_divmod, qpoly_mul, qpoly_radical, rand_matrix, rand_unimodular, rational_invariants_oracle,
-                     seeded_operator)
+from divlat.serialize import problem_from_json
+from helpers import (diagonal_matrix, frac_det, frac_min_poly, frac_rank, min_poly_is_squarefree, module_problems,
+                     newton_jordan_chevalley_oracle, oracle_image_facts, qpoly_add, qpoly_divmod, qpoly_mul,
+                     qpoly_radical, rand_matrix, rand_unimodular, rational_invariants_oracle, seeded_operator)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
 
@@ -433,40 +434,108 @@ class TestPowerLadder:
         assert len(report.clause4.constructed_roots) == 4
         assert squared and len(set(squared)) == len(squared)
 
+    def test_a_power_is_kept_by_its_exponent(self, monkeypatch):
+        """power keeps T^k by k.  For a singular T = 0 (+) X, X of order 12,
+        the image part's order check multiplies T^13 out, and the coprime
+        root for the exponent 13, X = T^1 = T, reads it twice more, for the
+        precondition T^13 = T and as the root's own check X^13 = T, with
+        no further product."""
+        import divlat.exactalg as exactalg
+        from divlat.divisibility import _coprime_roots
+
+        U = rand_unimodular(random.Random(179), 6)
+        T = conjugate(block_diagonal([IntMatrix.zeros(2, 2), companion_matrix(cyclotomic(12))]), U)
+        inv = classify._Invariants(T)
+        assert inv.zero_plus_order == 12
+        products = []
+        tuple_mul = exactalg._tuple_mul
+
+        def counting(a, b, *shape):
+            products.append(a)
+            return tuple_mul(a, b, *shape)
+
+        monkeypatch.setattr(exactalg, "_tuple_mul", counting)
+        assert _coprime_roots(inv, 12, (13,)) == [(13, T)]
+        assert products == []
+
 
 class TestImagePart:
-    """chi of the image part is chi_T without its factor x^k."""
+    """The facts of the image part M = T on im T, read off chi_T and one
+    fraction-free elimination of T, against the lattice route."""
 
-    def operators(self):
+    def singular_operators(self):
+        """Seeded singular operators, n <= 8: zero, nilpotent, rank-deficient
+        products, 0 (+) X for X unimodular of finite order (a direct split),
+        0 (+) 2X (a proper sublattice), 0 (+) J_2(1) (+) X (direct, M not
+        semisimple) and J_2(0) (+) X (ker T meets im T), each conjugated by
+        a unimodular matrix."""
         rng = random.Random(157)
-        ops = [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2, 0], [0, 0]]),
-               diagonal_matrix([0, 0, 1, -1, 3])]
-        for n in range(2, 8):
+        J2 = IntMatrix.from_rows([[0, 1], [0, 0]])
+        ops = [IntMatrix.zeros(n, n) for n in (1, 2, 5, 8)]
+        for n in range(2, 9):
+            U = rand_unimodular(rng, n)
             ops.append(IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)))
             rank = rng.randint(1, n - 1)
             ops.append(IntMatrix(n, rank, tuple(rng.randint(-3, 3) for _ in range(n * rank)))
                        * IntMatrix(rank, n, tuple(rng.randint(-3, 3) for _ in range(rank * n))))
-            U = rand_unimodular(rng, n)
-            ops.append(conjugate(block_diagonal([IntMatrix.zeros(1, 1), rand_unimodular(rng, n - 1)]), U))
-        return ops
+            zeros = rng.randint(1, n - 1)
+            X = IntMatrix.from_rows(seeded_operator("finite-order", n - zeros, rng))
+            ops.append(conjugate(block_diagonal([IntMatrix.zeros(zeros, zeros), X]), U))
+            ops.append(conjugate(block_diagonal([IntMatrix.zeros(zeros, zeros), X * 2]), U))
+            if n >= 3:
+                Y = IntMatrix.from_rows(seeded_operator("random", n - 2, rng))
+                ops.append(conjugate(block_diagonal([J2, Y]), U))
+                ops.append(conjugate(block_diagonal([IntMatrix.zeros(1, 1), J2 + IntMatrix.identity(2),
+                                                     IntMatrix.identity(n - 3)]), U))
+        return [(T, None) for T in ops]
+
+    def module_operators(self):
+        """The singular operators of the module problems, over the regular
+        modules of ranks 1 and 2."""
+        problems = map(problem_from_json, module_problems())
+        return [(p["operator"], p["module"]) for p in problems if not p["operator"].det()]
 
     def test_chi_matches_a_direct_char_poly(self):
+        """chi_M, chi_T without its factor x^k, is the characteristic
+        polynomial of the restriction of T to the Hermite basis of im T."""
         kinds = set()
-        for T in self.operators():
-            inv = classify._Invariants(T)
-            part = inv.image_part
-            assert part is not inv and part.T.rows < T.rows, T
-            assert part.chi == char_poly(part.T), T
+        for T, module in self.singular_operators() + self.module_operators():
+            inv = classify._Invariants(T, module)
+            assert inv.image_chi == char_poly(inv.split.restriction), T
             kinds.add("split" if inv.split.is_direct else "not split")
             kinds.add("nilpotent" if not any(inv.chi[:-1]) else "not nilpotent")
         assert kinds == {"split", "not split", "nilpotent", "not nilpotent"}
 
+    def test_facts_match_the_restriction_oracle(self):
+        """split_det, image_det, image_semisimple and image_order against
+        helpers.oracle_image_facts, with chi_M = chi_T / x^k; the rank r and
+        the sets I and J of the elimination against a Fraction rank oracle,
+        T[I, J] nonsingular."""
+        kinds = set()
+        for T, module in self.singular_operators() + self.module_operators():
+            n = T.rows
+            inv = classify._Invariants(T, module)
+            facts = (inv.split_det, inv.image_det, inv.image_semisimple, inv.image_order)
+            assert facts == oracle_image_facts(T), T
+            r, I, J = _tuple_rank_profile(T.entries, n, n)
+            assert r == frac_rank(T.nested()) and len(I) == len(J) == r, T
+            assert list(I) == sorted(set(I)) and list(J) == sorted(set(J)), T
+            assert frac_det([[T[i, j] for j in J] for i in I]) != 0, T
+            assert inv.image_chi == inv.chi[n - r:], T
+            assert inv.zero_plus_order == (inv.image_order if inv.split_det == 1 else None), T
+            kinds.add((min(inv.split_det, 2), inv.image_semisimple, inv.image_order is not None,
+                       module is not None))
+        assert kinds == {(0, False, False, False), (0, True, False, False), (1, False, False, False),
+                         (1, True, False, True), (1, True, True, False), (1, True, True, True),
+                         (2, True, False, False), (2, True, False, True)}
+
     def test_an_injective_operator_is_its_own_image_part(self):
-        """For det T != 0 the image part's analysis is T's own: the
-        restriction M to the Hermite basis of im T is GL_n(Z)-conjugate to
-        T and agrees with it on det, order and semisimplicity.  The seeded
-        operators, n <= 6, are random, finite-order and a non-semisimple
-        2 (J_2(1) (+) X) for X finite-order, so that M != T for most."""
+        """For det T != 0 the image part's facts are T's own det,
+        semisimplicity and order, and chi_M is chi_T; they agree with the
+        restriction M to the Hermite basis of im T, which is
+        GL_n(Z)-conjugate to T.  The seeded operators, n <= 6, are random,
+        finite-order and a non-semisimple 2 (J_2(1) (+) X) for X
+        finite-order, so that M != T for most."""
         rng = random.Random(167)
         ops = []
         for n in range(1, 7):
@@ -480,11 +549,10 @@ class TestImagePart:
             inv = classify._Invariants(T)
             if not inv.det:
                 continue
-            M = inv.split.restriction
-            assert inv.image_part is inv, T
-            part = classify._Invariants(M)
-            assert (part.det, part.order, part.semisimple) == (inv.det, inv.order, inv.semisimple), T
-            moved += M != T
+            assert (inv.image_chi, inv.image_det, inv.image_semisimple, inv.image_order) == \
+                (inv.chi, inv.det, inv.semisimple, inv.order), T
+            assert (inv.split_det, inv.det, inv.semisimple, inv.order) == oracle_image_facts(T), T
+            moved += inv.split.restriction != T
             facts.add((inv.order is not None, inv.semisimple))
         assert moved >= 10
         assert facts == {(True, True), (False, True), (False, False)}
@@ -493,11 +561,48 @@ class TestImagePart:
                              ids=["low coefficient", "trace", "determinant"])
     def test_a_chi_disagreeing_with_the_image_part_raises(self, chi):
         """T = diag(0, 2, -1) has chi_T = x (x - 2)(x + 1) = (0, -2, -1, 1)
-        and image part diag(2, -1); each corrupted chi_T is refused."""
-        inv = classify._Invariants(diagonal_matrix([0, 2, -1]))
-        inv.chi = chi
-        with pytest.raises(AssertionError, match="chi of the image part"):
-            inv.image_part
+        and image part diag(2, -1); each corrupted chi_T is refused by
+        every fact of the image part."""
+        for fact in ("split_det", "image_det", "image_semisimple", "image_order", "zero_plus_order"):
+            inv = classify._Invariants(diagonal_matrix([0, 2, -1]))
+            inv.chi = chi
+            with pytest.raises(AssertionError, match="chi of the image part"):
+                getattr(inv, fact)
+
+    @pytest.mark.parametrize("corruption", ["rank one too low", "one column of J swapped"])
+    def test_a_wrong_elimination_raises_under_optimize(self, corruption):
+        """An elimination that reports the rank one too low, or J with its
+        last column swapped for the first column outside J, makes verify
+        raise on diag(0, 2, -1) and on a 4 x 4 nilpotent of rank 2, also
+        under python -O, where assert statements are stripped."""
+        code = textwrap.dedent(f"""
+            import divlat.classify as classify
+            from divlat.exactalg import IntMatrix, _tuple_rank_profile
+            from divlat.numberring import ZZ
+            from divlat.verifier import verify
+
+            def corrupted(x, rows, cols):
+                r, I, J = _tuple_rank_profile(x, rows, cols)
+                if {corruption!r} == "rank one too low":
+                    return r - 1, I[:-1], J[:-1]
+                return r, I, J[:-1] + (min(set(range(cols)) - set(J)),)
+
+            classify._tuple_rank_profile = corrupted
+            for rows in ([[0, 0, 0], [0, 2, 0], [0, 0, -1]],
+                         [[0, 4, 3, -2], [0, -2, -2, 2], [0, 1, 1, -1], [0, -1, -1, 1]]):
+                try:
+                    out = verify(ZZ, None, IntMatrix.from_rows(rows), None, ())
+                except AssertionError as e:
+                    print("raised", str(e).startswith("chi of the image part"))
+                else:
+                    print("returned", out.verdict)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[:2] == ["raised True"] * 2
 
 
 class TestClassifyReport:

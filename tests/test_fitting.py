@@ -283,8 +283,8 @@ class TestStableExponentFromChi:
         of [P^t | I] in place of m.  Over Z a split restricts T to its image
         only when its restriction is read: not before the first read, once
         however often it is read, whether or not the first step stops the
-        chain, and once per verify of a singular T: for det T != 0 the
-        image part's analysis is that of T itself."""
+        chain, and never in verify, which reads the image part's facts off
+        chi_T."""
         from divlat.numberring import ZZ
         from divlat.verifier import verify
 
@@ -306,9 +306,46 @@ class TestStableExponentFromChi:
             assert len(restrictions) == 1, T
             restrictions.clear()
             verify(ZZ, None, T, None, ())
-            assert len(restrictions) == (0 if T.det() else 1), T
+            assert restrictions == [], T
             stops_at_1.add(split.exponent_m == 1)
         assert stops_at_1 == {True, False}
+
+
+class TestSingularImagePart:
+    def test_no_lattice_for_the_image_part_of_a_singular_operator(self, monkeypatch):
+        """verify, divisibility_spectrum and zero_plus_finite_order on a
+        singular T read the image part off chi_T: they never take the
+        Hermite form of [T^t | I] nor restrict T to a lattice.
+        fitting_decompose still takes one such form per chain step, the
+        first and, past m = 1, the stable one, and restricts T once its
+        restriction is read.  The operators are nonderogatory, so the
+        spectrum's commutant is sat(Z[T]), not a kernel."""
+        from divlat.divisibility import divisibility_spectrum, zero_plus_finite_order
+        from divlat.numberring import ZZ
+        from divlat.verifier import verify
+
+        J4 = IntMatrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+        operators = [diagonal_matrix([0, 2, -1]), conjugate(J4, random_unimodular(4, random.Random(7), steps=8)),
+                     exactalg.companion_matrix((0, 1, 0, 1)), exactalg.companion_matrix((0, 1, 1, 1)),
+                     block_diagonal([IntMatrix.from_rows([[0, 1], [0, 0]]), IntMatrix.from_rows([[2]])]),
+                     block_diagonal([IntMatrix.zeros(1, 1), IntMatrix.from_rows([[0, -2], [2, -2]])])]
+        steps, restrictions = counting_calls(monkeypatch, exactalg._kernel_and_image, exactalg.restrict_to_lattice)
+        orders = set()
+        for T in operators:
+            assert not T.det(), T
+            for run in (lambda: verify(ZZ, None, T, None, ((2, T),)), lambda: zero_plus_finite_order(T),
+                        lambda: divisibility_spectrum(T, 3, 1)):
+                steps.clear()
+                restrictions.clear()
+                run()
+                assert (steps, restrictions) == ([], []), T
+            orders.add(zero_plus_finite_order(T))
+            steps.clear()
+            split = fitting_decompose(T)
+            assert len(steps) == (1 if split.exponent_m == 1 else 2) and restrictions == [], T
+            split.restriction
+            assert len(restrictions) == 1, T
+        assert orders == {None, 4, 3}
 
 
 class TestInvertibleSplit:

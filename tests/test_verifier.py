@@ -11,7 +11,7 @@ from divlat.serialize import canonical_dumps, problem_from_json, theorem_report_
 from divlat.supernat import AllFrom, FiniteSet, Geometric, PrimeSet, Residue
 from divlat.fitting import clean_split, fitting_decompose
 from divlat.verifier import verify
-from helpers import (diagonal_matrix, frac_quotient_det, image_oracle, is_saturated_kernel, module_problems,
+from helpers import (diagonal_matrix, frac_quotient_det, frac_rank, image_oracle, is_saturated_kernel, module_problems,
                      oracle_direct_and_full, oracle_intersection_rank, seeded_fitting_operators, seeded_operator,
                      time_limit)
 
@@ -56,10 +56,10 @@ class TestQuotientDeterminant:
             if rng.random() < 0.3:
                 rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             T = IntMatrix.from_rows(rows)
-            assert _Invariants(T).image_part.det == frac_quotient_det(rows), rows
+            assert _Invariants(T).image_det == frac_quotient_det(rows), rows
         for problem in map(problem_from_json, module_problems()):
             T = problem["operator"]
-            assert _Invariants(T, problem["module"]).image_part.det == frac_quotient_det(T.nested()), T
+            assert _Invariants(T, problem["module"]).image_det == frac_quotient_det(T.nested()), T
 
 
 class TestGeneralisedKernelRank:
@@ -85,9 +85,9 @@ class TestGeneralisedKernelRank:
 
 
 class TestCharacteristicPolynomialOnce:
-    """For |det T| = 1 the restriction to the image is T itself, so the
-    kernel invariants, the image part and its order share one chi; for a
-    singular T the image part's chi is read off chi_T."""
+    """For det T != 0 the image part's facts are T's own, so the kernel
+    invariants, the image part and its order share one chi; for a singular
+    T the image part's chi is chi_T without its factor x^k, k = rank ker T."""
 
     T = IntMatrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 2, 1]])
 
@@ -124,7 +124,8 @@ class TestCharacteristicPolynomialOnce:
             calls.clear()
             verify(ZZ, None, T, Geometric(2, 1), [])
             assert calls == [T]
-            assert _Invariants(T).image_part.T != T
+            inv = _Invariants(T)
+            assert inv.image_chi == inv.chi[T.rows - frac_rank(T.nested()):] and len(inv.image_chi) <= T.rows
 
     def test_one_char_poly_per_spectrum(self, monkeypatch):
         """The zero-plus-finite-order structure and every search of the
