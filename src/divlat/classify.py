@@ -5,7 +5,13 @@ rad(chi)(T) = 0 (at once for a squarefree chi, as chi(T) = 0 holds by
 Cayley-Hamilton), root-of-unity spectra via exhaustive cyclotomic trial
 division of chi (no numerics: the candidate list with phi(k) <= n is
 provably complete) and finite orders.  In Q[x]/(chi): the exact
-semisimple-plus-nilpotent splitting by Newton iteration.
+semisimple-plus-nilpotent splitting by Newton iteration, its parts int
+matrices when no denominator arises.
+
+A claim p(T) != 0 is first tried on the one vector v = (1, ..., n): a
+nonzero p(T) v proves it with matrix-vector products only, and only a
+claimed zero is multiplied out in full.  So a non-semisimple T is told
+apart by r(T) v != 0.
 
 Fitting's kernel chain is read one step at a time: for P = T^m, ker P and
 im P from one Hermite form and the determinant of their stacked bases,
@@ -17,11 +23,13 @@ not be direct summands, so this is a real test, not an assumption.  For
 det T != 0 the first step needs no such form: ker T = 0 and
 [Z^n : im T] = |det T|, so that determinant is |det T|, read without a
 lattice, and im T, when its basis is read, is the n x n Hermite form of
-T^t.
+T^t.  For a singular T the chain is entered at the least m_v with
+T^m_v h(T) v = 0, chi = x^g h, where it typically stops: one Hermite form.
 
 The split T = 0 (+) (T on im T) needs no lattice where only its facts are
-read.  With k = rank ker T, off one fraction-free elimination of T, T
-induces 0 on Q^n / im T, so chi_T = x^k chi_M for M = T on im T.  M is
+read.  With k = rank ker T, off one fraction-free elimination of T and
+certified by k vectors T kills, T induces 0 on Q^n / im T, so
+chi_T = x^k chi_M for M = T on im T.  M is
 then read off chi_M: |det M| = [Z^n : ker T (+) im T], 0 when the two
 meet; M is semisimple when rad(chi_M)(T) T = 0; its order d is
 re-verified as T^(d+1) = T.  Only Fitting's split, which prints its
@@ -40,10 +48,11 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 from math import lcm
+from operator import mul
 
 from .exactalg import (IntMatrix, Lattice, QMatrix, _cyclotomic_indices, _identity, _kernel_and_image, _saturation,
-                       _tuple_det, _tuple_mul, _tuple_rank_profile, _zdivmod, _zgcd, _zradical, char_poly, cyclotomic,
-                       hnf, kernel_saturated, restrict_to_lattice)
+                       _poly_apply, _tuple_det, _tuple_mul, _tuple_rank_profile, _zdivmod, _zgcd, _zradical, char_poly,
+                       cyclotomic, hnf, kernel_saturated, restrict_to_lattice)
 from .primes import prime_factors
 
 
@@ -132,8 +141,13 @@ class _Invariants:
 
     @cached_property
     def semisimple(self) -> bool:
-        if self.radical == self.chi:  # squarefree: r(T) = chi(T) = 0 by Cayley-Hamilton
+        """r(T) = 0: at once for a squarefree chi, as r(T) = chi(T) = 0 by
+        Cayley-Hamilton; False when r(T) v != 0 for v = (1, ..., n), read
+        with matrix-vector products only; else r(T) multiplied out."""
+        if self.radical == self.chi:
             return True
+        if any(_poly_apply(self.radical, self.T, range(1, self.T.rows + 1))):
+            return False
         return _scaled_eval(self.radical, self.T)[1].is_zero()
 
     @cached_property
@@ -169,6 +183,8 @@ class _Invariants:
         for p in prime_factors(d):
             if self.power(d // p + shift) == target:
                 raise AssertionError("candidate order not minimal")
+        if not shift:  # T^d = I, so T^(d+1) = T: the coprime roots' precondition needs no product
+            self._powers.setdefault(d + 1, self.T)
         return d
 
     def _split_at(self, m: int) -> FittingSplit:
@@ -205,21 +221,32 @@ class _Invariants:
     @cached_property
     def fitting(self) -> FittingSplit:
         """The split at the exponent m where the chain stabilizes, is_direct
-        reported, never presumed: split itself when the first step's
-        determinant is nonzero.  Else, with chi = x^g h and h(0) != 0, h(T)
-        is 0 on the invertible part and invertible on the generalised
-        kernel, so m is the least m >= 1 with T^m h(T) = 0, at most g."""
-        T, split = self.T, self.split
-        if not split.det:
-            g, m = self.gen_kernel_rank, 1
-            P = T * _scaled_eval(self.chi[g:], T)[1]
-            while not P.is_zero():
-                P, m = T * P, m + 1
+        reported, never presumed: split itself when det T != 0.  Else, with
+        chi = x^g h and h(0) != 0, h(T) is 0 on the invertible part, so
+        w = h(T) v, for v = (1, ..., n), lies in the generalised kernel, and
+        the least m_v with T^m_v w = 0 is at most the stable exponent, which
+        is at most g.  The chain is read from m = max(m_v, 1) up to the first
+        step with a nonzero determinant, the stability certificate.  Below
+        it, T^(m_v - 1) w != 0 or the zero determinant one step down shows
+        that the chain still grows.  Only matrix-vector products reach m_v;
+        typically m = m_v, one chain step."""
+        T = self.T
+        if self.det:
+            split = self.split
+        else:
+            g = self.gen_kernel_rank
+            w, m = _poly_apply(self.chi[g:], T, range(1, T.rows + 1)), 0
+            while any(w):
+                w, m = T.apply(w), m + 1
                 if m > g:
                     raise AssertionError("kernel chain failed to stabilize within g steps")
-            split = self._split_at(m)
-            if not split.det:
-                raise AssertionError("kernel chain not stable at the exponent read off chi")
+            m = max(m, 1)
+            split = self.split if m == 1 else self._split_at(m)
+            while not split.det:
+                m += 1
+                if m > g:
+                    raise AssertionError("kernel chain failed to stabilize within g steps")
+                split = self._split_at(m)
         if not all(split.gen_kernel.contains(T.apply(v)) for v in split.gen_kernel.basis.nested()):
             raise AssertionError("kernel part not invariant")
         return split
@@ -234,11 +261,15 @@ class _Invariants:
         low coefficients and -tr T next to its leading one, and against
         det (T^2)[I, J] = (-1)^r chi_T(k) det T[I, J]: with C = T[:, J], a
         Q-basis of im T, T C = C M' for an M' similar to M over Q, whose
-        rows I read T[I, :] T[:, J] = T[I, J] M'."""
+        rows I read T[I, :] T[:, J] = T[I, J] M'.  The nonsingular minor
+        shows rank T >= r; rank T <= r is shown by k vectors T kills,
+        multiplied out in full: for each column j outside J, the solution of
+        the echelon rows by back-substitution with det T[I, J] at j and 0 at
+        the other columns outside J."""
         T, n, chi = self.T, self.T.rows, self.chi
         if self.det:
             return chi
-        r, I, J = _tuple_rank_profile(T.entries, n, n)
+        r, I, J, echelon = _tuple_rank_profile(T.entries, n, n)
         k = n - r
         if any(chi[:k]):
             raise AssertionError(f"chi of the image part: x^{k} does not divide chi_T, k = rank ker T")
@@ -249,6 +280,16 @@ class _Invariants:
         minor = _tuple_det(tuple(T[i, j] for i in I for j in J), r)
         if not minor or _tuple_det(_tuple_mul(rows_I, columns_J, r, n, r), r) != (-1) ** r * chi[k] * minor:
             raise AssertionError("chi of the image part: chi_T disagrees with det (T^2)[I, J] / det T[I, J]")
+        for j in sorted(set(range(n)) - set(J)):
+            v = [0] * n
+            v[j] = minor
+            for row, pivot in zip(reversed(echelon), reversed(J)):
+                if not row[pivot]:
+                    raise AssertionError("chi of the image part: an echelon row of T has a zero pivot")
+                v[pivot] = -sum(map(mul, row[pivot + 1 :], v[pivot + 1 :])) // row[pivot]
+            if any(T.apply(v)):
+                raise AssertionError(f"chi of the image part: T does not kill the kernel vector of column {j}, "
+                                     f"so rank T is not {r}")
         return chi[k:]
 
     @cached_property
@@ -260,11 +301,16 @@ class _Invariants:
     def image_semisimple(self) -> bool:
         """Whether M is semisimple: semisimple when det T != 0.  Else when
         chi_M is squarefree, or else when rad(chi_M)(T) T = 0, as the
-        columns of T span im T."""
+        columns of T span im T: False at once when rad(chi_M)(T) T v != 0
+        for v = (1, ..., n), read with matrix-vector products only."""
         if self.det:
             return self.semisimple
         radical = _zradical(self.image_chi)
-        return radical == self.image_chi or (_scaled_eval(radical, self.T)[1] * self.T).is_zero()
+        if radical == self.image_chi:
+            return True
+        if any(self.T.apply(_poly_apply(radical, self.T, range(1, self.T.rows + 1)))):
+            return False
+        return (_scaled_eval(radical, self.T)[1] * self.T).is_zero()
 
     @cached_property
     def image_order(self) -> int | None:
@@ -400,6 +446,8 @@ def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
         raise AssertionError("nilpotent part is not nilpotent")
     if DS * DN != DN * DS:
         raise AssertionError("parts do not commute")
+    if D == 1:
+        return QMatrix(n, n, DS.entries), QMatrix(n, n, DN.entries)
     return (QMatrix(n, n, tuple(Fraction(e, D) for e in DS.entries)),
             QMatrix(n, n, tuple(Fraction(e, D) for e in DN.entries)))
 

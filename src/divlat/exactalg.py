@@ -81,14 +81,16 @@ def _tuple_det(x, n: int) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _tuple_rank_profile(x, rows: int, cols: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(r, I, J) for a rows x cols integer entry tuple: its rank r and
+def _tuple_rank_profile(x, rows: int, cols: int) -> tuple[int, tuple[int, ...], tuple[int, ...], list[list[int]]]:
+    """(r, I, J, U) for a rows x cols integer entry tuple: its rank r,
     ascending row and column index tuples I and J of length r whose minor
-    x[I, J] is nonsingular, by fraction-free Bareiss elimination (E. H.
-    Bareiss, Math. Comp. 22 (1968) 565-578) with row pivoting.  A column
-    with no pivot left is skipped; each entry after a step is a minor of x,
-    so every division is exact, and the pivot rows and columns give
-    x[I, J] an echelon form with nonzero diagonal."""
+    x[I, J] is nonsingular, and the r echelon rows U, row k zero left of its
+    nonzero pivot in column J[k], spanning the rows I of x over Q, by
+    fraction-free Bareiss elimination (E. H. Bareiss, Math. Comp. 22 (1968)
+    565-578) with row pivoting.  A column with no pivot left is skipped;
+    each entry after a step is a minor of x, so every division is exact,
+    and the pivot rows and columns give x[I, J] an echelon form with
+    nonzero diagonal."""
     a = [list(x[i * cols : (i + 1) * cols]) for i in range(rows)]
     origin, J, prev = list(range(rows)), [], 1
     for j in range(cols):
@@ -107,7 +109,7 @@ def _tuple_rank_profile(x, rows: int, cols: int) -> tuple[int, tuple[int, ...], 
         J.append(j)
         if len(J) == rows:
             break
-    return len(J), tuple(sorted(origin[: len(J)])), tuple(J)
+    return len(J), tuple(sorted(origin[: len(J)])), tuple(J), a[: len(J)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +314,28 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class QMatrix(_Matrix):
-    """Dense matrix over the rationals (exact Fraction entries)."""
+    """Dense matrix over the rationals: exact int or Fraction entries, an
+    integer kept as an int.  1 == Fraction(1), and the two hash and print
+    alike, so equality, hashing and each entry's str do not depend on
+    which type an entry has."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[int | Fraction, ...]
 
     _scalars = (int, Fraction)
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
-        object.__setattr__(self, "entries", tuple(_frac(x) for x in self.entries))
+        if type(self.entries) is not tuple or not set(map(type, self.entries)) <= {int, Fraction}:
+            object.__setattr__(self, "entries", tuple(map(_frac, self.entries)))
 
     @classmethod
     def from_rows(cls, rows) -> "QMatrix":
         rows = [list(r) for r in rows]
         cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, tuple(_frac(x) for r in rows for x in r))
+        return cls(len(rows), cols, tuple(x for r in rows for x in r))
 
     @classmethod
     def from_int_matrix(cls, m: IntMatrix) -> "QMatrix":
@@ -348,7 +354,8 @@ class QMatrix(_Matrix):
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        # Fractions throughout: an int entry divided by an int is a float
+        aug = [[Fraction(x) for x in self.row(i)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         for col in range(n):
             pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
             if pivot is None:
@@ -608,15 +615,21 @@ def char_poly(T: IntMatrix) -> tuple[int, ...]:
     products.  chi(T) = 0 in full is not checked."""
     if not T.is_square:
         raise ValueError("char_poly requires a square matrix")
-    n, e = T.rows, T.entries
-    chi = _berkowitz(e, n)
-    rows = [e[i * n : (i + 1) * n] for i in range(n)]
-    v = w = range(1, n + 1)
-    for c in chi[-2::-1]:
-        w = [sum(map(mul, row, w)) + c * x for row, x in zip(rows, v)]
-    if any(w):
+    chi = _berkowitz(T.entries, T.rows)
+    if any(_poly_apply(chi, T, range(1, T.rows + 1))):
         raise AssertionError("chi(T) v != 0: the characteristic polynomial is wrong")
     return chi
+
+
+def _poly_apply(coeffs, T: IntMatrix, v) -> list[int]:
+    """p(T) v for p's ascending int coefficients, T square and an integer
+    vector v, by Horner's rule on the vector: deg p matrix-vector products
+    and no matrix product.  A nonzero p(T) v proves p(T) != 0."""
+    rows = [T.row(i) for i in range(T.rows)]
+    w = [coeffs[-1] * x for x in v] if coeffs else [0] * T.rows
+    for c in coeffs[-2::-1]:
+        w = [sum(map(mul, row, w)) + c * x for row, x in zip(rows, v)]
+    return w
 
 
 def _berkowitz(e, n: int) -> tuple[int, ...]:

@@ -196,11 +196,15 @@ def matrix_from_json(obj, what: str = "matrix", allow_rational: bool = False):
     return IntMatrix(rows, cols, tuple(int(v) for v in values))
 
 
-def _fraction_json(x: Fraction):
+def _fraction_json(x: int | Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def qmatrix_to_json(m: QMatrix) -> dict:
+    """An all-int QMatrix as matrix_to_json writes it; else each integral
+    entry as an int and each other one as a 'p/q' string."""
+    if set(map(type, m.entries)) <= {int}:
+        return {"rows": m.rows, "cols": m.cols, "entries": [list(m.row(i)) for i in range(m.rows)]}
     return {
         "rows": m.rows,
         "cols": m.cols,

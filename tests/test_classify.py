@@ -347,7 +347,9 @@ class TestAgainstRationalInvariantsOracle:
         """On semisimple operators the certificates, verify and
         classify_operator stay in Z[x]: they never enter the Newton step,
         classify's only arithmetic in Q[x]; a random 10x10 operator, whose
-        chi is squarefree, evaluates no r(T)."""
+        chi is squarefree, evaluates no r(T).  On J_2(1) r(T) v != 0 settles
+        semisimplicity, so the one polynomial evaluated in T is the Newton
+        step's S = p(T)."""
         calls = {"newton": 0, "inverse mod chi": 0, "r(T)": 0}
 
         def counting(name, impl):
@@ -371,7 +373,7 @@ class TestAgainstRationalInvariantsOracle:
         assert classify_operator(rand_matrix(rng, 10, 3)).semisimple
         assert calls == {"newton": 0, "inverse mod chi": 0, "r(T)": 0}
         assert not classify_operator(IntMatrix.from_rows([[1, 1], [0, 1]])).semisimple
-        assert calls == {"newton": 1, "inverse mod chi": 1, "r(T)": 2}
+        assert calls == {"newton": 1, "inverse mod chi": 1, "r(T)": 1}
 
     def test_broken_gcd_raises_under_optimize(self):
         """A gcd helper that hands back a polynomial not dividing chi makes
@@ -458,6 +460,75 @@ class TestPowerLadder:
         assert _coprime_roots(inv, 12, (13,)) == [(13, T)]
         assert products == []
 
+    def test_a_verified_order_records_the_next_power(self, monkeypatch):
+        """Once order has verified T^d = I for an invertible T of order
+        d = 12, T^13 is kept as T, so the coprime root for the exponent 13,
+        X = T, reads its precondition T^13 = T and its own check X^13 = T
+        with no product."""
+        import divlat.exactalg as exactalg
+        from divlat.divisibility import _coprime_roots
+
+        T = conjugate(companion_matrix(cyclotomic(12)), rand_unimodular(random.Random(181), 4))
+        inv = classify._Invariants(T)
+        assert inv.order == 12 and inv.power(13) is T
+        products = []
+        tuple_mul = exactalg._tuple_mul
+
+        def counting(a, b, *shape):
+            products.append(a)
+            return tuple_mul(a, b, *shape)
+
+        monkeypatch.setattr(exactalg, "_tuple_mul", counting)
+        assert _coprime_roots(inv, 12, (13,)) == [(13, T)]
+        assert products == []
+
+
+class TestVectorCertificates:
+    """A claim p(T) != 0 is settled by one vector v = (1, ..., n) with
+    p(T) v != 0: matrix-vector products, no polynomial in T multiplied
+    out."""
+
+    def test_no_polynomial_in_t_is_multiplied_out(self, monkeypatch):
+        """fitting on nilpotent operators, semisimple on non-semisimple
+        ones and image_semisimple on singular ones whose image part is not
+        semisimple never call _scaled_eval."""
+        calls = []
+        scaled_eval = classify._scaled_eval
+        monkeypatch.setattr(classify, "_scaled_eval", lambda *args: calls.append(args) or scaled_eval(*args))
+        rng = random.Random(191)
+        nilpotent = [IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)) for n in range(4, 13)]
+        J2 = IntMatrix.from_rows([[1, 1], [0, 1]])
+        unipotent = [conjugate(block_diagonal([J2, IntMatrix.identity(k)]), rand_unimodular(rng, k + 2))
+                     for k in range(4)]
+        singular = [conjugate(block_diagonal([IntMatrix.zeros(k, k), J2]), rand_unimodular(rng, k + 2))
+                    for k in range(1, 4)]
+        for T in nilpotent:
+            inv = classify._Invariants(T)
+            assert inv.fitting.exponent_m >= 2 and not inv.semisimple and not inv.image_semisimple, T
+        for T in unipotent:
+            assert not classify._Invariants(T).semisimple, T
+        for T in singular:
+            inv = classify._Invariants(T)
+            assert not inv.image_semisimple and inv.fitting.exponent_m == 1, T
+        assert calls == []
+
+    def test_a_zero_vector_falls_back_to_the_full_product(self, monkeypatch):
+        """When r(T) v = 0 the matrix r(T) is still multiplied out, once:
+        T = J_2(1) (+) (1) and the singular S = 0 (+) J_2(1), each
+        conjugated so that v = (1, 2, 3) is a fixed vector, stay
+        non-semisimple."""
+        calls = []
+        scaled_eval = classify._scaled_eval
+        monkeypatch.setattr(classify, "_scaled_eval", lambda *args: calls.append(args) or scaled_eval(*args))
+        T = conjugate(IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                      IntMatrix.from_rows([[1, 0, 0], [2, 1, 0], [3, 0, 1]]))  # v = U e1
+        S = conjugate(IntMatrix.from_rows([[0, 0, 0], [0, 1, 1], [0, 0, 1]]),
+                      IntMatrix.from_rows([[0, 1, 0], [1, 2, 0], [0, 3, 1]]))  # v = U e2
+        for X in (T, S):
+            assert X.apply((1, 2, 3)) == (1, 2, 3), X
+        assert not classify._Invariants(T).semisimple and len(calls) == 1
+        assert not classify._Invariants(S).image_semisimple and len(calls) == 2
+
 
 class TestImagePart:
     """The facts of the image part M = T on im T, read off chi_T and one
@@ -517,7 +588,7 @@ class TestImagePart:
             inv = classify._Invariants(T, module)
             facts = (inv.split_det, inv.image_det, inv.image_semisimple, inv.image_order)
             assert facts == oracle_image_facts(T), T
-            r, I, J = _tuple_rank_profile(T.entries, n, n)
+            r, I, J, _ = _tuple_rank_profile(T.entries, n, n)
             assert r == frac_rank(T.nested()) and len(I) == len(J) == r, T
             assert list(I) == sorted(set(I)) and list(J) == sorted(set(J)), T
             assert frac_det([[T[i, j] for j in J] for i in I]) != 0, T
@@ -582,10 +653,10 @@ class TestImagePart:
             from divlat.verifier import verify
 
             def corrupted(x, rows, cols):
-                r, I, J = _tuple_rank_profile(x, rows, cols)
+                r, I, J, U = _tuple_rank_profile(x, rows, cols)
                 if {corruption!r} == "rank one too low":
-                    return r - 1, I[:-1], J[:-1]
-                return r, I, J[:-1] + (min(set(range(cols)) - set(J)),)
+                    return r - 1, I[:-1], J[:-1], U[:-1]
+                return r, I, J[:-1] + (min(set(range(cols)) - set(J)),), U
 
             classify._tuple_rank_profile = corrupted
             for rows in ([[0, 0, 0], [0, 2, 0], [0, 0, -1]],
@@ -603,6 +674,41 @@ class TestImagePart:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split("\n")[:2] == ["raised True"] * 2
+
+    def test_a_rank_one_too_low_raises_under_optimize(self):
+        """An elimination that drops its last pivot passes every check on
+        chi_T when chi_T(k + 1) and det (T^2)[I, J] are 0, as on nilpotent
+        operators; the kernel vector read off the echelon rows for the
+        dropped column is then not killed by T, so verify raises, also
+        under python -O, on the shift J_4 and on four seeded nilpotent
+        4 x 4 operators."""
+        operators = [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]]
+        operators += [seeded_operator("nilpotent", 4, random.Random(s)) for s in (1, 2, 4, 5)]
+        code = textwrap.dedent(f"""
+            import divlat.classify as classify
+            from divlat.exactalg import IntMatrix, _tuple_rank_profile
+            from divlat.numberring import ZZ
+            from divlat.verifier import verify
+
+            def dropped(x, rows, cols):
+                r, I, J, U = _tuple_rank_profile(x, rows, cols)
+                return r - 1, I[:-1], J[:-1], U[:-1]
+
+            classify._tuple_rank_profile = dropped
+            for rows in {operators!r}:
+                try:
+                    out = verify(ZZ, None, IntMatrix.from_rows(rows), None, ())
+                except AssertionError as e:
+                    print("raised", str(e).startswith("chi of the image part: T does not kill"))
+                else:
+                    print("returned", out.verdict)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[:5] == ["raised True"] * 5
 
 
 class TestClassifyReport:

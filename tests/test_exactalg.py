@@ -561,3 +561,34 @@ class TestIntMatrixValidation:
             with pytest.raises(TypeError) as err:
                 IntMatrix(1, 2, entries)
             assert str(err.value) == f"non-integer entry {bad!r}"
+
+
+class TestQMatrixEntries:
+    def test_int_and_fraction_entries_compare_and_hash_alike(self):
+        """Integers stay ints; a matrix of Fractions equal to them is
+        equal, hashes alike and prints each entry alike."""
+        ints = QMatrix(2, 2, (1, -2, 10 ** 30, 0))
+        fractions = QMatrix(2, 2, tuple(map(Fraction, ints.entries)))
+        assert ints.entries == (1, -2, 10 ** 30, 0) and {type(x) for x in ints.entries} == {int}
+        assert {type(x) for x in fractions.entries} == {Fraction}
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert [str(x) for x in ints.entries] == [str(x) for x in fractions.entries]
+        assert QMatrix.from_rows([[1, Fraction(1, 2)]]).entries == (1, Fraction(1, 2))
+        assert QMatrix(1, 2, [3, 4]).entries == (3, 4)  # a list is stored as a tuple
+
+    def test_inverse_of_int_entries_is_exact(self):
+        for rows in ([[2, 1], [1, 1]], [[2, 0], [0, 4]], [[0, 3, 1], [1, 0, 2], [2, 1, 0]]):
+            Q = QMatrix.from_rows(rows)
+            inverse = Q.inverse()
+            assert all(isinstance(x, (int, Fraction)) for x in inverse.entries), rows
+            assert Q * inverse == QMatrix.identity(len(rows)) == inverse * Q, rows
+        assert QMatrix.from_rows([[2, 0], [0, 4]]).inverse().entries == (Fraction(1, 2), 0, 0, Fraction(1, 4))
+
+    def test_bool_and_float_entries_are_rejected(self):
+        for bad, entries in ((True, (1, True)), (False, (Fraction(1, 2), False)), (0.5, (0.5, 1)),
+                             ("1", (1, "1"))):
+            with pytest.raises(TypeError) as err:
+                QMatrix(1, 2, entries)
+            assert str(err.value) == f"non-rational entry {bad!r}"
+            with pytest.raises(TypeError):
+                QMatrix.from_rows([entries])

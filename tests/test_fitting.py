@@ -277,10 +277,10 @@ class TestAgainstTheKernelChainOracle:
 
 
 class TestStableExponentFromChi:
-    def test_two_chain_steps_on_nilpotent_operators(self, monkeypatch):
-        """The stable exponent is read off chi, not walked: a nilpotent T
-        takes the first chain step and the step at T^m, two Hermite forms
-        of [P^t | I] in place of m.  Over Z a split restricts T to its image
+    def test_one_chain_step_on_nilpotent_operators(self, monkeypatch):
+        """The stable exponent is read off the orbit of h(T) v, not walked:
+        a nilpotent T takes the step at T^m alone, one Hermite form of
+        [P^t | I] in place of m.  Over Z a split restricts T to its image
         only when its restriction is read: not before the first read, once
         however often it is read, whether or not the first step stops the
         chain, and never in verify, which reads the image part's facts off
@@ -293,7 +293,7 @@ class TestStableExponentFromChi:
             steps.clear()
             restrictions.clear()
             split = fitting_decompose(T)
-            assert split.exponent_m >= 5 and len(steps) <= 2, (T, split.exponent_m, len(steps))
+            assert split.exponent_m >= 5 and steps == [(T ** split.exponent_m,)], (T, split.exponent_m, len(steps))
             assert restrictions == [], T
             assert split.restriction is split.restriction
             assert len(restrictions) == 1, T
@@ -311,14 +311,51 @@ class TestStableExponentFromChi:
         assert stops_at_1 == {True, False}
 
 
+class TestStableExponentFromOneOrbit:
+    """For a singular T, chi = x^g h: the chain is read from m_v, the least
+    i with T^i h(T) v = 0 for v = (1, ..., n), upward."""
+
+    def degenerate_orbits(self):
+        """(m, T) for operators whose orbit falls short of m or is empty:
+        [[0, 3, -2], [0, 0, 0], [0, 0, 0]] kills v, so m_v = 1 and m = 2;
+        [[1, 2], [2, 4]] has v as an eigenvector of eigenvalue 5, so
+        h(T) v = 0, m_v = 0 and m = 1; and J_2(0) (+) (2), conjugated so
+        that v is its eigenvector of eigenvalue 2, has m_v = 0 and m = 2."""
+        eigen_2 = conjugate(IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]]),
+                            IntMatrix.from_rows([[0, 0, 1], [1, 0, 2], [0, 1, 3]]))  # v = U e3
+        cases = [(2, IntMatrix.from_rows([[0, 3, -2], [0, 0, 0], [0, 0, 0]]), (0, 0, 0)),
+                 (1, IntMatrix.from_rows([[1, 2], [2, 4]]), (5, 10)), (2, eigen_2, (2, 4, 6))]
+        for m, T, image_of_v in cases:
+            assert T.apply(range(1, T.rows + 1)) == image_of_v, T
+        return [(m, T) for m, T, _ in cases]
+
+    def test_against_the_kernel_chain_oracle(self):
+        """m, ker T^m and im T^m against fitting_chain_oracle on seeded
+        operators up to n = 12, on module operators and on the degenerate
+        orbits."""
+        exponents = set()
+        problems = [(T, None) for T in seeded_fitting_operators(199, 120, n_max=12)]
+        problems += list(seeded_module_problems(211))
+        for m, T in self.degenerate_orbits():
+            assert fitting_decompose(T).exponent_m == m, T
+            problems.append((T, None))
+        for T, module in problems:
+            split = fitting_decompose(T, module=module)
+            m, power = fitting_chain_oracle(T)
+            assert (split.exponent_m, split.image_part) == (m, image_oracle(power)), T
+            assert is_saturated_kernel(power, split.gen_kernel), T
+            exponents.add(m)
+        assert {1, 2, 3, 9} <= exponents
+
+
 class TestSingularImagePart:
     def test_no_lattice_for_the_image_part_of_a_singular_operator(self, monkeypatch):
         """verify, divisibility_spectrum and zero_plus_finite_order on a
         singular T read the image part off chi_T: they never take the
         Hermite form of [T^t | I] nor restrict T to a lattice.
-        fitting_decompose still takes one such form per chain step, the
-        first and, past m = 1, the stable one, and restricts T once its
-        restriction is read.  The operators are nonderogatory, so the
+        fitting_decompose still takes one such form, of [(T^m)^t | I] at the
+        stable exponent m, which the orbit of h(T) v reaches with no form
+        (m_v = m), and restricts T once its restriction is read.  The operators are nonderogatory, so the
         spectrum's commutant is sat(Z[T]), not a kernel."""
         from divlat.divisibility import divisibility_spectrum, zero_plus_finite_order
         from divlat.numberring import ZZ
@@ -342,7 +379,7 @@ class TestSingularImagePart:
             orders.add(zero_plus_finite_order(T))
             steps.clear()
             split = fitting_decompose(T)
-            assert len(steps) == (1 if split.exponent_m == 1 else 2) and restrictions == [], T
+            assert steps == [(T ** split.exponent_m,)] and restrictions == [], T
             split.restriction
             assert len(restrictions) == 1, T
         assert orders == {None, 4, 3}

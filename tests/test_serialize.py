@@ -25,6 +25,7 @@ from divlat.serialize import (
     primeset_to_json,
     problem_from_json,
     problem_to_json,
+    qmatrix_to_json,
     ring_from_json,
     ring_to_json,
     sdescriptor_from_json,
@@ -104,6 +105,16 @@ class TestMatrixJson:
         assert M[0, 0] == Fraction(1, 2)
         with pytest.raises(InputError):
             matrix_from_json(obj)  # not allowed by default
+
+    def test_qmatrix_with_int_entries_is_written_as_an_int_matrix(self):
+        """An all-int QMatrix is written as matrix_to_json writes the
+        IntMatrix; with Fraction entries, integral ones are ints and the
+        others 'p/q' strings, whatever type each entry has."""
+        T = IntMatrix.from_rows([[2, 0, -2], [0, 0, 2], [0, 1, 1]])
+        assert qmatrix_to_json(QMatrix.from_int_matrix(T)) == matrix_to_json(T)
+        mixed = QMatrix(2, 2, (Fraction(2, 3), 1, Fraction(4, 2), -3))
+        assert qmatrix_to_json(mixed) == {"rows": 2, "cols": 2, "entries": [["2/3", 1], [2, -3]]}
+        assert qmatrix_to_json(QMatrix(2, 2, tuple(map(Fraction, mixed.entries)))) == qmatrix_to_json(mixed)
 
 
 class TestSupernaturalJson:
