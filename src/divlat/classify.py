@@ -8,8 +8,14 @@ provably complete) and finite orders.  In Q[x]/(chi): the exact
 semisimple-plus-nilpotent splitting by Newton iteration, its parts int
 matrices when no denominator arises.
 
-A claim p(T) != 0 is first tried on the one vector v = (1, ..., n): a
-nonzero p(T) v proves it with matrix-vector products only, and only a
+chi is read with the orbit v, T v, ..., T^n v of v = (1, ..., n).  When v
+is cyclic, chi comes from one Krylov solve and is proven: it is mu_T, so
+T is nonderogatory.  Then T is semisimple exactly when chi is squarefree,
+a singular T has rank ker T = 1, and chi is an annihilator a, as is
+rad(chi) once r(T) = 0 has been multiplied out.  With a, the order d is
+certified by polynomials: T^d = I as a | x^d - 1, and T^(d/p) != I as
+(x^(d/p) mod a)(T) v != v.  A claim p(T) != 0 is first tried on v: a
+nonzero p(T) v, read off the orbit, proves it with no product, and only a
 claimed zero is multiplied out in full.  So a non-semisimple T is told
 apart by r(T) v != 0.
 
@@ -27,13 +33,14 @@ T^t.  For a singular T the chain is entered at the least m_v with
 T^m_v h(T) v = 0, chi = x^g h, where it typically stops: one Hermite form.
 
 The split T = 0 (+) (T on im T) needs no lattice where only its facts are
-read.  With k = rank ker T, off one fraction-free elimination of T and
-certified by k vectors T kills, T induces 0 on Q^n / im T, so
-chi_T = x^k chi_M for M = T on im T.  M is
-then read off chi_M: |det M| = [Z^n : ker T (+) im T], 0 when the two
-meet; M is semisimple when rad(chi_M)(T) T = 0; its order d is
-re-verified as T^(d+1) = T.  Only Fitting's split, which prints its
-lattices, builds them.
+read.  With k = rank ker T, 1 for a cyclic v, else off one fraction-free
+elimination of T and certified by k vectors T kills, T induces 0 on
+Q^n / im T, so chi_T = x^k chi_M for M = T on im T.  M is then read off
+chi_M: |det M| = [Z^n : ker T (+) im T], 0 when the two meet; M is
+semisimple when rad(chi_M)(T) T = 0, which for a cyclic v is when chi_M
+is squarefree; its order d is certified as T^(d+1) = T and
+T^(d/p+1) != T, off the annihilator as above.  Only Fitting's split,
+which prints its lattices, builds them.
 
 _Invariants is the one analysis of an operator: it checks the operator
 once, and also holds the split T = 0 (+) (T on im T) at the first step and
@@ -50,9 +57,9 @@ from itertools import chain
 from math import lcm
 from operator import mul
 
-from .exactalg import (IntMatrix, Lattice, QMatrix, _cyclotomic_indices, _identity, _kernel_and_image, _saturation,
-                       _poly_apply, _tuple_det, _tuple_mul, _tuple_rank_profile, _zdivmod, _zgcd, _zradical, char_poly,
-                       cyclotomic, hnf, kernel_saturated, restrict_to_lattice)
+from .exactalg import (IntMatrix, Lattice, QMatrix, _chi_and_orbit, _cyclotomic_indices, _identity, _kernel_and_image,
+                       _saturation, _tuple_det, _tuple_mul, _tuple_rank_profile, _zdivmod, _zgcd, _zradical, cyclotomic,
+                       hnf, kernel_saturated, restrict_to_lattice)
 from .primes import prime_factors
 
 
@@ -89,9 +96,10 @@ class FittingSplit:
 
 class _Invariants:
     """The analysis of one square operator T and its module (None over Z):
-    det, chi and its radical r (ascending int tuples), semisimplicity
-    (r(T) = 0), the cyclotomic factorization of chi and whether T is
-    torsion-spectral, the order, the split
+    det, chi and its radical r (ascending int tuples), the orbit of
+    v = (1, ..., n), whether v is cyclic and a proven annihilator, when
+    there is one, semisimplicity (r(T) = 0), the cyclotomic factorization
+    of chi and whether T is torsion-spectral, the order, the split
     T = 0 (+) (T on im T) at Fitting's first and stable exponents, the facts
     of the image part M = T on im T that verify and the divisibility
     spectrum read (split_det, chi, det, semisimplicity and order of M, all
@@ -132,7 +140,18 @@ class _Invariants:
 
     @cached_property
     def chi(self) -> tuple[int, ...]:
-        return char_poly(self.T)
+        """chi_T, read with the orbit v, T v, ..., T^n v of v = (1, ..., n)
+        and whether v is cyclic (_chi_and_orbit), both kept here, so chi is
+        read before either.  A cyclic v makes chi = mu_T, proven, the
+        annihilator that the order checks divide."""
+        chi, self.orbit, self.cyclic = _chi_and_orbit(self.T)
+        self.annihilator = chi if self.cyclic else None
+        return chi
+
+    def _at_v(self, p) -> list[int]:
+        """p(T) v for deg p <= n, as sum p_i T^i v off the orbit: no
+        product.  A nonzero p(T) v proves p(T) != 0."""
+        return [sum(map(mul, p, coordinate)) for coordinate in zip(*self.orbit)]
 
     @cached_property
     def radical(self) -> tuple[int, ...]:
@@ -142,13 +161,18 @@ class _Invariants:
     @cached_property
     def semisimple(self) -> bool:
         """r(T) = 0: at once for a squarefree chi, as r(T) = chi(T) = 0 by
-        Cayley-Hamilton; False when r(T) v != 0 for v = (1, ..., n), read
-        with matrix-vector products only; else r(T) multiplied out."""
+        Cayley-Hamilton.  Else False for a cyclic v, as T is then
+        nonderogatory, mu_T = chi, and False when r(T) v != 0, read off the
+        orbit.  Else r(T) is multiplied out, and a zero makes r the proven
+        annihilator."""
         if self.radical == self.chi:
             return True
-        if any(_poly_apply(self.radical, self.T, range(1, self.T.rows + 1))):
+        if self.cyclic or any(self._at_v(self.radical)):
             return False
-        return _scaled_eval(self.radical, self.T)[1].is_zero()
+        if not _scaled_eval(self.radical, self.T)[1].is_zero():
+            return False
+        self.annihilator = self.radical
+        return True
 
     @cached_property
     def factorization(self) -> tuple[tuple[int, int], ...] | None:
@@ -167,24 +191,32 @@ class _Invariants:
     def order(self) -> int | None:
         """Multiplicative order, or None for infinite order or a zero
         eigenvalue: the lcm d of the cyclotomic indices of a semisimple
-        operator, re-verified as T^d = I and checked minimal as T^(d/p) != I
-        for each prime p | d, every power exact and read off the ladder."""
+        operator, certified as T^d = I and T^(d/p) != I for each prime
+        p | d (_checked_order)."""
         if self.factorization is None or not self.semisimple:
             return None
         return self._checked_order(self.factorization, 0)
 
     def _checked_order(self, factorization, shift: int) -> int:
-        """The lcm d of the indices of a cyclotomic factorization,
-        re-verified as T^(d + shift) = T^shift and checked minimal as
-        T^(d/p + shift) != T^shift for each prime p | d."""
-        d, target = lcm(*(k for k, _ in factorization)), self.power(shift)
-        if self.power(d + shift) != target:
-            raise AssertionError("candidate order failed re-verification")
+        """The lcm d of the indices of a cyclotomic factorization, certified
+        as T^(d + shift) = T^shift and minimal as T^(d/p + shift) != T^shift
+        for each prime p | d.  With a proven annihilator a, the first
+        follows from a | x^shift (x^d - 1), and each of the others from
+        q(T) v != T^shift v, q = x^(d/p + shift) mod a, read off the orbit.
+        A power is multiplied out, off the ladder, only where no annihilator
+        is proven, a does not divide or the vector test is inconclusive.
+        T^(d+1) = T is then kept, so the coprime roots' precondition needs
+        no product."""
+        d, a = lcm(*(k for k, _ in factorization)), self.annihilator
+        x_shift = None if a is None else _xpow_mod(shift, a)
+        if a is None or _xpow_mod(d + shift, a) != x_shift:
+            if self.power(d + shift) != self.power(shift):
+                raise AssertionError("candidate order failed re-verification")
         for p in prime_factors(d):
-            if self.power(d // p + shift) == target:
-                raise AssertionError("candidate order not minimal")
-        if not shift:  # T^d = I, so T^(d+1) = T: the coprime roots' precondition needs no product
-            self._powers.setdefault(d + 1, self.T)
+            if a is None or not any(self._at_v(_add(_xpow_mod(d // p + shift, a), x_shift, -1))):
+                if self.power(d // p + shift) == self.power(shift):
+                    raise AssertionError("candidate order not minimal")
+        self._powers.setdefault(d + 1, self.T)
         return d
 
     def _split_at(self, m: int) -> FittingSplit:
@@ -235,7 +267,7 @@ class _Invariants:
             split = self.split
         else:
             g = self.gen_kernel_rank
-            w, m = _poly_apply(self.chi[g:], T, range(1, T.rows + 1)), 0
+            w, m = self._at_v(self.chi[g:]), 0
             while any(w):
                 w, m = T.apply(w), m + 1
                 if m > g:
@@ -255,20 +287,26 @@ class _Invariants:
     def image_chi(self) -> tuple[int, ...]:
         """chi_M for M the matrix of T on im T, read off chi_T: T maps Q^n
         into im T, so it induces 0 on the quotient and chi_T = x^k chi_M,
-        k = n - r, r = rank T.  For det T != 0 it is chi_T.  Else r, and row
-        and column sets I and J with T[I, J] nonsingular, come from one
-        fraction-free elimination of T, and chi_T is checked to have k zero
-        low coefficients and -tr T next to its leading one, and against
-        det (T^2)[I, J] = (-1)^r chi_T(k) det T[I, J]: with C = T[:, J], a
-        Q-basis of im T, T C = C M' for an M' similar to M over Q, whose
-        rows I read T[I, :] T[:, J] = T[I, J] M'.  The nonsingular minor
-        shows rank T >= r; rank T <= r is shown by k vectors T kills,
-        multiplied out in full: for each column j outside J, the solution of
-        the echelon rows by back-substitution with det T[I, J] at j and 0 at
+        k = n - r, r = rank T.  For det T != 0 it is chi_T.  For a cyclic v,
+        T is nonderogatory, so k = 1 and chi_M = chi_T / x, with no
+        elimination.  Else r, and row and column sets I and J with T[I, J]
+        nonsingular, come from one fraction-free elimination of T, and
+        chi_T is checked to have k zero low coefficients and -tr T next to
+        its leading one, and against det (T^2)[I, J] =
+        (-1)^r chi_T(k) det T[I, J]: with C = T[:, J], a Q-basis of im T,
+        T C = C M' for an M' similar to M over Q, whose rows I read
+        T[I, :] T[:, J] = T[I, J] M'.  The nonsingular minor shows
+        rank T >= r; rank T <= r is shown by k vectors T kills, multiplied
+        out in full: for each column j outside J, the solution of the
+        echelon rows by back-substitution with det T[I, J] at j and 0 at
         the other columns outside J."""
         T, n, chi = self.T, self.T.rows, self.chi
         if self.det:
             return chi
+        if self.cyclic:
+            if chi[0]:
+                raise AssertionError("chi of the image part: chi_T(0) != 0 for a singular T")
+            return chi[1:]
         r, I, J, echelon = _tuple_rank_profile(T.entries, n, n)
         k = n - r
         if any(chi[:k]):
@@ -301,24 +339,31 @@ class _Invariants:
     def image_semisimple(self) -> bool:
         """Whether M is semisimple: semisimple when det T != 0.  Else when
         chi_M is squarefree, or else when rad(chi_M)(T) T = 0, as the
-        columns of T span im T: False at once when rad(chi_M)(T) T v != 0
-        for v = (1, ..., n), read with matrix-vector products only."""
+        columns of T span im T.  False at once for a cyclic v, as M is then
+        nonderogatory too, and when rad(chi_M)(T) T v != 0, read off the
+        orbit.  A zero multiplied out makes x rad(chi_M) the proven
+        annihilator."""
         if self.det:
             return self.semisimple
         radical = _zradical(self.image_chi)
         if radical == self.image_chi:
             return True
-        if any(self.T.apply(_poly_apply(radical, self.T, range(1, self.T.rows + 1)))):
+        if self.cyclic or any(self._at_v((0,) + radical)):
             return False
-        return (_scaled_eval(radical, self.T)[1] * self.T).is_zero()
+        if not (_scaled_eval(radical, self.T)[1] * self.T).is_zero():
+            return False
+        self.annihilator = (0,) + radical
+        return True
 
     @cached_property
     def image_order(self) -> int | None:
         """The order of M, or None for infinite order or a zero eigenvalue:
         order when det T != 0.  Else the lcm d of the cyclotomic indices of
-        chi_M for a semisimple M, re-verified in the matrix ring as
-        T^(d+1) = T, which is M^d = I on the columns of T, and checked
-        minimal as T^(d/p+1) != T for each prime p | d."""
+        chi_M for a semisimple M, certified (_checked_order) as
+        T^(d+1) = T, which is M^d = I on the columns of T, and minimal as
+        T^(d/p+1) != T for each prime p | d: by the annihilator chi = x chi_M
+        for a cyclic v or x rad(chi_M) once image_semisimple has multiplied
+        it out, else in the matrix ring."""
         if self.det:
             return self.order
         chi = self.image_chi
@@ -428,8 +473,9 @@ def jordan_chevalley(T: IntMatrix) -> tuple[QMatrix, QMatrix]:
 
     Newton iteration p <- p - r(p) * r'(p)^{-1} on r = rad(chi), from p = x,
     runs in Q[x]/(chi), where r'(p) stays invertible (extended Euclid); as
-    chi(T) = 0, S = p(T), evaluated once in integers.  Integrality of the
-    output is not guaranteed and not claimed.
+    chi(T) = 0, S = p(T), evaluated once in integers.  For chi = x^n the
+    first step gives p = 0, so S = 0 and N = T with no step run.
+    Integrality of the output is not guaranteed and not claimed.
     """
     return _jordan_chevalley(_Invariants(T))
 
@@ -439,6 +485,12 @@ def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
     n = T.rows
     if inv.semisimple:
         return QMatrix.from_int_matrix(T), QMatrix.zeros(n, n)
+    if inv.radical == (0, 1):
+        # Newton's first step from p = x is x - x / 1 = 0.  T^n = 0 is chi(T) = 0: proven for a cyclic v
+        # (chi = mu_T), multiplied out off the ladder otherwise.
+        if not inv.cyclic and not inv.power(n).is_zero():
+            raise AssertionError("nilpotent part is not nilpotent")
+        return QMatrix.zeros(n, n), QMatrix.from_int_matrix(T)
     # r(p) = 0 mod chi and chi(T) = 0 give r(S) = 0, r squarefree: S is semisimple.
     D, DS = _scaled_eval(_newton(inv.radical, inv.chi), T)
     DN = T * D - DS
@@ -485,6 +537,18 @@ def _inverse_mod(a: tuple, m: tuple) -> tuple:
     if r0 != (1,):
         raise AssertionError("r'(p) is not invertible modulo chi")
     return _zdivmod(s0, m)[1]
+
+
+def _xpow_mod(e: int, a: tuple) -> tuple:
+    """x^e mod a monic a in Z[x], by repeated squaring."""
+    result, square = (1,), (0, 1)
+    while e:
+        if e & 1:
+            result = _zdivmod(_mul(result, square), a)[1]
+        e >>= 1
+        if e:
+            square = _zdivmod(_mul(square, square), a)[1]
+    return _zdivmod(result, a)[1]
 
 
 def _add(a: tuple, b: tuple, sign: int = 1) -> tuple:

@@ -607,29 +607,68 @@ def restrict_to_lattice(T: IntMatrix, lat: Lattice) -> IntMatrix:
 
 
 def char_poly(T: IntMatrix) -> tuple[int, ...]:
-    """Characteristic polynomial det(xI - T), monic in Z[x], by Berkowitz's
-    division-free recurrence (S. J. Berkowitz, Inf. Process. Lett. 18
-    (1984) 147-150): matrix-vector products only, about n^4/4
-    multiplications.  chi(T) v = 0 is then checked for the fixed vector
-    v = (1, 2, ..., n), by Horner's rule on v: n more matrix-vector
-    products.  chi(T) = 0 in full is not checked."""
+    """Characteristic polynomial det(xI - T), monic in Z[x]: (1,) for 0x0.
+    Certified by Krylov's method when v = (1, 2, ..., n) is cyclic for T,
+    else by Berkowitz's recurrence with chi(T) v = 0 checked
+    (_chi_and_orbit)."""
     if not T.is_square:
         raise ValueError("char_poly requires a square matrix")
-    chi = _berkowitz(T.entries, T.rows)
-    if any(_poly_apply(chi, T, range(1, T.rows + 1))):
+    return _chi_and_orbit(T)[0]
+
+
+def _chi_and_orbit(T: IntMatrix) -> tuple[tuple[int, ...], list[list[int]], bool]:
+    """(chi, orbit, cyclic) for a square T: the orbit v, T v, ..., T^n v of
+    v = (1, 2, ..., n), n matrix-vector products, and whether v is cyclic,
+    that is K = [v, T v, ..., T^(n-1) v] is nonsingular.  Then K c = T^n v
+    is solved fraction-free (_krylov_solve) and chi = x^n - sum c_i x^i is
+    chi_T, proven (Cohen, GTM 138, 2.2): mu_v, of degree n, divides chi and
+    mu_T, which divides chi_T.  Else chi comes from Berkowitz's
+    division-free recurrence (_berkowitz).  Either way chi(T) v = 0 is
+    checked as sum chi_i T^i v off the orbit, which is what makes the
+    cyclic chi a certificate, and a failure raises AssertionError."""
+    n, e = T.rows, T.entries
+    rows, w = [e[i * n : (i + 1) * n] for i in range(n)], list(range(1, n + 1))
+    orbit = [w]
+    for _ in range(n):
+        w = [sum(map(mul, row, w)) for row in rows]
+        orbit.append(w)
+    coordinates = list(zip(*orbit))  # coordinate j of v, T v, ..., T^n v
+    # T^(n-1) v = 0, as for every derogatory nilpotent T, needs no elimination
+    c = _krylov_solve(coordinates, n) if not n or any(orbit[n - 1]) else None
+    chi = _berkowitz(e, n) if c is None else tuple([-x for x in c]) + (1,)
+    if any([sum(map(mul, chi, coordinate)) for coordinate in coordinates]):
         raise AssertionError("chi(T) v != 0: the characteristic polynomial is wrong")
-    return chi
+    return chi, orbit, c is not None
 
 
-def _poly_apply(coeffs, T: IntMatrix, v) -> list[int]:
-    """p(T) v for p's ascending int coefficients, T square and an integer
-    vector v, by Horner's rule on the vector: deg p matrix-vector products
-    and no matrix product.  A nonzero p(T) v proves p(T) != 0."""
-    rows = [T.row(i) for i in range(T.rows)]
-    w = [coeffs[-1] * x for x in v] if coeffs else [0] * T.rows
-    for c in coeffs[-2::-1]:
-        w = [sum(map(mul, row, w)) + c * x for row, x in zip(rows, v)]
-    return w
+def _krylov_solve(coordinates, n: int) -> list[int] | None:
+    """The c with sum c_i T^i v = T^n v over i < n, given coordinate j of
+    v, T v, ..., T^n v for each j < n, or None when v, ..., T^(n-1) v are
+    dependent: fraction-free Bareiss elimination (E. H. Bareiss, Math.
+    Comp. 22 (1968) 565-578) of [K | T^n v] with row pivoting, then
+    back-substitution.  Every elimination division is exact.  The
+    back-substitution divides exactly when c is integral, as it is when K
+    is nonsingular and chi_T = x^n - sum c_i x^i; its result is checked by
+    the caller, not trusted."""
+    a, prev = [list(coordinate) for coordinate in coordinates], 1
+    for k in range(n):
+        top = a[k]
+        if not top[k]:
+            i0 = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i0 is None:
+                return None
+            a[k], a[i0] = a[i0], top
+            top = a[k]
+        pivot, tail = top[k], top[k + 1 :]
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(x * pivot - f * t) // prev for x, t in zip(row[k + 1 :], tail)]
+        prev = pivot
+    c = [0] * n
+    for k in reversed(range(n)):
+        row = a[k]
+        c[k] = (row[n] - sum(map(mul, row[k + 1 : n], c[k + 1 :]))) // row[k]
+    return c
 
 
 def _berkowitz(e, n: int) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,7 +17,8 @@ from divlat.classify import (
     jordan_chevalley,
     roots_of_unity_spectrum,
 )
-from divlat.exactalg import IntMatrix, QMatrix, _tuple_rank_profile, char_poly, companion_matrix, cyclotomic
+from divlat.exactalg import (IntMatrix, QMatrix, _chi_and_orbit, _tuple_rank_profile, char_poly, companion_matrix,
+                             cyclotomic)
 from divlat.corpus import KINDS, block_diagonal, conjugate, finite_order_matrix, gen_corpus
 from divlat.divisibility import impossibility_certificates
 from divlat.numberring import ZZ
@@ -191,6 +193,60 @@ def squared_and_cubed_golden_blocks():
         T = companion_matrix(tuple(qpoly_mul(*[(1, -3, 1)] * e)))
         ops += [(e - 1, T), (e - 1, conjugate(T, rand_unimodular(rng, T.rows)))]
     return ops
+
+
+class TestNilpotentJordanChevalley:
+    """For chi = x^n, Newton's first step from p = x gives p = 0: S = 0 and
+    N = T, with no Newton step; T^n = 0 is proven by chi for a cyclic v and
+    multiplied out otherwise."""
+
+    def test_parts_match_the_oracle_with_no_newton_step(self, monkeypatch):
+        """Seeded nonzero nilpotent operators, n <= 8, and the shifts
+        J_n(0), conjugated: the parts agree with the matrix Newton oracle,
+        no Newton step runs, and only a derogatory T multiplies out T^n."""
+        rng, seen = random.Random(227), set()
+        ops = [IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)) for n in range(2, 9) for _ in range(3)]
+        ops = [T for T in ops if not T.is_zero()]
+        ops += [conjugate(IntMatrix(n, n, tuple(int(j == i + 1) for i in range(n) for j in range(n))),
+                          rand_unimodular(rng, n)) for n in range(2, 9)]
+        newton_calls = []
+        newton = classify._newton
+        monkeypatch.setattr(classify, "_newton", lambda *args: newton_calls.append(args) or newton(*args))
+        for T in ops:
+            semisimple, S, N = newton_jordan_chevalley_oracle(T)
+            inv = classify._Invariants(T)
+            assert inv.chi == (0,) * T.rows + (1,), T
+            assert classify._jordan_chevalley(inv) == (QMatrix.from_rows(S), QMatrix.from_rows(N)), T
+            assert N == T.nested() and not semisimple, T
+            seen.add((inv.cyclic, T.rows in inv._powers))
+        assert newton_calls == []
+        assert seen == {(True, False), (False, True)}
+
+    def test_a_chi_claiming_nilpotency_raises_under_optimize(self):
+        """A Berkowitz helper that hands back x^2 for T = 0 (+) 1, conjugated
+        so that T kills v = (1, 2), passes the chi(T) v = 0 check, as v is
+        not cyclic; T^2 = T != 0 then makes classify_operator raise, also
+        under python -O."""
+        code = textwrap.dedent("""
+            import divlat.exactalg as exactalg
+            from divlat.classify import classify_operator
+            from divlat.corpus import conjugate
+            from divlat.exactalg import IntMatrix
+            exactalg._berkowitz = lambda e, n: (0,) * n + (1,)
+            T = conjugate(IntMatrix.from_rows([[0, 0], [0, 1]]), IntMatrix.from_rows([[1, 0], [2, 1]]))
+            try:
+                out = classify_operator(T)
+            except AssertionError as e:
+                print("raised", T.apply((1, 2)), e)
+            else:
+                print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised (0, 0) nilpotent part is not nilpotent"
 
 
 class TestAgainstMatrixNewtonOracle:
@@ -530,6 +586,127 @@ class TestVectorCertificates:
         assert not classify._Invariants(S).image_semisimple and len(calls) == 2
 
 
+class TestProvenAnnihilator:
+    """With v = (1, ..., n) cyclic, chi is proven and is mu_T, so
+    semisimplicity, the order and the image part's chi are read off it;
+    an annihilator proven by a full product serves the order the same way.
+    Each fact is checked against an independent oracle."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """The calls to classify's or exactalg's kernel name, recorded as
+        their shapes (n x n products only, for _tuple_mul)."""
+        import divlat.exactalg as exactalg
+
+        calls, original = [], getattr(exactalg, name)
+
+        def counting(*args):
+            if name != "_tuple_mul" or args[4] > 1:
+                calls.append(args[2:])
+            return original(*args)
+
+        for module in (exactalg, classify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_semisimple_for_a_cyclic_vector_is_a_squarefree_chi(self):
+        """For a cyclic v, T is semisimple exactly when chi is squarefree,
+        against the Fraction minimal polynomial, on seeded n <= 8."""
+        rng, seen = random.Random(197), set()
+        for n in range(1, 9):
+            for kind in ("random", "finite-order", "nilpotent"):
+                for _ in range(3):
+                    rows = seeded_operator(kind, n, rng)
+                    inv = classify._Invariants(IntMatrix.from_rows(rows))
+                    assert inv.semisimple == min_poly_is_squarefree(rows), rows
+                    if inv.cyclic:
+                        assert inv.semisimple == (inv.radical == inv.chi), rows
+                    seen.add((inv.cyclic, inv.semisimple))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def block_sums(self):
+        """Block sums of cyclotomic companion matrices, with and without a
+        repeated block, of a zero block too, each conjugated by a unimodular
+        matrix: (T, d, shift) with d the lcm of the indices and shift 1
+        when T is singular."""
+        rng = random.Random(199)
+        zero = IntMatrix.zeros(1, 1)
+        for ks in ((3, 3), (4, 4, 2), (6, 3, 3), (1, 1, 4), (5, 5), (12, 12), (2, 3, 4), (7, 9), (28,), (8, 8, 3)):
+            blocks = [companion_matrix(cyclotomic(k)) for k in ks]
+            for extra, shift in (([], 0), ([zero], 1)):
+                n = sum(b.rows for b in blocks) + len(extra)
+                T = conjugate(block_diagonal(extra + blocks), rand_unimodular(rng, n))
+                yield T, lcm(*ks), shift
+
+    def test_order_against_matrix_powers(self):
+        """order, or image_order for a singular T, is d, with T^(d + shift)
+        = T^shift and T^(d/p + shift) != T^shift for each prime p | d,
+        multiplied out in nested lists."""
+        from divlat.primes import prime_factors
+        from helpers import mat_pow
+
+        seen = set()
+        for T, d, shift in self.block_sums():
+            inv = classify._Invariants(T)
+            assert (inv.image_order if shift else inv.order) == d, T
+            rows = T.nested()
+            target = mat_pow(rows, shift)
+            assert mat_pow(rows, d + shift) == target, T
+            for p in prime_factors(d):
+                assert mat_pow(rows, d // p + shift) != target, T
+            seen.add((shift, inv.cyclic))
+        assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+    def test_no_product_in_the_order_of_a_cyclic_operator(self, monkeypatch):
+        """The order of the 12 x 12 companion matrix of Phi_28, conjugated,
+        and its classification, multiply out no n x n matrix: chi is proven
+        squarefree, divides x^28 - 1, and x^14 and x^4 mod chi move v."""
+        T = conjugate(companion_matrix(cyclotomic(28)), rand_unimodular(random.Random(211), 12))
+        products = self.counted(monkeypatch, "_tuple_mul")
+        inv = classify._Invariants(T)
+        assert inv.order == 28 and inv.cyclic
+        assert classify_operator(T).order == 28
+        assert products == []
+
+    def test_no_elimination_for_a_cyclic_singular_operator(self, monkeypatch):
+        """A singular T with a cyclic v is nonderogatory, so rank ker T = 1:
+        verify reads the image part with no elimination of T, on
+        0 (+) Phi_12's companion and on J_6(0), conjugated, and the image
+        part's split, semisimplicity and order multiply out no n x n matrix
+        (the coprime roots verify constructs still do)."""
+        rng = random.Random(223)
+        shift = IntMatrix(6, 6, tuple(int(j == i + 1) for i in range(6) for j in range(6)))
+        operators = [conjugate(block_diagonal([IntMatrix.zeros(1, 1), companion_matrix(cyclotomic(12))]),
+                               rand_unimodular(rng, 5)),
+                     conjugate(shift, rand_unimodular(rng, 6))]
+        eliminations = self.counted(monkeypatch, "_tuple_rank_profile")
+        products = self.counted(monkeypatch, "_tuple_mul")
+        facts = []
+        for T in operators:
+            inv = classify._Invariants(T)
+            facts.append((inv.split_det, inv.image_semisimple, inv.image_order, inv.zero_plus_order))
+            assert inv.image_chi == inv.chi[1:] and inv.cyclic, T
+        assert facts == [(1, True, 12, 12), (0, False, None, None)]
+        assert products == []
+        reports = [verify(ZZ, None, T, None, ()) for T in operators]
+        assert [(r.clause1.clean_split, r.clause2.semisimple) for r in reports] == [(True, True), (False, False)]
+        assert eliminations == []
+
+    def test_an_inconclusive_vector_test_takes_the_power(self, monkeypatch):
+        """T = I_2 (+) Phi_4's companion, conjugated so that v = (1, 2, 3, 4)
+        is fixed, is derogatory: semisimple multiplies r(T) out, which
+        proves r = (x - 1)(x^2 + 1) an annihilator.  r divides x^4 - 1, so
+        T^4 is not multiplied out; x^2 mod r fixes v like T^2 does, so T^2
+        is, and is not I."""
+        U = IntMatrix.from_rows([[1, 0, 0, 0], [2, 1, 0, 0], [3, 0, 1, 0], [4, 0, 0, 1]])  # v = U e1
+        T = conjugate(block_diagonal([IntMatrix.identity(2), companion_matrix(cyclotomic(4))]), U)
+        assert T.apply((1, 2, 3, 4)) == (1, 2, 3, 4)
+        inv = classify._Invariants(T)
+        assert inv.semisimple and not inv.cyclic and inv.annihilator == (-1, 1, -1, 1)
+        assert inv.order == 4 and sorted(inv._powers) == [0, 2, 5]  # T^0 = I and T^5 = T: no product
+
+
 class TestImagePart:
     """The facts of the image part M = T on im T, read off chi_T and one
     fraction-free elimination of T, against the lattice route."""
@@ -628,14 +805,16 @@ class TestImagePart:
         assert moved >= 10
         assert facts == {(True, True), (False, True), (False, False)}
 
-    @pytest.mark.parametrize("chi", [(1, -2, -1, 1), (0, -2, 3, 1), (0, 5, -1, 1)],
+    @pytest.mark.parametrize("chi", [(1, 0, -2, -1, 1), (0, 0, -2, 3, 1), (0, 0, 5, -1, 1)],
                              ids=["low coefficient", "trace", "determinant"])
     def test_a_chi_disagreeing_with_the_image_part_raises(self, chi):
-        """T = diag(0, 2, -1) has chi_T = x (x - 2)(x + 1) = (0, -2, -1, 1)
-        and image part diag(2, -1); each corrupted chi_T is refused by
-        every fact of the image part."""
+        """T = diag(0, 0, 2, -1) has chi_T = x^2 (x - 2)(x + 1) =
+        (0, 0, -2, -1, 1) and image part diag(2, -1); T is derogatory, so
+        the image part is read off the elimination of T, and each corrupted
+        chi_T is refused by every fact of the image part."""
         for fact in ("split_det", "image_det", "image_semisimple", "image_order", "zero_plus_order"):
-            inv = classify._Invariants(diagonal_matrix([0, 2, -1]))
+            inv = classify._Invariants(diagonal_matrix([0, 0, 2, -1]))
+            assert inv.chi == (0, 0, -2, -1, 1) and not inv.cyclic  # the orbit is read with chi
             inv.chi = chi
             with pytest.raises(AssertionError, match="chi of the image part"):
                 getattr(inv, fact)
@@ -644,8 +823,10 @@ class TestImagePart:
     def test_a_wrong_elimination_raises_under_optimize(self, corruption):
         """An elimination that reports the rank one too low, or J with its
         last column swapped for the first column outside J, makes verify
-        raise on diag(0, 2, -1) and on a 4 x 4 nilpotent of rank 2, also
-        under python -O, where assert statements are stripped."""
+        raise on diag(0, 0, 2, -1) and on a 4 x 4 nilpotent of rank 2, also
+        under python -O, where assert statements are stripped.  Both are
+        derogatory, so v = (1, ..., n) is not cyclic and the image part is
+        read off the elimination."""
         code = textwrap.dedent(f"""
             import divlat.classify as classify
             from divlat.exactalg import IntMatrix, _tuple_rank_profile
@@ -659,7 +840,7 @@ class TestImagePart:
                 return r, I, J[:-1] + (min(set(range(cols)) - set(J)),), U
 
             classify._tuple_rank_profile = corrupted
-            for rows in ([[0, 0, 0], [0, 2, 0], [0, 0, -1]],
+            for rows in ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]],
                          [[0, 4, 3, -2], [0, -2, -2, 2], [0, 1, 1, -1], [0, -1, -1, 1]]):
                 try:
                     out = verify(ZZ, None, IntMatrix.from_rows(rows), None, ())
@@ -680,10 +861,12 @@ class TestImagePart:
         chi_T when chi_T(k + 1) and det (T^2)[I, J] are 0, as on nilpotent
         operators; the kernel vector read off the echelon rows for the
         dropped column is then not killed by T, so verify raises, also
-        under python -O, on the shift J_4 and on four seeded nilpotent
-        4 x 4 operators."""
-        operators = [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]]
-        operators += [seeded_operator("nilpotent", 4, random.Random(s)) for s in (1, 2, 4, 5)]
+        under python -O, on the shift J_3 (+) 0 and on four seeded nilpotent
+        4 x 4 operators.  Each is derogatory, so v = (1, ..., n) is not
+        cyclic and the image part is read off the elimination."""
+        operators = [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]
+        operators += [seeded_operator("nilpotent", 4, random.Random(s)) for s in (1, 2, 6, 7)]
+        assert not any(_chi_and_orbit(IntMatrix.from_rows(rows))[2] for rows in operators)
         code = textwrap.dedent(f"""
             import divlat.classify as classify
             from divlat.exactalg import IntMatrix, _tuple_rank_profile

@@ -188,14 +188,18 @@ class TestCharMinPoly:
 
     def test_wrong_recurrence_raises_under_optimize(self):
         """A Berkowitz helper that hands back a wrong constant term fails the
-        chi(T) v = 0 check, also under python -O."""
-        code = textwrap.dedent("""
+        chi(T) v = 0 check, also under python -O.  T, [[2, 1], [1, 1]] twice
+        on the diagonal, is derogatory, so v = (1, ..., n) is not cyclic and
+        chi comes from the recurrence."""
+        T = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]
+        assert not exactalg._chi_and_orbit(IntMatrix.from_rows(T))[2]
+        code = textwrap.dedent(f"""
             import divlat.exactalg as exactalg
             from divlat.exactalg import IntMatrix, char_poly
             berkowitz = exactalg._berkowitz
             exactalg._berkowitz = lambda e, n: (berkowitz(e, n)[0] + 1,) + berkowitz(e, n)[1:]
             try:
-                out = char_poly(IntMatrix.from_rows([[2, 1], [1, 1]]))
+                out = char_poly(IntMatrix.from_rows({T!r}))
             except AssertionError:
                 print("raised")
             else:
@@ -207,6 +211,33 @@ class TestCharMinPoly:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "raised"
+
+    def test_wrong_krylov_solve_raises_under_optimize(self):
+        """A Krylov solve that hands back one coefficient off by one, each
+        in turn, fails the chi(T) v = 0 check on a cyclic T, also under
+        python -O: T^i v != 0 for every i < n when v is cyclic."""
+        T = [[2, 1, 0], [0, 1, 3], [1, 0, -1]]
+        assert exactalg._chi_and_orbit(IntMatrix.from_rows(T))[2]
+        code = textwrap.dedent(f"""
+            import divlat.exactalg as exactalg
+            from divlat.exactalg import IntMatrix, char_poly
+            solve = exactalg._krylov_solve
+            for i in range(3):
+                exactalg._krylov_solve = lambda coordinates, n: [c + (j == i) for j, c in
+                                                                 enumerate(solve(coordinates, n))]
+                try:
+                    out = char_poly(IntMatrix.from_rows({T!r}))
+                except AssertionError as e:
+                    print("raised", str(e).startswith("chi(T) v != 0"))
+                else:
+                    print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[:3] == ["raised True"] * 3
 
     def test_min_divides_char(self):
         rng = random.Random(31)
@@ -227,6 +258,52 @@ class TestCharMinPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             char_poly(IntMatrix.zeros(2, 3))
+
+
+class TestKrylovChi:
+    """chi read off the orbit v, T v, ..., T^n v of v = (1, ..., n): a
+    Krylov solve when v is cyclic, Berkowitz's recurrence when not."""
+
+    def test_chi_and_the_cyclic_flag_against_the_oracles(self):
+        """chi against cofactor expansion; v is cyclic exactly when the
+        Krylov matrix [v, ..., T^(n-1) v] has rank n over Q, and then the
+        minimal polynomial of T has degree n.  Seeded operators, n <= 8,
+        derogatory ones (finite-order block sums with a repeated block,
+        and nilpotents of low rank) included, so both paths are taken."""
+        rng, seen = random.Random(193), set()
+        for n in range(1, 9):
+            for kind in ("random", "finite-order", "nilpotent"):
+                for _ in range(4):
+                    rows = seeded_operator(kind, n, rng)
+                    chi, orbit, cyclic = exactalg._chi_and_orbit(IntMatrix.from_rows(rows))
+                    assert chi == tuple(char_poly_cofactor(rows)), rows
+                    assert orbit[0] == list(range(1, n + 1)), rows
+                    for i in range(n):
+                        assert orbit[i + 1] == [sum(a * b for a, b in zip(row, orbit[i])) for row in rows], rows
+                    krylov = [list(column) for column in zip(*orbit[:n])]
+                    assert cyclic == (frac_rank(krylov) == n), rows
+                    derogatory = len(frac_min_poly(rows)) <= n
+                    assert not (cyclic and derogatory), rows
+                    seen.add((kind, cyclic, derogatory))
+        assert {(cyclic, derogatory) for _, cyclic, derogatory in seen} == {(True, False), (False, False),
+                                                                          (False, True)}
+        assert {kind for kind, _, derogatory in seen if derogatory} == {"finite-order", "nilpotent"}
+
+    def test_the_empty_operator(self):
+        """0x0: chi = (1,), the orbit holds v = () alone, and v is cyclic."""
+        assert exactalg._chi_and_orbit(IntMatrix(0, 0, ())) == ((1,), [[]], True)
+        assert char_poly(IntMatrix(0, 0, ())) == (1,)
+
+    def test_a_cyclic_vector_takes_no_recurrence(self, monkeypatch):
+        """For a cyclic v chi is the Krylov solve's, and Berkowitz's
+        recurrence is not run; for a derogatory T it is."""
+        calls = []
+        berkowitz = exactalg._berkowitz
+        monkeypatch.setattr(exactalg, "_berkowitz", lambda e, n: calls.append(n) or berkowitz(e, n))
+        companion = companion_matrix(cyclotomic(28))
+        assert exactalg._chi_and_orbit(companion)[2] and calls == []
+        assert char_poly(companion) == cyclotomic(28) and calls == []
+        assert char_poly(IntMatrix.identity(3)) == (-1, 3, -3, 1) and calls == [3]
 
 
 class TestKernelImage:

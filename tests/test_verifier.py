@@ -92,19 +92,21 @@ class TestCharacteristicPolynomialOnce:
     T = IntMatrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 2, 1]])
 
     def counted_char_polys(self, monkeypatch):
+        """The operators chi is computed for, by the analysis or by
+        char_poly, both through exactalg._chi_and_orbit."""
         import divlat.classify
         import divlat.exactalg
 
         assert abs(self.T.det()) == 1
         calls = []
-        char_poly = divlat.exactalg.char_poly
+        chi_and_orbit = divlat.exactalg._chi_and_orbit
 
         def counting(M):
             calls.append(M)
-            return char_poly(M)
+            return chi_and_orbit(M)
 
         for module in (divlat.exactalg, divlat.classify):
-            monkeypatch.setattr(module, "char_poly", counting)
+            monkeypatch.setattr(module, "_chi_and_orbit", counting)
         return calls
 
     def test_one_char_poly_for_a_unimodular_operator(self, monkeypatch):
