@@ -394,7 +394,7 @@ class _Invariants:
         for each M), X flattened row-major, HNF first, which halves the
         cost of the kernel's augmented Hermite form.  Either way the lattice
         is canonical, so both paths give the same basis.  A 12 x 12 X^2
-        (X with entries in [-1, 1]) takes 0.015 s, not the 3 s of the
+        (X with entries in [-1, 1]) takes 0.02 s, not the 3 s of the
         n^2-column equations; a derogatory 12 x 12 T, a unimodular
         conjugate of Y^2 (+) Y^2 with entries up to 678, still takes 9 s
         (CPython 3.11, 2 cores)."""
@@ -415,7 +415,10 @@ def _nonderogatory_commutant(M: IntMatrix) -> Lattice | None:
     the Hermite form of I, M, ..., M^(n-1), each flattened to a row of
     length n^2, has rank n.  Then C_Q(M) = Q[M], so C(M) = Q[M] meet
     M_n(Z), the saturation of Z[M]: an n x n^2 Hermite form, not the
-    n^2 x n^2 commutator system."""
+    n^2 x n^2 commutator system.  _saturation returns that form as it is
+    when its pivots multiply to 1, and otherwise takes two more Hermite
+    forms (the dual basis and the canonical one) and one triangular solve,
+    however many primes divide the index."""
     n = M.rows
     powers = [_identity(n)]
     for _ in range(n - 1):

@@ -15,7 +15,7 @@ from itertools import chain
 from math import gcd, prod
 from operator import add, mul, sub
 
-from .primes import _TRIAL_DIVISORS, divisors, euler_phi
+from .primes import divisors, euler_phi
 
 
 # ---------------------------------------------------------------------------
@@ -508,84 +508,35 @@ def kernel_saturated(T: IntMatrix) -> Lattice:
     return _kernel_and_image(T)[0]
 
 
-def _left_kernel_mod(rows, q: int) -> tuple[int, list[list[int]]]:
-    """Gauss-Jordan elimination of the integer rows mod q >= 2, tracking the
-    row operations.  Returns (g, []) when a nonzero pivot shares the proper
-    factor g with q, else (1, ws): ws spans the w with w.B = 0 mod q, each a
-    row of a transform invertible mod q, so nonzero mod every prime of q,
-    and ws is empty exactly when the rows have full rank mod every prime
-    of q."""
-    k = len(rows)
-    cols = len(rows[0]) if rows else 0
-    work = [[x % q for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
-    r = 0
-    for j in range(cols):
-        i0 = next((i for i in range(r, k) if work[i][j]), None)
-        if i0 is None:
-            continue
-        g = gcd(work[i0][j], q)
-        if g > 1:
-            return g, []
-        work[r], work[i0] = work[i0], work[r]
-        inverse = pow(work[r][j], -1, q)
-        top = work[r] = [x * inverse % q for x in work[r]]
-        for i in range(r + 1, k):
-            f = work[i][j]
-            if f:
-                work[i] = [(a - f * b) % q for a, b in zip(work[i], top)]
-        r += 1
-        if r == k:
-            break
-    return 1, [row[cols:] for row in work[r:]]
-
-
 def _saturation(H: IntMatrix) -> Lattice:
     """The saturation (Q-span) meet Z^cols of the row span of H, a row HNF
-    without zero rows, as a canonical Lattice (Cohen, GTM 138, 2.4).  The
-    product D of H's pivots is a multiple of the index [saturation : span],
-    as projecting onto the pivot columns is injective on the Q-span.  D is
-    never factored: its primes below 1000, by trial division, are one
-    modulus each, and the cofactor is one more modulus q.  Each w with
-    w.H = 0 mod q, nonzero mod every prime of q (_left_kernel_mod), adds the
-    integral vector w.H / q of the Q-span outside the lattice; a pivot that
-    shares a factor with q splits q instead.  Once H has full rank mod q,
-    no prime of q divides the index."""
+    without zero rows, as a canonical Lattice, by duality.  A rational
+    combination c.H is integral exactly when c lies in the dual of the
+    lattice that H's columns span in Z^k.  That lattice's Hermite basis U,
+    the top k rows of hnf(H^t), is upper triangular, so the rows of
+    Y = U^-t.H are a basis of the saturation: U^t.Y = H is solved by
+    forward substitution, every division exact, and hnf(Y) is the canonical
+    basis.  The index [saturation : span] is det U, which divides the
+    product D of H's pivots (projecting onto the pivot columns is injective
+    on the Q-span), so D = 1 returns H as it is."""
     k, cols = H.rows, H.cols
     rows = [H.row(i) for i in range(k)]
-    D = prod(next(filter(None, row)) for row in rows)
-    moduli = []
-    for f in _TRIAL_DIVISORS:
-        if f * f > D:
-            break
-        if D % f == 0:
-            moduli.append(f)
-            while D % f == 0:
-                D //= f
-    if D > 1:
-        moduli.append(D)
-    while moduli:
-        q = moduli.pop()
-        g, ws = _left_kernel_mod(rows, q)
-        if g > 1:
-            moduli += (g, q // g)
-            continue
-        if not ws:
-            continue
-        extra = []
-        for w in ws:
-            v = [sum(map(mul, w, column)) for column in zip(*rows)]
-            if any(x % q for x in v):
-                raise AssertionError(f"a left kernel vector mod {q} does not divide its image by {q}")
-            extra += [x // q for x in v]
-        H = hnf(IntMatrix(k + len(ws), cols, tuple(chain(chain.from_iterable(rows), extra))))
-        if any(H.entries[k * cols :]):
-            raise AssertionError("a saturation vector left the rational span")
-        grown = [H.row(i) for i in range(k)]
-        if grown == rows:
-            raise AssertionError(f"a left kernel vector mod {q} added nothing to the lattice")
-        rows = grown
-        moduli.append(q)
-    return Lattice(cols, IntMatrix(k, cols, tuple(chain.from_iterable(rows))))
+    if prod(next(filter(None, row)) for row in rows) == 1:
+        return Lattice(cols, H)
+    U = hnf(IntMatrix(cols, k, tuple(chain.from_iterable(zip(*rows))))).entries
+    basis = []
+    for i, row in enumerate(rows):
+        for l, y in enumerate(basis):
+            u = U[l * k + i]
+            if u:
+                row = [a - u * b for a, b in zip(row, y)]
+        p = U[i * k + i]
+        if p != 1:
+            if any(a % p for a in row):
+                raise AssertionError(f"row {i} of the dual basis does not divide its combination of H by {p}")
+            row = [a // p for a in row]
+        basis.append(row)
+    return Lattice(cols, hnf(IntMatrix(k, cols, tuple(chain.from_iterable(basis)))))
 
 
 def restrict_to_lattice(T: IntMatrix, lat: Lattice) -> IntMatrix:

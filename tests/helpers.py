@@ -7,7 +7,8 @@ and rational-invariants oracles, which build on the polynomial arithmetic
 over Q below, and the kernel predicate and kernel chain, which use rational
 ranks and minors only.  The exceptions are the image oracle and
 lattice_from_generators, which reduce with the library's Hermite form so
-that lattices compare entry-wise; oracle_image_facts, which reads the image
+that lattices compare entry-wise; saturation_oracle, the kernel of the
+library's saturated kernel; oracle_image_facts, which reads the image
 part of an operator by the library's lattice route, restriction and
 analysis, against the facts the analysis reads off chi_T; diagonal_matrix,
 full_lattice, scalar_matrix, prime_set_is_infinite and primes_up_to, which
@@ -235,6 +236,17 @@ def lattice_from_generators(ambient, gens):
     gens = [list(g) for g in gens]
     H = hnf(IntMatrix.from_rows(gens, cols=ambient)) if gens else IntMatrix(0, ambient, ())
     return Lattice(ambient, IntMatrix.from_rows([r for r in H.nested() if any(r)], cols=ambient))
+
+
+def saturation_oracle(H):
+    """The saturation (Q-span) meet Z^cols of the row span of H, as the
+    kernel of its kernel: v lies in it exactly when v is orthogonal to
+    every integer w with H w = 0.  Both kernels come from the library's
+    kernel_saturated, one Hermite form of [M^t | I] each, not from the dual
+    basis that exactalg._saturation solves for."""
+    from divlat.exactalg import kernel_saturated
+
+    return kernel_saturated(kernel_saturated(H).basis)
 
 
 def image_oracle(T):

@@ -12,6 +12,7 @@ import pytest
 import divlat
 import divlat.classify as classify
 import divlat.divisibility as divisibility
+import divlat.exactalg as exactalg
 from divlat.classify import _Invariants
 from divlat.divisibility import (
     DetNotPower,
@@ -29,7 +30,8 @@ from divlat.divisibility import (
     zero_plus_finite_order,
 )
 from divlat.corpus import block_diagonal, conjugate, gen_corpus, random_unimodular
-from divlat.exactalg import IntMatrix, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, kernel_saturated
+from divlat.exactalg import (IntMatrix, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, hnf,
+                             kernel_saturated)
 from divlat.numberring import embed_ok_matrix
 from divlat.primes import signed_root
 from helpers import (brute_root_search, commutator_equations, diagonal_matrix, frac_rank, lattice_from_generators,
@@ -522,6 +524,22 @@ class TestNonderogatoryCommutant:
         assert not lattice_from_generators(9, krylov_rows(T)).contains(Y.entries)
         assert commutant == kernel_saturated(commutator_equations((T,), 3))
 
+    def test_a_composite_index_is_walked(self):
+        """I + 6Y with det 1 passes every certificate at s = 2 and 3, so the
+        search walks sat(Z[T]), of index 2^3 3^3 over Z[T], and agrees with
+        the unpruned scan of the box."""
+        Y = IntMatrix.from_rows([[0, -1, 0], [-1, 0, 1], [0, -1, 0]])
+        T = Y * 6 + IntMatrix.identity(3)
+        commutant = _Invariants(T).commutant
+        Z_T = lattice_from_generators(9, krylov_rows(T))
+        index = 1
+        for a, b in zip(Z_T.basis.nested(), commutant.basis.nested()):
+            index *= next(filter(None, a)) // next(filter(None, b))
+        assert index == 216 and commutant.contains(Y.entries)
+        for s in (2, 3):
+            assert root_search(T, s, 1) == Exhausted(1, complete=True)
+            assert brute_root_search(T.nested(), s, 1) is None
+
     def test_a_scalar_module_operator_takes_omega_s_path(self):
         for T, module in scalar_module_problems():
             commutant = _Invariants(T, module).commutant
@@ -561,19 +579,55 @@ class TestNonderogatoryCommutant:
         with time_limit(1.0):
             assert root_search(T, 2, 1, timeout_ms=500) == Exhausted(1, complete=False)
 
+    def test_hermite_forms_do_not_depend_on_the_primes_of_the_index(self, monkeypatch):
+        """One Hermite form (of I, T, ..., T^(n-1)) when its pivots multiply
+        to 1; else three (that one, the dual basis, the saturation's
+        canonical basis), whether the index is 2, 6 = 2.3, 216 = 2^3 3^3,
+        1080 = 2^3 3^3 5 or has a prime above 1000."""
+        forms = []
+
+        def counting(M):
+            forms.append((M.rows, M.cols))
+            return hnf(M)
+
+        monkeypatch.setattr(classify, "hnf", counting)
+        monkeypatch.setattr(exactalg, "hnf", counting)
+        Y = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [2, -1, 1]])
+        cases = {1: [[[0, 1], [1, 1]], [[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+                 3: [[[1, 2], [0, 1]], (Y * 6 + IntMatrix.identity(3)).nested(),
+                     [[1, -6, 0], [-6, 1, 6], [0, -6, 1]], [[12, 12, 18], [36, 36, 42], [30, 30, 33]],
+                     [[1, 1013], [0, 1]], [[1, 2 * 3 * 5 * 7 * 1013], [0, 1]]]}
+        for count, operators in cases.items():
+            for rows in operators:
+                T = IntMatrix.from_rows(rows)
+                n = T.rows
+                forms.clear()
+                commutant = _Invariants(T).commutant
+                assert forms == [(n, n * n), (n * n, n), (n, n * n)][:count], T
+                assert commutant == kernel_saturated(commutator_equations((T,), n)), T
+
     def test_a_non_integral_saturation_vector_raises_under_optimize(self):
-        """A left kernel mod q whose vector w has w.B / q non-integral makes
+        """A dual basis with a wrong pivot makes a saturation vector
+        non-integral, a division in the forward substitution inexact, and
         the commutant raise, also under python -O, where assert statements
-        are stripped."""
+        are stripped.  For [[1, 2], [0, 1]] the Krylov form has pivots 1 and
+        2, and doubling the first pivot of the Hermite basis of its
+        transpose asks for (1, 0, 0, 1) / 2."""
         code = textwrap.dedent("""
             import divlat.exactalg as exactalg
             from divlat.classify import _Invariants
             from divlat.exactalg import IntMatrix
-            exactalg._left_kernel_mod = lambda rows, q: (1, [[1] + [0] * (len(rows) - 1)])
+            hnf = exactalg.hnf
+            def wrong_pivot(M):
+                H = hnf(M)
+                if M.rows > M.cols:
+                    H = IntMatrix(H.rows, H.cols, (2 * H.entries[0],) + H.entries[1:])
+                return H
+            exactalg.hnf = wrong_pivot
             try:
                 out = _Invariants(IntMatrix.from_rows([[1, 2], [0, 1]])).commutant
-            except AssertionError:
-                print("raised")
+            except AssertionError as error:
+                print("raised:", error)
             else:
                 print("returned", out)
         """)
@@ -582,7 +636,7 @@ class TestNonderogatoryCommutant:
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "raised"
+        assert run.stdout.startswith("raised: row 0 of the dual basis"), run.stdout
 
 
 class TestCoprimeRoot:

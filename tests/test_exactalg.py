@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -12,12 +12,13 @@ import divlat
 import divlat.exactalg as exactalg
 from divlat.corpus import conjugate
 from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_matrix, cyclotomic, hnf, kernel_saturated
-from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _tuple_mul, _tuple_pow, _zdivmod, _zgcd,
-                             _zradical)
+from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _saturation, _tuple_mul, _tuple_pow, _zdivmod,
+                             _zgcd, _zradical)
 from helpers import (char_poly_cofactor, commutator_equations, cyclotomic_table, diagonal_matrix, frac_det,
                      frac_min_poly, frac_rank, full_lattice, image_oracle, is_saturated_kernel, lattice_from_generators,
                      mat_mul, mat_pow, qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical,
-                     qpoly_trim, rand_matrix, rand_unimodular, seeded_module_problems, seeded_operator)
+                     qpoly_trim, rand_matrix, rand_unimodular, saturation_oracle, seeded_module_problems,
+                     seeded_operator)
 
 
 class TestKernels:
@@ -552,6 +553,49 @@ class TestKernelAndImageAgainstOracles:
                 self.check(hnf(E))
         for T, module in seeded_module_problems(179):
             self.check(commutator_equations((T, module.omega_action), T.rows))
+
+
+def pivots(B):
+    return [next(filter(None, B.row(i))) for i in range(B.rows)]
+
+
+class TestSaturation:
+    """_saturation's dual basis against the kernel of the kernel, on seeded
+    full-rank k x cols Hermite forms, k <= 4 and cols <= 9."""
+
+    # 2^5 3^3 5; a prime above 1000 alone, beside 6 and beside another; small indices; 1
+    INDICES = (4320, 1009, 6 * 1013, 1009 * 1013, 2, 7, 12, 1)
+
+    def sublattice(self, rng, k, cols, index):
+        """(H, S): H the Hermite form of A.S, where S is k rows of a
+        unimodular matrix (a saturated basis) and A a k x k upper
+        triangular matrix of determinant index, so [sat(H) : H] = index.
+        An index divisible by 6 is split over two diagonal entries."""
+        diagonal = [1] * k
+        if index % 6 == 0 and k > 1:
+            diagonal[0], diagonal[-1] = index // 6, 6
+        else:
+            diagonal[rng.randrange(k)] = index
+        A = IntMatrix.from_rows([[diagonal[i] if i == j else rng.randint(-4, 4) if j > i else 0 for j in range(k)]
+                                 for i in range(k)])
+        S = IntMatrix(k, cols, rand_unimodular(rng, cols).entries[: k * cols])
+        return hnf(A * S), S
+
+    def test_against_the_kernel_of_the_kernel(self):
+        rng = random.Random(181)
+        seen = set()
+        for _ in range(240):
+            k = rng.randint(1, 4)
+            cols = rng.randint(k, 9)
+            index = rng.choice(self.INDICES)
+            H, S = self.sublattice(rng, k, cols, index)
+            sat = _saturation(H)
+            assert sat == saturation_oracle(H) == lattice_from_generators(cols, S.nested()), H
+            assert prod(pivots(H)) == index * prod(pivots(sat.basis)), H
+            seen.add(index)
+            seen.add("k = cols" if k == cols else "k < cols")
+            seen.add("D = 1" if prod(pivots(H)) == 1 else "saturated, D > 1" if index == 1 else "D > 1")
+        assert seen == {*self.INDICES, "k = cols", "k < cols", "D = 1", "saturated, D > 1", "D > 1"}
 
 
 class TestHermiteShapeCheck:
