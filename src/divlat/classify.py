@@ -57,9 +57,9 @@ from itertools import chain
 from math import lcm
 from operator import mul
 
-from .exactalg import (IntMatrix, Lattice, QMatrix, _chi_and_orbit, _cyclotomic_indices, _identity, _kernel_and_image,
-                       _saturation, _tuple_det, _tuple_mul, _tuple_rank_profile, _zdivmod, _zgcd, _zradical, cyclotomic,
-                       hnf, kernel_saturated, restrict_to_lattice)
+from .exactalg import (IntMatrix, Lattice, QMatrix, _back_substitute, _bareiss, _chi_and_orbit, _cyclotomic_indices,
+                       _identity, _kernel_and_image, _saturation, _tuple_det, _tuple_mul, _zdivmod, _zgcd, _zradical,
+                       cyclotomic, hnf, kernel_saturated, restrict_to_lattice)
 from .primes import prime_factors
 
 
@@ -160,18 +160,23 @@ class _Invariants:
 
     @cached_property
     def semisimple(self) -> bool:
-        """r(T) = 0: at once for a squarefree chi, as r(T) = chi(T) = 0 by
-        Cayley-Hamilton.  Else False for a cyclic v, as T is then
-        nonderogatory, mu_T = chi, and False when r(T) v != 0, read off the
-        orbit.  Else r(T) is multiplied out, and a zero makes r the proven
+        """r(T) = 0 (_semisimple)."""
+        return self._semisimple(self.chi, self.radical, 0)
+
+    def _semisimple(self, chi, radical, shift: int) -> bool:
+        """Whether a(T) = 0 for a = x^shift rad(chi), chi = chi_T (shift 0)
+        or chi_M (shift 1, M = T on im T, whose semisimplicity this is, as
+        the columns of T span im T): at once for a squarefree chi, by
+        Cayley-Hamilton for T or M.  Else False for a cyclic v, as T and M
+        are then nonderogatory, and False when a(T) v != 0, read off the
+        orbit.  Else a(T) is multiplied out, and a zero makes a the proven
         annihilator."""
-        if self.radical == self.chi:
+        if radical == chi:
             return True
-        if self.cyclic or any(self._at_v(self.radical)):
+        a = (0,) * shift + radical
+        if self.cyclic or any(self._at_v(a)) or not _scaled_eval(a, self.T)[1].is_zero():
             return False
-        if not _scaled_eval(self.radical, self.T)[1].is_zero():
-            return False
-        self.annihilator = self.radical
+        self.annihilator = a
         return True
 
     @cached_property
@@ -307,7 +312,9 @@ class _Invariants:
             if chi[0]:
                 raise AssertionError("chi of the image part: chi_T(0) != 0 for a singular T")
             return chi[1:]
-        r, I, J, echelon = _tuple_rank_profile(T.entries, n, n)
+        a = [list(T.row(i)) for i in range(n)]
+        J, origin, _ = _bareiss(a, n)
+        r, I = len(J), sorted(origin[: len(J)])
         k = n - r
         if any(chi[:k]):
             raise AssertionError(f"chi of the image part: x^{k} does not divide chi_T, k = rank ker T")
@@ -318,14 +325,12 @@ class _Invariants:
         minor = _tuple_det(tuple(T[i, j] for i in I for j in J), r)
         if not minor or _tuple_det(_tuple_mul(rows_I, columns_J, r, n, r), r) != (-1) ** r * chi[k] * minor:
             raise AssertionError("chi of the image part: chi_T disagrees with det (T^2)[I, J] / det T[I, J]")
+        if not all(a[i][j] for i, j in enumerate(J)):
+            raise AssertionError("chi of the image part: an echelon row of T has a zero pivot")
         for j in sorted(set(range(n)) - set(J)):
             v = [0] * n
             v[j] = minor
-            for row, pivot in zip(reversed(echelon), reversed(J)):
-                if not row[pivot]:
-                    raise AssertionError("chi of the image part: an echelon row of T has a zero pivot")
-                v[pivot] = -sum(map(mul, row[pivot + 1 :], v[pivot + 1 :])) // row[pivot]
-            if any(T.apply(v)):
+            if any(T.apply(_back_substitute(a, J, v))):
                 raise AssertionError(f"chi of the image part: T does not kill the kernel vector of column {j}, "
                                      f"so rank T is not {r}")
         return chi[k:]
@@ -337,23 +342,11 @@ class _Invariants:
 
     @cached_property
     def image_semisimple(self) -> bool:
-        """Whether M is semisimple: semisimple when det T != 0.  Else when
-        chi_M is squarefree, or else when rad(chi_M)(T) T = 0, as the
-        columns of T span im T.  False at once for a cyclic v, as M is then
-        nonderogatory too, and when rad(chi_M)(T) T v != 0, read off the
-        orbit.  A zero multiplied out makes x rad(chi_M) the proven
-        annihilator."""
+        """Whether M is semisimple: semisimple when det T != 0, else when
+        T rad(chi_M)(T) = 0 (_semisimple)."""
         if self.det:
             return self.semisimple
-        radical = _zradical(self.image_chi)
-        if radical == self.image_chi:
-            return True
-        if self.cyclic or any(self._at_v((0,) + radical)):
-            return False
-        if not (_scaled_eval(radical, self.T)[1] * self.T).is_zero():
-            return False
-        self.annihilator = (0,) + radical
-        return True
+        return self._semisimple(self.image_chi, _zradical(self.image_chi), 1)
 
     @cached_property
     def image_order(self) -> int | None:
@@ -393,11 +386,7 @@ class _Invariants:
         with M, so it lies in Q[M].  Else it is the kernel of X -> (XM - MX
         for each M), X flattened row-major, HNF first, which halves the
         cost of the kernel's augmented Hermite form.  Either way the lattice
-        is canonical, so both paths give the same basis.  A 12 x 12 X^2
-        (X with entries in [-1, 1]) takes 0.02 s, not the 3 s of the
-        n^2-column equations; a derogatory 12 x 12 T, a unimodular
-        conjugate of Y^2 (+) Y^2 with entries up to 678, still takes 9 s
-        (CPython 3.11, 2 cores)."""
+        is canonical, so both paths give the same basis."""
         mats = (self.T,) if self.module is None else (self.T, self.module.omega_action)
         for M in mats:
             lattice = _nonderogatory_commutant(M)

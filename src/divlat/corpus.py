@@ -12,7 +12,7 @@ from math import lcm
 
 from .classify import _Invariants
 from .divisibility import _coprime_exponents, _coprime_roots
-from .exactalg import IntMatrix, _cyclotomic_indices, cyclotomic, companion_matrix, hnf
+from .exactalg import IntMatrix, _adjugate, _cyclotomic_indices, cyclotomic, companion_matrix
 from .primes import euler_phi
 from .supernat import AllFrom, Factorials, Geometric, Residue, SDescriptor
 
@@ -51,15 +51,15 @@ def random_unimodular(n: int, rng: random.Random, steps: int = 12) -> IntMatrix:
 
 
 def conjugate(T: IntMatrix, U: IntMatrix) -> IntMatrix:
-    """U T U^{-1}, in integers.  The row Hermite form of [U | I] is P [U | I]
-    for a unimodular P, so it is [I | U^{-1}] exactly when U is unimodular
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
-    n, m = U.rows, U.cols
-    H = hnf(IntMatrix.from_rows([list(U.row(i)) + [int(i == j) for j in range(n)] for i in range(n)],
-                                cols=m + n))
-    if IntMatrix.from_rows([H.row(i)[:m] for i in range(n)], cols=m) != IntMatrix.identity(n):
+    """U T U^{-1}, in integers: for det U = +-1, U^{-1} = adj U / det U =
+    det U adj U (_adjugate), checked as U U^{-1} = I."""
+    det, adj = _adjugate(U.entries, U.rows) if U.is_square else (0, None)
+    if abs(det) != 1:
         raise ValueError("conjugation needs a unimodular matrix")
-    return U * T * IntMatrix.from_rows([H.row(i)[m:] for i in range(n)], cols=n)
+    inverse = IntMatrix(U.rows, U.rows, tuple(det * x for x in adj))
+    if U * inverse != IntMatrix.identity(U.rows):
+        raise AssertionError("U U^-1 != I: the adjugate of U is wrong")
+    return U * T * inverse
 
 
 def block_diagonal(blocks: list[IntMatrix]) -> IntMatrix:

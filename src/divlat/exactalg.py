@@ -1,10 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
-Dense, immutable, arbitrary-precision matrices; the Hermite normal form,
-the one lattice elimination; saturated kernels and honest images as
-canonical lattices, both read off one Hermite form; and the characteristic
-and cyclotomic polynomials, as ascending coefficient tuples.  Nothing here
-ever touches a float.
+Dense, immutable, arbitrary-precision matrices; two eliminations: the
+Hermite normal form, the one lattice elimination, and one fraction-free
+(Bareiss) elimination with one back-substitution, from which the
+determinant, the rank profile, the Krylov solve, kernel vectors and the
+adjugate (the inverse, conjugation) are read; saturated kernels and honest
+images as canonical lattices, both read off one Hermite form; and the
+characteristic and cyclotomic polynomials, as ascending coefficient tuples.
+Nothing here ever touches a float.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 from .primes import divisors, euler_phi
@@ -49,8 +52,8 @@ def _tuple_pow(x, n: int, k: int) -> tuple:
 
 def _tuple_det(x, n: int) -> int:
     """Determinant of a square n x n integer entry tuple: closed forms up to
-    3 x 3 (the root-search scan calls this millions of times), fraction-free
-    Bareiss elimination beyond, whose divisions are exact."""
+    3 x 3 (the root-search scan calls this millions of times), else the
+    signed last pivot of one elimination (_bareiss)."""
     if n == 0:
         return 1
     if n == 1:
@@ -62,54 +65,73 @@ def _tuple_det(x, n: int) -> int:
                 - x[1] * (x[3] * x[8] - x[5] * x[6])
                 + x[2] * (x[3] * x[7] - x[4] * x[6]))
     a = [list(x[i * n : (i + 1) * n]) for i in range(n)]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        top, pivot = a[k], a[k][k]
-        for row in a[k + 1 :]:
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - row[k] * top[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    J, _, sign = _bareiss(a, n)
+    return sign * a[-1][-1] if len(J) == n else 0
 
 
-def _tuple_rank_profile(x, rows: int, cols: int) -> tuple[int, tuple[int, ...], tuple[int, ...], list[list[int]]]:
-    """(r, I, J, U) for a rows x cols integer entry tuple: its rank r,
-    ascending row and column index tuples I and J of length r whose minor
-    x[I, J] is nonsingular, and the r echelon rows U, row k zero left of its
-    nonzero pivot in column J[k], spanning the rows I of x over Q, by
-    fraction-free Bareiss elimination (E. H. Bareiss, Math. Comp. 22 (1968)
-    565-578) with row pivoting.  A column with no pivot left is skipped;
-    each entry after a step is a minor of x, so every division is exact,
-    and the pivot rows and columns give x[I, J] an echelon form with
-    nonzero diagonal."""
-    a = [list(x[i * cols : (i + 1) * cols]) for i in range(rows)]
-    origin, J, prev = list(range(rows)), [], 1
+def _bareiss(a: list[list[int]], cols: int) -> tuple[list[int], list[int], int]:
+    """(J, origin, sign) for the integer rows a, each of length cols,
+    eliminated in place by fraction-free Bareiss elimination (E. H.
+    Bareiss, Math. Comp. 22 (1968) 565-578) with row pivoting: the one
+    elimination of the library beside the Hermite form.  Column j takes the
+    next pivot when a row not yet used is nonzero there, swapped up only
+    when the diagonal entry is 0; a column with none is skipped.  So
+    r = len(J) is the rank, and row k < r of a has its nonzero pivot at
+    column J[k], with 0 in every column left of it except the earlier pivot
+    columns, whose entries are left stale and never read.  Row k came from
+    row origin[k], and sign is (-1)^(row swaps).  After step k each live
+    entry is a minor of the input, so every division is exact, the rows
+    origin[:r] and columns J of the input form a nonsingular minor, and the
+    last pivot of a nonsingular square input is its determinant up to
+    sign."""
+    rows = len(a)
+    origin, J, prev, sign = list(range(rows)), [], 1, 1
     for j in range(cols):
         r = len(J)
-        i0 = next((i for i in range(r, rows) if a[i][j]), None)
-        if i0 is None:
-            continue
-        a[r], a[i0], origin[r], origin[i0] = a[i0], a[r], origin[i0], origin[r]
-        top, pivot = a[r], a[r][j]
+        if r == rows:
+            break
+        top = a[r]
+        if not top[j]:
+            i0 = next((i for i in range(r + 1, rows) if a[i][j]), None)
+            if i0 is None:
+                continue
+            a[r], a[i0], origin[r], origin[i0] = a[i0], top, origin[i0], origin[r]
+            top, sign = a[r], -sign
+        pivot, right = top[j], range(j + 1, cols)
         for row in a[r + 1 :]:
             f = row[j]
-            for c in range(j + 1, cols):
+            for c in right:
                 row[c] = (row[c] * pivot - f * top[c]) // prev
-            row[j] = 0
         prev = pivot
         J.append(j)
-        if len(J) == rows:
-            break
-    return len(J), tuple(sorted(origin[: len(J)])), tuple(J), a[: len(J)]
+    return J, origin, sign
+
+
+def _back_substitute(a, J, x: list[int]) -> list[int]:
+    """x, completed in place to a vector that every echelon row of a
+    eliminated by _bareiss (pivot columns J) kills: given x at the columns
+    outside J, each pivot coordinate x[J[k]] is solved from row k, the last
+    row first.  The divisions are exact when that vector is integral, as
+    for a kernel vector scaled by the minor det x[I, J] at one free column;
+    callers check the result, not trust it."""
+    for k in reversed(range(len(J))):
+        row, j = a[k], J[k]
+        x[j] = -sum(map(mul, row[j + 1 :], x[j + 1 :])) // row[j]
+    return x
+
+
+def _adjugate(x, n: int) -> tuple[int, tuple[int, ...] | None]:
+    """(det A, adj A) for a square n x n integer entry tuple A, adj A row
+    major, or (0, None) when A is singular: one elimination of [A | I],
+    then column j of adj A = det A . A^-1 is the kernel vector of [A | I]
+    with -det A at column n + j."""
+    a = [list(x[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    J, _, sign = _bareiss(a, 2 * n)
+    if J != list(range(n)):
+        return 0, None
+    det = sign * a[-1][n - 1] if n else 1
+    columns = [_back_substitute(a, J, [0] * (n + j) + [-det] + [0] * (n - 1 - j))[:n] for j in range(n)]
+    return det, tuple(chain.from_iterable(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +372,15 @@ class QMatrix(_Matrix):
         return IntMatrix(self.rows, self.cols, tuple(int(a) for a in self.entries))
 
     def inverse(self) -> "QMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse: D M is an integer matrix for D the lcm of the
+        denominators, and M^-1 = D adj(D M) / det(D M) (_adjugate)."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        # Fractions throughout: an int entry divided by an int is a float
-        aug = [[Fraction(x) for x in self.row(i)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-        return QMatrix.from_rows([r[n:] for r in aug])
+        D = lcm(*(x.denominator for x in self.entries))
+        det, adj = _adjugate(tuple((x * D).numerator for x in self.entries), self.rows)
+        if not det:
+            raise ZeroDivisionError("matrix is singular")
+        return QMatrix(self.rows, self.cols, tuple(Fraction(D * x, det) for x in adj))
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +584,14 @@ def _chi_and_orbit(T: IntMatrix) -> tuple[tuple[int, ...], list[list[int]], bool
     """(chi, orbit, cyclic) for a square T: the orbit v, T v, ..., T^n v of
     v = (1, 2, ..., n), n matrix-vector products, and whether v is cyclic,
     that is K = [v, T v, ..., T^(n-1) v] is nonsingular.  Then K c = T^n v
-    is solved fraction-free (_krylov_solve) and chi = x^n - sum c_i x^i is
-    chi_T, proven (Cohen, GTM 138, 2.2): mu_v, of degree n, divides chi and
-    mu_T, which divides chi_T.  Else chi comes from Berkowitz's
-    division-free recurrence (_berkowitz).  Either way chi(T) v = 0 is
-    checked as sum chi_i T^i v off the orbit, which is what makes the
-    cyclic chi a certificate, and a failure raises AssertionError."""
+    is solved by one elimination of [K | T^n v] (_bareiss) and
+    back-substitution with -1 at the T^n v column, and
+    chi = x^n - sum c_i x^i is chi_T, proven (Cohen, GTM 138, 2.2): mu_v,
+    of degree n, divides chi and mu_T, which divides chi_T.  Else chi comes
+    from Berkowitz's division-free recurrence (_berkowitz).  Either way
+    chi(T) v = 0 is checked as sum chi_i T^i v off the orbit, which is what
+    makes the cyclic chi a certificate, and a failure raises
+    AssertionError."""
     n, e = T.rows, T.entries
     rows, w = [e[i * n : (i + 1) * n] for i in range(n)], list(range(1, n + 1))
     orbit = [w]
@@ -584,42 +599,17 @@ def _chi_and_orbit(T: IntMatrix) -> tuple[tuple[int, ...], list[list[int]], bool
         w = [sum(map(mul, row, w)) for row in rows]
         orbit.append(w)
     coordinates = list(zip(*orbit))  # coordinate j of v, T v, ..., T^n v
+    c = None
     # T^(n-1) v = 0, as for every derogatory nilpotent T, needs no elimination
-    c = _krylov_solve(coordinates, n) if not n or any(orbit[n - 1]) else None
+    if not n or any(orbit[n - 1]):
+        a = [list(coordinate) for coordinate in coordinates]
+        J = _bareiss(a, n + 1)[0]
+        if J == list(range(n)):
+            c = _back_substitute(a, J, [0] * n + [-1])[:n]
     chi = _berkowitz(e, n) if c is None else tuple([-x for x in c]) + (1,)
     if any([sum(map(mul, chi, coordinate)) for coordinate in coordinates]):
         raise AssertionError("chi(T) v != 0: the characteristic polynomial is wrong")
     return chi, orbit, c is not None
-
-
-def _krylov_solve(coordinates, n: int) -> list[int] | None:
-    """The c with sum c_i T^i v = T^n v over i < n, given coordinate j of
-    v, T v, ..., T^n v for each j < n, or None when v, ..., T^(n-1) v are
-    dependent: fraction-free Bareiss elimination (E. H. Bareiss, Math.
-    Comp. 22 (1968) 565-578) of [K | T^n v] with row pivoting, then
-    back-substitution.  Every elimination division is exact.  The
-    back-substitution divides exactly when c is integral, as it is when K
-    is nonsingular and chi_T = x^n - sum c_i x^i; its result is checked by
-    the caller, not trusted."""
-    a, prev = [list(coordinate) for coordinate in coordinates], 1
-    for k in range(n):
-        top = a[k]
-        if not top[k]:
-            i0 = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if i0 is None:
-                return None
-            a[k], a[i0] = a[i0], top
-            top = a[k]
-        pivot, tail = top[k], top[k + 1 :]
-        for row in a[k + 1 :]:
-            f = row[k]
-            row[k + 1 :] = [(x * pivot - f * t) // prev for x, t in zip(row[k + 1 :], tail)]
-        prev = pivot
-    c = [0] * n
-    for k in reversed(range(n)):
-        row = a[k]
-        c[k] = (row[n] - sum(map(mul, row[k + 1 : n], c[k + 1 :]))) // row[k]
-    return c
 
 
 def _berkowitz(e, n: int) -> tuple[int, ...]:

@@ -17,8 +17,7 @@ from divlat.classify import (
     jordan_chevalley,
     roots_of_unity_spectrum,
 )
-from divlat.exactalg import (IntMatrix, QMatrix, _chi_and_orbit, _tuple_rank_profile, char_poly, companion_matrix,
-                             cyclotomic)
+from divlat.exactalg import IntMatrix, QMatrix, _bareiss, _chi_and_orbit, char_poly, companion_matrix, cyclotomic
 from divlat.corpus import KINDS, block_diagonal, conjugate, finite_order_matrix, gen_corpus
 from divlat.divisibility import impossibility_certificates
 from divlat.numberring import ZZ
@@ -674,13 +673,16 @@ class TestProvenAnnihilator:
         verify reads the image part with no elimination of T, on
         0 (+) Phi_12's companion and on J_6(0), conjugated, and the image
         part's split, semisimplicity and order multiply out no n x n matrix
-        (the coprime roots verify constructs still do)."""
+        (the coprime roots verify constructs still do).  The eliminations
+        counted are classify's own calls of the one elimination kernel;
+        det T and chi take theirs inside exactalg."""
         rng = random.Random(223)
         shift = IntMatrix(6, 6, tuple(int(j == i + 1) for i in range(6) for j in range(6)))
         operators = [conjugate(block_diagonal([IntMatrix.zeros(1, 1), companion_matrix(cyclotomic(12))]),
                                rand_unimodular(rng, 5)),
                      conjugate(shift, rand_unimodular(rng, 6))]
-        eliminations = self.counted(monkeypatch, "_tuple_rank_profile")
+        eliminations = []
+        monkeypatch.setattr(classify, "_bareiss", lambda a, cols: eliminations.append(cols) or _bareiss(a, cols))
         products = self.counted(monkeypatch, "_tuple_mul")
         facts = []
         for T in operators:
@@ -765,7 +767,8 @@ class TestImagePart:
             inv = classify._Invariants(T, module)
             facts = (inv.split_det, inv.image_det, inv.image_semisimple, inv.image_order)
             assert facts == oracle_image_facts(T), T
-            r, I, J, _ = _tuple_rank_profile(T.entries, n, n)
+            J, origin, _ = _bareiss(T.nested(), n)
+            r, I = len(J), sorted(origin[: len(J)])
             assert r == frac_rank(T.nested()) and len(I) == len(J) == r, T
             assert list(I) == sorted(set(I)) and list(J) == sorted(set(J)), T
             assert frac_det([[T[i, j] for j in J] for i in I]) != 0, T
@@ -829,17 +832,17 @@ class TestImagePart:
         read off the elimination."""
         code = textwrap.dedent(f"""
             import divlat.classify as classify
-            from divlat.exactalg import IntMatrix, _tuple_rank_profile
+            from divlat.exactalg import IntMatrix, _bareiss
             from divlat.numberring import ZZ
             from divlat.verifier import verify
 
-            def corrupted(x, rows, cols):
-                r, I, J, U = _tuple_rank_profile(x, rows, cols)
+            def corrupted(a, cols):
+                J, origin, sign = _bareiss(a, cols)
                 if {corruption!r} == "rank one too low":
-                    return r - 1, I[:-1], J[:-1], U[:-1]
-                return r, I, J[:-1] + (min(set(range(cols)) - set(J)),), U
+                    return J[:-1], origin, sign
+                return J[:-1] + [min(set(range(cols)) - set(J))], origin, sign
 
-            classify._tuple_rank_profile = corrupted
+            classify._bareiss = corrupted
             for rows in ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]],
                          [[0, 4, 3, -2], [0, -2, -2, 2], [0, 1, 1, -1], [0, -1, -1, 1]]):
                 try:
@@ -869,15 +872,15 @@ class TestImagePart:
         assert not any(_chi_and_orbit(IntMatrix.from_rows(rows))[2] for rows in operators)
         code = textwrap.dedent(f"""
             import divlat.classify as classify
-            from divlat.exactalg import IntMatrix, _tuple_rank_profile
+            from divlat.exactalg import IntMatrix, _bareiss
             from divlat.numberring import ZZ
             from divlat.verifier import verify
 
-            def dropped(x, rows, cols):
-                r, I, J, U = _tuple_rank_profile(x, rows, cols)
-                return r - 1, I[:-1], J[:-1], U[:-1]
+            def dropped(a, cols):
+                J, origin, sign = _bareiss(a, cols)
+                return J[:-1], origin, sign
 
-            classify._tuple_rank_profile = dropped
+            classify._bareiss = dropped
             for rows in {operators!r}:
                 try:
                     out = verify(ZZ, None, IntMatrix.from_rows(rows), None, ())

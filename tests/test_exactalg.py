@@ -5,6 +5,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -12,39 +13,70 @@ import divlat
 import divlat.exactalg as exactalg
 from divlat.corpus import conjugate
 from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_matrix, cyclotomic, hnf, kernel_saturated
-from divlat.exactalg import (_cyclotomic_indices, _kernel_and_image, _saturation, _tuple_mul, _tuple_pow, _zdivmod,
-                             _zgcd, _zradical)
+from divlat.exactalg import (_back_substitute, _bareiss, _cyclotomic_indices, _kernel_and_image, _saturation,
+                             _tuple_mul, _tuple_pow, _zdivmod, _zgcd, _zradical)
 from helpers import (char_poly_cofactor, commutator_equations, cyclotomic_table, diagonal_matrix, frac_det,
-                     frac_min_poly, frac_rank, full_lattice, image_oracle, is_saturated_kernel, lattice_from_generators,
-                     mat_mul, mat_pow, qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic, qpoly_mul, qpoly_radical,
-                     qpoly_trim, rand_matrix, rand_unimodular, saturation_oracle, seeded_module_problems,
-                     seeded_operator)
+                     frac_inverse, frac_min_poly, frac_rank, full_lattice, image_oracle, is_saturated_kernel,
+                     lattice_from_generators, mat_mul, mat_pow, qpoly_divmod, qpoly_eval_matrix, qpoly_gcd, qpoly_monic,
+                     qpoly_mul, qpoly_radical, qpoly_trim, rand_matrix, rand_unimodular, saturation_oracle,
+                     seeded_module_problems, seeded_operator)
 
 
 class TestKernels:
     """The shared entry-tuple kernels against the nested-list oracles."""
 
-    def _cases(self, rng, n):
-        """Random, singular (a repeated row) and zero-leading-pivot matrices."""
-        for _ in range(40):
-            entries = [rng.randint(-6, 6) for _ in range(n * n)]
+    def _cases(self, rng, n, cols=None, count=40):
+        """Random, singular (a repeated row) and zero-leading-pivot n x cols
+        matrices, cols = n by default, and one with a zero column."""
+        cols = n if cols is None else cols
+        for _ in range(count):
+            entries = [rng.randint(-6, 6) for _ in range(n * cols)]
             yield entries
             if n >= 2:
                 i, j = rng.sample(range(n), 2)
                 singular = list(entries)
-                singular[j * n : (j + 1) * n] = entries[i * n : (i + 1) * n]
+                singular[j * cols : (j + 1) * cols] = entries[i * cols : (i + 1) * cols]
                 yield singular
+            if n and cols:
                 zero_pivot = list(entries)
                 zero_pivot[0] = 0
                 yield zero_pivot
+                zero_column = list(entries)
+                zero_column[rng.randrange(cols) :: cols] = [0] * n
+                yield zero_column
 
     def test_det_against_fraction_elimination(self):
+        """Closed forms to 3 x 3, the signed last pivot of the elimination
+        beyond, to 12 x 12, the largest operators the benchmark analyses."""
         rng = random.Random(41)
-        for n in range(7):
-            for entries in self._cases(rng, n):
+        for n in range(13):
+            for entries in self._cases(rng, n, count=40 if n <= 6 else 8):
                 rows = [entries[i * n : (i + 1) * n] for i in range(n)]
                 expected = frac_det(rows)
                 assert IntMatrix(n, n, tuple(entries)).det() == expected, rows
+
+    def test_elimination_against_fraction_rank(self):
+        """On rows x cols inputs from 0 x 0 to 6 x 7: the pivot count is
+        the rank, the pivot rows and columns, ascending, form a nonsingular
+        minor, and back-substitution with that minor at a column outside J
+        gives a vector the input kills."""
+        rng = random.Random(47)
+        for rows in range(7):
+            for cols in range(8):
+                for entries in self._cases(rng, rows, cols, count=4):
+                    x = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+                    a = [list(row) for row in x]
+                    J, origin, _ = _bareiss(a, cols)
+                    I = sorted(origin[: len(J)])
+                    assert len(J) == frac_rank(x) and sorted(origin) == list(range(rows)), x
+                    assert J == sorted(set(J)), x
+                    minor = frac_det([[x[i][j] for j in J] for i in I])
+                    assert minor, x
+                    for j in sorted(set(range(cols)) - set(J)):
+                        v = [0] * cols
+                        v[j] = int(minor)
+                        y = _back_substitute(a, J, v)
+                        assert not any(sum(map(mul, row, y)) for row in x), (x, y)
 
     def test_zero_pivot_column_is_singular(self):
         M = IntMatrix.from_rows([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]])
@@ -214,18 +246,19 @@ class TestCharMinPoly:
         assert run.stdout.strip() == "raised"
 
     def test_wrong_krylov_solve_raises_under_optimize(self):
-        """A Krylov solve that hands back one coefficient off by one, each
-        in turn, fails the chi(T) v = 0 check on a cyclic T, also under
-        python -O: T^i v != 0 for every i < n when v is cyclic."""
+        """A Krylov solve whose back-substitution hands back one coefficient
+        off by one, each in turn, fails the chi(T) v = 0 check on a cyclic
+        T, also under python -O: T^i v != 0 for every i < n when v is
+        cyclic."""
         T = [[2, 1, 0], [0, 1, 3], [1, 0, -1]]
         assert exactalg._chi_and_orbit(IntMatrix.from_rows(T))[2]
         code = textwrap.dedent(f"""
             import divlat.exactalg as exactalg
             from divlat.exactalg import IntMatrix, char_poly
-            solve = exactalg._krylov_solve
+            solve = exactalg._back_substitute
             for i in range(3):
-                exactalg._krylov_solve = lambda coordinates, n: [c + (j == i) for j, c in
-                                                                 enumerate(solve(coordinates, n))]
+                exactalg._back_substitute = lambda a, J, x: [c + (j == i) for j, c in
+                                                             enumerate(solve(a, J, x))]
                 try:
                     out = char_poly(IntMatrix.from_rows({T!r}))
                 except AssertionError as e:
@@ -255,6 +288,13 @@ class TestCharMinPoly:
             U = rand_unimodular(rng, n)
             C = conjugate(T, U)
             assert char_poly(C) == char_poly(T)
+
+    def test_conjugation_needs_a_unimodular_matrix(self):
+        """Conjugation refuses det U = +-2, a singular and a non-square U."""
+        T = IntMatrix.from_rows([[1, 2], [3, 4]])
+        for U in ([[2, 0], [0, 1]], [[1, 1], [1, -1]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0]]):
+            with pytest.raises(ValueError, match="conjugation needs a unimodular matrix"):
+                conjugate(T, IntMatrix.from_rows(U))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -704,6 +744,28 @@ class TestQMatrixEntries:
             assert all(isinstance(x, (int, Fraction)) for x in inverse.entries), rows
             assert Q * inverse == QMatrix.identity(len(rows)) == inverse * Q, rows
         assert QMatrix.from_rows([[2, 0], [0, 4]]).inverse().entries == (Fraction(1, 2), 0, 0, Fraction(1, 4))
+
+    def test_inverse_against_the_fraction_oracle(self):
+        """The adjugate over the determinant of the matrix with its
+        denominators cleared, on int and Fraction entries and 0 x 0, equals
+        Fraction Gauss-Jordan; a singular matrix raises ZeroDivisionError."""
+        rng = random.Random(53)
+        assert QMatrix(0, 0, ()).inverse() == QMatrix(0, 0, ())
+        singular = 0
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) if rng.random() < 0.6 else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2:
+                rows[-1] = list(rows[0])
+            expected = frac_inverse(rows)
+            if expected is None:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    QMatrix.from_rows(rows).inverse()
+            else:
+                assert QMatrix.from_rows(rows).inverse() == QMatrix.from_rows(expected), rows
+        assert singular >= 10
 
     def test_bool_and_float_entries_are_rejected(self):
         for bad, entries in ((True, (1, True)), (False, (Fraction(1, 2), False)), (0.5, (0.5, 1)),
