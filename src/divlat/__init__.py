@@ -39,7 +39,6 @@ from .exactalg import (
     companion_matrix,
     cyclotomic,
     hnf,
-    kernel_saturated,
     restrict_to_lattice,
 )
 from .fitting import clean_split, fitting_decompose

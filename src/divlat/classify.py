@@ -54,12 +54,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .exactalg import (IntMatrix, Lattice, QMatrix, _back_substitute, _bareiss, _chi_and_orbit, _cyclotomic_indices,
                        _identity, _kernel_and_image, _saturation, _tuple_det, _tuple_mul, _zdivmod, _zgcd, _zradical,
-                       cyclotomic, hnf, kernel_saturated, restrict_to_lattice)
+                       cyclotomic, hnf, restrict_to_lattice)
 from .primes import prime_factors
 
 
@@ -380,42 +380,42 @@ class _Invariants:
 
     @cached_property
     def commutant(self) -> Lattice:
-        """C(T), or C(T) meet C(omega).  When T, or over a module omega, is
-        nonderogatory, it is that matrix's commutant, sat(Z[M])
-        (_nonderogatory_commutant): the other matrix of the pair commutes
-        with M, so it lies in Q[M].  Else it is the kernel of X -> (XM - MX
-        for each M), X flattened row-major, HNF first, which halves the
-        cost of the kernel's augmented Hermite form.  Either way the lattice
-        is canonical, so both paths give the same basis."""
+        """C(T), or C(T) meet C(omega): the saturation of hnf(B) for a
+        rational basis B of the rational commutant, C_Q meet M_n(Z), a
+        canonical lattice (_saturation).  When T, or over a module omega, is
+        nonderogatory, the Hermite form of I, M, ..., M^(n-1), each
+        flattened to a row of length n^2, has rank n, and B is those powers:
+        C_Q(M) = Q[M], and the other matrix of the pair commutes with M, so
+        it lies in Q[M].  Else B comes from one fraction-free elimination
+        (_bareiss) of the commutator equations X -> (XM - MX for each M),
+        X flattened row-major: for each free column j, the kernel vector
+        back-substituted with the last pivot, +-det of the r x r minor the
+        elimination found (1 when r = 0), at j and 0 at the other free
+        columns, integral by Cramer's rule.  Each such X is checked to
+        commute with T and omega, a failure raising AssertionError, and is
+        divided by its content, which leaves its span and the saturation
+        as they are and keeps hnf(B) small."""
         mats = (self.T,) if self.module is None else (self.T, self.module.omega_action)
-        for M in mats:
-            lattice = _nonderogatory_commutant(M)
-            if lattice is not None:
-                return lattice
         n = self.T.rows
-        equations = [[(M[j, b] if a == i else 0) - (M[a, i] if j == b else 0)
-                      for i in range(n) for j in range(n)]
-                     for M in mats for a in range(n) for b in range(n)]
-        return kernel_saturated(hnf(IntMatrix.from_rows(equations, cols=n * n)))
-
-
-def _nonderogatory_commutant(M: IntMatrix) -> Lattice | None:
-    """C(M) when M is nonderogatory, else None.  M is nonderogatory when
-    the Hermite form of I, M, ..., M^(n-1), each flattened to a row of
-    length n^2, has rank n.  Then C_Q(M) = Q[M], so C(M) = Q[M] meet
-    M_n(Z), the saturation of Z[M]: an n x n^2 Hermite form, not the
-    n^2 x n^2 commutator system.  _saturation returns that form as it is
-    when its pivots multiply to 1, and otherwise takes two more Hermite
-    forms (the dual basis and the canonical one) and one triangular solve,
-    however many primes divide the index."""
-    n = M.rows
-    powers = [_identity(n)]
-    for _ in range(n - 1):
-        powers.append(_tuple_mul(powers[-1], M.entries, n, n, n))
-    H = hnf(IntMatrix(n, n * n, tuple(chain.from_iterable(powers))))
-    if n and not any(H.row(n - 1)):
-        return None
-    return _saturation(H)
+        for M in mats:
+            powers = [_identity(n)]
+            for _ in range(n - 1):
+                powers.append(_tuple_mul(powers[-1], M.entries, n, n, n))
+            H = hnf(IntMatrix(n, n * n, tuple(chain.from_iterable(powers))))
+            if not n or any(H.row(n - 1)):
+                break
+        else:
+            a = [[(M[j, b] if c == i else 0) - (M[c, i] if j == b else 0) for i in range(n) for j in range(n)]
+                 for M in mats for c in range(n) for b in range(n)]
+            J = _bareiss(a, n * n)[0]
+            scale = a[len(J) - 1][J[-1]] if J else 1
+            basis = [_back_substitute(a, J, [scale * (i == j) for i in range(n * n)])
+                     for j in sorted(set(range(n * n)) - set(J))]
+            for x in basis:
+                if any(_tuple_mul(x, M.entries, n, n, n) != _tuple_mul(M.entries, x, n, n, n) for M in mats):
+                    raise AssertionError("a kernel vector of the commutator equations does not commute with T or omega")
+            H = hnf(IntMatrix.from_rows([[c // gcd(*x) for c in x] for x in basis], cols=n * n))
+        return _saturation(H)
 
 
 def _cyclotomic_factorization(p) -> tuple[tuple[int, int], ...] | None:
@@ -567,16 +567,17 @@ def _mul(a: tuple, b: tuple) -> tuple:
 def _scaled_eval(coeffs, T: IntMatrix) -> tuple[int, IntMatrix]:
     """(D, D p(T)) for p's ascending int or Fraction coefficients and D the
     lcm of their denominators, by Horner's rule in Z: from the leading
-    coefficient times I, each later coefficient added on the diagonal."""
+    coefficient times T (times I for a constant p), each later coefficient
+    added on the diagonal, and the sum times T before the next: deg p - 1
+    products."""
     D, n = lcm(*(c.denominator for c in coeffs)), T.rows
-    if not coeffs:
-        return D, IntMatrix.zeros(n, n)
-    acc = IntMatrix.identity(n) * (coeffs[-1] * D).numerator
-    for c in coeffs[-2::-1]:
-        entries, c = list(_tuple_mul(acc.entries, T.entries, n, n, n)), (c * D).numerator
-        entries[:: n + 1] = [a + c for a in entries[:: n + 1]]
-        acc = IntMatrix(n, n, tuple(entries))
-    return D, acc
+    c = [(x * D).numerator for x in coeffs] or [0]
+    acc = [c[-1] * x for x in (T.entries if len(c) > 1 else _identity(n))]
+    for k in reversed(range(len(c) - 1)):
+        acc[:: n + 1] = [a + c[k] for a in acc[:: n + 1]]
+        if k:
+            acc = list(_tuple_mul(acc, T.entries, n, n, n))
+    return D, IntMatrix(n, n, tuple(acc))
 
 
 # A report record: serialize writes it as the dict of its fields, so a

@@ -3,9 +3,10 @@
 Dense, immutable, arbitrary-precision matrices; two eliminations: the
 Hermite normal form, the one lattice elimination, and one fraction-free
 (Bareiss) elimination with one back-substitution, from which the
-determinant, the rank profile, the Krylov solve, kernel vectors and the
-adjugate (the inverse, conjugation) are read; saturated kernels and honest
-images as canonical lattices, both read off one Hermite form; and the
+determinant, the rank profile, the Krylov solve, kernel vectors (those of
+the commutator equations too) and the adjugate (the inverse, conjugation)
+are read; kernels and honest images as canonical lattices, both read off
+one Hermite form, and the saturation of a row span, by duality; and the
 characteristic and cyclotomic polynomials, as ascending coefficient tuples.
 Nothing here ever touches a float.
 """
@@ -512,13 +513,6 @@ def _kernel_and_image(T: IntMatrix) -> tuple[Lattice, Lattice]:
     image = Lattice(m, IntMatrix(r, m, tuple(x for row in rows[:r] for x in row[:m])))
     kernel = Lattice(n, IntMatrix(n - r, n, tuple(x for row in rows[r:] for x in row[m:])))
     return kernel, image
-
-
-def kernel_saturated(T: IntMatrix) -> Lattice:
-    """The lattice {v in Z^cols : T v = 0}, read off the same Hermite form as
-    the image (_kernel_and_image).  Kernels of integer matrices are
-    automatically saturated: the quotient by them is torsion-free."""
-    return _kernel_and_image(T)[0]
 
 
 def _saturation(H: IntMatrix) -> Lattice:

@@ -242,11 +242,11 @@ def saturation_oracle(H):
     """The saturation (Q-span) meet Z^cols of the row span of H, as the
     kernel of its kernel: v lies in it exactly when v is orthogonal to
     every integer w with H w = 0.  Both kernels come from the library's
-    kernel_saturated, one Hermite form of [M^t | I] each, not from the dual
-    basis that exactalg._saturation solves for."""
-    from divlat.exactalg import kernel_saturated
+    _kernel_and_image, one Hermite form of [M^t | I] each, not from the
+    dual basis that exactalg._saturation solves for."""
+    from divlat.exactalg import _kernel_and_image
 
-    return kernel_saturated(kernel_saturated(H).basis)
+    return _kernel_and_image(_kernel_and_image(H)[0].basis)[0]
 
 
 def image_oracle(T):
@@ -827,6 +827,16 @@ def commutator_equations(mats, n):
                     row[i * n + b] -= M[a, i]
                 rows.append(row)
     return IntMatrix.from_rows(rows, cols=n * n)
+
+
+def commutant_oracle(mats, n):
+    """The integer n x n matrices, flattened row-major, that commute with
+    every M in mats: the kernel of commutator_equations, read off the
+    library's augmented Hermite form (_kernel_and_image), not off the
+    elimination and the saturation that the library's commutant takes."""
+    from divlat.exactalg import _kernel_and_image
+
+    return _kernel_and_image(commutator_equations(mats, n))[0]
 
 
 def seeded_module_problems(seed):

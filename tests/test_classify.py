@@ -25,8 +25,9 @@ from divlat.primes import euler_phi
 from divlat.verifier import verify
 from divlat.serialize import problem_from_json
 from helpers import (diagonal_matrix, frac_det, frac_min_poly, frac_rank, min_poly_is_squarefree, module_problems,
-                     newton_jordan_chevalley_oracle, oracle_image_facts, qpoly_add, qpoly_divmod, qpoly_mul,
-                     qpoly_radical, rand_matrix, rand_unimodular, rational_invariants_oracle, seeded_operator)
+                     newton_jordan_chevalley_oracle, oracle_image_facts, qpoly_add, qpoly_divmod, qpoly_eval_matrix,
+                     qpoly_mul, qpoly_radical, rand_matrix, rand_unimodular, rational_invariants_oracle,
+                     seeded_operator)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
 
@@ -538,6 +539,40 @@ class TestPowerLadder:
         assert products == []
 
 
+def counted_products(monkeypatch):
+    """The shapes (rows, inner, cols) of classify's own _tuple_mul calls,
+    recorded from now on."""
+    products, tuple_mul = [], classify._tuple_mul
+    monkeypatch.setattr(classify, "_tuple_mul", lambda a, b, *shape: products.append(shape) or tuple_mul(a, b, *shape))
+    return products
+
+
+class TestScaledEval:
+    """_scaled_eval against Horner's rule over Fractions, from the leading
+    coefficient times T: deg p - 1 products of n x n matrices, one for
+    x^2 - 3x + 1, where a start from the leading coefficient times I took
+    deg p."""
+
+    def test_against_fraction_horner(self, monkeypatch):
+        products = counted_products(monkeypatch)
+        rng, degrees = random.Random(239), set()
+        for _ in range(300):
+            n = rng.randint(0, 4)
+            T = rand_matrix(rng, n, 3)
+            p = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(0, 5)))
+            p = p[: max((i + 1 for i, c in enumerate(p) if c), default=0)]
+            products.clear()
+            D, DP = classify._scaled_eval(p, T)
+            assert D == lcm(*(c.denominator for c in p)), p
+            assert [[Fraction(x, D) for x in row] for row in DP.nested()] == qpoly_eval_matrix(p, T.nested()), (p, T)
+            assert products == [(n, n, n)] * max(len(p) - 2, 0), (p, T)
+            degrees.add(len(p) - 1)
+        assert degrees == {-1, 0, 1, 2, 3, 4}
+        products.clear()
+        classify._scaled_eval((1, -3, 1), IntMatrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
+        assert products == [(3, 3, 3)]
+
+
 class TestVectorCertificates:
     """A claim p(T) != 0 is settled by one vector v = (1, ..., n) with
     p(T) v != 0: matrix-vector products, no polynomial in T multiplied
@@ -571,8 +606,11 @@ class TestVectorCertificates:
         """When r(T) v = 0 the matrix r(T) is still multiplied out, once:
         T = J_2(1) (+) (1) and the singular S = 0 (+) J_2(1), each
         conjugated so that v = (1, 2, 3) is a fixed vector, stay
-        non-semisimple."""
-        calls = []
+        non-semisimple.  Horner's rule from the leading coefficient times T
+        takes deg - 1 products: none for T - I, one 3 x 3 product for
+        S (S - I) (beside the image part's 2 x 3 by 3 x 2 check), where a
+        start from the leading coefficient times I took one more each."""
+        calls, products = [], counted_products(monkeypatch)
         scaled_eval = classify._scaled_eval
         monkeypatch.setattr(classify, "_scaled_eval", lambda *args: calls.append(args) or scaled_eval(*args))
         T = conjugate(IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
@@ -581,8 +619,9 @@ class TestVectorCertificates:
                       IntMatrix.from_rows([[0, 1, 0], [1, 2, 0], [0, 3, 1]]))  # v = U e2
         for X in (T, S):
             assert X.apply((1, 2, 3)) == (1, 2, 3), X
-        assert not classify._Invariants(T).semisimple and len(calls) == 1
+        assert not classify._Invariants(T).semisimple and len(calls) == 1 and products == []
         assert not classify._Invariants(S).image_semisimple and len(calls) == 2
+        assert products == [(2, 3, 2), (3, 3, 3)]
 
 
 class TestProvenAnnihilator:
@@ -697,14 +736,17 @@ class TestProvenAnnihilator:
 
     def test_an_inconclusive_vector_test_takes_the_power(self, monkeypatch):
         """T = I_2 (+) Phi_4's companion, conjugated so that v = (1, 2, 3, 4)
-        is fixed, is derogatory: semisimple multiplies r(T) out, which
+        is fixed, is derogatory: semisimple multiplies r(T) out, with two
+        products (Horner's rule from T, not from I, which took three), which
         proves r = (x - 1)(x^2 + 1) an annihilator.  r divides x^4 - 1, so
         T^4 is not multiplied out; x^2 mod r fixes v like T^2 does, so T^2
         is, and is not I."""
         U = IntMatrix.from_rows([[1, 0, 0, 0], [2, 1, 0, 0], [3, 0, 1, 0], [4, 0, 0, 1]])  # v = U e1
         T = conjugate(block_diagonal([IntMatrix.identity(2), companion_matrix(cyclotomic(4))]), U)
         assert T.apply((1, 2, 3, 4)) == (1, 2, 3, 4)
+        products = counted_products(monkeypatch)
         inv = classify._Invariants(T)
+        assert inv.semisimple and products == [(4, 4, 4)] * 2
         assert inv.semisimple and not inv.cyclic and inv.annihilator == (-1, 1, -1, 1)
         assert inv.order == 4 and sorted(inv._powers) == [0, 2, 5]  # T^0 = I and T^5 = T: no product
 

@@ -30,11 +30,10 @@ from divlat.divisibility import (
     zero_plus_finite_order,
 )
 from divlat.corpus import block_diagonal, conjugate, gen_corpus, random_unimodular
-from divlat.exactalg import (IntMatrix, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, hnf,
-                             kernel_saturated)
+from divlat.exactalg import IntMatrix, _bareiss, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, hnf
 from divlat.numberring import embed_ok_matrix
 from divlat.primes import signed_root
-from helpers import (brute_root_search, commutator_equations, diagonal_matrix, frac_rank, lattice_from_generators,
+from helpers import (brute_root_search, commutant_oracle, diagonal_matrix, frac_rank, lattice_from_generators,
                      realizable_orders_by_walk, seeded_module_problems, time_limit)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
@@ -425,10 +424,10 @@ class TestCommutantWalk:
     def test_commutant_is_the_saturated_kernel(self):
         for T in seeded_operators(139, 150):
             commutant = _Invariants(T, None).commutant
-            assert commutant == kernel_saturated(commutator_equations((T,), T.rows))
+            assert commutant == commutant_oracle((T,), T.rows)
         for T, module in seeded_module_problems(149):
             commutant = _Invariants(T, module).commutant
-            assert commutant == kernel_saturated(commutator_equations((T, module.omega_action), T.rows))
+            assert commutant == commutant_oracle((T, module.omega_action), T.rows)
 
     def test_walk_lists_the_commuting_box_points_of_operators(self):
         for T in seeded_operators(151, 12):
@@ -510,7 +509,7 @@ class TestNonderogatoryCommutant:
         indices = set()
         for T in nonderogatory_operators(163):
             commutant = _Invariants(T).commutant
-            assert commutant == kernel_saturated(commutator_equations((T,), T.rows)), T
+            assert commutant == commutant_oracle((T,), T.rows), T
             indices.add(lattice_from_generators(T.rows ** 2, krylov_rows(T)) != commutant)
         assert indices == {False, True}
 
@@ -522,7 +521,7 @@ class TestNonderogatoryCommutant:
         commutant = _Invariants(T).commutant
         assert commutant.contains(Y.entries)
         assert not lattice_from_generators(9, krylov_rows(T)).contains(Y.entries)
-        assert commutant == kernel_saturated(commutator_equations((T,), 3))
+        assert commutant == commutant_oracle((T,), 3)
 
     def test_a_composite_index_is_walked(self):
         """I + 6Y with det 1 passes every certificate at s = 2 and 3, so the
@@ -543,17 +542,20 @@ class TestNonderogatoryCommutant:
     def test_a_scalar_module_operator_takes_omega_s_path(self):
         for T, module in scalar_module_problems():
             commutant = _Invariants(T, module).commutant
-            assert commutant == kernel_saturated(commutator_equations((T, module.omega_action), 2))
+            assert commutant == commutant_oracle((T, module.omega_action), 2)
             assert commutant.rank == 2
 
     def test_only_derogatory_operators_build_the_commutator_equations(self, monkeypatch):
+        """A commutant eliminates the n^2 x n^2 commutator equations
+        (classify's one call of the elimination kernel there) only for a
+        derogatory T and omega."""
         built = []
 
-        def recording(E):
-            built.append(E.rows)
-            return kernel_saturated(E)
+        def recording(a, cols):
+            built.append((len(a), cols))
+            return _bareiss(a, cols)
 
-        monkeypatch.setattr(classify, "kernel_saturated", recording)
+        monkeypatch.setattr(classify, "_bareiss", recording)
         for T in nonderogatory_operators(167):
             _Invariants(T).commutant
         for T, module in scalar_module_problems():
@@ -561,7 +563,7 @@ class TestNonderogatoryCommutant:
         assert built == []
         for T in (IntMatrix.identity(3) * 2, diagonal_matrix([1, 1, 2])):
             _Invariants(T).commutant
-        assert built == [9, 9]
+        assert built == [(9, 9), (9, 9)]
 
     def test_twelve_by_twelve_square_within_a_second(self):
         """T = X^2 for the 12 x 12 X with entries in [-1, 1] drawn from
@@ -604,7 +606,7 @@ class TestNonderogatoryCommutant:
                 forms.clear()
                 commutant = _Invariants(T).commutant
                 assert forms == [(n, n * n), (n * n, n), (n, n * n)][:count], T
-                assert commutant == kernel_saturated(commutator_equations((T,), n)), T
+                assert commutant == commutant_oracle((T,), n), T
 
     def test_a_non_integral_saturation_vector_raises_under_optimize(self):
         """A dual basis with a wrong pivot makes a saturation vector
@@ -637,6 +639,140 @@ class TestNonderogatoryCommutant:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("raised: row 0 of the dual basis"), run.stdout
+
+
+def derogatory_operators(seed):
+    """Seeded derogatory T, n = 2..6, each but the scalars conjugated by a
+    unimodular matrix: c*I and 0, Y (+) Y, diagonals with a repeated
+    eigenvalue and, for n >= 3, J_2(c) (+) c*I."""
+    rng = random.Random(seed)
+    for n in range(2, 7):
+        for c in (0, 1, -3):
+            yield IntMatrix.identity(n) * c
+        U = lambda: random_unimodular(n, rng, steps=2 * n)
+        if n % 2 == 0:
+            Y = IntMatrix(n // 2, n // 2, tuple(rng.randint(-2, 2) for _ in range(n * n // 4)))
+            yield conjugate(block_diagonal([Y, Y]), U())
+        values = [rng.randint(-2, 2) for _ in range(n - 1)]
+        yield conjugate(diagonal_matrix(values + [rng.choice(values)]), U())
+        if n > 2:
+            c = rng.randint(-2, 2)
+            J2 = IntMatrix.from_rows([[c, 1], [0, c]])
+            yield conjugate(block_diagonal([J2, IntMatrix.identity(n - 2) * c]), U())
+
+
+def derogatory_module_problems(seed):
+    """(T, module) over the regular rank-2 modules over O_d with T and omega
+    both derogatory: T = P D P^-1 for D one of x*I, J_2(c) and diag(c, c')
+    (x in O_d, c and c' in Z) and P a product of two ring unipotents."""
+    from divlat.numberring import OKModule, QuadraticOrder
+
+    rng, one, zero = random.Random(seed), (1, 0), (0, 0)
+    for d in (-1, -3, 2, 5):
+        order = QuadraticOrder(d)
+        module = OKModule.regular(order, 2)
+        upper = lambda a, b: embed_ok_matrix(order, [[one, (a, b)], [zero, one]])
+        lower = lambda a, b: embed_ok_matrix(order, [[one, zero], [(a, b), one]])
+        for _ in range(2):
+            x = (rng.randint(-2, 2), rng.randint(1, 2))
+            c, c2, u0, u1, v0, v1 = (rng.randint(-2, 2) for _ in range(6))
+            P, P_inv = upper(u0, u1) * lower(v0, v1), lower(-v0, -v1) * upper(-u0, -u1)
+            for D in ([[x, zero], [zero, x]], [[(c, 0), one], [zero, (c, 0)]], [[(c, 0), zero], [zero, (c2, 0)]]):
+                yield P * embed_ok_matrix(order, D) * P_inv, module
+
+
+def is_derogatory(T):
+    return frac_rank(krylov_rows(T)) < T.rows
+
+
+class TestDerogatoryCommutant:
+    """C(T) for a derogatory T (and omega) from one fraction-free
+    elimination of the n^2 commutator equations: one integral kernel vector
+    per free column, checked to commute, then saturated."""
+
+    def test_commutant_is_the_kernel_oracle(self):
+        kinds = set()
+        for T in derogatory_operators(227):
+            assert is_derogatory(T), T
+            commutant = _Invariants(T).commutant
+            assert commutant == commutant_oracle((T,), T.rows), T
+            kinds.add("scalar" if T == IntMatrix.identity(T.rows) * T[0, 0] else "not scalar")
+        assert kinds == {"scalar", "not scalar"}
+        for T, module in derogatory_module_problems(229):
+            assert is_derogatory(T) and is_derogatory(module.omega_action), T
+            commutant = _Invariants(T, module).commutant
+            assert commutant == commutant_oracle((T, module.omega_action), T.rows), T
+
+    def test_no_hermite_form_of_the_commutator_equations(self, monkeypatch):
+        """Every Hermite form the commutant takes is delta x n^2, of the
+        rational basis or the saturation's canonical basis, or n^2 x delta,
+        the saturation's dual basis, for delta the rank of the commutant:
+        none of the n^2 x n^2 commutator equations or of the augmented
+        n^2 x 2n^2 form its lattice kernel would take."""
+        forms = []
+
+        def counting(M):
+            forms.append((M.rows, M.cols))
+            return hnf(M)
+
+        monkeypatch.setattr(classify, "hnf", counting)
+        monkeypatch.setattr(exactalg, "hnf", counting)
+        for T in derogatory_operators(233):
+            forms.clear()
+            n, delta = T.rows, _Invariants(T).commutant.rank
+            assert delta < n * n or T == IntMatrix.identity(n) * T[0, 0], T
+            assert forms[0] == (n, n * n) and forms[1:], (T, forms)  # the Krylov form, of rank < n
+            assert all(sorted(shape) == sorted((delta, n * n)) for shape in forms[1:]), (T, forms)
+
+    def test_twelve_by_twelve_derogatory_within_three_seconds(self):
+        """T = U (Y^2 (+) Y^2) U^-1, Y 6 x 6 with entries in [-1, 1] and U
+        unimodular, drawn from Random(5), entries up to 678: no certificate
+        refuses s = 2, and the n^2 x 2n^2 Hermite form of its commutator
+        equations took 9 s, so a 500 ms search overran its budget.  The
+        oracle is C(Y^2 (+) Y^2), whose equations are sparse and small,
+        conjugated by U: conjugation by a unimodular matrix maps M_n(Z)
+        onto itself and commutants onto commutants."""
+        rng = random.Random(5)
+        Y = IntMatrix(6, 6, tuple(rng.randint(-1, 1) for _ in range(36)))
+        B = block_diagonal([Y * Y, Y * Y])
+        U = random_unimodular(12, rng, steps=96)
+        T = conjugate(B, U)
+        assert max(map(abs, T.entries)) == 678
+        with time_limit(3.0):
+            commutant = _Invariants(T).commutant
+        oracle = lattice_from_generators(144, [conjugate(IntMatrix(12, 12, tuple(x)), U).entries
+                                               for x in commutant_oracle((B,), 12).basis.nested()])
+        assert commutant == oracle and commutant.rank == 24
+        with time_limit(3.0):
+            assert root_search(T, 2, 1, timeout_ms=500) == Exhausted(1, complete=False)
+
+    def test_a_kernel_vector_that_does_not_commute_raises_under_optimize(self):
+        """One back-substituted kernel vector of diag(1, 1, 2)'s commutator
+        equations, moved off its first pivot column, no longer commutes
+        with T, and the commutant raises, also under python -O, where
+        assert statements are stripped."""
+        code = textwrap.dedent("""
+            import divlat.classify as classify
+            from divlat.exactalg import IntMatrix
+            solve = classify._back_substitute
+            def perturbed(a, J, x):
+                y = solve(a, J, x)
+                y[J[0]] += 1
+                return y
+            classify._back_substitute = perturbed
+            try:
+                out = classify._Invariants(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])).commutant
+            except AssertionError as error:
+                print("raised:", error)
+            else:
+                print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("raised: a kernel vector of the commutator equations"), run.stdout
 
 
 class TestCoprimeRoot:
