@@ -118,20 +118,21 @@ class _Invariants:
             module.require_endomorphism(T)
         self.T = T
         self.module = module
-        self._ladder = [T]  # T^(2^i) at index i
+        self._ladder = [T.entries]  # the entries of T^(2^i) at index i
         self._powers = {}  # T^k by k
 
     def power(self, k: int) -> IntMatrix:
         """T^k for k >= 0: the product of the ladder squares T^(2^i) over the
-        bits of k, the ladder extended by squaring its top as needed, kept
-        by k."""
+        bits of k, the ladder extended by squaring its top as needed, all as
+        entry tuples; one IntMatrix is built per power, kept by k."""
         power = self._powers.get(k)
         if power is None:
-            while len(self._ladder) < k.bit_length():
-                self._ladder.append(self._ladder[-1] * self._ladder[-1])
-            factors = [square for i, square in enumerate(self._ladder) if k >> i & 1]
-            power = reduce(IntMatrix.__mul__, factors) if factors else IntMatrix.identity(self.T.rows)
-            self._powers[k] = power
+            n, ladder = self.T.rows, self._ladder
+            while len(ladder) < k.bit_length():
+                ladder.append(_tuple_mul(ladder[-1], ladder[-1], n, n, n))
+            factors = [square for i, square in enumerate(ladder) if k >> i & 1]
+            entries = reduce(lambda a, b: _tuple_mul(a, b, n, n, n), factors) if factors else _identity(n)
+            power = self._powers[k] = IntMatrix(n, n, entries)
         return power
 
     @cached_property
@@ -296,15 +297,15 @@ class _Invariants:
         T is nonderogatory, so k = 1 and chi_M = chi_T / x, with no
         elimination.  Else r, and row and column sets I and J with T[I, J]
         nonsingular, come from one fraction-free elimination of T, and
-        chi_T is checked to have k zero low coefficients and -tr T next to
-        its leading one, and against det (T^2)[I, J] =
-        (-1)^r chi_T(k) det T[I, J]: with C = T[:, J], a Q-basis of im T,
-        T C = C M' for an M' similar to M over Q, whose rows I read
-        T[I, :] T[:, J] = T[I, J] M'.  The nonsingular minor shows
-        rank T >= r; rank T <= r is shown by k vectors T kills, multiplied
-        out in full: for each column j outside J, the solution of the
-        echelon rows by back-substitution with det T[I, J] at j and 0 at
-        the other columns outside J."""
+        chi_T, whose x^(n-1) coefficient _chi_and_orbit has checked against
+        -tr T, is checked to have k zero low coefficients and against
+        det (T^2)[I, J] = (-1)^r chi_T(k) det T[I, J]: with C = T[:, J], a
+        Q-basis of im T, T C = C M' for an M' similar to M over Q, whose
+        rows I read T[I, :] T[:, J] = T[I, J] M'.  The nonsingular minor
+        shows rank T >= r; rank T <= r is shown by k vectors T kills,
+        multiplied out in full: for each column j outside J, the solution
+        of the echelon rows by back-substitution with det T[I, J] at j and
+        0 at the other columns outside J."""
         T, n, chi = self.T, self.T.rows, self.chi
         if self.det:
             return chi
@@ -318,8 +319,6 @@ class _Invariants:
         k = n - r
         if any(chi[:k]):
             raise AssertionError(f"chi of the image part: x^{k} does not divide chi_T, k = rank ker T")
-        if chi[-2] != -T.trace():
-            raise AssertionError("chi of the image part: chi_T disagrees with the trace of T")
         rows_I = tuple(x for i in I for x in T.row(i))
         columns_J = tuple(T[i, j] for i in range(n) for j in J)
         minor = _tuple_det(tuple(T[i, j] for i in I for j in J), r)

@@ -32,8 +32,22 @@ def _identity(n: int) -> tuple[int, ...]:
 
 
 def _tuple_mul(a, b, rows: int, inner: int, cols: int) -> tuple:
-    """Product of a (rows x inner) and b (inner x cols), slicing each row of a
-    and each column of b once."""
+    """Product of a (rows x inner) and b (inner x cols), entry tuples or
+    lists: closed forms for square 2 x 2 and 3 x 3 operands, as _tuple_det
+    has for determinants (most products of an analysis and of the
+    root-search scan are such), else slicing each row of a and each column
+    of b once."""
+    if rows == inner == cols == 2:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3,
+                a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+    if rows == inner == cols == 3:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+                a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+                a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8)
     columns = [b[j::cols] for j in range(cols)]
     return tuple(sum(map(mul, row, col))
                  for row in [a[i * inner : (i + 1) * inner] for i in range(rows)] for col in columns)
@@ -584,8 +598,9 @@ def _chi_and_orbit(T: IntMatrix) -> tuple[tuple[int, ...], list[list[int]], bool
     of degree n, divides chi and mu_T, which divides chi_T.  Else chi comes
     from Berkowitz's division-free recurrence (_berkowitz).  Either way
     chi(T) v = 0 is checked as sum chi_i T^i v off the orbit, which is what
-    makes the cyclic chi a certificate, and a failure raises
-    AssertionError."""
+    makes the cyclic chi a certificate, and chi is checked to have -tr T
+    next to its leading coefficient, which pins Berkowitz's x^(n-1)
+    coefficient too; a failure raises AssertionError."""
     n, e = T.rows, T.entries
     rows, w = [e[i * n : (i + 1) * n] for i in range(n)], list(range(1, n + 1))
     orbit = [w]
@@ -603,6 +618,8 @@ def _chi_and_orbit(T: IntMatrix) -> tuple[tuple[int, ...], list[list[int]], bool
     chi = _berkowitz(e, n) if c is None else tuple([-x for x in c]) + (1,)
     if any([sum(map(mul, chi, coordinate)) for coordinate in coordinates]):
         raise AssertionError("chi(T) v != 0: the characteristic polynomial is wrong")
+    if n and chi[-2] != -sum(e[:: n + 1]):
+        raise AssertionError("chi disagrees with the trace of T: the characteristic polynomial is wrong")
     return chi, orbit, c is not None
 
 

@@ -190,6 +190,8 @@ def matrix_from_json(obj, what: str = "matrix", allow_rational: bool = False):
         flat = list(raw)
     if len(flat) != rows * cols:
         raise InputError(f"{what}: expected {rows * cols} entries, got {len(flat)}")
+    if set(map(type, flat)) <= {int}:  # every entry a plain int: nothing to convert or refuse
+        return IntMatrix(rows, cols, tuple(flat))
     values = [_entry_value(x, what, allow_rational) for x in flat]
     if any(isinstance(v, Fraction) and v.denominator != 1 for v in values):
         return QMatrix(rows, cols, tuple(Fraction(v) for v in values))

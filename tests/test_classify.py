@@ -223,30 +223,36 @@ class TestNilpotentJordanChevalley:
         assert seen == {(True, False), (False, True)}
 
     def test_a_chi_claiming_nilpotency_raises_under_optimize(self):
-        """A Berkowitz helper that hands back x^2 for T = 0 (+) 1, conjugated
-        so that T kills v = (1, 2), passes the chi(T) v = 0 check, as v is
-        not cyclic; T^2 = T != 0 then makes classify_operator raise, also
-        under python -O."""
+        """A Berkowitz helper that hands back x^n, also under python -O.
+        For T = 0 (+) 1, conjugated so that T kills v = (1, 2), x^2 passes
+        the chi(T) v = 0 check, as v is not cyclic, and is refused by the
+        trace.  For T = 0 (+) 1 (+) -1, of trace 0, conjugated so that T
+        kills v = (1, 2, 3), x^3 passes both checks, and T^3 = T != 0 then
+        makes classify_operator raise."""
         code = textwrap.dedent("""
             import divlat.exactalg as exactalg
             from divlat.classify import classify_operator
             from divlat.corpus import conjugate
             from divlat.exactalg import IntMatrix
             exactalg._berkowitz = lambda e, n: (0,) * n + (1,)
-            T = conjugate(IntMatrix.from_rows([[0, 0], [0, 1]]), IntMatrix.from_rows([[1, 0], [2, 1]]))
-            try:
-                out = classify_operator(T)
-            except AssertionError as e:
-                print("raised", T.apply((1, 2)), e)
-            else:
-                print("returned", out)
+            for D, U in [([[0, 0], [0, 1]], [[1, 0], [2, 1]]),
+                         ([[0, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 0, 0], [2, 1, 0], [3, 0, 1]])]:
+                T = conjugate(IntMatrix.from_rows(D), IntMatrix.from_rows(U))
+                try:
+                    out = classify_operator(T)
+                except AssertionError as e:
+                    print("raised", T.apply(range(1, T.rows + 1)), e)
+                else:
+                    print("returned", out)
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "raised (0, 0) nilpotent part is not nilpotent"
+        assert run.stdout.splitlines() == [
+            "raised (0, 0) chi disagrees with the trace of T: the characteristic polynomial is wrong",
+            "raised (0, 0, 0) nilpotent part is not nilpotent"]
 
 
 class TestAgainstMatrixNewtonOracle:
@@ -470,73 +476,90 @@ class TestPowerLadder:
             for k in ks:
                 assert inv.power(k) == T ** k, (T, k)
 
+    def test_power_against_repeated_nested_products(self):
+        """power(k) against T^k multiplied out one factor at a time in nested
+        lists, for n = 2 and 3 (the closed-form products) and 5 (the sliced
+        columns), on random and finite-order operators and on entries past
+        2^64."""
+        from helpers import mat_mul
+
+        rng = random.Random(157)
+        for n in (2, 3, 5):
+            operators = [IntMatrix.from_rows(seeded_operator(kind, n, rng)) for kind in ("finite-order", "random")]
+            operators.append(IntMatrix(n, n, tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(n * n))))
+            for T in operators:
+                inv, rows = classify._Invariants(T), T.nested()
+                expected = [[int(i == j) for j in range(n)] for i in range(n)]
+                for k in range(18):
+                    assert inv.power(k).nested() == expected, (T, k)
+                    expected = mat_mul(expected, rows)
+
+    @staticmethod
+    def recorded_products(monkeypatch):
+        """The operand pairs (a, b) of every _tuple_mul call from now on,
+        classify's (the ladder, Horner's rule, the commutant) and exactalg's
+        (IntMatrix products and powers) alike."""
+        import divlat.exactalg as exactalg
+
+        products, tuple_mul = [], exactalg._tuple_mul
+
+        def recording(a, b, *shape):
+            products.append((a, b))
+            return tuple_mul(a, b, *shape)
+
+        for module in (exactalg, classify):
+            monkeypatch.setattr(module, "_tuple_mul", recording)
+        return products
+
     def test_verify_squares_no_matrix_twice(self, monkeypatch):
         """The order checks T^d = I and T^(d/p) != I, the check T^(d+1) = T
         and the roots T^m share one ladder.  T has order 120 and trace 1, so
         neither chi's recurrence nor the re-multiplication of a root squares
-        a matrix the ladder has squared."""
-        import divlat.exactalg as exactalg
-
+        a matrix the ladder has squared.  The ladder's squares are made in
+        classify, and the record sees each of T, T^2, ..., T^32 squared."""
         T = IntMatrix.from_rows(seeded_operator("finite-order", 12, random.Random(9)))
         assert (classify._Invariants(T).order, T.trace()) == (120, 1)
-        squared = []
-        tuple_mul = exactalg._tuple_mul
-
-        def counting(a, b, *shape):
-            if a == b:
-                squared.append(a)
-            return tuple_mul(a, b, *shape)
-
-        monkeypatch.setattr(exactalg, "_tuple_mul", counting)
+        ladder = {(T ** 2 ** i).entries for i in range(6)}
+        products = self.recorded_products(monkeypatch)
         report = verify(ZZ, None, T, None, ())
         assert len(report.clause4.constructed_roots) == 4
-        assert squared and len(set(squared)) == len(squared)
+        squared = [a for a, b in products if a == b]
+        assert ladder <= set(squared)
+        assert len(set(squared)) == len(squared)
 
     def test_a_power_is_kept_by_its_exponent(self, monkeypatch):
         """power keeps T^k by k.  For a singular T = 0 (+) X, X of order 12,
         the image part's order check multiplies T^13 out, and the coprime
         root for the exponent 13, X = T^1 = T, reads it twice more, for the
         precondition T^13 = T and as the root's own check X^13 = T, with
-        no further product."""
-        import divlat.exactalg as exactalg
+        no further product.  A power not yet kept, T^3, is then multiplied
+        out, and recorded, so the record sees the ladder's products."""
         from divlat.divisibility import _coprime_roots
 
         U = rand_unimodular(random.Random(179), 6)
         T = conjugate(block_diagonal([IntMatrix.zeros(2, 2), companion_matrix(cyclotomic(12))]), U)
         inv = classify._Invariants(T)
         assert inv.zero_plus_order == 12
-        products = []
-        tuple_mul = exactalg._tuple_mul
-
-        def counting(a, b, *shape):
-            products.append(a)
-            return tuple_mul(a, b, *shape)
-
-        monkeypatch.setattr(exactalg, "_tuple_mul", counting)
+        cube, products = T ** 3, self.recorded_products(monkeypatch)
         assert _coprime_roots(inv, 12, (13,)) == [(13, T)]
         assert products == []
+        assert inv.power(3) == cube and products
 
     def test_a_verified_order_records_the_next_power(self, monkeypatch):
         """Once order has verified T^d = I for an invertible T of order
         d = 12, T^13 is kept as T, so the coprime root for the exponent 13,
         X = T, reads its precondition T^13 = T and its own check X^13 = T
-        with no product."""
-        import divlat.exactalg as exactalg
+        with no product.  A power not yet kept, T^3, is then multiplied
+        out, and recorded, so the record sees the ladder's products."""
         from divlat.divisibility import _coprime_roots
 
         T = conjugate(companion_matrix(cyclotomic(12)), rand_unimodular(random.Random(181), 4))
         inv = classify._Invariants(T)
         assert inv.order == 12 and inv.power(13) is T
-        products = []
-        tuple_mul = exactalg._tuple_mul
-
-        def counting(a, b, *shape):
-            products.append(a)
-            return tuple_mul(a, b, *shape)
-
-        monkeypatch.setattr(exactalg, "_tuple_mul", counting)
+        cube, products = T ** 3, self.recorded_products(monkeypatch)
         assert _coprime_roots(inv, 12, (13,)) == [(13, T)]
         assert products == []
+        assert inv.power(3) == cube and products
 
 
 def counted_products(monkeypatch):
@@ -850,13 +873,14 @@ class TestImagePart:
         assert moved >= 10
         assert facts == {(True, True), (False, True), (False, False)}
 
-    @pytest.mark.parametrize("chi", [(1, 0, -2, -1, 1), (0, 0, -2, 3, 1), (0, 0, 5, -1, 1)],
-                             ids=["low coefficient", "trace", "determinant"])
+    @pytest.mark.parametrize("chi", [(1, 0, -2, -1, 1), (0, 0, 5, -1, 1)], ids=["low coefficient", "determinant"])
     def test_a_chi_disagreeing_with_the_image_part_raises(self, chi):
         """T = diag(0, 0, 2, -1) has chi_T = x^2 (x - 2)(x + 1) =
         (0, 0, -2, -1, 1) and image part diag(2, -1); T is derogatory, so
         the image part is read off the elimination of T, and each corrupted
-        chi_T is refused by every fact of the image part."""
+        chi_T is refused by every fact of the image part.  A wrong x^3
+        coefficient never reaches the image part: _chi_and_orbit checks it
+        against -tr T (test_exactalg)."""
         for fact in ("split_det", "image_det", "image_semisimple", "image_order", "zero_plus_order"):
             inv = classify._Invariants(diagonal_matrix([0, 0, 2, -1]))
             assert inv.chi == (0, 0, -2, -1, 1) and not inv.cyclic  # the orbit is read with chi

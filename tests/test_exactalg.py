@@ -107,6 +107,85 @@ class TestKernels:
                 assert q == QMatrix.from_int_matrix(i)
 
 
+class _Sliced(tuple):
+    """An entry tuple that records every slice taken of it in SLICES."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            SLICES.append(key)
+        return tuple.__getitem__(self, key)
+
+
+SLICES: list[slice] = []
+
+
+class TestProductKernel:
+    """_tuple_mul's closed forms for square 2 x 2 and 3 x 3 operands against
+    products of nested lists; every other shape takes the sliced columns."""
+
+    @staticmethod
+    def flat(rows):
+        return [x for row in rows for x in row]
+
+    def operands(self, rng, n):
+        """Pairs of n x n nested lists: small entries, entries past 2^64,
+        a zero matrix, and a zero row and column."""
+        for bound in (5, 5, 2 ** 70, 2 ** 70):
+            yield ([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)],
+                   [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        yield a, [[0] * n for _ in range(n)]
+        b = [row[:] for row in a]
+        b[rng.randrange(n)] = [0] * n
+        for row in a:
+            row[rng.randrange(n)] = 0
+        yield a, b
+
+    def test_closed_forms_against_nested_lists(self):
+        """Tuple and list operands alike, ints staying ints, and no slice
+        taken of either operand."""
+        rng = random.Random(53)
+        for n in (2, 3):
+            for a, b in self.operands(rng, n):
+                expected = tuple(self.flat(mat_mul(a, b)))
+                for x, y in ((tuple(self.flat(a)), tuple(self.flat(b))), (self.flat(a), self.flat(b))):
+                    product = _tuple_mul(x, y, n, n, n)
+                    assert product == expected and type(product) is tuple, (a, b)
+                    assert set(map(type, product)) <= {int}, (a, b)
+                SLICES.clear()
+                assert _tuple_mul(_Sliced(self.flat(a)), _Sliced(self.flat(b)), n, n, n) == expected
+                assert SLICES == [], n
+
+    def test_closed_forms_on_fraction_entries(self):
+        """QMatrix products of Fraction entries, and of Fractions mixed with
+        ints, against the nested-list product, exact in Q."""
+        rng = random.Random(59)
+        for n in (2, 3):
+            for _ in range(20):
+                a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+                b = [[rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+                      for _ in range(n)] for _ in range(n)]
+                product = QMatrix.from_rows(a) * QMatrix.from_rows(b)
+                assert product == QMatrix.from_rows(mat_mul(a, b)), (a, b)
+                assert list(product.entries) == self.flat(mat_mul(a, b)), (a, b)
+
+    def test_other_shapes_take_the_sliced_columns(self):
+        """2 x 3 by 3 x 2, 3 x 2 by 2 x 3, n x n by n x 1 for n <= 4 and
+        4 x 4 by 4 x 4 slice the columns of b and agree with the nested-list
+        product; 0 x 0 by 0 x 0, where there is no column to slice, is the
+        empty tuple."""
+        rng = random.Random(61)
+        shapes = [(2, 3, 2), (3, 2, 3), (4, 4, 4)] + [(n, n, 1) for n in range(1, 5)]
+        for rows, inner, cols in shapes:
+            a = [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+            SLICES.clear()
+            product = _tuple_mul(_Sliced(self.flat(a)), _Sliced(self.flat(b)), rows, inner, cols)
+            assert list(product) == self.flat(mat_mul(a, b)), (rows, inner, cols)
+            assert slice(0, None, cols) in SLICES, (rows, inner, cols)
+        assert _tuple_mul((), (), 0, 0, 0) == ()
+
+
 class TestHNF:
     def test_canonical_example(self):
         # hand row reduction: swap, clear, reduce above the second pivot
@@ -244,6 +323,32 @@ class TestCharMinPoly:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "raised"
+
+    def test_wrong_trace_coefficient_raises_under_optimize(self):
+        """A Berkowitz helper that adds 1 to the x^(n-1) coefficient fails
+        the check against -tr T, also under python -O.  For J_2(0) (+) 0,
+        T^2 v = 0, so v = (1, 2, 3) is not cyclic and chi(T) v = 0 holds
+        for x^3 + x^2 too: the trace is what refuses it."""
+        T = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+        assert not exactalg._chi_and_orbit(IntMatrix.from_rows(T))[2]
+        code = textwrap.dedent(f"""
+            import divlat.exactalg as exactalg
+            from divlat.exactalg import IntMatrix, char_poly
+            berkowitz = exactalg._berkowitz
+            exactalg._berkowitz = lambda e, n: berkowitz(e, n)[:-2] + (berkowitz(e, n)[-2] + 1, 1)
+            try:
+                out = char_poly(IntMatrix.from_rows({T!r}))
+            except AssertionError as e:
+                print("raised", e)
+            else:
+                print("returned", out)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "raised chi disagrees with the trace of T: the characteristic polynomial is wrong"
 
     def test_wrong_krylov_solve_raises_under_optimize(self):
         """A Krylov solve whose back-substitution hands back one coefficient

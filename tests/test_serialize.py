@@ -106,6 +106,34 @@ class TestMatrixJson:
         with pytest.raises(InputError):
             matrix_from_json(obj)  # not allowed by default
 
+    def test_entry_errors_and_results_by_entry_type(self):
+        """All-int entries become the IntMatrix at once; any other entry
+        takes the per-entry walk, whose error texts and results stay as
+        they were: a boolean, a float, a string where no rational is
+        allowed, a bad 'p/q', an integral 'p/q' (an IntMatrix) and a
+        fractional one (a QMatrix)."""
+        parse = lambda entries, allow=False: matrix_from_json({"rows": 1, "cols": 2, "entries": entries},
+                                                              what="w", allow_rational=allow)
+        assert parse([[3, -2 ** 70]]) == IntMatrix(1, 2, (3, -2 ** 70))
+        assert type(parse([3, -4], True)) is IntMatrix
+        hint = " (integers only; rationals as 'p/q' strings where allowed)"
+        for entries, allow, message in (([1, True], False, "w: boolean entry"),
+                                        ([[True, 1]], True, "w: boolean entry"),
+                                        ([1, 1.0], False, "w: bad entry 1.0" + hint),
+                                        ([[1.0, 1]], True, "w: bad entry 1.0" + hint),
+                                        ([1, "1/2"], False, "w: bad entry '1/2'" + hint),
+                                        ([1, "1/0"], True, "w: bad rational entry '1/0'"),
+                                        ([1, "p/q"], True, "w: bad rational entry 'p/q'"),
+                                        ([1, None], True, "w: bad entry None" + hint)):
+            with pytest.raises(InputError) as raised:
+                parse(entries, allow)
+            assert str(raised.value) == message, entries
+        assert parse([1, "4/2"], True) == IntMatrix(1, 2, (1, 2))
+        assert parse([[1, "2/4"]], True) == QMatrix(1, 2, (1, Fraction(1, 2)))
+        with pytest.raises(InputError) as raised:
+            parse([[1, 2], [3]])
+        assert str(raised.value) == "w.entries[1]: expected a row of 2 entries"
+
     def test_qmatrix_with_int_entries_is_written_as_an_int_matrix(self):
         """An all-int QMatrix is written as matrix_to_json writes the
         IntMatrix; with Fraction entries, integral ones are ints and the
