@@ -50,21 +50,20 @@ root search and the divisibility spectrum read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
+from ._record import Record
 from .exactalg import (IntMatrix, Lattice, QMatrix, _back_substitute, _bareiss, _chi_and_orbit, _cyclotomic_indices,
                        _identity, _kernel_and_image, _saturation, _tuple_det, _tuple_mul, _zdivmod, _zgcd, _zradical,
                        cyclotomic, hnf, restrict_to_lattice)
 from .primes import prime_factors
 
 
-@dataclass(frozen=True)
-class FittingSplit:
+class FittingSplit(Record):
     """Fitting's split of T at exponent m: ker T^m, im T^m and the
     determinant of their stacked bases (nonzero once the chain is stable,
     +-1 when the split is direct), and T, kept to restrict it to im T^m."""
@@ -73,7 +72,9 @@ class FittingSplit:
     gen_kernel: Lattice
     image_part: Lattice
     det: int
-    operator: IntMatrix = field(repr=False)
+    operator: IntMatrix
+
+    _repr_fields = ("exponent_m", "gen_kernel", "image_part", "det")  # the repr leaves out T
 
     @property
     def is_direct(self) -> bool:
@@ -581,8 +582,7 @@ def _scaled_eval(coeffs, T: IntMatrix) -> tuple[int, IntMatrix]:
 
 # A report record: serialize writes it as the dict of its fields, so a
 # field's name is its JSON key.
-@dataclass(frozen=True)
-class ClassifyReport:
+class ClassifyReport(Record):
     semisimple: bool
     all_eigen_roots_of_unity: bool
     order: int | None

@@ -7,9 +7,9 @@ and versions of this package.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import lcm
 
+from ._record import Record
 from .classify import _Invariants
 from .divisibility import _coprime_exponents, _coprime_roots
 from .exactalg import IntMatrix, _adjugate, _cyclotomic_indices, cyclotomic, companion_matrix
@@ -21,8 +21,7 @@ KINDS = ("finite-order", "nilpotent", "random", "powers")
 _CYCLOTOMIC_KS = _cyclotomic_indices(2)  # (1, 2, 3, 4, 6): phi(k) <= 2, enough for 2x2 and 3x3 blocks
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     name: str
     kind: str
     operator: IntMatrix

@@ -9,13 +9,13 @@ being returned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import count, islice
 from math import gcd, inf, lcm, prod
 from operator import add
-from typing import Iterator, Union
 
+from ._record import Record
 from .classify import _Invariants
 from .exactalg import IntMatrix, Lattice, _cyclotomic_indices, _tuple_det, _tuple_pow
 from .primes import euler_phi, is_prime, signed_root
@@ -28,8 +28,7 @@ DEFAULT_MAX_CANDIDATES = 20_000_000
 # fields by name.
 
 
-@dataclass(frozen=True)
-class DetNotPower:
+class DetNotPower(Record):
     s: int
     det: int
 
@@ -37,8 +36,7 @@ class DetNotPower:
         return f"det T = {self.det} is not an exact {self.s}-th power in Z"
 
 
-@dataclass(frozen=True)
-class NegativeDetEvenPower:
+class NegativeDetEvenPower(Record):
     s: int
     det: int
 
@@ -46,8 +44,7 @@ class NegativeDetEvenPower:
         return f"det T = {self.det} < 0 but {self.s}-th powers have non-negative determinant"
 
 
-@dataclass(frozen=True)
-class NilpotentRankBound:
+class NilpotentRankBound(Record):
     s: int
     rank: int
 
@@ -58,16 +55,14 @@ class NilpotentRankBound:
         )
 
 
-@dataclass(frozen=True)
-class SpectralObstruction:
+class SpectralObstruction(Record):
     description: str
 
     def statement(self) -> str:
         return self.description
 
 
-@dataclass(frozen=True)
-class OrderObstruction:
+class OrderObstruction(Record):
     s: int
     order: int
 
@@ -79,7 +74,7 @@ class OrderObstruction:
         )
 
 
-CertKind = Union[DetNotPower, NegativeDetEvenPower, NilpotentRankBound, SpectralObstruction, OrderObstruction]
+CertKind = DetNotPower | NegativeDetEvenPower | NilpotentRankBound | SpectralObstruction | OrderObstruction
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +82,21 @@ CertKind = Union[DetNotPower, NegativeDetEvenPower, NilpotentRankBound, Spectral
 # dict of its fields, proved_impossible as its certificate.
 
 
-@dataclass(frozen=True)
-class Found:
+class Found(Record):
     witness: IntMatrix
     power: IntMatrix  # stored re-multiplication witness^s
 
 
-@dataclass(frozen=True)
-class ProvedImpossible:
+class ProvedImpossible(Record):
     certificate: CertKind
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(Record):
     bound: int
     complete: bool = True  # False when a time or candidate budget cut the scan
 
 
-RootSearchOutcome = Union[Found, ProvedImpossible, Exhausted]
+RootSearchOutcome = Found | ProvedImpossible | Exhausted
 
 
 @lru_cache(maxsize=None)
@@ -375,16 +367,14 @@ def zero_plus_finite_order(T: IntMatrix) -> int | None:
 # the dict of its fields, so a field's name is its JSON key.
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(Record):
     s: int
     outcome: RootSearchOutcome
     theorem_root: IntMatrix | None
     verdict: str  # yes-witness | yes-coprime-order | no-certificate | unknown
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(Record):
     order: int | None
     rows: tuple[SpectrumRow, ...]
     sufficient_set: str | None

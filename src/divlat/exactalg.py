@@ -12,13 +12,13 @@ Nothing here ever touches a float.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
+from ._record import Record
 from .primes import divisors, euler_phi
 
 
@@ -277,8 +277,7 @@ class _Matrix:
         return type(self)(self.rows, self.cols, _tuple_pow(self.entries, self.rows, k))
 
 
-@dataclass(frozen=True)
-class IntMatrix(_Matrix):
+class IntMatrix(_Matrix, Record):
     """Row-major integer matrix.  Zero-row matrices are allowed so that
     rank-0 lattices (kernels of injective maps) have a representation."""
 
@@ -349,8 +348,7 @@ def _frac(x) -> Fraction:
     raise TypeError(f"non-rational entry {x!r}")
 
 
-@dataclass(frozen=True)
-class QMatrix(_Matrix):
+class QMatrix(_Matrix, Record):
     """Dense matrix over the rationals: exact int or Fraction entries, an
     integer kept as an int.  1 == Fraction(1), and the two hash and print
     alike, so equality, hashing and each entry's str do not depend on
@@ -466,8 +464,7 @@ def _is_hnf(B: IntMatrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """A sublattice of Z^ambient_rank, stored as an HNF basis (rows) with
     zero rows dropped; equality is therefore structural.  The basis is
     checked by its shape (_is_hnf), not by recomputing its HNF."""

@@ -8,10 +8,10 @@ ideal arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from ._record import Record
 from .exactalg import IntMatrix
 from .primes import is_squarefree
 from .supernat import FiniteSet, PrimeSet, SDescriptor
@@ -19,8 +19,7 @@ from .supernat import FiniteSet, PrimeSet, SDescriptor
 Element = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class IntegerRing:
+class IntegerRing(Record):
     """The rational integers, as a ring descriptor."""
 
     def __str__(self) -> str:
@@ -30,8 +29,7 @@ class IntegerRing:
 ZZ = IntegerRing()
 
 
-@dataclass(frozen=True)
-class QuadraticOrder:
+class QuadraticOrder(Record):
     """The ring of integers of Q(sqrt(d)) for squarefree d."""
 
     d: int
@@ -98,8 +96,7 @@ def lchar(ring) -> PrimeSet:
 
 # A report record: serialize writes it as the dict of its fields, so a
 # field's name is its JSON key.
-@dataclass(frozen=True)
-class UnitGroupDesc:
+class UnitGroupDesc(Record):
     """Unit group of a quadratic order: cyclic torsion of order w plus, in
     the real case, a fundamental unit of infinite order.  A unit is encoded
     as (t, k) meaning torsion_generator^t * fundamental_unit^k."""
@@ -227,8 +224,7 @@ def mult_hypothesis(S: SDescriptor, ring) -> tuple[bool, str]:
 # Modules as Z-lattices with an omega action
 
 
-@dataclass(frozen=True)
-class OKModule:
+class OKModule(Record):
     """A Z-lattice of even rank with an integer matrix W acting as omega."""
 
     order: QuadraticOrder

@@ -4,7 +4,7 @@ Strict parsing: objects are schema-checked and unknown fields are rejected.
 Rational entries travel as "p/q" strings, never as floats; the infinite
 supernatural exponent travels as the string "inf".
 
-Reports are written by one rule: a record (a dataclass or a NamedTuple) is
+Reports are written by one rule: a record (a Record or a NamedTuple) is
 the dict of its fields by name, a tuple is a list, and IntMatrix, QMatrix,
 PrimeSet and the root-search outcomes keep writers of their own.  A report
 field's name is thus its JSON key.
@@ -405,7 +405,7 @@ def _json(value):
         return value
     if type(value) is tuple:  # a NamedTuple is a record
         return [_json(v) for v in value]
-    if isinstance(value, IntMatrix):  # IntMatrix, QMatrix and PrimeSet are dataclasses too
+    if isinstance(value, IntMatrix):  # IntMatrix, QMatrix and PrimeSet are Records too
         return matrix_to_json(value)
     if isinstance(value, QMatrix):
         return qmatrix_to_json(value)
@@ -417,9 +417,9 @@ def _json(value):
 
 
 def _fields(record) -> dict:
-    """The dict of a record's fields by name, each written by the rule."""
-    names = record._fields if isinstance(record, tuple) else record.__dataclass_fields__
-    return {name: _json(getattr(record, name)) for name in names}
+    """The dict of a record's fields by name, each written by the rule; a
+    Record and a NamedTuple alike name their fields in _fields."""
+    return {name: _json(getattr(record, name)) for name in record._fields}
 
 
 def certificate_to_json(cert: CertKind) -> dict:

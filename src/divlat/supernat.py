@@ -8,17 +8,16 @@ can be decided exactly instead of estimated from samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
+from ._record import Record
 from .primes import is_prime, prime_factors
 
 # Infinite-exponent sentinel.  Never encode infinity as a big integer: every
 # operation below treats INF absorbingly.
 INF = math.inf
 
-Exponent = Union[int, float]
+Exponent = int | float
 
 
 def _check_prime(p) -> int:
@@ -35,8 +34,7 @@ def _check_exponent(e) -> Exponent:
     raise ValueError(f"bad exponent {e!r}: want a positive integer or INF")
 
 
-@dataclass(frozen=True)
-class Supernatural:
+class Supernatural(Record):
     """Formal product prod_p p^(e_p) with e_p a positive integer or INF.
 
     Canonical form: ``factors`` is sorted by prime and never stores a zero
@@ -99,8 +97,7 @@ def mul_sn(a: Supernatural, b: Supernatural) -> Supernatural:
 # Prime sets
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(Record):
     """A set of primes: the finite set ``primes`` or, when ``cofinite``,
     every prime except ``primes``."""
 
@@ -152,8 +149,7 @@ class PrimeSet:
 # Exponent-set descriptors
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Record):
     """An explicit finite exponent set."""
 
     elements: tuple[int, ...]
@@ -172,8 +168,7 @@ class FiniteSet:
         return s in self.elements
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(Record):
     """The set {scale * base^j : j >= 0}."""
 
     base: int
@@ -194,8 +189,7 @@ class Geometric:
         return q == 1
 
 
-@dataclass(frozen=True)
-class Factorials:
+class Factorials(Record):
     """The set {j! : j >= 1}."""
 
     infinite = True
@@ -208,8 +202,7 @@ class Factorials:
         return f == s
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Record):
     """The set {n > 0 : n == a (mod m)}."""
 
     a: int
@@ -225,8 +218,7 @@ class Residue:
         return s > 0 and s % self.m == self.a
 
 
-@dataclass(frozen=True)
-class AllFrom:
+class AllFrom(Record):
     """The set {n : n >= start}."""
 
     start: int
@@ -241,7 +233,7 @@ class AllFrom:
         return s >= self.start
 
 
-SDescriptor = Union[FiniteSet, Geometric, Factorials, Residue, AllFrom]
+SDescriptor = FiniteSet | Geometric | Factorials | Residue | AllFrom
 
 
 @lru_cache(maxsize=None)

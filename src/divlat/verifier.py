@@ -10,9 +10,9 @@ test suite treats any occurrence as fatal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from ._record import Record
 from .classify import _Invariants
 from .divisibility import _coprime_exponents, _coprime_roots, _scan
 from .exactalg import IntMatrix, QMatrix
@@ -25,16 +25,14 @@ from .supernat import PrimeSet, SDescriptor, additive_hypothesis, pi_S
 # field's name is its JSON key.
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
+class WitnessCheck(Record):
     s: int
     valid: bool
     reason: str
     in_exponent_set: bool | None
 
 
-@dataclass(frozen=True)
-class HypothesisChecks:
+class HypothesisChecks(Record):
     witnesses: tuple[WitnessCheck, ...]
     all_witnesses_valid: bool
     additive_ok: bool | None
@@ -43,20 +41,17 @@ class HypothesisChecks:
     s_symbolic_infinite: bool | None
 
 
-@dataclass(frozen=True)
-class Clause1:
+class Clause1(Record):
     clean_split: bool
     reason: str
     forced_by_witnesses: bool
 
 
-@dataclass(frozen=True)
-class Clause2:
+class Clause2(Record):
     semisimple: bool
 
 
-@dataclass(frozen=True)
-class Clause3:
+class Clause3(Record):
     finite_order: int | None
     pi_s: PrimeSet | None
     order_coprime_to_pi_s: bool | None
@@ -66,20 +61,16 @@ class Clause3:
         return self.finite_order is not None and self.order_coprime_to_pi_s is not False
 
 
-class ConstructedRoot(NamedTuple):
-    """A root X with X^n = T; it unpacks as the witness pair (s, X)."""
-    n: int
-    root: IntMatrix
+ConstructedRoot = namedtuple("ConstructedRoot", "n root")
+ConstructedRoot.__doc__ = "A root X with X^n = T; it unpacks as the witness pair (s, X)."
 
 
-@dataclass(frozen=True)
-class Clause4:
+class Clause4(Record):
     constructed_roots: tuple[ConstructedRoot, ...]
     applicable: bool
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     hypothesis_checks: HypothesisChecks
     clause1: Clause1
     clause2: Clause2

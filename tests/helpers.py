@@ -16,7 +16,9 @@ build test inputs and have no caller in the library; and the seeded
 builders at the end (rand_matrix to seeded_fitting_operators, submodule
 among them), which make test inputs with the library's constructors, and
 the golden problem sets of the CLI (module_problems, large_problems,
-unit_rings).
+unit_rings); and the records' oracle, dataclass_twin, the frozen dataclass a
+Record class stands for, with record_classes and seeded_records, which
+collect the library's record classes and records from its own analyses.
 time_limit bounds a test that could hang.
 Test modules share code only through this file: none imports another.
 """
@@ -896,6 +898,81 @@ def seeded_fitting_operators(seed, count, n_max=8):
                 left -= euler_phi(k)
             T = block_diagonal(blocks)
         yield conjugate(T, random_unimodular(n, rng, steps=2 * n))
+
+
+# -- the records' dataclass oracle ---------------------------------------------
+
+# The fields a record's repr leaves out, by class, as field(repr=False) did.
+REPR_HIDDEN = {"FittingSplit": {"operator"}}
+
+
+def dataclass_twin(cls):
+    """The frozen dataclass a Record class stands for, built from the
+    class's own annotations, in order, with a class attribute of a field's
+    name as that field's default, under the class's name, so that reprs
+    compare."""
+    import dataclasses
+
+    own, hidden = vars(cls), REPR_HIDDEN.get(cls.__name__, ())
+    fields = []
+    for name, annotation in own.get("__annotations__", {}).items():
+        default = {"default": own[name]} if name in own else {}
+        fields.append((name, annotation, dataclasses.field(repr=name not in hidden, **default)))
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+def record_classes():
+    """Every Record class of the library, all its modules imported."""
+    import divlat.cli  # noqa: F401 (imports every module)
+    from divlat._record import Record
+
+    return [cls for cls in Record.__subclasses__() if cls.__module__.startswith("divlat.")]
+
+
+def seeded_records(seed):
+    """The records reachable, through record fields and tuples, from the
+    answers of a few analyses: verify, spectrum, classify, fitting and root
+    search on the seed's corpus problems and modules, certificates of each
+    kind, unit groups and supernatural numbers.  Returns them by class name,
+    in the order found."""
+    from divlat._record import Record
+    from divlat.classify import classify_operator
+    from divlat.corpus import KINDS, gen_corpus
+    from divlat.divisibility import divisibility_spectrum, impossibility_certificates, root_search
+    from divlat.exactalg import IntMatrix
+    from divlat.fitting import fitting_decompose
+    from divlat.numberring import ZZ, OKModule, QuadraticOrder, embed_ok_matrix, unit_group
+    from divlat.supernat import INF, Factorials, FiniteSet, PrimeSet, Supernatural, lcm_sn, pi_S
+    from divlat.verifier import verify
+
+    roots = []
+    for kind in KINDS:
+        for problem in gen_corpus(kind, seed)[:2]:
+            T = problem.operator
+            roots += [problem, verify(ZZ, None, T, problem.exponent_set, problem.witnesses), classify_operator(T),
+                      fitting_decompose(T), divisibility_spectrum(T, 3, 1), root_search(T, 2, 1, timeout_ms=0)]
+    T, module = next(seeded_module_problems(seed))
+    roots += [module, verify(module.order, module, T, FiniteSet((3, 2, 3)), ()),
+              divisibility_spectrum(T, 3, 1, module=module)]
+    order = QuadraticOrder(-1)
+    roots += [impossibility_certificates(IntMatrix(1, 1, (e,)), 2) for e in (2, -2, -1)]
+    roots += [impossibility_certificates(IntMatrix(2, 2, (0, 1, 0, 0)), 2),
+              impossibility_certificates(embed_ok_matrix(order, [[(2, 0)]]), 3, OKModule.regular(order, 1))]
+    roots += [(QuadraticOrder(d), unit_group(QuadraticOrder(d))) for d in (-3, 2, 5)]
+    roots += [ZZ, FiniteSet((4,)), Factorials(), pi_S(Factorials()), PrimeSet.all_except((2, 3)),
+              lcm_sn(Supernatural.of({2: INF, 3: 1}), Supernatural.of({3: 2, 11: 1}))]
+    found = {}
+
+    def walk(value):
+        if isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, Record):
+            found.setdefault(type(value).__name__, []).append(value)
+            walk([getattr(value, name) for name in value._fields])
+
+    walk(roots)
+    return found
 
 
 # -- the golden problem sets of the CLI -------------------------------------

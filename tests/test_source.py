@@ -1,5 +1,7 @@
 import ast
 import os
+import subprocess
+import sys
 
 import divlat
 
@@ -20,6 +22,28 @@ def test_no_assert_statement_in_the_library():
     for name, tree in _trees():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_exec_outside_the_record_mechanism():
+    """Code is generated in one place only: _record compiles each record
+    class's methods."""
+    found = []
+    for name, tree in _trees():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval")
+                  and name != "_record.py"]
+    assert found == []
+
+
+def test_the_cli_imports_no_code_generator():
+    """A fresh interpreter importing divlat.cli loads neither dataclasses,
+    inspect nor typing, whose import and per-class code generation took
+    most of a CLI call's start-up.  The guard counts modules, so it gives
+    the same answer on every run; -S keeps site's own imports out."""
+    code = "import divlat.cli, sys; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_module_level_imports_are_acyclic():
