@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import divlat
-from divlat import cli
+from divlat import cli, serialize
 from divlat.cli import _read_argv, build_parser, main
 from divlat.corpus import KINDS, conjugate, gen_corpus, random_unimodular
 from divlat.exactalg import IntMatrix
@@ -260,9 +260,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, text, key", [
         ("classify", '{"rows": 1, "cols": 1, "entries": [1], "rows": 1}', "rows"),
         ("supernat", '{"nu": {"p": 3, "n": {"factors": {"3": 1, "3": 2}}}}', "3"),
-    ], ids=["top-level", "nested"])
+        ("classify", '{"a": 1, "b": 2, "b": 3, "a": 4}', "b"),
+        ("classify", '{"a": 1, "b": 2, "a": 3, "b": 4}', "a"),
+    ], ids=["top-level", "nested", "abba", "abab"])
     def test_a_repeated_key_is_refused(self, tmp_path, capsys, command, text, key):
-        """json.load alone keeps the last of two equal keys, at any depth."""
+        """json.load alone keeps the last of two equal keys, at any depth.
+        The key named is the first repeat in file order."""
         path = tmp_path / "dup.json"
         path.write_text(text)
         assert main([command, str(path)]) == 1
@@ -324,6 +327,84 @@ class TestExitCodes:
         obj = {"ring": {"quadratic": {"d": 2}}, "bogus": 1}
         assert main(["units", write(tmp_path, "r.json", obj)]) == 1
         assert capsys.readouterr() == ("", "error: units file: unknown field(s) ['bogus']\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="CPython without the int digit limit")
+    def test_a_prime_key_past_the_digit_limit_is_named(self, tmp_path, capsys):
+        """A prime key is a string, so the decoder lets it through; its
+        conversion to int is refused as an error of the supernatural."""
+        obj = {"nu": {"p": 3, "n": {"factors": {"7" * 5000: 1}}}}
+        assert main(["supernat", write(tmp_path, "s.json", obj)]) == 1
+        assert capsys.readouterr() == ("", "error: supernatural: a prime key has 5000 digits, more than "
+                                           f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} "
+                                           "allows\n")
+
+
+class TestTheReadPath:
+    """The exact error bytes of reading an input file: the byte offset of
+    bad UTF-8, and JSON offsets counted after CR LF and a lone CR are read
+    as LF."""
+
+    @pytest.mark.parametrize("content, err", [
+        (b'{"rows": 1, "cols": 1, "entries": [\xc3\x28]}',
+         "'utf-8' codec can't decode byte 0xc3 in position 35: invalid continuation byte"),
+        (b'{\r\n  "rows": 1,\r\n  "cols" 1,\r\n  "entries": [1]\r\n}\r\n',
+         "Expecting ':' delimiter: line 3 column 10 (char 24)"),
+        (b'{"rows": 1,\r"cols": 1,\r"x\ry": 1}', "Invalid control character at: line 3 column 3 (char 25)"),
+        (b'{"rows": 1,\r"cols" 1}', "Expecting ':' delimiter: line 2 column 8 (char 19)"),
+    ], ids=["not-utf-8", "crlf-syntax-error", "lone-cr-in-a-string", "cr-only-syntax-error"])
+    def test_a_bad_file_is_named_with_its_offset(self, tmp_path, capsys, content, err):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: invalid JSON ({err})\n")
+
+    def test_a_cr_only_file_parses(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"rows": 2,\r"cols": 2,\r"entries": [[0, -1],\r[1, -1]]}\r')
+        assert main(["--json", "classify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 3
+
+    def test_a_directory_is_named(self, tmp_path, capsys):
+        assert main(["classify", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {tmp_path}: [Errno 21] Is a directory: "
+                                           f"{str(tmp_path)!r}\n")
+
+    def test_a_missing_path_is_named(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        assert main(["classify", path]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {path}: [Errno 2] No such file or directory: "
+                                           f"{path!r}\n")
+
+    def test_a_repeated_key_in_a_large_object_is_found_at_once(self, tmp_path, capsys):
+        """100 000 keys, the last a repeat of the first: one pass names it."""
+        path = tmp_path / "dup.json"
+        path.write_text("{" + ", ".join(f'"k{i}": 0' for i in range(99999)) + ', "k0": 0}')
+        with time_limit(2.0):
+            assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: invalid JSON (repeated key 'k0')\n")
+
+
+class TestLibraryErrors:
+    def test_an_input_error_passes_through(self):
+        error = serialize.InputError("S: expected an integer, got 'a'")
+        with pytest.raises(serialize.InputError) as caught:
+            with serialize._library_errors("ring"):
+                raise error
+        assert caught.value is error and caught.value.__cause__ is None
+
+    def test_a_library_value_error_names_what(self):
+        error = ValueError("d must be squarefree")
+        with pytest.raises(serialize.InputError, match=r"^ring: d must be squarefree$") as caught:
+            with serialize._library_errors("ring"):
+                raise error
+        assert caught.value.__cause__ is error
+
+    def test_other_errors_and_success_pass(self):
+        with pytest.raises(TypeError):
+            with serialize._library_errors("ring"):
+                raise TypeError("not a value error")
+        with serialize._library_errors("ring"):
+            pass
 
 
 NONCOMMUTING_JSON = {"ring": {"quadratic": {"d": -1}},
