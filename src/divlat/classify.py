@@ -8,38 +8,39 @@ provably complete) and finite orders.  In Q[x]/(chi): the exact
 semisimple-plus-nilpotent splitting by Newton iteration, its parts int
 matrices when no denominator arises.
 
-chi is read with the orbit v, T v, ..., T^n v of v = (1, ..., n).  When v
-is cyclic, chi comes from one Krylov solve and is proven: it is mu_T, so
-T is nonderogatory.  Then T is semisimple exactly when chi is squarefree,
-a singular T has rank ker T = 1, and chi is an annihilator a, as is
-rad(chi) once r(T) = 0 has been multiplied out.  With a, the order d is
-certified by polynomials: T^d = I as a | x^d - 1, and T^(d/p) != I as
-(x^(d/p) mod a)(T) v != v.  A claim p(T) != 0 is first tried on v: a
-nonzero p(T) v, read off the orbit, proves it with no product, and only a
-claimed zero is multiplied out in full.  So a non-semisimple T is told
-apart by r(T) v != 0.
+chi is read with the Krylov chains of T (exactalg._krylov_chains): the
+orbits of generators g_1 = v = (1, ..., n), then unit vectors, each chain
+closing where its next vector falls in the span of the chains so far.
+chi = f_1 ... f_k is proven for every T, and the generators span Q^n as a
+Q[T]-module, so p(T) = 0 exactly when p(T) g_i = 0 for every i, with p
+reduced mod chi first and p(T) g_i read off g_i's orbit: matrix-vector
+products, no n x n product.  That one test decides, both ways,
+semisimplicity (rad(chi)(T) = 0), the order d (T^d = I, and T^(d/p) != I
+for each prime p | d, by x^e mod chi) and the image part's semisimplicity
+and order.  One chain, a cyclic v, makes chi = mu_T, so T is
+nonderogatory.
 
-Fitting's kernel chain is read one step at a time: for P = T^m, ker P and
-im P from one Hermite form and the determinant of their stacked bases,
-square as the ranks add up to n.  It is nonzero exactly when the two meet
-only in 0, which by Fitting's lemma is when the chain has stabilized, and
-+-1 exactly when Z^n = ker P (+) im P, as a square integer matrix has all
+Fitting's kernel chain is read at one step: for P = T^m, ker P and im P
+from one Hermite form and the determinant of their stacked bases, square
+as the ranks add up to n.  It is nonzero exactly when the two meet only in
+0, which by Fitting's lemma is when the chain has stabilized, and +-1
+exactly when Z^n = ker P (+) im P, as a square integer matrix has all
 invariant factors 1 exactly when its determinant is a unit.  Images need
 not be direct summands, so this is a real test, not an assumption.  For
-det T != 0 the first step needs no such form: ker T = 0 and
-[Z^n : im T] = |det T|, so that determinant is |det T|, read without a
-lattice, and im T, when its basis is read, is the n x n Hermite form of
-T^t.  For a singular T the chain is entered at the least m_v with
-T^m_v h(T) v = 0, chi = x^g h, where it typically stops: one Hermite form.
+det T != 0 the step needs no such form: ker T = 0 and [Z^n : im T] =
+|det T|, so that determinant is |det T|, read without a lattice, and
+im T, when its basis is read, is the n x n Hermite form of T^t.  For a
+singular T, chi = x^g h, the chain stabilizes at the least m with
+T^m h(T) g_i = 0 for every i, read off the orbits, and the step at m is
+the one Hermite form.
 
 The split T = 0 (+) (T on im T) needs no lattice where only its facts are
-read.  With k = rank ker T, 1 for a cyclic v, else off one fraction-free
+read.  With k = rank ker T, 1 for one chain, else off one fraction-free
 elimination of T and certified by k vectors T kills, T induces 0 on
 Q^n / im T, so chi_T = x^k chi_M for M = T on im T.  M is then read off
 chi_M: |det M| = [Z^n : ker T (+) im T], 0 when the two meet; M is
-semisimple when rad(chi_M)(T) T = 0, which for a cyclic v is when chi_M
-is squarefree; its order d is certified as T^(d+1) = T and
-T^(d/p+1) != T, off the annihilator as above.  Only Fitting's split,
+semisimple when T rad(chi_M)(T) = 0; its order d is certified as
+T^(d+1) = T and T^(d/p+1) != T, by the same test.  Only Fitting's split,
 which prints its lattices, builds them.
 
 _Invariants is the one analysis of an operator: it checks the operator
@@ -57,9 +58,9 @@ from math import gcd, lcm
 from operator import mul
 
 from ._record import Record
-from .exactalg import (IntMatrix, Lattice, QMatrix, _back_substitute, _bareiss, _chi_and_orbit, _cyclotomic_indices,
-                       _identity, _kernel_and_image, _saturation, _tuple_det, _tuple_mul, _zdivmod, _zgcd, _zradical,
-                       cyclotomic, hnf, restrict_to_lattice)
+from .exactalg import (IntMatrix, Lattice, QMatrix, _back_substitute, _bareiss, _cyclotomic_indices, _identity,
+                       _kernel_and_image, _krylov_chains, _saturation, _tuple_det, _tuple_mul, _zdivmod, _zgcd, _zmul,
+                       _zradical, cyclotomic, hnf, restrict_to_lattice)
 from .primes import prime_factors
 
 
@@ -97,9 +98,9 @@ class FittingSplit(Record):
 
 class _Invariants:
     """The analysis of one square operator T and its module (None over Z):
-    det, chi and its radical r (ascending int tuples), the orbit of
-    v = (1, ..., n), whether v is cyclic and a proven annihilator, when
-    there is one, semisimplicity (r(T) = 0), the cyclotomic factorization
+    det, chi and its radical r (ascending int tuples), the orbits of the
+    Krylov chains' generators, on which every test p(T) = 0 is read,
+    semisimplicity (r(T) = 0), the cyclotomic factorization
     of chi and whether T is torsion-spectral, the order, the split
     T = 0 (+) (T on im T) at Fitting's first and stable exponents, the facts
     of the image part M = T on im T that verify and the divisibility
@@ -142,18 +143,30 @@ class _Invariants:
 
     @cached_property
     def chi(self) -> tuple[int, ...]:
-        """chi_T, read with the orbit v, T v, ..., T^n v of v = (1, ..., n)
-        and whether v is cyclic (_chi_and_orbit), both kept here, so chi is
-        read before either.  A cyclic v makes chi = mu_T, proven, the
-        annihilator that the order checks divide."""
-        chi, self.orbit, self.cyclic = _chi_and_orbit(self.T)
-        self.annihilator = chi if self.cyclic else None
+        """chi_T, proven, read with the orbits of the Krylov chains'
+        generators (_krylov_chains), kept here, so chi is read before
+        them."""
+        chi, self.orbits = _krylov_chains(self.T)
         return chi
 
-    def _at_v(self, p) -> list[int]:
-        """p(T) v for deg p <= n, as sum p_i T^i v off the orbit: no
-        product.  A nonzero p(T) v proves p(T) != 0."""
-        return [sum(map(mul, p, coordinate)) for coordinate in zip(*self.orbit)]
+    def _at_generators(self, p) -> list[list[int]]:
+        """p(T) g_i for each generator g_i of the Krylov chains and deg p < n,
+        as sum p_j T^j g_i off g_i's orbit, extended by matrix-vector
+        products as far as p needs: no n x n product."""
+        out, T = [], self.T
+        for orbit in self.orbits:
+            while len(orbit) < len(p):
+                orbit.append(T.apply(orbit[-1]))
+            out.append([sum(map(mul, p, coordinate)) for coordinate in zip(*orbit[: len(p)])])
+        return out
+
+    def _annihilates(self, p) -> bool:
+        """Whether p(T) = 0, decided both ways: chi(T) = 0, so p is first
+        reduced mod chi, and the generators span Q^n as a Q[T]-module, so
+        p(T) = 0 exactly when p(T) g_i = 0 for every i."""
+        if len(p) >= len(self.chi):
+            p = _zdivmod(p, self.chi)[1]
+        return not p or not any(any(w) for w in self._at_generators(p))
 
     @cached_property
     def radical(self) -> tuple[int, ...]:
@@ -162,24 +175,9 @@ class _Invariants:
 
     @cached_property
     def semisimple(self) -> bool:
-        """r(T) = 0 (_semisimple)."""
-        return self._semisimple(self.chi, self.radical, 0)
-
-    def _semisimple(self, chi, radical, shift: int) -> bool:
-        """Whether a(T) = 0 for a = x^shift rad(chi), chi = chi_T (shift 0)
-        or chi_M (shift 1, M = T on im T, whose semisimplicity this is, as
-        the columns of T span im T): at once for a squarefree chi, by
-        Cayley-Hamilton for T or M.  Else False for a cyclic v, as T and M
-        are then nonderogatory, and False when a(T) v != 0, read off the
-        orbit.  Else a(T) is multiplied out, and a zero makes a the proven
-        annihilator."""
-        if radical == chi:
-            return True
-        a = (0,) * shift + radical
-        if self.cyclic or any(self._at_v(a)) or not _scaled_eval(a, self.T)[1].is_zero():
-            return False
-        self.annihilator = a
-        return True
+        """r(T) = 0 (_annihilates): at once for a squarefree chi, by
+        Cayley-Hamilton."""
+        return self.radical == self.chi or self._annihilates(self.radical)
 
     @cached_property
     def factorization(self) -> tuple[tuple[int, int], ...] | None:
@@ -207,22 +205,17 @@ class _Invariants:
     def _checked_order(self, factorization, shift: int) -> int:
         """The lcm d of the indices of a cyclotomic factorization, certified
         as T^(d + shift) = T^shift and minimal as T^(d/p + shift) != T^shift
-        for each prime p | d.  With a proven annihilator a, the first
-        follows from a | x^shift (x^d - 1), and each of the others from
-        q(T) v != T^shift v, q = x^(d/p + shift) mod a, read off the orbit.
-        A power is multiplied out, off the ladder, only where no annihilator
-        is proven, a does not divide or the vector test is inconclusive.
-        T^(d+1) = T is then kept, so the coprime roots' precondition needs
-        no product."""
-        d, a = lcm(*(k for k, _ in factorization)), self.annihilator
-        x_shift = None if a is None else _xpow_mod(shift, a)
-        if a is None or _xpow_mod(d + shift, a) != x_shift:
-            if self.power(d + shift) != self.power(shift):
-                raise AssertionError("candidate order failed re-verification")
+        for each prime p | d, each as x^shift (x^e - 1) mod chi, by
+        repeated squaring, annihilating T or not (_annihilates): no power
+        of T is multiplied out.  T^(d+1) = T is then kept, so the coprime
+        roots' precondition needs no product."""
+        d, chi = lcm(*(k for k, _ in factorization)), self.chi
+        x_shift = _xpow_mod(shift, chi)
+        if not self._annihilates(_add(_xpow_mod(d + shift, chi), x_shift, -1)):
+            raise AssertionError("candidate order failed re-verification")
         for p in prime_factors(d):
-            if a is None or not any(self._at_v(_add(_xpow_mod(d // p + shift, a), x_shift, -1))):
-                if self.power(d // p + shift) == self.power(shift):
-                    raise AssertionError("candidate order not minimal")
+            if self._annihilates(_add(_xpow_mod(d // p + shift, chi), x_shift, -1)):
+                raise AssertionError("candidate order not minimal")
         self._powers.setdefault(d + 1, self.T)
         return d
 
@@ -261,31 +254,26 @@ class _Invariants:
     def fitting(self) -> FittingSplit:
         """The split at the exponent m where the chain stabilizes, is_direct
         reported, never presumed: split itself when det T != 0.  Else, with
-        chi = x^g h and h(0) != 0, h(T) is 0 on the invertible part, so
-        w = h(T) v, for v = (1, ..., n), lies in the generalised kernel, and
-        the least m_v with T^m_v w = 0 is at most the stable exponent, which
-        is at most g.  The chain is read from m = max(m_v, 1) up to the first
-        step with a nonzero determinant, the stability certificate.  Below
-        it, T^(m_v - 1) w != 0 or the zero determinant one step down shows
-        that the chain still grows.  Only matrix-vector products reach m_v;
-        typically m = m_v, one chain step."""
+        chi = x^g h and h(0) != 0, h(T) is 0 on the invertible part and
+        invertible on the generalised kernel V_0, so T^m h(T) = 0 exactly
+        when T^m = 0 on V_0, that is when m is at least the stable exponent:
+        m is the least one with T^m h(T) g_i = 0 for every generator g_i
+        (_at_generators), at most g, reached by matrix-vector products.  One
+        chain step at max(m, 1) follows, its nonzero determinant, the
+        stability certificate, checked."""
         T = self.T
         if self.det:
             split = self.split
         else:
-            g = self.gen_kernel_rank
-            w, m = self._at_v(self.chi[g:]), 0
-            while any(w):
-                w, m = T.apply(w), m + 1
+            g, m = self.gen_kernel_rank, 0
+            ws = self._at_generators(self.chi[g:])
+            while any(any(w) for w in ws):
+                ws, m = [T.apply(w) for w in ws], m + 1
                 if m > g:
                     raise AssertionError("kernel chain failed to stabilize within g steps")
-            m = max(m, 1)
-            split = self.split if m == 1 else self._split_at(m)
-            while not split.det:
-                m += 1
-                if m > g:
-                    raise AssertionError("kernel chain failed to stabilize within g steps")
-                split = self._split_at(m)
+            split = self.split if m <= 1 else self._split_at(m)
+            if not split.det:
+                raise AssertionError(f"the kernel chain is not stable at its exponent {split.exponent_m}")
         if not all(split.gen_kernel.contains(T.apply(v)) for v in split.gen_kernel.basis.nested()):
             raise AssertionError("kernel part not invariant")
         return split
@@ -294,23 +282,20 @@ class _Invariants:
     def image_chi(self) -> tuple[int, ...]:
         """chi_M for M the matrix of T on im T, read off chi_T: T maps Q^n
         into im T, so it induces 0 on the quotient and chi_T = x^k chi_M,
-        k = n - r, r = rank T.  For det T != 0 it is chi_T.  For a cyclic v,
-        T is nonderogatory, so k = 1 and chi_M = chi_T / x, with no
+        k = n - r, r = rank T.  For det T != 0 it is chi_T.  With one Krylov
+        chain, T is nonderogatory, so k = 1 and chi_M = chi_T / x, with no
         elimination.  Else r, and row and column sets I and J with T[I, J]
         nonsingular, come from one fraction-free elimination of T, and
-        chi_T, whose x^(n-1) coefficient _chi_and_orbit has checked against
-        -tr T, is checked to have k zero low coefficients and against
-        det (T^2)[I, J] = (-1)^r chi_T(k) det T[I, J]: with C = T[:, J], a
-        Q-basis of im T, T C = C M' for an M' similar to M over Q, whose
-        rows I read T[I, :] T[:, J] = T[I, J] M'.  The nonsingular minor
-        shows rank T >= r; rank T <= r is shown by k vectors T kills,
+        chi_T is checked to have k zero low coefficients.  The nonsingular
+        minor shows rank T >= r; rank T <= r is shown by k vectors T kills,
         multiplied out in full: for each column j outside J, the solution
         of the echelon rows by back-substitution with det T[I, J] at j and
-        0 at the other columns outside J."""
+        0 at the other columns outside J.  With chi_T proven and k
+        certified, chi_T = x^k chi_M is then a theorem."""
         T, n, chi = self.T, self.T.rows, self.chi
         if self.det:
             return chi
-        if self.cyclic:
+        if len(self.orbits) == 1:
             if chi[0]:
                 raise AssertionError("chi of the image part: chi_T(0) != 0 for a singular T")
             return chi[1:]
@@ -320,11 +305,9 @@ class _Invariants:
         k = n - r
         if any(chi[:k]):
             raise AssertionError(f"chi of the image part: x^{k} does not divide chi_T, k = rank ker T")
-        rows_I = tuple(x for i in I for x in T.row(i))
-        columns_J = tuple(T[i, j] for i in range(n) for j in J)
         minor = _tuple_det(tuple(T[i, j] for i in I for j in J), r)
-        if not minor or _tuple_det(_tuple_mul(rows_I, columns_J, r, n, r), r) != (-1) ** r * chi[k] * minor:
-            raise AssertionError("chi of the image part: chi_T disagrees with det (T^2)[I, J] / det T[I, J]")
+        if not minor:
+            raise AssertionError("chi of the image part: the minor T[I, J] of the elimination is singular")
         if not all(a[i][j] for i, j in enumerate(J)):
             raise AssertionError("chi of the image part: an echelon row of T has a zero pivot")
         for j in sorted(set(range(n)) - set(J)):
@@ -343,10 +326,12 @@ class _Invariants:
     @cached_property
     def image_semisimple(self) -> bool:
         """Whether M is semisimple: semisimple when det T != 0, else when
-        T rad(chi_M)(T) = 0 (_semisimple)."""
+        T rad(chi_M)(T) = 0 (_annihilates), as the columns of T span im T:
+        at once for a squarefree chi_M, by Cayley-Hamilton for M."""
         if self.det:
             return self.semisimple
-        return self._semisimple(self.image_chi, _zradical(self.image_chi), 1)
+        radical = _zradical(self.image_chi)
+        return radical == self.image_chi or self._annihilates((0,) + radical)
 
     @cached_property
     def image_order(self) -> int | None:
@@ -354,9 +339,7 @@ class _Invariants:
         order when det T != 0.  Else the lcm d of the cyclotomic indices of
         chi_M for a semisimple M, certified (_checked_order) as
         T^(d+1) = T, which is M^d = I on the columns of T, and minimal as
-        T^(d/p+1) != T for each prime p | d: by the annihilator chi = x chi_M
-        for a cyclic v or x rad(chi_M) once image_semisimple has multiplied
-        it out, else in the matrix ring."""
+        T^(d/p+1) != T for each prime p | d."""
         if self.det:
             return self.order
         chi = self.image_chi
@@ -478,10 +461,7 @@ def _jordan_chevalley(inv: _Invariants) -> tuple[QMatrix, QMatrix]:
     if inv.semisimple:
         return QMatrix.from_int_matrix(T), QMatrix.zeros(n, n)
     if inv.radical == (0, 1):
-        # Newton's first step from p = x is x - x / 1 = 0.  T^n = 0 is chi(T) = 0: proven for a cyclic v
-        # (chi = mu_T), multiplied out off the ladder otherwise.
-        if not inv.cyclic and not inv.power(n).is_zero():
-            raise AssertionError("nilpotent part is not nilpotent")
+        # Newton's first step from p = x is x - x / 1 = 0; T^n = 0 is chi(T) = 0, as chi = x^n is proven.
         return QMatrix.zeros(n, n), QMatrix.from_int_matrix(T)
     # r(p) = 0 mod chi and chi(T) = 0 give r(S) = 0, r squarefree: S is semisimple.
     D, DS = _scaled_eval(_newton(inv.radical, inv.chi), T)
@@ -508,13 +488,13 @@ def _newton(r: tuple[int, ...], chi: tuple[int, ...]) -> tuple:
     for step in range(cap + 1):
         value = slope = ()  # r(p) and r'(p) mod chi, by Horner's rule
         for c in reversed(r):
-            value, slope = (_zdivmod(_add(_mul(value, p), (c,)), chi)[1],
-                            _zdivmod(_add(_mul(slope, p), value), chi)[1])
+            value, slope = (_zdivmod(_add(_zmul(value, p), (c,)), chi)[1],
+                            _zdivmod(_add(_zmul(slope, p), value), chi)[1])
         if not value:
             return p
         if step == cap:
             raise AssertionError("Newton iteration failed to converge within the cap")
-        p = _zdivmod(_add(p, _mul(value, _inverse_mod(slope, chi)), -1), chi)[1]
+        p = _zdivmod(_add(p, _zmul(value, _inverse_mod(slope, chi)), -1), chi)[1]
 
 
 def _inverse_mod(a: tuple, m: tuple) -> tuple:
@@ -525,7 +505,7 @@ def _inverse_mod(a: tuple, m: tuple) -> tuple:
         lead = Fraction(r1[-1])
         r1, s1 = tuple(c / lead for c in r1), tuple(c / lead for c in s1)
         q, rem = _zdivmod(r0, r1)
-        r0, r1, s0, s1 = r1, rem, s1, _add(s0, _mul(q, s1), -1)
+        r0, r1, s0, s1 = r1, rem, s1, _add(s0, _zmul(q, s1), -1)
     if r0 != (1,):
         raise AssertionError("r'(p) is not invertible modulo chi")
     return _zdivmod(s0, m)[1]
@@ -536,10 +516,10 @@ def _xpow_mod(e: int, a: tuple) -> tuple:
     result, square = (1,), (0, 1)
     while e:
         if e & 1:
-            result = _zdivmod(_mul(result, square), a)[1]
+            result = _zdivmod(_zmul(result, square), a)[1]
         e >>= 1
         if e:
-            square = _zdivmod(_mul(square, square), a)[1]
+            square = _zdivmod(_zmul(square, square), a)[1]
     return _zdivmod(result, a)[1]
 
 
@@ -550,17 +530,6 @@ def _add(a: tuple, b: tuple, sign: int = 1) -> tuple:
         out[i] += sign * c
     while out and not out[-1]:
         out.pop()
-    return tuple(out)
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return tuple(out)
 
 

@@ -3,11 +3,12 @@
 Dense, immutable, arbitrary-precision matrices; two eliminations: the
 Hermite normal form, the one lattice elimination, and one fraction-free
 (Bareiss) elimination with one back-substitution, from which the
-determinant, the rank profile, the Krylov solve, kernel vectors (those of
+determinant, the rank profile, the Krylov chains, kernel vectors (those of
 the commutator equations too) and the adjugate (the inverse, conjugation)
 are read; kernels and honest images as canonical lattices, both read off
 one Hermite form, and the saturation of a row span, by duality; and the
-characteristic and cyclotomic polynomials, as ascending coefficient tuples.
+characteristic polynomial, proven by the Krylov chains for every operator,
+and the cyclotomic polynomials, as ascending coefficient tuples.
 Nothing here ever touches a float.
 """
 from __future__ import annotations
@@ -169,6 +170,18 @@ def _zdivmod(a, b) -> tuple[tuple, tuple]:
     while r and not r[-1]:
         r.pop()
     return tuple(q), tuple(r)
+
+
+def _zmul(a, b) -> tuple:
+    """The product a b, for any coefficient type."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _zgcd(a, b) -> tuple[int, ...]:
@@ -577,67 +590,73 @@ def restrict_to_lattice(T: IntMatrix, lat: Lattice) -> IntMatrix:
 
 def char_poly(T: IntMatrix) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - T), monic in Z[x]: (1,) for 0x0.
-    Certified by Krylov's method when v = (1, 2, ..., n) is cyclic for T,
-    else by Berkowitz's recurrence with chi(T) v = 0 checked
-    (_chi_and_orbit)."""
+    The product of the Krylov chains' polynomials, each closing relation
+    multiplied out (_krylov_chains), so proven for every T."""
     if not T.is_square:
         raise ValueError("char_poly requires a square matrix")
-    return _chi_and_orbit(T)[0]
+    return _krylov_chains(T)[0]
 
 
-def _chi_and_orbit(T: IntMatrix) -> tuple[tuple[int, ...], list[list[int]], bool]:
-    """(chi, orbit, cyclic) for a square T: the orbit v, T v, ..., T^n v of
-    v = (1, 2, ..., n), n matrix-vector products, and whether v is cyclic,
-    that is K = [v, T v, ..., T^(n-1) v] is nonsingular.  Then K c = T^n v
-    is solved by one elimination of [K | T^n v] (_bareiss) and
-    back-substitution with -1 at the T^n v column, and
-    chi = x^n - sum c_i x^i is chi_T, proven (Cohen, GTM 138, 2.2): mu_v,
-    of degree n, divides chi and mu_T, which divides chi_T.  Else chi comes
-    from Berkowitz's division-free recurrence (_berkowitz).  Either way
-    chi(T) v = 0 is checked as sum chi_i T^i v off the orbit, which is what
-    makes the cyclic chi a certificate, and chi is checked to have -tr T
-    next to its leading coefficient, which pins Berkowitz's x^(n-1)
-    coefficient too; a failure raises AssertionError."""
+def _krylov_chains(T: IntMatrix) -> tuple[tuple[int, ...], list[list[list[int]]]]:
+    """(chi, orbits) for a square T, by the greedy cyclic-subspace (Krylov)
+    decomposition (Cohen, GTM 138, 2.2; Gantmacher, The Theory of Matrices,
+    vol. 1, ch. VII): orbits[i] is g_i, T g_i, T^2 g_i, ... for the i-th
+    generator, g_1 = v = (1, 2, ..., n).  Chain i is g_i, ...,
+    T^(d_i - 1) g_i, closing where T^(d_i) g_i falls in the span of the
+    chain vectors so far: one elimination (_bareiss) of [basis | orbit of
+    g_i], and one back-substitution at the closing column with -s there,
+    s the pivot of the column before it, +-det of the nonsingular minor the
+    basis and chain form, so the solution is integral by Cramer's rule (s =
+    1 for the first chain, whose solution, mu_v's coefficients, is
+    integral).  Its own-chain part is -s times the coefficients of
+    f_i = x^(d_i) - sum c_j x^j, and the closing relation, s f_i(T) g_i
+    equal to the solved combination of the earlier chains' vectors, is
+    multiplied out from the f_i that chi is built from, a failure raising
+    AssertionError.  The next generator is e_j for the least coordinate j
+    outside the elimination's pivot rows, where the basis so far is
+    nonsingular, so e_j lies outside its span.  In the basis of all chains
+    T is block upper triangular with the companion blocks of f_1, ..., f_k,
+    so chi_T = f_1 ... f_k, proven; each f_i is a monic rational factor of
+    chi_T, so in Z[x] by Gauss's lemma.  The generators span Q^n as a
+    Q[T]-module, so p(T) = 0 exactly when p(T) g_i = 0 for every i.  The
+    orbit of g_1 is v, T v, ..., T^n v; a later generator's runs first only
+    as far as the previous chain's length, and to its bound n - D + 1
+    vectors, D the chain vectors so far, when its chain has not closed
+    within it."""
     n, e = T.rows, T.entries
-    rows, w = [e[i * n : (i + 1) * n] for i in range(n)], list(range(1, n + 1))
-    orbit = [w]
-    for _ in range(n):
-        w = [sum(map(mul, row, w)) for row in rows]
-        orbit.append(w)
-    coordinates = list(zip(*orbit))  # coordinate j of v, T v, ..., T^n v
-    c = None
-    # T^(n-1) v = 0, as for every derogatory nilpotent T, needs no elimination
-    if not n or any(orbit[n - 1]):
-        a = [list(coordinate) for coordinate in coordinates]
-        J = _bareiss(a, n + 1)[0]
-        if J == list(range(n)):
-            c = _back_substitute(a, J, [0] * n + [-1])[:n]
-    chi = _berkowitz(e, n) if c is None else tuple([-x for x in c]) + (1,)
-    if any([sum(map(mul, chi, coordinate)) for coordinate in coordinates]):
-        raise AssertionError("chi(T) v != 0: the characteristic polynomial is wrong")
-    if n and chi[-2] != -sum(e[:: n + 1]):
-        raise AssertionError("chi disagrees with the trace of T: the characteristic polynomial is wrong")
-    return chi, orbit, c is not None
-
-
-def _berkowitz(e, n: int) -> tuple[int, ...]:
-    """The characteristic polynomial, ascending, of the square n x n entry
-    tuple e.  Step r borders the leading r x r block A with row R, column C
-    and corner a: det(xI - A)'s descending coefficients times the
-    lower-triangular Toeplitz matrix with first column
-    (1, -a, -RC, -RAC, ..., -RA^(r-1)C) are those of the bordered block's."""
-    if not n:
-        return (1,)
-    p = [1, -e[0]]  # descending
-    for r in range(1, n):
-        A = [e[i * n : i * n + r] for i in range(r)]
-        R, C = e[r * n : r * n + r], e[r : r * n : n]
-        t = [1, -e[r * n + r], -sum(map(mul, R, C))]
-        for _ in range(1, r):
-            C = [sum(map(mul, row, C)) for row in A]
-            t.append(-sum(map(mul, R, C)))
-        p = [sum(map(mul, p, t[i::-1])) for i in range(r + 2)]
-    return tuple(reversed(p))
+    rows = [e[i * n : (i + 1) * n] for i in range(n)]
+    chi, basis, orbits, g, length = (1,), [], [], list(range(1, n + 1)), n
+    while len(basis) < n:
+        if basis:  # e_j for the least coordinate j outside the last elimination's pivot rows origin[:m]
+            j = min(origin[m:])
+            g, length = [int(i == j) for i in range(n)], min(d, n - len(basis))
+        D, orbit = len(basis), [g]
+        while True:
+            w = orbit[-1]
+            for _ in range(length + 1 - len(orbit)):
+                w = [sum(map(mul, row, w)) for row in rows]
+                orbit.append(w)
+            coordinates = list(zip(*basis, *orbit))
+            a = [list(coordinate) for coordinate in coordinates]
+            J, origin, _ = _bareiss(a, D + len(orbit))
+            m = len(J)
+            while J[m - 1] != m - 1:  # J[j] = j on a prefix of J: m is the closing column
+                m -= 1
+            if m < D + len(orbit):
+                break
+            if length == n - D:
+                raise AssertionError("a Krylov chain failed to close within n - D steps")
+            length = n - D
+        d, s = m - D, a[m - 1][m - 1] if D else 1
+        x = _back_substitute(a, J[:m], [0] * m + [-s])
+        f = [-c // s for c in x[D:m]] + [1]
+        weights = x[:D] + [-s * c for c in f] if D else f  # the basis combination x[:D] minus s f(T) g
+        if any(sum(map(mul, weights, coordinate)) for coordinate in coordinates):
+            raise AssertionError("a Krylov chain's closing relation fails: the characteristic polynomial is wrong")
+        chi = _zmul(chi, f) if D else tuple(f)
+        basis += orbit[:d]
+        orbits.append(orbit)
+    return chi, orbits
 
 
 def companion_matrix(p) -> IntMatrix:

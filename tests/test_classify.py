@@ -17,17 +17,17 @@ from divlat.classify import (
     jordan_chevalley,
     roots_of_unity_spectrum,
 )
-from divlat.exactalg import IntMatrix, QMatrix, _bareiss, _chi_and_orbit, char_poly, companion_matrix, cyclotomic
+from divlat.exactalg import IntMatrix, QMatrix, _bareiss, _krylov_chains, char_poly, companion_matrix, cyclotomic
 from divlat.corpus import KINDS, block_diagonal, conjugate, finite_order_matrix, gen_corpus
 from divlat.divisibility import impossibility_certificates
 from divlat.numberring import ZZ
-from divlat.primes import euler_phi
+from divlat.primes import euler_phi, prime_factors
 from divlat.verifier import verify
 from divlat.serialize import problem_from_json
-from helpers import (diagonal_matrix, frac_det, frac_min_poly, frac_rank, min_poly_is_squarefree, module_problems,
-                     newton_jordan_chevalley_oracle, oracle_image_facts, qpoly_add, qpoly_divmod, qpoly_eval_matrix,
-                     qpoly_mul, qpoly_radical, rand_matrix, rand_unimodular, rational_invariants_oracle,
-                     seeded_operator)
+from helpers import (char_poly_cofactor, diagonal_matrix, fitting_chain_oracle, frac_det, frac_min_poly, frac_rank,
+                     image_oracle, mat_pow, min_poly_is_squarefree, module_problems, newton_jordan_chevalley_oracle,
+                     oracle_image_facts, qpoly_add, qpoly_divmod, qpoly_eval_matrix, qpoly_mul, qpoly_radical,
+                     rand_matrix, rand_unimodular, rational_invariants_oracle, seeded_operator)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order 3
 
@@ -197,13 +197,13 @@ def squared_and_cubed_golden_blocks():
 
 class TestNilpotentJordanChevalley:
     """For chi = x^n, Newton's first step from p = x gives p = 0: S = 0 and
-    N = T, with no Newton step; T^n = 0 is proven by chi for a cyclic v and
-    multiplied out otherwise."""
+    N = T, with no Newton step; T^n = 0 is chi(T) = 0, as chi is proven."""
 
     def test_parts_match_the_oracle_with_no_newton_step(self, monkeypatch):
         """Seeded nonzero nilpotent operators, n <= 8, and the shifts
         J_n(0), conjugated: the parts agree with the matrix Newton oracle,
-        no Newton step runs, and only a derogatory T multiplies out T^n."""
+        no Newton step runs, and no power of T is multiplied out, for one
+        Krylov chain or several."""
         rng, seen = random.Random(227), set()
         ops = [IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)) for n in range(2, 9) for _ in range(3)]
         ops = [T for T in ops if not T.is_zero()]
@@ -218,30 +218,45 @@ class TestNilpotentJordanChevalley:
             assert inv.chi == (0,) * T.rows + (1,), T
             assert classify._jordan_chevalley(inv) == (QMatrix.from_rows(S), QMatrix.from_rows(N)), T
             assert N == T.nested() and not semisimple, T
-            seen.add((inv.cyclic, T.rows in inv._powers))
+            assert inv._powers == {}, T
+            seen.add(len(inv.orbits) == 1)
         assert newton_calls == []
-        assert seen == {(True, False), (False, True)}
+        assert seen == {True, False}
 
     def test_a_chi_claiming_nilpotency_raises_under_optimize(self):
-        """A Berkowitz helper that hands back x^n, also under python -O.
-        For T = 0 (+) 1, conjugated so that T kills v = (1, 2), x^2 passes
-        the chi(T) v = 0 check, as v is not cyclic, and is refused by the
-        trace.  For T = 0 (+) 1 (+) -1, of trace 0, conjugated so that T
-        kills v = (1, 2, 3), x^3 passes both checks, and T^3 = T != 0 then
-        makes classify_operator raise."""
+        """A Krylov solve that hands back every chain's own coefficients as
+        0, so that each f_i is x^(d_i) and chi claims x^n, makes
+        classify_operator raise, also under python -O.  The chain of
+        g_i ends at column m_i = D_i + d_i, D_i the chain vectors before
+        it, so D_i = m_(i-1).  For T = 0 (+) 1, conjugated so that T kills
+        v = (1, 2), and for T = 0 (+) 1 (+) -1, of trace 0, conjugated so
+        that T kills v = (1, 2, 3), the first chain is v alone and rightly
+        x; the second chain's closing relation refuses x^(d_2)."""
         code = textwrap.dedent("""
             import divlat.exactalg as exactalg
             from divlat.classify import classify_operator
             from divlat.corpus import conjugate
             from divlat.exactalg import IntMatrix
-            exactalg._berkowitz = lambda e, n: (0,) * n + (1,)
-            for D, U in [([[0, 0], [0, 1]], [[1, 0], [2, 1]]),
-                         ([[0, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 0, 0], [2, 1, 0], [3, 0, 1]])]:
-                T = conjugate(IntMatrix.from_rows(D), IntMatrix.from_rows(U))
+            solve = exactalg._back_substitute
+            ends = []
+
+            def nilpotent(a, J, x):
+                y = solve(a, J, x)
+                D = ends[-1] if ends else 0
+                ends.append(len(J))
+                y[D : len(J)] = [0] * (len(J) - D)
+                return y
+
+            ops = [conjugate(IntMatrix.from_rows(D), IntMatrix.from_rows(U)) for D, U in
+                   [([[0, 0], [0, 1]], [[1, 0], [2, 1]]),
+                    ([[0, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 0, 0], [2, 1, 0], [3, 0, 1]])]]
+            exactalg._back_substitute = nilpotent
+            for T in ops:
+                ends.clear()
                 try:
                     out = classify_operator(T)
                 except AssertionError as e:
-                    print("raised", T.apply(range(1, T.rows + 1)), e)
+                    print("raised", T.apply(range(1, T.rows + 1)), ends, e)
                 else:
                     print("returned", out)
         """)
@@ -250,9 +265,8 @@ class TestNilpotentJordanChevalley:
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == [
-            "raised (0, 0) chi disagrees with the trace of T: the characteristic polynomial is wrong",
-            "raised (0, 0, 0) nilpotent part is not nilpotent"]
+        wrong = "a Krylov chain's closing relation fails: the characteristic polynomial is wrong"
+        assert run.stdout.splitlines() == [f"raised (0, 0) [1, 2] {wrong}", f"raised (0, 0, 0) [1, 2] {wrong}"]
 
 
 class TestAgainstMatrixNewtonOracle:
@@ -512,10 +526,10 @@ class TestPowerLadder:
         return products
 
     def test_verify_squares_no_matrix_twice(self, monkeypatch):
-        """The order checks T^d = I and T^(d/p) != I, the check T^(d+1) = T
-        and the roots T^m share one ladder.  T has order 120 and trace 1, so
-        neither chi's recurrence nor the re-multiplication of a root squares
-        a matrix the ladder has squared.  The ladder's squares are made in
+        """The roots T^m share one ladder; the order checks T^d = I and
+        T^(d/p) != I are polynomial tests and keep T^(d+1) = T.  T has order
+        120 and trace 1, so the re-multiplication of a root squares no
+        matrix the ladder has squared.  The ladder's squares are made in
         classify, and the record sees each of T, T^2, ..., T^32 squared."""
         T = IntMatrix.from_rows(seeded_operator("finite-order", 12, random.Random(9)))
         assert (classify._Invariants(T).order, T.trace()) == (120, 1)
@@ -625,14 +639,12 @@ class TestVectorCertificates:
             assert not inv.image_semisimple and inv.fitting.exponent_m == 1, T
         assert calls == []
 
-    def test_a_zero_vector_falls_back_to_the_full_product(self, monkeypatch):
-        """When r(T) v = 0 the matrix r(T) is still multiplied out, once:
-        T = J_2(1) (+) (1) and the singular S = 0 (+) J_2(1), each
-        conjugated so that v = (1, 2, 3) is a fixed vector, stay
-        non-semisimple.  Horner's rule from the leading coefficient times T
-        takes deg - 1 products: none for T - I, one 3 x 3 product for
-        S (S - I) (beside the image part's 2 x 3 by 3 x 2 check), where a
-        start from the leading coefficient times I took one more each."""
+    def test_a_zero_vector_is_settled_by_the_later_chains(self, monkeypatch):
+        """When r(T) v = 0, r(T) g_i != 0 for a later generator g_i settles
+        the claim, with no matrix product: T = J_2(1) (+) (1) and the
+        singular S = 0 (+) J_2(1), each conjugated so that v = (1, 2, 3) is
+        a fixed vector, stay non-semisimple, and neither r(T) nor any other
+        n x n matrix is multiplied out."""
         calls, products = [], counted_products(monkeypatch)
         scaled_eval = classify._scaled_eval
         monkeypatch.setattr(classify, "_scaled_eval", lambda *args: calls.append(args) or scaled_eval(*args))
@@ -642,16 +654,114 @@ class TestVectorCertificates:
                       IntMatrix.from_rows([[0, 1, 0], [1, 2, 0], [0, 3, 1]]))  # v = U e2
         for X in (T, S):
             assert X.apply((1, 2, 3)) == (1, 2, 3), X
-        assert not classify._Invariants(T).semisimple and len(calls) == 1 and products == []
-        assert not classify._Invariants(S).image_semisimple and len(calls) == 2
-        assert products == [(2, 3, 2), (3, 3, 3)]
+        inv_T, inv_S = classify._Invariants(T), classify._Invariants(S)
+        assert not inv_T.semisimple and not inv_S.image_semisimple
+        assert [len(inv.orbits) for inv in (inv_T, inv_S)] == [3, 3]
+        assert calls == [] and products == []
+
+    def test_no_matrix_product_for_any_fact(self, monkeypatch):
+        """For every T, derogatory included, semisimplicity, the order, the
+        image part's facts and the Fitting exponent are polynomial tests on
+        the chains' orbits: no _scaled_eval call and no n x n product, and
+        the only powers kept are T^(d+1) = T for an order d and T^m for the
+        split at Fitting's exponent m.  The operators are seeded ones with
+        one to n chains: random, finite-order, nilpotent, scalar, zero,
+        conjugated X (+) X and 0 (+) X (+) X for X of finite order, and
+        J_2(1) (+) J_2(1)."""
+        rng, chains = random.Random(229), set()
+        operators = []
+        for n in range(1, 8):
+            operators += [IntMatrix.from_rows(seeded_operator(kind, n, rng))
+                          for kind in ("random", "finite-order", "nilpotent")]
+            operators += [IntMatrix.identity(n) * c for c in (0, 1, -1, 2)]
+        for n in range(1, 4):
+            X = IntMatrix.from_rows(seeded_operator("finite-order", n, rng))
+            operators.append(conjugate(block_diagonal([X, X]), rand_unimodular(rng, 2 * n)))
+            operators.append(conjugate(block_diagonal([IntMatrix.zeros(1, 1), X, X]), rand_unimodular(rng, 2 * n + 1)))
+        J2 = IntMatrix.from_rows([[1, 1], [0, 1]])
+        operators.append(conjugate(block_diagonal([J2, J2]), rand_unimodular(rng, 4)))
+        calls = []
+        scaled_eval = classify._scaled_eval
+        monkeypatch.setattr(classify, "_scaled_eval", lambda *args: calls.append(args) or scaled_eval(*args))
+        products = TestProvenAnnihilator.counted(monkeypatch, "_tuple_mul")
+        for T in operators:
+            inv = classify._Invariants(T)
+            facts = (inv.semisimple, inv.order, inv.split_det, inv.image_semisimple, inv.image_order,
+                     inv.zero_plus_order)
+            assert calls == [] and products == [], T
+            kept = {d + 1 for d in (inv.order, inv.image_order) if d}
+            assert set(inv._powers) <= kept, T
+            assert set(inv._powers) <= kept | {inv.fitting.exponent_m}, T
+            assert calls == [], T
+            products.clear()
+            chains.add(min(len(inv.orbits), 4))
+            assert facts[0] == min_poly_is_squarefree(T.nested()), T
+        assert chains == {1, 2, 3, 4}
+
+
+def krylov_chain_cases(family):
+    """Operators with many Krylov chains, by family: the 0x0 operator, and
+    the scalar and the zero operators up to n = 10, one chain per
+    dimension; Y^2 (+) Y^2 for a random Y, conjugated, two or more; and
+    nilpotent operators T with T v = 0, v = (1, ..., n), conjugated
+    strictly upper triangular matrices, whose first chain has length 1."""
+    rng = random.Random(233)
+    if family == "empty, scalar and zero":
+        yield IntMatrix(0, 0, ())
+        for n in (1, 2, 3, 4, 5, 7, 10):
+            for c in (0, 1, -2, 3):
+                yield IntMatrix.identity(n) * c
+    elif family == "Y^2 (+) Y^2":
+        for n in (1, 2, 3, 3, 4, 4):
+            Y = rand_matrix(rng, n, 1)
+            yield conjugate(block_diagonal([Y * Y, Y * Y]), rand_unimodular(rng, 2 * n))
+    else:
+        for n in range(2, 9):
+            for _ in range(3):
+                N = IntMatrix.from_rows([[rng.choice((0, 0, rng.randint(-2, 2))) if j > i else 0 for j in range(n)]
+                                         for i in range(n)])
+                U = IntMatrix.from_rows([[i + 1 if j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+                T = conjugate(N, U)  # U e_1 = v and N e_1 = 0
+                assert not any(T.apply(range(1, n + 1))), T
+                yield T
+
+
+class TestKrylovChains:
+    """The facts of operators with zero to many Krylov chains against the
+    independent oracles."""
+
+    @pytest.mark.parametrize("family", ["empty, scalar and zero", "Y^2 (+) Y^2", "nilpotent killing v"])
+    def test_facts_against_the_oracles(self, family):
+        """chi against cofactor expansion; semisimplicity, the radical and
+        the cyclotomic factorization against rational_invariants_oracle;
+        the order against matrix powers; the image part's facts against
+        oracle_image_facts; and Fitting's exponent and image part against
+        fitting_chain_oracle."""
+        chains = set()
+        for T in krylov_chain_cases(family):
+            rows, n = T.nested(), T.rows
+            inv = classify._Invariants(T)
+            assert inv.chi == tuple(char_poly_cofactor(rows)), T
+            semisimple, radical, factorization = rational_invariants_oracle(T)
+            assert (inv.semisimple, list(inv.radical), inv.factorization) == (semisimple, radical, factorization), T
+            if n and inv.order is not None:
+                identity = mat_pow(rows, 0)
+                assert mat_pow(rows, inv.order) == identity, T
+                assert all(mat_pow(rows, inv.order // p) != identity for p in prime_factors(inv.order)), T
+            assert (inv.split_det, inv.image_det, inv.image_semisimple, inv.image_order) == oracle_image_facts(T), T
+            if n:
+                m, power = fitting_chain_oracle(T)
+                assert (inv.fitting.exponent_m, inv.fitting.image_part) == (m, image_oracle(power)), T
+            chains.add(len(inv.orbits))
+        assert {"empty, scalar and zero": {0, 1, 2, 3, 4, 5, 7, 10}, "Y^2 (+) Y^2": {2, 4},
+                "nilpotent killing v": {2, 3, 4, 5}}[family] <= chains
 
 
 class TestProvenAnnihilator:
-    """With v = (1, ..., n) cyclic, chi is proven and is mu_T, so
-    semisimplicity, the order and the image part's chi are read off it;
-    an annihilator proven by a full product serves the order the same way.
-    Each fact is checked against an independent oracle."""
+    """chi is proven for every T, so semisimplicity, the order and the image
+    part's facts are polynomial tests modulo chi on the Krylov chains'
+    orbits; with v = (1, ..., n) cyclic, one chain, chi is mu_T.  Each fact
+    is checked against an independent oracle."""
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -672,8 +782,9 @@ class TestProvenAnnihilator:
         return calls
 
     def test_semisimple_for_a_cyclic_vector_is_a_squarefree_chi(self):
-        """For a cyclic v, T is semisimple exactly when chi is squarefree,
-        against the Fraction minimal polynomial, on seeded n <= 8."""
+        """For a cyclic v, one chain, T is semisimple exactly when chi is
+        squarefree; semisimplicity against the Fraction minimal polynomial,
+        on seeded n <= 8, with one chain or several."""
         rng, seen = random.Random(197), set()
         for n in range(1, 9):
             for kind in ("random", "finite-order", "nilpotent"):
@@ -681,9 +792,10 @@ class TestProvenAnnihilator:
                     rows = seeded_operator(kind, n, rng)
                     inv = classify._Invariants(IntMatrix.from_rows(rows))
                     assert inv.semisimple == min_poly_is_squarefree(rows), rows
-                    if inv.cyclic:
+                    cyclic = len(inv.orbits) == 1
+                    if cyclic:
                         assert inv.semisimple == (inv.radical == inv.chi), rows
-                    seen.add((inv.cyclic, inv.semisimple))
+                    seen.add((cyclic, inv.semisimple))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def block_sums(self):
@@ -716,7 +828,7 @@ class TestProvenAnnihilator:
             assert mat_pow(rows, d + shift) == target, T
             for p in prime_factors(d):
                 assert mat_pow(rows, d // p + shift) != target, T
-            seen.add((shift, inv.cyclic))
+            seen.add((shift, len(inv.orbits) == 1))
         assert seen == {(0, True), (0, False), (1, True), (1, False)}
 
     def test_no_product_in_the_order_of_a_cyclic_operator(self, monkeypatch):
@@ -726,7 +838,7 @@ class TestProvenAnnihilator:
         T = conjugate(companion_matrix(cyclotomic(28)), rand_unimodular(random.Random(211), 12))
         products = self.counted(monkeypatch, "_tuple_mul")
         inv = classify._Invariants(T)
-        assert inv.order == 28 and inv.cyclic
+        assert inv.order == 28 and len(inv.orbits) == 1
         assert classify_operator(T).order == 28
         assert products == []
 
@@ -750,28 +862,26 @@ class TestProvenAnnihilator:
         for T in operators:
             inv = classify._Invariants(T)
             facts.append((inv.split_det, inv.image_semisimple, inv.image_order, inv.zero_plus_order))
-            assert inv.image_chi == inv.chi[1:] and inv.cyclic, T
+            assert inv.image_chi == inv.chi[1:] and len(inv.orbits) == 1, T
         assert facts == [(1, True, 12, 12), (0, False, None, None)]
         assert products == []
         reports = [verify(ZZ, None, T, None, ()) for T in operators]
         assert [(r.clause1.clean_split, r.clause2.semisimple) for r in reports] == [(True, True), (False, False)]
         assert eliminations == []
 
-    def test_an_inconclusive_vector_test_takes_the_power(self, monkeypatch):
+    def test_a_derogatory_order_takes_no_power(self, monkeypatch):
         """T = I_2 (+) Phi_4's companion, conjugated so that v = (1, 2, 3, 4)
-        is fixed, is derogatory: semisimple multiplies r(T) out, with two
-        products (Horner's rule from T, not from I, which took three), which
-        proves r = (x - 1)(x^2 + 1) an annihilator.  r divides x^4 - 1, so
-        T^4 is not multiplied out; x^2 mod r fixes v like T^2 does, so T^2
-        is, and is not I."""
+        is fixed, is derogatory: semisimplicity, r = (x - 1)(x^2 + 1) of
+        T, and the order 4, T^4 = I and T^2 != I, are read off the chains'
+        orbits with no n x n product; T^5 = T is the one power kept."""
         U = IntMatrix.from_rows([[1, 0, 0, 0], [2, 1, 0, 0], [3, 0, 1, 0], [4, 0, 0, 1]])  # v = U e1
         T = conjugate(block_diagonal([IntMatrix.identity(2), companion_matrix(cyclotomic(4))]), U)
         assert T.apply((1, 2, 3, 4)) == (1, 2, 3, 4)
         products = counted_products(monkeypatch)
         inv = classify._Invariants(T)
-        assert inv.semisimple and products == [(4, 4, 4)] * 2
-        assert inv.semisimple and not inv.cyclic and inv.annihilator == (-1, 1, -1, 1)
-        assert inv.order == 4 and sorted(inv._powers) == [0, 2, 5]  # T^0 = I and T^5 = T: no product
+        assert inv.semisimple and inv.radical == (-1, 1, -1, 1) and len(inv.orbits) > 1
+        assert inv.order == 4 and sorted(inv._powers) == [5] and inv.power(5) is T
+        assert products == []
 
 
 class TestImagePart:
@@ -873,17 +983,17 @@ class TestImagePart:
         assert moved >= 10
         assert facts == {(True, True), (False, True), (False, False)}
 
-    @pytest.mark.parametrize("chi", [(1, 0, -2, -1, 1), (0, 0, 5, -1, 1)], ids=["low coefficient", "determinant"])
+    @pytest.mark.parametrize("chi", [(1, 0, -2, -1, 1)], ids=["low coefficient"])
     def test_a_chi_disagreeing_with_the_image_part_raises(self, chi):
         """T = diag(0, 0, 2, -1) has chi_T = x^2 (x - 2)(x + 1) =
         (0, 0, -2, -1, 1) and image part diag(2, -1); T is derogatory, so
-        the image part is read off the elimination of T, and each corrupted
-        chi_T is refused by every fact of the image part.  A wrong x^3
-        coefficient never reaches the image part: _chi_and_orbit checks it
-        against -tr T (test_exactalg)."""
+        the image part is read off the elimination of T, and a chi_T with a
+        nonzero coefficient below x^k, k = rank ker T, is refused by every
+        fact of the image part.  chi_T itself is proven by its Krylov
+        chains (test_exactalg)."""
         for fact in ("split_det", "image_det", "image_semisimple", "image_order", "zero_plus_order"):
             inv = classify._Invariants(diagonal_matrix([0, 0, 2, -1]))
-            assert inv.chi == (0, 0, -2, -1, 1) and not inv.cyclic  # the orbit is read with chi
+            assert inv.chi == (0, 0, -2, -1, 1) and len(inv.orbits) > 1  # the orbits are read with chi
             inv.chi = chi
             with pytest.raises(AssertionError, match="chi of the image part"):
                 getattr(inv, fact)
@@ -926,8 +1036,8 @@ class TestImagePart:
         assert run.stdout.split("\n")[:2] == ["raised True"] * 2
 
     def test_a_rank_one_too_low_raises_under_optimize(self):
-        """An elimination that drops its last pivot passes every check on
-        chi_T when chi_T(k + 1) and det (T^2)[I, J] are 0, as on nilpotent
+        """An elimination that drops its last pivot passes the check on
+        chi_T's low coefficients when chi_T = x^n, as on nilpotent
         operators; the kernel vector read off the echelon rows for the
         dropped column is then not killed by T, so verify raises, also
         under python -O, on the shift J_3 (+) 0 and on four seeded nilpotent
@@ -935,7 +1045,7 @@ class TestImagePart:
         cyclic and the image part is read off the elimination."""
         operators = [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]
         operators += [seeded_operator("nilpotent", 4, random.Random(s)) for s in (1, 2, 6, 7)]
-        assert not any(_chi_and_orbit(IntMatrix.from_rows(rows))[2] for rows in operators)
+        assert all(len(_krylov_chains(IntMatrix.from_rows(rows))[1]) > 1 for rows in operators)
         code = textwrap.dedent(f"""
             import divlat.classify as classify
             from divlat.exactalg import IntMatrix, _bareiss

@@ -109,12 +109,12 @@ class TestCertificates:
     def test_a_determinant_search_computes_no_char_poly(self, monkeypatch):
         """The determinant settles a refused det T, and |det T| != 1 rules
         out finite order, so neither search below needs chi, which the
-        analysis reads with its Krylov orbit."""
+        analysis reads with its Krylov chains."""
         import divlat.classify
 
         calls = []
-        chi_and_orbit = divlat.classify._chi_and_orbit
-        monkeypatch.setattr(divlat.classify, "_chi_and_orbit", lambda M: calls.append(M) or chi_and_orbit(M))
+        krylov_chains = divlat.classify._krylov_chains
+        monkeypatch.setattr(divlat.classify, "_krylov_chains", lambda M: calls.append(M) or krylov_chains(M))
         assert root_search(IntMatrix.from_rows([[2, 0], [0, 1]]), 2, 1) == ProvedImpossible(DetNotPower(2, 2))
         assert isinstance(root_search(IntMatrix.from_rows([[4, 0], [0, 1]]), 2, 2), Found)
         assert calls == []

@@ -275,8 +275,8 @@ class TestCharMinPoly:
             assert char_poly(T) == tuple(char_poly_cofactor(rows)), rows
 
     def test_cayley_hamilton_in_full_on_seeded_operators(self):
-        """The library checks chi(T) v = 0 for one vector only; chi(T) = 0
-        in full is checked here."""
+        """The library checks each Krylov chain's closing relation, one
+        vector each; chi(T) = 0 in full is checked here."""
         for rows in self._oracle_cases(random.Random(43), 8):
             chi = char_poly(IntMatrix.from_rows(rows, len(rows)))
             assert not any(any(row) for row in qpoly_eval_matrix(chi, rows)), rows
@@ -299,47 +299,92 @@ class TestCharMinPoly:
         assert shapes[-1] == (12, 12, 12)
 
     def test_wrong_recurrence_raises_under_optimize(self):
-        """A Berkowitz helper that hands back a wrong constant term fails the
-        chi(T) v = 0 check, also under python -O.  T, [[2, 1], [1, 1]] twice
-        on the diagonal, is derogatory, so v = (1, ..., n) is not cyclic and
-        chi comes from the recurrence."""
-        T = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]
-        assert not exactalg._chi_and_orbit(IntMatrix.from_rows(T))[2]
+        """A wrong recurrence raises an explicit AssertionError, also under
+        python -O, where assert statements are stripped: each Krylov chain
+        closes with the recurrence s T^(d_i) g_i = s sum c_j T^j g_i plus a
+        combination of the earlier chains' vectors, and a back-substitution
+        that hands back any one coordinate of its solution off by the scale
+        s at the closing column, on the closing solve of any one chain, puts
+        each coefficient of each f_i, which chi is assembled from, off by
+        one, or each coefficient of the earlier chains' combination.  The
+        operators are derogatory: J_2(0) (+) 0, Phi_3 (+) Phi_3, 2 I_3, the
+        4 x 4 zero and the 4 x 4 T = [[2, -1, 0, 0], 0, 0, 0], which kills v
+        and for which a chi with a wrong x^1 coefficient, x^4 - 2x^3 + x,
+        passed the earlier chi(T) v = 0 and trace checks."""
+        operators = [[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                     [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, -1]],
+                     [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+                     [[0] * 4 for _ in range(4)],
+                     [[2, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]
         code = textwrap.dedent(f"""
             import divlat.exactalg as exactalg
             from divlat.exactalg import IntMatrix, char_poly
-            berkowitz = exactalg._berkowitz
-            exactalg._berkowitz = lambda e, n: (berkowitz(e, n)[0] + 1,) + berkowitz(e, n)[1:]
-            try:
-                out = char_poly(IntMatrix.from_rows({T!r}))
-            except AssertionError:
-                print("raised")
-            else:
-                print("returned", out)
+            solve = exactalg._back_substitute
+            for rows in {operators!r}:
+                T = IntMatrix.from_rows(rows)
+                lengths = []  # the solved coordinates of each chain's closing solve
+                exactalg._back_substitute = lambda a, J, x: lengths.append(len(J)) or solve(a, J, x)
+                chains, outcomes = len(exactalg._krylov_chains(T)[1]), set()
+                for call, length in enumerate(lengths):
+                    for i in range(length):
+                        seen = []
+
+                        def corrupted(a, J, x):
+                            scale = -x[-1]  # the closing column's entry, -s
+                            y = solve(a, J, x)
+                            if len(seen) == call:
+                                y[i] += scale
+                            seen.append(call)
+                            return y
+
+                        exactalg._back_substitute = corrupted
+                        try:
+                            out = char_poly(T)
+                        except AssertionError as e:
+                            outcomes.add(str(e))
+                        else:
+                            outcomes.add(f"returned {{out}}")
+                print(chains, sum(lengths), sorted(outcomes))
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(divlat.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "raised"
+        raised = ["a Krylov chain's closing relation fails: the characteristic polynomial is wrong"]
+        assert run.stdout.splitlines() == [f"2 5 {raised}", f"2 6 {raised}", f"3 6 {raised}", f"4 10 {raised}",
+                                           f"3 8 {raised}"]
 
     def test_wrong_trace_coefficient_raises_under_optimize(self):
-        """A Berkowitz helper that adds 1 to the x^(n-1) coefficient fails
-        the check against -tr T, also under python -O.  For J_2(0) (+) 0,
-        T^2 v = 0, so v = (1, 2, 3) is not cyclic and chi(T) v = 0 holds
-        for x^3 + x^2 too: the trace is what refuses it."""
+        """A chi whose x^(n-1) coefficient, -tr T, is off by one raises,
+        also under python -O.  For J_2(0) (+) 0, T^2 v = 0, so v = (1, 2, 3)
+        is not cyclic: the first chain is v, T v with f_1 = x^2, and chi =
+        f_1 f_2.  A closing solve that hands back f_1's x coefficient off by
+        one, x^2 + x, would put chi's x^2 coefficient off by one.  chi =
+        x^3 + x^2 would still kill v at T, but f_1 = x^2 + x does not:
+        f_1(T) v = T v = (2, 0, 0), and the first chain's closing relation
+        refuses it."""
         T = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-        assert not exactalg._chi_and_orbit(IntMatrix.from_rows(T))[2]
+        chi, orbits = exactalg._krylov_chains(IntMatrix.from_rows(T))
+        assert chi == (0, 0, 0, 1) and orbits[0][:3] == [[1, 2, 3], [2, 0, 0], [0, 0, 0]]
         code = textwrap.dedent(f"""
             import divlat.exactalg as exactalg
             from divlat.exactalg import IntMatrix, char_poly
-            berkowitz = exactalg._berkowitz
-            exactalg._berkowitz = lambda e, n: berkowitz(e, n)[:-2] + (berkowitz(e, n)[-2] + 1, 1)
+            solve = exactalg._back_substitute
+            calls = []
+
+            def corrupted(a, J, x):  # the first chain's solve: x[:2] = -(c_0, c_1), s = 1
+                y = solve(a, J, x)
+                if not calls:
+                    y[1] -= 1
+                calls.append(len(J))
+                return y
+
+            exactalg._back_substitute = corrupted
             try:
                 out = char_poly(IntMatrix.from_rows({T!r}))
             except AssertionError as e:
-                print("raised", e)
+                print("raised", calls, e)
             else:
                 print("returned", out)
         """)
@@ -348,15 +393,16 @@ class TestCharMinPoly:
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "raised chi disagrees with the trace of T: the characteristic polynomial is wrong"
+        assert run.stdout.strip() == ("raised [2] a Krylov chain's closing relation fails: "
+                                      "the characteristic polynomial is wrong")
 
     def test_wrong_krylov_solve_raises_under_optimize(self):
         """A Krylov solve whose back-substitution hands back one coefficient
         off by one, each in turn, fails the chi(T) v = 0 check on a cyclic
-        T, also under python -O: T^i v != 0 for every i < n when v is
-        cyclic."""
+        T, one chain, also under python -O: T^i v != 0 for every i < n
+        when v is cyclic."""
         T = [[2, 1, 0], [0, 1, 3], [1, 0, -1]]
-        assert exactalg._chi_and_orbit(IntMatrix.from_rows(T))[2]
+        assert len(exactalg._krylov_chains(IntMatrix.from_rows(T))[1]) == 1
         code = textwrap.dedent(f"""
             import divlat.exactalg as exactalg
             from divlat.exactalg import IntMatrix, char_poly
@@ -367,7 +413,7 @@ class TestCharMinPoly:
                 try:
                     out = char_poly(IntMatrix.from_rows({T!r}))
                 except AssertionError as e:
-                    print("raised", str(e).startswith("chi(T) v != 0"))
+                    print("raised", str(e).startswith("a Krylov chain's closing relation fails"))
                 else:
                     print("returned", out)
         """)
@@ -407,26 +453,32 @@ class TestCharMinPoly:
 
 
 class TestKrylovChi:
-    """chi read off the orbit v, T v, ..., T^n v of v = (1, ..., n): a
-    Krylov solve when v is cyclic, Berkowitz's recurrence when not."""
+    """chi as the product of the greedy Krylov chains' polynomials: the
+    first generator is v = (1, ..., n), each later one a unit vector."""
 
     def test_chi_and_the_cyclic_flag_against_the_oracles(self):
-        """chi against cofactor expansion; v is cyclic exactly when the
-        Krylov matrix [v, ..., T^(n-1) v] has rank n over Q, and then the
-        minimal polynomial of T has degree n.  Seeded operators, n <= 8,
-        derogatory ones (finite-order block sums with a repeated block,
-        and nilpotents of low rank) included, so both paths are taken."""
+        """chi against cofactor expansion; each orbit is its generator's
+        under T, the first generator v, each later one a unit vector; v is
+        cyclic, one chain, exactly when the Krylov matrix
+        [v, ..., T^(n-1) v] has rank n over Q, and then the minimal
+        polynomial of T has degree n.  Seeded operators, n <= 8, derogatory
+        ones (finite-order block sums with a repeated block, and nilpotents
+        of low rank) included, so both one and several chains are built."""
         rng, seen = random.Random(193), set()
         for n in range(1, 9):
             for kind in ("random", "finite-order", "nilpotent"):
                 for _ in range(4):
                     rows = seeded_operator(kind, n, rng)
-                    chi, orbit, cyclic = exactalg._chi_and_orbit(IntMatrix.from_rows(rows))
+                    chi, orbits = exactalg._krylov_chains(IntMatrix.from_rows(rows))
                     assert chi == tuple(char_poly_cofactor(rows)), rows
-                    assert orbit[0] == list(range(1, n + 1)), rows
-                    for i in range(n):
-                        assert orbit[i + 1] == [sum(a * b for a, b in zip(row, orbit[i])) for row in rows], rows
-                    krylov = [list(column) for column in zip(*orbit[:n])]
+                    assert orbits[0][0] == list(range(1, n + 1)), rows
+                    for orbit in orbits:
+                        assert len(orbit) >= 2 and sorted(orbit[0]) in (list(range(1, n + 1)),
+                                                                        [0] * (n - 1) + [1]), rows
+                        for w, Tw in zip(orbit, orbit[1:]):
+                            assert list(Tw) == [sum(a * b for a, b in zip(row, w)) for row in rows], rows
+                    cyclic = len(orbits) == 1
+                    krylov = [list(column) for column in zip(*orbits[0][:n])]
                     assert cyclic == (frac_rank(krylov) == n), rows
                     derogatory = len(frac_min_poly(rows)) <= n
                     assert not (cyclic and derogatory), rows
@@ -436,20 +488,28 @@ class TestKrylovChi:
         assert {kind for kind, _, derogatory in seen if derogatory} == {"finite-order", "nilpotent"}
 
     def test_the_empty_operator(self):
-        """0x0: chi = (1,), the orbit holds v = () alone, and v is cyclic."""
-        assert exactalg._chi_and_orbit(IntMatrix(0, 0, ())) == ((1,), [[]], True)
+        """0x0: chi = (1,), and no chain."""
+        assert exactalg._krylov_chains(IntMatrix(0, 0, ())) == ((1,), [])
         assert char_poly(IntMatrix(0, 0, ())) == (1,)
 
-    def test_a_cyclic_vector_takes_no_recurrence(self, monkeypatch):
-        """For a cyclic v chi is the Krylov solve's, and Berkowitz's
-        recurrence is not run; for a derogatory T it is."""
+    def test_eliminations_per_chain(self, monkeypatch):
+        """Each chain takes one elimination of [basis | orbit], as columns:
+        n + 1 for the first chain's orbit v, ..., T^n v, so a cyclic v takes
+        one; a later chain's orbit runs first only as far as the previous
+        chain's length, and to its bound n - D + 1 when the chain has not
+        closed within it.  I_3 takes three, each later chain closing at its
+        first step; T = [[2, -1, 0, 0], 0, 0, 0] kills v, and its second
+        chain, of length 2, takes a second elimination."""
         calls = []
-        berkowitz = exactalg._berkowitz
-        monkeypatch.setattr(exactalg, "_berkowitz", lambda e, n: calls.append(n) or berkowitz(e, n))
+        bareiss = exactalg._bareiss
+        monkeypatch.setattr(exactalg, "_bareiss", lambda a, cols: calls.append(cols) or bareiss(a, cols))
         companion = companion_matrix(cyclotomic(28))
-        assert exactalg._chi_and_orbit(companion)[2] and calls == []
-        assert char_poly(companion) == cyclotomic(28) and calls == []
-        assert char_poly(IntMatrix.identity(3)) == (-1, 3, -3, 1) and calls == [3]
+        assert char_poly(companion) == cyclotomic(28) and calls == [13]
+        calls.clear()
+        assert char_poly(IntMatrix.identity(3)) == (-1, 3, -3, 1) and calls == [4, 3, 4]
+        calls.clear()
+        T = IntMatrix.from_rows([[2, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        assert char_poly(T) == (0, 0, 0, -2, 1) and calls == [5, 3, 5, 5]
 
 
 class TestKernelImage:

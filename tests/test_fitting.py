@@ -278,7 +278,7 @@ class TestAgainstTheKernelChainOracle:
 
 class TestStableExponentFromChi:
     def test_one_chain_step_on_nilpotent_operators(self, monkeypatch):
-        """The stable exponent is read off the orbit of h(T) v, not walked:
+        """The stable exponent is read off the orbits of h(T) g_i, not walked:
         a nilpotent T takes the step at T^m alone, one Hermite form of
         [P^t | I] in place of m.  Over Z a split restricts T to its image
         only when its restriction is read: not before the first read, once
@@ -312,15 +312,17 @@ class TestStableExponentFromChi:
 
 
 class TestStableExponentFromOneOrbit:
-    """For a singular T, chi = x^g h: the chain is read from m_v, the least
-    i with T^i h(T) v = 0 for v = (1, ..., n), upward."""
+    """For a singular T, chi = x^g h: the stable exponent m is the least i
+    with T^i h(T) g_i = 0 for every generator g_i of the Krylov chains, of
+    which v = (1, ..., n) is the first; v's orbit alone may fall short."""
 
     def degenerate_orbits(self):
-        """(m, T) for operators whose orbit falls short of m or is empty:
-        [[0, 3, -2], [0, 0, 0], [0, 0, 0]] kills v, so m_v = 1 and m = 2;
-        [[1, 2], [2, 4]] has v as an eigenvector of eigenvalue 5, so
-        h(T) v = 0, m_v = 0 and m = 1; and J_2(0) (+) (2), conjugated so
-        that v is its eigenvector of eigenvalue 2, has m_v = 0 and m = 2."""
+        """(m, T) for operators whose orbit of v falls short of m or is
+        empty, so the later generators reach m: [[0, 3, -2], [0, 0, 0],
+        [0, 0, 0]] kills v, so T h(T) v = 0 and m = 2; [[1, 2], [2, 4]] has v
+        as an eigenvector of eigenvalue 5, so h(T) v = 0 and m = 1; and
+        J_2(0) (+) (2), conjugated so that v is its eigenvector of
+        eigenvalue 2, has h(T) v = 0 and m = 2."""
         eigen_2 = conjugate(IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 2]]),
                             IntMatrix.from_rows([[0, 0, 1], [1, 0, 2], [0, 1, 3]]))  # v = U e3
         cases = [(2, IntMatrix.from_rows([[0, 3, -2], [0, 0, 0], [0, 0, 0]]), (0, 0, 0)),
@@ -354,8 +356,8 @@ class TestSingularImagePart:
         singular T read the image part off chi_T: they never take the
         Hermite form of [T^t | I] nor restrict T to a lattice.
         fitting_decompose still takes one such form, of [(T^m)^t | I] at the
-        stable exponent m, which the orbit of h(T) v reaches with no form
-        (m_v = m), and restricts T once its restriction is read.  The operators are nonderogatory, so the
+        stable exponent m, which the orbits of h(T) g_i reach with no form,
+        and restricts T once its restriction is read.  The operators are nonderogatory, so the
         spectrum's commutant is sat(Z[T]), not a kernel."""
         from divlat.divisibility import divisibility_spectrum, zero_plus_finite_order
         from divlat.numberring import ZZ

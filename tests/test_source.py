@@ -71,7 +71,7 @@ KEPT_WITHOUT_A_LIBRARY_CALLER = {
     "classify.finite_order", "classify.is_semisimple", "classify.jordan_chevalley",
     "classify.roots_of_unity_spectrum", "divisibility.impossibility_certificates",
     "divisibility.zero_plus_finite_order", "fitting.clean_split",
-    # the analysis reads chi with its Krylov orbit (exactalg._chi_and_orbit)
+    # the analysis reads chi with its Krylov chains (exactalg._krylov_chains)
     "exactalg.char_poly",
     # perfbench/tracer.py wraps its METHODS by name, so a traced benchmark
     # run fails without them; the ring determinant is also what a module

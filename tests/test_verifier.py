@@ -93,20 +93,20 @@ class TestCharacteristicPolynomialOnce:
 
     def counted_char_polys(self, monkeypatch):
         """The operators chi is computed for, by the analysis or by
-        char_poly, both through exactalg._chi_and_orbit."""
+        char_poly, both through exactalg._krylov_chains."""
         import divlat.classify
         import divlat.exactalg
 
         assert abs(self.T.det()) == 1
         calls = []
-        chi_and_orbit = divlat.exactalg._chi_and_orbit
+        krylov_chains = divlat.exactalg._krylov_chains
 
         def counting(M):
             calls.append(M)
-            return chi_and_orbit(M)
+            return krylov_chains(M)
 
         for module in (divlat.exactalg, divlat.classify):
-            monkeypatch.setattr(module, "_chi_and_orbit", counting)
+            monkeypatch.setattr(module, "_krylov_chains", counting)
         return calls
 
     def test_one_char_poly_for_a_unimodular_operator(self, monkeypatch):
