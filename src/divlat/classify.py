@@ -12,9 +12,9 @@ chi is read with the Krylov chains of T (exactalg._krylov_chains): the
 orbits of generators g_1 = v = (1, ..., n), then unit vectors, each chain
 closing where its next vector falls in the span of the chains so far.
 chi = f_1 ... f_k is proven for every T, and the generators span Q^n as a
-Q[T]-module, so p(T) = 0 exactly when p(T) g_i = 0 for every i, with p
-reduced mod chi first and p(T) g_i read off g_i's orbit: matrix-vector
-products, no n x n product.  That one test decides, both ways,
+Q[T]-module, so p(T) = 0 exactly when p(T) g_i = 0 for every i, with
+deg p < n and p(T) g_i read off g_i's orbit: matrix-vector products, no
+n x n product.  That one test decides, both ways,
 semisimplicity (rad(chi)(T) = 0), the order d (T^d = I, and T^(d/p) != I
 for each prime p | d, by x^e mod chi) and the image part's semisimplicity
 and order.  One chain, a cyclic v, makes chi = mu_T, so T is
@@ -161,11 +161,10 @@ class _Invariants:
         return out
 
     def _annihilates(self, p) -> bool:
-        """Whether p(T) = 0, decided both ways: chi(T) = 0, so p is first
-        reduced mod chi, and the generators span Q^n as a Q[T]-module, so
+        """Whether p(T) = 0, for deg p < n = deg chi, as every caller's p
+        is (rad chi != chi, x rad chi_M for a singular T, x^e mod chi),
+        decided both ways: the generators span Q^n as a Q[T]-module, so
         p(T) = 0 exactly when p(T) g_i = 0 for every i."""
-        if len(p) >= len(self.chi):
-            p = _zdivmod(p, self.chi)[1]
         return not p or not any(any(w) for w in self._at_generators(p))
 
     @cached_property

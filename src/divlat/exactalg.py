@@ -604,11 +604,15 @@ def _krylov_chains(T: IntMatrix) -> tuple[tuple[int, ...], list[list[list[int]]]
     generator, g_1 = v = (1, 2, ..., n).  Chain i is g_i, ...,
     T^(d_i - 1) g_i, closing where T^(d_i) g_i falls in the span of the
     chain vectors so far: one elimination (_bareiss) of [basis | orbit of
-    g_i], and one back-substitution at the closing column with -s there,
-    s the pivot of the column before it, +-det of the nonsingular minor the
-    basis and chain form, so the solution is integral by Cramer's rule (s =
-    1 for the first chain, whose solution, mu_v's coefficients, is
-    integral).  Its own-chain part is -s times the coefficients of
+    g_i], the orbit g_i, T g_i, ..., T^(n - D) g_i for D the chain vectors
+    so far, so n + 1 columns in Q^n, which always close.  Once a chain
+    closes, its span with the basis is T-invariant, so no later orbit
+    column takes a pivot: the pivot columns are 0, ..., m - 1, and column
+    m = D + d_i closes the chain.  One back-substitution at m with -s
+    there, s the pivot of the column before it, +-det of the nonsingular
+    minor the basis and chain form, makes the solution integral by Cramer's
+    rule (s = 1 for the first chain, whose solution, mu_v's coefficients,
+    is integral).  Its own-chain part is -s times the coefficients of
     f_i = x^(d_i) - sum c_j x^j, and the closing relation, s f_i(T) g_i
     equal to the solved combination of the earlier chains' vectors, is
     multiplied out from the f_i that chi is built from, a failure raising
@@ -618,37 +622,24 @@ def _krylov_chains(T: IntMatrix) -> tuple[tuple[int, ...], list[list[list[int]]]
     T is block upper triangular with the companion blocks of f_1, ..., f_k,
     so chi_T = f_1 ... f_k, proven; each f_i is a monic rational factor of
     chi_T, so in Z[x] by Gauss's lemma.  The generators span Q^n as a
-    Q[T]-module, so p(T) = 0 exactly when p(T) g_i = 0 for every i.  The
-    orbit of g_1 is v, T v, ..., T^n v; a later generator's runs first only
-    as far as the previous chain's length, and to its bound n - D + 1
-    vectors, D the chain vectors so far, when its chain has not closed
-    within it."""
+    Q[T]-module, so p(T) = 0 exactly when p(T) g_i = 0 for every i."""
     n, e = T.rows, T.entries
     rows = [e[i * n : (i + 1) * n] for i in range(n)]
-    chi, basis, orbits, g, length = (1,), [], [], list(range(1, n + 1)), n
+    chi, basis, orbits, w = (1,), [], [], list(range(1, n + 1))
     while len(basis) < n:
         if basis:  # e_j for the least coordinate j outside the last elimination's pivot rows origin[:m]
             j = min(origin[m:])
-            g, length = [int(i == j) for i in range(n)], min(d, n - len(basis))
-        D, orbit = len(basis), [g]
-        while True:
-            w = orbit[-1]
-            for _ in range(length + 1 - len(orbit)):
-                w = [sum(map(mul, row, w)) for row in rows]
-                orbit.append(w)
-            coordinates = list(zip(*basis, *orbit))
-            a = [list(coordinate) for coordinate in coordinates]
-            J, origin, _ = _bareiss(a, D + len(orbit))
-            m = len(J)
-            while J[m - 1] != m - 1:  # J[j] = j on a prefix of J: m is the closing column
-                m -= 1
-            if m < D + len(orbit):
-                break
-            if length == n - D:
-                raise AssertionError("a Krylov chain failed to close within n - D steps")
-            length = n - D
+            w = [int(i == j) for i in range(n)]
+        D, orbit = len(basis), [w]
+        for _ in range(n - D):
+            w = [sum(map(mul, row, w)) for row in rows]
+            orbit.append(w)
+        coordinates = list(zip(*basis, *orbit))
+        a = [list(coordinate) for coordinate in coordinates]
+        J, origin, _ = _bareiss(a, n + 1)
+        m = len(J)  # the closing column, as the pivot columns are 0, ..., m - 1
         d, s = m - D, a[m - 1][m - 1] if D else 1
-        x = _back_substitute(a, J[:m], [0] * m + [-s])
+        x = _back_substitute(a, J, [0] * m + [-s])
         f = [-c // s for c in x[D:m]] + [1]
         weights = x[:D] + [-s * c for c in f] if D else f  # the basis combination x[:D] minus s f(T) g
         if any(sum(map(mul, weights, coordinate)) for coordinate in coordinates):

@@ -11,7 +11,7 @@ import pytest
 
 import divlat
 import divlat.exactalg as exactalg
-from divlat.corpus import conjugate
+from divlat.corpus import block_diagonal, conjugate
 from divlat.exactalg import IntMatrix, Lattice, QMatrix, char_poly, companion_matrix, cyclotomic, hnf
 from divlat.exactalg import (_back_substitute, _bareiss, _cyclotomic_indices, _kernel_and_image, _saturation,
                              _tuple_mul, _tuple_pow, _zdivmod, _zgcd, _zradical)
@@ -493,23 +493,28 @@ class TestKrylovChi:
         assert char_poly(IntMatrix(0, 0, ())) == (1,)
 
     def test_eliminations_per_chain(self, monkeypatch):
-        """Each chain takes one elimination of [basis | orbit], as columns:
-        n + 1 for the first chain's orbit v, ..., T^n v, so a cyclic v takes
-        one; a later chain's orbit runs first only as far as the previous
-        chain's length, and to its bound n - D + 1 when the chain has not
-        closed within it.  I_3 takes three, each later chain closing at its
-        first step; T = [[2, -1, 0, 0], 0, 0, 0] kills v, and its second
-        chain, of length 2, takes a second elimination."""
+        """Each chain takes one elimination of [basis | orbit] with n + 1
+        columns, the orbit g_i, ..., T^(n - D) g_i for D the chain vectors
+        so far, so a cyclic v takes one.  I_3 takes three, each later chain
+        closing at its first step; T = [[2, -1, 0, 0], 0, 0, 0] kills v and
+        takes three, its second chain of length 2.  Many short chains: 0_n
+        and c I_n for n <= 16, n chains of length 1 and chi = (x - c)^n,
+        and the 28 x 28 Phi_32 (+) I_12, whose first chain has length 17
+        (v's orbit meets Phi_32 and x - 1) and the other eleven length 1,
+        chi = Phi_32 (x - 1)^12."""
         calls = []
         bareiss = exactalg._bareiss
         monkeypatch.setattr(exactalg, "_bareiss", lambda a, cols: calls.append(cols) or bareiss(a, cols))
-        companion = companion_matrix(cyclotomic(28))
-        assert char_poly(companion) == cyclotomic(28) and calls == [13]
-        calls.clear()
-        assert char_poly(IntMatrix.identity(3)) == (-1, 3, -3, 1) and calls == [4, 3, 4]
-        calls.clear()
         T = IntMatrix.from_rows([[2, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        assert char_poly(T) == (0, 0, 0, -2, 1) and calls == [5, 3, 5, 5]
+        cases = [(companion_matrix(cyclotomic(28)), cyclotomic(28), [13]),
+                 (IntMatrix.identity(3), (-1, 3, -3, 1), [4, 4, 4]), (T, (0, 0, 0, -2, 1), [5, 5, 5])]
+        cases += [(diagonal_matrix([c] * n), tuple(qpoly_mul(*[(-c, 1)] * n)), [n + 1] * n)
+                  for n in range(1, 17) for c in (0, 3, -2)]
+        cases.append((block_diagonal([companion_matrix(cyclotomic(32)), IntMatrix.identity(12)]),
+                      tuple(qpoly_mul(cyclotomic(32), *[(-1, 1)] * 12)), [29] * 12))
+        for T, chi, columns in cases:
+            calls.clear()
+            assert char_poly(T) == chi and calls == columns, T
 
 
 class TestKernelImage:
