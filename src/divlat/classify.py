@@ -46,8 +46,8 @@ which prints its lattices, builds them.
 _Invariants is the one analysis of an operator: it checks the operator
 once, and also holds the split T = 0 (+) (T on im T) at the first step and
 at the stable exponent, one FittingSplit record each, the image part's
-facts and the commutant, which verify, fitting, the certificates, the
-root search and the divisibility spectrum read.
+facts, the Jordan type at 0 and the commutant, which verify, fitting, the
+certificates, the root search and the divisibility spectrum read.
 """
 from __future__ import annotations
 
@@ -105,8 +105,9 @@ class _Invariants:
     T = 0 (+) (T on im T) at Fitting's first and stable exponents, the facts
     of the image part M = T on im T that verify and the divisibility
     spectrum read (split_det, chi, det, semisimplicity and order of M, all
-    read off chi_T and T with no lattice built), the commutant, and the
-    powers of T, off one ladder of squares T, T^2, T^4, ...  The
+    read off chi_T and T with no lattice built), the Jordan type of T on
+    its generalised kernel, the commutant, and the powers of T, off one
+    ladder of squares T, T^2, T^4, ...  The
     constructor checks that T is square and, given a module, that T
     commutes with its ring action; 0x0 is valid.
     Each invariant, each square of the ladder and each power is computed
@@ -283,38 +284,19 @@ class _Invariants:
         into im T, so it induces 0 on the quotient and chi_T = x^k chi_M,
         k = n - r, r = rank T.  For det T != 0 it is chi_T.  With one Krylov
         chain, T is nonderogatory, so k = 1 and chi_M = chi_T / x, with no
-        elimination.  Else r, and row and column sets I and J with T[I, J]
-        nonsingular, come from one fraction-free elimination of T, and
-        chi_T is checked to have k zero low coefficients.  The nonsingular
-        minor shows rank T >= r; rank T <= r is shown by k vectors T kills,
-        multiplied out in full: for each column j outside J, the solution
-        of the echelon rows by back-substitution with det T[I, J] at j and
-        0 at the other columns outside J.  With chi_T proven and k
+        elimination.  Else r is certified (_certified_rank), and chi_T is
+        checked to have k zero low coefficients.  With chi_T proven and k
         certified, chi_T = x^k chi_M is then a theorem."""
-        T, n, chi = self.T, self.T.rows, self.chi
+        chi = self.chi
         if self.det:
             return chi
         if len(self.orbits) == 1:
             if chi[0]:
                 raise AssertionError("chi of the image part: chi_T(0) != 0 for a singular T")
             return chi[1:]
-        a = [list(T.row(i)) for i in range(n)]
-        J, origin, _ = _bareiss(a, n)
-        r, I = len(J), sorted(origin[: len(J)])
-        k = n - r
+        k = self.T.rows - _certified_rank(self.T, "T", "chi of the image part")
         if any(chi[:k]):
             raise AssertionError(f"chi of the image part: x^{k} does not divide chi_T, k = rank ker T")
-        minor = _tuple_det(tuple(T[i, j] for i in I for j in J), r)
-        if not minor:
-            raise AssertionError("chi of the image part: the minor T[I, J] of the elimination is singular")
-        if not all(a[i][j] for i, j in enumerate(J)):
-            raise AssertionError("chi of the image part: an echelon row of T has a zero pivot")
-        for j in sorted(set(range(n)) - set(J)):
-            v = [0] * n
-            v[j] = minor
-            if any(T.apply(_back_substitute(a, J, v))):
-                raise AssertionError(f"chi of the image part: T does not kill the kernel vector of column {j}, "
-                                     f"so rank T is not {r}")
         return chi[k:]
 
     @cached_property
@@ -361,6 +343,29 @@ class _Invariants:
         return next(i for i, c in enumerate(self.chi) if c)
 
     @cached_property
+    def gen_kernel_type(self) -> tuple[int, ...]:
+        """The Jordan type of T on its generalised kernel V_0 over Q: the
+        block sizes at the eigenvalue 0, descending, summing to g =
+        gen_kernel_rank.  (g) with one Krylov chain, as T is then
+        nonderogatory, one block per eigenvalue.  Else off the ranks
+        r_i = rank T^i, r_0 = n and r_1 read with image_chi, each certified
+        (_certified_rank), T^i off the ladder, up to the first i with
+        r_i = n - g: T is invertible on Q^n / V_0, so r_i - (n - g) is the
+        rank of (T on V_0)^i, and r_(i-1) - r_i blocks have size at least
+        i."""
+        n, g = self.T.rows, self.gen_kernel_rank
+        if g < 2 or len(self.orbits) == 1:
+            return (g,) if g else ()
+        ranks = [n, len(self.image_chi) - 1]
+        while ranks[-1] > n - g:
+            if len(ranks) > g:
+                raise AssertionError(f"Jordan type at 0: rank T^{g} is not n - g = {n - g}")
+            ranks.append(_certified_rank(self.power(len(ranks)), f"T^{len(ranks)}", "Jordan type at 0"))
+        at_least = [a - b for a, b in zip(ranks, ranks[1:])] + [0]  # at_least[i - 1]: the blocks of size >= i
+        return tuple(size for size in range(len(ranks) - 1, 0, -1)
+                     for _ in range(at_least[size - 1] - at_least[size]))
+
+    @cached_property
     def commutant(self) -> Lattice:
         """C(T), or C(T) meet C(omega): the saturation of hnf(B) for a
         rational basis B of the rational commutant, C_Q meet M_n(Z), a
@@ -398,6 +403,32 @@ class _Invariants:
                     raise AssertionError("a kernel vector of the commutator equations does not commute with T or omega")
             H = hnf(IntMatrix.from_rows([[c // gcd(*x) for c in x] for x in basis], cols=n * n))
         return _saturation(H)
+
+
+def _certified_rank(P: IntMatrix, label: str, what: str) -> int:
+    """rank P for a square P, certified both ways.  One fraction-free
+    elimination (_bareiss) of P gives r and row and column sets I and J;
+    the nonsingular minor P[I, J] shows rank P >= r, and n - r vectors P
+    kills, multiplied out in full, show rank P <= r: for each column j
+    outside J, the solution of the echelon rows by back-substitution with
+    det P[I, J] at j and 0 at the other columns outside J.  A failed check
+    raises AssertionError, its message led by what, P named label."""
+    n = P.rows
+    a = [list(P.row(i)) for i in range(n)]
+    J, origin, _ = _bareiss(a, n)
+    r, I = len(J), sorted(origin[: len(J)])
+    minor = _tuple_det(tuple(P[i, j] for i in I for j in J), r)
+    if not minor:
+        raise AssertionError(f"{what}: the minor {label}[I, J] of the elimination is singular")
+    if not all(a[i][j] for i, j in enumerate(J)):
+        raise AssertionError(f"{what}: an echelon row of {label} has a zero pivot")
+    for j in sorted(set(range(n)) - set(J)):
+        v = [0] * n
+        v[j] = minor
+        if any(P.apply(_back_substitute(a, J, v))):
+            raise AssertionError(f"{what}: {label} does not kill the kernel vector of column {j}, "
+                                 f"so rank {label} is not {r}")
+    return r
 
 
 def _cyclotomic_factorization(p) -> tuple[tuple[int, int], ...] | None:

@@ -1,10 +1,11 @@
 """Root search and certification for integer operators.
 
 Whether T has an s-th root in the matrix ring is treated as a semi-decision
-problem: sound impossibility certificates first, then a bounded exhaustive
-search of the commutant of T in lexicographic order.  An honest Exhausted
-outcome is part of the contract; witnesses are always re-multiplied before
-being returned.
+problem: sound impossibility certificates first, then proofs that are no
+certificates yet, each ending the search in Exhausted, then a bounded
+exhaustive search of the commutant of T in lexicographic order.  An honest
+Exhausted outcome is part of the contract; witnesses are always
+re-multiplied before being returned.
 """
 from __future__ import annotations
 
@@ -153,6 +154,42 @@ def _certificates(inv: _Invariants, s: int) -> Iterator[CertKind]:
         yield OrderObstruction(s, d)
 
 
+def _proved_rootless(inv: _Invariants, s: int) -> bool:
+    """Whether a proof that is no certificate yet shows that T has no s-th
+    root at any height, so that the search is complete with no commutant
+    and no walk.  Both proofs read a singular T, chi = x^g h, g >= 1, and
+    hold over a module too, as a root is an integer matrix that commutes
+    with T.  A root X commutes with T, so it preserves V_0 = ker T^g.
+    Quotient determinant: on the free quotient Z^n / (V_0 meet Z^n), T
+    induces an integer map of determinant e = (-1)^(n-g) h(0), and X one
+    whose s-th power it is, so e = (det of X's map)^s is a signed s-th
+    power.
+    Jordan type at 0: X is a nilpotent s-th root of T on V_0, so T's type
+    there (gen_kernel_type) is an s-th power's (_is_power_type).  T = 0
+    is 0^s, so it is passed over unread."""
+    if inv.det or inv.T.is_zero():
+        return False
+    n, g = inv.T.rows, inv.gen_kernel_rank
+    if g < n and signed_root((-1) ** (n - g) * inv.chi[g], s) is None:
+        return True
+    return g >= 2 and not _is_power_type(inv.gen_kernel_type, s)
+
+
+def _is_power_type(parts: tuple[int, ...], s: int) -> bool:
+    """Whether the nilpotent Jordan type parts, descending, is the type of
+    an s-th power.  J_m^s, m = qs + r, has r blocks of size q + 1 and
+    s - r of size q (Cross and Lancaster, 1974; Psarrakos, ELA 9, 2002),
+    so the type is an s-th power's exactly when, padded with zeros to a
+    multiple of s parts and cut into consecutive groups of s, every group
+    has max - min <= 1.  Checked group by group, the padding never built:
+    a short last group has min 0."""
+    for i in range(0, len(parts), s):
+        group = parts[i : i + s]
+        if group[0] - (group[-1] if len(group) == s else 0) > 1:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Bounded search
 
@@ -269,14 +306,17 @@ def root_search(
     module=None,
     timeout_ms: int | None = None,
 ) -> RootSearchOutcome:
-    """Certificates first; then exhaustive search, in row-major lexicographic
-    order, over the X with max-norm <= bound that commute with T (and omega),
-    as every root of T = X^s does; returns the lexicographically smallest.
+    """In order: the certificates, the deadline, the proofs that T has no
+    s-th root at any height (_proved_rootless, Exhausted(bound) when one
+    holds), the commutant and the walk: exhaustive search, in row-major
+    lexicographic order, over the X with max-norm <= bound that commute
+    with T (and omega), as every root of T = X^s does; returns the
+    lexicographically smallest.
 
     The timeout runs from the call; the deadline is checked after the
     certificates and before every walk step (_box_points), so a spent budget
     stops the scan before the next candidate; it is not checked during the
-    certificates or the commutant.  The candidate budget is
+    certificates, the proofs or the commutant.  The candidate budget is
     DEFAULT_MAX_CANDIDATES: it bounds the product over the commutant's
     pivots of 2*bound // pivot + 1, an upper bound on the points
     enumerated.  Either budget cut gives Exhausted(complete=False)."""
@@ -292,12 +332,15 @@ def root_search(
 
 def _search(inv: _Invariants, s: int, bound: int, deadline) -> RootSearchOutcome:
     """root_search on an analysis, for s >= 2 and bound >= 1; deadline is a
-    time.monotonic() value or None."""
+    time.monotonic() value or None.  The certificates, the deadline, the
+    proofs, the commutant and the walk, in that order."""
     cert = next(_certificates(inv, s), None)
     if cert is not None:
         return ProvedImpossible(cert)
     if deadline is not None and time.monotonic() >= deadline:
         return Exhausted(bound, complete=False)
+    if _proved_rootless(inv, s):
+        return Exhausted(bound)
     basis = inv.commutant.basis
     if prod(2 * bound // next(filter(None, basis.row(i))) + 1 for i in range(basis.rows)) > DEFAULT_MAX_CANDIDATES:
         return Exhausted(bound, complete=False)

@@ -96,6 +96,19 @@ def frac_rank(rows):
     return rank
 
 
+def frac_jordan_type_at_0(rows):
+    """The Jordan type of T at the eigenvalue 0, parts descending, off
+    Fraction ranks of T, T^2, ... (mat_pow) until they stop falling: the
+    number of blocks of size >= i is rank T^(i-1) - rank T^i."""
+    ranks = [len(rows)]
+    while not ranks[1:] or ranks[-1] < ranks[-2]:
+        ranks.append(frac_rank(mat_pow(rows, len(ranks))))
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])]
+    return tuple(sorted((size for size in range(1, len(at_least) + 1)
+                         for _ in range(at_least[size - 1] - (at_least[size] if size < len(at_least) else 0))),
+                        reverse=True))
+
+
 def frac_det(rows):
     n = len(rows)
     work = [[Fraction(x) for x in r] for r in rows]

@@ -5,7 +5,7 @@ import sys
 import textwrap
 import tracemalloc
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -33,8 +33,9 @@ from divlat.corpus import block_diagonal, conjugate, gen_corpus, random_unimodul
 from divlat.exactalg import IntMatrix, _bareiss, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, hnf
 from divlat.numberring import embed_ok_matrix
 from divlat.primes import signed_root
-from helpers import (brute_root_search, commutant_oracle, diagonal_matrix, frac_rank, lattice_from_generators,
-                     realizable_orders_by_walk, seeded_module_problems, time_limit)
+from helpers import (brute_root_search, commutant_oracle, diagonal_matrix, frac_jordan_type_at_0, frac_rank,
+                     lattice_from_generators, realizable_orders_by_walk, seeded_module_problems, seeded_operator,
+                     time_limit)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 J = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
@@ -401,6 +402,264 @@ class TestRootHeightBound:
                 assert _Invariants(X).torsion_spectral, X
                 for s in (8 * n, 61, 10 ** 8, 10 ** 25 + 13):
                     assert divisibility._scan([X.entries], _Invariants(X ** s), s) == X.entries, (X, s)
+
+
+def jordan_type_operator(parts, rng, tail=None):
+    """A unimodular conjugate of the nilpotent Jordan blocks J_m(0), one
+    per part, followed by the block tail when given."""
+    blocks = [IntMatrix(m, m, tuple(int(j == i + 1) for i in range(m) for j in range(m))) for m in parts]
+    blocks += [tail] if tail is not None else []
+    n = sum(b.rows for b in blocks)
+    return conjugate(block_diagonal(blocks), random_unimodular(n, rng, steps=4 * n))
+
+
+def count_search_stages(monkeypatch):
+    """Count what the searches after the call do: reads of
+    _Invariants.commutant, starts of the commutant walk, and each
+    (s, verdict) of the proof step.  Call it once per test; switching the
+    step off later (without_proof_step) keeps the first two counts."""
+    counts = {"commutant": 0, "walks": 0, "proofs": []}
+    commutant, box_points, proved = _Invariants.commutant.func, divisibility._box_points, divisibility._proved_rootless
+
+    def reading(self):
+        counts["commutant"] += 1
+        return commutant(self)
+
+    def walking(*args):
+        counts["walks"] += 1
+        return box_points(*args)
+
+    def proving(inv, s):
+        counts["proofs"].append((s, proved(inv, s)))
+        return counts["proofs"][-1][1]
+
+    monkeypatch.setattr(_Invariants, "commutant", property(reading))
+    monkeypatch.setattr(divisibility, "_box_points", walking)
+    monkeypatch.setattr(divisibility, "_proved_rootless", proving)
+    return counts
+
+
+def without_proof_step(monkeypatch):
+    """Switch the proof step off: every search that no certificate settles
+    builds the commutant and walks it."""
+    monkeypatch.setattr(divisibility, "_proved_rootless", lambda inv, s: False)
+
+
+def partitions(n, largest=None):
+    """Every partition of n, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def power_type(parts, s):
+    """The Jordan type of X^s for a nilpotent X of type parts, off ranks
+    alone: J_m^k has rank max(m - k, 0), so X^(s i) has rank
+    sum max(m - s i, 0), and rank N^(i-1) - rank N^i blocks of N = X^s have
+    size >= i."""
+    ranks = [sum(max(m - s * i, 0) for m in parts) for i in range(max(parts, default=0) + 2)]
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+    return tuple(size for size in range(len(at_least) - 1, 0, -1)
+                 for _ in range(at_least[size - 1] - at_least[size]))
+
+
+class TestProofStep:
+    """The proof step between the certificates and the commutant: a
+    quotient determinant that is no signed s-th power, or a Jordan type at
+    0 that is no s-th power's, ends the search in Exhausted(bound) with no
+    commutant built and no walk."""
+
+    TYPES = ((3, 1, 1, 1), (4, 2, 1, 1), (5, 3, 2), (6, 3, 2, 1), (4, 4, 1, 1, 1, 1))
+
+    def test_a_proof_builds_no_commutant_and_walks_nothing(self, monkeypatch):
+        """J2(0) (+) [2] at s = 2 has the quotient determinant 2, no square;
+        the nilpotent type (3, 1) is no square's and no cube's.  With the
+        step switched off the same searches build the commutant, walk it
+        and print the same outcome."""
+        rng = random.Random(191)
+        cases = [(jordan_type_operator((2,), rng, IntMatrix.from_rows([[2]])), (2,)),
+                 (jordan_type_operator((3, 1), rng), (2, 3))]
+        counts, want = count_search_stages(monkeypatch), []
+        for T, exponents in cases:
+            for s in exponents:
+                for bound in (1, 2):
+                    counts["proofs"].clear()
+                    assert root_search(T, s, bound) == Exhausted(bound), (T, s)
+                    assert (counts["commutant"], counts["walks"], counts["proofs"]) == (0, 0, [(s, True)])
+                    want.append(Exhausted(bound))
+        without_proof_step(monkeypatch)
+        assert [root_search(T, s, bound) for T, exponents in cases for s in exponents for bound in (1, 2)] == want
+        assert counts["walks"] == len(want) and counts["commutant"] >= len(want)
+
+    def test_spectrum_rows_mix_certified_pruned_and_walked_exponents(self, monkeypatch):
+        """On a conjugate of J2(0) (+) J2(0), the type of J4(0)^2, the
+        spectrum walks s = 2, proves s = 3, as (2, 2, 0) is no cube's type,
+        and certifies s = 4 by the nilpotent rank bound before the step; the
+        table is the one the step switched off prints."""
+        T = jordan_type_operator((2, 2), random.Random(193))
+        counts = count_search_stages(monkeypatch)
+        table = divisibility_spectrum(T, 4, 1)
+        assert counts["proofs"] == [(2, False), (3, True)] and counts["walks"] == 1
+        assert table.rows[1].outcome == Exhausted(1) and table.rows[1].verdict == "unknown"
+        assert table.rows[2].outcome == ProvedImpossible(NilpotentRankBound(4, 4))
+        without_proof_step(monkeypatch)
+        assert divisibility_spectrum(T, 4, 1) == table and counts["walks"] == 3
+
+    def test_huge_exponents_return_at_once(self, monkeypatch):
+        """At s = 10^8 and 10^25 + 13 the quotient determinant 2 of
+        J2(0) (+) [2] is no s-th power, and the type (2) of J2(0) (+) [1],
+        whose quotient determinant is 1, is no s-th power's: each search
+        returns at once, allocates less than 1 MB, so no padding of length
+        s is built, and reads no commutant."""
+        rng = random.Random(197)
+        ops = [jordan_type_operator((2,), rng, IntMatrix.from_rows([[c]])) for c in (2, 1)]
+        counts = count_search_stages(monkeypatch)
+        with time_limit(2.0):
+            for T in ops:
+                for s in (10 ** 8, 10 ** 25 + 13):
+                    tracemalloc.start()
+                    try:
+                        out = root_search(T, s, 1)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert out == Exhausted(1) and peak < 1 << 20, (T, s, peak)
+        assert (counts["commutant"], counts["walks"]) == (0, 0)
+        assert [fired for _, fired in counts["proofs"]] == [True] * 4
+        assert not divisibility._is_power_type((2,), 10 ** 25 + 13)
+        assert divisibility._is_power_type((1, 1, 1), 10 ** 25 + 13)
+
+    def test_larger_nilpotent_types_complete_without_the_commutant(self, monkeypatch):
+        """Conjugated nilpotent types with n = 6 to 12, at each s in {2, 3}
+        where the type is no s-th power's and bounds 1 and 2: a complete
+        Exhausted(bound), no commutant read.  (4, 4, 1, 1, 1, 1) is the type
+        of J8(0)^2 (+) J2(0)^2, so only its s = 3 is proved."""
+        rng = random.Random(199)
+        counts = count_search_stages(monkeypatch)
+        proved = []
+        with time_limit(10.0):
+            for parts in self.TYPES:
+                T = jordan_type_operator(parts, rng)
+                for s in (2, 3):
+                    if divisibility._is_power_type(parts, s):
+                        continue
+                    proved.append((parts, s))
+                    for bound in (1, 2):
+                        assert root_search(T, s, bound) == Exhausted(bound), (parts, s, bound)
+        assert len(proved) == 9 and ((4, 4, 1, 1, 1, 1), 2) not in proved
+        assert (counts["commutant"], counts["walks"]) == (0, 0)
+
+    def test_the_criterion_matches_brute_force_powers(self):
+        """A nilpotent type of n <= 10 passes _is_power_type at s <= 5
+        exactly when it is the type of X^s for some nilpotent X of size n,
+        every type of X enumerated and its power's type read off ranks."""
+        for n in range(1, 11):
+            for s in range(2, 6):
+                powers = {power_type(parts, s) for parts in partitions(n)}
+                for parts in partitions(n):
+                    assert divisibility._is_power_type(parts, s) == (parts in powers), (parts, s)
+
+    def test_the_type_matches_a_fraction_rank_oracle(self):
+        """gen_kernel_type against helpers.frac_jordan_type_at_0 on seeded
+        singular operators, n <= 6 (random, rank-deficient products and
+        nilpotent), the conjugated types above and module operators; one
+        Krylov chain and several both occur."""
+        rng = random.Random(211)
+        ops = [(jordan_type_operator(parts, rng), None) for parts in self.TYPES + ((3, 1), (2, 2, 1))]
+        ops += [(jordan_type_operator((2, 1), rng, IntMatrix.from_rows([[1, 1], [-1, 0]])), None)]
+        for n in range(2, 7):
+            for _ in range(8):
+                ops.append((IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)), None))
+                rank = rng.randint(1, n - 1)
+                ops.append((IntMatrix(n, rank, tuple(rng.randint(-2, 2) for _ in range(n * rank)))
+                            * IntMatrix(rank, n, tuple(rng.randint(-2, 2) for _ in range(rank * n))), None))
+        ops += [(T, module) for seed in (223, 227) for T, module in seeded_module_problems(seed) if not T.det()]
+        chains = set()
+        for T, module in ops:
+            inv = _Invariants(T, module)
+            assert inv.gen_kernel_type == frac_jordan_type_at_0(T.nested()), T
+            assert sum(inv.gen_kernel_type) == inv.gen_kernel_rank
+            chains.add(len(inv.orbits) == 1)
+        assert chains == {True, False}
+
+    def test_no_proof_fires_on_a_true_power(self):
+        """For seeded X, n <= 5, entries in [-2, 2], conjugated nilpotent
+        and singular X included, the step never proves that T = X^s,
+        s <= 6, has no s-th root; over 500 of the T are singular and
+        nonzero, so the step reads them.  Nor does it on the corpus
+        witnesses of seeds 1-8, each a root of its operator."""
+        rng = random.Random(229)
+        kinds, read = set(), 0
+        for _ in range(1000):
+            n = rng.randint(1, 5)
+            X = IntMatrix(n, n, tuple(rng.randint(-2, 2) for _ in range(n * n)))
+            if rng.random() < 0.3:
+                X = IntMatrix.from_rows(seeded_operator("nilpotent", n, rng))
+            inv = _Invariants(X)
+            kinds.add("nilpotent" if not any(inv.chi[:-1]) else "singular" if not inv.det else "invertible")
+            for s in range(2, 7):
+                T = X ** s
+                assert not divisibility._proved_rootless(_Invariants(T), s), (X, s)
+                read += not T.det() and not T.is_zero()
+        assert kinds == {"nilpotent", "singular", "invertible"} and read > 500, read
+        witnesses = [(p.operator, s) for kind in ("finite-order", "powers") for seed in range(1, 9)
+                     for p in gen_corpus(kind, seed) for s, _ in p.witnesses]
+        assert len(witnesses) > 100
+        assert not any(divisibility._proved_rootless(_Invariants(T), s) for T, s in witnesses)
+
+    def test_a_wrong_rank_of_a_power_raises(self, monkeypatch):
+        """The ranks of T^2, T^3, ... are certified as rank T is
+        (_certified_rank): an elimination that drops its last pivot on T^2
+        leaves a kernel vector that T^2 does not kill, and the type
+        raises."""
+        inv = _Invariants(jordan_type_operator((3, 1), random.Random(251)))
+        assert len(inv.image_chi) == 3 and len(inv.orbits) > 1  # rank T = 2, read before the corruption
+        bareiss = classify._bareiss
+
+        def dropped(a, cols):
+            J, origin, sign = bareiss(a, cols)
+            return J[:-1], origin, sign
+
+        monkeypatch.setattr(classify, "_bareiss", dropped)
+        with pytest.raises(AssertionError, match=r"Jordan type at 0: T\^2 does not kill"):
+            inv.gen_kernel_type
+
+    def test_where_a_proof_fires_the_full_walk_finds_nothing(self, monkeypatch):
+        """On the corpus problems of seeds 1-8 at s in {2, 3, 4}, on seeded
+        singular operators with n <= 4 and on module operators, wherever no
+        certificate fires and the step proves T rootless, the search with
+        the step switched off finds no root at bounds 1 and 2 (a bound-2 box
+        of more than 2 * 10^4 commutant points is left out, and counted)."""
+        rng = random.Random(233)
+        ops = [(p.operator, None) for kind in ("finite-order", "nilpotent", "random", "powers")
+               for seed in range(1, 9) for p in gen_corpus(kind, seed)]
+        for n in range(2, 5):
+            for _ in range(40):
+                rank = rng.randint(1, n - 1)
+                ops.append((IntMatrix(n, rank, tuple(rng.randint(-2, 2) for _ in range(n * rank)))
+                            * IntMatrix(rank, n, tuple(rng.randint(-2, 2) for _ in range(rank * n))), None))
+                ops.append((IntMatrix.from_rows(seeded_operator("nilpotent", n, rng)), None))
+        ops += [(T, module) for seed in range(239, 245) for T, module in seeded_module_problems(seed)]
+        proved, large = [], 0
+        for T, module in ops:
+            for s in (2, 3, 4):
+                inv = _Invariants(T, module)
+                if next(divisibility._certificates(inv, s), None) is None and divisibility._proved_rootless(inv, s):
+                    basis = inv.commutant.basis
+                    if prod(4 // next(filter(None, basis.row(i))) + 1 for i in range(basis.rows)) > 2 * 10 ** 4:
+                        large += 1
+                    else:
+                        proved.append((T, module, s))
+        without_proof_step(monkeypatch)
+        with time_limit(60.0):
+            for T, module, s in proved:
+                for bound in (1, 2):
+                    assert root_search(T, s, bound, module=module) == Exhausted(bound), (T, s, bound)
+        assert len(proved) >= 300 and large <= len(proved) // 10, (len(proved), large)
+        assert any(module is not None for _, module, _ in proved)
 
 
 def seeded_operators(seed, count):
