@@ -189,8 +189,10 @@ class _Invariants:
     @cached_property
     def torsion_spectral(self) -> bool:
         """Every eigenvalue is 0 or a root of unity: chi is x^g times a
-        product of cyclotomic polynomials, g = gen_kernel_rank."""
-        return _cyclotomic_factorization(self.chi[self.gen_kernel_rank:]) is not None
+        product of cyclotomic polynomials, g = gen_kernel_rank; for
+        det T != 0, g = 0, so that is factorization, which the order
+        certificate has already read."""
+        return (self.factorization if self.det else _cyclotomic_factorization(self.chi[self.gen_kernel_rank:])) is not None
 
     @cached_property
     def order(self) -> int | None:

@@ -157,9 +157,13 @@ def _certificates(inv: _Invariants, s: int) -> Iterator[CertKind]:
 def _proved_rootless(inv: _Invariants, s: int) -> bool:
     """Whether a proof that is no certificate yet shows that T has no s-th
     root at any height, so that the search is complete with no commutant
-    and no walk.  Both proofs read a singular T, chi = x^g h, g >= 1, and
-    hold over a module too, as a root is an integer matrix that commutes
-    with T.  A root X commutes with T, so it preserves V_0 = ker T^g.
+    and no walk.  Each proof holds over a module too, as a root is an
+    integer matrix that commutes with T.
+    Height: beyond the height bound (_beyond_root_height) every s-th root
+    is torsion-spectral, and so is its s-th power, so a T that is not
+    torsion-spectral has none.  This one reads every T.
+    The other two read a singular T, chi = x^g h, g >= 1.  A root X
+    commutes with T, so it preserves V_0 = ker T^g.
     Quotient determinant: on the free quotient Z^n / (V_0 meet Z^n), T
     induces an integer map of determinant e = (-1)^(n-g) h(0), and X one
     whose s-th power it is, so e = (det of X's map)^s is a signed s-th
@@ -167,6 +171,8 @@ def _proved_rootless(inv: _Invariants, s: int) -> bool:
     Jordan type at 0: X is a nilpotent s-th root of T on V_0, so T's type
     there (gen_kernel_type) is an s-th power's (_is_power_type).  T = 0
     is 0^s, so it is passed over unread."""
+    if _beyond_root_height(inv, s) and not inv.torsion_spectral:
+        return True
     if inv.det or inv.T.is_zero():
         return False
     n, g = inv.T.rows, inv.gen_kernel_rank
@@ -269,16 +275,18 @@ def _beyond_root_height(inv: _Invariants, s: int) -> bool:
 def _scan(candidates, inv: _Invariants, s: int):
     """The one test of X^s = T, for the search's candidates and verify's
     witnesses alike: the first candidate X with X^s = T, or None.  None at
-    once when det T != 0 has no s-th root, or when _beyond_root_height
-    holds and T is not torsion-spectral; else the candidates with det X no
-    s-th root of det T or, for s that is_prime proves prime,
+    once when det T != 0 has no s-th root; else the candidates with det X
+    no s-th root of det T or, for s that is_prime proves prime,
     tr X != tr T mod s are skipped, and so, beyond the height bound, are
     those not torsion-spectral.  Every candidate left there has entries of
-    X^k polynomial in k, so X^s, multiplied out, stays small at any s."""
+    X^k polynomial in k, so X^s, multiplied out, stays small at any s.
+    The search never scans a T that is not torsion-spectral beyond the
+    bound (_proved_rootless), but verify does: the filter skips its
+    witnesses that are not torsion-spectral, never multiplied out."""
     r = signed_root(inv.det, s)
-    beyond = _beyond_root_height(inv, s)
-    if r is None or beyond and not inv.torsion_spectral:
+    if r is None:
         return None
+    beyond = _beyond_root_height(inv, s)
     n, target, trace_target = inv.T.rows, inv.T.entries, inv.T.trace()
     try:
         prime_s = is_prime(s)
@@ -379,7 +387,10 @@ def _coprime_roots(inv: _Invariants, d: int, exponents) -> list[tuple[int, IntMa
     T^m are products of the analysis's ladder of squares, and each root X
     is still re-verified as X^n_exp = T from its own entries, off one
     ladder of X's squares per distinct root, shared by the exponents with
-    that root; a root equal to T reads the analysis's own ladder."""
+    that root.  A root equal to T reads the analysis's own powers: where
+    the order certificate has kept T^(d+1) = T (_checked_order), the
+    precondition and the check X^(d+1) = T read that power, with no
+    product."""
     T = inv.T
     if d < 1 or any(n_exp < 1 for n_exp in exponents):
         raise ValueError("order and exponent must be positive")

@@ -323,6 +323,30 @@ class TestExitCodes:
         assert main([command, write(tmp_path, "bad.json", obj)]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
 
+    @pytest.mark.parametrize("command, obj, err", [
+        ("verify", {"operator": ROT3_JSON, "S": {"factorials": False}}, "problem.S: factorials takes the value true"),
+        ("verify", {"operator": ROT3_JSON, "S": {"all_from": 2, "factorials": True}},
+         "problem.S: expected an object with exactly one descriptor key"),
+        ("verify", {"operator": ROT3_JSON, "S": {"all_from": 0}}, "problem.S: need start >= 1"),
+        ("verify", {"operator": ROT3_JSON, "name": 5}, "problem.name: expected a string"),
+        ("classify", {"rows": 1, "cols": 1, "entries": {}}, "matrix.entries: expected a list"),
+        ("verify", {"operator": [1]}, "problem.operator: expected a JSON object, got list"),
+        ("verify", {"ring": "Q", "operator": ROT3_JSON}, 'problem.ring: expected "Z" or {"quadratic": {"d": ...}}'),
+        ("verify", {"ring": {"quadratic": {"d": -1}}, "operator": {"rows": 3, "cols": 3, "entries": [0] * 9},
+                    "module": {"z_rank": 3, "omega_action": [0] * 9}},
+         "problem.module: z_rank must be a positive even integer"),
+        ("supernat", {"additive": {"S": {"all_from": 2}, "lchar": {"bogus": []}}},
+         "lchar: unknown prime-set kind 'bogus'"),
+        ("supernat", {"additive": {"S": {"all_from": 2}, "lchar": {"finite": [2], "all_primes": True}}},
+         "lchar: expected an object with exactly one key"),
+    ], ids=["factorials-false", "two-descriptor-keys", "all-from-0", "name-int", "entries-object",
+            "operator-list", "ring-Q", "odd-z-rank", "unknown-prime-set", "two-prime-set-keys"])
+    def test_an_outside_input_is_refused_by_its_own_check(self, tmp_path, capsys, command, obj, err):
+        """Each input here reaches one refusal that no other test reaches,
+        and that refusal alone names it."""
+        assert main([command, write(tmp_path, "bad.json", obj)]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_units_rejects_unknown_fields(self, tmp_path, capsys):
         obj = {"ring": {"quadratic": {"d": 2}}, "bogus": 1}
         assert main(["units", write(tmp_path, "r.json", obj)]) == 1

@@ -31,8 +31,9 @@ from divlat.divisibility import (
 )
 from divlat.corpus import block_diagonal, conjugate, gen_corpus, random_unimodular
 from divlat.exactalg import IntMatrix, _bareiss, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, hnf
-from divlat.numberring import embed_ok_matrix
+from divlat.numberring import ZZ, embed_ok_matrix
 from divlat.primes import signed_root
+from divlat.verifier import verify
 from helpers import (brute_root_search, commutant_oracle, diagonal_matrix, frac_jordan_type_at_0, frac_rank,
                      lattice_from_generators, realizable_orders_by_walk, seeded_module_problems, seeded_operator,
                      time_limit)
@@ -531,6 +532,47 @@ class TestProofStep:
         assert [fired for _, fired in counts["proofs"]] == [True] * 4
         assert not divisibility._is_power_type((2,), 10 ** 25 + 13)
         assert divisibility._is_power_type((1, 1, 1), 10 ** 25 + 13)
+
+    def test_the_height_proof_ends_an_invertible_search_complete(self, monkeypatch):
+        """F = [[2, 1], [1, 1]] is not torsion-spectral, so at s = 10^8,
+        past the height bound, neither F at bound 10^5, whose box is past
+        the candidate cap, nor a conjugate of F (+) ... (+) F, 12 x 12, at
+        bound 1, with or without a timeout, has a root: each search is a
+        complete Exhausted(bound), read off the certificates' analysis, with
+        no commutant and no walk."""
+        F = IntMatrix.from_rows([[2, 1], [1, 1]])
+        F6 = conjugate(block_diagonal([F] * 6), random_unimodular(12, random.Random(3), steps=48))
+        counts = count_search_stages(monkeypatch)
+        s = 10 ** 8
+        with time_limit(2.0):
+            assert root_search(F, s, 10 ** 5) == Exhausted(10 ** 5)
+            assert root_search(F6, s, 1) == Exhausted(1)
+            assert root_search(F6, s, 1, timeout_ms=100) == Exhausted(1)
+        assert (counts["commutant"], counts["walks"], counts["proofs"]) == (0, 0, [(s, True)] * 3)
+
+    def test_torsion_spectral_operators_still_reach_the_walk(self, monkeypatch):
+        """Past the height bound a torsion-spectral T is not refused: at
+        s = 10^8, I2 walks its commutant to the root [[-1, -1], [0, 1]], and
+        J2(1) (+) I2 walks its own until the timeout cuts the scan."""
+        I2 = IntMatrix.identity(2)
+        T = block_diagonal([IntMatrix.from_rows([[1, 1], [0, 1]]), I2])
+        counts = count_search_stages(monkeypatch)
+        s = 10 ** 8
+        with time_limit(3.0):
+            assert root_search(I2, s, 1) == Found(IntMatrix.from_rows([[-1, -1], [0, 1]]), I2)
+            assert root_search(T, s, 1, timeout_ms=100) == Exhausted(1, complete=False)
+        assert (counts["walks"], counts["proofs"]) == (2, [(s, False)] * 2) and counts["commutant"] >= 2
+
+    def test_verify_still_refuses_the_witnesses_of_a_rootless_operator(self):
+        """verify decides each witness by the scan, which keeps its own
+        height filter: at s = 10^8 the Fibonacci witness [[1, 1], [1, 0]] of
+        F = [[2, 1], [1, 1]], not torsion-spectral, is skipped unmultiplied,
+        and I2, whose power is I2, is multiplied out and refused."""
+        F = IntMatrix.from_rows([[2, 1], [1, 1]])
+        for X in (IntMatrix.from_rows([[1, 1], [1, 0]]), IntMatrix.identity(2)):
+            with time_limit(1.0):
+                report = verify(ZZ, None, F, None, [(10 ** 8, X)])
+            assert report.hypothesis_checks.witnesses[0].reason == "re-multiplication failed", X
 
     def test_larger_nilpotent_types_complete_without_the_commutant(self, monkeypatch):
         """Conjugated nilpotent types with n = 6 to 12, at each s in {2, 3}
