@@ -104,10 +104,10 @@ class _Invariants:
     of chi and whether T is torsion-spectral, the order, the split
     T = 0 (+) (T on im T) at Fitting's first and stable exponents, the facts
     of the image part M = T on im T that verify and the divisibility
-    spectrum read (split_det, chi, det, semisimplicity and order of M, all
-    read off chi_T and T with no lattice built), the Jordan type of T on
-    its generalised kernel, the commutant, and the powers of T, off one
-    ladder of squares T, T^2, T^4, ...  The
+    spectrum read (chi, det, semisimplicity and order of M, |det M| also
+    deciding the split, all read off chi_T and T with no lattice built),
+    the Jordan type of T on its generalised kernel, the commutant, and the
+    powers of T, off one ladder of squares T, T^2, T^4, ...  The
     constructor checks that T is square and, given a module, that T
     commutes with its ring action; 0x0 is valid.
     Each invariant, each square of the ladder and each power is computed
@@ -244,15 +244,6 @@ class _Invariants:
         return FittingSplit(1, Lattice(n, IntMatrix(0, n, ())), Lattice(n, image), abs(self.det), T)
 
     @cached_property
-    def split_det(self) -> int:
-        """|split.det| = [Z^n : ker T (+) im T], or 0 when ker T and im T
-        meet, so the split is direct exactly when it is 1: |det M| for M
-        the matrix of T on im T, as T maps Z^n / ker T onto im T
-        (FittingSplit.restriction_invertible).  For det T != 0 it is
-        |det T| (Cohen, GTM 138, 2.4).  No lattice is built."""
-        return abs(self.image_det)
-
-    @cached_property
     def fitting(self) -> FittingSplit:
         """The split at the exponent m where the chain stabilizes, is_direct
         reported, never presumed: split itself when det T != 0.  Else, with
@@ -303,7 +294,11 @@ class _Invariants:
 
     @cached_property
     def image_det(self) -> int:
-        """det M = (-1)^r chi_M(0), r = rank T: det T when det T != 0."""
+        """det M = (-1)^r chi_M(0), r = rank T: det T when det T != 0.
+        |det M| = [Z^n : ker T (+) im T], or 0 when ker T and im T meet, as
+        T maps Z^n / ker T onto im T (FittingSplit.restriction_invertible),
+        so the split is direct exactly when |det M| = 1 (Cohen, GTM 138,
+        2.4).  No lattice is built."""
         return self.det or (-1) ** (len(self.image_chi) - 1) * self.image_chi[0]
 
     @cached_property
@@ -336,7 +331,7 @@ class _Invariants:
         """The order of M when T is zero plus an invertible finite-order
         operator, else None: the split and M's order are read off chi_T,
         with no lattice built."""
-        return self.image_order if self.split_det == 1 else None
+        return self.image_order if abs(self.image_det) == 1 else None
 
     @cached_property
     def gen_kernel_rank(self) -> int:
@@ -369,42 +364,41 @@ class _Invariants:
 
     @cached_property
     def commutant(self) -> Lattice:
-        """C(T), or C(T) meet C(omega): the saturation of hnf(B) for a
-        rational basis B of the rational commutant, C_Q meet M_n(Z), a
-        canonical lattice (_saturation).  When T, or over a module omega, is
-        nonderogatory, the Hermite form of I, M, ..., M^(n-1), each
-        flattened to a row of length n^2, has rank n, and B is those powers:
-        C_Q(M) = Q[M], and the other matrix of the pair commutes with M, so
-        it lies in Q[M].  Else B comes from one fraction-free elimination
-        (_bareiss) of the commutator equations X -> (XM - MX for each M),
-        X flattened row-major: for each free column j, the kernel vector
+        """C(T), or C(T) meet C(omega): the saturation of a rational basis B
+        of the rational commutant, C_Q meet M_n(Z), a canonical lattice
+        (_saturation, which also decides whether B's rows are independent).
+        When T, or over a module omega, is nonderogatory, the n powers
+        I, M, ..., M^(n-1), each flattened to a row of length n^2, are
+        independent, and B is those powers: C_Q(M) = Q[M], and the other
+        matrix of the pair commutes with M, so it lies in Q[M].  Else B
+        comes from one fraction-free elimination (_bareiss) of the
+        commutator equations X -> (XM - MX for each M), X flattened
+        row-major: for each free column j, the kernel vector
         back-substituted with the last pivot, +-det of the r x r minor the
         elimination found (1 when r = 0), at j and 0 at the other free
         columns, integral by Cramer's rule.  Each such X is checked to
         commute with T and omega, a failure raising AssertionError, and is
         divided by its content, which leaves its span and the saturation
-        as they are and keeps hnf(B) small."""
+        as they are and keeps the saturation's eliminations small."""
         mats = (self.T,) if self.module is None else (self.T, self.module.omega_action)
         n = self.T.rows
         for M in mats:
             powers = [_identity(n)]
             for _ in range(n - 1):
                 powers.append(_tuple_mul(powers[-1], M.entries, n, n, n))
-            H = hnf(IntMatrix(n, n * n, tuple(chain.from_iterable(powers))))
-            if not n or any(H.row(n - 1)):
-                break
-        else:
-            a = [[(M[j, b] if c == i else 0) - (M[c, i] if j == b else 0) for i in range(n) for j in range(n)]
-                 for M in mats for c in range(n) for b in range(n)]
-            J = _bareiss(a, n * n)[0]
-            scale = a[len(J) - 1][J[-1]] if J else 1
-            basis = [_back_substitute(a, J, [scale * (i == j) for i in range(n * n)])
-                     for j in sorted(set(range(n * n)) - set(J))]
-            for x in basis:
-                if any(_tuple_mul(x, M.entries, n, n, n) != _tuple_mul(M.entries, x, n, n, n) for M in mats):
-                    raise AssertionError("a kernel vector of the commutator equations does not commute with T or omega")
-            H = hnf(IntMatrix.from_rows([[c // gcd(*x) for c in x] for x in basis], cols=n * n))
-        return _saturation(H)
+            commutant = _saturation(IntMatrix(n, n * n, tuple(chain.from_iterable(powers))))
+            if commutant is not None:
+                return commutant
+        a = [[(M[j, b] if c == i else 0) - (M[c, i] if j == b else 0) for i in range(n) for j in range(n)]
+             for M in mats for c in range(n) for b in range(n)]
+        J = _bareiss(a, n * n)[0]
+        scale = a[len(J) - 1][J[-1]] if J else 1
+        basis = [_back_substitute(a, J, [scale * (i == j) for i in range(n * n)])
+                 for j in sorted(set(range(n * n)) - set(J))]
+        for x in basis:
+            if any(_tuple_mul(x, M.entries, n, n, n) != _tuple_mul(M.entries, x, n, n, n) for M in mats):
+                raise AssertionError("a kernel vector of the commutator equations does not commute with T or omega")
+        return _saturation(IntMatrix.from_rows([[c // gcd(*x) for c in x] for x in basis], cols=n * n))
 
 
 def _certified_rank(P: IntMatrix, label: str, what: str) -> int:

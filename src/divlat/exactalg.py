@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from ._record import Record
@@ -539,21 +539,26 @@ def _kernel_and_image(T: IntMatrix) -> tuple[Lattice, Lattice]:
     return kernel, image
 
 
-def _saturation(H: IntMatrix) -> Lattice:
-    """The saturation (Q-span) meet Z^cols of the row span of H, a row HNF
-    without zero rows, as a canonical Lattice, by duality.  A rational
-    combination c.H is integral exactly when c lies in the dual of the
-    lattice that H's columns span in Z^k.  That lattice's Hermite basis U,
-    the top k rows of hnf(H^t), is upper triangular, so the rows of
-    Y = U^-t.H are a basis of the saturation: U^t.Y = H is solved by
-    forward substitution, every division exact, and hnf(Y) is the canonical
-    basis.  The index [saturation : span] is det U, which divides the
-    product D of H's pivots (projecting onto the pivot columns is injective
-    on the Q-span), so D = 1 returns H as it is."""
-    k, cols = H.rows, H.cols
-    rows = [H.row(i) for i in range(k)]
-    if prod(next(filter(None, row)) for row in rows) == 1:
-        return Lattice(cols, H)
+def _saturation(B: IntMatrix) -> Lattice | None:
+    """The saturation (Q-span) meet Z^cols of the row span of B, any
+    integer k x cols basis, as a canonical Lattice, by duality; None when
+    B's rows are dependent.  One fraction-free elimination (_bareiss) gives
+    the rank and k echelon rows E of the same Q-span, the stale entries
+    left of each pivot zeroed, taken last row first.  A rational
+    combination c.E is integral exactly when c lies in the dual of the
+    lattice that E's columns span in Z^k.  That lattice's Hermite basis U,
+    the top k rows of hnf(E^t), is upper triangular, so the rows of
+    Y = U^-t.E are a basis of the saturation: U^t.Y = E is solved by
+    forward substitution, every division exact.  Row i of Y combines rows
+    0..i of E, whose pivots lie right of row i's, so its pivot is that of
+    E's row i, and Y, read back in pivot order, is echelon: hnf(Y), the
+    canonical basis, only reduces above its pivots."""
+    k, cols = B.rows, B.cols
+    a = [list(B.row(i)) for i in range(k)]
+    J = _bareiss(a, cols)[0]
+    if len(J) < k:
+        return None
+    rows = [[0] * J[i] + a[i][J[i] :] for i in reversed(range(k))]
     U = hnf(IntMatrix(cols, k, tuple(chain.from_iterable(zip(*rows))))).entries
     basis = []
     for i, row in enumerate(rows):
@@ -564,10 +569,10 @@ def _saturation(H: IntMatrix) -> Lattice:
         p = U[i * k + i]
         if p != 1:
             if any(a % p for a in row):
-                raise AssertionError(f"row {i} of the dual basis does not divide its combination of H by {p}")
+                raise AssertionError(f"row {i} of the dual basis does not divide its combination of E by {p}")
             row = [a // p for a in row]
         basis.append(row)
-    return Lattice(cols, hnf(IntMatrix(k, cols, tuple(chain.from_iterable(basis)))))
+    return Lattice(cols, hnf(IntMatrix(k, cols, tuple(chain.from_iterable(reversed(basis))))))
 
 
 def restrict_to_lattice(T: IntMatrix, lat: Lattice) -> IntMatrix:

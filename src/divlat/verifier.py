@@ -146,12 +146,12 @@ def verify(ring, module, T: IntMatrix, S: SDescriptor | None, witnesses) -> Theo
     # |chi_T(k)|, k = rank ker T (|det T| when det T != 0), with no lattice
     # built, plus what the verified witnesses already force.  T induces on
     # Z^n / ker T what it is on im T, so the quotient determinant is det M.
-    split_det, g, qdet = inv.split_det, inv.gen_kernel_rank, inv.image_det
-    direct = split_det == 1
+    g, qdet = inv.gen_kernel_rank, inv.image_det
+    direct = abs(qdet) == 1
     cond_kernel = g == 0 or any(c.valid and c.s >= g for c in checks)
-    cond_det = abs(qdet) == 1 or any(c.valid and c.s >= qdet.bit_length() for c in checks)
+    cond_det = direct or any(c.valid and c.s >= qdet.bit_length() for c in checks)
     reason = ("Z^n = ker T (+) im T with invertible restriction" if direct
-              else "ker T and im T intersect nontrivially" if split_det == 0
+              else "ker T and im T intersect nontrivially" if qdet == 0
               else "ker T + im T is a proper sublattice of Z^n")
     clause1 = Clause1(direct, reason, cond_kernel and cond_det)
 

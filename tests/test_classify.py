@@ -686,7 +686,7 @@ class TestVectorCertificates:
         products = TestProvenAnnihilator.counted(monkeypatch, "_tuple_mul")
         for T in operators:
             inv = classify._Invariants(T)
-            facts = (inv.semisimple, inv.order, inv.split_det, inv.image_semisimple, inv.image_order,
+            facts = (inv.semisimple, inv.order, abs(inv.image_det), inv.image_semisimple, inv.image_order,
                      inv.zero_plus_order)
             assert calls == [] and products == [], T
             kept = {d + 1 for d in (inv.order, inv.image_order) if d}
@@ -748,7 +748,8 @@ class TestKrylovChains:
                 identity = mat_pow(rows, 0)
                 assert mat_pow(rows, inv.order) == identity, T
                 assert all(mat_pow(rows, inv.order // p) != identity for p in prime_factors(inv.order)), T
-            assert (inv.split_det, inv.image_det, inv.image_semisimple, inv.image_order) == oracle_image_facts(T), T
+            facts = (abs(inv.image_det), inv.image_det, inv.image_semisimple, inv.image_order)
+            assert facts == oracle_image_facts(T), T
             if n:
                 m, power = fitting_chain_oracle(T)
                 assert (inv.fitting.exponent_m, inv.fitting.image_part) == (m, image_oracle(power)), T
@@ -861,7 +862,7 @@ class TestProvenAnnihilator:
         facts = []
         for T in operators:
             inv = classify._Invariants(T)
-            facts.append((inv.split_det, inv.image_semisimple, inv.image_order, inv.zero_plus_order))
+            facts.append((abs(inv.image_det), inv.image_semisimple, inv.image_order, inv.zero_plus_order))
             assert inv.image_chi == inv.chi[1:] and len(inv.orbits) == 1, T
         assert facts == [(1, True, 12, 12), (0, False, None, None)]
         assert products == []
@@ -932,15 +933,15 @@ class TestImagePart:
         assert kinds == {"split", "not split", "nilpotent", "not nilpotent"}
 
     def test_facts_match_the_restriction_oracle(self):
-        """split_det, image_det, image_semisimple and image_order against
-        helpers.oracle_image_facts, with chi_M = chi_T / x^k; the rank r and
-        the sets I and J of the elimination against a Fraction rank oracle,
-        T[I, J] nonsingular."""
+        """image_det, its absolute value the split's index, image_semisimple
+        and image_order against helpers.oracle_image_facts, with
+        chi_M = chi_T / x^k; the rank r and the sets I and J of the
+        elimination against a Fraction rank oracle, T[I, J] nonsingular."""
         kinds = set()
         for T, module in self.singular_operators() + self.module_operators():
             n = T.rows
             inv = classify._Invariants(T, module)
-            facts = (inv.split_det, inv.image_det, inv.image_semisimple, inv.image_order)
+            facts = (abs(inv.image_det), inv.image_det, inv.image_semisimple, inv.image_order)
             assert facts == oracle_image_facts(T), T
             J, origin, _ = _bareiss(T.nested(), n)
             r, I = len(J), sorted(origin[: len(J)])
@@ -948,8 +949,8 @@ class TestImagePart:
             assert list(I) == sorted(set(I)) and list(J) == sorted(set(J)), T
             assert frac_det([[T[i, j] for j in J] for i in I]) != 0, T
             assert inv.image_chi == inv.chi[n - r:], T
-            assert inv.zero_plus_order == (inv.image_order if inv.split_det == 1 else None), T
-            kinds.add((min(inv.split_det, 2), inv.image_semisimple, inv.image_order is not None,
+            assert inv.zero_plus_order == (inv.image_order if abs(inv.image_det) == 1 else None), T
+            kinds.add((min(abs(inv.image_det), 2), inv.image_semisimple, inv.image_order is not None,
                        module is not None))
         assert kinds == {(0, False, False, False), (0, True, False, False), (1, False, False, False),
                          (1, True, False, True), (1, True, True, False), (1, True, True, True),
@@ -977,7 +978,7 @@ class TestImagePart:
                 continue
             assert (inv.image_chi, inv.image_det, inv.image_semisimple, inv.image_order) == \
                 (inv.chi, inv.det, inv.semisimple, inv.order), T
-            assert (inv.split_det, inv.det, inv.semisimple, inv.order) == oracle_image_facts(T), T
+            assert (abs(inv.image_det), inv.det, inv.semisimple, inv.order) == oracle_image_facts(T), T
             moved += inv.split.restriction != T
             facts.add((inv.order is not None, inv.semisimple))
         assert moved >= 10
@@ -991,7 +992,7 @@ class TestImagePart:
         nonzero coefficient below x^k, k = rank ker T, is refused by every
         fact of the image part.  chi_T itself is proven by its Krylov
         chains (test_exactalg)."""
-        for fact in ("split_det", "image_det", "image_semisimple", "image_order", "zero_plus_order"):
+        for fact in ("image_det", "image_semisimple", "image_order", "zero_plus_order"):
             inv = classify._Invariants(diagonal_matrix([0, 0, 2, -1]))
             assert inv.chi == (0, 0, -2, -1, 1) and len(inv.orbits) > 1  # the orbits are read with chi
             inv.chi = chi

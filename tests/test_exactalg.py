@@ -769,17 +769,18 @@ def pivots(B):
 
 
 class TestSaturation:
-    """_saturation's dual basis against the kernel of the kernel, on seeded
-    full-rank k x cols Hermite forms, k <= 4 and cols <= 9."""
+    """_saturation of seeded full-rank k x cols bases, k <= 4 and cols <= 9,
+    Hermite forms or not, against the kernel of the kernel; None for a
+    basis whose rows are dependent."""
 
     # 2^5 3^3 5; a prime above 1000 alone, beside 6 and beside another; small indices; 1
     INDICES = (4320, 1009, 6 * 1013, 1009 * 1013, 2, 7, 12, 1)
 
     def sublattice(self, rng, k, cols, index):
-        """(H, S): H the Hermite form of A.S, where S is k rows of a
-        unimodular matrix (a saturated basis) and A a k x k upper
-        triangular matrix of determinant index, so [sat(H) : H] = index.
-        An index divisible by 6 is split over two diagonal entries."""
+        """(B, S): B = A.S, where S is k rows of a unimodular matrix (a
+        saturated basis) and A a k x k upper triangular matrix of
+        determinant index, so [sat(B) : B] = index.  An index divisible by
+        6 is split over two diagonal entries."""
         diagonal = [1] * k
         if index % 6 == 0 and k > 1:
             diagonal[0], diagonal[-1] = index // 6, 6
@@ -788,23 +789,38 @@ class TestSaturation:
         A = IntMatrix.from_rows([[diagonal[i] if i == j else rng.randint(-4, 4) if j > i else 0 for j in range(k)]
                                  for i in range(k)])
         S = IntMatrix(k, cols, rand_unimodular(rng, cols).entries[: k * cols])
-        return hnf(A * S), S
+        return A * S, S
 
     def test_against_the_kernel_of_the_kernel(self):
+        """A.S itself and its Hermite form give the same saturation."""
         rng = random.Random(181)
         seen = set()
         for _ in range(240):
             k = rng.randint(1, 4)
             cols = rng.randint(k, 9)
             index = rng.choice(self.INDICES)
-            H, S = self.sublattice(rng, k, cols, index)
-            sat = _saturation(H)
-            assert sat == saturation_oracle(H) == lattice_from_generators(cols, S.nested()), H
-            assert prod(pivots(H)) == index * prod(pivots(sat.basis)), H
+            B, S = self.sublattice(rng, k, cols, index)
+            H = hnf(B)
+            sat = _saturation(B)
+            assert sat == _saturation(H) == saturation_oracle(B) == lattice_from_generators(cols, S.nested()), B
+            assert prod(pivots(H)) == index * prod(pivots(sat.basis)), B
             seen.add(index)
             seen.add("k = cols" if k == cols else "k < cols")
             seen.add("D = 1" if prod(pivots(H)) == 1 else "saturated, D > 1" if index == 1 else "D > 1")
-        assert seen == {*self.INDICES, "k = cols", "k < cols", "D = 1", "saturated, D > 1", "D > 1"}
+            seen.add("B = H" if B == H else "B != H")
+        assert seen == {*self.INDICES, "k = cols", "k < cols", "D = 1", "saturated, D > 1", "D > 1", "B = H", "B != H"}
+
+    def test_dependent_rows_have_no_saturation(self):
+        """One row of A.S replaced by the sum of two others: None."""
+        rng = random.Random(191)
+        for _ in range(60):
+            k = rng.randint(3, 4)
+            cols = rng.randint(k, 9)
+            B, _ = self.sublattice(rng, k, cols, rng.choice(self.INDICES))
+            rows = B.nested()
+            i, j, l = rng.sample(range(k), 3)
+            rows[i] = [a + b for a, b in zip(rows[j], rows[l])]
+            assert _saturation(IntMatrix.from_rows(rows)) is None, rows
 
 
 class TestHermiteShapeCheck:
