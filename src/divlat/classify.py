@@ -364,9 +364,12 @@ class _Invariants:
 
     @cached_property
     def commutant(self) -> Lattice:
-        """C(T), or C(T) meet C(omega): the saturation of a rational basis B
-        of the rational commutant, C_Q meet M_n(Z), a canonical lattice
-        (_saturation, which also decides whether B's rows are independent).
+        """C(T), or C(T) meet C(omega): a scalar matrix commutes with every
+        X, so its commutator equations vanish and it is dropped, and with
+        none left C is M_n(Z), the identity lattice of Z^(n^2).  Else the
+        saturation of a rational basis B of the rational commutant,
+        C_Q meet M_n(Z), a canonical lattice (_saturation, which also
+        decides whether B's rows are independent).
         When T, or over a module omega, is nonderogatory, the n powers
         I, M, ..., M^(n-1), each flattened to a row of length n^2, are
         independent, and B is those powers: C_Q(M) = Q[M], and the other
@@ -380,8 +383,11 @@ class _Invariants:
         commute with T and omega, a failure raising AssertionError, and is
         divided by its content, which leaves its span and the saturation
         as they are and keeps the saturation's eliminations small."""
-        mats = (self.T,) if self.module is None else (self.T, self.module.omega_action)
+        mats = [M for M in ((self.T,) if self.module is None else (self.T, self.module.omega_action))
+                if not _is_scalar(M)]
         n = self.T.rows
+        if not mats:
+            return Lattice(n * n, IntMatrix.identity(n * n))
         for M in mats:
             powers = [_identity(n)]
             for _ in range(n - 1):
@@ -399,6 +405,11 @@ class _Invariants:
             if any(_tuple_mul(x, M.entries, n, n, n) != _tuple_mul(M.entries, x, n, n, n) for M in mats):
                 raise AssertionError("a kernel vector of the commutator equations does not commute with T or omega")
         return _saturation(IntMatrix.from_rows([[c // gcd(*x) for c in x] for x in basis], cols=n * n))
+
+
+def _is_scalar(M: IntMatrix) -> bool:
+    """Whether the square M is cI for an integer c; 0x0 is, vacuously."""
+    return not M.rows or M.entries == tuple(M.entries[0] * x for x in _identity(M.rows))
 
 
 def _certified_rank(P: IntMatrix, label: str, what: str) -> int:

@@ -3,8 +3,10 @@
 Whether T has an s-th root in the matrix ring is treated as a semi-decision
 problem: sound impossibility certificates first, then proofs that are no
 certificates yet, each ending the search in Exhausted, then a bounded
-exhaustive search of the commutant of T in lexicographic order.  An honest
-Exhausted outcome is part of the contract; witnesses are always
+exhaustive search in lexicographic order: of T's one candidate root when
+T has finite order prime to every realizable one, of a rank-2 order or of
+cI's (trace, det) classes when n = 2, else of the commutant of T.  An
+honest Exhausted outcome is part of the contract; witnesses are always
 re-multiplied before being returned.
 """
 from __future__ import annotations
@@ -13,7 +15,7 @@ import time
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import count, islice
-from math import gcd, inf, lcm, prod
+from math import gcd, inf, isqrt, lcm, prod
 from operator import add
 
 from ._record import Record
@@ -283,8 +285,8 @@ def _scan(candidates, inv: _Invariants, s: int):
     The search never scans a T that is not torsion-spectral beyond the
     bound (_proved_rootless), but verify does: the filter skips its
     witnesses that are not torsion-spectral, never multiplied out."""
-    r = signed_root(inv.det, s)
-    if r is None:
+    dets = _signed_roots(inv.det, s)
+    if not dets:
         return None
     beyond = _beyond_root_height(inv, s)
     n, target, trace_target = inv.T.rows, inv.T.entries, inv.T.trace()
@@ -293,7 +295,6 @@ def _scan(candidates, inv: _Invariants, s: int):
     except ValueError:  # s >= psi_13 passes every base: undecided, so no trace filter
         prime_s = False
     diag = slice(None, None, n + 1)
-    dets = (r, -r) if s % 2 == 0 else (r,)
     for cand in candidates:
         if _tuple_det(cand, n) not in dets:
             continue
@@ -316,18 +317,19 @@ def root_search(
 ) -> RootSearchOutcome:
     """In order: the certificates, the deadline, the proofs that T has no
     s-th root at any height (_proved_rootless, Exhausted(bound) when one
-    holds), the commutant and the walk: exhaustive search, in row-major
-    lexicographic order, over the X with max-norm <= bound that commute
-    with T (and omega), as every root of T = X^s does; returns the
-    lexicographically smallest.
+    holds), then exhaustive search, in row-major lexicographic order, over
+    the candidates (_candidates): X with max-norm <= bound that commute
+    with T (and omega), as every root of T = X^s does, with those that
+    cannot be roots left out; returns the lexicographically smallest root.
 
     The timeout runs from the call; the deadline is checked after the
-    certificates and before every walk step (_box_points), so a spent budget
-    stops the scan before the next candidate; it is not checked during the
-    certificates, the proofs or the commutant.  The candidate budget is
-    DEFAULT_MAX_CANDIDATES: it bounds the product over the commutant's
-    pivots of 2*bound // pivot + 1, an upper bound on the points
-    enumerated.  Either budget cut gives Exhausted(complete=False)."""
+    certificates, before every walk step (_box_points), so a spent budget
+    stops the scan before the next candidate, and before every step of the
+    2 x 2 routes' bounded loops, whose few candidates are then scanned
+    whole; it is not checked during the certificates, the proofs or the
+    commutant.  The candidate budget is DEFAULT_MAX_CANDIDATES, checked
+    before the candidates are generated (_candidates).  Either budget cut
+    gives Exhausted(complete=False)."""
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
     if s < 2:
         raise ValueError("exponent must be at least 2")
@@ -341,7 +343,8 @@ def root_search(
 def _search(inv: _Invariants, s: int, bound: int, deadline) -> RootSearchOutcome:
     """root_search on an analysis, for s >= 2 and bound >= 1; deadline is a
     time.monotonic() value or None.  The certificates, the deadline, the
-    proofs, the commutant and the walk, in that order."""
+    proofs, then the candidates (_candidates) and their scan, in that
+    order."""
     cert = next(_certificates(inv, s), None)
     if cert is not None:
         return ProvedImpossible(cert)
@@ -349,11 +352,11 @@ def _search(inv: _Invariants, s: int, bound: int, deadline) -> RootSearchOutcome
         return Exhausted(bound, complete=False)
     if _proved_rootless(inv, s):
         return Exhausted(bound)
-    basis = inv.commutant.basis
-    if prod(2 * bound // next(filter(None, basis.row(i))) + 1 for i in range(basis.rows)) > DEFAULT_MAX_CANDIDATES:
-        return Exhausted(bound, complete=False)
     try:
-        hit = _scan(_box_points(inv.commutant, bound, deadline), inv, s)
+        candidates = _candidates(inv, s, bound, deadline)
+        if candidates is None:
+            return Exhausted(bound, complete=False)
+        hit = _scan(candidates, inv, s)
     except TimeoutError:
         return Exhausted(bound, complete=False)
     if hit is None:
@@ -363,6 +366,167 @@ def _search(inv: _Invariants, s: int, bound: int, deadline) -> RootSearchOutcome
     if power != inv.T:
         raise AssertionError("witness failed final re-multiplication")
     return Found(witness, power)
+
+
+def _candidates(inv: _Invariants, s: int, bound: int, deadline):
+    """Every X with max-norm <= bound that can be an s-th root of T, in
+    row-major lexicographic order, for _scan to test; None when the
+    candidate budget cuts the search.  TimeoutError once the deadline is
+    spent.  The first of three routes that applies:
+    Finite order: for T of order d and gcd(s, L) = 1, L the lcm of the
+    orders realizable in GL_n(Z), a root X has finite order dividing L, so
+    X = X^(as) = T^a for as = 1 mod L: T^(s^-1 mod d) is the only root.
+    n = 2: the roots read off a rank-2 order, or off the classes of cI
+    (_rank_two_candidates).
+    Else the commutant's box points (_box_points), the candidate budget
+    DEFAULT_MAX_CANDIDATES bounding the product over the commutant's
+    pivots of 2*bound // pivot + 1, an upper bound on the points
+    enumerated."""
+    n, d = inv.T.rows, inv.order
+    if d is not None and gcd(s, lcm(*realizable_orders(n))) == 1:
+        root = inv.power(pow(s, -1, d)).entries
+        return [root] if max(map(abs, root), default=0) <= bound else []
+    if n == 2:
+        return _rank_two_candidates(inv, s, bound, deadline)
+    basis = inv.commutant.basis
+    if prod(2 * bound // next(filter(None, basis.row(i))) + 1 for i in range(basis.rows)) > DEFAULT_MAX_CANDIDATES:
+        return None
+    return _box_points(inv.commutant, bound, deadline)
+
+
+def _rank_two_candidates(inv: _Invariants, s: int, bound: int, deadline):
+    """_candidates for n = 2, over Z or a rank-1 module, with no commutant
+    and no walk.  A is T over Z and omega over a module: C(T) meet C(omega)
+    is C(omega) there, as T lies in C(omega), which is commutative, omega
+    being no integer.  A scalar A is cI (_scalar_candidates).  Else, with
+    g = gcd(a12, a21, a22 - a11) and M = (A - a11 I)/g, C(A) = Z I (+) Z M
+    exactly: X = aI + bM integral forces b (m12, m21, m22) in Z^3, whose
+    gcd is 1, so b and a = x11 are integers.  So theta = M generates the
+    order Z[theta], theta^2 = t theta + c with t = m22, c = m12 m21,
+    T = t0 + t1 theta, and a root is y = u + v theta,
+    det X = N(y) = u^2 + tuv - cv^2.
+    D = t^2 + 4c != 0: each eigenvalue of X is an s-th root of one of T,
+    below Cauchy's R = 1 + max(|tr T|, |det T|), so at most rho =
+    ceil(R^(1/s)), and theirs differ by v sqrt(D): v^2 |D| <= 4 rho^2.  For
+    each such v in the box, N(y) = +-r, r the signed s-th root of det T,
+    fixes u = (-tv +- q)/2, q^2 = D v^2 + 4N(y), even as q = tv mod 2: at
+    most four candidates for each v, the v counted against the candidate
+    budget and each checked against the deadline.
+    D = 0: t is even, theta = t/2 + E with E^2 = 0, so y = w + vE,
+    w = u + vt/2, and y^s = w^s + s w^(s-1) v E: w is a signed s-th root of
+    tau_0 = t0 + t1 t/2, and v = t1 / (s w^(s-1)), one exact division, for
+    w != 0.  omega's D is no square, so A = T here and t1 = g != 0, and
+    w = 0 gives y^s = 0 != T: at most two candidates."""
+    T = inv.T
+    A = T if inv.module is None else inv.module.omega_action
+    a11, a12, a21, a22 = A.entries
+    g = gcd(a12, a21, a22 - a11)
+    if not g:
+        return _scalar_candidates(T[0, 0], s, bound, deadline)
+    m12, m21, t = m = (a12 // g, a21 // g, (a22 - a11) // g)
+    t0, rest = T[0, 0], (T[0, 1], T[1, 0], T[1, 1] - T[0, 0])
+    k = next(k for k in range(3) if m[k])
+    t1 = rest[k] // m[k]
+    if rest != tuple(t1 * x for x in m):
+        raise AssertionError("T does not lie in Z I + Z M")
+
+    def in_box(u: int, v: int) -> tuple[int, int, int, int] | None:
+        X = (u, v * m12, v * m21, u + v * t)
+        return X if max(map(abs, X)) <= bound else None
+
+    D = t * t + 4 * m12 * m21
+    if not D:
+        out = []
+        for w in _signed_roots(t0 + t1 * (t // 2), s) - {0}:
+            v, rem = divmod(t1, s * w ** (s - 1))
+            if not rem:
+                out.append(in_box(w - v * (t // 2), v))
+        return sorted(filter(None, out))
+    rho = _ceil_root(1 + max(abs(T.trace()), abs(inv.det)), s)
+    vmax = min(isqrt(4 * rho * rho // abs(D)), bound // max(abs(m12), abs(m21)) if m12 or m21 else 2 * bound)
+    if 2 * vmax + 1 > DEFAULT_MAX_CANDIDATES:
+        return None
+    norms, out = _signed_roots(inv.det, s), set()
+    for v in range(-vmax, vmax + 1):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise TimeoutError
+        for norm in norms:
+            q2 = D * v * v + 4 * norm
+            q = isqrt(q2) if q2 >= 0 else -1
+            if q * q == q2:
+                out.update((in_box((q - t * v) // 2, v), in_box((-q - t * v) // 2, v)))
+    out.discard(None)
+    return sorted(out)
+
+
+def _scalar_candidates(c: int, s: int, bound: int, deadline):
+    """_candidates for T = cI, n = 2: xI with x^s = c, and each box point
+    [[x, y], [z, tr - x]] of a class (tr, d) whose non-scalar X have
+    X^s = cI.  Such an X has X^2 = tr X - d I, so X^s = aX + bI with
+    (a, b) = _pair_power(tr, d, s), and X^s = cI exactly when (a, b) =
+    (0, c): the class is read once, not its points.  Both eigenvalues of
+    such an X have modulus |c|^(1/s), so d^s = c^2, and either d > 0 and
+    tr^2 <= 4d, or d < 0 and tr = 0; both is (0, 0) when c = 0.  The
+    candidate budget counts M_2(Z)'s box, (2 bound + 1)^4 points, as the
+    walk of the commutant M_2(Z) did, and the deadline is checked before
+    each x."""
+    if (2 * bound + 1) ** 4 > DEFAULT_MAX_CANDIDATES:
+        return None
+    out = {(x, 0, 0, x) for x in _signed_roots(c, s) if abs(x) <= bound}
+    for d in _signed_roots(c * c, s):
+        span = min(isqrt(4 * d), 2 * bound) if d > 0 else 0
+        for tr in range(-span, span + 1):
+            if _pair_power(tr, d, s) != (0, c):
+                continue
+            for x in range(max(-bound, tr - bound), min(bound, tr + bound) + 1):
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise TimeoutError
+                yz = x * (tr - x) - d
+                if yz:
+                    out.update((x, y, yz // y, tr - x) for y in range(-bound, bound + 1)
+                               if y and not yz % y and abs(yz // y) <= bound)
+                else:
+                    out.update((x, 0, z, tr - x) for z in range(-bound, bound + 1))
+                    out.update((x, y, 0, tr - x) for y in range(-bound, bound + 1) if y)
+    return sorted(out)
+
+
+def _signed_roots(v: int, s: int) -> set[int]:
+    """The integers x with x^s = v."""
+    r = signed_root(v, s)
+    return set() if r is None else {r, -r} if s % 2 == 0 else {r}
+
+
+def _pair_power(tr: int, d: int, s: int) -> tuple[int, int]:
+    """(a, b) with X^s = aX + bI for every X with X^2 = tr X - d I, by
+    repeated squaring on the pairs: (aX + b)(eX + f) = (aetr + af + eb) X
+    + (bf - aed)."""
+    def mul(p, q):
+        (a, b), (e, f) = p, q
+        return a * e * tr + a * f + e * b, b * f - a * e * d
+
+    result, square = (0, 1), (1, 0)
+    while s:
+        if s & 1:
+            result = mul(result, square)
+        s >>= 1
+        if s:
+            square = mul(square, square)
+    return result
+
+
+def _ceil_root(R: int, s: int) -> int:
+    """The least rho >= 0 with rho^s >= R, for R >= 0 and s >= 1: 2 when
+    1 < R < 2^s, so no 2^s is built, else by bisection between 1 and
+    2^(b//s + 1), b = bit_length(R)."""
+    b = R.bit_length()
+    if R <= 1 or s >= b:
+        return min(R, 2)
+    lo, hi = 1, 1 << (b // s + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** s >= R else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,14 @@ from divlat.divisibility import (
     zero_plus_finite_order,
 )
 from divlat.corpus import block_diagonal, conjugate, gen_corpus, random_unimodular
-from divlat.exactalg import IntMatrix, _bareiss, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic, hnf
-from divlat.numberring import ZZ, embed_ok_matrix
+from divlat.exactalg import (IntMatrix, Lattice, _bareiss, _cyclotomic_indices, _tuple_pow, companion_matrix, cyclotomic,
+                             hnf)
+from divlat.numberring import ZZ, OKModule, QuadraticOrder, embed_ok_matrix
 from divlat.primes import signed_root
 from divlat.verifier import verify
 from helpers import (brute_root_search, commutant_oracle, diagonal_matrix, frac_jordan_type_at_0, frac_rank,
-                     lattice_from_generators, realizable_orders_by_walk, seeded_module_problems, seeded_operator,
-                     time_limit)
+                     lattice_from_generators, mat_mul, realizable_orders_by_walk, seeded_module_problems,
+                     seeded_operator, time_limit)
 
 ROT3 = IntMatrix.from_rows([[0, -1], [1, -1]])
 J = IntMatrix.from_rows([[0, -1], [1, 0]])  # order 4
@@ -294,9 +295,9 @@ class TestRootSearch:
     def test_a_finite_order_target_reduces_a_huge_exponent(self):
         """Past the height bound only torsion-spectral candidates are
         multiplied out, at s itself.  On I2 at s = 10^8 the first root is
-        the order-2 [[-1, -1], [0, 1]].  At the prime s = 10^25 + 13,
-        is_prime cannot decide s, so the scan goes on without the trace
-        filter to I2 itself."""
+        the order-2 [[-1, -1], [0, 1]].  The prime s = 10^25 + 13, which
+        is_prime cannot decide, is prime to 12, the lcm of GL_2(Z)'s
+        orders, so I2 itself is the only candidate."""
         I2 = IntMatrix.identity(2)
         with time_limit(2.0):
             X = IntMatrix.from_rows([[-1, -1], [0, 1]])
@@ -552,16 +553,20 @@ class TestProofStep:
 
     def test_torsion_spectral_operators_still_reach_the_walk(self, monkeypatch):
         """Past the height bound a torsion-spectral T is not refused: at
-        s = 10^8, I2 walks its commutant to the root [[-1, -1], [0, 1]], and
-        J2(1) (+) I2 walks its own until the timeout cuts the scan."""
-        I2 = IntMatrix.identity(2)
+        s = 10^8, I2 reads its root [[-1, -1], [0, 1]] off the classes of
+        cI with no walk, I3 walks its commutant to the root
+        [[-1, -1, -1], [0, 0, -1], [0, 1, 0]], and J2(1) (+) I2 walks its
+        own until the timeout cuts the scan."""
+        I2, I3 = IntMatrix.identity(2), IntMatrix.identity(3)
         T = block_diagonal([IntMatrix.from_rows([[1, 1], [0, 1]]), I2])
         counts = count_search_stages(monkeypatch)
         s = 10 ** 8
         with time_limit(3.0):
             assert root_search(I2, s, 1) == Found(IntMatrix.from_rows([[-1, -1], [0, 1]]), I2)
+            assert (counts["commutant"], counts["walks"]) == (0, 0)
+            assert root_search(I3, s, 1) == Found(IntMatrix.from_rows([[-1, -1, -1], [0, 0, -1], [0, 1, 0]]), I3)
             assert root_search(T, s, 1, timeout_ms=100) == Exhausted(1, complete=False)
-        assert (counts["walks"], counts["proofs"]) == (2, [(s, False)] * 2) and counts["commutant"] >= 2
+        assert (counts["walks"], counts["proofs"]) == (2, [(s, False)] * 3) and counts["commutant"] >= 2
 
     def test_verify_still_refuses_the_witnesses_of_a_rootless_operator(self):
         """verify decides each witness by the scan, which keeps its own
@@ -702,6 +707,138 @@ class TestProofStep:
                     assert root_search(T, s, bound, module=module) == Exhausted(bound), (T, s, bound)
         assert len(proved) >= 300 and large <= len(proved) // 10, (len(proved), large)
         assert any(module is not None for _, module, _ in proved)
+
+
+def first_roots_in_box(bound, exponents):
+    """{(s, T): the 2 x 2 X with X^s = T and entries in [-bound, bound], in
+    brute_root_search's lexicographic order}: that search for every T at
+    once, off helpers' list arithmetic."""
+    roots = {}
+    for cand in product(range(-bound, bound + 1), repeat=4):
+        X = power = [list(cand[:2]), list(cand[2:])]
+        for s in range(2, max(exponents) + 1):
+            power = mat_mul(power, X)
+            if s in exponents:
+                roots.setdefault((s, tuple(power[0] + power[1])), []).append(cand)
+    return roots
+
+
+class TestRankTwo:
+    """n = 2 decided: a 2 x 2 search reads its candidates off the rank-2
+    order Z[M], C(A) = Z I (+) Z M for a non-scalar A (T, or omega over a
+    module), or off the (trace, det) classes of cI, with no commutant and
+    no walk, and gives the least root within the bound or a complete
+    Exhausted, at any bound the candidate budget admits."""
+
+    def test_the_decision_matches_brute_force_at_bound_6(self, monkeypatch):
+        """Seeded X^s and random T, cI for c in [-9, 9] and operators of
+        rank-1 modules over O_d, at s <= 5: the search at bound 6 finds the
+        first root of the 13^4-point box that commutes with omega, or none
+        is there."""
+        exponents = range(2, 6)
+        roots = first_roots_in_box(6, exponents)
+        rng = random.Random(263)
+        problems = [(IntMatrix(2, 2, tuple(rng.randint(-3, 3) for _ in range(4))) ** s, s, None)
+                    for s in exponents for _ in range(30)]
+        problems += [(IntMatrix(2, 2, tuple(rng.randint(-6, 6) for _ in range(4))), s, None)
+                     for s in exponents for _ in range(30)]
+        problems += [(IntMatrix.identity(2) * c, s, None) for c in range(-9, 10) for s in exponents]
+        for d in (-3, -1, 2, 5):
+            module = OKModule.regular(QuadraticOrder(d), 1)
+            for _ in range(12):
+                X = IntMatrix.identity(2) * rng.randint(-3, 3) + module.omega_action * rng.randint(-3, 3)
+                s = rng.choice(exponents)
+                problems.append((X ** s if rng.random() < 0.6 else X, s, module))
+        I2, J = IntMatrix.identity(2), IntMatrix.from_rows([[-1, 1], [0, -1]])
+        first = roots[2, I2.entries][0]
+        assert brute_root_search(I2.nested(), 2, 6) == [list(first[:2]), list(first[2:])]
+        assert brute_root_search(J.nested(), 2, 6) is None and (2, J.entries) not in roots
+        problems.append((J, 2, None))
+        counts = count_search_stages(monkeypatch)
+        found = modules = 0
+        with time_limit(20.0):
+            for T, s, module in problems:
+                W = None if module is None else module.omega_action
+                want = next((X for X in roots.get((s, T.entries), ())
+                             if W is None or IntMatrix(2, 2, X) * W == W * IntMatrix(2, 2, X)), None)
+                out = root_search(T, s, 6, module=module)
+                if want is None:
+                    assert out == Exhausted(6) or isinstance(out, ProvedImpossible), (T, s, out)
+                else:
+                    assert out == Found(IntMatrix(2, 2, want), T), (T, s, out)
+                found += want is not None
+                modules += want is not None and module is not None
+        assert (counts["commutant"], counts["walks"]) == (0, 0)
+        assert found > 150 and modules > 20, (found, modules)
+
+    def test_no_two_by_two_search_reads_the_commutant_or_walks(self, monkeypatch):
+        """The 2 x 2 corpus operators of seeds 1-8, at s <= 6 and bounds 1
+        and 2, their spectra, and rank-1 module operators: no read of
+        _Invariants.commutant, no call of _box_points."""
+        ops = [(p.operator, None) for kind in ("finite-order", "nilpotent", "random", "powers")
+               for seed in range(1, 9) for p in gen_corpus(kind, seed) if p.operator.rows == 2]
+        ops += [(T, module) for seed in (269, 271) for T, module in seeded_module_problems(seed) if T.rows == 2]
+        counts = count_search_stages(monkeypatch)
+        outcomes = set()
+        with time_limit(20.0):
+            for T, module in ops:
+                for s in range(2, 7):
+                    for bound in (1, 2):
+                        outcomes.add(type(root_search(T, s, bound, module=module)).__name__)
+                divisibility_spectrum(T, 6, 2, module=module)
+        assert outcomes == {"Found", "Exhausted", "ProvedImpossible"}
+        assert len(ops) > 150 and (counts["commutant"], counts["walks"]) == (0, 0), len(ops)
+
+    def test_roots_past_the_candidate_budget_are_decided(self, monkeypatch):
+        """Boxes of (2 bound + 1)^2 commutant points past
+        DEFAULT_MAX_CANDIDATES: [[1, 2 * 10^9], [0, 1]] at bound 10^9 and
+        F = [[2, 1], [1, 1]] at bound 10^6 find their least square roots,
+        and 10^12 (3 + 4i) at bound 10^6, whose square roots +-10^6 (2 + i)
+        lie outside, is cut by a 50 ms timeout in its 2 * 10^6 + 1 values
+        of v, and by the candidate budget at bound 10^8.  I2 at bound 10^6,
+        whose box is M_2(Z)'s, is cut at once."""
+        big = 10 ** 9
+        T = IntMatrix.from_rows([[1, 2 * big], [0, 1]])
+        F = IntMatrix.from_rows([[2, 1], [1, 1]])
+        G = IntMatrix.from_rows([[3, 4], [-4, 3]]) * 10 ** 12
+        counts = count_search_stages(monkeypatch)
+        with time_limit(2.0):
+            assert root_search(T, 2, big) == Found(IntMatrix.from_rows([[-1, -big], [0, -1]]), T)
+            assert root_search(F, 2, 10 ** 6) == Found(IntMatrix.from_rows([[-1, -1], [-1, 0]]), F)
+            assert root_search(G, 2, 10 ** 6, timeout_ms=50) == Exhausted(10 ** 6, complete=False)
+            assert root_search(G, 2, 10 ** 8) == Exhausted(10 ** 8, complete=False)
+            assert root_search(IntMatrix.identity(2), 2, 10 ** 6) == Exhausted(10 ** 6, complete=False)
+        assert (counts["commutant"], counts["walks"]) == (0, 0)
+
+    def test_a_finite_order_operator_takes_its_one_root(self, monkeypatch):
+        """T of order d at s prime to L = lcm(realizable_orders(n)): every
+        root has order dividing L, so T^(s^-1 mod d) is the only one.  I3 at
+        s = 10^25 + 13 is found within 0.1 s, one candidate raised to s;
+        the finite-order corpus operators of seeds 1-3 at s in {5, 7, 25}
+        give the first root of their commutant walk, complete."""
+        powers = [0]
+
+        def counting_pow(*args):
+            powers[0] += 1
+            return _tuple_pow(*args)
+
+        monkeypatch.setattr(divisibility, "_tuple_pow", counting_pow)
+        I3 = IntMatrix.identity(3)
+        with time_limit(0.1):
+            assert root_search(I3, 10 ** 25 + 13, 2) == Found(I3, I3)
+        assert powers[0] == 1
+        ops = [p.operator for seed in (1, 2, 3) for p in gen_corpus("finite-order", seed)]
+        roots = 0
+        with time_limit(20.0):
+            for T in ops:
+                inv = _Invariants(T)
+                for s in (5, 7, 25):
+                    assert gcd(s, lcm(*realizable_orders(T.rows))) == 1
+                    walked = divisibility._scan(divisibility._box_points(inv.commutant, 1), inv, s)
+                    want = Exhausted(1) if walked is None else Found(IntMatrix(T.rows, T.rows, walked), T)
+                    assert root_search(T, s, 1) == want, (T, s)
+                    roots += walked is not None
+        assert roots > 30, roots
 
 
 def seeded_operators(seed, count):
@@ -850,7 +987,8 @@ class TestNonderogatoryCommutant:
     def test_only_derogatory_operators_build_the_commutator_equations(self, monkeypatch):
         """A commutant eliminates the n^2 x n^2 commutator equations
         (classify's one call of the elimination kernel there) only for a
-        derogatory T and omega."""
+        derogatory T and omega that are not scalar: 2 I3's commutant is
+        read off."""
         built = []
 
         def recording(a, cols):
@@ -863,7 +1001,7 @@ class TestNonderogatoryCommutant:
         for T, module in scalar_module_problems():
             _Invariants(T, module).commutant
         assert built == []
-        for T in (IntMatrix.identity(3) * 2, diagonal_matrix([1, 1, 2])):
+        for T in (IntMatrix.identity(3) * 2, diagonal_matrix([1, 1, 2]), diagonal_matrix([2, 1, 2])):
             _Invariants(T).commutant
         assert built == [(9, 9), (9, 9)]
 
@@ -1026,11 +1164,12 @@ class TestDerogatoryCommutant:
             assert commutant == commutant_oracle((T, module.omega_action), T.rows), T
 
     def test_no_hermite_form_of_the_commutator_equations(self, monkeypatch):
-        """The commutant takes exactly two Hermite forms: the saturation's
-        dual basis, n^2 x delta, then its canonical basis, delta x n^2, for
-        delta the rank of the commutant.  None is of the powers of T, of
-        the n^2 x n^2 commutator equations or of the augmented n^2 x 2n^2
-        form their lattice kernel would take."""
+        """The commutant of a T that is not scalar takes exactly two
+        Hermite forms: the saturation's dual basis, n^2 x delta, then its
+        canonical basis, delta x n^2, for delta the rank of the commutant.
+        None is of the powers of T, of the n^2 x n^2 commutator equations
+        or of the augmented n^2 x 2n^2 form their lattice kernel would
+        take.  A scalar T's commutant, M_n(Z), takes none."""
         forms = []
 
         def counting(M):
@@ -1039,11 +1178,46 @@ class TestDerogatoryCommutant:
 
         monkeypatch.setattr(classify, "hnf", counting)
         monkeypatch.setattr(exactalg, "hnf", counting)
+        scalars = 0
         for T in derogatory_operators(233):
             forms.clear()
             n, delta = T.rows, _Invariants(T).commutant.rank
-            assert delta < n * n or T == IntMatrix.identity(n) * T[0, 0], T
-            assert forms == [(n * n, delta), (delta, n * n)], (T, forms)
+            scalar = T == IntMatrix.identity(n) * T[0, 0]
+            assert delta < n * n or scalar, T
+            assert forms == ([] if scalar else [(n * n, delta), (delta, n * n)]), (T, forms)
+            scalars += scalar
+        assert scalars
+
+    def test_a_scalar_commutant_is_read_off(self, monkeypatch):
+        """cI commutes with every X, so its commutator equations vanish and
+        C(cI) = M_n(Z), the identity lattice of Z^(n^2), is read off with
+        no elimination and no Hermite form: the kernel oracle's lattice
+        for n <= 6 and c in [-2, 2], 0 x 0 included.  Over the regular
+        modules of ranks 1 and 2, C(cI) meet C(omega) is the oracle's
+        C(omega)."""
+        built = []
+
+        def recording(name, kernel):
+            return lambda *args: built.append(name) or kernel(*args)
+
+        monkeypatch.setattr(classify, "_bareiss", recording("_bareiss", _bareiss))
+        monkeypatch.setattr(classify, "hnf", recording("hnf", hnf))
+        monkeypatch.setattr(exactalg, "hnf", recording("hnf", hnf))
+        for n in range(7):
+            for c in range(-2, 3):
+                T = IntMatrix.identity(n) * c
+                commutant = _Invariants(T).commutant
+                assert built == [] and commutant == Lattice(n * n, IntMatrix.identity(n * n)), (n, c, built)
+                assert commutant == commutant_oracle((T,), n), (n, c)
+                built.clear()
+        for d in (-3, -1, 2):
+            for rank in (1, 2):
+                module = OKModule.regular(QuadraticOrder(d), rank)
+                for c in range(-2, 3):
+                    T = IntMatrix.identity(2 * rank) * c
+                    commutant = _Invariants(T, module).commutant
+                    assert commutant == commutant_oracle((T, module.omega_action), 2 * rank), (d, rank, c)
+                    assert commutant.rank == 2 * rank * rank
 
     def test_twelve_by_twelve_derogatory_within_three_seconds(self):
         """T = U (Y^2 (+) Y^2) U^-1, Y 6 x 6 with entries in [-1, 1] and U
@@ -1315,12 +1489,17 @@ class TestZeroPlusOrderSpectrum:
                 assert row.theorem_root ** row.s == T
 
     def test_huge_power_witness(self):
-        # arbitrary precision end to end: search a root of a big-entry square
+        """Arbitrary precision end to end: a root of a big-entry square.
+        For 2 x 2 the rank-2 order Z[N], N = [[0, 1], [0, 0]], decides it at
+        once, the least root first; J2 (+) [1], whose commutant box is far
+        beyond DEFAULT_MAX_CANDIDATES, is cut by the candidate budget."""
         big = 10 ** 9
         X = IntMatrix.from_rows([[1, big], [0, 1]])
         T = X * X
         assert T[0, 1] == 2 * big
-        out = root_search(T, 2, big)  # box far beyond DEFAULT_MAX_CANDIDATES
-        assert out == Exhausted(big, complete=False)
-        # but the certificate layer stays silent on this true power
-        assert impossibility_certificates(T, 2) == []
+        with time_limit(1.0):
+            assert root_search(T, 2, big) == Found(IntMatrix.from_rows([[-1, -big], [0, -1]]), T)
+        X3 = block_diagonal([X, IntMatrix.identity(1)])
+        assert root_search(X3 * X3, 2, big) == Exhausted(big, complete=False)
+        # the certificate layer stays silent on these true powers
+        assert impossibility_certificates(T, 2) == [] == impossibility_certificates(X3 * X3, 2)
